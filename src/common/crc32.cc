@@ -7,30 +7,52 @@ namespace {
 
 constexpr std::uint32_t kPoly = 0x82f63b78u;  // reflected CRC-32C
 
-std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables: kTables[0] is the classic byte-at-a-time table, and
+// kTables[s][i] is the CRC of byte i followed by s zero bytes, so eight
+// lookups fold eight input bytes at once.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables make_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int k = 0; k < 8; ++k) {
       crc = (crc >> 1) ^ ((crc & 1) ? kPoly : 0);
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (int s = 1; s < 8; ++s) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xff];
+    }
+  }
+  return t;
 }
 
-const std::array<std::uint32_t, 256>& table() {
-  static const auto t = make_table();
-  return t;
+constexpr Tables kTables = make_tables();
+
+// Little-endian load, independent of the host's byte order.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+         std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::uint8_t> data, std::uint32_t seed) {
   std::uint32_t crc = ~seed;
-  const auto& t = table();
-  for (std::uint8_t byte : data) {
-    crc = (crc >> 8) ^ t[(crc ^ byte) & 0xff];
+  const auto& t = kTables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xff];
   }
   return ~crc;
 }

@@ -560,11 +560,11 @@ TEST(Crc32Test, KnownVectors) {
 TEST(Crc32Test, SeedChaining) {
   const std::string all = "hello world";
   const auto direct = crc32c(std::string_view(all));
-  // Chaining via seed is not plain concatenation, but must be deterministic
-  // and distinct from the empty CRC.
+  // Passing one CRC as the next call's seed continues it: the result is
+  // the CRC of the concatenation.
   const auto part = crc32c(std::string_view("hello "), 0);
   const auto chained = crc32c(std::string_view("world"), part);
-  EXPECT_EQ(chained, crc32c(std::string_view("world"), part));
+  EXPECT_EQ(chained, direct);
   EXPECT_NE(direct, 0u);
 }
 
@@ -573,6 +573,45 @@ TEST(Crc32Test, SensitiveToSingleBit) {
   Bytes b = a;
   b[31] ^= 1;
   EXPECT_NE(crc32c(a), crc32c(b));
+}
+
+// Byte-at-a-time CRC-32C straight from the polynomial: the definition the
+// sliced implementation must reproduce bit for bit.
+std::uint32_t crc32c_reference(std::span<const std::uint8_t> data,
+                               std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesReferenceAtRandomLengthsOffsetsAndSeeds) {
+  Rng rng(7, "crc32.reference");
+  Bytes buffer(4096 + 16);
+  for (auto& byte : buffer) byte = std::uint8_t(rng.next());
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t len = rng.below(4097);
+    const size_t offset = rng.below(16);  // unaligned starts
+    const auto seed = std::uint32_t(rng.next());
+    const std::span<const std::uint8_t> view(buffer.data() + offset, len);
+    ASSERT_EQ(crc32c(view, seed), crc32c_reference(view, seed))
+        << "len " << len << " offset " << offset;
+  }
+}
+
+TEST(Crc32Test, ChainedSeedEqualsWholeBuffer) {
+  Rng rng(11, "crc32.chain");
+  Bytes buffer(1000);
+  for (auto& byte : buffer) byte = std::uint8_t(rng.next());
+  const std::span<const std::uint8_t> all(buffer);
+  for (size_t split : {0, 1, 7, 8, 9, 500, 999, 1000}) {
+    const auto head = crc32c(all.first(split));
+    EXPECT_EQ(crc32c(all.subspan(split), head), crc32c(all)) << split;
+  }
 }
 
 }  // namespace
