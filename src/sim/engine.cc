@@ -10,7 +10,7 @@ namespace hmr::sim {
 
 namespace detail {
 
-void on_detached_done(PromiseBase& promise, void* frame_address) noexcept {
+void on_detached_done(PromiseBase& promise) noexcept {
   if (promise.exception) {
     try {
       std::rethrow_exception(promise.exception);
@@ -24,7 +24,7 @@ void on_detached_done(PromiseBase& promise, void* frame_address) noexcept {
   Engine* engine = promise.engine;
   HMR_CHECK(engine != nullptr);
   --engine->live_processes_;
-  engine->live_detached_.erase(frame_address);
+  engine->unlink_detached(promise);
 }
 
 }  // namespace detail
@@ -37,14 +37,23 @@ Engine::Engine(std::uint64_t seed, EventQueue::Impl queue_impl)
 Engine::~Engine() {
   Logger::instance().clear_time_source();
   shutting_down_ = true;
-  // Destroy still-suspended detached frames. Their locals' destructors may
-  // try to schedule wakeups; schedule_at ignores those while shutting down.
-  // Destroying one frame can complete (and deregister) others only through
-  // scheduling, which is disabled, so a snapshot copy is safe.
-  auto leftovers = live_detached_;
-  for (void* address : leftovers) {
-    std::coroutine_handle<>::from_address(address).destroy();
+  // Destroy still-suspended detached frames in spawn order. Their locals'
+  // destructors may try to schedule wakeups; schedule_at ignores those
+  // while shutting down, so no other frame can finish (and unlink itself)
+  // while one is being destroyed.
+  while (detail::PromiseBase* promise = detached_head_) {
+    unlink_detached(*promise);
+    Task<>::Handle::from_promise(static_cast<Task<>::promise_type&>(*promise))
+        .destroy();
   }
+}
+
+void Engine::unlink_detached(detail::PromiseBase& promise) noexcept {
+  (promise.prev_detached ? promise.prev_detached->next_detached
+                         : detached_head_) = promise.next_detached;
+  (promise.next_detached ? promise.next_detached->prev_detached
+                         : detached_tail_) = promise.prev_detached;
+  promise.prev_detached = promise.next_detached = nullptr;
 }
 
 void Engine::schedule_at(Time at, std::coroutine_handle<> h) {
@@ -79,7 +88,9 @@ void Engine::spawn(Task<> task) {
   promise.detached = true;
   promise.engine = this;
   ++live_processes_;
-  live_detached_.insert(handle.address());
+  promise.prev_detached = detached_tail_;
+  (detached_tail_ ? detached_tail_->next_detached : detached_head_) = &promise;
+  detached_tail_ = &promise;
   schedule_now(handle);
 }
 

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,19 +51,28 @@ class Engine {
   }
   void schedule_now(std::coroutine_handle<> h) { schedule_at(now_, h); }
 
-  // Awaitable: suspends the current task for dt simulated seconds.
-  auto delay(Time dt) {
-    struct Awaiter {
-      Engine& engine;
-      Time at;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        engine.schedule_at(at, h);
-      }
-      void await_resume() const noexcept {}
-    };
+  // Awaitable: suspends the current task until simulated time `at`.
+  struct [[nodiscard]] DelayAwaiter {
+    Engine& engine;
+    Time at;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      engine.schedule_at(at, h);
+    }
+    void await_resume() const noexcept {}
+  };
+  // Suspends the current task for dt simulated seconds.
+  DelayAwaiter delay(Time dt) {
     HMR_CHECK_MSG(dt >= 0.0, "negative delay");
-    return Awaiter{*this, now_ + dt};
+    return DelayAwaiter{*this, now_ + dt};
+  }
+  // Suspends the current task until absolute time `at` (>= now()). One
+  // event where back-to-back delays would take several:
+  // `delay_until((now() + a) + b)` resumes at exactly the time
+  // `delay(a)` followed by `delay(b)` would.
+  DelayAwaiter delay_until(Time at) {
+    HMR_CHECK_MSG(at >= now_, "delay into the past");
+    return DelayAwaiter{*this, at};
   }
 
   // Detaches the task: the engine starts it at the current time and the
@@ -158,7 +166,9 @@ class Engine {
   std::uint64_t seed() const { return seed_; }
 
  private:
-  friend void detail::on_detached_done(detail::PromiseBase&, void*) noexcept;
+  friend void detail::on_detached_done(detail::PromiseBase&) noexcept;
+
+  void unlink_detached(detail::PromiseBase& promise) noexcept;
 
   // Enqueues a work event at now(); called from ParallelAwaiter.
   void schedule_work(ParallelWork& work);
@@ -179,9 +189,11 @@ class Engine {
   std::uint64_t seed_;
   MetricsRegistry metrics_;
   std::atomic<Tracer*> tracer_{nullptr};
-  // Frames of spawned-but-unfinished processes, destroyed at shutdown.
-  // Ordered so shutdown teardown iterates deterministically.
-  std::set<void*> live_detached_;
+  // Frames of spawned-but-unfinished processes in spawn order, linked
+  // through their promises (O(1) link on spawn and unlink on finish);
+  // shutdown destroys the leftovers front to back.
+  detail::PromiseBase* detached_head_ = nullptr;
+  detail::PromiseBase* detached_tail_ = nullptr;
   std::atomic<bool> shutting_down_{false};
 
   // --- parallel work-event state (sim/parallel.h) ---

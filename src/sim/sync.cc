@@ -40,9 +40,4 @@ void Resource::grant_waiters() {
   }
 }
 
-Task<ResourceHold> hold(Resource& resource, std::int64_t amount) {
-  co_await resource.acquire(amount);
-  co_return ResourceHold{resource, amount};
-}
-
 }  // namespace hmr::sim

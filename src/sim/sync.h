@@ -64,25 +64,25 @@ class Resource {
   // debits in await_resume; parked waiters are debited at grant time (in
   // grant_waiters) so units cannot be double-booked while the wakeup sits
   // in the engine queue.
-  auto acquire(std::int64_t amount = 1) {
-    struct Awaiter {
-      Resource& resource;
-      std::int64_t amount;
-      bool parked = false;
-      bool await_ready() const noexcept {
-        return resource.waiters_.empty() && resource.available_ >= amount;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        parked = true;
-        resource.waiters_.push_back({h, amount});
-      }
-      void await_resume() const noexcept {
-        if (!parked) resource.available_ -= amount;
-      }
-    };
+  struct [[nodiscard]] AcquireAwaiter {
+    Resource& resource;
+    std::int64_t amount;
+    bool parked = false;
+    bool await_ready() const noexcept {
+      return resource.waiters_.empty() && resource.available_ >= amount;
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      parked = true;
+      resource.waiters_.push_back({h, amount});
+    }
+    void await_resume() const noexcept {
+      if (!parked) resource.available_ -= amount;
+    }
+  };
+  AcquireAwaiter acquire(std::int64_t amount = 1) {
     HMR_CHECK_MSG(amount >= 0 && amount <= capacity_,
                   "acquire amount exceeds resource capacity: " + name_);
-    return Awaiter{*this, amount};
+    return AcquireAwaiter{*this, amount};
   }
   void release(std::int64_t amount = 1);
 
@@ -141,8 +141,21 @@ class ResourceHold {
   std::int64_t amount_ = 0;
 };
 
-// Acquires `amount` units and returns an RAII hold.
-Task<ResourceHold> hold(Resource& resource, std::int64_t amount = 1);
+// Acquires `amount` units and yields an RAII hold. A plain awaiter, not a
+// coroutine: the wait parks the caller directly, so it costs no frame
+// and wakes at the same event an acquire() would.
+struct [[nodiscard]] HoldAwaiter {
+  Resource::AcquireAwaiter acquire;
+  bool await_ready() const noexcept { return acquire.await_ready(); }
+  void await_suspend(std::coroutine_handle<> h) { acquire.await_suspend(h); }
+  ResourceHold await_resume() const noexcept {
+    acquire.await_resume();
+    return ResourceHold{acquire.resource, acquire.amount};
+  }
+};
+inline HoldAwaiter hold(Resource& resource, std::int64_t amount = 1) {
+  return HoldAwaiter{resource.acquire(amount)};
+}
 
 // Go-style wait group: add() work, done() it, wait() for zero.
 class WaitGroup {

@@ -33,12 +33,15 @@ struct PromiseBase {
   std::exception_ptr exception;
   bool detached = false;
   Engine* engine = nullptr;  // set on spawn, for live-process accounting
+  // Links in the engine's spawn-ordered list of live detached frames.
+  PromiseBase* prev_detached = nullptr;
+  PromiseBase* next_detached = nullptr;
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   void unhandled_exception() noexcept { exception = std::current_exception(); }
 };
 
-void on_detached_done(PromiseBase& promise, void* frame_address) noexcept;
+void on_detached_done(PromiseBase& promise) noexcept;
 
 template <typename Promise>
 struct FinalAwaiter {
@@ -47,7 +50,7 @@ struct FinalAwaiter {
       std::coroutine_handle<Promise> h) noexcept {
     auto& promise = h.promise();
     if (promise.detached) {
-      on_detached_done(promise, h.address());
+      on_detached_done(promise);
       h.destroy();
       return std::noop_coroutine();
     }

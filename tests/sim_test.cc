@@ -363,6 +363,101 @@ TEST(ResourceTest, HoldReleasesOnScopeExit) {
   EXPECT_EQ(r.available(), 1);
 }
 
+// hold() parks the caller on the resource itself, so on a contended
+// resource it must grant in the same FIFO order, at the same times, as a
+// bare acquire()/release() pair.
+TEST(ResourceTest, HoldGrantsLikeAcquireUnderContention) {
+  struct Grant {
+    int id;
+    double at;
+    bool operator==(const Grant&) const = default;
+  };
+  auto run = [](bool use_hold) {
+    Engine engine;
+    Resource r(engine, 3, "pool");
+    std::vector<Grant> grants;
+    for (int i = 0; i < 6; ++i) {
+      engine.spawn([](Engine& e, Resource& r, std::vector<Grant>& grants,
+                      int id, bool use_hold) -> Task<> {
+        const std::int64_t amount = 1 + id % 3;
+        co_await e.delay(double(id % 2) * 0.5);
+        if (use_hold) {
+          auto guard = co_await hold(r, amount);
+          grants.push_back({id, e.now()});
+          co_await e.delay(1.0 + id);
+        } else {
+          co_await r.acquire(amount);
+          grants.push_back({id, e.now()});
+          co_await e.delay(1.0 + id);
+          r.release(amount);
+        }
+      }(engine, r, grants, i, use_hold));
+    }
+    engine.run();
+    EXPECT_EQ(r.available(), 3);
+    return std::pair{grants, engine.events_dispatched()};
+  };
+  const auto [held, held_events] = run(true);
+  const auto [acquired, acquired_events] = run(false);
+  ASSERT_EQ(held.size(), 6u);
+  EXPECT_EQ(held, acquired);
+  EXPECT_EQ(held_events, acquired_events);
+}
+
+// ------------------------------------------------------- detached frames
+
+TEST(EngineTest, DetachedFramesFinishingOutOfOrderKeepLiveCountExact) {
+  // Five frames finish middle, head, tail, then the remaining two, so
+  // each unlink hits a different position of the spawn-ordered list.
+  Engine engine;
+  const double finish_at[5] = {2.0, 4.0, 1.0, 5.0, 3.0};
+  for (double at : finish_at) {
+    engine.spawn([](Engine& e, double at) -> Task<> {
+      co_await e.delay(at);
+    }(engine, at));
+  }
+  EXPECT_EQ(engine.live_processes(), 5);
+  for (int done = 1; done <= 5; ++done) {
+    engine.run_until(double(done));
+    EXPECT_EQ(engine.live_processes(), 5 - done) << "at t=" << done;
+  }
+  // The emptied list accepts new frames again.
+  engine.spawn([](Engine& e) -> Task<> { co_await e.delay(1.0); }(engine));
+  EXPECT_EQ(engine.live_processes(), 1);
+  engine.run();
+  EXPECT_EQ(engine.live_processes(), 0);
+}
+
+TEST(EngineTest, TeardownDestroysExactlyTheBlockedFrames) {
+  // Each frame owns a flag guard; its destructor records the frame id
+  // whether the frame finished or was destroyed by engine teardown.
+  struct Guard {
+    std::vector<int>* destroyed;
+    int id;
+    ~Guard() { destroyed->push_back(id); }
+  };
+  std::vector<int> destroyed;
+  {
+    Engine engine;
+    Event never(engine);
+    for (int id = 0; id < 6; ++id) {
+      engine.spawn([](Engine& e, Event& never, std::vector<int>& destroyed,
+                      int id) -> Task<> {
+        Guard guard{&destroyed, id};
+        co_await e.delay(double(id));
+        if (id % 2 == 0) co_await never.wait();  // blocks forever
+      }(engine, never, destroyed, id));
+    }
+    engine.run();
+    EXPECT_EQ(engine.live_processes(), 3);
+    // The odd frames ran to completion and destroyed their guards.
+    EXPECT_EQ(destroyed, (std::vector<int>{1, 3, 5}));
+    destroyed.clear();
+  }
+  // Teardown destroyed the three blocked frames, once each, in spawn order.
+  EXPECT_EQ(destroyed, (std::vector<int>{0, 2, 4}));
+}
+
 // ------------------------------------------------------------- waitgroup
 
 TEST(WaitGroupTest, WaitsForAll) {
