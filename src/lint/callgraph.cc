@@ -231,6 +231,7 @@ constexpr Seed kSeeds[] = {
     {"Engine::schedule_work", kEffEngine},
     {"Engine::spawn", kEffEngine},
     {"Engine::delay", kEffEngine},
+    {"Engine::delay_until", kEffEngine},
     {"Engine::parallel", kEffEngine},
     {"Engine::set_parallel_workers", kEffEngine},
     {"Engine::set_tracer", kEffEngine | kEffTracer},

@@ -86,7 +86,8 @@ Status QueuePair::post_send(SendWr wr) {
   if (state_ != QpState::kRts) {
     return Status::FailedPrecondition("post_send on non-RTS QP");
   }
-  network_.engine().spawn(run_send(std::move(wr)));
+  const bool signaled = wr.signaled;
+  network_.engine().spawn(complete_posted(send(std::move(wr)), signaled));
   return Status::Ok();
 }
 
@@ -104,7 +105,7 @@ Status QueuePair::post_rdma_read(RdmaReadWr wr) {
   if (state_ != QpState::kRts) {
     return Status::FailedPrecondition("post_rdma_read on non-RTS QP");
   }
-  network_.engine().spawn(run_rdma_read(wr));
+  network_.engine().spawn(complete_posted(rdma_read(wr), true));
   return Status::Ok();
 }
 
@@ -112,12 +113,28 @@ Status QueuePair::post_rdma_write(RdmaWriteWr wr) {
   if (state_ != QpState::kRts) {
     return Status::FailedPrecondition("post_rdma_write on non-RTS QP");
   }
-  network_.engine().spawn(run_rdma_write(std::move(wr)));
+  network_.engine().spawn(complete_posted(rdma_write(std::move(wr)), true));
   return Status::Ok();
 }
 
-sim::Task<> QueuePair::run_send(SendWr wr) {
+sim::Task<> QueuePair::complete_posted(sim::Task<Completion> wr,
+                                       bool signaled) {
+  Completion completion = co_await std::move(wr);
+  // Unsignaled WRs still report failures, as on hardware.
+  if (signaled || completion.status != WcStatus::kSuccess) {
+    co_await send_cq_.push(std::move(completion));
+  }
+}
+
+sim::Task<Completion> QueuePair::send(SendWr wr) {
   auto order = co_await sim::hold(send_lock_);
+  Completion tx;
+  tx.wr_id = wr.wr_id;
+  tx.opcode = Opcode::kSend;
+  if (state_ != QpState::kRts) {
+    tx.status = WcStatus::kWrFlushError;
+    co_return tx;
+  }
   // RNR: park until the peer posts a receive (infinite rnr_retry).
   while (peer_->recv_queue_.empty()) {
     co_await peer_->recv_posted_.wait();
@@ -135,26 +152,26 @@ sim::Task<> QueuePair::run_send(SendWr wr) {
   rx.message = std::move(wr.message);
   co_await peer_->recv_cq_.push(std::move(rx));
 
-  Completion tx;
-  tx.wr_id = wr.wr_id;
-  tx.opcode = Opcode::kSend;
   tx.byte_len = bytes;
-  co_await send_cq_.push(std::move(tx));
+  co_return tx;
 }
 
-sim::Task<> QueuePair::run_rdma_read(RdmaReadWr wr) {
+sim::Task<Completion> QueuePair::rdma_read(RdmaReadWr wr) {
   auto order = co_await sim::hold(send_lock_);
   Completion completion;
   completion.wr_id = wr.wr_id;
   completion.opcode = Opcode::kRdmaRead;
+  if (state_ != QpState::kRts) {
+    completion.status = WcStatus::kWrFlushError;
+    co_return completion;
+  }
 
   const MemoryRegion* region = peer_->pd_.find(wr.remote_rkey);
   if (region == nullptr ||
       wr.real_offset + wr.real_len > region->real_size()) {
     completion.status = WcStatus::kRemoteAccessError;
     state_ = QpState::kError;
-    co_await send_cq_.push(std::move(completion));
-    co_return;
+    co_return completion;
   }
   // Read request travels to the responder (latency-only), data streams
   // back DMA-to-DMA: no CPU at either end.
@@ -167,29 +184,32 @@ sim::Task<> QueuePair::run_rdma_read(RdmaReadWr wr) {
   completion.byte_len = modeled;
   completion.message =
       Message::share(std::make_shared<const Bytes>(std::move(slice)), modeled);
-  co_await send_cq_.push(std::move(completion));
+  co_return completion;
 }
 
-sim::Task<> QueuePair::run_rdma_write(RdmaWriteWr wr) {
+sim::Task<Completion> QueuePair::rdma_write(RdmaWriteWr wr) {
   auto order = co_await sim::hold(send_lock_);
   Completion completion;
   completion.wr_id = wr.wr_id;
   completion.opcode = Opcode::kRdmaWrite;
+  if (state_ != QpState::kRts) {
+    completion.status = WcStatus::kWrFlushError;
+    co_return completion;
+  }
 
   MemoryRegion* region = peer_->pd_.find_mutable(wr.remote_rkey);
   const std::uint64_t real_len = wr.message.real_size();
   if (region == nullptr || real_len > region->real_size()) {
     completion.status = WcStatus::kRemoteAccessError;
     state_ = QpState::kError;
-    co_await send_cq_.push(std::move(completion));
-    co_return;
+    co_return completion;
   }
   co_await network_.transmit(local_host(), remote_host(),
                              wr.message.modeled_bytes);
   std::copy(wr.message.payload->begin(), wr.message.payload->end(),
             region->spec().buffer->begin());
   completion.byte_len = wr.message.modeled_bytes;
-  co_await send_cq_.push(std::move(completion));
+  co_return completion;
 }
 
 }  // namespace hmr::ibv

@@ -7,10 +7,17 @@
 // completion queues. Data moves over the Network model with the verbs
 // profile (OS bypass: no CPU cores consumed).
 //
+// Every send-side WR has two forms. The posted form (post_*) runs the
+// WR in its own task and reports it on the send CQ; a send posted with
+// `signaled = false` makes no CQ entry unless it fails, as
+// IBV_SEND_SIGNALED behaves on hardware. The awaited form runs the WR in
+// the caller's task and returns its completion directly, for callers
+// that would otherwise block on the CQ for that one entry.
+//
 // Deliberate simplifications, documented per DESIGN.md §2: no SRQ, no
-// atomics, all WRs signaled, RNR handled by parking the sender until a
-// recv is posted (infinite rnr_retry), connection setup is an
-// out-of-band exchange like RDMA-CM would provide.
+// atomics, RNR handled by parking the sender until a recv is posted
+// (infinite rnr_retry), connection setup is an out-of-band exchange like
+// RDMA-CM would provide.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +39,9 @@ using net::Message;
 using net::Network;
 
 enum class Opcode { kSend, kRecv, kRdmaWrite, kRdmaRead };
-enum class WcStatus { kSuccess, kLocalProtocolError, kRemoteAccessError };
+// kWrFlushError: the WR reached a QP that is not in RTS (e.g. one an
+// earlier WR moved to the error state) and was flushed unexecuted.
+enum class WcStatus { kSuccess, kWrFlushError, kRemoteAccessError };
 
 struct Completion {
   std::uint64_t wr_id = 0;
@@ -117,6 +126,7 @@ enum class QpState { kReset, kInit, kRtr, kRts, kError };
 struct SendWr {
   std::uint64_t wr_id = 0;
   Message message;
+  bool signaled = true;  // false: a posted send that succeeds makes no CQ entry
 };
 struct RecvWr {
   std::uint64_t wr_id = 0;
@@ -153,15 +163,20 @@ class QueuePair {
   Status post_rdma_read(RdmaReadWr wr);
   Status post_rdma_write(RdmaWriteWr wr);
 
+  // Awaited forms of the send-side WRs: each runs in the caller's task,
+  // in posting order with every other WR on this QP, and completes with
+  // the WR's Completion instead of a send-CQ entry (SendWr::signaled is
+  // ignored). A WR that reaches a non-RTS QP completes kWrFlushError.
+  sim::Task<Completion> send(SendWr wr);
+  sim::Task<Completion> rdma_read(RdmaReadWr wr);
+  sim::Task<Completion> rdma_write(RdmaWriteWr wr);
+
   Host& local_host();
   Host& remote_host();
 
  private:
-  sim::Task<> run_send(SendWr wr);
-  sim::Task<> run_rdma_read(RdmaReadWr wr);
-  sim::Task<> run_rdma_write(RdmaWriteWr wr);
-  void complete_send(std::uint64_t wr_id, Opcode op, std::uint64_t bytes,
-                     WcStatus status, Message message = {});
+  // Body of the post_* forms: awaits `wr` and reports it on the send CQ.
+  sim::Task<> complete_posted(sim::Task<Completion> wr, bool signaled);
 
   Network& network_;
   ProtectionDomain& pd_;

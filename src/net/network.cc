@@ -43,18 +43,21 @@ sim::Task<> Network::transmit(Host& src, Host& dst,
   messages_metric_.add();
   bytes_metric_.add(std::int64_t(modeled_bytes));
 
-  // Fixed per-message CPU (syscall / WQE posting) on the sender.
-  if (profile_.per_msg_cpu > 0.0) {
-    if (profile_.os_bypass()) {
-      // Posting a WQE is cheap enough not to contend for a core.
-      co_await engine_.delay(profile_.per_msg_cpu);
-    } else {
+  // Fixed per-message CPU (syscall / WQE posting) on the sender, then the
+  // first-byte latency.
+  if (profile_.os_bypass()) {
+    // Posting a WQE is cheap enough not to contend for a core, so the
+    // two back-to-back charges are one wait, ending at the same time.
+    co_await engine_.delay_until((engine_.now() + profile_.per_msg_cpu) +
+                                 profile_.base_latency);
+  } else {
+    if (profile_.per_msg_cpu > 0.0) {
       co_await src.compute(profile_.per_msg_cpu);
       cpu_seconds_ += profile_.per_msg_cpu;
       cpu_seconds_metric_.set(cpu_seconds_);
     }
+    co_await engine_.delay(profile_.base_latency);
   }
-  co_await engine_.delay(profile_.base_latency);
 
   if (modeled_bytes == 0 || &src == &dst) {
     // Loopback or pure control: latency only.

@@ -118,25 +118,12 @@ void Endpoint::start_daemons() {
   for (std::int64_t i = 0; i < params_.send_window * 2 + 4; ++i) {
     HMR_CHECK(qp_->post_recv({next_recv_wr_++}).ok());
   }
-  network_.engine().spawn(demux_loop());
   network_.engine().spawn(recv_loop());
 }
 
-sim::Task<ibv::Completion> Endpoint::await_wr(std::uint64_t wr_id) {
-  auto pending = std::make_shared<PendingWr>(network_.engine());
-  pending_.emplace(wr_id, pending);
-  co_await pending->done.wait();
-  co_return pending->completion;
-}
-
-sim::Task<> Endpoint::demux_loop() {
-  while (auto wc = co_await send_cq_.wait_opt()) {
-    auto it = pending_.find(wc->wr_id);
-    if (it == pending_.end()) continue;  // fire-and-forget WR (CLOSE)
-    it->second->completion = std::move(*wc);
-    it->second->done.set();
-    pending_.erase(it);
-  }
+void Endpoint::post_control(Message ctrl) {
+  ibv::SendWr wr{.message = std::move(ctrl), .signaled = false};
+  HMR_CHECK(qp_->post_send(std::move(wr)).ok());
 }
 
 sim::Task<> Endpoint::recv_loop() {
@@ -226,20 +213,17 @@ sim::Task<> Endpoint::handle_rts(const Message& ctrl) {
         mr->rkey(), header.app_tag, header.modeled_len, header.has_payload};
     auto body = std::make_shared<const Bytes>(
         encode_seq_rkey(header.seq, mr->rkey()));
-    Message rtr = Message::share(std::move(body), kFinWireBytes,
-                                 pack_tag(kRtr, 0));
-    HMR_CHECK(qp_->post_send({.wr_id = 0, .message = std::move(rtr)}).ok());
+    post_control(Message::share(std::move(body), kFinWireBytes,
+                                pack_tag(kRtr, 0)));
     co_return;
   }
 
-  const std::uint64_t wr = next_wr_++;
-  auto wait = await_wr(wr);
-  HMR_CHECK(qp_->post_rdma_read({.wr_id = wr,
-                                 .remote_rkey = header.rkey,
-                                 .real_offset = 0,
-                                 .real_len = header.real_len})
-                .ok());
-  auto wc = co_await std::move(wait);
+  // Named local: GCC 12 miscompiles aggregates built inside a co_await
+  // operand (hmr-lint rule coawait-aggregate).
+  const ibv::RdmaReadWr read{.remote_rkey = header.rkey,
+                             .real_offset = 0,
+                             .real_len = header.real_len};
+  auto wc = co_await qp_->rdma_read(read);
   HMR_CHECK_MSG(wc.status == ibv::WcStatus::kSuccess,
                 "rendezvous RDMA read failed");
 
@@ -248,12 +232,7 @@ sim::Task<> Endpoint::handle_rts(const Message& ctrl) {
   app.modeled_bytes = header.modeled_len;
   if (header.has_payload) app.payload = wc.message.payload;
   co_await inbox_.send(std::move(app));
-
-  HMR_CHECK(
-      qp_->post_send({.wr_id = 0,  // fire and forget
-                      .message = Message::control(pack_tag(kFin, header.seq),
-                                                  kFinWireBytes)})
-          .ok());
+  post_control(Message::control(pack_tag(kFin, header.seq), kFinWireBytes));
 }
 
 sim::Task<> Endpoint::handle_rtr(const Message& ctrl) {
@@ -263,24 +242,16 @@ sim::Task<> Endpoint::handle_rtr(const Message& ctrl) {
   PendingPut put = std::move(it->second);
   awaiting_rtr_.erase(it);
 
-  const std::uint64_t wr = next_wr_++;
-  auto wait = await_wr(wr);
-  const double scale = double(put.modeled) /
-                       double(std::max<size_t>(1, put.buffer->size()));
-  Message payload = Message::share(
-      std::shared_ptr<const Bytes>(put.buffer), put.modeled, 0);
-  HMR_CHECK(qp_->post_rdma_write(
-                  {.wr_id = wr, .remote_rkey = rkey,
-                   .message = std::move(payload)})
-                .ok());
-  (void)scale;
-  auto wc = co_await std::move(wait);
+  ibv::RdmaWriteWr write{
+      .remote_rkey = rkey,
+      .message = Message::share(std::shared_ptr<const Bytes>(put.buffer),
+                                put.modeled, 0)};
+  auto wc = co_await qp_->rdma_write(std::move(write));
   HMR_CHECK_MSG(wc.status == ibv::WcStatus::kSuccess,
                 "rendezvous RDMA write failed");
   auto body = std::make_shared<const Bytes>(encode_seq_rkey(seq, rkey));
-  Message fin = Message::share(std::move(body), kFinWireBytes,
-                               pack_tag(kWriteFin, 0));
-  HMR_CHECK(qp_->post_send({.wr_id = 0, .message = std::move(fin)}).ok());
+  post_control(Message::share(std::move(body), kFinWireBytes,
+                              pack_tag(kWriteFin, 0)));
 
   // Unblock the local send().
   auto fin_it = awaiting_fin_.find(seq);
@@ -305,12 +276,9 @@ sim::Task<> Endpoint::send(Message msg) {
     // Copy into a pre-registered bounce buffer.
     co_await network_.engine().delay(double(msg.modeled_bytes) /
                                      params_.copy_bw);
-    const std::uint64_t wr = next_wr_++;
-    Message wire = std::move(msg);
-    wire.tag = pack_tag(kEager, wire.tag);
-    auto wait = await_wr(wr);
-    HMR_CHECK(qp_->post_send({.wr_id = wr, .message = std::move(wire)}).ok());
-    (void)co_await std::move(wait);
+    msg.tag = pack_tag(kEager, msg.tag);
+    ibv::SendWr wire{.message = std::move(msg)};
+    (void)co_await qp_->send(std::move(wire));
     co_return;
   }
 
@@ -332,13 +300,10 @@ sim::Task<> Endpoint::send(Message msg) {
     awaiting_rtr_[header.seq] = PendingPut{buffer, msg.modeled_bytes};
     auto fin = std::make_shared<PendingFin>(network_.engine());
     awaiting_fin_.emplace(header.seq, fin);
-    const std::uint64_t wr = next_wr_++;
-    auto wait = await_wr(wr);
-    auto rts_payload = std::make_shared<const Bytes>(header.encode());
-    Message rts = Message::share(std::move(rts_payload), kRtsWireBytes,
-                                 pack_tag(kRts, 0));
-    HMR_CHECK(qp_->post_send({.wr_id = wr, .message = std::move(rts)}).ok());
-    (void)co_await std::move(wait);
+    ibv::SendWr rts{.message = Message::share(
+                        std::make_shared<const Bytes>(header.encode()),
+                        kRtsWireBytes, pack_tag(kRts, 0))};
+    (void)co_await qp_->send(std::move(rts));
     if (peer_closed_ && !fin->aborted) {
       // The peer's CLOSE raced ahead of this RTS (flush_pending_sends
       // ran before the FIN was registered); flush this transfer by hand.
@@ -365,13 +330,10 @@ sim::Task<> Endpoint::send(Message msg) {
   auto fin = std::make_shared<PendingFin>(network_.engine());
   awaiting_fin_.emplace(header.seq, fin);
 
-  const std::uint64_t wr = next_wr_++;
-  auto wait = await_wr(wr);
-  auto rts_payload = std::make_shared<const Bytes>(header.encode());
-  Message rts = Message::share(std::move(rts_payload), kRtsWireBytes,
-                               pack_tag(kRts, 0));
-  HMR_CHECK(qp_->post_send({.wr_id = wr, .message = std::move(rts)}).ok());
-  (void)co_await std::move(wait);
+  ibv::SendWr rts{.message = Message::share(
+                      std::make_shared<const Bytes>(header.encode()),
+                      kRtsWireBytes, pack_tag(kRts, 0))};
+  (void)co_await qp_->send(std::move(rts));
   if (peer_closed_ && !fin->aborted) {
     // The peer's CLOSE raced ahead of this RTS; flush by hand (see the
     // write-mode branch above).
@@ -397,10 +359,7 @@ void Endpoint::close() {
   if (closed_) return;
   closed_ = true;
   if (qp_->state() == ibv::QpState::kRts) {
-    HMR_CHECK(qp_->post_send({.wr_id = 0,
-                              .message = Message::control(
-                                  pack_tag(kClose, 0), kCloseWireBytes)})
-                  .ok());
+    post_control(Message::control(pack_tag(kClose, 0), kCloseWireBytes));
   }
 }
 

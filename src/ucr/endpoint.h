@@ -77,13 +77,14 @@ class Endpoint {
                                                       UcrParams params);
 
   Endpoint(Network& network, Host& host, UcrParams params);
-  // Wires two endpoints' QPs together and starts their daemons.
+  // Wires two endpoints' QPs together and starts their receive daemons.
   static void establish(Endpoint& a, Endpoint& b);
   void start_daemons();
 
-  sim::Task<> demux_loop();
+  // Fire-and-forget control message (FIN, CLOSE, RTR, WriteFIN), posted
+  // unsignaled: nothing waits on its completion.
+  void post_control(Message ctrl);
   sim::Task<> recv_loop();
-  sim::Task<ibv::Completion> await_wr(std::uint64_t wr_id);
   sim::Task<> handle_rts(const Message& ctrl);
   sim::Task<> handle_rtr(const Message& ctrl);
   // Connection teardown: completes every send parked on a rendezvous
@@ -94,21 +95,16 @@ class Endpoint {
   Network& network_;
   UcrParams params_;
   ibv::ProtectionDomain pd_;
+  // Data WRs are awaited and control WRs unsignaled, so only a failed
+  // control WR would ever land in send_cq_; nothing polls it.
   ibv::CompletionQueue send_cq_;
   ibv::CompletionQueue recv_cq_;
   std::unique_ptr<ibv::QueuePair> qp_;
   sim::Resource send_window_;
   sim::Resource send_order_;  // app-level FIFO across eager/rendezvous
   sim::Channel<Message> inbox_;
-  std::uint64_t next_wr_ = 1;
-  std::uint64_t next_recv_wr_ = 1'000'000'000ull;
+  std::uint64_t next_recv_wr_ = 1;
 
-  struct PendingWr {
-    explicit PendingWr(sim::Engine& engine) : done(engine) {}
-    sim::Event done;
-    ibv::Completion completion;
-  };
-  std::map<std::uint64_t, std::shared_ptr<PendingWr>> pending_;
   struct PendingFin {
     explicit PendingFin(sim::Engine& engine) : done(engine) {}
     sim::Event done;
