@@ -20,7 +20,7 @@ bool has_prefix(const std::string& path, std::string_view prefix) {
 const std::set<std::string, std::less<>> kKnownRules = {
     "determinism",      "status-discipline",      "config-registry",
     "metric-registry",  "thread-discipline",      "parallel-purity",
-    "coroutine-borrow", "transitive-determinism"};
+    "coroutine-borrow", "transitive-determinism", "coawait-aggregate"};
 
 // Drops findings waived by a justified suppression on the same line or
 // the line above; reports malformed suppressions. A justified
@@ -118,7 +118,11 @@ Report lint_files(const std::vector<SourceFile>& files, const Options& opts) {
     const bool in_tools = has_prefix(f.path, "tools/");
 
     std::vector<Finding> local;
-    std::set<std::string> active_rules = {"status-discipline"};
+    std::set<std::string> active_rules = {"status-discipline",
+                                          "coawait-aggregate"};
+    // Every compiled file meets the same compiler, so this one applies
+    // tree-wide.
+    check_coawait_aggregate(f, &local);
     if (in_src) {
       check_determinism(f, &local);
       // No blanket exemption anymore: sim/parallel.{h,cc} (the one

@@ -327,6 +327,77 @@ void check_thread_discipline(const LexedFile& file,
 
 namespace {
 
+// Index of the closer matching the opener at `open` (same bracket kind),
+// or npos.
+size_t match_bracket(const std::vector<Token>& toks, size_t open,
+                     std::string_view opener, std::string_view closer) {
+  int depth = 0;
+  for (size_t i = open; i < toks.size(); ++i) {
+    if (is_punct(toks[i], opener)) ++depth;
+    if (is_punct(toks[i], closer) && --depth == 0) return i;
+  }
+  return std::string::npos;
+}
+
+// For a lambda introducer `[` at `open`, the index of the `}` closing its
+// body, or npos.
+size_t skip_lambda(const std::vector<Token>& toks, size_t open) {
+  size_t i = match_bracket(toks, open, "[", "]");
+  if (i == std::string::npos) return i;
+  for (++i; i < toks.size(); ++i) {
+    if (is_punct(toks[i], "(")) {
+      i = match_paren(toks, i);
+      if (i == std::string::npos) return i;
+    } else if (is_punct(toks[i], "{")) {
+      return match_bracket(toks, i, "{", "}");
+    } else if (is_punct(toks[i], ";")) {
+      return std::string::npos;
+    }
+  }
+  return std::string::npos;
+}
+
+}  // namespace
+
+void check_coawait_aggregate(const LexedFile& file, std::vector<Finding>* out) {
+  const auto& toks = file.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    if (!is_ident(toks[i], "co_await")) continue;
+    // Walk the operand: it ends at a `;` or `,` at its own nesting level,
+    // or at a closer belonging to an enclosing expression.
+    int depth = 0;
+    for (size_t j = i + 1; j < toks.size(); ++j) {
+      const Token& t = toks[j];
+      if (t.kind != TokKind::kPunct) continue;
+      if (t.text == "[" && (is_punct(toks[j - 1], "(") ||
+                            is_punct(toks[j - 1], ",") || j == i + 1)) {
+        j = skip_lambda(toks, j);  // a lambda's body is not an initializer
+        if (j == std::string::npos) break;
+        continue;
+      }
+      if (t.text == "{") {
+        out->push_back({"coawait-aggregate", file.path, t.line,
+                        "braced initializer inside a co_await operand; GCC "
+                        "12 miscompiles aggregate temporaries built there, "
+                        "so build the value as a named local first"});
+        j = match_bracket(toks, j, "{", "}");
+        if (j == std::string::npos) break;
+        continue;
+      }
+      if (t.text == "(" || t.text == "[") {
+        ++depth;
+      } else if (t.text == ")" || t.text == "]") {
+        if (depth-- == 0) break;
+      } else if (t.text == ";" || t.text == "}" ||
+                 (t.text == "," && depth == 0)) {
+        break;
+      }
+    }
+  }
+}
+
+namespace {
+
 // Looks backward from `use_line` for `auto r = <result-call>;`-style
 // bindings. Returns the binding line when `r` visibly holds a
 // Result<T>, nullopt when its type can't be established (in which case

@@ -108,4 +108,11 @@ void check_status_discipline(const LexedFile& file,
 void check_thread_discipline(const LexedFile& file,
                              std::vector<Finding>* out);
 
+// Flags a braced initializer anywhere inside a co_await operand, such as
+// `co_await qp.send({.wr_id = 1, .message = m})` or `co_await f(T{a, b})`.
+// GCC 12 miscompiles aggregate temporaries built there (a shared_ptr
+// member's copy is elided into a bitwise move, splitting ownership); the
+// fix is a named local. Lambda bodies passed in the operand are exempt.
+void check_coawait_aggregate(const LexedFile& file, std::vector<Finding>* out);
+
 }  // namespace hmr::lint

@@ -245,7 +245,8 @@ TEST(HdfsTest, RemoveAndList) {
 TEST(HdfsTest, EmptyFileSupported) {
   DfsWorld w;
   w.engine.spawn([](DfsWorld& w) -> Task<> {
-    EXPECT_TRUE((co_await w.dfs->write(w.host(1), "/empty", Bytes{})).ok());
+    Bytes empty;
+    EXPECT_TRUE((co_await w.dfs->write(w.host(1), "/empty", empty)).ok());
     auto r = co_await w.dfs->read(w.host(2), "/empty");
     EXPECT_TRUE(r.ok());
     EXPECT_TRUE(r->empty());

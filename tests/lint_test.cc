@@ -224,6 +224,18 @@ TEST(LintBorrowTest, SilentWhenConsumedBeforeAwait) {
   EXPECT_TRUE(report.clean()) << dump(report);
 }
 
+TEST(LintCoawaitAggregateTest, FlagsBracedInitializersInAwaitOperands) {
+  const Report report = lint_fixture("coawait_aggregate_bad.cc");
+  // Designated, named-type, nested multi-line, and co_return co_await.
+  EXPECT_EQ(count_rule(report, "coawait-aggregate"), 4) << dump(report);
+  EXPECT_NE(dump(report).find("named local"), std::string::npos);
+}
+
+TEST(LintCoawaitAggregateTest, SilentOnNamedLocalsAndLambdas) {
+  const Report report = lint_fixture("coawait_aggregate_ok.cc");
+  EXPECT_EQ(count_rule(report, "coawait-aggregate"), 0) << dump(report);
+}
+
 TEST(LintSuppressionTest, StaleWaiverIsFlagged) {
   const Report report = lint_fixture("stale_suppression_bad.cc");
   EXPECT_EQ(count_rule(report, "suppression"), 1) << dump(report);
