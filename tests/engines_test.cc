@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "common/units.h"
 #include "mapred/types.h"
@@ -29,16 +30,18 @@ RunConfig small_config(EngineSetup setup, const std::string& workload) {
 // run_experiment aborts on validation failure, so "it returned" already
 // proves exactly-once sorted delivery; the assertions below pin the rest.
 
+// std::string parameters print as their text, so the test names stay the
+// same from run to run (a const char* prints its address as well).
 class EngineMatrix
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
 };
 
 TEST_P(EngineMatrix, CompletesAndValidates) {
   const auto [engine, workload] = GetParam();
   EngineSetup setup;
-  if (std::string(engine) == "vanilla") setup = EngineSetup::ipoib();
-  if (std::string(engine) == "osu-ib") setup = EngineSetup::osu_ib();
-  if (std::string(engine) == "hadoop-a") setup = EngineSetup::hadoop_a();
+  if (engine == "vanilla") setup = EngineSetup::ipoib();
+  if (engine == "osu-ib") setup = EngineSetup::osu_ib();
+  if (engine == "hadoop-a") setup = EngineSetup::hadoop_a();
   const auto outcome = run_experiment(small_config(setup, workload));
   EXPECT_TRUE(outcome.validated);
   EXPECT_GT(outcome.seconds(), 0.0);
@@ -47,8 +50,11 @@ TEST_P(EngineMatrix, CompletesAndValidates) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllEnginesBothWorkloads, EngineMatrix,
-    ::testing::Combine(::testing::Values("vanilla", "osu-ib", "hadoop-a"),
-                       ::testing::Values("terasort", "sort")));
+    ::testing::Combine(::testing::Values(std::string("vanilla"),
+                                         std::string("osu-ib"),
+                                         std::string("hadoop-a")),
+                       ::testing::Values(std::string("terasort"),
+                                         std::string("sort"))));
 
 TEST(EngineBehaviourTest, OsuIbUsesTheCache) {
   const auto outcome =
