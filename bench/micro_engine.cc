@@ -1,47 +1,34 @@
-// bench/micro_engine: the ISSUE-7 event-queue speedup, measured and
-// committed. Two deterministic workloads run on BOTH EventQueue
-// implementations (4-ary + now-FIFO vs the legacy binary heap that
-// reproduces the pre-optimization std::priority_queue) and the ratio of
-// their wall-clock times is emitted as the hmr-bench-v1 "seconds" field:
+// bench/micro_engine: host-side guards for the event queue and the
+// linter, emitted as machine-independent ratios in the hmr-bench-v1
+// "seconds" field so tools/bench_check can diff them against
+// bench/baselines/BENCH_engine.json with a tight tolerance (CPU
+// frequency cancels in first order).
 //
-//   seconds = time(kFourAry) / time(kLegacyBinaryHeap)
+//  * "queue-churn": EventQueue (4-ary heap + now-FIFO) time as a
+//    fraction of a reference std::priority_queue<Event> ordered by
+//    (at, seq) on the identical operation stream. Absolute events/sec
+//    for both ride along as extra keys (allowed by the schema).
+//  * "lint-callgraph": the hmr-lint call-graph analysis over the repo's
+//    own tree as a multiple of a bare lex of the same files.
 //
-// A ratio is machine-independent in first order (CPU frequency cancels),
-// so tools/bench_check can diff it against bench/baselines/
-// BENCH_engine.json with a tight tolerance. A baseline ratio <= 0.5 is
-// the committed proof of the >= 2x events/sec acceptance criterion.
-// Absolute events/sec for both impls ride along as extra keys (allowed
-// by the schema) for human eyes.
+// End-to-end engine dispatch cost is measured by perfbench
+// (sim.host_ns_per_event.*), not here.
 //
-// Regenerate the baseline after an intentional engine change with
+// Regenerate the baseline after an intentional change with
 //   HMR_BENCH_DIR=bench/baselines ./build/bench/micro_engine
 //
 // Noise control, in layers: times are thread-CPU (immune to preemption
 // and CPU steal), a warmup pair absorbs first-touch page faults, reps
-// are INTERLEAVED (4-ary rep, legacy rep, 4-ary rep, ...) so each
-// 4-ary rep is paired with a legacy rep that saw the same machine
+// are INTERLEAVED (queue rep, reference rep, queue rep, ...) so each
+// queue rep is paired with a reference rep that saw the same machine
 // state, and the reported ratio is the MEDIAN of per-pair ratios — a
-// noisy stretch skews one pair, not the estimate. Both impls see
-// identical event streams.
-// A second family of series covers ISSUE-8 parallel work events
-// (sim/parallel.h): "parallel-overhead" is the thread-CPU cost of
-// routing compute through `co_await engine.parallel` at workers=1
-// relative to running the same compute inline (the price of admission,
-// ~1.0), and "parallel-speedup" is the wall-clock time of the same
-// compute-heavy workload at workers=2 relative to workers=1 (< 1 is a
-// speedup; 4- and 8-worker ratios ride along as ungated extra keys
-// because CI core counts vary). Both runs double as an identity check:
-// `validated` demands every width produced the same event count, final
-// clock, and per-host compute checksum.
-// A third series times the ISSUE-9 hmr-lint call-graph analysis over
-// the repo's own tree: the gated quantity is full-analysis time as a
-// multiple of a bare lex of the same files, bounding what the
-// repo-wide effect propagation costs on top of tokenization.
+// noisy stretch skews one pair, not the estimate.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -49,9 +36,7 @@
 #include "common/rng.h"
 #include "lint/lexer.h"
 #include "lint/lint.h"
-#include "sim/engine.h"
 #include "sim/event_queue.h"
-#include "sim/parallel.h"
 
 namespace {
 
@@ -70,33 +55,55 @@ double now_seconds() {
   return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
 }
 
-// One timed repetition of a workload on one implementation.
+using Event = EventQueue::Event;
+
+// One timed repetition of the churn loop on one queue.
 struct Once {
-  std::uint64_t events = 0;  // events processed (impl-invariant)
-  double seconds = 0;        // wall time for this rep
-  double final_time = 0;     // queue/engine clock at the end (sanity)
+  std::uint64_t events = 0;  // events processed (queue-invariant)
+  double seconds = 0;        // thread-CPU time for this rep
+  double final_time = 0;     // queue clock at the end (sanity)
+  std::uint64_t seq_xor = 0;  // XOR of popped seqs: same dispatch order
 };
 
-// One workload measured on both impls: the ratio (the baseline-diffed
-// number) is the MEDIAN of per-pair ratios — each 4-ary rep is paired
-// with the legacy rep that ran right next to it in time, so a noisy
-// stretch of machine skews one pair, not the estimate.
+// Measured against each other: the ratio (the baseline-diffed number) is
+// the MEDIAN of per-pair ratios.
 struct Comparison {
-  std::uint64_t events = 0;    // events per rep (impl-invariant)
-  double ratio = 0;            // median of per-pair fourary/legacy times
-  double fourary_seconds = 0;  // median rep time, for display ev/s
-  double legacy_seconds = 0;
-  bool streams_match = false;  // both impls saw identical event streams
+  std::uint64_t events = 0;      // events per rep
+  double ratio = 0;              // median of per-pair queue/reference times
+  double queue_seconds = 0;      // median rep time, for display ev/s
+  double reference_seconds = 0;
+  bool streams_match = false;    // both saw identical event streams
 };
 
-// Workload 1: raw queue churn against a fat backlog. 32k staggered
-// future events stay resident while 16M pop+push operations replay the
-// engine's dominant mix: 7 of 8 re-arms land at exactly now() (channel
-// and resource wakeups — the FIFO fast path) and 1 of 8 is a short
-// future timer (the heap path). No coroutines are resumed — this
-// isolates the container cost the engine pays per event. Jitters are
-// precomputed so the measured loop is queue ops and nothing else.
-Once queue_churn(EventQueue::Impl impl) {
+// The reference: a binary heap over the same (at, seq) total order, with
+// no now-FIFO. Same push(now, event)/pop() shape as EventQueue.
+class ReferenceQueue {
+ public:
+  void push(double, const Event& event) { heap_.push(event); }
+  Event pop() {
+    const Event out = heap_.top();
+    heap_.pop();
+    return out;
+  }
+
+ private:
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+};
+
+// Raw queue churn against a fat backlog. 32k staggered future events
+// stay resident while 16M pop+push operations replay the engine's
+// dominant mix: 7 of 8 re-arms land at exactly now() (channel and
+// resource wakeups — the FIFO fast path) and 1 of 8 is a short future
+// timer (the heap path). No coroutines are resumed — this isolates the
+// container cost the engine pays per event. Jitters are precomputed so
+// the measured loop is queue ops and nothing else.
+template <typename Queue>
+Once queue_churn() {
   constexpr std::size_t kBacklog = 32768;
   // Sized so one rep is hundreds of milliseconds of CPU: the kernel
   // accounts thread CPU time in ~10ms jiffies, so short reps would be
@@ -110,7 +117,7 @@ Once queue_churn(EventQueue::Impl impl) {
   }();
   Once m;
   m.events = kOps;
-  EventQueue queue(impl);
+  Queue queue;
   Rng backlog_rng(11, "micro_engine.backlog");
   std::uint64_t seq = 0;
   double now = 0.0;
@@ -122,121 +129,15 @@ Once queue_churn(EventQueue::Impl impl) {
   queue.push(now, {0.0, seq++, {}});  // primes the dispatch chain
   const double t0 = now_seconds();
   for (std::uint64_t op = 0; op < kOps; ++op) {
-    EventQueue::Event event = queue.pop();
+    const Event event = queue.pop();
     now = event.at;
+    m.seq_xor ^= event.seq;
     const double at =
         (op & 7) != 0 ? now : now + jitter[op / 8 % jitter.size()];
     queue.push(now, {at, seq++, {}});
   }
   m.seconds = now_seconds() - t0;
   m.final_time = now;
-  return m;
-}
-
-// Workload 2: the full engine loop. 128k far-future timer processes
-// keep the heap deep (each holds exactly one pending event for the
-// whole hot phase) while 64 hot processes spin on delay(0), so every
-// hot dispatch exercises the now-FIFO (or, on the legacy impl, a full
-// O(log n) push+pop against the 128k backlog) plus real coroutine
-// resumption — the events/sec the simulator actually sustains.
-Once engine_dispatch(EventQueue::Impl impl) {
-  constexpr int kTimers = 131072;
-  constexpr int kHot = 64;
-  constexpr int kSpins = 16000;
-  Once m;
-  Engine engine(1, impl);
-  for (int t = 0; t < kTimers; ++t) {
-    engine.spawn([](Engine& e, int t) -> Task<> {
-      co_await e.delay(1e6 + t);  // pending for the whole hot phase
-    }(engine, t));
-  }
-  for (int h = 0; h < kHot; ++h) {
-    engine.spawn([](Engine& e) -> Task<> {
-      for (int i = 0; i < kSpins; ++i) co_await e.delay(0.0);
-    }(engine));
-  }
-  const double t0 = now_seconds();
-  engine.run();
-  m.seconds = now_seconds() - t0;
-  m.events = engine.events_dispatched();
-  m.final_time = engine.now();
-  return m;
-}
-
-// Wall clock for the speedup series: worker threads are the whole
-// point, so thread-CPU time of the engine thread would miss them.
-double now_wall_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
-}
-
-// One timed repetition of the parallel-compute workload.
-struct ParallelOnce {
-  double seconds = 0;
-  std::uint64_t events = 0;
-  double final_time = 0;
-  std::uint64_t checksum = 0;  // XOR of per-host compute sums
-};
-
-// Workload 3: parallel work events. Eight hosts each run rounds of
-// `co_await parallel(host, <hash spin>)` separated by equal delays, so
-// every round is one batch of eight single-item chains — the shape
-// map-compute batches take in a real job. The spin is sized to
-// millisecond-scale chains (what a map task's decode+sort+build costs)
-// so compute dominates the pool's per-batch condvar handoff — on
-// virtualized CI runners a futex wake costs tens to hundreds of
-// microseconds, which would drown sub-millisecond chains. `use_wall`
-// picks the clock: wall for speedup, thread-CPU for the workers=1
-// overhead ratio (single-threaded there, and immune to CI preemption).
-ParallelOnce parallel_compute(int workers, bool use_wall,
-                              bool use_parallel_path = true) {
-  constexpr int kHosts = 8;
-  constexpr int kRounds = 8;
-  constexpr int kSpin = 2'000'000;
-  Engine engine(3);
-  engine.set_parallel_workers(workers);
-  std::vector<std::uint64_t> sums(std::size_t(kHosts), 0);
-  const auto spin = [](int host, int round) {
-    std::uint64_t h = 1469598103934665603ull +
-                      std::uint64_t(host) * 1099511628211ull +
-                      std::uint64_t(round);
-    for (int i = 0; i < kSpin; ++i) {
-      h ^= std::uint64_t(i);
-      h *= 1099511628211ull;
-    }
-    return h;
-  };
-  for (int host = 0; host < kHosts; ++host) {
-    if (use_parallel_path) {
-      engine.spawn([](Engine& e, int host, std::uint64_t* sum,
-                      decltype(spin) spin) -> Task<> {
-        for (int round = 0; round < kRounds; ++round) {
-          co_await e.parallel(host, [=](ParallelEffects&) {
-            *sum += spin(host, round);  // chain-confined slot
-          });
-          co_await e.delay(1e-3);
-        }
-      }(engine, host, &sums[std::size_t(host)], spin));
-    } else {
-      // Inline twin: identical compute and event cadence, no work
-      // events — the baseline the overhead ratio divides by.
-      engine.spawn([](Engine& e, int host, std::uint64_t* sum,
-                      decltype(spin) spin) -> Task<> {
-        for (int round = 0; round < kRounds; ++round) {
-          *sum += spin(host, round);
-          co_await e.delay(1e-3);
-        }
-      }(engine, host, &sums[std::size_t(host)], spin));
-    }
-  }
-  ParallelOnce m;
-  const double t0 = use_wall ? now_wall_seconds() : now_seconds();
-  engine.run();
-  m.seconds = (use_wall ? now_wall_seconds() : now_seconds()) - t0;
-  m.events = engine.events_dispatched();
-  m.final_time = engine.now();
-  for (std::uint64_t s : sums) m.checksum ^= s;
   return m;
 }
 
@@ -248,29 +149,29 @@ double median(std::vector<double> v) {
 
 // Interleaved pairs: one warmup pair (discarded — first-touch page
 // faults and allocator growth land there), then kReps timed pairs.
-template <typename Workload>
-Comparison measure(Workload workload) {
+Comparison measure_queue_churn() {
   Comparison c;
-  workload(EventQueue::Impl::kFourAry);
-  workload(EventQueue::Impl::kLegacyBinaryHeap);
-  std::vector<double> ratios, fourary_times, legacy_times;
+  queue_churn<EventQueue>();
+  queue_churn<ReferenceQueue>();
+  std::vector<double> ratios, queue_times, reference_times;
+  c.streams_match = true;
   for (int rep = 0; rep < kReps; ++rep) {
-    const Once f = workload(EventQueue::Impl::kFourAry);
-    const Once l = workload(EventQueue::Impl::kLegacyBinaryHeap);
-    ratios.push_back(f.seconds / l.seconds);
-    fourary_times.push_back(f.seconds);
-    legacy_times.push_back(l.seconds);
-    c.events = f.events;
-    c.streams_match =
-        f.events == l.events && f.final_time == l.final_time;
+    const Once q = queue_churn<EventQueue>();
+    const Once r = queue_churn<ReferenceQueue>();
+    ratios.push_back(q.seconds / r.seconds);
+    queue_times.push_back(q.seconds);
+    reference_times.push_back(r.seconds);
+    c.events = q.events;
+    c.streams_match = c.streams_match && q.events == r.events &&
+                      q.final_time == r.final_time && q.seq_xor == r.seq_xor;
   }
   c.ratio = median(ratios);
-  c.fourary_seconds = median(fourary_times);
-  c.legacy_seconds = median(legacy_times);
+  c.queue_seconds = median(queue_times);
+  c.reference_seconds = median(reference_times);
   return c;
 }
 
-Json make_run(const std::string& series, const Comparison& c) {
+Json make_queue_run(const std::string& series, const Comparison& c) {
   Json phases = Json::object();
   for (const char* phase : {"map", "shuffle", "merge", "reduce"}) {
     phases.set(phase, Json(0.0));
@@ -278,125 +179,35 @@ Json make_run(const std::string& series, const Comparison& c) {
   Json run = Json::object();
   run.set("series", Json(series));
   run.set("size_gb", Json(0.0));
-  // The baseline-diffed quantity: new-queue time as a fraction of
-  // legacy-queue time (< 1 is a speedup, 0.5 is the 2x acceptance bar).
+  // The baseline-diffed quantity: EventQueue time as a fraction of the
+  // reference's (< 1 is a speedup).
   run.set("seconds", Json(c.ratio));
   run.set("phases", std::move(phases));
   run.set("overlap_fraction", Json(0.0));
   run.set("cache_hit_rate", Json(0.0));
-  // Validated = both impls processed the identical event stream: same
-  // count, same final simulated clock.
+  // Validated = both queues processed the identical event stream: same
+  // count, same final clock, same popped seqs.
   run.set("validated", Json(c.streams_match));
-  run.set("events_per_sec_fourary",
-          Json(double(c.events) / c.fourary_seconds));
-  run.set("events_per_sec_legacy",
-          Json(double(c.events) / c.legacy_seconds));
-  std::printf("%-28s 4-ary %10.0f ev/s   legacy %10.0f ev/s   %.2fx\n",
-              series.c_str(), double(c.events) / c.fourary_seconds,
-              double(c.events) / c.legacy_seconds, 1.0 / c.ratio);
+  run.set("events_per_sec_queue", Json(double(c.events) / c.queue_seconds));
+  run.set("events_per_sec_reference",
+          Json(double(c.events) / c.reference_seconds));
+  std::printf("%-28s queue %10.0f ev/s   reference %10.0f ev/s   %.2fx\n",
+              series.c_str(), double(c.events) / c.queue_seconds,
+              double(c.events) / c.reference_seconds, 1.0 / c.ratio);
   return run;
 }
 
-// The identity half of the parallel series: every width must have seen
-// the same stream and computed the same bytes.
-bool parallel_match(const ParallelOnce& a, const ParallelOnce& b) {
-  return a.events == b.events && a.final_time == b.final_time &&
-         a.checksum == b.checksum;
-}
-
-// The parallel series are gated with the ratio of per-width MINIMUM rep
-// times, not the median of per-pair ratios the queue series use: wall
-// clock on virtualized runners takes one-sided noise (steal, neighbor
-// load only ever slow a rep down), and the min over interleaved reps is
-// the clean-machine estimate that noise cannot inflate.
+// The lint series is gated with the ratio of MINIMUM rep times: the
+// min over interleaved reps is the clean-machine estimate that
+// one-sided noise (steal, neighbor load) cannot inflate.
 double min_of(const std::vector<double>& v) {
   return *std::min_element(v.begin(), v.end());
 }
 
-// Overhead of the parallel path itself: thread-CPU time of the
-// workers=1 engine routing compute through work events, as a fraction
-// of the inline twin.
-Json make_parallel_overhead_run() {
-  std::vector<double> path_times, inline_times;
-  bool match = true;
-  std::uint64_t events = 0;
-  parallel_compute(1, /*use_wall=*/false);
-  parallel_compute(1, /*use_wall=*/false, /*use_parallel_path=*/false);
-  for (int rep = 0; rep < kReps; ++rep) {
-    const ParallelOnce p = parallel_compute(1, /*use_wall=*/false);
-    const ParallelOnce inline_twin =
-        parallel_compute(1, /*use_wall=*/false, /*use_parallel_path=*/false);
-    path_times.push_back(p.seconds);
-    inline_times.push_back(inline_twin.seconds);
-    match = match && p.checksum == inline_twin.checksum;
-    events = p.events;
-  }
-  const double ratio = min_of(path_times) / min_of(inline_times);
-  Json phases = Json::object();
-  for (const char* phase : {"map", "shuffle", "merge", "reduce"}) {
-    phases.set(phase, Json(0.0));
-  }
-  Json run = Json::object();
-  run.set("series", Json("parallel-overhead 1-worker"));
-  run.set("size_gb", Json(0.0));
-  run.set("seconds", Json(ratio));
-  run.set("phases", std::move(phases));
-  run.set("overlap_fraction", Json(0.0));
-  run.set("cache_hit_rate", Json(0.0));
-  run.set("validated", Json(match));
-  run.set("events_per_rep", Json(double(events)));
-  std::printf("%-28s parallel-path/inline CPU ratio %.3f\n",
-              "parallel-overhead 1-worker", ratio);
-  return run;
-}
-
-// Wall-clock speedup of real worker threads. The gated "seconds" is the
-// workers=2 ratio (every CI runner has 2 cores); wider pools ride along
-// as ungated keys. Reps interleave all widths so each rep's ratios share
-// machine state.
-Json make_parallel_speedup_run() {
-  std::vector<double> t1, t2, t4, t8;
-  bool match = true;
-  parallel_compute(1, /*use_wall=*/true);
-  parallel_compute(2, /*use_wall=*/true);
-  for (int rep = 0; rep < kReps; ++rep) {
-    const ParallelOnce w1 = parallel_compute(1, /*use_wall=*/true);
-    const ParallelOnce w2 = parallel_compute(2, /*use_wall=*/true);
-    const ParallelOnce w4 = parallel_compute(4, /*use_wall=*/true);
-    const ParallelOnce w8 = parallel_compute(8, /*use_wall=*/true);
-    t1.push_back(w1.seconds);
-    t2.push_back(w2.seconds);
-    t4.push_back(w4.seconds);
-    t8.push_back(w8.seconds);
-    match = match && parallel_match(w1, w2) && parallel_match(w1, w4) &&
-            parallel_match(w1, w8);
-  }
-  const double r2 = min_of(t2) / min_of(t1);
-  const double r4 = min_of(t4) / min_of(t1);
-  const double r8 = min_of(t8) / min_of(t1);
-  Json phases = Json::object();
-  for (const char* phase : {"map", "shuffle", "merge", "reduce"}) {
-    phases.set(phase, Json(0.0));
-  }
-  Json run = Json::object();
-  run.set("series", Json("parallel-speedup 2-workers"));
-  run.set("size_gb", Json(0.0));
-  run.set("seconds", Json(r2));
-  run.set("phases", std::move(phases));
-  run.set("overlap_fraction", Json(0.0));
-  run.set("cache_hit_rate", Json(0.0));
-  run.set("validated", Json(match));
-  run.set("speedup_w4", Json(r4));
-  run.set("speedup_w8", Json(r8));
-  std::printf("%-28s wall ratio w2 %.3f  w4 %.3f  w8 %.3f  (%.2fx at 2)\n",
-              "parallel-speedup 2-workers", r2, r4, r8, 1.0 / r2);
-  return run;
-}
-
-// Workload 5: the hmr-lint repo-wide call-graph analysis (ISSUE 9) run
-// over the repo's own tree. Gated "seconds" is the full analysis (call
-// graph extraction, fixed-point effect propagation, every rule family)
-// as a multiple of a bare lex of the same files — a machine-independent
+// The hmr-lint repo-wide call-graph analysis run over the repo's own
+// tree. Gated "seconds" is the full analysis (call graph extraction,
+// sim reachability, every rule family) as a multiple of a bare lex of
+// the same files — a machine-independent
 // ratio, like the queue series, bounding how much the call-graph layers
 // cost on top of tokenization. Absolute full-tree milliseconds ride
 // along ungated for human eyes. `validated` doubles as a dogfood check:
@@ -438,14 +249,14 @@ Json make_lint_run() {
     // Both passes repeat inside the timer: a single pass is a handful
     // of ~10ms kernel CPU-accounting jiffies, and quantization on
     // either side of the ratio would eat the gate's tolerance.
-    constexpr int kFullIters = 4;
+    constexpr int kFullIters = 8;
     double t0 = now_seconds();
     for (int it = 0; it < kFullIters; ++it) {
       const lint::Report report = lint::lint_files(files, {});
       findings = report.findings.size();
     }
     full_times.push_back((now_seconds() - t0) / kFullIters);
-    constexpr int kLexIters = 8;
+    constexpr int kLexIters = 32;
     t0 = now_seconds();
     std::size_t tokens = 0;
     for (int it = 0; it < kLexIters; ++it) {
@@ -470,22 +281,18 @@ Json make_lint_run() {
 }  // namespace
 
 int main() {
-  std::printf("micro_engine: EventQueue 4-ary+FIFO vs legacy binary heap "
+  std::printf("micro_engine: EventQueue 4-ary+FIFO vs std::priority_queue "
               "(median of %d interleaved rep pairs)\n", kReps);
   Json runs = Json::array();
   runs.push_back(
-      make_run("queue-churn 32k-backlog", measure(queue_churn)));
-  runs.push_back(
-      make_run("engine-dispatch 128k-timers", measure(engine_dispatch)));
-  runs.push_back(make_parallel_overhead_run());
-  runs.push_back(make_parallel_speedup_run());
+      make_queue_run("queue-churn 32k-backlog", measure_queue_churn()));
   runs.push_back(make_lint_run());
 
   Json doc = Json::object();
   doc.set("schema", Json("hmr-bench-v1"));
   doc.set("figure", Json("engine"));
   doc.set("title", Json("Engine event-queue: 4-ary+FIFO time as a fraction "
-                        "of the legacy binary heap"));
+                        "of std::priority_queue"));
   doc.set("workload", Json("microbench"));
   doc.set("nodes", Json(std::int64_t(0)));
   doc.set("runs", std::move(runs));

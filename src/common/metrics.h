@@ -20,7 +20,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -30,64 +29,35 @@
 
 namespace hmr {
 
-// Counters and gauges are genuinely thread-safe: parallel work events
-// (sim/parallel.h) may stage updates that callbacks apply while guard
-// code on other threads reads values, and TSan runs the whole suite.
-// Relaxed ordering is enough — metric values are never used to
-// synchronize anything; deterministic totals come from the engine
-// draining staged effects in (timestamp, seq) order, not from memory
-// ordering. Registry entries are node-stable (std::map), so handles
-// stay valid; the atomics make them non-copyable, which the registry
-// never needs.
+// Registry entries are node-stable (std::map), so Counter and Gauge
+// handles stay valid for the registry's lifetime.
 class Counter {
  public:
-  void add(std::int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  void add(std::int64_t delta = 1) { value_ += delta; }
+  std::int64_t value() const { return value_; }
+  void reset() { value_ = 0; }
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  std::int64_t value_ = 0;
 };
 
 // A point-in-time level (cache bytes resident, live connections, ...).
 // Tracks the high-water mark so a snapshot preserves the peak even when
-// the gauge drained back to zero by job end. The high-water update is a
-// CAS loop, so concurrent writers can only ever raise it to the true
-// maximum — never clobber it with a stale read (the pre-parallel code
-// did an unguarded read-modify-write).
+// the gauge drained back to zero by job end.
 class Gauge {
  public:
   void set(double v) {
-    value_.store(v, std::memory_order_relaxed);
-    raise_max(v);
+    value_ = v;
+    max_ = std::max(max_, v);
   }
-  void add(double delta) {
-    double prev = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(prev, prev + delta,
-                                         std::memory_order_relaxed)) {
-    }
-    raise_max(prev + delta);
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  double max_value() const { return max_.load(std::memory_order_relaxed); }
-  void reset() {
-    value_.store(0.0, std::memory_order_relaxed);
-    max_.store(0.0, std::memory_order_relaxed);
-  }
+  void add(double delta) { set(value_ + delta); }
+  double value() const { return value_; }
+  double max_value() const { return max_; }
+  void reset() { value_ = max_ = 0.0; }
 
  private:
-  void raise_max(double v) {
-    double prev = max_.load(std::memory_order_relaxed);
-    while (prev < v && !max_.compare_exchange_weak(
-                           prev, v, std::memory_order_relaxed)) {
-    }
-  }
-  std::atomic<double> value_{0.0};
-  std::atomic<double> max_{0.0};
+  double value_ = 0.0;
+  double max_ = 0.0;
 };
 
 // Streaming summary: count/sum/min/max/mean plus log2-bucketed counts

@@ -1,7 +1,5 @@
 #include "lint/callgraph.h"
 
-#include <algorithm>
-#include <array>
 #include <cctype>
 #include <deque>
 #include <set>
@@ -58,10 +56,6 @@ bool qualified_ends_with(const std::string& qualified,
   return at >= 2 && qualified.compare(at - 2, 2, "::") == 0;
 }
 
-const char* kEffNames[kEffBits] = {"clock",   "rng",    "env",
-                                   "engine",  "tracer", "metrics",
-                                   "global",  "lock",   "io"};
-
 // Keywords that look like `name(` call sites but are not calls.
 const std::set<std::string, std::less<>> kNotCalls = {
     "if",       "while",    "for",      "switch",  "return", "co_return",
@@ -74,87 +68,20 @@ const std::set<std::string, std::less<>> kNotCalls = {
 const std::set<std::string, std::less<>> kCallPrefixKeywords = {
     "return", "co_return", "co_await", "co_yield", "else", "throw", "do"};
 
-struct DirectHit {
-  unsigned bit = 0;
-  std::string token;
-  int line = 0;
-};
-
-// Ranges (inclusive token indices) excluded from a scan, e.g. the
-// arguments of calls on the sanctioned ParallelEffects parameter.
-bool in_ranges(size_t i, const std::vector<std::pair<size_t, size_t>>& skip) {
-  for (const auto& [lo, hi] : skip) {
-    if (i >= lo && i <= hi) return true;
-  }
-  return false;
-}
-
-// Token-level direct effect scan over [begin, end). Fills `hits` (one
-// entry per offending token) and `det` (rand/srand/getenv call sites).
-void scan_direct_effects(const std::vector<Token>& toks, size_t begin,
-                         size_t end,
-                         const std::vector<std::pair<size_t, size_t>>& skip,
-                         std::vector<DirectHit>* hits,
-                         std::vector<DetCall>* det) {
-  static const std::set<std::string, std::less<>> kRngTypes = {
-      "random_device", "mt19937", "mt19937_64", "default_random_engine"};
-  static const std::set<std::string, std::less<>> kClockTypes = {
-      "system_clock", "steady_clock", "high_resolution_clock"};
-  static const std::set<std::string, std::less<>> kLockTypes = {
-      "thread",          "jthread",
-      "mutex",           "timed_mutex",
-      "recursive_mutex", "recursive_timed_mutex",
-      "shared_mutex",    "shared_timed_mutex",
-      "condition_variable", "condition_variable_any",
-      "lock_guard",      "unique_lock",
-      "scoped_lock",     "shared_lock",
-      "future",          "shared_future",
-      "promise",         "packaged_task",
-      "async",           "latch",
-      "barrier",         "counting_semaphore",
-      "binary_semaphore"};
-  static const std::set<std::string, std::less<>> kIoCalls = {
-      "fopen", "freopen", "fread", "fwrite", "fclose",
-      "fgets", "fputs",   "fflush", "fseek", "ftell"};
-  static const std::set<std::string, std::less<>> kIoTypes = {
-      "ifstream", "ofstream", "fstream"};
-
-  for (size_t i = begin; i < end; ++i) {
+// rand/srand/getenv call sites over [begin, end), for the
+// transitive-determinism rule.
+void scan_det_calls(const std::vector<Token>& toks, size_t begin, size_t end,
+                    std::vector<DetCall>* det) {
+  for (size_t i = begin; i + 1 < end; ++i) {
     const Token& t = toks[i];
-    if (t.kind != TokKind::kIdent || in_ranges(i, skip)) continue;
+    if (t.kind != TokKind::kIdent ||
+        !(t.text == "rand" || t.text == "srand" || t.text == "getenv")) {
+      continue;
+    }
     const bool member_access =
         i > begin && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"));
-    const bool called = i + 1 < end && is_punct(toks[i + 1], "(");
-    if ((t.text == "rand" || t.text == "srand" || t.text == "getenv") &&
-        called && !member_access) {
-      const unsigned bit = t.text == "getenv" ? kEffEnv : kEffRng;
-      hits->push_back({bit, t.text, t.line});
-      if (det != nullptr) det->push_back({t.text, t.line});
-      continue;
-    }
-    if (kRngTypes.count(t.text)) {
-      hits->push_back({kEffRng, t.text, t.line});
-      continue;
-    }
-    if (kClockTypes.count(t.text)) {
-      hits->push_back({kEffClock, t.text, t.line});
-      continue;
-    }
-    if (kLockTypes.count(t.text) && i >= begin + 2 &&
-        is_punct(toks[i - 1], "::") && is_ident(toks[i - 2], "std")) {
-      hits->push_back({kEffLock, "std::" + t.text, t.line});
-      continue;
-    }
-    if ((kIoCalls.count(t.text) && called && !member_access) ||
-        kIoTypes.count(t.text)) {
-      hits->push_back({kEffIo, t.text, t.line});
-      continue;
-    }
-    if (t.text == "static" && i + 1 < end &&
-        !(is_ident(toks[i + 1], "const") ||
-          is_ident(toks[i + 1], "constexpr"))) {
-      hits->push_back({kEffGlobal, "static", t.line});
-      continue;
+    if (is_punct(toks[i + 1], "(") && !member_access) {
+      det->push_back({t.text, t.line});
     }
   }
 }
@@ -174,12 +101,11 @@ size_t chain_start(const std::vector<Token>& toks, size_t name_idx,
   return s;
 }
 
-// Extracts call sites in [begin, end). `skip` ranges are excluded.
+// Extracts call sites in [begin, end).
 void extract_calls(const std::vector<Token>& toks, size_t begin, size_t end,
-                   const std::vector<std::pair<size_t, size_t>>& skip,
                    std::vector<CallSite>* out) {
   for (size_t i = begin; i < end; ++i) {
-    if (toks[i].kind != TokKind::kIdent || in_ranges(i, skip)) continue;
+    if (toks[i].kind != TokKind::kIdent) continue;
     if (i + 1 >= end || !is_punct(toks[i + 1], "(")) continue;
     if (kNotCalls.count(toks[i].text)) continue;
     CallSite call;
@@ -218,59 +144,12 @@ void extract_calls(const std::vector<Token>& toks, size_t begin, size_t end,
   }
 }
 
-struct Seed {
-  const char* suffix;
-  unsigned bits;
-};
-constexpr Seed kSeeds[] = {
-    {"Engine::now", kEffEngine},
-    {"Engine::run", kEffEngine},
-    {"Engine::schedule_at", kEffEngine},
-    {"Engine::schedule_after", kEffEngine},
-    {"Engine::schedule_now", kEffEngine},
-    {"Engine::schedule_work", kEffEngine},
-    {"Engine::spawn", kEffEngine},
-    {"Engine::delay", kEffEngine},
-    {"Engine::delay_until", kEffEngine},
-    {"Engine::parallel", kEffEngine},
-    {"Engine::set_parallel_workers", kEffEngine},
-    {"Engine::set_tracer", kEffEngine | kEffTracer},
-    {"Engine::metrics", kEffEngine | kEffMetrics},
-    {"Engine::tracer", kEffEngine | kEffTracer},
-    {"Engine::make_rng", kEffEngine | kEffRng},
-    {"MetricsRegistry::counter", kEffMetrics},
-    {"MetricsRegistry::gauge", kEffMetrics},
-    {"MetricsRegistry::histogram", kEffMetrics},
-    {"MetricsRegistry::fixed_histogram", kEffMetrics},
-    {"MetricsRegistry::latency_histogram", kEffMetrics},
-    {"Histogram::record", kEffMetrics},
-    {"FixedHistogram::record", kEffMetrics},
-    {"Tracer::instant", kEffTracer},
-    {"Tracer::complete", kEffTracer},
-    {"Tracer::complete_ids", kEffTracer},
-    {"Tracer::span", kEffTracer},
-    {"sim::maybe_span", kEffTracer},
-    {"Resource::acquire", kEffLock | kEffEngine},
-    {"Resource::try_acquire", kEffLock | kEffEngine},
-    {"Resource::release", kEffLock | kEffEngine},
-    {"sim::hold", kEffLock | kEffEngine},
-};
-
 }  // namespace
-
-std::string effect_names(unsigned mask) {
-  std::string out;
-  for (int b = 0; b < kEffBits; ++b) {
-    if ((mask & (1u << b)) == 0) continue;
-    if (!out.empty()) out += "|";
-    out += kEffNames[b];
-  }
-  return out;
-}
 
 void CallGraph::add_file(const LexedFile& file) {
   const auto& toks = file.tokens;
   const size_t n = toks.size();
+  const size_t first_fn = fns_.size();
 
   struct Scope {
     enum Kind { kNamespace, kClass, kFunction, kOther } kind = kOther;
@@ -617,21 +496,13 @@ void CallGraph::add_file(const LexedFile& file) {
     }
   }
 
-  // Body scans: direct effects, determinism call sites, call sites.
-  for (FunctionDef& fn : fns_) {
-    if (fn.file != file.path || fn.body_end <= fn.body_begin) continue;
-    if (fn.direct != 0 || !fn.calls.empty()) continue;  // already scanned
-    std::vector<DirectHit> hits;
-    scan_direct_effects(toks, fn.body_begin, fn.body_end, {}, &hits,
-                        &fn.det_calls);
-    for (const DirectHit& h : hits) {
-      for (int b = 0; b < kEffBits; ++b) {
-        if (h.bit != (1u << b) || (fn.direct & h.bit) != 0) continue;
-        fn.origin[b] = {-1, h.token, h.line};
-      }
-      fn.direct |= h.bit;
-    }
-    extract_calls(toks, fn.body_begin, fn.body_end, {}, &fn.calls);
+  // Body scans of this file's definitions: determinism call sites, call
+  // sites.
+  for (size_t f = first_fn; f < fns_.size(); ++f) {
+    FunctionDef& fn = fns_[f];
+    if (fn.body_end <= fn.body_begin) continue;
+    scan_det_calls(toks, fn.body_begin, fn.body_end, &fn.det_calls);
+    extract_calls(toks, fn.body_begin, fn.body_end, &fn.calls);
     for (size_t k = fn.body_begin; k < fn.body_end; ++k) {
       if (is_ident(toks[k], "co_await") || is_ident(toks[k], "co_return")) {
         fn.coroutine = true;
@@ -642,8 +513,7 @@ void CallGraph::add_file(const LexedFile& file) {
 }
 
 std::vector<std::size_t> CallGraph::resolve(
-    const CallSite& call, bool for_effects,
-    const std::string& caller_scope) const {
+    const CallSite& call, const std::string& caller_scope) const {
   std::vector<std::size_t> out;
   // Member calls resolve only through the receiver's declared class.
   // std-typed receivers (`heap_.push(...)`), and receivers declared
@@ -678,10 +548,6 @@ std::vector<std::size_t> CallGraph::resolve(
       }
       if (!in_class) continue;
     }
-    // A coroutine built but not awaited never runs its body, and
-    // resolving it anyway aliases plain functions into coroutine
-    // effects (e.g. ByteWriter::append vs an hdfs Task<> append).
-    if (for_effects && fn.coroutine && !call.awaited) continue;
     out.push_back(idx);
   }
   // Only awaitables can follow co_await: when a coroutine candidate
@@ -711,34 +577,9 @@ std::vector<std::size_t> CallGraph::resolve(
   return out;
 }
 
-unsigned CallGraph::call_effects(const CallSite& call) const {
-  unsigned fx = 0;
-  for (const std::size_t idx : resolve(call, /*for_effects=*/true)) {
-    fx |= fns_[idx].effects;
-  }
-  return fx;
-}
-
 void CallGraph::finalize() {
   if (finalized_) return;
   finalized_ = true;
-
-  for (FunctionDef& fn : fns_) {
-    for (const Seed& seed : kSeeds) {
-      if (!qualified_ends_with(fn.qualified, seed.suffix) &&
-          fn.qualified != seed.suffix) {
-        continue;
-      }
-      for (int b = 0; b < kEffBits; ++b) {
-        if ((seed.bits & (1u << b)) == 0 || (fn.direct & (1u << b)) != 0) {
-          continue;
-        }
-        fn.origin[b] = {-1, "intrinsic " + std::string(seed.suffix), fn.line};
-      }
-      fn.direct |= seed.bits;
-    }
-    fn.effects = fn.direct;
-  }
 
   const auto scope_of = [](const FunctionDef& fn) {
     const size_t cut = fn.qualified.rfind("::");
@@ -746,32 +587,8 @@ void CallGraph::finalize() {
                                     : fn.qualified.substr(0, cut);
   };
 
-  // Fixed point: effects flow caller-ward along resolvable call edges.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (FunctionDef& fn : fns_) {
-      const std::string scope = scope_of(fn);
-      for (const CallSite& call : fn.calls) {
-        for (const std::size_t idx :
-             resolve(call, /*for_effects=*/true, scope)) {
-          const unsigned fresh = fns_[idx].effects & ~fn.effects;
-          if (fresh == 0) continue;
-          for (int b = 0; b < kEffBits; ++b) {
-            if ((fresh & (1u << b)) != 0) {
-              fn.origin[b] = {int(idx), call.name, call.line};
-            }
-          }
-          fn.effects |= fresh;
-          changed = true;
-        }
-      }
-    }
-  }
-
   // Sim-context reachability (roots = coroutines). Coroutine callees
-  // stay resolvable here regardless of co_await so spawn(fn(...))
-  // edges survive.
+  // resolve regardless of co_await so spawn(fn(...)) edges survive.
   sim_parent_.assign(fns_.size(), -2);
   std::deque<std::size_t> queue;
   for (std::size_t i = 0; i < fns_.size(); ++i) {
@@ -785,35 +602,13 @@ void CallGraph::finalize() {
     queue.pop_front();
     const std::string scope = scope_of(fns_[from]);
     for (const CallSite& call : fns_[from].calls) {
-      for (const std::size_t idx :
-           resolve(call, /*for_effects=*/false, scope)) {
+      for (const std::size_t idx : resolve(call, scope)) {
         if (sim_parent_[idx] != -2) continue;
         sim_parent_[idx] = int(from);
         queue.push_back(idx);
       }
     }
   }
-}
-
-std::string CallGraph::explain(std::size_t idx, unsigned bit) const {
-  std::string path;
-  std::size_t at = idx;
-  for (int hops = 0; hops < 64; ++hops) {
-    const FunctionDef& fn = fns_[at];
-    if ((fn.effects & bit) == 0) return path;
-    if (!path.empty()) path += " -> ";
-    path += fn.qualified;
-    int b = 0;
-    while ((bit >> b) != 1u) ++b;
-    const EffectOrigin& origin = fn.origin[b];
-    if (origin.callee < 0) {
-      path += " -> `" + origin.token + "` (" + fn.file + ":" +
-              std::to_string(origin.line) + ")";
-      return path;
-    }
-    at = std::size_t(origin.callee);
-  }
-  return path;
 }
 
 bool CallGraph::sim_reachable(std::size_t idx) const {
@@ -867,8 +662,6 @@ Json CallGraph::to_json() const {
     j.set("line", Json(std::int64_t(fn.line)));
     j.set("coroutine", Json(fn.coroutine));
     j.set("sim_reachable", Json(sim_reachable(i)));
-    j.set("effects", Json(effect_names(fn.effects)));
-    j.set("direct_effects", Json(effect_names(fn.direct)));
     Json calls = Json::array();
     std::set<std::string> seen;
     for (const CallSite& call : fn.calls) {
@@ -885,151 +678,6 @@ Json CallGraph::to_json() const {
   counts.set("functions", Json(std::int64_t(fns_.size())));
   root.set("counts", std::move(counts));
   return root;
-}
-
-namespace {
-
-constexpr const char* kPurityAdvice =
-    "; a parallel fn may only touch its closure, work-local state, "
-    "atomics, and the staged ParallelEffects buffer (rule "
-    "parallel-purity, docs/LINT.md)";
-
-// Parses the lambda argument of one `.parallel(host, <lambda>)` call.
-// Returns false when the second argument is not an inline lambda.
-bool parse_parallel_lambda(const std::vector<Token>& toks, size_t open,
-                           size_t close, size_t* body_begin, size_t* body_end,
-                           std::string* effects_name) {
-  // Find the top-level comma separating host from fn.
-  int paren = 0, bracket = 0, brace = 0;
-  size_t comma = std::string::npos;
-  for (size_t i = open; i < close; ++i) {
-    if (is_punct(toks[i], "(")) ++paren;
-    if (is_punct(toks[i], ")")) --paren;
-    if (is_punct(toks[i], "[")) ++bracket;
-    if (is_punct(toks[i], "]")) --bracket;
-    if (is_punct(toks[i], "{")) ++brace;
-    if (is_punct(toks[i], "}")) --brace;
-    if (is_punct(toks[i], ",") && paren == 1 && bracket == 0 && brace == 0) {
-      comma = i;
-      break;
-    }
-  }
-  if (comma == std::string::npos) return false;
-  size_t j = comma + 1;
-  if (j >= close || !is_punct(toks[j], "[")) return false;
-  const size_t cap_close = match_bracket(toks, j, close);
-  if (cap_close == std::string::npos) return false;
-  j = cap_close + 1;
-  if (j < close && is_punct(toks[j], "(")) {
-    const size_t params_close = match_paren(toks, j, close);
-    if (params_close == std::string::npos) return false;
-    for (size_t k = j + 1; k < params_close; ++k) {
-      if (!is_ident(toks[k], "ParallelEffects")) continue;
-      for (size_t m = k + 1; m < params_close; ++m) {
-        if (is_punct(toks[m], ",")) break;
-        if (toks[m].kind == TokKind::kIdent && toks[m].text != "const") {
-          *effects_name = toks[m].text;
-        }
-      }
-      break;
-    }
-    j = params_close + 1;
-  }
-  while (j < close && (is_ident(toks[j], "mutable") ||
-                       is_ident(toks[j], "noexcept"))) {
-    ++j;
-  }
-  if (j >= close || !is_punct(toks[j], "{")) return false;
-  const size_t lambda_close = match_brace(toks, j, close + 1);
-  if (lambda_close == std::string::npos) return false;
-  *body_begin = j + 1;
-  *body_end = lambda_close;
-  return true;
-}
-
-}  // namespace
-
-void check_parallel_purity(const LexedFile& file, const CallGraph& graph,
-                           std::vector<Finding>* out) {
-  const auto& toks = file.tokens;
-  for (size_t i = 1; i + 1 < toks.size(); ++i) {
-    if (!is_ident(toks[i], "parallel")) continue;
-    if (!(is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"))) continue;
-    if (!is_punct(toks[i + 1], "(")) continue;
-    const size_t open = i + 1;
-    const size_t close = match_paren(toks, open, toks.size());
-    if (close == std::string::npos) continue;
-
-    size_t body_begin = 0, body_end = 0;
-    std::string effects_name;
-    if (!parse_parallel_lambda(toks, open, close, &body_begin, &body_end,
-                               &effects_name)) {
-      out->push_back(
-          {"parallel-purity", file.path, toks[i].line,
-           "fn passed to engine.parallel is not an inline lambda; the "
-           "purity analysis needs the body visible at the call site" +
-               std::string(kPurityAdvice)});
-      continue;
-    }
-
-    // Calls on the ParallelEffects parameter are the sanctioned staging
-    // channel; their whole argument ranges (e.g. an effects.defer
-    // callback, which runs on the engine thread) are exempt.
-    std::vector<std::pair<size_t, size_t>> exempt;
-    if (!effects_name.empty()) {
-      for (size_t k = body_begin; k + 3 < body_end; ++k) {
-        if (!is_ident(toks[k], effects_name)) continue;
-        if (!(is_punct(toks[k + 1], ".") || is_punct(toks[k + 1], "->"))) {
-          continue;
-        }
-        if (toks[k + 2].kind != TokKind::kIdent ||
-            !is_punct(toks[k + 3], "(")) {
-          continue;
-        }
-        const size_t call_close = match_paren(toks, k + 3, body_end);
-        if (call_close == std::string::npos) continue;
-        exempt.emplace_back(k, call_close);
-      }
-    }
-
-    for (size_t k = body_begin; k < body_end; ++k) {
-      if (is_ident(toks[k], "co_await") && !in_ranges(k, exempt)) {
-        out->push_back({"parallel-purity", file.path, toks[k].line,
-                        "co_await inside a parallel fn: work fns are plain "
-                        "functions and must not block or suspend" +
-                            std::string(kPurityAdvice)});
-      }
-    }
-
-    std::vector<DirectHit> hits;
-    scan_direct_effects(toks, body_begin, body_end, exempt, &hits, nullptr);
-    for (const DirectHit& h : hits) {
-      out->push_back({"parallel-purity", file.path, h.line,
-                      "parallel fn uses `" + h.token + "` directly (effect: " +
-                          effect_names(h.bit) + ")" + kPurityAdvice});
-    }
-
-    std::vector<CallSite> calls;
-    extract_calls(toks, body_begin, body_end, exempt, &calls);
-    for (const CallSite& call : calls) {
-      if (call.member && call.receiver == effects_name) continue;
-      const unsigned fx = graph.call_effects(call);
-      if (fx == 0) continue;
-      unsigned bit = 1;
-      while ((fx & bit) == 0) bit <<= 1;
-      std::string path;
-      for (const std::size_t idx : graph.resolve(call, true)) {
-        if ((graph.functions()[idx].effects & bit) != 0) {
-          path = graph.explain(idx, bit);
-          break;
-        }
-      }
-      out->push_back({"parallel-purity", file.path, call.line,
-                      "parallel fn calls `" + call.name +
-                          "`, which transitively has effects {" +
-                          effect_names(fx) + "}: " + path + kPurityAdvice});
-    }
-  }
 }
 
 void check_transitive_determinism(const LexedFile& file,

@@ -18,9 +18,9 @@ bool has_prefix(const std::string& path, std::string_view prefix) {
 }
 
 const std::set<std::string, std::less<>> kKnownRules = {
-    "determinism",      "status-discipline",      "config-registry",
-    "metric-registry",  "thread-discipline",      "parallel-purity",
-    "coroutine-borrow", "transitive-determinism", "coawait-aggregate"};
+    "determinism",     "status-discipline", "config-registry",
+    "metric-registry", "coroutine-borrow",  "transitive-determinism",
+    "coawait-aggregate"};
 
 // Drops findings waived by a justified suppression on the same line or
 // the line above; reports malformed suppressions. A justified
@@ -105,7 +105,7 @@ Report lint_files(const std::vector<SourceFile>& files, const Options& opts) {
     collect_function_returns(lexed.back(), &fn_registry);
     graph.add_file(lexed.back());
   }
-  graph.finalize();  // resolve edges, propagate effects, find sim roots
+  graph.finalize();  // find sim roots
   graph.fill_registry(&fn_registry);
   fn_registry.finalize();  // drop names with conflicting void-like decls
 
@@ -125,16 +125,9 @@ Report lint_files(const std::vector<SourceFile>& files, const Options& opts) {
     check_coawait_aggregate(f, &local);
     if (in_src) {
       check_determinism(f, &local);
-      // No blanket exemption anymore: sim/parallel.{h,cc} (the one
-      // sanctioned home for raw threads) now carries a per-site
-      // justified waiver on every lock/thread token instead, so any
-      // *new* raw threading there is a finding too.
-      check_thread_discipline(f, &local);
-      check_parallel_purity(f, graph, &local);
       check_transitive_determinism(f, graph, &local);
       check_coroutine_borrow(f, graph, &local);
-      active_rules.insert({"determinism", "thread-discipline",
-                           "parallel-purity", "transitive-determinism",
+      active_rules.insert({"determinism", "transitive-determinism",
                            "coroutine-borrow", "metric-registry",
                            "config-registry"});
     }

@@ -9,16 +9,12 @@
 //                            docs/CONFIG.md, and vice versa
 //   metric-registry        — every metric name literal dot-separated
 //                            lowercase and documented in docs/METRICS.md
-//   thread-discipline      — raw std:: threading confined to the
-//                            WorkerPool (per-site waivers only)
-//   parallel-purity        — engine.parallel lambdas and everything
-//                            reachable from them stay effect-free
 //   coroutine-borrow       — no KvView/arena borrows held across
 //                            co_await
 //   transitive-determinism — rand/srand/getenv flagged when reachable
 //                            from a sim context (call-graph based)
 //
-// The last three ride on the repo-wide call graph (lint/callgraph.h).
+// The last two ride on the repo-wide call graph (lint/callgraph.h).
 // A stale-waiver audit reports lint:ignore suppressions that no longer
 // waive anything. The library is pure (files in, findings out) so tests
 // can feed it fixture sources; tools/hmr_lint.cc adds the filesystem
@@ -53,8 +49,9 @@ struct Report {
   std::vector<std::string> config_keys;   // sorted unique, full literals
   std::vector<std::string> metric_names;  // sorted unique, full literals
   std::vector<std::string> metric_name_suffixes;  // from concatenated names
-  // {"schema":"hmr-callgraph-v1",...} — the full per-function effect
-  // analysis, written by `hmr_lint --callgraph FILE` for the CI artifact.
+  // {"schema":"hmr-callgraph-v1",...} — per-function call sites and sim
+  // reachability, written by `hmr_lint --callgraph FILE` for the CI
+  // artifact.
   Json callgraph;
 
   bool clean() const { return findings.empty(); }

@@ -273,58 +273,6 @@ void check_determinism(const LexedFile& file, std::vector<Finding>* out) {
   }
 }
 
-void check_thread_discipline(const LexedFile& file,
-                             std::vector<Finding>* out) {
-  // Flagged only when `std::`-qualified, so a field or local that merely
-  // shares a name (`mutex`, `promise` from the coroutine machinery)
-  // stays silent; the header bans catch unqualified use via
-  // using-declarations anyway.
-  static const std::set<std::string, std::less<>> kBannedTypes = {
-      "thread",         "jthread",
-      "mutex",          "timed_mutex",
-      "recursive_mutex", "recursive_timed_mutex",
-      "shared_mutex",   "shared_timed_mutex",
-      "condition_variable", "condition_variable_any",
-      "lock_guard",     "unique_lock",
-      "scoped_lock",    "shared_lock",
-      "future",         "shared_future",
-      "promise",        "packaged_task",
-      "async",          "latch",
-      "barrier",        "counting_semaphore",
-      "binary_semaphore"};
-  static const char* kBannedHeaders[] = {"<thread>", "<mutex>",
-                                         "<shared_mutex>",
-                                         "<condition_variable>", "<future>",
-                                         "<latch>", "<barrier>",
-                                         "<semaphore>"};
-  constexpr const char* kAdvice =
-      "; shared mutable state belongs to the WorkerPool in sim/parallel.h — "
-      "use co_await engine.parallel(host, fn) and stage effects through "
-      "ParallelEffects (rule thread-discipline, docs/TESTING.md)";
-
-  const auto& toks = file.tokens;
-  for (size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind == TokKind::kPreproc) {
-      if (t.text.find("include") == std::string::npos) continue;
-      for (const char* header : kBannedHeaders) {
-        if (t.text.find(header) != std::string::npos) {
-          out->push_back({"thread-discipline", file.path, t.line,
-                          "#include " + std::string(header) + kAdvice});
-        }
-      }
-      continue;
-    }
-    if (t.kind != TokKind::kIdent || !kBannedTypes.count(t.text)) continue;
-    if (i < 2 || !is_punct(toks[i - 1], "::") ||
-        toks[i - 2].kind != TokKind::kIdent || toks[i - 2].text != "std") {
-      continue;
-    }
-    out->push_back({"thread-discipline", file.path, t.line,
-                    "`std::" + t.text + "`" + kAdvice});
-  }
-}
-
 namespace {
 
 // Index of the closer matching the opener at `open` (same bracket kind),

@@ -96,18 +96,6 @@ void check_status_discipline(const LexedFile& file,
                              bool check_value_guard,
                              std::vector<Finding>* out);
 
-// Rule family 5: bans raw threading — `std::thread`/`std::jthread`,
-// mutexes, condition variables, lock guards, futures/async — plus the
-// `<thread>`/`<mutex>`/`<condition_variable>`/`<shared_mutex>`/
-// `<future>` headers. All cross-thread state belongs to the WorkerPool
-// in sim/parallel.{h,cc} (which callers exempt); everything else gets
-// concurrency through `co_await engine.parallel(host, fn)` and reports
-// shared-state effects via ParallelEffects. std::atomic is allowed:
-// lock-free guards (Tracer::Span, metric counters) need it and it
-// cannot block or reorder the drain.
-void check_thread_discipline(const LexedFile& file,
-                             std::vector<Finding>* out);
-
 // Flags a braced initializer anywhere inside a co_await operand, such as
 // `co_await qp.send({.wr_id = 1, .message = m})` or `co_await f(T{a, b})`.
 // GCC 12 miscompiles aggregate temporaries built there (a shared_ptr

@@ -203,15 +203,6 @@ sim::Task<JobResult> JobRunner::run(JobSpec spec) {
     job->compute_faults.merge(job->spec.faults->compute_faults());
   }
 
-  // Worker-pool width for parallel work events. Defaults to whatever the
-  // engine already runs (the testbed may have set it), so only jobs that
-  // carry the key change it.
-  const std::int64_t parallel_workers = job->spec.conf.get_int(
-      kParallelWorkers, job->engine.parallel_workers());
-  HMR_CHECK_MSG(parallel_workers >= 1 && parallel_workers <= 256,
-                "sim.parallel.workers out of [1, 256]");
-  job->engine.set_parallel_workers(int(parallel_workers));
-
   job->result.submit_time = job->engine.now();
   co_await shuffle->start(*job);
 

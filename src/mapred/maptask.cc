@@ -62,34 +62,28 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
     co_return;
   }
 
-  // Decode records and run the user map function into the sort buffer.
-  // This is pure compute over the split bytes and the task-local builder
-  // (whose arena is owned by this frame), so it runs as a parallel work
-  // event: same-timestamp map computes on *other* hosts may execute
-  // concurrently. Everything shared — job counters, result fields — is
-  // written after the await, on the engine thread; map_fn must be
-  // re-entrant (all bundled workload fns are stateless).
+  // Decode records and run the user map function into the sort buffer,
+  // after a kernel yield (DESIGN.md §6.3). The decoded records die with
+  // the block.
   dataplane::MapOutputBuilder builder(job.num_reduces, *job.spec.partitioner);
   std::uint64_t input_records = 0;
-  bool decode_ok = false;
-  co_await job.engine.parallel(
-      host.id(), [&](sim::ParallelEffects& effects) {
-        auto records = dataplane::decode_run(*split);
-        if (!records.ok()) return;
-        decode_ok = true;
-        input_records = records->size();
-        const Emit emit = [&builder](KvPair pair) {
-          builder.add(std::move(pair));
-        };
-        if (job.spec.map_fn) {
-          for (const auto& record : *records) job.spec.map_fn(record, emit);
-        } else {
-          for (auto& record : *records) emit(std::move(record));
-        }
-        effects.instant(host.name(), "map",
-                        "map_compute_" + std::to_string(map_id));
-      });
-  HMR_CHECK_MSG(decode_ok, "corrupt input split: " + task.input_file);
+  co_await job.engine.delay(0);
+  {
+    auto records = dataplane::decode_run(*split);
+    HMR_CHECK_MSG(records.ok(), "corrupt input split: " + task.input_file);
+    input_records = records->size();
+    const Emit emit = [&builder](KvPair pair) {
+      builder.add(std::move(pair));
+    };
+    if (job.spec.map_fn) {
+      for (const auto& record : *records) job.spec.map_fn(record, emit);
+    } else {
+      for (auto& record : *records) emit(std::move(record));
+    }
+    if (auto* t = job.engine.tracer()) {
+      t->instant(host.name(), "map", "map_compute_" + std::to_string(map_id));
+    }
+  }
   job.result.counters["MAP_INPUT_RECORDS"] += std::int64_t(input_records);
   job.result.counters["MAP_OUTPUT_RECORDS"] +=
       std::int64_t(builder.pending_records());
@@ -122,14 +116,12 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
       job.spec.combine_fn(key, values, emit);
     };
   }
-  // Sort + combine + serialize, the other pure-compute half; combine_fn
-  // is confined to the builder's records, so it parallelizes under the
-  // same contract as map_fn above.
+  // Sort + combine + serialize, the other compute half, after its own
+  // kernel yield.
   const auto combine_in = builder.pending_records();
-  dataplane::MapOutput output;
-  co_await job.engine.parallel(host.id(), [&](sim::ParallelEffects&) {
-    output = builder.build(job.spec.combine_fn ? &combiner : nullptr);
-  });
+  co_await job.engine.delay(0);
+  dataplane::MapOutput output =
+      builder.build(job.spec.combine_fn ? &combiner : nullptr);
   if (job.spec.combine_fn) {
     std::uint64_t combine_out = 0;
     for (const auto& entry : output.index) combine_out += entry.kv_count;

@@ -137,11 +137,6 @@ inline constexpr const char* kDiskFullMaxRetries =
 // are dropped and counted. 0 means unbounded.
 inline constexpr const char* kMetricsSnapshot = "mapred.metrics.snapshot";
 inline constexpr const char* kTraceMaxEvents = "sim.trace.max.events";
-// Worker-pool width for parallel work events (sim/parallel.h); 1 = the
-// serial engine. Applied to the job's engine at submission, so the last
-// submitted job wins when concurrent jobs disagree. Results are
-// byte-identical at every value by construction.
-inline constexpr const char* kParallelWorkers = "sim.parallel.workers";
 
 // Compute-cost model (modeled bytes per second per core).
 inline constexpr const char* kMapCpuBw = "mapred.cpu.map.bytes_per_sec";

@@ -184,15 +184,14 @@ sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
     }
 
     auto slice = info.output->partition_bytes(reduce_id);
-    // The checksum scan is a real CPU kernel: run it as a parallel work
-    // event (byte-identical to serial; see sim/parallel.h).
-    std::uint32_t slice_crc = 0;
-    co_await job.engine.parallel(
-        tracker.host->id(), [&](sim::ParallelEffects& effects) {
-          slice_crc = crc32c(slice);
-          effects.instant(tracker.host->name(), "crc",
-                          "servlet_crc_m" + std::to_string(map_id));
-        });
+    // The checksum scan is a real CPU kernel, run after a kernel yield
+    // (DESIGN.md §6.3).
+    co_await job.engine.delay(0);
+    const std::uint32_t slice_crc = crc32c(slice);
+    if (auto* t = job.engine.tracer()) {
+      t->instant(tracker.host->name(), "crc",
+                 "servlet_crc_m" + std::to_string(map_id));
+    }
     ByteWriter prefix;
     prefix.put_u32(std::uint32_t(map_id));
     prefix.put_u32(std::uint32_t(reduce_id));
@@ -225,15 +224,16 @@ sim::Task<> VanillaShuffleEngine::in_memory_merge(JobRuntime& job,
   }
   dataplane::StreamMerger merger(std::move(sources));
   ByteWriter writer(&merged);
-  // The k-way merge drain is a parallel work event: it only touches the
-  // merger, the local writer, and work-local views.
-  co_await job.engine.parallel(
-      state.host.id(), [&](sim::ParallelEffects& effects) {
-        dataplane::KvView kv;
-        while (merger.next_view(&kv)) dataplane::encode_kv(kv, writer);
-        effects.instant(state.host.name(), "merge",
-                        "in_mem_merge_r" + std::to_string(state.reduce_id));
-      });
+  // The k-way merge drain, after a kernel yield (DESIGN.md §6.3).
+  co_await job.engine.delay(0);
+  {
+    dataplane::KvView kv;
+    while (merger.next_view(&kv)) dataplane::encode_kv(kv, writer);
+  }
+  if (auto* t = job.engine.tracer()) {
+    t->instant(state.host.name(), "merge",
+               "in_mem_merge_r" + std::to_string(state.reduce_id));
+  }
 
   co_await job.charge_cpu(state.host, modeled, job.cost.merge_cpu_bw);
   const std::string path = "shuffle/" + job.spec.name + "/r" +
@@ -349,13 +349,12 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
             HMR_CHECK(rest.ok());
             co_await charge_verify_cpu(job, state.host,
                                        event->msg->modeled_bytes);
-            std::uint32_t got_crc = 0;
-            co_await job.engine.parallel(
-                state.host.id(), [&](sim::ParallelEffects& effects) {
-                  got_crc = crc32c(*rest);
-                  effects.instant(state.host.name(), "crc",
-                                  "verify_crc_m" + std::to_string(map_id));
-                });
+            co_await job.engine.delay(0);
+            const std::uint32_t got_crc = crc32c(*rest);
+            if (auto* t = job.engine.tracer()) {
+              t->instant(state.host.name(), "crc",
+                         "verify_crc_m" + std::to_string(map_id));
+            }
             if (got_crc != *body_crc) {
               job.metric.malformed_msgs.add();
               continue;
@@ -522,14 +521,16 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
     dataplane::StreamMerger merger(std::move(sources));
     Bytes merged;
     ByteWriter writer(&merged);
-    // Merge-pass drain as a parallel work event, like in_memory_merge.
-    co_await job.engine.parallel(
-        host.id(), [&](sim::ParallelEffects& effects) {
-          dataplane::KvView kv;
-          while (merger.next_view(&kv)) dataplane::encode_kv(kv, writer);
-          effects.instant(host.name(), "merge",
-                          "merge_pass_r" + std::to_string(reduce_id));
-        });
+    // Merge-pass drain, after a kernel yield like in_memory_merge.
+    co_await job.engine.delay(0);
+    {
+      dataplane::KvView kv;
+      while (merger.next_view(&kv)) dataplane::encode_kv(kv, writer);
+    }
+    if (auto* t = job.engine.tracer()) {
+      t->instant(host.name(), "merge",
+                 "merge_pass_r" + std::to_string(reduce_id));
+    }
     co_await job.charge_cpu(host, modeled, job.cost.merge_cpu_bw);
     const std::string path = "shuffle/" + job.spec.name + "/r" +
                              std::to_string(reduce_id) + "/pass" +

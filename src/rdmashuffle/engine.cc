@@ -245,13 +245,13 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
   header.chunk_real_bytes = chunk.size();
   // Derived from the spill-time segment checksums, not recomputed from
   // the platters: the copier verifies against what the mapper wrote.
-  // The scan itself runs as a parallel work event (sim/parallel.h).
-  co_await job.engine.parallel(
-      tracker.host->id(), [&](sim::ParallelEffects& effects) {
-        header.chunk_crc = crc32c(chunk);
-        effects.instant(tracker.host->name(), "crc",
-                        "respond_crc_m" + std::to_string(req.map_id));
-      });
+  // The scan itself runs after a kernel yield (DESIGN.md §6.3).
+  co_await job.engine.delay(0);
+  header.chunk_crc = crc32c(chunk);
+  if (auto* t = job.engine.tracer()) {
+    t->instant(tracker.host->name(), "crc",
+               "respond_crc_m" + std::to_string(req.map_id));
+  }
   header.eof = req.cursor_real + chunk.size() >= partition.size();
 
   Bytes body = header.encode_header();
@@ -468,13 +468,12 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
                 job, host,
                 static_cast<std::uint64_t>(
                     double(header->chunk_real_bytes) * job.data_scale));
-            std::uint32_t got_crc = 0;
-            co_await job.engine.parallel(
-                host.id(), [&](sim::ParallelEffects& effects) {
-                  got_crc = crc32c(*records);
-                  effects.instant(host.name(), "crc",
-                                  "verify_crc_m" + std::to_string(req.map_id));
-                });
+            co_await job.engine.delay(0);
+            const std::uint32_t got_crc = crc32c(*records);
+            if (auto* t = job.engine.tracer()) {
+              t->instant(host.name(), "crc",
+                         "verify_crc_m" + std::to_string(req.map_id));
+            }
             if (got_crc != header->chunk_crc) {
               job.metric.malformed_msgs.add();
               continue;

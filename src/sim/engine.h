@@ -3,31 +3,18 @@
 // Deterministic: the event queue is ordered by (timestamp, insertion
 // sequence), so equal-time events dispatch in the order they were
 // scheduled, independent of container internals. Simulated time is a
-// double in seconds.
-//
-// Coroutine resumption always happens on the engine thread. The only
-// concurrency is conservative parallel execution of *work events*
-// (co_await engine.parallel(host, fn), sim/parallel.h): pure compute
-// closures batched by timestamp, partitioned by host, executed on a
-// worker pool, with side effects staged and drained in (timestamp, seq)
-// order — byte-identical to the serial engine by construction
-// (DESIGN.md §6.4).
+// double in seconds. The engine is single-threaded: every coroutine is
+// resumed from run()/step() on the caller's thread.
 #pragma once
 
-#include <atomic>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "sim/event_queue.h"
-#include "sim/parallel.h"
 #include "sim/task.h"
 
 namespace hmr::sim {
@@ -36,8 +23,7 @@ class Tracer;
 
 class Engine {
  public:
-  explicit Engine(std::uint64_t seed = 1,
-                  EventQueue::Impl queue_impl = EventQueue::Impl::kFourAry);
+  explicit Engine(std::uint64_t seed = 1);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -79,48 +65,6 @@ class Engine {
   // frame self-destroys on completion.
   void spawn(Task<> task);
 
-  // Awaitable: runs `fn` as a work event at the current simulated time,
-  // attributed to `host` for batch partitioning. Same-timestamp work
-  // events on distinct hosts may execute concurrently on the worker
-  // pool; fns must obey the confinement contract in sim/parallel.h and
-  // report shared-state effects through the ParallelEffects argument.
-  // Consumes zero simulated time. If fn throws, the exception resurfaces
-  // here on the engine thread.
-  class [[nodiscard]] ParallelAwaiter {
-   public:
-    ParallelAwaiter(Engine& engine, int host,
-                    std::function<void(ParallelEffects&)> fn)
-        : engine_(engine) {
-      work_.host = host;
-      work_.fn = std::move(fn);
-    }
-    ParallelAwaiter(const ParallelAwaiter&) = delete;
-    ParallelAwaiter& operator=(const ParallelAwaiter&) = delete;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      work_.continuation = h;
-      engine_.schedule_work(work_);
-    }
-    void await_resume() {
-      if (work_.error) std::rethrow_exception(work_.error);
-    }
-
-   private:
-    Engine& engine_;
-    ParallelWork work_;
-  };
-  ParallelAwaiter parallel(int host, std::function<void(ParallelEffects&)> fn) {
-    return ParallelAwaiter(*this, host, std::move(fn));
-  }
-
-  // Worker-pool width for work-event batches; 1 (the default) is the
-  // serial engine — fns run inline on the engine thread, interleaved
-  // with their continuations exactly as plain events would. Values > 1
-  // change only where fn bodies execute in real time, never the
-  // simulated outcome. Settable between batches at any point.
-  void set_parallel_workers(int workers);
-  int parallel_workers() const { return parallel_workers_; }
-
   // Runs until the event queue drains. Returns the final simulated time.
   Time run();
   // Runs until the queue drains or simulated time would pass `deadline`.
@@ -144,21 +88,14 @@ class Engine {
   std::size_t pending_events() const { return queue_.size(); }
   // True once the destructor has started tearing down detached frames;
   // scheduling is disabled and sinks (e.g. the tracer) must not assume
-  // engine services beyond now(). Atomic so guards (Tracer::Span) stay
-  // valid even when spans die on worker threads.
-  bool shutting_down() const {
-    return shutting_down_.load(std::memory_order_acquire);
-  }
+  // engine services beyond now().
+  bool shutting_down() const { return shutting_down_; }
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
   // Optional execution tracer (sim/trace.h); null when tracing is off.
-  // Atomic for the same reason as shutting_down(): the Span teardown
-  // guard must read a coherent pointer from any thread.
-  void set_tracer(Tracer* tracer) {
-    tracer_.store(tracer, std::memory_order_release);
-  }
-  Tracer* tracer() const { return tracer_.load(std::memory_order_acquire); }
+  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+  Tracer* tracer() const { return tracer_; }
   // Deterministic per-component stream: Rng(seed, name).
   Rng make_rng(std::string_view stream) const {
     return Rng(seed_, stream);
@@ -170,15 +107,6 @@ class Engine {
 
   void unlink_detached(detail::PromiseBase& promise) noexcept;
 
-  // Enqueues a work event at now(); called from ParallelAwaiter.
-  void schedule_work(ParallelWork& work);
-  // Collects the contiguous run of same-timestamp work events starting
-  // at `first`, partitions by host, executes, drains, resumes.
-  void dispatch_parallel_batch(ParallelWork* first);
-  // Applies one work item's staged effects in order, then resumes its
-  // continuation (after which the work object must not be touched).
-  void drain_and_resume(ParallelWork& work);
-
   EventQueue queue_;
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -188,27 +116,13 @@ class Engine {
   std::int64_t live_processes_ = 0;
   std::uint64_t seed_;
   MetricsRegistry metrics_;
-  std::atomic<Tracer*> tracer_{nullptr};
+  Tracer* tracer_ = nullptr;
   // Frames of spawned-but-unfinished processes in spawn order, linked
   // through their promises (O(1) link on spawn and unlink on finish);
   // shutdown destroys the leftovers front to back.
   detail::PromiseBase* detached_head_ = nullptr;
   detail::PromiseBase* detached_tail_ = nullptr;
-  std::atomic<bool> shutting_down_{false};
-
-  // --- parallel work-event state (sim/parallel.h) ---
-  int parallel_workers_ = 1;
-  std::unique_ptr<WorkerPool> pool_;  // created on first multi-chain batch
-  // Reused batch scratch: the events of the current batch in seq order,
-  // and their partition into per-host chains.
-  std::vector<ParallelWork*> batch_;
-  std::vector<std::vector<ParallelWork*>> chains_;
-  // Batch accounting handles, registered lazily on the first batch (the
-  // identical code path runs at every worker count, so serial and
-  // parallel runs register — and count — identically).
-  Counter* parallel_batches_ = nullptr;
-  Counter* parallel_batch_events_ = nullptr;
-  Counter* parallel_chains_ = nullptr;
+  bool shutting_down_ = false;
 };
 
 }  // namespace hmr::sim

@@ -6,8 +6,8 @@
 // correct priority queue yields the identical dispatch sequence —
 // determinism holds by construction, not by container internals.
 //
-// The default implementation is a 4-ary implicit min-heap plus a
-// "now-FIFO" fast path: an event scheduled at exactly the current time
+// The implementation is a 4-ary implicit min-heap plus a "now-FIFO"
+// fast path: an event scheduled at exactly the current time
 // bypasses the heap into a plain FIFO, which costs O(1) instead of
 // O(log n) against however many future timers are pending. This is the
 // dominant pattern in the simulator — schedule_now() wakeups from
@@ -19,44 +19,24 @@
 // pending event, so it dispatches before any strictly-later heap
 // event). Same-time events split across FIFO and heap are tie-broken by
 // sequence number at pop(), exactly as a single heap would.
-//
-// kLegacyBinaryHeap reproduces the pre-optimization
-// std::priority_queue<Event> (binary heap, no FIFO). It exists so the
-// simfuzz oracle can replay a scenario on both implementations and
-// assert byte-identical results, and so bench/micro_engine can report
-// the speedup ratio against the committed baseline.
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace hmr::sim {
 
 using Time = double;
 
-struct ParallelWork;  // sim/parallel.h
-
 class EventQueue {
  public:
-  enum class Impl {
-    kFourAry,          // 4-ary min-heap + now-FIFO (default)
-    kLegacyBinaryHeap  // pre-optimization std::priority_queue equivalent
-  };
-
   struct Event {
     Time at;
     std::uint64_t seq;
     std::coroutine_handle<> handle;
-    // Non-null marks a *work event*: the engine executes work->fn
-    // (possibly on a worker thread, batched with same-timestamp work
-    // events) before resuming `handle`. Plain events leave it null.
-    ParallelWork* work = nullptr;
   };
-
-  explicit EventQueue(Impl impl = Impl::kFourAry) : impl_(impl) {}
 
   bool empty() const { return heap_.empty() && fifo_head_ == fifo_.size(); }
   std::size_t size() const {
@@ -64,29 +44,20 @@ class EventQueue {
   }
 
   // Timestamp of the next event to dispatch; queue must be non-empty.
-  Time next_at() const { return front().at; }
-
-  // The next event to dispatch, without removing it; queue must be
-  // non-empty. Used by the engine to extend a parallel batch with the
-  // contiguous run of same-timestamp work events.
-  const Event& front() const {
-    if (fifo_head_ == fifo_.size()) return heap_.front();
-    if (heap_.empty() || fifo_front_wins()) return fifo_[fifo_head_];
-    return heap_.front();
+  // A FIFO entry is always at the minimal pending time (see above).
+  Time next_at() const {
+    return fifo_head_ != fifo_.size() ? fifo_[fifo_head_].at
+                                      : heap_.front().at;
   }
 
   // `now` is the engine's current time: events landing exactly at `now`
-  // take the FIFO fast path (4-ary impl only).
+  // take the FIFO fast path.
   void push(Time now, Event event) {
-    if (impl_ == Impl::kFourAry && event.at == now) {
+    if (event.at == now) {
       fifo_.push_back(event);
       return;
     }
-    if (impl_ == Impl::kFourAry) {
-      push_heap4(event);
-    } else {
-      push_heap2(event);
-    }
+    push_heap4(event);
   }
 
   // Removes and returns the minimal (at, seq) event; queue must be
@@ -100,10 +71,8 @@ class EventQueue {
       }
       return out;
     }
-    return impl_ == Impl::kFourAry ? pop_heap4() : pop_heap2();
+    return pop_heap4();
   }
-
-  Impl impl() const { return impl_; }
 
  private:
   static bool less(const Event& a, const Event& b) {
@@ -155,42 +124,6 @@ class EventQueue {
     return out;
   }
 
-  // Binary heap via the same sift routines std::priority_queue uses.
-  void push_heap2(const Event& event) {
-    std::size_t i = heap_.size();
-    heap_.push_back(event);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) >> 1;
-      if (!less(event, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = event;
-  }
-
-  Event pop_heap2() {
-    Event out = heap_.front();
-    const Event last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n != 0) {
-      std::size_t i = 0;
-      while (true) {
-        const std::size_t left = (i << 1) + 1;
-        if (left >= n) break;
-        std::size_t best = left;
-        const std::size_t right = left + 1;
-        if (right < n && less(heap_[right], heap_[left])) best = right;
-        if (!less(heap_[best], last)) break;
-        heap_[i] = heap_[best];
-        i = best;
-      }
-      heap_[i] = last;
-    }
-    return out;
-  }
-
-  Impl impl_;
   std::vector<Event> heap_;
   // FIFO of events at exactly now(); head index instead of pop_front so
   // drained prefixes cost nothing until the vector resets.

@@ -9,10 +9,9 @@
 //    and the frame self-destroys at final suspend.
 //
 // Coroutines are created, resumed, and destroyed on the engine thread
-// only — worker threads (sim/parallel.h) run plain closures, never
-// coroutine frames — so the promise machinery needs no atomics.
-// Determinism comes from all cross-task wakeups being routed through
-// the engine's ordered event queue.
+// only, so the promise machinery needs no atomics. Determinism comes
+// from all cross-task wakeups being routed through the engine's ordered
+// event queue.
 #pragma once
 
 #include <coroutine>

@@ -56,7 +56,6 @@ ScenarioSetup scenario_setup(const Scenario& scenario,
                                : net::NetProfile::verbs_qdr();
   setup.bed_spec.hdfs.block_size = scenario.block_bytes;
   setup.bed_spec.seed = scenario.seed;
-  setup.bed_spec.parallel_workers = scenario.parallel_workers;
 
   const double scale =
       std::max(1.0, double(scenario.modeled_bytes) /
@@ -162,16 +161,11 @@ std::string job_result_json(const mapred::JobResult& job) {
   return j.dump();
 }
 
-EngineRun run_engine(const Scenario& scenario, const std::string& engine,
-                     sim::EventQueue::Impl queue_impl, int parallel_workers) {
+EngineRun run_engine(const Scenario& scenario, const std::string& engine) {
   EngineRun run;
   run.engine = engine;
 
   ScenarioSetup setup = scenario_setup(scenario, engine);
-  setup.bed_spec.queue_impl = queue_impl;
-  if (parallel_workers >= 1) {
-    setup.bed_spec.parallel_workers = parallel_workers;
-  }
   workloads::Testbed bed(setup.bed_spec);
   auto digest = bed.generate(setup.terasort ? "teragen" : "randomwriter",
                              setup.gen);
@@ -311,7 +305,7 @@ void check_engine_run(const Scenario& scenario, const EngineRun& run,
   twin("speculative_kills", job.speculative_kills, "speculation.kills");
   twin("speculative_cap_deferrals", job.speculative_cap_deferrals,
        "speculation.cap_deferrals");
-  // Speculation conservation (DESIGN.md §6.2/§6.5): every backup launch
+  // Speculation conservation (DESIGN.md §6.2/§6.4): every backup launch
   // creates a race that exactly one attempt loses, so kills == attempts
   // (the winner may be the original or the backup, never both), and
   // wins — backups that committed — can never exceed launches.
@@ -550,17 +544,6 @@ void check_multi_job(const Scenario& scenario, Verdict* verdict) {
   }
 }
 
-void check_queue_equivalence(const Scenario& scenario, const EngineRun& ref,
-                             Verdict* verdict) {
-  const EngineRun legacy = run_engine(
-      scenario, ref.engine, sim::EventQueue::Impl::kLegacyBinaryHeap);
-  if (legacy.result_json != ref.result_json) {
-    add(verdict, "queue.result_identity", ref.engine,
-        "legacy binary-heap replay produced a different serialized "
-        "JobResult than the 4-ary queue");
-  }
-}
-
 void check_speculation_identity(const Scenario& scenario,
                                 const EngineRun& ref, Verdict* verdict) {
   if (!scenario.speculative) return;
@@ -601,25 +584,6 @@ void check_speculation_identity(const Scenario& scenario,
   }
 }
 
-void check_parallel_identity(const Scenario& scenario, const EngineRun& ref,
-                             Verdict* verdict) {
-  // Replay at the opposite pool width: a parallel scenario gets a serial
-  // twin (the reference semantics), a serial scenario gets a 2-worker
-  // twin — so EVERY scenario compares real worker threads against the
-  // serial engine. Any divergence means a parallel fn broke the
-  // host-independence contract (sim/parallel.h) or the staging drain
-  // reordered effects.
-  const int twin_workers = scenario.parallel_workers > 1 ? 1 : 2;
-  const EngineRun twin = run_engine(
-      scenario, ref.engine, sim::EventQueue::Impl::kFourAry, twin_workers);
-  if (twin.result_json != ref.result_json) {
-    add(verdict, "engine.parallel_identity", ref.engine,
-        fmt("replay at sim.parallel.workers=%d produced a different "
-            "serialized JobResult than workers=%d",
-            twin_workers, scenario.parallel_workers));
-  }
-}
-
 Verdict check_scenario(const Scenario& scenario) {
   Verdict verdict;
   std::vector<EngineRun> runs;
@@ -629,13 +593,6 @@ Verdict check_scenario(const Scenario& scenario) {
   }
   check_cross_engine(runs, &verdict);
   check_multi_job(scenario, &verdict);
-  // Old-vs-new event queue on the paper's engine: the serial dispatch
-  // order is part of the determinism contract, so the whole serialized
-  // JobResult (timestamps, counters, metrics) must be byte-identical.
-  check_queue_equivalence(scenario, runs[1], &verdict);
-  // Serial-vs-parallel on the paper's engine, always on: worker threads
-  // may change where fn bodies run, never the simulated outcome.
-  check_parallel_identity(scenario, runs[1], &verdict);
   // Speculation-on vs -off on the paper's engine (no-op unless the
   // scenario speculates): backups may change when tasks finish, never
   // the bytes the job writes.

@@ -23,7 +23,6 @@
 
 #include "common/metrics.h"
 #include "mapred/types.h"
-#include "sim/event_queue.h"
 #include "simfuzz/scenario.h"
 #include "workloads/jobs.h"
 
@@ -70,15 +69,7 @@ std::string job_result_json(const mapred::JobResult& job);
 // wrong *output*; it still HMR_CHECKs on harness bugs (generation
 // failure), and scenarios whose faults make completion impossible abort
 // in the runtime by design (the generator never emits those).
-// `queue_impl` selects the engine's event-queue implementation; the
-// queue-equivalence oracle replays with the legacy binary heap.
-// `parallel_workers` >= 1 overrides the scenario's worker-pool width
-// (the parallel-identity oracle and the parallel stress suite replay
-// the same scenario at several widths); -1 keeps the scenario's value.
-EngineRun run_engine(
-    const Scenario& scenario, const std::string& engine,
-    sim::EventQueue::Impl queue_impl = sim::EventQueue::Impl::kFourAry,
-    int parallel_workers = -1);
+EngineRun run_engine(const Scenario& scenario, const std::string& engine);
 
 // Appends per-engine violations for one run.
 void check_engine_run(const Scenario& scenario, const EngineRun& run,
@@ -92,13 +83,6 @@ void check_cross_engine(const std::vector<EngineRun>& runs, Verdict* verdict);
 // both the input digest and its serial twin.
 void check_multi_job(const Scenario& scenario, Verdict* verdict);
 
-// Event-queue equivalence oracle: replays one engine with the legacy
-// binary-heap event queue and demands a byte-identical serialized
-// JobResult. Both queues implement the same (timestamp, seq) total
-// order, so ANY divergence is a queue bug, not a modeling change.
-void check_queue_equivalence(const Scenario& scenario, const EngineRun& ref,
-                             Verdict* verdict);
-
 // Speculation byte-identity oracle (always on; no-op when the scenario
 // runs without speculation): replays one engine with speculative
 // execution disabled and demands the same output digest, record count,
@@ -110,17 +94,9 @@ void check_queue_equivalence(const Scenario& scenario, const EngineRun& ref,
 void check_speculation_identity(const Scenario& scenario,
                                 const EngineRun& ref, Verdict* verdict);
 
-// Serial-vs-parallel identity oracle (always on): replays one engine at
-// the opposite worker-pool width (serial scenarios get workers=2,
-// parallel scenarios get workers=1) and demands a byte-identical
-// serialized JobResult. Divergence means a parallel fn violated the
-// host-independence contract of sim/parallel.h.
-void check_parallel_identity(const Scenario& scenario, const EngineRun& ref,
-                             Verdict* verdict);
-
 // The full battery: all three engines, per-engine + cross-engine checks,
-// the old-vs-new event-queue replay, the serial-vs-parallel replay, plus
-// the sampled determinism re-run when the scenario asks for it.
+// the multi-job and speculation replays, plus the sampled determinism
+// re-run when the scenario asks for it.
 Verdict check_scenario(const Scenario& scenario);
 
 }  // namespace hmr::simfuzz

@@ -276,16 +276,6 @@ Scenario Scenario::generate(std::uint64_t seed) {
     auto rng = field_rng(seed, "determinism");
     s.check_determinism = rng.chance(0.125);
   }
-  {
-    // Half the corpus runs with a real worker pool so the serial-vs-
-    // parallel identity oracle (and TSan underneath it) sees constant
-    // traffic; widths beyond the host count are deliberately possible.
-    auto rng = field_rng(seed, "parallel");
-    if (rng.chance(0.5)) {
-      const int widths[] = {2, 4, 8};
-      s.parallel_workers = widths[std::size_t(rng.range(0, 2))];
-    }
-  }
   return s;
 }
 
@@ -427,7 +417,6 @@ Json Scenario::to_json() const {
   j.set("straggler_prob", Json(straggler_prob));
   j.set("speculative", Json(speculative));
   j.set("concurrent_jobs", Json(std::int64_t(concurrent_jobs)));
-  j.set("parallel_workers", Json(std::int64_t(parallel_workers)));
   j.set("check_determinism", Json(check_determinism));
   Json sites = Json::array();
   for (const auto& fault : faults) {
@@ -482,8 +471,6 @@ Result<Scenario> Scenario::from_json(const Json& json) {
   s.speculative = boolean("speculative", false);
   // Default 1 keeps every pre-multitenant corpus file loadable.
   s.concurrent_jobs = int(num("concurrent_jobs", 1));
-  // Default 1 (serial) keeps every pre-parallel corpus file loadable.
-  s.parallel_workers = int(num("parallel_workers", 1));
   s.check_determinism = boolean("check_determinism", false);
 
   if (s.nodes < 1) return Status::InvalidArgument("scenario: nodes < 1");
@@ -498,10 +485,6 @@ Result<Scenario> Scenario::from_json(const Json& json) {
   }
   if (s.concurrent_jobs < 1 || s.concurrent_jobs > 8) {
     return Status::InvalidArgument("scenario: concurrent_jobs outside [1, 8]");
-  }
-  if (s.parallel_workers < 1 || s.parallel_workers > 16) {
-    return Status::InvalidArgument(
-        "scenario: parallel_workers outside [1, 16]");
   }
   if (s.vanilla_profile != "ipoib" && s.vanilla_profile != "10gige" &&
       s.vanilla_profile != "1gige") {
@@ -656,18 +639,6 @@ std::vector<Scenario> Scenario::shrink_candidates() const {
       add(std::move(candidate));
     }
   }
-  if (parallel_workers > 1) {
-    // Back to the serial engine first (removes worker threads entirely),
-    // then a narrower pool.
-    Scenario candidate = *this;
-    candidate.parallel_workers = 1;
-    add(std::move(candidate));
-    if (parallel_workers > 2) {
-      candidate = *this;
-      candidate.parallel_workers = 2;
-      add(std::move(candidate));
-    }
-  }
   if (check_determinism) {
     Scenario candidate = *this;
     candidate.check_determinism = false;
@@ -679,16 +650,13 @@ std::vector<Scenario> Scenario::shrink_candidates() const {
 std::string Scenario::summary() const {
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "seed=%llu %s %dn %lluMiB blocks=%lluMiB faults=%zu%s%s%s",
+                "seed=%llu %s %dn %lluMiB blocks=%lluMiB faults=%zu%s%s",
                 static_cast<unsigned long long>(seed), workload.c_str(), nodes,
                 static_cast<unsigned long long>(modeled_bytes / kMiB),
                 static_cast<unsigned long long>(block_bytes / kMiB),
                 faults.size(),
                 concurrent_jobs > 1
                     ? (" x" + std::to_string(concurrent_jobs) + "jobs").c_str()
-                    : "",
-                parallel_workers > 1
-                    ? (" w" + std::to_string(parallel_workers)).c_str()
                     : "",
                 check_determinism ? " +determinism" : "");
   return buf;

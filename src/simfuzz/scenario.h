@@ -30,7 +30,7 @@ struct FaultSite {
   // sim::DiskFault (DESIGN.md §6.2); disk kinds reuse the same scalar
   // fields (prob = per-op probability, at/seconds = disk-full window,
   // at/factor = slow-disk degrade). Compute kinds (the straggler
-  // injection of sim::ComputeFaults, DESIGN.md §6.5) reuse them too:
+  // injection of sim::ComputeFaults, DESIGN.md §6.4) reuse them too:
   // at = arm time, seconds = window length (0 = permanent for
   // cpu_degrade/task_slow; task_hang windows must be bounded), factor =
   // speed multiplier.
@@ -86,13 +86,6 @@ struct Scenario {
   // scenario (scheduling may change *when* bytes move, never *what*
   // each job computes).
   int concurrent_jobs = 1;
-
-  // Parallel-engine dimension (sim.parallel.workers): the worker-pool
-  // width every engine run of this scenario uses. The always-on
-  // engine.parallel_identity oracle replays one engine serially and
-  // demands a byte-identical JobResult, so any fuzzed value > 1
-  // exercises real worker threads against the serial reference.
-  int parallel_workers = 1;
 
   // Fault plan (network and disk sites together); empty = healthy run.
   std::vector<FaultSite> faults;

@@ -6,8 +6,7 @@
 namespace hmr::workloads {
 
 Testbed::Testbed(TestbedSpec spec)
-    : spec_(spec), engine_(spec.seed, spec.queue_impl) {
-  engine_.set_parallel_workers(spec.parallel_workers);
+    : spec_(spec), engine_(spec.seed) {
   // host 0 = master (NameNode + JobTracker); hosts 1..N = DataNode +
   // TaskTracker.
   auto host_specs = net::Cluster::uniform(spec.nodes + 1, spec.disks_per_node,

@@ -28,16 +28,6 @@ struct TestbedSpec {
   net::NetProfile profile = net::NetProfile::ipoib_qdr();
   hdfs::HdfsParams hdfs;
   std::uint64_t seed = 1;
-  // Event-queue implementation for the testbed's engine. Both impls
-  // dispatch in identical (timestamp, seq) order (sim/event_queue.h);
-  // the legacy heap exists so equivalence oracles and benchmarks can
-  // compare against the pre-4-ary behaviour.
-  sim::EventQueue::Impl queue_impl = sim::EventQueue::Impl::kFourAry;
-  // Worker-pool width for parallel work events (sim/parallel.h); 1 = the
-  // serial engine. Results are byte-identical at every value — the
-  // simfuzz engine.parallel_identity oracle enforces it. Jobs can
-  // override per run via the sim.parallel.workers conf key.
-  int parallel_workers = 1;
 };
 
 class Testbed {

@@ -12,9 +12,9 @@ hmr::sim::Task<> post_rts(hmr::ibv::QueuePair& qp, hmr::net::Message rts) {
   (void)wc;
 }
 
-hmr::sim::Task<> work(hmr::sim::Engine& engine, int host, int& counter) {
-  co_await engine.parallel(host, [&counter](hmr::sim::ParallelEffects&) {
-    counter += 1;
+hmr::sim::Task<> work(Retrier& retrier, int& counter) {
+  co_await retrier.run(3, [&counter](int attempt) {
+    counter += attempt;
   });
   co_await [&]() -> hmr::sim::Task<> { co_return; }();
 }

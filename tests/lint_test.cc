@@ -125,39 +125,6 @@ TEST(LintMetricTest, SilentWhenDocumentedIncludingPrefixSuffix) {
   EXPECT_EQ(report.metric_name_suffixes[0], "used_bytes");
 }
 
-TEST(LintThreadTest, FlagsRawThreadingPrimitives) {
-  const Report report = lint_fixture("thread_bad.cc");
-  // <mutex> + <thread> includes, std::mutex, std::condition_variable,
-  // std::thread, std::lock_guard<std::mutex> (two), std::async.
-  EXPECT_EQ(count_rule(report, "thread-discipline"), 8) << dump(report);
-  EXPECT_FALSE(report.clean());
-}
-
-TEST(LintThreadTest, SilentOnConfinedParallelismAndAtomics) {
-  const Report report = lint_fixture("thread_ok.cc");
-  EXPECT_TRUE(report.clean()) << dump(report);
-}
-
-TEST(LintThreadTest, ParallelHomeNeedsPerSiteWaivers) {
-  // The WorkerPool's home is no longer blanket-exempt: raw thread
-  // tokens in sim/parallel.{h,cc} need the same per-site justified
-  // waivers as anywhere else, so *new* raw threading there flags too.
-  const std::string bare =
-      "#include <thread>\n#include <mutex>\nstd::mutex mu;\n";
-  const Report flagged = lint_files({{"src/sim/parallel.h", bare}}, {});
-  EXPECT_EQ(count_rule(flagged, "thread-discipline"), 3) << dump(flagged);
-  // Trailing waivers on #include lines work: the lexer keeps the
-  // comment out of the preprocessor token.
-  const std::string waived =
-      "#include <thread>  // lint:ignore(thread-discipline): pool home\n"
-      "#include <mutex>   // lint:ignore(thread-discipline): pool home\n"
-      "// lint:ignore(thread-discipline): pool home\n"
-      "std::mutex mu;\n";
-  const Report ok = lint_files({{"src/sim/parallel.h", waived}}, {});
-  EXPECT_EQ(count_rule(ok, "thread-discipline"), 0) << dump(ok);
-  EXPECT_EQ(count_rule(ok, "suppression"), 0) << dump(ok);
-}
-
 TEST(LintSuppressionTest, UnjustifiedOrUnknownSuppressionsDoNotWaive) {
   const Report report = lint_fixture("suppression_bad.cc");
   EXPECT_EQ(count_rule(report, "suppression"), 2) << dump(report);
@@ -177,23 +144,6 @@ TEST(LintStatusTest, QualifiedNamesDisambiguateCollidingRegistrations) {
   EXPECT_EQ(count_rule(report, "status-discipline"), 1) << dump(report);
   ASSERT_FALSE(report.findings.empty());
   EXPECT_NE(dump(report).find("close"), std::string::npos);
-}
-
-TEST(LintParallelPurityTest, FlagsImpureWorkFnsWithCallPath) {
-  const Report report = lint_fixture("parallel_impure_bad.cc");
-  // co_await inside the work fn, direct std::fopen, the scan_chunk call
-  // whose io effect is two hops away, and a non-lambda second argument.
-  EXPECT_EQ(count_rule(report, "parallel-purity"), 4) << dump(report);
-  const std::string text = dump(report);
-  // The transitive finding reports the offending call *path*.
-  EXPECT_NE(text.find("tally -> `fopen`"), std::string::npos) << text;
-  EXPECT_NE(text.find("co_await inside a parallel fn"), std::string::npos);
-  EXPECT_NE(text.find("not an inline lambda"), std::string::npos);
-}
-
-TEST(LintParallelPurityTest, SilentOnPureStagedWork) {
-  const Report report = lint_fixture("parallel_pure_ok.cc");
-  EXPECT_TRUE(report.clean()) << dump(report);
 }
 
 TEST(LintTransitiveDetTest, FlagsReachableBansWithRootPath) {
@@ -250,15 +200,17 @@ TEST(LintReportTest, JsonCarriesSchemaAndCounts) {
   EXPECT_NE(json.find("\"determinism\":4"), std::string::npos);
 }
 
-TEST(LintReportTest, CallgraphArtifactCarriesSchemaAndEffects) {
-  const Report report = lint_fixture("parallel_impure_bad.cc");
+TEST(LintReportTest, CallgraphArtifactCarriesSchemaAndReachability) {
+  const Report report = lint_fixture("transitive_det_bad.cc");
   const std::string json = report.callgraph.dump();
   EXPECT_NE(json.find("\"schema\":\"hmr-callgraph-v1\""), std::string::npos);
-  // The per-function records carry propagated effects: tally owns the
-  // io bit directly and scan_chunk inherits it.
-  EXPECT_NE(json.find("tally"), std::string::npos);
-  EXPECT_NE(json.find("scan_chunk"), std::string::npos);
-  EXPECT_NE(json.find("io"), std::string::npos);
+  // The per-function records carry call sites and sim reachability:
+  // jitter is two calls below the coroutine retry_loop.
+  EXPECT_NE(json.find("\"function\":\"fixture::jitter\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"calls\":[\"jitter\"]"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"sim_reachable\":false"), std::string::npos) << json;
+  EXPECT_EQ(json.find("effects"), std::string::npos) << json;
 }
 
 // The dogfood guarantee: the repo's own tree stays lint-clean against

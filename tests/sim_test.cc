@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,31 +48,125 @@ TEST(EngineTest, EqualTimeEventsRunInScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-// Both queue implementations must realize the exact same (at, seq) total
-// order, including events pushed at the current time (FIFO fast path)
-// interleaved with same-time events that were heap-resident already.
+// The 4-ary heap + now-FIFO must realize the (at, seq) total order,
+// including events pushed at the current time (FIFO lane) interleaved
+// with same-time events that were heap-resident already. Hand-computed.
 TEST(EventQueueTest, ImplsAgreeOnDispatchOrder) {
-  for (const auto impl :
-       {EventQueue::Impl::kFourAry, EventQueue::Impl::kLegacyBinaryHeap}) {
-    EventQueue queue(impl);
+  EventQueue queue;
+  std::uint64_t seq = 0;
+  // Heap-resident events for t=1.0 scheduled from t=0...
+  queue.push(0.0, {1.0, seq++, {}});  // seq 0
+  queue.push(0.0, {2.0, seq++, {}});  // seq 1
+  queue.push(0.0, {1.0, seq++, {}});  // seq 2
+  // ...then time advances to 1.0 and same-time pushes hit the FIFO.
+  queue.push(1.0, {1.0, seq++, {}});  // seq 3
+  queue.push(1.0, {1.5, seq++, {}});  // seq 4 (future: heap)
+  queue.push(1.0, {1.0, seq++, {}});  // seq 5
+  std::vector<std::uint64_t> order;
+  while (!queue.empty()) order.push_back(queue.pop().seq);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 2, 3, 5, 4, 1}));
+}
+
+// Seeded random streams against a reference std::priority_queue ordered
+// by (at, seq), driven the way the engine drives the queue: `now` is the
+// time of the last pop, and each push lands at now (FIFO lane), at a
+// coarse future time (so several heap-resident events share a timestamp)
+// or at a fine future time.
+TEST(EventQueueTest, MatchesPriorityQueueOnSeededStreams) {
+  using Event = EventQueue::Event;
+  const auto later = [](const Event& a, const Event& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed, "event_queue.reference");
+    EventQueue queue;
+    std::priority_queue<Event, std::vector<Event>, decltype(later)> reference(
+        later);
     std::uint64_t seq = 0;
-    // Heap-resident events for t=1.0 scheduled from t=0...
-    queue.push(0.0, {1.0, seq++, {}});  // seq 0
-    queue.push(0.0, {2.0, seq++, {}});  // seq 1
-    queue.push(0.0, {1.0, seq++, {}});  // seq 2
-    // ...then time advances to 1.0 and same-time pushes hit the FIFO.
-    queue.push(1.0, {1.0, seq++, {}});  // seq 3
-    queue.push(1.0, {1.5, seq++, {}});  // seq 4 (future: heap)
-    queue.push(1.0, {1.0, seq++, {}});  // seq 5
-    std::vector<std::uint64_t> order;
-    while (!queue.empty()) order.push_back(queue.pop().seq);
-    EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 2, 3, 5, 4, 1}))
-        << "impl=" << static_cast<int>(impl);
+    Time now = 0.0;
+    for (int op = 0; op < 4000; ++op) {
+      if (reference.empty() || rng.chance(0.55)) {
+        const double lane = rng.uniform();
+        const Time at = lane < 0.4   ? now
+                        : lane < 0.7 ? now + double(rng.range(1, 4))
+                                     : now + rng.uniform();
+        const Event event{at, seq++, {}};
+        queue.push(now, event);
+        reference.push(event);
+      } else {
+        ASSERT_DOUBLE_EQ(queue.next_at(), reference.top().at);
+        const Event got = queue.pop();
+        ASSERT_EQ(got.seq, reference.top().seq) << "seed " << seed;
+        now = got.at;
+        reference.pop();
+      }
+      ASSERT_EQ(queue.size(), reference.size());
+    }
+    while (!reference.empty()) {
+      ASSERT_EQ(queue.pop().seq, reference.top().seq) << "seed " << seed;
+      reference.pop();
+    }
+    EXPECT_TRUE(queue.empty());
   }
 }
 
+// What a process observes of the queue through the engine: 16 jittered
+// processes (half their delays zero, so same-time wakeups pile up in the
+// FIFO lane) wake in exactly the order a reference std::priority_queue
+// over (at, seq) gives, with one seq per spawn and per delay.
+TEST(EngineTest, DispatchOrderMatchesReferenceQueue) {
+  constexpr int kProcs = 16;
+  constexpr int kSteps = 50;
+  Engine engine(7);
+  std::vector<std::pair<double, int>> events;
+  for (int i = 0; i < kProcs; ++i) {
+    engine.spawn(
+        [](Engine& e, std::vector<std::pair<double, int>>& events,
+           int id) -> Task<> {
+          Rng rng = e.make_rng("jitter." + std::to_string(id));
+          for (int step = 0; step < kSteps; ++step) {
+            const double dt = rng.chance(0.5) ? 0.0 : rng.uniform();
+            co_await e.delay(dt);
+            events.emplace_back(e.now(), id);
+          }
+        }(engine, events, i));
+  }
+  engine.run();
+
+  struct Wake {
+    double at;
+    std::uint64_t seq;
+    int id;
+    bool started;
+  };
+  const auto later = [](const Wake& a, const Wake& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  };
+  std::priority_queue<Wake, std::vector<Wake>, decltype(later)> reference(
+      later);
+  std::vector<Rng> rngs;
+  std::vector<int> steps(kProcs, 0);
+  std::uint64_t seq = 0;
+  for (int i = 0; i < kProcs; ++i) {
+    rngs.push_back(engine.make_rng("jitter." + std::to_string(i)));
+    reference.push({0.0, seq++, i, false});
+  }
+  std::vector<std::pair<double, int>> expected;
+  while (!reference.empty()) {
+    const Wake w = reference.top();
+    reference.pop();
+    if (w.started) expected.emplace_back(w.at, w.id);
+    if (steps[w.id]++ == kSteps) continue;
+    Rng& rng = rngs[w.id];
+    const double dt = rng.chance(0.5) ? 0.0 : rng.uniform();
+    reference.push({w.at + dt, seq++, w.id, true});
+  }
+  EXPECT_EQ(events, expected);
+  EXPECT_EQ(events.size(), std::size_t(kProcs) * kSteps);
+}
+
 TEST(EventQueueTest, NextAtSeesBothLanes) {
-  EventQueue queue(EventQueue::Impl::kFourAry);
+  EventQueue queue;
   queue.push(0.0, {3.0, 0, {}});
   EXPECT_DOUBLE_EQ(queue.next_at(), 3.0);
   queue.push(0.0, {0.0, 1, {}});  // lands in the now-FIFO
@@ -80,33 +175,6 @@ TEST(EventQueueTest, NextAtSeesBothLanes) {
   EXPECT_EQ(queue.pop().seq, 1u);
   EXPECT_EQ(queue.pop().seq, 0u);
   EXPECT_TRUE(queue.empty());
-}
-
-// End-to-end determinism: a jittery workload dispatches identically on
-// the 4-ary+FIFO queue and the legacy binary heap.
-TEST(EngineTest, QueueImplsAreObservationallyEqual) {
-  auto trace = [](EventQueue::Impl impl) {
-    Engine engine(7, impl);
-    std::vector<std::pair<double, int>> events;
-    for (int i = 0; i < 16; ++i) {
-      engine.spawn(
-          [](Engine& e, std::vector<std::pair<double, int>>& events,
-             int id) -> Task<> {
-            Rng rng = e.make_rng("jitter." + std::to_string(id));
-            for (int step = 0; step < 50; ++step) {
-              const double dt = rng.chance(0.5) ? 0.0 : rng.uniform();
-              co_await e.delay(dt);
-              events.emplace_back(e.now(), id);
-            }
-          }(engine, events, i));
-    }
-    engine.run();
-    return events;
-  };
-  const auto fast = trace(EventQueue::Impl::kFourAry);
-  const auto legacy = trace(EventQueue::Impl::kLegacyBinaryHeap);
-  EXPECT_EQ(fast, legacy);
-  EXPECT_EQ(fast.size(), 16u * 50u);
 }
 
 TEST(EngineTest, ZeroDelayRunsAtSameTime) {

@@ -195,66 +195,75 @@ TEST(OracleTest, GoldenDeterminismPerEngine) {
   }
 }
 
-// The old-vs-new event queue oracle on every engine: both queue
-// implementations promise the same (timestamp, seq) dispatch order, so
-// the serialized JobResult — every phase timestamp, counter, and the
-// metrics snapshot — must come out byte-identical.
-TEST(OracleTest, QueueImplsProduceByteIdenticalResults) {
-  const Scenario s = small_scenario();
-  for (const char* engine : {"vanilla", "osu-ib", "hadoop-a"}) {
-    const EngineRun fourary =
-        run_engine(s, engine, sim::EventQueue::Impl::kFourAry);
-    const EngineRun legacy =
-        run_engine(s, engine, sim::EventQueue::Impl::kLegacyBinaryHeap);
-    ASSERT_FALSE(fourary.result_json.empty()) << engine;
-    EXPECT_EQ(fourary.result_json, legacy.result_json) << engine;
+// The suite's at-scale coverage: a 256-node terasort completes in
+// CI-budget wall time with the right task counts and TeraValidated
+// output. `vanilla_kernels` runs vanilla with integrity checks and a
+// small shuffle buffer and io.sort.factor, so the CRC scans and both
+// merge kernels all run; otherwise the run is OSU-IB.
+struct Terasort256Run {
+  mapred::JobResult result;
+  std::string result_json;
+  bool valid = false;
+};
+
+Terasort256Run run_terasort256(bool vanilla_kernels) {
+  constexpr double kScale = 8192.0;  // ~512 KiB real bytes carried
+  workloads::TestbedSpec spec;
+  spec.nodes = 256;
+  spec.hdfs.block_size = 32 * kMiB;
+  workloads::Testbed bed(spec);
+
+  workloads::DataGenSpec gen;
+  gen.dir = "/in";
+  // 32 MiB per map task: 64 maps for vanilla, 128 for OSU-IB.
+  gen.modeled_total = (vanilla_kernels ? 2048 : 4096) * kMiB;
+  gen.part_modeled = 32 * kMiB;
+  gen.scale = kScale;
+  gen.seed = vanilla_kernels ? 11 : 9;
+  const auto input = bed.generate("teragen", gen);
+  EXPECT_TRUE(input.ok());
+
+  Conf conf;
+  conf.set(mapred::kShuffleEngine, vanilla_kernels ? "vanilla" : "osu-ib");
+  conf.set_int(mapred::kNumReduces, vanilla_kernels ? 64 : 256);
+  conf.set_double(mapred::kKvInflation, kScale);
+  conf.set_bytes(mapred::kMaxRecordBytes, std::uint64_t(102.0 * kScale));
+  if (vanilla_kernels) {
+    conf.set_bool(mapred::kIntegrityEnabled, true);
+    conf.set_bytes(mapred::kShuffleBufferBytes, 4 * kMiB);
+    conf.set_int(mapred::kIoSortFactor, 3);
   }
+  Terasort256Run run;
+  run.result =
+      bed.run_job(workloads::terasort_job(bed.dfs(), "/in", "/out", conf));
+  run.result_json = job_result_json(run.result);
+  const auto report = workloads::validate_output(bed.dfs(), "/out");
+  run.valid = input.ok() && report.ok() && report->valid_terasort(*input);
+  return run;
 }
 
-// ISSUE 7 success metric: a 256-node terasort completes in CI-budget
-// wall time and the 4-ary queue reproduces the legacy serial engine's
-// run byte for byte at that scale — the queue changes how fast the
-// simulator dispatches, never what the job computes.
-TEST(OracleTest, Terasort256NodesByteIdenticalAcrossQueues) {
-  constexpr double kScale = 8192.0;  // ~512 KiB real bytes carried
-  const auto run_with = [&](sim::EventQueue::Impl impl) {
-    workloads::TestbedSpec spec;
-    spec.nodes = 256;
-    spec.hdfs.block_size = 32 * kMiB;
-    spec.queue_impl = impl;
-    workloads::Testbed bed(spec);
+TEST(OracleTest, Terasort256NodesCompletesAndValidates) {
+  const Terasort256Run run = run_terasort256(/*vanilla_kernels=*/false);
+  EXPECT_EQ(run.result.num_maps, 128);
+  EXPECT_EQ(run.result.num_reduces, 256);
+  EXPECT_TRUE(run.valid);
+}
 
-    workloads::DataGenSpec gen;
-    gen.dir = "/in";
-    gen.modeled_total = 4096 * kMiB;  // 128 map tasks at 32 MiB blocks
-    gen.part_modeled = 32 * kMiB;
-    gen.scale = kScale;
-    gen.seed = 9;
-    EXPECT_TRUE(bed.generate("teragen", gen).ok());
+TEST(OracleTest, Terasort256VanillaKernelsCompleteAndValidate) {
+  const Terasort256Run run = run_terasort256(/*vanilla_kernels=*/true);
+  EXPECT_EQ(run.result.num_maps, 64);
+  EXPECT_EQ(run.result.num_reduces, 64);
+  EXPECT_TRUE(run.valid);
+}
 
-    Conf conf;
-    conf.set(mapred::kShuffleEngine, "osu-ib");
-    conf.set_int(mapred::kNumReduces, 256);  // one reducer per node
-    conf.set_double(mapred::kKvInflation, kScale);
-    conf.set_bytes(mapred::kMaxRecordBytes,
-                   std::uint64_t(102.0 * kScale));
-    const auto result =
-        bed.run_job(workloads::terasort_job(bed.dfs(), "/in", "/out", conf));
-    EXPECT_EQ(result.num_maps, 128);
-    EXPECT_EQ(result.num_reduces, 256);
-    const auto report = workloads::validate_output(bed.dfs(), "/out");
-    EXPECT_TRUE(report.ok());
-    if (report.ok()) {
-      EXPECT_TRUE(report->per_part_sorted);
-      EXPECT_TRUE(report->globally_sorted);
-    }
-    return job_result_json(result);
-  };
-  const std::string fourary = run_with(sim::EventQueue::Impl::kFourAry);
-  const std::string legacy =
-      run_with(sim::EventQueue::Impl::kLegacyBinaryHeap);
-  ASSERT_FALSE(fourary.empty());
-  EXPECT_EQ(fourary, legacy);
+// Determinism at scale: GoldenDeterminismPerEngine covers small
+// scenarios; at 256 nodes the same seed must still reproduce a
+// byte-identical serialized JobResult.
+TEST(OracleTest, Terasort256NodesByteIdenticalAcrossRuns) {
+  const std::string first =
+      run_terasort256(/*vanilla_kernels=*/false).result_json;
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(run_terasort256(/*vanilla_kernels=*/false).result_json, first);
 }
 
 TEST(OracleTest, StallFaultTeardownRaceStaysFixed) {
@@ -326,10 +335,9 @@ TEST(FuzzerTest, ReproRecordRoundTripsThroughLoader) {
 
 // The committed corpus pins down scenario classes the generator only
 // rarely emits; each file must load and pass the full oracle battery.
-// ISSUE 10 acceptance: with speculation enabled under cpu.degrade and
-// task.hang chaos, job output is byte-identical to the
-// speculation-disabled replay, across all three engines and parallel
-// workers {1, 4}. The oracle itself runs the spec-off twin.
+// With speculation enabled under cpu.degrade and task.hang chaos, job
+// output is byte-identical to the speculation-disabled replay, across
+// all three engines. The oracle itself runs the spec-off twin.
 TEST(OracleTest, SpeculationIdentityUnderComputeChaos) {
   Scenario s = small_scenario();
   s.nodes = 4;
@@ -340,16 +348,12 @@ TEST(OracleTest, SpeculationIdentityUnderComputeChaos) {
   s.faults.push_back({FaultSite::Kind::kTaskHang, /*host=*/3,
                       /*at=*/2.0, /*prob=*/0.0, /*seconds=*/4.0,
                       /*factor=*/1.0});
-  for (int workers : {1, 4}) {
-    s.parallel_workers = workers;
-    for (const char* engine : {"vanilla", "osu-ib", "hadoop-a"}) {
-      const EngineRun run = run_engine(s, engine);
-      ASSERT_FALSE(run.result_json.empty()) << engine;
-      Verdict verdict;
-      check_speculation_identity(s, run, &verdict);
-      EXPECT_TRUE(verdict.ok())
-          << engine << " workers=" << workers << ": " << verdict.summary();
-    }
+  for (const char* engine : {"vanilla", "osu-ib", "hadoop-a"}) {
+    const EngineRun run = run_engine(s, engine);
+    ASSERT_FALSE(run.result_json.empty()) << engine;
+    Verdict verdict;
+    check_speculation_identity(s, run, &verdict);
+    EXPECT_TRUE(verdict.ok()) << engine << ": " << verdict.summary();
   }
 }
 

@@ -1,6 +1,6 @@
 // hmr-lint CLI: walks src/, tools/, and tests/ and enforces every rule
-// family, including the call-graph-based ones (parallel-purity,
-// coroutine-borrow, transitive-determinism). See docs/LINT.md.
+// family, including the call-graph-based ones (coroutine-borrow,
+// transitive-determinism). See docs/LINT.md.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 //
@@ -11,7 +11,7 @@
 // DIRs default to `src tools tests`, relative to --repo-root (default:
 // the current directory). --format json emits the machine-readable
 // hmr-lint-v1 report the CI lint job archives; --callgraph writes the
-// hmr-callgraph-v1 per-function effect analysis (also a CI artifact);
+// hmr-callgraph-v1 per-function call graph (also a CI artifact);
 // --list-metrics / --list-config-keys print the extracted registries
 // (the input for regenerating docs/METRICS.md).
 #include <cstdio>
