@@ -27,11 +27,11 @@ int main() {
     std::fprintf(stderr, "  cache=%s...\n", cache);
     const auto outcome = run_experiment(config);
     bench.add_run(std::string("OSU-IB cache=") + cache, 60.0, outcome);
-    const auto total = outcome.job.cache_hits + outcome.job.cache_misses;
+    const auto total = outcome.job.counter("cache.hits") +
+                       outcome.job.counter("cache.misses");
     table.add_row({cache, Table::num(outcome.seconds(), 1),
                    total == 0 ? "-"
-                              : Table::num(double(outcome.job.cache_hits) /
-                                               double(total) * 100.0,
+                              : Table::num(outcome.job.cache_hit_rate() * 100.0,
                                            1) + "%"});
   }
   std::fputs(table.to_ascii().c_str(), stdout);

@@ -161,8 +161,9 @@ int main() {
               engine, fraction, speculative, std::uint64_t(trial) + 1));
           samples.push_back(outcome.seconds());
           validated = validated && outcome.validated;
-          attempts += outcome.job.speculative_attempts;
-          wins += outcome.job.speculative_wins;
+          attempts +=
+              std::uint64_t(outcome.job.counter("speculation.attempts"));
+          wins += std::uint64_t(outcome.job.counter("speculation.wins"));
         }
         const Percentiles latency = percentiles(std::move(samples));
         runs.push_back(run_cell(

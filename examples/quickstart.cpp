@@ -45,9 +45,9 @@ int main(int argc, char** argv) {
               outcome.job.num_reduces);
   std::printf("shuffled        : %s\n",
               format_bytes(outcome.job.shuffled_modeled_bytes).c_str());
-  std::printf("cache hit rate  : %llu hits / %llu misses\n",
-              static_cast<unsigned long long>(outcome.job.cache_hits),
-              static_cast<unsigned long long>(outcome.job.cache_misses));
+  std::printf("cache hit rate  : %lld hits / %lld misses\n",
+              static_cast<long long>(outcome.job.counter("cache.hits")),
+              static_cast<long long>(outcome.job.counter("cache.misses")));
   std::printf("TeraValidate    : %s\n", outcome.validated ? "PASS" : "FAIL");
   return outcome.validated ? 0 : 1;
 }

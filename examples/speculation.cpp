@@ -71,10 +71,10 @@ int main(int argc, char** argv) {
   std::printf("=== host 1 degraded, speculation on ===\n%s\n",
               job_report(spec.job).c_str());
 
-  std::printf("speculative attempts / wins / kills: %llu / %llu / %llu\n",
-              static_cast<unsigned long long>(spec.job.speculative_attempts),
-              static_cast<unsigned long long>(spec.job.speculative_wins),
-              static_cast<unsigned long long>(spec.job.speculative_kills));
+  std::printf("speculative attempts / wins / kills: %lld / %lld / %lld\n",
+              static_cast<long long>(spec.job.counter("speculation.attempts")),
+              static_cast<long long>(spec.job.counter("speculation.wins")),
+              static_cast<long long>(spec.job.counter("speculation.kills")));
   std::printf("straggler tail without speculation: +%.1f%%\n",
               100.0 * (straggling.seconds() / healthy.seconds() - 1.0));
   std::printf("tail with speculation:              +%.1f%%\n",

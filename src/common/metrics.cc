@@ -150,14 +150,6 @@ const FixedHistogram* MetricsRegistry::find_fixed_histogram(
   return it == fixed_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::pair<std::string, std::int64_t>> MetricsRegistry::counters()
-    const {
-  std::vector<std::pair<std::string, std::int64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c.value());
-  return out;
-}
-
 namespace {
 
 template <typename H>

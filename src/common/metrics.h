@@ -168,7 +168,6 @@ class MetricsRegistry {
   const Histogram* find_histogram(std::string_view name) const;
   const FixedHistogram* find_fixed_histogram(std::string_view name) const;
 
-  std::vector<std::pair<std::string, std::int64_t>> counters() const;
   MetricsSnapshot snapshot() const;
   std::string report() const;
   void reset();

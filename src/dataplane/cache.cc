@@ -7,14 +7,13 @@ namespace hmr::dataplane {
 PrefetchCache::PrefetchCache(std::uint64_t capacity_bytes)
     : capacity_(capacity_bytes) {}
 
-void PrefetchCache::attach_metrics(MetricsRegistry& registry,
-                                   const std::string& prefix) {
-  hits_metric_ = &registry.counter(prefix + "hits");
-  misses_metric_ = &registry.counter(prefix + "misses");
-  insertions_metric_ = &registry.counter(prefix + "insertions");
-  evictions_metric_ = &registry.counter(prefix + "evictions");
-  rejected_metric_ = &registry.counter(prefix + "rejected");
-  used_metric_ = &registry.gauge(prefix + "used_bytes");
+void PrefetchCache::attach_metrics(MetricsRegistry& registry) {
+  hits_metric_ = &registry.counter("cache.hits");
+  misses_metric_ = &registry.counter("cache.misses");
+  insertions_metric_ = &registry.counter("cache.insertions");
+  evictions_metric_ = &registry.counter("cache.evictions");
+  rejected_metric_ = &registry.counter("cache.rejected");
+  used_metric_ = &registry.gauge("cache.used_bytes");
   // Carry over anything counted before attachment.
   hits_metric_->add(std::int64_t(stats_.hits));
   misses_metric_->add(std::int64_t(stats_.misses));

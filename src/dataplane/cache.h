@@ -63,10 +63,10 @@ class PrefetchCache {
   size_t entries() const { return entries_.size(); }
   const CacheStats& stats() const { return stats_; }
 
-  // Mirrors stats into `registry` under `prefix` (e.g. "cache."):
-  // hit/miss/insertion/eviction/rejection counters plus a used-bytes
-  // gauge whose high-water mark survives clear().
-  void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
+  // Mirrors stats into `registry` as the cache.* metrics: hit/miss/
+  // insertion/eviction/rejection counters plus a used-bytes gauge whose
+  // high-water mark survives clear().
+  void attach_metrics(MetricsRegistry& registry);
 
   // Accounting invariant: used_bytes() equals the sum of resident
   // charged bytes, the rank index mirrors the entry map, and usage never

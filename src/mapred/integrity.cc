@@ -13,17 +13,7 @@ void record_recovery_delay(JobRuntime& job, double started, bool recovered) {
       .record(job.engine.now() - started);
 }
 
-void count_io_retry(JobRuntime& job) {
-  ++job.result.storage_io_retries;
-  job.metric.io_retries.add();
-}
-
 }  // namespace
-
-void count_checksum_mismatch(JobRuntime& job) {
-  ++job.result.checksum_mismatches;
-  job.metric.checksum_mismatches.add();
-}
 
 sim::Task<> charge_verify_cpu(JobRuntime& job, Host& host,
                               std::uint64_t modeled) {
@@ -39,7 +29,6 @@ sim::Task<Result<storage::FileView>> read_verified_impl(
     JobRuntime& job, Host& host, const std::string& path,
     std::uint64_t modeled,
     std::function<sim::Task<Result<storage::FileView>>()> read) {
-  auto& metrics = job.engine.metrics();
   const double started = job.engine.now();
   bool recovered = false;
   for (int attempt = 0;; ++attempt) {
@@ -47,7 +36,7 @@ sim::Task<Result<storage::FileView>> read_verified_impl(
     if (!view.ok()) {
       if (view.status().code() == StatusCode::kUnavailable &&
           attempt < job.integrity.max_retries) {
-        count_io_retry(job);
+        job.metric.io_retries.add();
         recovered = true;
         continue;
       }
@@ -56,18 +45,18 @@ sim::Task<Result<storage::FileView>> read_verified_impl(
     if (!job.integrity.enabled) co_return view;
     co_await charge_verify_cpu(job, host, modeled);
     if (view->corrupted) {
-      count_checksum_mismatch(job);
+      job.metric.checksum_mismatches.add();
       if (attempt < job.integrity.max_retries) {
-        metrics.counter("storage.corrupt.rereads").add();
+        job.metric.corrupt_rereads.add();
         recovered = true;
         continue;
       }
-      metrics.counter("storage.corrupt.read_failures").add();
+      job.metric.corrupt_read_failures.add();
       co_return Result<storage::FileView>(
           Status::Internal("checksum mismatch after " +
                            std::to_string(attempt + 1) + " reads: " + path));
     }
-    metrics.counter("integrity.verified_segments").add();
+    job.metric.verified_segments.add();
     record_recovery_delay(job, started, recovered);
     co_return view;
   }
@@ -102,7 +91,6 @@ sim::Task<Result<storage::FileView>> read_range_verified(
 sim::Task<Status> write_file_verified(JobRuntime& job, Host& host,
                                       std::string path, Bytes data,
                                       double scale) {
-  auto& metrics = job.engine.metrics();
   const double started = job.engine.now();
   const auto modeled =
       static_cast<std::uint64_t>(double(data.size()) * scale);
@@ -115,8 +103,7 @@ sim::Task<Status> write_file_verified(JobRuntime& job, Host& host,
       // Disk-full ladder: count it, let the shuffle engine evict cache
       // on this host, back off, retry. The window is finite by
       // construction; the bound only guards against runaway plans.
-      ++job.result.disk_full_events;
-      metrics.counter("storage.disk_full.events").add();
+      job.metric.disk_full_events.add();
       HMR_CHECK_MSG(++full_attempts <= job.integrity.disk_full_max_retries,
                     "disk-full window outlasted spill retries: " + path);
       if (job.shuffle != nullptr) job.shuffle->on_disk_pressure(job, host.id());
@@ -126,7 +113,7 @@ sim::Task<Status> write_file_verified(JobRuntime& job, Host& host,
     }
     if (!written.ok()) {  // injected transient write error
       if (io_attempts++ < job.integrity.max_retries) {
-        count_io_retry(job);
+        job.metric.io_retries.add();
         recovered = true;
         continue;
       }
@@ -139,17 +126,16 @@ sim::Task<Status> write_file_verified(JobRuntime& job, Host& host,
     const auto stored = host.fs().peek(path);
     HMR_CHECK(stored.ok());
     if (!stored->corrupted) {
-      metrics.counter("integrity.verified_segments").add();
+      job.metric.verified_segments.add();
       record_recovery_delay(job, started, recovered);
       co_return Status::Ok();
     }
-    count_checksum_mismatch(job);
+    job.metric.checksum_mismatches.add();
     if (verify_attempts++ >= job.integrity.max_retries) {
-      metrics.counter("storage.write.failures").add();
+      job.metric.write_failures.add();
       co_return Status::Internal("verified write failed: " + path);
     }
-    ++job.result.spill_rewrites;
-    metrics.counter("storage.spill.rewrites").add();
+    job.metric.spill_rewrites.add();
     recovered = true;
   }
 }

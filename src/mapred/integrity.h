@@ -13,18 +13,15 @@
 // recovery-action counter (`storage.corrupt.rereads`,
 // `storage.spill.rewrites`, `storage.corrupt.read_failures`,
 // `storage.write.failures`, or — at the cache boundary, counted by the
-// caller — `cache.integrity.evictions`). The simfuzz integrity oracle
-// checks this conservation law exactly.
+// caller — `cache.integrity.evictions`). All of these are job counters,
+// so the simfuzz integrity oracle checks this conservation law exactly
+// for every job, concurrent tenants included.
 #pragma once
 
 #include "mapred/runtime.h"
 #include "storage/localfs.h"
 
 namespace hmr::mapred {
-
-// Counts one checksum mismatch (metric + JobResult twin). Exposed for
-// the boundaries that recover outside these helpers (cache eviction).
-void count_checksum_mismatch(JobRuntime& job);
 
 // Charges CRC32 verification CPU on `host` for `modeled` bytes. No-op
 // when integrity verification is disabled.

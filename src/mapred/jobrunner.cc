@@ -232,11 +232,9 @@ sim::Task<JobResult> JobRunner::run(JobSpec spec) {
                                 ? job->reduces_done_time
                                 : job->engine.now();
   co_await shuffle->stop(*job);
-  if (job->spec.conf.get_bool(kMetricsSnapshot, true)) {
-    // After stop(): engines fold their cache stats into the result and
-    // the registry has every shuffle/net/cache series for the run.
-    job->result.metrics = job->engine.metrics().snapshot();
-  }
+  // After stop(): the registry has every shuffle/net/cache series for
+  // the run.
+  job->result.metrics = job->engine.metrics().snapshot();
   co_return job->result;
 }
 

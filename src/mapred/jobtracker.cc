@@ -142,14 +142,14 @@ sim::Task<> JobTracker::run_job(std::shared_ptr<SubmittedJob> job) {
   // Speculative backups consumed slots beyond the dispatch-time charge;
   // bill them post-hoc at one split-equivalent each so the fair-share
   // deficit reflects what the pool actually used.
-  const double speculative_charge = double(job->result.speculative_attempts);
-  if (speculative_charge > 0) {
-    charged_[job->user] += speculative_charge;
-    tenant.charged_cost += speculative_charge;
-  }
-  tenant.speculative_attempts += job->result.speculative_attempts;
-  tenant.speculative_wins += job->result.speculative_wins;
-  tenant.speculative_kills += job->result.speculative_kills;
+  const auto& result = job->result;
+  const auto backups = result.counter("speculation.attempts");
+  charged_[job->user] += double(backups);
+  tenant.charged_cost += double(backups);
+  tenant.speculative_attempts += std::uint64_t(backups);
+  tenant.speculative_wins += std::uint64_t(result.counter("speculation.wins"));
+  tenant.speculative_kills +=
+      std::uint64_t(result.counter("speculation.kills"));
   auto& metrics = engine_.metrics();
   metrics.counter("scheduler.jobs.completed").add();
   metrics.latency_histogram("scheduler.job.latency").record(job->latency());

@@ -51,7 +51,6 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
        !split.ok() && split.status().code() == StatusCode::kUnavailable &&
        attempt < job.integrity.max_retries;
        ++attempt) {
-    ++job.result.storage_io_retries;
     job.metric.io_retries.add();
     co_await job.engine.delay(job.integrity.disk_full_backoff);
     split = co_await job.dfs.read(host, task.input_file);
@@ -140,7 +139,7 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
       job.spec.conf.get_bytes(kIoSortMb, 100 * 1024 * 1024);
   const auto spills = std::max<std::uint64_t>(
       1, (output_modeled + sort_mb - 1) / std::max<std::uint64_t>(1, sort_mb));
-  job.result.spills += spills;
+  job.metric.map_spills.add(std::int64_t(spills));
   job.result.counters["SPILLED_RECORDS"] +=
       std::int64_t(double(input_records) * double(spills));
 
@@ -189,7 +188,6 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
   if (attempt != nullptr) {
     if (committed) {
       if (attempt->speculative) {
-        ++job.result.speculative_wins;
         job.metric.speculation_wins.add();
       }
       job.finish_attempt(*attempt, AttemptState::kSucceeded);
@@ -222,7 +220,7 @@ sim::Task<> run_failed_map_attempt(JobRuntime& job, int map_id,
         static_cast<std::uint64_t>(double(task.modeled_bytes) * progress),
         job.cost.map_cpu_bw);
   }
-  ++job.result.failed_map_attempts;
+  job.metric.map_failed_attempts.add();
 }
 
 }  // namespace hmr::mapred

@@ -187,7 +187,6 @@ sim::Task<> run_reduce_task(JobRuntime& job, int reduce_id,
       std::int64_t(driver.records_out());
   if (attempt != nullptr) {
     if (attempt->speculative) {
-      ++job.result.speculative_wins;
       job.metric.speculation_wins.add();
     }
     job.finish_attempt(*attempt, AttemptState::kSucceeded);

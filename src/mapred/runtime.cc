@@ -19,7 +19,6 @@ JobRuntime::JobRuntime(Cluster& cluster, Network& network,
       cost(CostModel::from_conf(spec.conf)),
       integrity(IntegrityPolicy::from_conf(spec.conf)),
       job_id(job_id_in),
-      metric(engine.metrics()),
       trackers(std::move(trackers_in)),
       completion_pulse(engine),
       all_maps_done(engine),
@@ -80,7 +79,6 @@ TaskAttempt& JobRuntime::start_attempt(TaskKind kind, int task_id, int host_id,
   attempts.push_back(std::move(owned));
   if (speculative) {
     ++speculative_running;
-    ++result.speculative_attempts;
     metric.speculation_attempts.add();
   }
   if (!rerun) {
@@ -121,7 +119,6 @@ void JobRuntime::finish_attempt(TaskAttempt& attempt, AttemptState state) {
       }
     }
   } else if (state == AttemptState::kKilled) {
-    ++result.speculative_kills;
     metric.speculation_kills.add();
   }
   if (attempt.speculative) --speculative_running;
@@ -232,7 +229,6 @@ TaskAttempt* JobRuntime::try_claim_backup(TaskKind kind, int on_host_id) {
   const int tasks = kind == TaskKind::kMap ? int(maps.size()) : num_reduces;
   if (launched >= speculation.cap_count(tasks) ||
       speculative_running >= speculation.slots) {
-    ++result.speculative_cap_deferrals;
     metric.speculation_cap_deferrals.add();
     return nullptr;
   }
@@ -344,8 +340,7 @@ bool JobRuntime::report_fetch_failure(int host_id) {
   const int streak = ++fetch_failure_streak[host_id];
   if (streak < retry.blacklist_threshold) return false;
   blacklisted_trackers.insert(host_id);
-  ++result.trackers_blacklisted;
-  engine.metrics().counter("shuffle.trackers.blacklisted").add();
+  metric.trackers_blacklisted.add();
   if (auto* tracer = engine.tracer()) {
     tracer->instant(tracker_for_host(host_id).host->name(), "fault",
                     "tracker_blacklisted");
@@ -379,8 +374,7 @@ sim::Task<> JobRuntime::ensure_fetchable(int map_id) {
     HMR_CHECK_MSG(target != nullptr,
                   "every TaskTracker is blacklisted; map output for map " +
                       std::to_string(map_id) + " is unfetchable");
-    ++result.map_refetch_reruns;
-    engine.metrics().counter("shuffle.refetch.reruns").add();
+    metric.refetch_reruns.add();
     if (auto* tracer = engine.tracer()) {
       tracer->instant(target->host->name(), "fault",
                       "refetch_rerun map_" + std::to_string(map_id));
@@ -397,6 +391,29 @@ sim::Task<> JobRuntime::ensure_fetchable(int map_id) {
     rerun_done.set();
     reruns.erase(map_id);
   }
+}
+
+sim::Task<bool> JobRuntime::recover_fetch_timeout(Host& host, int map_id,
+                                                  int server_host,
+                                                  int attempt, Rng& rng) {
+  metric.fetch_timeouts.add();
+  if (auto* tracer = engine.tracer()) {
+    tracer->instant(host.name(), "fault",
+                    "fetch_timeout map_" + std::to_string(map_id));
+  }
+  HMR_CHECK_MSG(attempt <= retry.max_retries,
+                "fetch of map " + std::to_string(map_id) + " exceeded " +
+                    kFetchMaxRetries);
+  (void)report_fetch_failure(server_host);
+  bool relocated = false;
+  if (tracker_blacklisted(server_host)) {
+    co_await ensure_fetchable(map_id);
+    relocated = maps.at(map_id).ran_on != server_host;
+  } else {
+    co_await engine.delay(retry.backoff(attempt, rng));
+  }
+  metric.fetch_retries.add();
+  co_return relocated;
 }
 
 }  // namespace hmr::mapred

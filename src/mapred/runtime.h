@@ -97,51 +97,17 @@ struct ReduceTaskInfo {
 
 class ShuffleEngine;
 
-// Cached handles into the engine's MetricsRegistry for every counter
-// the shuffle/storage hot paths touch per request, per retry, or per
-// fault event. Registered once per job (references are stable for the
-// registry's lifetime — std::map nodes never move), so call sites pay a
-// plain pointer add instead of a string-keyed map lookup per event.
-// Same idiom as net::Network's message metrics and PrefetchCache's
-// attach_metrics.
-struct ShuffleMetrics {
-  explicit ShuffleMetrics(MetricsRegistry& registry)
-      : fetch_requests(registry.counter("shuffle.fetch.requests")),
-        fetch_timeouts(registry.counter("shuffle.fetch.timeouts")),
-        fetch_retries(registry.counter("shuffle.fetch.retries")),
-        fetch_stale_dropped(registry.counter("shuffle.fetch.stale_dropped")),
-        malformed_msgs(registry.counter("shuffle.malformed_msgs")),
-        fault_dropped_requests(
-            registry.counter("shuffle.fault.dropped_requests")),
-        fault_dropped_responses(
-            registry.counter("shuffle.fault.dropped_responses")),
-        fault_stalled_responses(
-            registry.counter("shuffle.fault.stalled_responses")),
-        mapout_unserved(registry.counter("storage.mapout.unserved")),
-        io_retries(registry.counter("storage.io.retries")),
-        checksum_mismatches(
-            registry.counter("integrity.checksum.mismatches")),
-        speculation_attempts(registry.counter("speculation.attempts")),
-        speculation_wins(registry.counter("speculation.wins")),
-        speculation_kills(registry.counter("speculation.kills")),
-        speculation_cap_deferrals(
-            registry.counter("speculation.cap_deferrals")) {}
-
-  Counter& fetch_requests;
-  Counter& fetch_timeouts;
-  Counter& fetch_retries;
-  Counter& fetch_stale_dropped;
-  Counter& malformed_msgs;
-  Counter& fault_dropped_requests;
-  Counter& fault_dropped_responses;
-  Counter& fault_stalled_responses;
-  Counter& mapout_unserved;
-  Counter& io_retries;
-  Counter& checksum_mismatches;
-  Counter& speculation_attempts;
-  Counter& speculation_wins;
-  Counter& speculation_kills;
-  Counter& speculation_cap_deferrals;
+// One per-job count: the engine-wide registry counter and the job's own
+// JobResult::counters entry of the same name (both std::map nodes, which
+// never move). add() bumps both, so a job's counters hold only its own
+// events while the registry keeps the cluster total.
+struct JobCounter {
+  Counter* total;
+  std::int64_t* job;
+  void add(std::int64_t delta = 1) {
+    total->add(delta);
+    *job += delta;
+  }
 };
 
 // Everything a task or engine needs to reach the simulated world.
@@ -159,9 +125,60 @@ struct JobRuntime {
   IntegrityPolicy integrity;
   int job_id = 0;
   double data_scale = 1.0;  // from the input files
-  // Hot-path metric handles (see ShuffleMetrics); `metric.x.add()`
-  // replaces `engine.metrics().counter("x").add()` in per-event code.
-  ShuffleMetrics metric;
+  // Declared before `metric`, whose handles point into result.counters.
+  JobResult result;
+  // Registers the job counter `name` (at zero) in both the engine
+  // registry and result.counters, and returns its handle.
+  JobCounter counter(const std::string& name) {
+    return {&engine.metrics().counter(name), &result.counters[name]};
+  }
+  // Every per-job counter the framework and the shuffle engines touch,
+  // registered at job start so call sites pay two plain adds instead of
+  // a string-keyed lookup per event: `metric.x.add()` counts one event
+  // for this job and for the engine-wide total.
+  struct Metrics {
+    JobRuntime& job;
+    // Shuffle requests and recovery (mapred/recovery.h).
+    JobCounter fetch_requests = job.counter("shuffle.fetch.requests");
+    JobCounter fetch_timeouts = job.counter("shuffle.fetch.timeouts");
+    JobCounter fetch_retries = job.counter("shuffle.fetch.retries");
+    JobCounter fetch_stale_dropped =
+        job.counter("shuffle.fetch.stale_dropped");
+    JobCounter malformed_msgs = job.counter("shuffle.malformed_msgs");
+    JobCounter fault_dropped_requests =
+        job.counter("shuffle.fault.dropped_requests");
+    JobCounter fault_dropped_responses =
+        job.counter("shuffle.fault.dropped_responses");
+    JobCounter fault_stalled_responses =
+        job.counter("shuffle.fault.stalled_responses");
+    JobCounter trackers_blacklisted =
+        job.counter("shuffle.trackers.blacklisted");
+    JobCounter refetch_reruns = job.counter("shuffle.refetch.reruns");
+    JobCounter refetch_bytes = job.counter("shuffle.refetch.bytes");
+    // Storage integrity (mapred/integrity.h).
+    JobCounter mapout_unserved = job.counter("storage.mapout.unserved");
+    JobCounter io_retries = job.counter("storage.io.retries");
+    JobCounter checksum_mismatches =
+        job.counter("integrity.checksum.mismatches");
+    JobCounter verified_segments = job.counter("integrity.verified_segments");
+    JobCounter corrupt_rereads = job.counter("storage.corrupt.rereads");
+    JobCounter corrupt_read_failures =
+        job.counter("storage.corrupt.read_failures");
+    JobCounter write_failures = job.counter("storage.write.failures");
+    JobCounter spill_rewrites = job.counter("storage.spill.rewrites");
+    JobCounter disk_full_events = job.counter("storage.disk_full.events");
+    JobCounter cache_integrity_evictions =
+        job.counter("cache.integrity.evictions");
+    // Map tasks and speculation (mapred/attempt.h).
+    JobCounter map_spills = job.counter("mapred.map.spills");
+    JobCounter map_failed_attempts = job.counter("mapred.map.failed_attempts");
+    JobCounter speculation_attempts = job.counter("speculation.attempts");
+    JobCounter speculation_wins = job.counter("speculation.wins");
+    JobCounter speculation_kills = job.counter("speculation.kills");
+    JobCounter speculation_cap_deferrals =
+        job.counter("speculation.cap_deferrals");
+  };
+  Metrics metric{*this};
 
   std::vector<MapTaskInfo> maps;
   std::vector<ReduceTaskInfo> reduces;
@@ -178,8 +195,6 @@ struct JobRuntime {
   sim::Event completion_pulse;
   sim::Event all_maps_done;
   sim::Event slowstart_reached;
-
-  JobResult result;
 
   // Shuffle-fetch recovery (mapred/recovery.h): resolved policy,
   // per-tracker consecutive-failure streaks, and the blacklist.
@@ -272,6 +287,14 @@ struct JobRuntime {
   // re-executing the map on a healthy tracker if necessary. Concurrent
   // callers for the same map share one re-execution.
   sim::Task<> ensure_fetchable(int map_id);
+  // Recovery after a copier on `host` saw its `attempt`-th fetch of
+  // `map_id` from `server_host` time out: counts it (aborting past the
+  // retry budget), reports the failure, then waits for a re-execution
+  // (tracker blacklisted) or backs off. Returns true when the map output
+  // moved to another tracker.
+  sim::Task<bool> recover_fetch_timeout(Host& host, int map_id,
+                                        int server_host, int attempt,
+                                        Rng& rng);
   // Charges `modeled_bytes` of CPU at the given per-core throughput on
   // `host` (holds one core).
   sim::Task<> charge_cpu(Host& host, std::uint64_t modeled_bytes, double bw);

@@ -130,12 +130,9 @@ inline constexpr const char* kDiskFullBackoffSec =
 inline constexpr const char* kDiskFullMaxRetries =
     "mapred.storage.disk.full.max.retries";
 
-// Observability. kMetricsSnapshot controls whether JobRunner copies the
-// engine's metrics registry into JobResult::metrics at job end (on by
-// default; large sweeps can turn it off). kTraceMaxEvents caps the
-// Chrome-trace event buffer when tracing is enabled; events past the cap
-// are dropped and counted. 0 means unbounded.
-inline constexpr const char* kMetricsSnapshot = "mapred.metrics.snapshot";
+// Observability. kTraceMaxEvents caps the Chrome-trace event buffer when
+// tracing is enabled; events past the cap are dropped and counted. 0
+// means unbounded.
 inline constexpr const char* kTraceMaxEvents = "sim.trace.max.events";
 
 // Compute-cost model (modeled bytes per second per core).
@@ -195,45 +192,18 @@ struct JobResult {
   std::uint64_t output_modeled_bytes = 0;
   std::uint64_t output_records = 0;
 
-  // Paper-facing counters.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t spills = 0;
-  std::uint64_t failed_map_attempts = 0;
-  // Speculation counters (mapred/attempt.h). Each has a metric twin
-  // (`speculation.*`); the simfuzz oracle checks they agree and that
-  // every backup race produced exactly one killed loser
-  // (speculative_kills == speculative_attempts once the job drains).
-  std::uint64_t speculative_attempts = 0;  // backup attempts launched
-  std::uint64_t speculative_wins = 0;   // backup committed before original
-  std::uint64_t speculative_kills = 0;  // race losers killed
-  std::uint64_t speculative_cap_deferrals = 0;  // picks blocked by cap/slots
-
-  // Shuffle recovery counters (mapred/recovery.h).
-  std::uint64_t fetch_timeouts = 0;    // requests with no response in time
-  std::uint64_t fetch_retries = 0;     // re-issued requests
-  std::uint64_t trackers_blacklisted = 0;
-  std::uint64_t map_refetch_reruns = 0;  // maps re-executed for fetching
-  std::uint64_t refetched_modeled_bytes = 0;  // served by re-executed maps
-
-  // Storage-fault recovery counters (mapred/integrity.h). Each has a
-  // metric twin; the simfuzz oracle checks they agree and that
-  // checksum_mismatches is conserved against the recovery actions.
-  std::uint64_t checksum_mismatches = 0;  // verify failures, all boundaries
-  std::uint64_t storage_io_retries = 0;   // ops re-issued after an IO error
-  std::uint64_t spill_rewrites = 0;       // spills rewritten after verify
-  std::uint64_t disk_full_events = 0;     // spill attempts hit a full disk
-  std::uint64_t cache_integrity_evictions = 0;  // rotted cache entries
-
-  // Classic Hadoop job counters (MAP_INPUT_RECORDS, SPILLED_RECORDS, ...).
+  // This job's own counters: the classic Hadoop ones (MAP_INPUT_RECORDS,
+  // SPILLED_RECORDS, ...) plus every job counter of docs/METRICS.md
+  // under its metric name (shuffle.fetch.timeouts, speculation.kills,
+  // cache.hits, ...). Concurrent jobs never see each other's counts.
   std::map<std::string, std::int64_t> counters;
   std::int64_t counter(const std::string& name) const {
     auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second;
   }
 
-  // Snapshot of the engine's metrics registry at job end (empty when
-  // mapred.metrics.snapshot is off).
+  // Snapshot of the engine's metrics registry at job end: cluster-wide,
+  // so it includes every job that shared the engine.
   MetricsSnapshot metrics;
 
   double elapsed() const { return finish_time - submit_time; }
@@ -264,8 +234,9 @@ struct JobResult {
   }
 
   double cache_hit_rate() const {
-    const auto lookups = cache_hits + cache_misses;
-    return lookups == 0 ? 0.0 : double(cache_hits) / double(lookups);
+    const auto hits = counter("cache.hits");
+    const auto lookups = hits + counter("cache.misses");
+    return lookups == 0 ? 0.0 : double(hits) / double(lookups);
   }
 };
 

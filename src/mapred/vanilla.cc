@@ -374,24 +374,8 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
 
     if (!response.has_value()) {
       ++attempt;
-      ++job.result.fetch_timeouts;
-      job.metric.fetch_timeouts.add();
-      if (auto* tracer = job.engine.tracer()) {
-        tracer->instant(state.host.name(), "fault",
-                        "fetch_timeout map_" + std::to_string(map_id));
-      }
-      HMR_CHECK_MSG(attempt <= job.retry.max_retries,
-                    "fetch of map " + std::to_string(map_id) + " exceeded " +
-                        kFetchMaxRetries);
-      (void)job.report_fetch_failure(server_host);
-      if (job.tracker_blacklisted(server_host)) {
-        co_await job.ensure_fetchable(map_id);
-        if (job.maps.at(map_id).ran_on != server_host) refetching = true;
-      } else {
-        co_await job.engine.delay(job.retry.backoff(attempt, rng));
-      }
-      ++job.result.fetch_retries;
-      job.metric.fetch_retries.add();
+      refetching |= co_await job.recover_fetch_timeout(
+          state.host, map_id, server_host, attempt, rng);
       continue;
     }
 
@@ -399,7 +383,7 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
     fetch_rtt_->record(job.engine.now() - sent_at);
     const std::uint64_t modeled = response->modeled_bytes;
     job.result.shuffled_modeled_bytes += modeled;
-    if (refetching) job.result.refetched_modeled_bytes += modeled;
+    if (refetching) job.metric.refetch_bytes.add(std::int64_t(modeled));
     Segment segment;
     // Strip the {map_id, reduce_id} match prefix: merge sources must see
     // clean kv data.

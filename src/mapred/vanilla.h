@@ -54,7 +54,7 @@ class VanillaShuffleEngine final : public ShuffleEngine {
   std::map<int, std::unique_ptr<net::Listener>> listeners_;  // by host id
   std::unique_ptr<sim::WaitGroup> daemons_;  // accept + connection loops
   // Cached per-fetch handle, rebound in start() (same idiom as
-  // ShuffleMetrics: registry references are stable for its lifetime).
+  // JobRuntime::metric: registry references are stable for its lifetime).
   FixedHistogram* fetch_rtt_ = nullptr;
 };
 

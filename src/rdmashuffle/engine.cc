@@ -83,7 +83,7 @@ sim::Task<> RdmaShuffleEngine::start(JobRuntime& job) {
                                                     options_.cache_bytes);
     // All trackers mirror into one registry, so the cache.* counters
     // aggregate cluster-wide; the used-bytes gauge keeps a high-water max.
-    service->cache.attach_metrics(job.engine.metrics(), "cache.");
+    service->cache.attach_metrics(job.engine.metrics());
     service->listener = std::make_unique<ucr::Listener>(
         job.network, *tracker->host, options_.ucr);
     daemons_->add();
@@ -197,9 +197,8 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
         // before anything is sent: evict the poisoned entry and serve
         // this request from disk (the on-disk copy verified clean at
         // spill time), then re-cache from the clean source.
-        mapred::count_checksum_mismatch(job);
-        ++job.result.cache_integrity_evictions;
-        metric_->cache_integrity_evictions.add();
+        job.metric.checksum_mismatches.add();
+        job.metric.cache_integrity_evictions.add();
         (void)service.cache.erase(cache_key);
         (void)service.prefetch_queue.try_send(int(req.map_id) | (1 << 24));
       } else {
@@ -504,30 +503,12 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
         co_return std::move(*response);
       }
       ++attempt;
-      ++job.result.fetch_timeouts;
-      job.metric.fetch_timeouts.add();
-      if (auto* tracer = job.engine.tracer()) {
-        tracer->instant(host.name(), "fault",
-                        "fetch_timeout map_" + std::to_string(map_id));
+      if (co_await job.recover_fetch_timeout(host, map_id, server, attempt,
+                                             rng)) {
+        server = job.maps.at(map_id).ran_on;
+        endpoint = co_await ensure_client_endpoint(job, host, state, server);
+        refetching = true;
       }
-      HMR_CHECK_MSG(attempt <= job.retry.max_retries,
-                    "fetch of map " + std::to_string(map_id) +
-                        " exceeded " + mapred::kFetchMaxRetries);
-      (void)job.report_fetch_failure(server);
-      if (job.tracker_blacklisted(server)) {
-        co_await job.ensure_fetchable(map_id);
-        const int relocated = job.maps.at(map_id).ran_on;
-        if (relocated != server) {
-          server = relocated;
-          endpoint =
-              co_await ensure_client_endpoint(job, host, state, server);
-          refetching = true;
-        }
-      } else {
-        co_await job.engine.delay(job.retry.backoff(attempt, rng));
-      }
-      ++job.result.fetch_retries;
-      job.metric.fetch_retries.add();
     }
   };
 
@@ -613,8 +594,8 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
     HMR_CHECK(pairs.ok());
     cursor += header.chunk_real_bytes;
     if (refetching) {
-      job.result.refetched_modeled_bytes += static_cast<std::uint64_t>(
-          double(header.chunk_real_bytes) * job.data_scale);
+      job.metric.refetch_bytes.add(static_cast<std::int64_t>(
+          double(header.chunk_real_bytes) * job.data_scale));
     }
 
     StreamChunk chunk;
@@ -819,22 +800,19 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
 }
 
 sim::Task<> RdmaShuffleEngine::stop(JobRuntime& job) {
-  (void)job;
   for (auto& [_, service] : services_) {
     service->listener->close();
     service->request_queue.close();
     service->prefetch_queue.close();
   }
   co_await daemons_->wait();
+  // The caches are this job's own, so their totals are its cache.*
+  // counters (the registry copies already aggregate every job's caches).
+  auto& counters = job.result.counters;
   for (auto& [_, service] : services_) {
-    cache_stats_.hits += service->cache.stats().hits;
-    cache_stats_.misses += service->cache.stats().misses;
-    cache_stats_.insertions += service->cache.stats().insertions;
-    cache_stats_.evictions += service->cache.stats().evictions;
-    cache_stats_.rejected += service->cache.stats().rejected;
+    counters["cache.hits"] += std::int64_t(service->cache.stats().hits);
+    counters["cache.misses"] += std::int64_t(service->cache.stats().misses);
   }
-  job.result.cache_hits = cache_stats_.hits;
-  job.result.cache_misses = cache_stats_.misses;
 }
 
 }  // namespace hmr::rdmashuffle

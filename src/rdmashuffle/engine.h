@@ -112,9 +112,6 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
   }
   sim::Task<> stop(JobRuntime& job) override;
 
-  // Aggregated over all trackers; valid after stop().
-  const dataplane::CacheStats& cache_stats() const { return cache_stats_; }
-
  private:
   struct PendingRequest {
     DataRequest request;
@@ -195,13 +192,11 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
 
   // Cached handles for the per-request/per-chunk metric sites, bound in
   // start() (registry references are stable for the engine's lifetime;
-  // same idiom as mapred::ShuffleMetrics and net::Network).
+  // same idiom as mapred::JobRuntime::metric and net::Network).
   struct OsuMetrics {
     explicit OsuMetrics(MetricsRegistry& registry)
         : responder_evicted(registry.counter("osu.responder.evicted")),
           respond_orphaned(registry.counter("osu.respond.orphaned")),
-          cache_integrity_evictions(
-              registry.counter("cache.integrity.evictions")),
           fetch_rtt(registry.latency_histogram("osu.fetch.rtt")),
           respond_disk(registry.latency_histogram("osu.respond.disk")),
           respond_send(registry.latency_histogram("osu.respond.send")),
@@ -211,7 +206,6 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
 
     Counter& responder_evicted;
     Counter& respond_orphaned;
-    Counter& cache_integrity_evictions;
     FixedHistogram& fetch_rtt;
     FixedHistogram& respond_disk;
     FixedHistogram& respond_send;
@@ -227,7 +221,6 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
   // close handshake can complete.
   std::vector<std::unique_ptr<ucr::Endpoint>> client_endpoints_;
   std::unique_ptr<sim::WaitGroup> daemons_;
-  dataplane::CacheStats cache_stats_;
 };
 
 }  // namespace hmr::rdmashuffle

@@ -78,6 +78,59 @@ ScenarioSetup scenario_setup(const Scenario& scenario,
   return setup;
 }
 
+// The conservation laws over one job's own counters. `source` is the
+// engine snapshot of a single-job run (MetricsSnapshot) or one
+// concurrent job's JobResult: both look a counter up by metric name.
+void check_job_laws(const auto& source, bool speculative,
+                    const std::string& label, Verdict* verdict) {
+  const auto counter = [&source](const char* name) {
+    return (long long)source.counter(name);
+  };
+  const auto requests = counter("shuffle.fetch.requests");
+  const auto timeouts = counter("shuffle.fetch.timeouts");
+  const auto retries = counter("shuffle.fetch.retries");
+  if (!(retries <= timeouts && timeouts <= requests)) {
+    add(verdict, "conservation.fetch_ladder", label,
+        fmt("retries %lld <= timeouts %lld <= requests %lld violated",
+            retries, timeouts, requests));
+  }
+  // Speculation conservation (DESIGN.md §6.2/§6.4): every backup launch
+  // creates a race that exactly one attempt loses, so kills == attempts
+  // (the winner may be the original or the backup, never both), and
+  // wins — backups that committed — can never exceed launches.
+  const auto attempts = counter("speculation.attempts");
+  const auto wins = counter("speculation.wins");
+  const auto kills = counter("speculation.kills");
+  const auto deferrals = counter("speculation.cap_deferrals");
+  if (kills != attempts) {
+    add(verdict, "conservation.speculation_kills", label,
+        fmt("%lld backups launched but %lld attempts killed", attempts, kills));
+  }
+  if (wins > attempts) {
+    add(verdict, "conservation.speculation_wins", label,
+        fmt("%lld wins from %lld backups", wins, attempts));
+  }
+  if (!speculative && attempts + wins + kills + deferrals != 0) {
+    add(verdict, "conservation.speculation_disabled", label,
+        fmt("speculation off but attempts=%lld wins=%lld kills=%lld "
+            "deferrals=%lld", attempts, wins, kills, deferrals));
+  }
+  // Every checksum mismatch must be accounted for by exactly one recovery
+  // (or terminal-failure) action: a run cannot detect corruption and then
+  // silently do nothing about it.
+  const auto mismatches = counter("integrity.checksum.mismatches");
+  const auto handled = counter("storage.corrupt.rereads") +
+                       counter("storage.corrupt.read_failures") +
+                       counter("storage.spill.rewrites") +
+                       counter("storage.write.failures") +
+                       counter("cache.integrity.evictions");
+  if (mismatches != handled) {
+    add(verdict, "conservation.integrity", label,
+        fmt("%lld checksum mismatches but %lld recovery actions",
+            mismatches, handled));
+  }
+}
+
 mapred::JobSpec make_job(const ScenarioSetup& setup, workloads::Testbed& bed,
                          const std::string& output_dir) {
   return setup.terasort
@@ -129,27 +182,6 @@ std::string job_result_json(const mapred::JobResult& job) {
         Json(std::int64_t(job.shuffled_modeled_bytes)));
   j.set("output_modeled_bytes", Json(std::int64_t(job.output_modeled_bytes)));
   j.set("output_records", Json(std::int64_t(job.output_records)));
-  j.set("cache_hits", Json(std::int64_t(job.cache_hits)));
-  j.set("cache_misses", Json(std::int64_t(job.cache_misses)));
-  j.set("spills", Json(std::int64_t(job.spills)));
-  j.set("failed_map_attempts", Json(std::int64_t(job.failed_map_attempts)));
-  j.set("speculative_attempts", Json(std::int64_t(job.speculative_attempts)));
-  j.set("speculative_wins", Json(std::int64_t(job.speculative_wins)));
-  j.set("speculative_kills", Json(std::int64_t(job.speculative_kills)));
-  j.set("speculative_cap_deferrals",
-        Json(std::int64_t(job.speculative_cap_deferrals)));
-  j.set("fetch_timeouts", Json(std::int64_t(job.fetch_timeouts)));
-  j.set("fetch_retries", Json(std::int64_t(job.fetch_retries)));
-  j.set("trackers_blacklisted", Json(std::int64_t(job.trackers_blacklisted)));
-  j.set("map_refetch_reruns", Json(std::int64_t(job.map_refetch_reruns)));
-  j.set("refetched_modeled_bytes",
-        Json(std::int64_t(job.refetched_modeled_bytes)));
-  j.set("checksum_mismatches", Json(std::int64_t(job.checksum_mismatches)));
-  j.set("storage_io_retries", Json(std::int64_t(job.storage_io_retries)));
-  j.set("spill_rewrites", Json(std::int64_t(job.spill_rewrites)));
-  j.set("disk_full_events", Json(std::int64_t(job.disk_full_events)));
-  j.set("cache_integrity_evictions",
-        Json(std::int64_t(job.cache_integrity_evictions)));
   Json counters = Json::object();
   for (const auto& [name, value] : job.counters) {
     counters.set(name, Json(value));
@@ -255,108 +287,31 @@ void check_engine_run(const Scenario& scenario, const EngineRun& run,
   }
 
   // --- conservation laws ------------------------------------------------
-  const auto counter = [&m](const char* name) { return m.counter(name); };
+  const auto counter = [&m](const char* name) {
+    return (long long)m.counter(name);
+  };
   if (counter("net.bytes") != counter("net.bytes_received")) {
     add(verdict, "conservation.net_bytes", e,
-        fmt("sent %lld != received %lld",
-            (long long)counter("net.bytes"),
-            (long long)counter("net.bytes_received")));
+        fmt("sent %lld != received %lld", counter("net.bytes"),
+            counter("net.bytes_received")));
   }
   if (counter("net.messages") != counter("net.messages_received")) {
     add(verdict, "conservation.net_messages", e,
-        fmt("sent %lld != received %lld",
-            (long long)counter("net.messages"),
-            (long long)counter("net.messages_received")));
+        fmt("sent %lld != received %lld", counter("net.messages"),
+            counter("net.messages_received")));
   }
-  const auto requests = counter("shuffle.fetch.requests");
-  const auto timeouts = counter("shuffle.fetch.timeouts");
-  const auto retries = counter("shuffle.fetch.retries");
-  if (!(retries <= timeouts && timeouts <= requests)) {
-    add(verdict, "conservation.fetch_ladder", e,
-        fmt("retries %lld <= timeouts %lld <= requests %lld violated",
-            (long long)retries, (long long)timeouts, (long long)requests));
-  }
-  // JobResult recovery counters and their metric twins are incremented in
-  // tandem; divergence means one path lost an increment.
-  const auto twin = [&](const char* field, std::uint64_t result_value,
-                        const char* metric) {
-    if (std::int64_t(result_value) != counter(metric)) {
-      add(verdict, std::string("conservation.twin.") + field, e,
-          fmt("JobResult %llu != metric %lld",
-              (unsigned long long)result_value, (long long)counter(metric)));
-    }
-  };
-  twin("fetch_timeouts", job.fetch_timeouts, "shuffle.fetch.timeouts");
-  twin("fetch_retries", job.fetch_retries, "shuffle.fetch.retries");
-  twin("trackers_blacklisted", job.trackers_blacklisted,
-       "shuffle.trackers.blacklisted");
-  twin("map_refetch_reruns", job.map_refetch_reruns,
-       "shuffle.refetch.reruns");
-  twin("checksum_mismatches", job.checksum_mismatches,
-       "integrity.checksum.mismatches");
-  twin("storage_io_retries", job.storage_io_retries, "storage.io.retries");
-  twin("spill_rewrites", job.spill_rewrites, "storage.spill.rewrites");
-  twin("disk_full_events", job.disk_full_events, "storage.disk_full.events");
-  twin("cache_integrity_evictions", job.cache_integrity_evictions,
-       "cache.integrity.evictions");
-  twin("speculative_attempts", job.speculative_attempts,
-       "speculation.attempts");
-  twin("speculative_wins", job.speculative_wins, "speculation.wins");
-  twin("speculative_kills", job.speculative_kills, "speculation.kills");
-  twin("speculative_cap_deferrals", job.speculative_cap_deferrals,
-       "speculation.cap_deferrals");
-  // Speculation conservation (DESIGN.md §6.2/§6.4): every backup launch
-  // creates a race that exactly one attempt loses, so kills == attempts
-  // (the winner may be the original or the backup, never both), and
-  // wins — backups that committed — can never exceed launches.
-  if (job.speculative_kills != job.speculative_attempts) {
-    add(verdict, "conservation.speculation_kills", e,
-        fmt("%llu backups launched but %llu attempts killed",
-            (unsigned long long)job.speculative_attempts,
-            (unsigned long long)job.speculative_kills));
-  }
-  if (job.speculative_wins > job.speculative_attempts) {
-    add(verdict, "conservation.speculation_wins", e,
-        fmt("%llu wins from %llu backups",
-            (unsigned long long)job.speculative_wins,
-            (unsigned long long)job.speculative_attempts));
-  }
-  if (!scenario.speculative &&
-      (job.speculative_attempts != 0 || job.speculative_wins != 0 ||
-       job.speculative_kills != 0 || job.speculative_cap_deferrals != 0)) {
-    add(verdict, "conservation.speculation_disabled", e,
-        fmt("speculation off but attempts=%llu wins=%llu kills=%llu "
-            "deferrals=%llu",
-            (unsigned long long)job.speculative_attempts,
-            (unsigned long long)job.speculative_wins,
-            (unsigned long long)job.speculative_kills,
-            (unsigned long long)job.speculative_cap_deferrals));
-  }
-  // Every checksum mismatch must be accounted for by exactly one recovery
-  // (or terminal-failure) action: a run cannot detect corruption and then
-  // silently do nothing about it.
-  const auto mismatches = counter("integrity.checksum.mismatches");
-  const auto handled = counter("storage.corrupt.rereads") +
-                       counter("storage.corrupt.read_failures") +
-                       counter("storage.spill.rewrites") +
-                       counter("storage.write.failures") +
-                       counter("cache.integrity.evictions");
-  if (mismatches != handled) {
-    add(verdict, "conservation.integrity", e,
-        fmt("%lld checksum mismatches but %lld recovery actions",
-            (long long)mismatches, (long long)handled));
-  }
+  check_job_laws(m, scenario.speculative, e, verdict);
   // Integrity is on by default in every fuzz scenario; at minimum each
   // map task's final output spill must have been written verified.
-  if (counter("integrity.verified_segments") < std::int64_t(job.num_maps)) {
+  if (counter("integrity.verified_segments") < job.num_maps) {
     add(verdict, "conservation.unverified_output", e,
         fmt("%lld verified segments for %d map tasks",
-            (long long)counter("integrity.verified_segments"), job.num_maps));
+            counter("integrity.verified_segments"), job.num_maps));
   }
   if (counter("shuffle.malformed_msgs") != 0) {
     add(verdict, "conservation.malformed", e,
         fmt("%lld malformed shuffle messages",
-            (long long)counter("shuffle.malformed_msgs")));
+            counter("shuffle.malformed_msgs")));
   }
   if (e == "osu-ib" && scenario.caching) {
     const std::uint64_t budget =
@@ -376,8 +331,7 @@ void check_engine_run(const Scenario& scenario, const EngineRun& run,
           "shuffle.fault.stalled_responses"}) {
       if (counter(name) != 0) {
         add(verdict, "conservation.healthy_fabric", e,
-            fmt("%s = %lld with no faults injected", name,
-                (long long)counter(name)));
+            fmt("%s = %lld with no faults injected", name, counter(name)));
       }
     }
   }
@@ -390,8 +344,7 @@ void check_engine_run(const Scenario& scenario, const EngineRun& run,
           "shuffle.refetch.reruns"}) {
       if (counter(name) != 0) {
         add(verdict, "conservation.healthy_fabric", e,
-            fmt("%s = %lld with no faults injected", name,
-                (long long)counter(name)));
+            fmt("%s = %lld with no faults injected", name, counter(name)));
       }
     }
   }
@@ -409,7 +362,7 @@ void check_engine_run(const Scenario& scenario, const EngineRun& run,
       if (counter(name) != 0) {
         add(verdict, "conservation.healthy_disks", e,
             fmt("%s = %lld with no disk faults injected", name,
-                (long long)counter(name)));
+                counter(name)));
       }
     }
   }
@@ -493,6 +446,12 @@ void check_multi_job(const Scenario& scenario, Verdict* verdict) {
             (long long)end.counter("scheduler.jobs.submitted"),
             (long long)end.counter("scheduler.jobs.dispatched"),
             (long long)end.counter("scheduler.jobs.completed"), jobs));
+  }
+  // Each job's own counters obey the single-job conservation laws: a
+  // count charged to the wrong tenant breaks them for both.
+  for (int j = 1; j <= jobs; ++j) {
+    check_job_laws(handles[size_t(j - 1)]->result, scenario.speculative,
+                   fmt("%s job %d", engine.c_str(), j), verdict);
   }
 
   // Serial leg: a twin testbed (same seed, same fault plan) runs the

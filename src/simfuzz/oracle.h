@@ -7,9 +7,10 @@
 //    checksum-identical to the input digest; phase timestamps sane
 //    (shuffle span inside the job span, overlap fraction in [0, 1]);
 //    conservation laws over the engine's metrics registry (bytes sent ==
-//    bytes received, retries <= timeouts <= requests, JobResult recovery
-//    counters == their metric twins, cache used-bytes peak within
-//    budget, zero fault/malformed counters on a healthy fabric).
+//    bytes received, retries <= timeouts <= requests, checksum
+//    mismatches == recovery actions, speculative kills == backup
+//    attempts >= wins, cache used-bytes peak within budget, zero
+//    fault/malformed counters on a healthy fabric).
 //  * cross-engine: all engines consumed the identical input and produced
 //    checksum-identical output with the same record count and task
 //    counts — the paper's claim that the RDMA designs change *when*
@@ -79,7 +80,9 @@ void check_cross_engine(const std::vector<EngineRun>& runs, Verdict* verdict);
 // Multi-tenant oracle (no-op when scenario.concurrent_jobs < 2): runs
 // the job list concurrently through a JobTracker and serially on a twin
 // testbed, then demands every job completed (starvation-freedom), the
-// scheduler's books balance, and each job's output is byte-identical to
+// scheduler's books balance, each job's own counters obey the job-scoped
+// conservation laws (fetch ladder, integrity accounting, speculation
+// kills == attempts >= wins), and each job's output is byte-identical to
 // both the input digest and its serial twin.
 void check_multi_job(const Scenario& scenario, Verdict* verdict);
 

@@ -24,14 +24,13 @@ void BenchJson::add_run(const std::string& series, double size_gb,
   phase_obj.set("reduce", Json(phases.reduce));
 
   Json recovery = Json::object();
-  recovery.set("fetch_timeouts", Json(std::int64_t(job.fetch_timeouts)));
-  recovery.set("fetch_retries", Json(std::int64_t(job.fetch_retries)));
+  recovery.set("fetch_timeouts", Json(job.counter("shuffle.fetch.timeouts")));
+  recovery.set("fetch_retries", Json(job.counter("shuffle.fetch.retries")));
   recovery.set("trackers_blacklisted",
-               Json(std::int64_t(job.trackers_blacklisted)));
+               Json(job.counter("shuffle.trackers.blacklisted")));
   recovery.set("map_refetch_reruns",
-               Json(std::int64_t(job.map_refetch_reruns)));
-  recovery.set("malformed_msgs",
-               Json(job.metrics.counter("shuffle.malformed_msgs")));
+               Json(job.counter("shuffle.refetch.reruns")));
+  recovery.set("malformed_msgs", Json(job.counter("shuffle.malformed_msgs")));
 
   Json run = Json::object();
   run.set("series", Json(series));

@@ -119,8 +119,10 @@ MultiTenantOutcome run_multitenant(const MultiTenantSpec& spec) {
     record.dispatched_at = handle->dispatched_at;
     record.finished_at = handle->finished_at;
     record.latency = handle->latency();
-    cache_hits += handle->result.cache_hits;
-    cache_lookups += handle->result.cache_hits + handle->result.cache_misses;
+    const auto& result = handle->result;
+    cache_hits += std::uint64_t(result.counter("cache.hits"));
+    cache_lookups += std::uint64_t(result.counter("cache.hits") +
+                                   result.counter("cache.misses"));
     if (spec.validate) {
       auto report = validate_output(bed.dfs(), out_dir(j));
       HMR_CHECK_MSG(report.ok(), "job output missing: " + out_dir(j));

@@ -57,41 +57,39 @@ std::string job_report(const mapred::JobResult& result) {
   add("shuffled", format_bytes(result.shuffled_modeled_bytes));
   add("output", format_bytes(result.output_modeled_bytes) + " in " +
                     std::to_string(result.output_records) + " records");
-  add("spills", std::to_string(result.spills));
-  if (result.failed_map_attempts > 0 || result.speculative_attempts > 0) {
-    add("failed / speculative",
-        std::to_string(result.failed_map_attempts) + " / " +
-            std::to_string(result.speculative_attempts));
+  // Job-scoped counters: this job's own counts (docs/METRICS.md).
+  const auto n = [&result](const char* name) { return result.counter(name); };
+  const auto count = [&](const char* name) { return std::to_string(n(name)); };
+  add("spills", count("mapred.map.spills"));
+  if (n("mapred.map.failed_attempts") + n("speculation.attempts") > 0) {
+    add("failed / speculative", count("mapred.map.failed_attempts") + " / " +
+                                    count("speculation.attempts"));
   }
-  if (result.cache_hits + result.cache_misses > 0) {
-    add("prefetch cache", std::to_string(result.cache_hits) + " hits / " +
-                              std::to_string(result.cache_misses) +
-                              " misses");
+  if (n("cache.hits") + n("cache.misses") > 0) {
+    add("prefetch cache", count("cache.hits") + " hits / " +
+                              count("cache.misses") + " misses");
   }
-  if (result.fetch_timeouts > 0 || result.trackers_blacklisted > 0) {
+  if (n("shuffle.fetch.timeouts") + n("shuffle.trackers.blacklisted") > 0) {
     add("shuffle recovery",
-        std::to_string(result.fetch_timeouts) + " timeouts / " +
-            std::to_string(result.fetch_retries) + " retries / " +
-            std::to_string(result.trackers_blacklisted) + " blacklisted");
+        count("shuffle.fetch.timeouts") + " timeouts / " +
+            count("shuffle.fetch.retries") + " retries / " +
+            count("shuffle.trackers.blacklisted") + " blacklisted");
   }
-  if (result.map_refetch_reruns > 0) {
-    add("  refetched", format_bytes(result.refetched_modeled_bytes) +
-                           " via " +
-                           std::to_string(result.map_refetch_reruns) +
+  if (n("shuffle.refetch.reruns") > 0) {
+    add("  refetched", format_bytes(std::uint64_t(n("shuffle.refetch.bytes"))) +
+                           " via " + count("shuffle.refetch.reruns") +
                            " map re-runs");
   }
-  if (result.checksum_mismatches > 0 || result.storage_io_retries > 0 ||
-      result.disk_full_events > 0) {
+  if (n("integrity.checksum.mismatches") > 0 || n("storage.io.retries") > 0 ||
+      n("storage.disk_full.events") > 0) {
     add("storage integrity",
-        std::to_string(result.checksum_mismatches) + " mismatches / " +
-            std::to_string(result.storage_io_retries) + " IO retries / " +
-            std::to_string(result.disk_full_events) + " disk-full");
-    add("  recovered by",
-        std::to_string(result.spill_rewrites) + " rewrites / " +
-            std::to_string(result.cache_integrity_evictions) +
-            " cache evictions / " +
-            std::to_string(result.metrics.counter("storage.corrupt.rereads")) +
-            " re-reads");
+        count("integrity.checksum.mismatches") + " mismatches / " +
+            count("storage.io.retries") + " IO retries / " +
+            count("storage.disk_full.events") + " disk-full");
+    add("  recovered by", count("storage.spill.rewrites") + " rewrites / " +
+                              count("cache.integrity.evictions") +
+                              " cache evictions / " +
+                              count("storage.corrupt.rereads") + " re-reads");
     const auto failovers = result.metrics.counter("hdfs.replica.failovers");
     if (failovers > 0) {
       add("  hdfs", std::to_string(failovers) + " replica failovers / " +
@@ -104,7 +102,7 @@ std::string job_report(const mapred::JobResult& result) {
     }
   }
   for (const auto& [name, value] : result.counters) {
-    add(("  " + name).c_str(), std::to_string(value));
+    if (value != 0) add(("  " + name).c_str(), std::to_string(value));
   }
   return out;
 }

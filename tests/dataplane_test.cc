@@ -604,7 +604,7 @@ TEST(CacheTest, AttachMetricsMirrorsStats) {
   MetricsRegistry reg;
   PrefetchCache cache(1000);
   ASSERT_TRUE(cache.put("pre", dummy_output(), 100));  // before attach
-  cache.attach_metrics(reg, "cache.");
+  cache.attach_metrics(reg);
   ASSERT_TRUE(cache.put("post", dummy_output(), 200));
   (void)cache.get("pre");
   (void)cache.get("absent");

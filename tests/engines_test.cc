@@ -59,20 +59,20 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(EngineBehaviourTest, OsuIbUsesTheCache) {
   const auto outcome =
       run_experiment(small_config(EngineSetup::osu_ib(), "terasort"));
-  EXPECT_GT(outcome.job.cache_hits, 0u);
+  EXPECT_GT(outcome.job.counter("cache.hits"), 0);
 }
 
 TEST(EngineBehaviourTest, HadoopAHasNoCache) {
   const auto outcome =
       run_experiment(small_config(EngineSetup::hadoop_a(), "terasort"));
-  EXPECT_EQ(outcome.job.cache_hits, 0u);
-  EXPECT_EQ(outcome.job.cache_misses, 0u);
+  EXPECT_EQ(outcome.job.counter("cache.hits"), 0);
+  EXPECT_EQ(outcome.job.counter("cache.misses"), 0);
 }
 
 TEST(EngineBehaviourTest, CachingDisabledByConf) {
   const auto outcome =
       run_experiment(small_config(EngineSetup::osu_ib_nocache(), "terasort"));
-  EXPECT_EQ(outcome.job.cache_hits, 0u);
+  EXPECT_EQ(outcome.job.counter("cache.hits"), 0);
   EXPECT_TRUE(outcome.validated);
 }
 

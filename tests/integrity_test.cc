@@ -255,8 +255,8 @@ TEST_P(DiskFaultMatrix, RecoversWithIdenticalOutput) {
   const std::string engine = GetParam();
   const auto clean = workloads::run_experiment(tiny(setup_for(engine)));
   ASSERT_TRUE(clean.validated);
-  EXPECT_EQ(clean.job.checksum_mismatches, 0u);
-  EXPECT_EQ(clean.job.storage_io_retries, 0u);
+  EXPECT_EQ(clean.job.counter("integrity.checksum.mismatches"), 0);
+  EXPECT_EQ(clean.job.counter("storage.io.retries"), 0);
 
   auto config = tiny(setup_for(engine));
   arm_conf_disk_faults(config);
@@ -265,8 +265,8 @@ TEST_P(DiskFaultMatrix, RecoversWithIdenticalOutput) {
   EXPECT_EQ(faulted.validation.digest.records, clean.validation.digest.records);
   EXPECT_EQ(faulted.validation.digest.checksum,
             clean.validation.digest.checksum);
-  EXPECT_GT(faulted.job.checksum_mismatches, 0u);
-  EXPECT_GT(faulted.job.storage_io_retries, 0u);
+  EXPECT_GT(faulted.job.counter("integrity.checksum.mismatches"), 0);
+  EXPECT_GT(faulted.job.counter("storage.io.retries"), 0);
   EXPECT_GT(faulted.job.metrics.counter("storage.io.errors"), 0);
   const std::string report = workloads::job_report(faulted.job);
   EXPECT_NE(report.find("storage integrity"), std::string::npos);
@@ -274,9 +274,10 @@ TEST_P(DiskFaultMatrix, RecoversWithIdenticalOutput) {
   // Determinism: the recovery schedule replays exactly from the seed.
   const auto replay = workloads::run_experiment(config);
   EXPECT_EQ(replay.job.finish_time, faulted.job.finish_time);
-  EXPECT_EQ(replay.job.checksum_mismatches, faulted.job.checksum_mismatches);
-  EXPECT_EQ(replay.job.storage_io_retries, faulted.job.storage_io_retries);
-  EXPECT_EQ(replay.job.disk_full_events, faulted.job.disk_full_events);
+  for (const char* name : {"integrity.checksum.mismatches",
+                           "storage.io.retries", "storage.disk_full.events"}) {
+    EXPECT_EQ(replay.job.counter(name), faulted.job.counter(name)) << name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, DiskFaultMatrix,
@@ -308,9 +309,10 @@ TEST(CombinedFaultTest, NetworkAndDiskFaultsTogether) {
   ASSERT_TRUE(faulted.validated);
   EXPECT_EQ(faulted.validation.digest.checksum,
             clean.validation.digest.checksum);
-  EXPECT_GT(faulted.job.fetch_timeouts, 0u);        // network recovery
-  EXPECT_GT(faulted.job.storage_io_retries, 0u);    // disk recovery
-  EXPECT_GT(faulted.job.checksum_mismatches, 0u);   // integrity recovery
+  // Network, disk and integrity recovery all fired.
+  EXPECT_GT(faulted.job.counter("shuffle.fetch.timeouts"), 0);
+  EXPECT_GT(faulted.job.counter("storage.io.retries"), 0);
+  EXPECT_GT(faulted.job.counter("integrity.checksum.mismatches"), 0);
 }
 
 // At-rest rot of published map outputs: a timer keeps marking host 1's
@@ -367,8 +369,8 @@ TEST(MapOutputRotTest, AtRestCorruptionTriggersReExecution) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->digest.records, digest->records);
   EXPECT_EQ(report->digest.checksum, digest->checksum);
-  EXPECT_GT(result.checksum_mismatches, 0u);
-  EXPECT_GT(result.map_refetch_reruns, 0u);
+  EXPECT_GT(result.counter("integrity.checksum.mismatches"), 0);
+  EXPECT_GT(result.counter("shuffle.refetch.reruns"), 0);
   const auto snapshot = bed.engine().metrics().snapshot();
   EXPECT_GT(snapshot.counter("storage.mapout.unserved"), 0);
   EXPECT_GT(snapshot.counter("storage.corrupt.read_failures"), 0);

@@ -133,7 +133,7 @@ TEST(JobRunnerTest, SpillsIncreaseWhenSortBufferSmall) {
   conf.set_bytes(kIoSortMb, 2 * kMiB);  // each 8 MB split -> 4 spills
   auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", conf);
   const auto result = bed.run_job(std::move(job));
-  EXPECT_GE(result.spills, 8u * 4u);
+  EXPECT_GE(result.counter("mapred.map.spills"), 8 * 4);
 }
 
 TEST(JobRunnerTest, SmallSortBufferSlowsJob) {
@@ -260,7 +260,7 @@ TEST(FaultToleranceTest, JobSurvivesMapFailures) {
   conf.set_double(kMapFailureProb, 0.4);
   auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", conf);
   const auto result = bed.run_job(std::move(job));
-  EXPECT_GT(result.failed_map_attempts, 0u);
+  EXPECT_GT(result.counter("mapred.map.failed_attempts"), 0);
   auto report = workloads::validate_output(bed.dfs(), "/out");
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(report->valid_terasort(*digest));
@@ -284,7 +284,8 @@ TEST(FaultToleranceTest, NoFailuresByDefault) {
   Testbed bed(small.bed_spec);
   EXPECT_TRUE(bed.generate("teragen", small.gen).ok());
   auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", Conf{});
-  EXPECT_EQ(bed.run_job(std::move(job)).failed_map_attempts, 0u);
+  EXPECT_EQ(
+      bed.run_job(std::move(job)).counter("mapred.map.failed_attempts"), 0);
 }
 
 TEST(FaultToleranceTest, RdmaEngineSurvivesFailuresToo) {
@@ -297,7 +298,7 @@ TEST(FaultToleranceTest, RdmaEngineSurvivesFailuresToo) {
   conf.set_double(kMapFailureProb, 0.3);
   auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", conf);
   const auto result = bed.run_job(std::move(job));
-  EXPECT_GT(result.failed_map_attempts, 0u);
+  EXPECT_GT(result.counter("mapred.map.failed_attempts"), 0);
   auto report = workloads::validate_output(bed.dfs(), "/out");
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(report->valid_terasort(*digest));
@@ -353,7 +354,7 @@ TEST(SpeculationTest, BackupTasksCutStragglerTail) {
   };
   const auto with = run(true);
   const auto without = run(false);
-  EXPECT_GT(with.speculative_attempts, 0u);
+  EXPECT_GT(with.counter("speculation.attempts"), 0);
   EXPECT_LT(with.elapsed(), without.elapsed());
 }
 
@@ -397,7 +398,7 @@ TEST(SpeculationTest, OffByDefault) {
   Conf conf;
   conf.set_double(kStragglerProb, 0.5);  // stragglers but no backups
   auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", conf);
-  EXPECT_EQ(bed.run_job(std::move(job)).speculative_attempts, 0u);
+  EXPECT_EQ(bed.run_job(std::move(job)).counter("speculation.attempts"), 0);
 }
 
 }  // namespace
@@ -709,21 +710,44 @@ TEST(SpeculationTest, KillsMatchAttemptsUnderCombinedChaos) {
   auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", conf);
   job.faults = &plan;
   const auto result = bed.run_job(std::move(job));
-  EXPECT_GT(result.speculative_attempts, 0u);
-  EXPECT_EQ(result.speculative_kills, result.speculative_attempts);
-  EXPECT_LE(result.speculative_wins, result.speculative_attempts);
+  EXPECT_GT(result.counter("speculation.attempts"), 0);
+  EXPECT_EQ(result.counter("speculation.kills"),
+            result.counter("speculation.attempts"));
+  EXPECT_LE(result.counter("speculation.wins"),
+            result.counter("speculation.attempts"));
   auto report = workloads::validate_output(bed.dfs(), "/out");
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->valid_terasort(*digest));
-  // Metric twins walk independent increment paths; they must agree with
-  // the JobResult counters.
-  const auto& m = result.metrics;
-  EXPECT_EQ(std::int64_t(result.speculative_attempts),
-            m.counter("speculation.attempts"));
-  EXPECT_EQ(std::int64_t(result.speculative_kills),
-            m.counter("speculation.kills"));
-  EXPECT_EQ(std::int64_t(result.speculative_wins),
-            m.counter("speculation.wins"));
+}
+
+TEST(JobCountersTest, ConcurrentJobsCountOnlyTheirOwnFaults) {
+  // Two jobs share the trackers through the JobTracker, and only job A's
+  // fault plan drops responses: each job's counters hold its own events,
+  // and together they make up the engine-wide total.
+  SmallJob small;
+  Testbed bed(small.bed_spec);
+  auto digest = bed.generate("teragen", small.gen);
+  ASSERT_TRUE(digest.ok());
+  sim::FaultPlan plan(17);
+  plan.drop_responses(/*host_id=*/1, /*prob=*/0.2);
+  auto a_spec = workloads::terasort_job(bed.dfs(), "/in", "/out-a", Conf{});
+  a_spec.faults = &plan;
+  const auto a = bed.tracker().submit(std::move(a_spec));
+  const auto b = bed.tracker().submit(
+      workloads::terasort_job(bed.dfs(), "/in", "/out-b", Conf{}));
+  bed.engine().run();
+  ASSERT_TRUE(a->completed && b->completed);
+  const auto a_timeouts = a->result.counter("shuffle.fetch.timeouts");
+  const auto b_timeouts = b->result.counter("shuffle.fetch.timeouts");
+  EXPECT_GT(a_timeouts, 0);
+  EXPECT_EQ(b_timeouts, 0);
+  EXPECT_EQ(a_timeouts + b_timeouts,
+            bed.engine().metrics().counter_value("shuffle.fetch.timeouts"));
+  for (const char* out : {"/out-a", "/out-b"}) {
+    auto report = workloads::validate_output(bed.dfs(), out);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->valid_terasort(*digest)) << out;
+  }
 }
 
 TEST(FetchRetryPolicyTest, FromConfDefaultsAndOverrides) {
@@ -809,10 +833,10 @@ TEST(VanillaRecoveryTest, KilledTrackerRecoversWithIdenticalOutput) {
   EXPECT_EQ(faulted.validation.digest.records, clean.validation.digest.records);
   EXPECT_EQ(faulted.validation.digest.checksum,
             clean.validation.digest.checksum);
-  EXPECT_GT(faulted.job.fetch_timeouts, 0u);
-  EXPECT_EQ(faulted.job.trackers_blacklisted, 1u);
-  EXPECT_GT(faulted.job.map_refetch_reruns, 0u);
-  EXPECT_GT(faulted.job.refetched_modeled_bytes, 0u);
+  EXPECT_GT(faulted.job.counter("shuffle.fetch.timeouts"), 0);
+  EXPECT_EQ(faulted.job.counter("shuffle.trackers.blacklisted"), 1);
+  EXPECT_GT(faulted.job.counter("shuffle.refetch.reruns"), 0);
+  EXPECT_GT(faulted.job.counter("shuffle.refetch.bytes"), 0);
 }
 
 TEST(VanillaRecoveryTest, DroppedResponsesRetryToCompletion) {
@@ -827,9 +851,9 @@ TEST(VanillaRecoveryTest, DroppedResponsesRetryToCompletion) {
   config.setup.extra.set_int(kFetchMaxRetries, 50);
   const auto outcome = workloads::run_experiment(config);
   ASSERT_TRUE(outcome.validated);
-  EXPECT_GT(outcome.job.fetch_timeouts, 0u);
-  EXPECT_GT(outcome.job.fetch_retries, 0u);
-  EXPECT_EQ(outcome.job.trackers_blacklisted, 0u);
+  EXPECT_GT(outcome.job.counter("shuffle.fetch.timeouts"), 0);
+  EXPECT_GT(outcome.job.counter("shuffle.fetch.retries"), 0);
+  EXPECT_EQ(outcome.job.counter("shuffle.trackers.blacklisted"), 0);
 }
 
 }  // namespace

@@ -210,7 +210,8 @@ TEST(RdmaEngineTest, TinyCacheDegradesToMisses) {
   EXPECT_TRUE(outcome.validated);
   // Map outputs (~170 MB modeled each tracker) dwarf a 1 MB cache: most
   // requests must miss, yet the job still completes correctly.
-  EXPECT_GT(outcome.job.cache_misses, outcome.job.cache_hits);
+  EXPECT_GT(outcome.job.counter("cache.misses"),
+            outcome.job.counter("cache.hits"));
 }
 
 TEST(RdmaEngineTest, TightShuffleMemoryStillCompletes) {
@@ -230,7 +231,8 @@ TEST(RdmaEngineTest, HadoopATightMemoryStillCompletes) {
 TEST(RdmaEngineTest, CacheHitsDominateWhenCacheFits) {
   auto config = tiny(workloads::EngineSetup::osu_ib());
   const auto outcome = workloads::run_experiment(config);
-  EXPECT_GT(outcome.job.cache_hits, outcome.job.cache_misses * 5);
+  EXPECT_GT(outcome.job.counter("cache.hits"),
+            outcome.job.counter("cache.misses") * 5);
 }
 
 }  // namespace
@@ -298,11 +300,11 @@ TEST(RdmaRecoveryTest, KilledTrackerRecoversWithIdenticalOutput) {
   EXPECT_EQ(faulted.validation.digest.checksum,
             clean.validation.digest.checksum);
   // Recovery must be visible in the result counters and the report.
-  EXPECT_GT(faulted.job.fetch_timeouts, 0u);
-  EXPECT_GT(faulted.job.fetch_retries, 0u);
-  EXPECT_EQ(faulted.job.trackers_blacklisted, 1u);
-  EXPECT_GT(faulted.job.map_refetch_reruns, 0u);
-  EXPECT_GT(faulted.job.refetched_modeled_bytes, 0u);
+  EXPECT_GT(faulted.job.counter("shuffle.fetch.timeouts"), 0);
+  EXPECT_GT(faulted.job.counter("shuffle.fetch.retries"), 0);
+  EXPECT_EQ(faulted.job.counter("shuffle.trackers.blacklisted"), 1);
+  EXPECT_GT(faulted.job.counter("shuffle.refetch.reruns"), 0);
+  EXPECT_GT(faulted.job.counter("shuffle.refetch.bytes"), 0);
   EXPECT_GT(faulted.job.elapsed(), clean.job.elapsed());
   const std::string report = workloads::job_report(faulted.job);
   EXPECT_NE(report.find("shuffle recovery"), std::string::npos);
@@ -323,9 +325,9 @@ TEST(RdmaRecoveryTest, DroppedResponsesRetryToCompletion) {
   config.setup.extra.set_int(mapred::kFetchMaxRetries, 50);
   const auto outcome = workloads::run_experiment(config);
   ASSERT_TRUE(outcome.validated);
-  EXPECT_GT(outcome.job.fetch_timeouts, 0u);
-  EXPECT_EQ(outcome.job.trackers_blacklisted, 0u);
-  EXPECT_EQ(outcome.job.map_refetch_reruns, 0u);
+  EXPECT_GT(outcome.job.counter("shuffle.fetch.timeouts"), 0);
+  EXPECT_EQ(outcome.job.counter("shuffle.trackers.blacklisted"), 0);
+  EXPECT_EQ(outcome.job.counter("shuffle.refetch.reruns"), 0);
 }
 
 TEST(RdmaRecoveryTest, StalledResponsesAreDeduplicated) {
@@ -348,7 +350,7 @@ TEST(RdmaRecoveryTest, StalledResponsesAreDeduplicated) {
   config.setup.extra.set_int(mapred::kResponderThreads, 16);
   const auto outcome = workloads::run_experiment(config);
   ASSERT_TRUE(outcome.validated);
-  EXPECT_GT(outcome.job.fetch_timeouts, 0u);
+  EXPECT_GT(outcome.job.counter("shuffle.fetch.timeouts"), 0);
 }
 
 TEST(RdmaRecoveryTest, HadoopAKilledTrackerAlsoRecovers) {
@@ -361,8 +363,8 @@ TEST(RdmaRecoveryTest, HadoopAKilledTrackerAlsoRecovers) {
   arm_fast_recovery(config);
   const auto outcome = workloads::run_experiment(config);
   ASSERT_TRUE(outcome.validated);
-  EXPECT_EQ(outcome.job.trackers_blacklisted, 1u);
-  EXPECT_GT(outcome.job.map_refetch_reruns, 0u);
+  EXPECT_EQ(outcome.job.counter("shuffle.trackers.blacklisted"), 1);
+  EXPECT_GT(outcome.job.counter("shuffle.refetch.reruns"), 0);
 }
 
 TEST(RdmaRecoveryTest, NicDegradeSlowsButCompletes) {
@@ -415,34 +417,10 @@ TEST(RdmaRecoveryTest, KillAfterJobEndIsHarmless) {
   arm_fast_recovery(config);
   const auto outcome = workloads::run_experiment(config);
   ASSERT_TRUE(outcome.validated);
-  EXPECT_EQ(outcome.job.fetch_timeouts, 0u);
-  EXPECT_EQ(outcome.job.trackers_blacklisted, 0u);
+  EXPECT_EQ(outcome.job.counter("shuffle.fetch.timeouts"), 0);
+  EXPECT_EQ(outcome.job.counter("shuffle.trackers.blacklisted"), 0);
   EXPECT_EQ(outcome.validation.digest.checksum,
             clean.validation.digest.checksum);
-}
-
-TEST(RdmaRecoveryTest, RecoveryCountersMatchMetricTwins) {
-  // The JobResult recovery counters and the metrics-registry counters
-  // are incremented on independent paths; a faulted run must keep the
-  // twins equal (the fuzzer's conservation oracle, pinned as a unit
-  // test).
-  sim::FaultPlan plan(31);
-  plan.kill_tracker(1, 0.0);
-  auto config = tiny(workloads::EngineSetup::osu_ib());
-  config.faults = &plan;
-  arm_fast_recovery(config);
-  const auto outcome = workloads::run_experiment(config);
-  ASSERT_TRUE(outcome.validated);
-  const auto& m = outcome.job.metrics;
-  EXPECT_GT(outcome.job.fetch_timeouts, 0u);
-  EXPECT_EQ(std::int64_t(outcome.job.fetch_timeouts),
-            m.counter("shuffle.fetch.timeouts"));
-  EXPECT_EQ(std::int64_t(outcome.job.fetch_retries),
-            m.counter("shuffle.fetch.retries"));
-  EXPECT_EQ(std::int64_t(outcome.job.trackers_blacklisted),
-            m.counter("shuffle.trackers.blacklisted"));
-  EXPECT_EQ(std::int64_t(outcome.job.map_refetch_reruns),
-            m.counter("shuffle.refetch.reruns"));
 }
 
 TEST(RdmaRecoveryDeathTest, AllTrackersKilledAborts) {

@@ -221,6 +221,22 @@ TEST(ReportTest, JobReportCarriesCountersAndPhases) {
   EXPECT_NE(report.find("overlap"), std::string::npos);
 }
 
+TEST(ReportTest, JobReportListsOnlyNonZeroJobCounters) {
+  Testbed bed(small_bed());
+  EXPECT_TRUE(bed.generate("teragen", small_gen()).ok());
+  const auto result =
+      bed.run_job(terasort_job(bed.dfs(), "/in", "/out", Conf{}));
+  // Job counters are registered at job start, so a healthy run carries
+  // its recovery counters at zero next to the ones it did bump.
+  ASSERT_EQ(result.counters.count("shuffle.fetch.timeouts"), 1u);
+  EXPECT_EQ(result.counter("shuffle.fetch.timeouts"), 0);
+  EXPECT_GT(result.counter("shuffle.fetch.requests"), 0);
+  const std::string report = job_report(result);
+  EXPECT_NE(report.find("shuffle.fetch.requests"), std::string::npos);
+  EXPECT_EQ(report.find("shuffle.fetch.timeouts"), std::string::npos);
+  EXPECT_EQ(report.find("shuffle recovery"), std::string::npos);
+}
+
 TEST(MetricsTest, PhaseTimesConsistentAcrossEngines) {
   for (const char* engine : {"vanilla", "hadoop-a", "osu-ib"}) {
     Testbed bed(small_bed());
@@ -244,22 +260,10 @@ TEST(MetricsTest, PhaseTimesConsistentAcrossEngines) {
     EXPECT_GE(result.overlap_fraction(), 0.0) << engine;
     EXPECT_LE(result.overlap_fraction(), 1.0) << engine;
 
-    // The end-of-job snapshot is on by default and carries the cluster's
-    // counters.
+    // The end-of-job snapshot carries the cluster's counters.
     EXPECT_GT(result.metrics.counters.size(), 0u) << engine;
     EXPECT_GT(result.metrics.counter("net.bytes"), 0) << engine;
   }
-}
-
-TEST(MetricsTest, SnapshotCanBeDisabledByConf) {
-  Testbed bed(small_bed());
-  ASSERT_TRUE(bed.generate("teragen", small_gen()).ok());
-  Conf conf;
-  conf.set_bool(mapred::kMetricsSnapshot, false);
-  const auto result =
-      bed.run_job(terasort_job(bed.dfs(), "/in", "/out", conf));
-  EXPECT_GT(result.elapsed(), 0.0);
-  EXPECT_EQ(result.metrics.counters.size(), 0u);
 }
 
 TEST(BenchJsonTest, SchemaRoundTripsThroughParser) {
