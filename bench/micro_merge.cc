@@ -1,5 +1,5 @@
 // Microbenchmark M1: k-way merge throughput (the reducer's core loop) —
-// how the heap merge scales with the number of sorted runs and the
+// how the loser-tree merge scales with the number of sorted runs and the
 // record size, plus MapOutputBuilder sort/serialize cost.
 #include <benchmark/benchmark.h>
 

@@ -32,8 +32,8 @@ sim::Task<> charge_verify_cpu(JobRuntime& job, Host& host,
 // retried (`storage.io.retries`), corrupt payloads re-read
 // (`storage.corrupt.rereads`), both bounded by the integrity policy.
 // Exhausted retries surface the last error — the caller picks the
-// fallback (drop the fetch request so the reducer's watchdog re-executes
-// the map, fail over to another HDFS replica, ...).
+// fallback (drop the fetch request so the reducer's fetch timeout
+// re-executes the map, fail over to another HDFS replica, ...).
 sim::Task<Result<storage::FileView>> read_file_verified(
     JobRuntime& job, Host& host, const std::string& path);
 

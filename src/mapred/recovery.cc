@@ -29,15 +29,40 @@ double FetchRetryPolicy::backoff(int attempt, Rng& rng) const {
   return capped * (1.0 + backoff_jitter * rng.uniform());
 }
 
-sim::Task<> fetch_watchdog(sim::Engine& engine,
-                           std::shared_ptr<void> keep_alive,
-                           sim::Channel<FetchEvent>& events, double timeout,
-                           std::uint64_t timer_id) {
-  co_await engine.delay(timeout);
-  FetchEvent expired;
-  expired.timer_id = timer_id;
-  (void)events.try_send(std::move(expired));
-  (void)keep_alive;
+void FetchTimeouts::arm(std::shared_ptr<FetchWatch> watch, std::uint64_t id) {
+  if (timeout_ <= 0) return;
+  const sim::Time deadline = engine_.now() + timeout_;
+  HMR_CHECK_MSG(queue_.empty() || deadline >= queue_.back().deadline,
+                "fetch deadlines out of order");
+  watch->armed_id = id;
+  queue_.push_back(Entry{deadline, id, std::move(watch)});
+  if (!sleeping_) {
+    sleeping_ = true;
+    engine_.spawn(sleeper(shared_from_this()));
+  }
+}
+
+sim::Task<> FetchTimeouts::sleeper(std::shared_ptr<FetchTimeouts> self) {
+  sim::Engine& engine = self->engine_;
+  std::deque<Entry>& queue = self->queue_;
+  while (!queue.empty()) {
+    Entry& front = queue.front();
+    if (front.watch->armed_id != front.id) {
+      queue.pop_front();  // answered or re-armed: stale whatever its deadline
+      continue;
+    }
+    if (front.deadline > engine.now()) {
+      co_await engine.delay_until(front.deadline);
+      continue;  // re-check: it may have been answered meanwhile
+    }
+    front.watch->armed_id = 0;
+    FetchEvent expired;
+    expired.timer_id = front.id;
+    // Dropped if the waiter is long gone and the buffer is full.
+    (void)front.watch->events.try_send(std::move(expired));
+    queue.pop_front();
+  }
+  self->sleeping_ = false;
 }
 
 }  // namespace hmr::mapred

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <optional>
 
 #include "common/conf.h"
@@ -35,21 +37,54 @@ struct FetchRetryPolicy {
 };
 
 // What a copier's response wait wakes up on: either a transport message
-// or a watchdog timer firing. `timer_id` identifies which request's
-// watchdog expired so stale timers from already-answered requests are
-// ignored.
+// or a request's fetch timeout expiring. `timer_id` identifies which
+// request timed out, so an expiry that raced a late response is ignored.
 struct FetchEvent {
   std::optional<net::Message> msg;
   std::uint64_t timer_id = 0;
 };
 
-// Watchdog: after `timeout` simulated seconds, posts a timer event into
-// `events` (dropped if the waiter is long gone and the buffer is full).
-// `keep_alive` pins the owner of `events` so a timer pending after the
-// copier finished cannot dangle.
-sim::Task<> fetch_watchdog(sim::Engine& engine,
-                           std::shared_ptr<void> keep_alive,
-                           sim::Channel<FetchEvent>& events, double timeout,
-                           std::uint64_t timer_id);
+// The part of a stream or connection that fetch timeouts act on: the
+// channel its exchange loop waits on, and the id of its one request
+// still awaiting a response (0 when none is).
+struct FetchWatch {
+  FetchWatch(sim::Engine& engine, size_t capacity) : events(engine, capacity) {}
+  sim::Channel<FetchEvent> events;  // responses + timeout expiries
+  std::uint64_t armed_id = 0;       // cleared by the matching response
+};
+
+// One copier's fetch timeouts. Every request of a job shares the same
+// timeout, so deadlines arrive in send order and a FIFO stands in for a
+// timer per request (libevent's "common timeouts"). One sleeper
+// coroutine works the FIFO: it drops entries whose watch no longer holds
+// their id, sleeps until the first live deadline, posts that request's
+// FetchEvent, and exits once the FIFO is empty; the next arm() respawns
+// it. Pending engine events stay at one per copier, however many
+// requests were answered within their timeout.
+class FetchTimeouts : public std::enable_shared_from_this<FetchTimeouts> {
+ public:
+  // `timeout` in simulated seconds; 0 disables timeouts.
+  FetchTimeouts(sim::Engine& engine, double timeout)
+      : engine_(engine), timeout_(timeout) {}
+
+  // Arms request `id` on `watch`: unless `watch->armed_id` changes
+  // first, FetchEvent{id} is posted to `watch->events` at exactly
+  // now() + timeout. `watch` is pinned until then, so it may alias an
+  // owner that outlives its copier (a finished or relocated stream).
+  void arm(std::shared_ptr<FetchWatch> watch, std::uint64_t id);
+
+ private:
+  struct Entry {
+    sim::Time deadline;
+    std::uint64_t id;
+    std::shared_ptr<FetchWatch> watch;
+  };
+  static sim::Task<> sleeper(std::shared_ptr<FetchTimeouts> self);
+
+  sim::Engine& engine_;
+  double timeout_;
+  std::deque<Entry> queue_;  // deadline order
+  bool sleeping_ = false;    // a sleeper is spawned and not yet exited
+};
 
 }  // namespace hmr::mapred

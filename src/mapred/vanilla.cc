@@ -54,7 +54,9 @@ struct VanillaShuffleEngine::ReduceShuffleState {
         merge_lock(job.engine, 1, "inmem.merge"),
         dial_lock(job.engine, 1, "copier.dial"),
         budget(job.spec.conf.get_bytes(kShuffleBufferBytes,
-                                       kDefaultShuffleBufferBytes)) {}
+                                       kDefaultShuffleBufferBytes)),
+        timeouts(std::make_shared<FetchTimeouts>(job.engine,
+                                                 job.retry.fetch_timeout)) {}
 
   sim::Engine& engine;
   int reduce_id;
@@ -69,15 +71,15 @@ struct VanillaShuffleEngine::ReduceShuffleState {
   sim::Channel<int> ready;  // map ids in completion order
 
   // One keep-alive connection per tracker host. Shared-owned: the pump
-  // coroutine and pending watchdog timers may outlive the reducer's
-  // fetch phase. `lock` serializes request/response exchange — HTTP
+  // coroutine and entries of `timeouts` may outlive the reducer's fetch
+  // phase. `lock` serializes request/response exchange — HTTP
   // keep-alive connections are not multiplexed — so only the lock
-  // holder ever reads `events`.
+  // holder ever reads `watch.events`.
   struct ConnState {
     explicit ConnState(sim::Engine& engine)
-        : events(engine, 64), lock(engine, 1, "copier.conn") {}
+        : watch(engine, 64), lock(engine, 1, "copier.conn") {}
     std::unique_ptr<net::Socket> sock;
-    sim::Channel<FetchEvent> events;  // responses + watchdog expiries
+    FetchWatch watch;  // responses + timeout expiries
     sim::Resource lock;
     std::uint64_t timer_seq = 0;
   };
@@ -88,6 +90,7 @@ struct VanillaShuffleEngine::ReduceShuffleState {
   sim::Resource dial_lock;
 
   std::uint64_t budget;
+  std::shared_ptr<FetchTimeouts> timeouts;  // shared by all connections
   std::uint64_t in_mem_modeled = 0;
   std::vector<Segment> in_mem;
   std::vector<Segment> on_disk;
@@ -134,7 +137,7 @@ sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
     const auto decoded = decode_request(*request->payload);
     if (!decoded.ok()) {
       // Malformed frame: drop it rather than crash the servlet; the
-      // copier's watchdog re-issues the request.
+      // copier's fetch timeout re-issues the request.
       job.metric.malformed_msgs.add();
       continue;
     }
@@ -177,7 +180,7 @@ sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
                                              entry.length);
     if (!view.ok()) {
       // The on-disk map output is unreadable past bounded recovery.
-      // Drop the request: the copier's watchdog times out, blacklists
+      // Drop the request: the copier's fetch times out, blacklists
       // this tracker, and re-executes the map (mapred/recovery.h).
       job.metric.mapout_unserved.add();
       continue;
@@ -273,13 +276,13 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
   bool refetching = false;
   while (true) {
     // Abandon between exchanges once the reduce attempt is killed; an
-    // in-flight request/response is bounded by the watchdog, so the
-    // loser never parks past one fetch timeout here.
+    // in-flight request/response is bounded by its fetch timeout, so the
+    // loser never parks past one timeout here.
     if (state.cancelled()) co_return;
     const int server_host = job.maps.at(map_id).ran_on;
 
     // Dial once per tracker; the pump turns socket deliveries into fetch
-    // events so a watchdog timer can race them.
+    // events so a fetch timeout can race them.
     std::shared_ptr<ConnState> conn;
     {
       auto dialing = co_await sim::hold(state.dial_lock);
@@ -296,7 +299,7 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
             event.msg = std::move(*msg);
             // Sized so delivery never parks the pump: one outstanding
             // request per connection plus bounded stale duplicates.
-            (void)conn->events.try_send(std::move(event));
+            (void)conn->watch.events.try_send(std::move(event));
           }
         }(fresh));
         state.conns.emplace(server_host, fresh);
@@ -314,13 +317,11 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
     job.metric.fetch_requests.add();
     co_await conn->sock->send(std::move(request));
     const std::uint64_t timer_id = ++conn->timer_seq;
-    if (job.retry.fetch_timeout > 0) {
-      job.engine.spawn(fetch_watchdog(job.engine, conn, conn->events,
-                                      job.retry.fetch_timeout, timer_id));
-    }
+    state.timeouts->arm(std::shared_ptr<FetchWatch>(conn, &conn->watch),
+                        timer_id);
     std::optional<net::Message> response;
     while (true) {
-      auto event = co_await conn->events.recv();
+      auto event = co_await conn->watch.events.recv();
       HMR_CHECK(event.has_value());  // the events channel is never closed
       if (event->msg.has_value()) {
         HMR_CHECK(event->msg->tag == kTagResponse &&
@@ -330,7 +331,7 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
         const auto got_reduce = r.u32();
         if (!got_map.ok() || !got_reduce.ok()) {
           // Response too short to even carry its match prefix: drop it
-          // like a stale duplicate; the watchdog covers the re-fetch.
+          // like a stale duplicate; the fetch timeout covers the re-fetch.
           job.metric.malformed_msgs.add();
           continue;
         }
@@ -343,7 +344,7 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
           if (job.integrity.enabled) {
             // End-to-end check against the spill-time checksum; a frame
             // that rotted in flight is dropped like any malformed
-            // message and the watchdog/retry path re-fetches it.
+            // message and the timeout/retry path re-fetches it.
             ByteReader body = r;
             const auto rest = body.bytes(body.remaining());
             HMR_CHECK(rest.ok());
@@ -360,6 +361,7 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
               continue;
             }
           }
+          conn->watch.armed_id = 0;
           response = std::move(event->msg);
           break;
         }
@@ -367,8 +369,8 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
         job.metric.fetch_stale_dropped.add();
         continue;
       }
-      if (event->timer_id == timer_id) break;  // our watchdog fired
-      // Watchdog of an already-answered request: ignore.
+      if (event->timer_id == timer_id) break;  // our fetch timed out
+      // Expiry that raced an already-accepted response: ignore.
     }
     exchange.release();
 

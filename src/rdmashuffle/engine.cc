@@ -120,7 +120,7 @@ sim::Task<> RdmaShuffleEngine::rdma_receiver(JobRuntime& job,
     auto req = DataRequest::decode(*msg->payload);
     if (!req.ok()) {
       // Malformed frame: drop it rather than crash the responder; the
-      // copier's watchdog re-issues the request.
+      // copier's fetch timeout re-issues the request.
       job.metric.malformed_msgs.add();
       continue;
     }
@@ -227,7 +227,7 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
     if (!view.ok()) {
       // The on-disk map output is unreadable past bounded recovery
       // (at-rest rot or a persistent IO fault). Drop the request: the
-      // copier's watchdog times out, blacklists this tracker, and
+      // copier's fetch times out, blacklists this tracker, and
       // re-executes the map on a healthy one (mapred/recovery.h).
       job.metric.mapout_unserved.add();
       co_return;
@@ -242,9 +242,10 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
   header.cursor_real = req.cursor_real;
   header.n_pairs = n_pairs;
   header.chunk_real_bytes = chunk.size();
-  // Derived from the spill-time segment checksums, not recomputed from
-  // the platters: the copier verifies against what the mapper wrote.
-  // The scan itself runs after a kernel yield (DESIGN.md §6.3).
+  // Computed here, over the chunk's bytes as sent; the copier recomputes
+  // it over the received body, so a frame that rots in flight is
+  // dropped and re-fetched. The scan runs after a kernel yield
+  // (DESIGN.md §6.3).
   co_await job.engine.delay(0);
   header.chunk_crc = crc32c(chunk);
   if (auto* t = job.engine.tracer()) {
@@ -349,7 +350,7 @@ void RdmaShuffleEngine::on_map_finished(JobRuntime& job, int map_id,
 }
 
 // ---------------------------------------------------------------------
-// ReduceTask side: RdmaCopier + streaming priority-queue merge
+// ReduceTask side: RdmaCopier + streaming loser-tree merge
 // ---------------------------------------------------------------------
 
 sim::Task<ucr::Endpoint*> RdmaShuffleEngine::ensure_client_endpoint(
@@ -389,9 +390,10 @@ sim::Task<ucr::Endpoint*> RdmaShuffleEngine::ensure_client_endpoint(
       mapred::FetchEvent event;
       event.msg = std::move(*msg);
       // The events channel is sized so delivery never parks the router:
-      // each stream has at most one outstanding request plus a bounded
-      // number of stale duplicates and watchdog markers.
-      HMR_CHECK(route->second->events.try_send(std::move(event)));
+      // each stream has at most one outstanding request, so its buffer
+      // holds a bounded number of stale duplicates plus at most one
+      // timeout expiry.
+      HMR_CHECK(route->second->watch.events.try_send(std::move(event)));
     }
     self.daemons_->done();
   }(*this, job, *endpoint, state));
@@ -425,8 +427,8 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
   bool refetching = false;
 
   // One request/response exchange for this stream. Stale duplicates
-  // (cursor mismatch) are discarded; nullopt means the watchdog fired
-  // before the matching response arrived.
+  // (cursor mismatch) are discarded; nullopt means the fetch timeout
+  // expired before the matching response arrived.
   auto exchange =
       [&](const DataRequest& req) -> sim::Task<std::optional<net::Message>> {
     Bytes wire = req.encode();
@@ -436,30 +438,26 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
     job.metric.fetch_requests.add();
     co_await endpoint->send(std::move(request));
     const std::uint64_t timer_id = ++stream->timer_seq;
-    if (job.retry.fetch_timeout > 0) {
-      job.engine.spawn(mapred::fetch_watchdog(job.engine, stream,
-                                              stream->events,
-                                              job.retry.fetch_timeout,
-                                              timer_id));
-    }
+    state->timeouts->arm(
+        std::shared_ptr<mapred::FetchWatch>(stream, &stream->watch), timer_id);
     while (true) {
-      auto event = co_await stream->events.recv();
+      auto event = co_await stream->watch.events.recv();
       HMR_CHECK(event.has_value());  // the events channel is never closed
       if (event->msg.has_value()) {
         ByteReader r(*event->msg->payload);
         const auto header = DataResponse::decode_header(r);
         if (!header.ok() || r.remaining() < header->chunk_real_bytes) {
           // Malformed header or short body: drop it like a stale
-          // duplicate and let the watchdog/retry path re-fetch.
+          // duplicate and let the timeout/retry path re-fetch.
           job.metric.malformed_msgs.add();
           continue;
         }
         if (header->cursor_real == req.cursor_real) {
           if (job.integrity.enabled && header->chunk_real_bytes > 0) {
-            // End-to-end check: the chunk CRC was computed from the
-            // spill-time segment checksums; recompute over the received
-            // body and drop the frame on mismatch (the watchdog/retry
-            // path re-fetches it, like any malformed message).
+            // End-to-end check: recompute the chunk CRC over the
+            // received body and drop the frame on mismatch (the
+            // timeout/retry path re-fetches it, like any malformed
+            // message).
             ByteReader body = r;
             const auto records = body.bytes(header->chunk_real_bytes);
             HMR_CHECK(records.ok());
@@ -478,13 +476,14 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
               continue;
             }
           }
+          stream->watch.armed_id = 0;
           co_return std::move(event->msg);
         }
         job.metric.fetch_stale_dropped.add();
         continue;
       }
       if (event->timer_id == timer_id) co_return std::nullopt;
-      // Watchdog of an already-answered request: ignore.
+      // Expiry that raced an already-accepted response: ignore.
     }
   };
 
@@ -618,7 +617,8 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
   };
   const std::uint64_t mem_bytes = job.spec.conf.get_bytes(
       mapred::kShuffleBufferBytes, mapred::kDefaultShuffleBufferBytes);
-  auto state = std::make_shared<CopierState>(job.engine, mem_bytes);
+  auto state = std::make_shared<CopierState>(job.engine, mem_bytes,
+                                             job.retry.fetch_timeout);
   // Real-world pairs per carried pair (see mapred::kKvInflation).
   const double kv_inflation =
       job.spec.conf.get_double(mapred::kKvInflation, job.data_scale);
@@ -659,7 +659,7 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
                                    drivers));
   }
 
-  // --- streaming priority-queue merge (§III-B2) -----------------------
+  // --- streaming loser-tree merge (§III-B2) ---------------------------
   struct Cursor {
     std::vector<KvPair> pairs;
     size_t idx = 0;
@@ -698,22 +698,16 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
     }
   };
 
-  struct HeapItem {
-    const KvPair* pair;
-    size_t stream;
-  };
-  auto greater = [](const HeapItem& a, const HeapItem& b) {
-    const int c = dataplane::KvLess::compare_keys(a.pair->key, b.pair->key);
-    if (c != 0) return c > 0;
-    return a.stream > b.stream;
-  };
-  std::vector<HeapItem> heap;
+  // The tree borrows each stream's current key from its cursor chunk.
+  dataplane::LoserTree tree(streams.size());
   for (size_t s = 0; s < streams.size(); ++s) {
     if (co_await advance_chunk(s)) {
-      heap.push_back(HeapItem{&cursors[s].pairs[0], s});
+      tree.set(s, cursors[s].pairs[0].key);
+    } else {
+      tree.set_exhausted(s);
     }
   }
-  std::make_heap(heap.begin(), heap.end(), greater);
+  tree.build();
   // Speculation losers cancelled after the job's final commit must not
   // push shuffle_done_time past finish_time (see mapred/vanilla.cc).
   if (attempt == nullptr || !attempt->kill_requested) {
@@ -741,26 +735,26 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
     batch_real = 0;
   };
 
-  while (!heap.empty()) {
+  while (!tree.empty()) {
     if (cancelled()) break;
-    std::pop_heap(heap.begin(), heap.end(), greater);
-    HeapItem item = heap.back();
-    heap.pop_back();
-    Cursor& cursor = cursors[item.stream];
+    const size_t s = tree.winner();
+    Cursor& cursor = cursors[s];
     // The cursor's chunk is discarded once drained, so move the record
-    // out instead of deep-copying its key/value buffers.
+    // out instead of deep-copying its key/value buffers. The tree reads
+    // no key of this stream again until set() below.
     KvPair pair = std::move(cursor.pairs[cursor.idx++]);
     batch_real += pair.serialized_size();
     batch.push_back(std::move(pair));
     if (batch.size() >= kBatchPairs) co_await flush_batch();
 
     if (cursor.idx < cursor.pairs.size()) {
-      heap.push_back(HeapItem{&cursor.pairs[cursor.idx], item.stream});
-      std::push_heap(heap.begin(), heap.end(), greater);
-    } else if (co_await advance_chunk(item.stream)) {
-      heap.push_back(HeapItem{&cursor.pairs[0], item.stream});
-      std::push_heap(heap.begin(), heap.end(), greater);
+      tree.set(s, cursor.pairs[cursor.idx].key);
+    } else if (co_await advance_chunk(s)) {
+      tree.set(s, cursor.pairs[0].key);
+    } else {
+      tree.set_exhausted(s);
     }
+    tree.replay();
   }
   if (cancelled()) {
     // Cancellation drain: every stream must be received to completion so

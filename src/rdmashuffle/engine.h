@@ -13,10 +13,11 @@
 //
 // ReduceTask side:
 //   RdmaCopier        — per-map stream fetchers with one chunk of
-//                       read-ahead, feeding a priority-queue streaming
-//                       merge whose sorted output flows into the
-//                       DataToReduceQueue (the KvSink), overlapping
-//                       shuffle, merge and reduce (§III-B2/B4)
+//                       read-ahead, feeding a streaming merge (a loser
+//                       tree as its priority queue) whose sorted output
+//                       flows into the DataToReduceQueue (the KvSink),
+//                       overlapping shuffle, merge and reduce
+//                       (§III-B2/B4)
 //
 // The Hadoop-A comparator (src/hadoopa) reuses this engine with the
 // options that match the SC'11 description: no cache, fixed kv-count
@@ -123,15 +124,15 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     std::vector<dataplane::KvPair> pairs;
     std::uint64_t mem_charge = 0;
   };
-  // Per-map reduce-side stream state. Shared-owned because watchdog
-  // timers may still be pending after the driver finished.
+  // Per-map reduce-side stream state. Shared-owned because fetch
+  // timeouts may still be pending after the driver finished.
   struct MapStream {
     explicit MapStream(sim::Engine& engine)
-        : events(engine, 64), chunks(engine, 2), demand(engine) {}
-    // Responses (routed by map id) interleaved with watchdog expiries.
-    sim::Channel<mapred::FetchEvent> events;
+        : watch(engine, 64), chunks(engine, 2), demand(engine) {}
+    // Responses (routed by map id) interleaved with timeout expiries.
+    mapred::FetchWatch watch;
     sim::Channel<StreamChunk> chunks;
-    std::uint64_t timer_seq = 0;  // id of the current request's watchdog
+    std::uint64_t timer_seq = 0;  // timer id of the current request
     // Set by the kill watcher when the reduce attempt loses its race:
     // the driver abandons between exchanges and closes its chunk queue.
     bool cancelled = false;
@@ -143,13 +144,17 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
   };
   // Per-reducer copier state shared by that reducer's stream drivers.
   struct CopierState {
-    CopierState(sim::Engine& engine, std::uint64_t mem_bytes)
+    CopierState(sim::Engine& engine, std::uint64_t mem_bytes,
+                double fetch_timeout)
         : mem(engine, std::int64_t(mem_bytes), "shuffle.mem"),
-          conn_lock(engine, 1, "copier.conn") {}
+          conn_lock(engine, 1, "copier.conn"),
+          timeouts(std::make_shared<mapred::FetchTimeouts>(engine,
+                                                           fetch_timeout)) {}
     std::map<int, ucr::Endpoint*> conns;  // tracker host id -> endpoint
     std::map<int, MapStream*> routes;     // map id -> stream
     sim::Resource mem;                    // reducer shuffle buffer
     sim::Resource conn_lock;
+    std::shared_ptr<mapred::FetchTimeouts> timeouts;  // shared by all streams
   };
   // Per-TaskTracker service state.
   struct TrackerService {

@@ -38,7 +38,7 @@ struct DataRequest {
   }
   // A request is exactly the six fixed-width fields; anything truncated
   // or with trailing bytes is malformed. Callers drop malformed messages
-  // (counting shuffle.malformed_msgs) and let the copier's watchdog
+  // (counting shuffle.malformed_msgs) and let the copier's fetch timeout
   // retry — a bad frame must never take the responder down.
   static Result<DataRequest> decode(const Bytes& data) {
     ByteReader r(data);

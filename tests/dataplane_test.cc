@@ -4,6 +4,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "dataplane/cache.h"
@@ -259,6 +262,153 @@ TEST(SegmentTest, TakeChunkAlwaysMakesProgressOnJumboRecord) {
 }
 
 // ---------------------------------------------------------------- merger
+
+Bytes key_of(std::string_view text) { return Bytes(text.begin(), text.end()); }
+
+// Sorted runs for loser-tree tests. Keys are drawn mostly from a small
+// pool, so equal keys recur across sources, and the pool holds the
+// cases the cached 8-byte prefix must get right: the empty key, keys
+// that are prefixes of each other ("ab" < "ab\0" < "ab\0...\0"), keys
+// sharing their first 8 bytes, and all-0xff keys whose prefix equals an
+// exhausted leaf's. Roughly one source in four is empty.
+std::vector<std::vector<Bytes>> loser_tree_runs(size_t k, std::uint64_t seed) {
+  using namespace std::string_view_literals;
+  const std::vector<Bytes> pool = {
+      key_of(""),
+      key_of("a"),
+      key_of("ab"),
+      key_of("ab\0"sv),
+      key_of("ab\0\0\0\0\0\0\0"sv),
+      key_of("sharedpf"),
+      key_of("sharedpf\0"sv),
+      key_of("sharedpfa"),
+      key_of("sharedpfab"),
+      key_of("sharedpfb"),
+      key_of("\xff\xff\xff\xff\xff\xff\xff\xff"sv),
+      key_of("\xff\xff\xff\xff\xff\xff\xff\xff\x01"sv),
+  };
+  constexpr std::uint8_t kAlphabet[] = {0x00, 0x01, 'a', 0xff};
+  Rng rng(seed);
+  std::vector<std::vector<Bytes>> runs(k);
+  for (auto& run : runs) {
+    if (rng.below(4) == 0) continue;
+    const size_t n = rng.below(40);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.below(3) != 0) {
+        run.push_back(pool[rng.below(pool.size())]);
+      } else {
+        Bytes key(rng.below(13));
+        for (auto& b : key) b = kAlphabet[rng.below(std::size(kAlphabet))];
+        run.push_back(std::move(key));
+      }
+    }
+    std::sort(run.begin(), run.end(), [](const Bytes& a, const Bytes& b) {
+      return KvLess::compare_keys(a, b) < 0;
+    });
+  }
+  return runs;
+}
+
+// Reference merge order as (source, position) pairs: every record in
+// source order, stable-sorted by key, so equal keys keep the lower
+// source first.
+std::vector<std::pair<size_t, size_t>> reference_order(
+    const std::vector<std::vector<Bytes>>& runs) {
+  std::vector<std::pair<size_t, size_t>> order;
+  for (size_t s = 0; s < runs.size(); ++s) {
+    for (size_t i = 0; i < runs[s].size(); ++i) order.emplace_back(s, i);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const auto& a, const auto& b) {
+                     return KvLess::compare_keys(runs[a.first][a.second],
+                                                 runs[b.first][b.second]) < 0;
+                   });
+  return order;
+}
+
+TEST(LoserTreeTest, MatchesStableSortReference) {
+  for (const size_t k : {1, 2, 3, 7, 64, 400}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " seed=" + std::to_string(seed));
+      auto runs = loser_tree_runs(k, seed);
+      const auto expected = reference_order(runs);
+
+      LoserTree tree(k);
+      std::vector<size_t> pos(k, 0);
+      for (size_t s = 0; s < k; ++s) {
+        if (runs[s].empty()) {
+          tree.set_exhausted(s);
+        } else {
+          tree.set(s, runs[s][0]);
+        }
+      }
+      tree.build();
+      std::vector<std::pair<size_t, size_t>> got;
+      std::vector<Bytes> moved_out;
+      while (!tree.empty()) {
+        const size_t s = tree.winner();
+        got.emplace_back(s, pos[s]);
+        // Like the RDMA merge: the winner's key leaves before replay().
+        moved_out.push_back(std::move(runs[s][pos[s]++]));
+        if (pos[s] < runs[s].size()) {
+          tree.set(s, runs[s][pos[s]]);
+        } else {
+          tree.set_exhausted(s);
+        }
+        tree.replay();
+      }
+      EXPECT_EQ(got, expected);
+    }
+  }
+}
+
+TEST(LoserTreeTest, PrefixKeysAndEmptyKeyOrder) {
+  // Sources hold the keys in descending order, so every match the tree
+  // plays must overturn the source-index tie-break.
+  const std::vector<Bytes> keys = {
+      key_of(std::string_view("ab\0\0\0\0\0\0\0", 9)),
+      key_of(std::string_view("ab\0", 3)), key_of("ab"), key_of("")};
+  LoserTree tree(keys.size());
+  for (size_t s = 0; s < keys.size(); ++s) tree.set(s, keys[s]);
+  tree.build();
+  std::vector<size_t> order;
+  while (!tree.empty()) {
+    order.push_back(tree.winner());
+    tree.set_exhausted(tree.winner());
+    tree.replay();
+  }
+  EXPECT_EQ(order, (std::vector<size_t>{3, 2, 1, 0}));
+}
+
+TEST(LoserTreeTest, NoSourcesIsEmpty) {
+  LoserTree tree(0);
+  tree.build();
+  EXPECT_TRUE(tree.empty());
+}
+
+TEST(LoserTreeTest, StreamMergerFollowsTheSameOrder) {
+  auto runs = loser_tree_runs(64, 9);
+  const auto expected = reference_order(runs);
+  std::vector<std::unique_ptr<KvSource>> sources;
+  for (size_t s = 0; s < runs.size(); ++s) {
+    std::vector<KvPair> pairs;
+    for (size_t i = 0; i < runs[s].size(); ++i) {
+      pairs.push_back(make_kv(
+          std::string_view(reinterpret_cast<const char*>(runs[s][i].data()),
+                           runs[s][i].size()),
+          std::to_string(s) + ":" + std::to_string(i)));
+    }
+    sources.push_back(std::make_unique<VectorSource>(std::move(pairs)));
+  }
+  StreamMerger merger(std::move(sources));
+  const auto merged = drain(merger);
+  ASSERT_EQ(merged.size(), expected.size());
+  for (size_t i = 0; i < merged.size(); ++i) {
+    const auto& [s, pos] = expected[i];
+    EXPECT_EQ(std::string(merged[i].value.begin(), merged[i].value.end()),
+              std::to_string(s) + ":" + std::to_string(pos));
+  }
+}
 
 TEST(MergerTest, MergesSortedRunsGloballySorted) {
   auto all = random_pairs(900, 12);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "mapred/jobrunner.h"
@@ -800,6 +803,131 @@ TEST(FetchRetryPolicyTest, BackoffGrowsIsCappedAndDeterministic) {
   EXPECT_EQ(policy.backoff(2, a), 0.4);
   EXPECT_EQ(policy.backoff(3, a), 0.8);
   EXPECT_EQ(policy.backoff(10, a), 5.0);  // capped
+}
+
+// Arms `id` on `watch` at simulated time `at`.
+sim::Task<> arm_at(sim::Engine& engine, std::shared_ptr<FetchTimeouts> timeouts,
+                   std::shared_ptr<FetchWatch> watch, double at,
+                   std::uint64_t id) {
+  co_await engine.delay_until(at);
+  timeouts->arm(std::move(watch), id);
+}
+
+// Records every event posted to `watch` with its arrival time.
+struct Expiry {
+  double at;
+  std::uint64_t id;
+};
+sim::Task<> collect(sim::Engine& engine, std::shared_ptr<FetchWatch> watch,
+                    int count, std::vector<Expiry>& out) {
+  for (int i = 0; i < count; ++i) {
+    auto event = co_await watch->events.recv();
+    EXPECT_FALSE(event->msg.has_value());
+    out.push_back(Expiry{engine.now(), event->timer_id});
+  }
+}
+
+TEST(FetchTimeoutsTest, ArmedRequestFiresAtArmTimePlusTimeout) {
+  sim::Engine engine;
+  auto timeouts = std::make_shared<FetchTimeouts>(engine, 60.0);
+  auto a = std::make_shared<FetchWatch>(engine, 4);
+  auto b = std::make_shared<FetchWatch>(engine, 4);
+  engine.spawn(arm_at(engine, timeouts, a, 2.5, 7));
+  engine.spawn(arm_at(engine, timeouts, b, 3.25, 9));
+  std::vector<Expiry> fired_a, fired_b;
+  engine.spawn(collect(engine, a, 1, fired_a));
+  engine.spawn(collect(engine, b, 1, fired_b));
+  engine.run();
+  ASSERT_EQ(fired_a.size(), 1u);
+  EXPECT_EQ(fired_a[0].at, 2.5 + 60.0);
+  EXPECT_EQ(fired_a[0].id, 7u);
+  ASSERT_EQ(fired_b.size(), 1u);
+  EXPECT_EQ(fired_b[0].at, 3.25 + 60.0);
+  EXPECT_EQ(fired_b[0].id, 9u);
+  EXPECT_EQ(a->armed_id, 0u);  // a fired request is no longer armed
+  EXPECT_EQ(engine.live_processes(), 0);
+}
+
+TEST(FetchTimeoutsTest, AnsweredRequestNeverFires) {
+  sim::Engine engine;
+  auto timeouts = std::make_shared<FetchTimeouts>(engine, 60.0);
+  auto watch = std::make_shared<FetchWatch>(engine, 4);
+  engine.spawn(arm_at(engine, timeouts, watch, 1.0, 1));
+  engine.spawn([](sim::Engine& engine, FetchWatch& watch) -> sim::Task<> {
+    co_await engine.delay(2.0);
+    EXPECT_EQ(watch.armed_id, 1u);
+    watch.armed_id = 0;  // the matching response arrived
+  }(engine, *watch));
+  engine.run();
+  EXPECT_TRUE(watch->events.empty());
+  EXPECT_EQ(engine.live_processes(), 0);  // the sleeper exited
+}
+
+TEST(FetchTimeoutsTest, ReArmAfterRelocationFiresOnlyNewestId) {
+  sim::Engine engine;
+  auto timeouts = std::make_shared<FetchTimeouts>(engine, 60.0);
+  auto watch = std::make_shared<FetchWatch>(engine, 4);
+  // Request 1 is abandoned unanswered when the fetch relocates; its
+  // retry, request 2, goes to the new tracker and times out too.
+  engine.spawn(arm_at(engine, timeouts, watch, 0.0, 1));
+  engine.spawn(arm_at(engine, timeouts, watch, 10.0, 2));
+  std::vector<Expiry> fired;
+  engine.spawn(collect(engine, watch, 1, fired));
+  engine.run();
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].at, 70.0);
+  EXPECT_EQ(fired[0].id, 2u);
+  EXPECT_TRUE(watch->events.empty());
+}
+
+TEST(FetchTimeoutsTest, ZeroTimeoutArmsNothing) {
+  sim::Engine engine;
+  auto timeouts = std::make_shared<FetchTimeouts>(engine, 0.0);
+  auto watch = std::make_shared<FetchWatch>(engine, 4);
+  timeouts->arm(watch, 1);
+  EXPECT_EQ(watch->armed_id, 0u);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  engine.run();
+  EXPECT_TRUE(watch->events.empty());
+  EXPECT_EQ(engine.now(), 0.0);
+}
+
+TEST(FetchTimeoutsTest, AnsweredRequestsLeaveAtMostOnePendingEvent) {
+  sim::Engine engine;
+  auto timeouts = std::make_shared<FetchTimeouts>(engine, 60.0);
+  auto watch = std::make_shared<FetchWatch>(engine, 4);
+  std::size_t peak = 0;
+  engine.spawn([](sim::Engine& engine, std::shared_ptr<FetchTimeouts> timeouts,
+                  std::shared_ptr<FetchWatch> watch,
+                  std::size_t& peak) -> sim::Task<> {
+    for (std::uint64_t id = 1; id <= 10000; ++id) {
+      timeouts->arm(watch, id);
+      co_await engine.delay(0.001);
+      watch->armed_id = 0;  // answered
+      peak = std::max(peak, engine.pending_events());
+    }
+  }(engine, timeouts, watch, peak));
+  engine.run();
+  EXPECT_LE(peak, 1u);  // the sleeper's one wakeup
+  EXPECT_TRUE(watch->events.empty());
+  EXPECT_EQ(engine.live_processes(), 0);
+}
+
+TEST(FetchTimeoutsTest, PendingEntryPinsItsOwner) {
+  struct Owner {
+    explicit Owner(sim::Engine& engine) : watch(engine, 4) {}
+    FetchWatch watch;
+  };
+  sim::Engine engine;
+  auto timeouts = std::make_shared<FetchTimeouts>(engine, 5.0);
+  auto owner = std::make_shared<Owner>(engine);
+  std::weak_ptr<Owner> alive = owner;
+  timeouts->arm(std::shared_ptr<FetchWatch>(owner, &owner->watch), 1);
+  owner.reset();  // the copier finished with the request still armed
+  engine.run_until(4.0);
+  EXPECT_FALSE(alive.expired());
+  engine.run();
+  EXPECT_TRUE(alive.expired());  // released once the entry fired
 }
 
 workloads::RunConfig tiny_vanilla() {

@@ -8,8 +8,11 @@
 #include "rdmashuffle/engine.h"
 #include "rdmashuffle/protocol.h"
 #include "sim/fault.h"
+#include "workloads/datagen.h"
 #include "workloads/experiment.h"
+#include "workloads/jobs.h"
 #include "workloads/report.h"
+#include "workloads/testbed.h"
 
 namespace hmr::rdmashuffle {
 namespace {
@@ -226,6 +229,76 @@ TEST(RdmaEngineTest, HadoopATightMemoryStillCompletes) {
   auto config = tiny(workloads::EngineSetup::hadoop_a());
   config.setup.extra.set("mapred.job.shuffle.input.buffer.bytes", "4MB");
   EXPECT_TRUE(workloads::run_experiment(config).validated);
+}
+
+// One tiny TeraSort with `reduces` reduce tasks, while a probe coroutine
+// samples Engine::pending_events() every simulated second.
+struct PendingProbe {
+  mapred::JobResult job;
+  std::size_t peak_pending = 0;
+};
+
+PendingProbe probe_pending_events(workloads::EngineSetup setup, int reduces) {
+  workloads::TestbedSpec bed_spec;
+  bed_spec.nodes = 3;
+  bed_spec.profile = setup.profile;
+  bed_spec.hdfs.block_size = 32 * kMiB;
+  workloads::Testbed bed(bed_spec);
+  workloads::DataGenSpec gen;
+  gen.dir = "/in";
+  gen.modeled_total = 512 * kMiB;
+  gen.part_modeled = 32 * kMiB;
+  gen.scale = 256;
+  HMR_CHECK(bed.generate("teragen", gen).ok());
+
+  Conf conf = setup.extra;
+  conf.set(mapred::kShuffleEngine, setup.engine);
+  conf.set_double(mapred::kKvInflation, gen.scale);
+  conf.set_bytes(mapred::kMaxRecordBytes, std::uint64_t(102.0 * gen.scale));
+  conf.set_int(mapred::kNumReduces, reduces);
+  mapred::JobSpec job =
+      workloads::terasort_job(bed.dfs(), gen.dir, "/out", conf);
+
+  PendingProbe probe;
+  bool done = false;
+  sim::Engine& engine = bed.engine();
+  engine.spawn([](workloads::Testbed& bed, mapred::JobSpec job,
+                  PendingProbe& probe, bool& done) -> sim::Task<> {
+    probe.job = co_await bed.runner().run(std::move(job));
+    done = true;
+  }(bed, std::move(job), probe, done));
+  engine.spawn([](sim::Engine& engine, const bool& done,
+                  PendingProbe& probe) -> sim::Task<> {
+    while (!done) {
+      probe.peak_pending =
+          std::max(probe.peak_pending, engine.pending_events());
+      co_await engine.delay(1.0);
+    }
+  }(engine, done, probe));
+  engine.run();
+  EXPECT_TRUE(done);
+  return probe;
+}
+
+// A fetch answered within its timeout must leave no engine event behind:
+// each copier (one per reduce task) owns one timeout FIFO with at most
+// one pending sleeper event. The rest of the bound is the job's other
+// live events (transfers, disk I/O, task loops): 45 at the peak here.
+// With one timer event per request, the same jobs peaked at 2,091
+// (OSU-IB) and 5,165 (Hadoop-A) pending events, over 10x this bound.
+TEST(RdmaShuffleTest, AnsweredFetchesLeaveNoPendingTimers) {
+  constexpr int kCopiers = 4;
+  constexpr std::size_t kBound = 64 + 16 * kCopiers;
+  auto osu = workloads::EngineSetup::osu_ib();
+  osu.extra.set_bytes(mapred::kRdmaPacketBytes, 256 * 1024);
+  for (const auto& setup : {osu, workloads::EngineSetup::hadoop_a()}) {
+    SCOPED_TRACE(setup.engine);
+    const PendingProbe probe = probe_pending_events(setup, kCopiers);
+    EXPECT_GT(probe.job.counter("shuffle.fetch.requests"),
+              std::int64_t(10 * kBound));
+    EXPECT_EQ(probe.job.counter("shuffle.fetch.timeouts"), 0);
+    EXPECT_LT(probe.peak_pending, kBound);
+  }
 }
 
 TEST(RdmaEngineTest, CacheHitsDominateWhenCacheFits) {
