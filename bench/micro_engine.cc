@@ -1,15 +1,12 @@
-// bench/micro_engine: host-side guards for the event queue and the
-// linter, emitted as machine-independent ratios in the hmr-bench-v1
-// "seconds" field so tools/bench_check can diff them against
-// bench/baselines/BENCH_engine.json with a tight tolerance (CPU
-// frequency cancels in first order).
+// bench/micro_engine: host-side guard for the event queue, emitted as a
+// machine-independent ratio in the hmr-bench-v1 "seconds" field so
+// tools/bench_check can diff it against bench/baselines/BENCH_engine.json
+// with a tight tolerance (CPU frequency cancels in first order).
 //
-//  * "queue-churn": EventQueue (4-ary heap + now-FIFO) time as a
-//    fraction of a reference std::priority_queue<Event> ordered by
-//    (at, seq) on the identical operation stream. Absolute events/sec
-//    for both ride along as extra keys (allowed by the schema).
-//  * "lint-callgraph": the hmr-lint call-graph analysis over the repo's
-//    own tree as a multiple of a bare lex of the same files.
+// "queue-churn": EventQueue (4-ary heap + now-FIFO) time as a fraction
+// of a reference std::priority_queue<Event> ordered by (at, seq) on the
+// identical operation stream. Absolute events/sec for both ride along
+// as extra keys (allowed by the schema).
 //
 // End-to-end engine dispatch cost is measured by perfbench
 // (sim.host_ns_per_event.*), not here.
@@ -26,7 +23,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <queue>
 #include <string>
@@ -34,9 +30,8 @@
 
 #include "common/json.h"
 #include "common/rng.h"
-#include "lint/lexer.h"
-#include "lint/lint.h"
 #include "sim/event_queue.h"
+#include "workloads/benchjson.h"
 
 namespace {
 
@@ -197,87 +192,6 @@ Json make_queue_run(const std::string& series, const Comparison& c) {
   return run;
 }
 
-// The lint series is gated with the ratio of MINIMUM rep times: the
-// min over interleaved reps is the clean-machine estimate that
-// one-sided noise (steal, neighbor load) cannot inflate.
-double min_of(const std::vector<double>& v) {
-  return *std::min_element(v.begin(), v.end());
-}
-
-// The hmr-lint repo-wide call-graph analysis run over the repo's own
-// tree. Gated "seconds" is the full analysis (call graph extraction,
-// sim reachability, every rule family) as a multiple of a bare lex of
-// the same files — a machine-independent
-// ratio, like the queue series, bounding how much the call-graph layers
-// cost on top of tokenization. Absolute full-tree milliseconds ride
-// along ungated for human eyes. `validated` doubles as a dogfood check:
-// the tree must lint to zero findings.
-Json make_lint_run() {
-  std::vector<lint::SourceFile> files;
-  // The CI bench job runs from the repo root; the ".." fallbacks cover
-  // invocations from build/ or build/bench/.
-  for (const char* root : {".", "..", "../.."}) {
-    auto tree = lint::collect_tree(root, {"src", "tools", "tests"});
-    if (tree.ok() && tree.value().size() >= 20) {
-      files = std::move(tree).value();
-      break;
-    }
-  }
-  Json phases = Json::object();
-  for (const char* phase : {"map", "shuffle", "merge", "reduce"}) {
-    phases.set(phase, Json(0.0));
-  }
-  Json run = Json::object();
-  run.set("series", Json("lint-callgraph full-tree"));
-  run.set("size_gb", Json(0.0));
-  run.set("phases", std::move(phases));
-  run.set("overlap_fraction", Json(0.0));
-  run.set("cache_hit_rate", Json(0.0));
-  if (files.empty()) {
-    // No repo tree near the binary (an installed copy, say): emit an
-    // invalid run rather than crash. CI always has the tree.
-    run.set("seconds", Json(0.0));
-    run.set("validated", Json(false));
-    std::printf("%-28s repo tree not found; series invalid\n",
-                "lint-callgraph full-tree");
-    return run;
-  }
-  (void)lint::lint_files(files, {});  // warmup: allocator growth
-  std::vector<double> full_times, lex_times;
-  std::size_t findings = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    // Both passes repeat inside the timer: a single pass is a handful
-    // of ~10ms kernel CPU-accounting jiffies, and quantization on
-    // either side of the ratio would eat the gate's tolerance.
-    constexpr int kFullIters = 8;
-    double t0 = now_seconds();
-    for (int it = 0; it < kFullIters; ++it) {
-      const lint::Report report = lint::lint_files(files, {});
-      findings = report.findings.size();
-    }
-    full_times.push_back((now_seconds() - t0) / kFullIters);
-    constexpr int kLexIters = 32;
-    t0 = now_seconds();
-    std::size_t tokens = 0;
-    for (int it = 0; it < kLexIters; ++it) {
-      for (const auto& f : files) {
-        tokens += lint::lex(f.path, f.text).tokens.size();
-      }
-    }
-    lex_times.push_back((now_seconds() - t0) / kLexIters);
-    if (tokens == 0) findings += 1;  // lex produced nothing: invalid
-  }
-  const double ratio = min_of(full_times) / min_of(lex_times);
-  run.set("seconds", Json(ratio));
-  run.set("validated", Json(findings == 0));
-  run.set("lint_files", Json(double(files.size())));
-  run.set("lint_full_ms", Json(min_of(full_times) * 1e3));
-  std::printf("%-28s full/lex ratio %.2f   full %.0f ms over %zu files\n",
-              "lint-callgraph full-tree", ratio, min_of(full_times) * 1e3,
-              files.size());
-  return run;
-}
-
 }  // namespace
 
 int main() {
@@ -286,7 +200,6 @@ int main() {
   Json runs = Json::array();
   runs.push_back(
       make_queue_run("queue-churn 32k-backlog", measure_queue_churn()));
-  runs.push_back(make_lint_run());
 
   Json doc = Json::object();
   doc.set("schema", Json("hmr-bench-v1"));
@@ -297,19 +210,7 @@ int main() {
   doc.set("nodes", Json(std::int64_t(0)));
   doc.set("runs", std::move(runs));
 
-  std::string path = "BENCH_engine.json";
-  // lint:ignore(determinism): HMR_BENCH_DIR only redirects host-side bench report output; nothing in the simulation reads it
-  if (const char* dir = std::getenv("HMR_BENCH_DIR")) {
-    if (dir[0] != '\0') path = std::string(dir) + "/" + path;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "micro_engine: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  const std::string body = doc.dump() + "\n";
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "  wrote %s\n", path.c_str());
-  return 0;
+  const std::string path =
+      workloads::write_bench_json("BENCH_engine.json", doc);
+  return path.empty() ? 1 : 0;
 }

@@ -9,13 +9,13 @@
 //   HMR_BENCH_DIR=bench/baselines ./build/bench/multitenant
 // after any intentional scheduling or performance change.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "workloads/benchjson.h"
 #include "workloads/experiment.h"
 #include "workloads/multitenant.h"
 
@@ -71,22 +71,6 @@ Json run_cell(const std::string& series, double jobs_per_min,
   return run;
 }
 
-void write_doc(const Json& doc) {
-  std::string path = "BENCH_multitenant.json";
-  if (const char* dir = std::getenv("HMR_BENCH_DIR")) {
-    if (dir[0] != '\0') path = std::string(dir) + "/" + path;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
-  }
-  const std::string body = doc.dump() + "\n";
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "  wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main() {
@@ -124,6 +108,5 @@ int main() {
   doc.set("workload", Json("terasort"));
   doc.set("nodes", Json(std::int64_t(2)));
   doc.set("runs", std::move(runs));
-  write_doc(doc);
-  return 0;
+  return write_bench_json("BENCH_multitenant.json", doc).empty() ? 1 : 0;
 }

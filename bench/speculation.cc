@@ -14,7 +14,6 @@
 // after any intentional scheduling or performance change.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "common/units.h"
 #include "mapred/types.h"
 #include "sim/fault.h"
+#include "workloads/benchjson.h"
 #include "workloads/experiment.h"
 
 using namespace hmr;
@@ -111,22 +111,6 @@ Json run_cell(const std::string& series, double fraction,
   return run;
 }
 
-void write_doc(const Json& doc) {
-  std::string path = "BENCH_speculation.json";
-  if (const char* dir = std::getenv("HMR_BENCH_DIR")) {
-    if (dir[0] != '\0') path = std::string(dir) + "/" + path;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
-  }
-  const std::string body = doc.dump() + "\n";
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "  wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main() {
@@ -186,6 +170,5 @@ int main() {
   doc.set("workload", Json("terasort"));
   doc.set("nodes", Json(std::int64_t(kNodes)));
   doc.set("runs", std::move(runs));
-  write_doc(doc);
-  return 0;
+  return write_bench_json("BENCH_speculation.json", doc).empty() ? 1 : 0;
 }

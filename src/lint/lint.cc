@@ -6,7 +6,7 @@
 #include <map>
 #include <set>
 
-#include "lint/callgraph.h"
+#include "lint/function_index.h"
 #include "lint/registry.h"
 
 namespace hmr::lint {
@@ -19,8 +19,7 @@ bool has_prefix(const std::string& path, std::string_view prefix) {
 
 const std::set<std::string, std::less<>> kKnownRules = {
     "determinism",     "status-discipline", "config-registry",
-    "metric-registry", "coroutine-borrow",  "transitive-determinism",
-    "coawait-aggregate"};
+    "metric-registry", "coroutine-borrow",  "coawait-aggregate"};
 
 // Drops findings waived by a justified suppression on the same line or
 // the line above; reports malformed suppressions. A justified
@@ -99,18 +98,16 @@ Report lint_files(const std::vector<SourceFile>& files, const Options& opts) {
   std::vector<LexedFile> lexed;
   lexed.reserve(files.size());
   FunctionRegistry fn_registry;
-  CallGraph graph;
+  FunctionIndex index;
   for (const SourceFile& f : files) {
     lexed.push_back(lex(f.path, f.text));
     collect_function_returns(lexed.back(), &fn_registry);
-    graph.add_file(lexed.back());
+    index.add_file(lexed.back());
   }
-  graph.finalize();  // find sim roots
-  graph.fill_registry(&fn_registry);
+  index.fill_registry(&fn_registry);
   fn_registry.finalize();  // drop names with conflicting void-like decls
 
   Report report;
-  report.callgraph = graph.to_json();
   std::vector<NameUse> config_uses;
   std::vector<NameUse> metric_uses;
   for (const LexedFile& f : lexed) {
@@ -125,11 +122,9 @@ Report lint_files(const std::vector<SourceFile>& files, const Options& opts) {
     check_coawait_aggregate(f, &local);
     if (in_src) {
       check_determinism(f, &local);
-      check_transitive_determinism(f, graph, &local);
-      check_coroutine_borrow(f, graph, &local);
-      active_rules.insert({"determinism", "transitive-determinism",
-                           "coroutine-borrow", "metric-registry",
-                           "config-registry"});
+      check_coroutine_borrow(f, index, &local);
+      active_rules.insert({"determinism", "coroutine-borrow",
+                           "metric-registry", "config-registry"});
     }
     check_status_discipline(f, fn_registry,
                             /*check_value_guard=*/in_src || in_tools, &local);

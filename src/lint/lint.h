@@ -1,20 +1,20 @@
 // hmr-lint: repo-aware static analysis for the OSU-IB reproduction.
 //
 // Rule families (see docs/LINT.md for the full reference):
-//   determinism            — no wall clocks, library RNG types, or
-//                            unordered containers in sim-facing code
-//   status-discipline      — no discarded Status/Result call results,
-//                            no .value()/deref without an ok() check
-//   config-registry        — every Conf key literal documented in
-//                            docs/CONFIG.md, and vice versa
-//   metric-registry        — every metric name literal dot-separated
-//                            lowercase and documented in docs/METRICS.md
-//   coroutine-borrow       — no KvView/arena borrows held across
-//                            co_await
-//   transitive-determinism — rand/srand/getenv flagged when reachable
-//                            from a sim context (call-graph based)
+//   determinism       — no wall clocks, library RNG types or calls
+//                       (rand/srand), getenv, or unordered containers
+//                       in sim-facing code
+//   status-discipline — no discarded Status/Result call results, no
+//                       .value()/deref without an ok() check
+//   config-registry   — every Conf key literal documented in
+//                       docs/CONFIG.md, and vice versa
+//   metric-registry   — every metric name literal dot-separated
+//                       lowercase and documented in docs/METRICS.md
+//   coroutine-borrow  — no KvView/arena borrows held across co_await
+//   coawait-aggregate — no braced initializers inside co_await operands
 //
-// The last two ride on the repo-wide call graph (lint/callgraph.h).
+// coroutine-borrow walks the function bodies found by the repo-wide
+// function index (lint/function_index.h).
 // A stale-waiver audit reports lint:ignore suppressions that no longer
 // waive anything. The library is pure (files in, findings out) so tests
 // can feed it fixture sources; tools/hmr_lint.cc adds the filesystem
@@ -49,19 +49,14 @@ struct Report {
   std::vector<std::string> config_keys;   // sorted unique, full literals
   std::vector<std::string> metric_names;  // sorted unique, full literals
   std::vector<std::string> metric_name_suffixes;  // from concatenated names
-  // {"schema":"hmr-callgraph-v1",...} — per-function call sites and sim
-  // reachability, written by `hmr_lint --callgraph FILE` for the CI
-  // artifact.
-  Json callgraph;
 
   bool clean() const { return findings.empty(); }
   // {"schema":"hmr-lint-v1","findings":[...],"counts":{...},...}
   Json to_json() const;
 };
 
-// Runs every rule family over `files`. The call graph is built from
-// *all* files (so test coroutines count as sim roots), then rules are
-// scoped by path prefix:
+// Runs every rule family over `files`. The function index is built
+// from *all* files, then rules are scoped by path prefix:
 //   src/    every family (+ function-return collection)
 //   tools/  status-discipline, config-registry
 //   tests/  status-discipline (discard checks only)

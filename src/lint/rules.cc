@@ -223,8 +223,14 @@ void check_determinism(const LexedFile& file, std::vector<Finding>* out) {
        {"library RNG bypasses seed-stream derivation; use hmr::Rng "
         "(common/rng.h)",
         false}},
-      // rand/srand/getenv are *call-time* hazards and moved to the
-      // reachability-based transitive-determinism family (callgraph.h).
+      {"rand",
+       {"libc randomness breaks replay; use hmr::Rng (common/rng.h)", true}},
+      {"srand",
+       {"libc randomness breaks replay; use hmr::Rng (common/rng.h)", true}},
+      {"getenv",
+       {"environment reads make runs host-dependent; plumb the setting "
+        "through Conf",
+        true}},
       {"system_clock",
        {"wall clock in sim-facing code; simulated time flows through "
         "sim::Engine::now()",

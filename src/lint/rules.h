@@ -28,7 +28,7 @@ struct Finding {
 // with a void-like return (`void close()`, `sim::Task<> append(...)`)
 // are ambiguous and dropped by finalize(), and the callers skip
 // `std::`-qualified calls entirely. The qualified_* sets — filled from
-// the CallGraph pre-pass (lint/callgraph.h), which knows each
+// the FunctionIndex pre-pass (lint/function_index.h), which knows each
 // declaration's namespace/class scope chain — recover precision at
 // qualified call sites (`Disk::close(...)`): a qualified match decides
 // the return kind even when the bare name was dropped as ambiguous.
@@ -78,12 +78,10 @@ struct FunctionRegistry {
 // FunctionRegistry::finalize() to drop ambiguous names.
 void collect_function_returns(const LexedFile& file, FunctionRegistry* reg);
 
-// Rule family 1: bans wall clocks, library RNG types, and unordered
-// containers in sim-facing code. Callers apply this only to src/ paths
-// (tools and tests run on the host and may use them). The call-time
-// bans (rand/srand/getenv) live in the reachability-based
-// transitive-determinism family (lint/callgraph.h), which fires only
-// when the call is reachable from a sim context.
+// Rule family 1: bans wall clocks, library RNG types and calls
+// (rand/srand), getenv calls, and unordered containers in sim-facing
+// code. Callers apply this only to src/ paths (tools and tests run on
+// the host and may use them).
 void check_determinism(const LexedFile& file, std::vector<Finding>* out);
 
 // Rule family 2: discarded Status/Result call results (including

@@ -57,7 +57,12 @@ Json BenchJson::to_json() const {
 }
 
 std::string BenchJson::write_file() const {
-  std::string path = file_name();
+  return write_bench_json(file_name(), to_json());
+}
+
+std::string write_bench_json(const std::string& file_name, const Json& doc) {
+  std::string path = file_name;
+  // lint:ignore(determinism): HMR_BENCH_DIR only picks where bench reports land; no simulated behavior reads it
   if (const char* dir = std::getenv("HMR_BENCH_DIR")) {
     if (dir[0] != '\0') path = std::string(dir) + "/" + path;
   }
@@ -66,10 +71,9 @@ std::string BenchJson::write_file() const {
     std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
     return "";
   }
-  const std::string body = to_json().dump() + "\n";
+  const std::string body = doc.dump() + "\n";
   const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  if (written != body.size()) {
+  if (std::fclose(f) != 0 || written != body.size()) {
     std::fprintf(stderr, "bench: short write to %s\n", path.c_str());
     return "";
   }

@@ -36,9 +36,7 @@ class BenchJson {
   Json to_json() const;
   std::string file_name() const { return "BENCH_" + figure_ + ".json"; }
 
-  // Writes file_name() under $HMR_BENCH_DIR (falling back to the working
-  // directory). Returns the path written, or "" on I/O failure — benches
-  // still print their tables either way.
+  // Same as write_bench_json(file_name(), to_json()).
   std::string write_file() const;
 
  private:
@@ -48,5 +46,10 @@ class BenchJson {
   int nodes_;
   Json runs_ = Json::array();
 };
+
+// Writes `doc` as one line of JSON to `file_name` under $HMR_BENCH_DIR
+// (falling back to the working directory). Returns the path written, or
+// "" on I/O failure — benches still print their tables either way.
+std::string write_bench_json(const std::string& file_name, const Json& doc);
 
 }  // namespace hmr::workloads

@@ -12,3 +12,12 @@ int deterministic(hmr::sim::Engine& engine, hmr::Rng& rng) {
   (void)now;
   return int(order.size());
 }
+
+// Member functions spelled like the banned libc calls are other
+// functions entirely; only the free calls are flagged.
+int members(Source& source, Env* env) {
+  source.srand(7);
+  const char* home = env->getenv("X");
+  (void)home;
+  return source.rand();
+}

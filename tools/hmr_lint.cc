@@ -1,19 +1,17 @@
 // hmr-lint CLI: walks src/, tools/, and tests/ and enforces every rule
-// family, including the call-graph-based ones (coroutine-borrow,
-// transitive-determinism). See docs/LINT.md.
+// family. See docs/LINT.md.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 //
 //   hmr_lint [--repo-root DIR] [--format text|json] [--out FILE]
-//            [--callgraph FILE] [--no-doc-check] [--list-metrics]
-//            [--list-config-keys] [DIR...]
+//            [--no-doc-check] [--list-metrics] [--list-config-keys]
+//            [DIR...]
 //
 // DIRs default to `src tools tests`, relative to --repo-root (default:
 // the current directory). --format json emits the machine-readable
-// hmr-lint-v1 report the CI lint job archives; --callgraph writes the
-// hmr-callgraph-v1 per-function call graph (also a CI artifact);
-// --list-metrics / --list-config-keys print the extracted registries
-// (the input for regenerating docs/METRICS.md).
+// hmr-lint-v1 report the CI lint job archives; --list-metrics /
+// --list-config-keys print the extracted registries (the input for
+// regenerating docs/METRICS.md).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -41,8 +39,8 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: hmr_lint [--repo-root DIR] [--format text|json] [--out FILE]\n"
-      "                [--callgraph FILE] [--no-doc-check] [--list-metrics]\n"
-      "                [--list-config-keys] [DIR...]\n");
+      "                [--no-doc-check] [--list-metrics] [--list-config-keys]\n"
+      "                [DIR...]\n");
   return 2;
 }
 
@@ -52,7 +50,6 @@ int main(int argc, char** argv) {
   std::string repo_root = ".";
   std::string format = "text";
   std::string out_path;
-  std::string callgraph_path;
   bool doc_check = true;
   bool list_metrics = false;
   bool list_config_keys = false;
@@ -78,10 +75,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage();
       out_path = v;
-    } else if (arg == "--callgraph") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      callgraph_path = v;
     } else if (arg == "--no-doc-check") {
       doc_check = false;
     } else if (arg == "--list-metrics") {
@@ -124,19 +117,6 @@ int main(int argc, char** argv) {
   }
   const Report report = hmr::lint::lint_files(files.value(), opts);
 
-  if (!callgraph_path.empty()) {
-    std::string body = report.callgraph.dump();
-    body.push_back('\n');
-    std::FILE* f = std::fopen(callgraph_path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "hmr_lint: cannot write %s\n",
-                   callgraph_path.c_str());
-      return 2;
-    }
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-  }
-
   if (list_config_keys) {
     for (const auto& k : report.config_keys) std::printf("%s\n", k.c_str());
     return 0;
@@ -173,8 +153,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "hmr_lint: cannot write %s\n", out_path.c_str());
       return 2;
     }
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
+    const size_t written = std::fwrite(body.data(), 1, body.size(), f);
+    // fclose flushes the buffered tail, so it can fail too.
+    if (std::fclose(f) != 0 || written != body.size()) {
+      std::fprintf(stderr, "hmr_lint: short write to %s\n", out_path.c_str());
+      return 2;
+    }
   }
   return report.clean() ? 0 : 1;
 }
