@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mapred/maptask.h"
+#include "sim/fault.h"
 #include "sim/trace.h"
 
 namespace hmr::mapred {
@@ -414,6 +415,27 @@ sim::Task<bool> JobRuntime::recover_fetch_timeout(Host& host, int map_id,
   }
   metric.fetch_retries.add();
   co_return relocated;
+}
+
+sim::Task<bool> JobRuntime::drop_or_stall_response(int host_id) {
+  sim::FaultPlan& faults = *spec.faults;
+  if (faults.tracker_dead(host_id, engine.now())) {
+    metric.fault_dropped_requests.add();
+    co_return true;
+  }
+  double stall_seconds = 0;
+  switch (faults.response_fate(host_id, &stall_seconds)) {
+    case sim::FaultPlan::ResponseFate::kDrop:
+      metric.fault_dropped_responses.add();
+      co_return true;
+    case sim::FaultPlan::ResponseFate::kStall:
+      metric.fault_stalled_responses.add();
+      co_await engine.delay(stall_seconds);
+      break;
+    case sim::FaultPlan::ResponseFate::kDeliver:
+      break;
+  }
+  co_return false;
 }
 
 }  // namespace hmr::mapred

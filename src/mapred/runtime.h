@@ -295,6 +295,13 @@ struct JobRuntime {
   sim::Task<bool> recover_fetch_timeout(Host& host, int map_id,
                                         int server_host, int attempt,
                                         Rng& rng);
+  // Injected faults (sim/fault.h) on one response the shuffle server on
+  // `host_id` is about to send: a dead tracker stops answering, a faulty
+  // one drops or stalls single responses, and copiers recover through
+  // timeout, retry and blacklist. Counts the fault, waits out a stall,
+  // and returns true when the response must be dropped. Call it only
+  // when spec.faults is set, so the fault-free path makes no frame.
+  sim::Task<bool> drop_or_stall_response(int host_id);
   // Charges `modeled_bytes` of CPU at the given per-core throughput on
   // `host` (holds one core).
   sim::Task<> charge_cpu(Host& host, std::uint64_t modeled_bytes, double bw);

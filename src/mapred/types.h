@@ -35,9 +35,6 @@ inline constexpr const char* kRdmaKvPerPacket = "mapred.rdma.kv.per.packet";
 inline constexpr const char* kResponderThreads =
     "mapred.rdma.responder.threads";
 inline constexpr const char* kOverlapReduce = "mapred.shuffle.overlap.reduce";
-// UCR large-message protocol: "read" (receiver RDMA-READs, default) or
-// "write" (receiver advertises, sender RDMA-WRITEs).
-inline constexpr const char* kRdmaRendezvous = "mapred.rdma.rendezvous";
 // Modeled-record inflation of the workload (see workloads::DataGenSpec);
 // engines divide real-world kv-count budgets by it. Defaults to the data
 // scale (records carried at their real-world size, TeraGen style).

@@ -5,7 +5,6 @@
 #include "common/crc32.h"
 #include "dataplane/merger.h"
 #include "mapred/integrity.h"
-#include "sim/fault.h"
 #include "sim/trace.h"
 
 namespace hmr::mapred {
@@ -142,30 +141,9 @@ sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
       continue;
     }
     const auto [map_id, reduce_id] = *decoded;
-    // Injected faults (sim/fault.h): a dead tracker's servlet stops
-    // answering; a faulty one drops or stalls individual responses.
-    // Copiers recover via timeout/retry/blacklist.
     if (job.spec.faults != nullptr) {
-      sim::FaultPlan& faults = *job.spec.faults;
-      if (faults.tracker_dead(host_id, job.engine.now())) {
-        job.metric.fault_dropped_requests.add();
-        continue;
-      }
-      double stall_seconds = 0;
-      bool drop = false;
-      switch (faults.response_fate(host_id, &stall_seconds)) {
-        case sim::FaultPlan::ResponseFate::kDrop:
-          job.metric.fault_dropped_responses.add();
-          drop = true;
-          break;
-        case sim::FaultPlan::ResponseFate::kStall:
-          job.metric.fault_stalled_responses.add();
-          co_await job.engine.delay(stall_seconds);
-          break;
-        case sim::FaultPlan::ResponseFate::kDeliver:
-          break;
-      }
-      if (drop) continue;
+      const bool dropped = co_await job.drop_or_stall_response(host_id);
+      if (dropped) continue;
     }
     auto it = tracker.map_outputs.find({job.job_id, map_id});
     HMR_CHECK_MSG(it != tracker.map_outputs.end(),
@@ -342,24 +320,13 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
             continue;
           }
           if (job.integrity.enabled) {
-            // End-to-end check against the spill-time checksum; a frame
-            // that rotted in flight is dropped like any malformed
-            // message and the timeout/retry path re-fetches it.
             ByteReader body = r;
             const auto rest = body.bytes(body.remaining());
             HMR_CHECK(rest.ok());
-            co_await charge_verify_cpu(job, state.host,
-                                       event->msg->modeled_bytes);
-            co_await job.engine.delay(0);
-            const std::uint32_t got_crc = crc32c(*rest);
-            if (auto* t = job.engine.tracer()) {
-              t->instant(state.host.name(), "crc",
-                         "verify_crc_m" + std::to_string(map_id));
-            }
-            if (got_crc != *body_crc) {
-              job.metric.malformed_msgs.add();
-              continue;
-            }
+            const bool intact = co_await verify_response_crc(
+                job, state.host, map_id, *rest, *body_crc,
+                event->msg->modeled_bytes);
+            if (!intact) continue;
           }
           conn->watch.armed_id = 0;
           response = std::move(event->msg);

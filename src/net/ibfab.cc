@@ -1,7 +1,5 @@
 #include "net/ibfab.h"
 
-#include <algorithm>
-
 namespace hmr::ibv {
 
 sim::Task<Completion> CompletionQueue::wait() {
@@ -50,11 +48,6 @@ const MemoryRegion* ProtectionDomain::find(std::uint32_t rkey) const {
   return it == regions_.end() ? nullptr : it->second.get();
 }
 
-MemoryRegion* ProtectionDomain::find_mutable(std::uint32_t rkey) {
-  auto it = regions_.find(rkey);
-  return it == regions_.end() ? nullptr : it->second.get();
-}
-
 QueuePair::QueuePair(Network& network, ProtectionDomain& pd,
                      CompletionQueue& send_cq, CompletionQueue& recv_cq)
     : network_(network),
@@ -98,22 +91,6 @@ Status QueuePair::post_recv(RecvWr wr) {
   recv_queue_.push_back(wr);
   recv_posted_.set();
   recv_posted_.reset();
-  return Status::Ok();
-}
-
-Status QueuePair::post_rdma_read(RdmaReadWr wr) {
-  if (state_ != QpState::kRts) {
-    return Status::FailedPrecondition("post_rdma_read on non-RTS QP");
-  }
-  network_.engine().spawn(complete_posted(rdma_read(wr), true));
-  return Status::Ok();
-}
-
-Status QueuePair::post_rdma_write(RdmaWriteWr wr) {
-  if (state_ != QpState::kRts) {
-    return Status::FailedPrecondition("post_rdma_write on non-RTS QP");
-  }
-  network_.engine().spawn(complete_posted(rdma_write(std::move(wr)), true));
   return Status::Ok();
 }
 
@@ -184,31 +161,6 @@ sim::Task<Completion> QueuePair::rdma_read(RdmaReadWr wr) {
   completion.byte_len = modeled;
   completion.message =
       Message::share(std::make_shared<const Bytes>(std::move(slice)), modeled);
-  co_return completion;
-}
-
-sim::Task<Completion> QueuePair::rdma_write(RdmaWriteWr wr) {
-  auto order = co_await sim::hold(send_lock_);
-  Completion completion;
-  completion.wr_id = wr.wr_id;
-  completion.opcode = Opcode::kRdmaWrite;
-  if (state_ != QpState::kRts) {
-    completion.status = WcStatus::kWrFlushError;
-    co_return completion;
-  }
-
-  MemoryRegion* region = peer_->pd_.find_mutable(wr.remote_rkey);
-  const std::uint64_t real_len = wr.message.real_size();
-  if (region == nullptr || real_len > region->real_size()) {
-    completion.status = WcStatus::kRemoteAccessError;
-    state_ = QpState::kError;
-    co_return completion;
-  }
-  co_await network_.transmit(local_host(), remote_host(),
-                             wr.message.modeled_bytes);
-  std::copy(wr.message.payload->begin(), wr.message.payload->end(),
-            region->spec().buffer->begin());
-  completion.byte_len = wr.message.modeled_bytes;
   co_return completion;
 }
 

@@ -3,21 +3,22 @@
 // Models the RC transport at the level the software above cares about:
 // protection domains, memory registration (pinning cost, rkey/lkey),
 // queue pairs with a state machine (RESET→INIT→RTR→RTS), posted
-// send/recv work requests, RDMA READ/WRITE one-sided ops, and
-// completion queues. Data moves over the Network model with the verbs
-// profile (OS bypass: no CPU cores consumed).
+// send/recv work requests, the one-sided RDMA READ, and completion
+// queues. Data moves over the Network model with the verbs profile (OS
+// bypass: no CPU cores consumed).
 //
-// Every send-side WR has two forms. The posted form (post_*) runs the
-// WR in its own task and reports it on the send CQ; a send posted with
+// A SEND has two forms. The posted form (post_send) runs the WR in its
+// own task and reports it on the send CQ; one posted with
 // `signaled = false` makes no CQ entry unless it fails, as
-// IBV_SEND_SIGNALED behaves on hardware. The awaited form runs the WR in
-// the caller's task and returns its completion directly, for callers
-// that would otherwise block on the CQ for that one entry.
+// IBV_SEND_SIGNALED behaves on hardware. The awaited form (send) runs
+// the WR in the caller's task and returns its completion directly, for
+// callers that would otherwise block on the CQ for that one entry. RDMA
+// READ has only the awaited form.
 //
 // Deliberate simplifications, documented per DESIGN.md §2: no SRQ, no
-// atomics, RNR handled by parking the sender until a recv is posted
-// (infinite rnr_retry), connection setup is an out-of-band exchange like
-// RDMA-CM would provide.
+// RDMA WRITE, no atomics, RNR handled by parking the sender until a recv
+// is posted (infinite rnr_retry), connection setup is an out-of-band
+// exchange like RDMA-CM would provide.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,7 @@ using net::Host;
 using net::Message;
 using net::Network;
 
-enum class Opcode { kSend, kRecv, kRdmaWrite, kRdmaRead };
+enum class Opcode { kSend, kRecv, kRdmaRead };
 // kWrFlushError: the WR reached a QP that is not in RTS (e.g. one an
 // earlier WR moved to the error state) and was flushed unexecuted.
 enum class WcStatus { kSuccess, kWrFlushError, kRemoteAccessError };
@@ -74,8 +75,8 @@ class CompletionQueue {
 };
 
 struct MemoryRegionSpec {
-  std::shared_ptr<Bytes> buffer;  // mutable: RDMA WRITE lands here
-  double scale = 1.0;             // modeled bytes = buffer->size() * scale
+  std::shared_ptr<const Bytes> buffer;
+  double scale = 1.0;  // modeled bytes = buffer->size() * scale
 };
 
 class MemoryRegion {
@@ -108,7 +109,6 @@ class ProtectionDomain {
   Status deregister(std::uint32_t rkey);
   // Remote lookup used by one-sided ops.
   const MemoryRegion* find(std::uint32_t rkey) const;
-  MemoryRegion* find_mutable(std::uint32_t rkey);
 
   Host& host() { return host_; }
   RegistrationCost& registration_cost() { return reg_cost_; }
@@ -137,11 +137,6 @@ struct RdmaReadWr {
   std::uint64_t real_offset = 0;
   std::uint64_t real_len = 0;
 };
-struct RdmaWriteWr {
-  std::uint64_t wr_id = 0;
-  std::uint32_t remote_rkey = 0;  // must exist and be large enough
-  Message message;
-};
 
 class QueuePair {
  public:
@@ -159,23 +154,20 @@ class QueuePair {
   // Two-sided. Sends park while the peer has no posted recv (RNR).
   Status post_send(SendWr wr);
   Status post_recv(RecvWr wr);
-  // One-sided; peer CPU and peer CQs are untouched.
-  Status post_rdma_read(RdmaReadWr wr);
-  Status post_rdma_write(RdmaWriteWr wr);
 
-  // Awaited forms of the send-side WRs: each runs in the caller's task,
-  // in posting order with every other WR on this QP, and completes with
-  // the WR's Completion instead of a send-CQ entry (SendWr::signaled is
-  // ignored). A WR that reaches a non-RTS QP completes kWrFlushError.
+  // Awaited send-side WRs: each runs in the caller's task, in posting
+  // order with every other WR on this QP, and completes with the WR's
+  // Completion instead of a send-CQ entry (SendWr::signaled is ignored).
+  // A WR that reaches a non-RTS QP completes kWrFlushError.
   sim::Task<Completion> send(SendWr wr);
+  // One-sided; peer CPU and peer CQs are untouched.
   sim::Task<Completion> rdma_read(RdmaReadWr wr);
-  sim::Task<Completion> rdma_write(RdmaWriteWr wr);
 
   Host& local_host();
   Host& remote_host();
 
  private:
-  // Body of the post_* forms: awaits `wr` and reports it on the send CQ.
+  // Body of post_send: awaits `wr` and reports it on the send CQ.
   sim::Task<> complete_posted(sim::Task<Completion> wr, bool signaled);
 
   Network& network_;

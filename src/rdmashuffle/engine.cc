@@ -6,7 +6,6 @@
 #include "dataplane/merger.h"
 #include "mapred/integrity.h"
 #include "mapred/recovery.h"
-#include "sim/fault.h"
 #include "sim/trace.h"
 
 namespace hmr::rdmashuffle {
@@ -43,9 +42,6 @@ RdmaShuffleOptions RdmaShuffleOptions::osu_ib(const Conf& conf) {
   opt.overlap_reduce = conf.get_bool(mapred::kOverlapReduce, true);
   opt.responder_deadline = conf.get_double(mapred::kResponderDeadlineSec,
                                            opt.responder_deadline);
-  if (conf.get_string(mapred::kRdmaRendezvous, "read") == "write") {
-    opt.ucr.rendezvous = ucr::RendezvousMode::kWrite;
-  }
   return opt;
 }
 
@@ -156,27 +152,9 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
                                        TrackerService& service, int host_id,
                                        PendingRequest pending) {
   const DataRequest& req = pending.request;
-  // Injected faults (sim/fault.h): a dead tracker's shuffle service stops
-  // answering entirely; a faulty one drops or stalls individual
-  // responses. Copiers recover via timeout/retry/blacklist.
   if (job.spec.faults != nullptr) {
-    sim::FaultPlan& faults = *job.spec.faults;
-    if (faults.tracker_dead(host_id, job.engine.now())) {
-      job.metric.fault_dropped_requests.add();
-      co_return;
-    }
-    double stall_seconds = 0;
-    switch (faults.response_fate(host_id, &stall_seconds)) {
-      case sim::FaultPlan::ResponseFate::kDrop:
-        job.metric.fault_dropped_responses.add();
-        co_return;
-      case sim::FaultPlan::ResponseFate::kStall:
-        job.metric.fault_stalled_responses.add();
-        co_await job.engine.delay(stall_seconds);
-        break;
-      case sim::FaultPlan::ResponseFate::kDeliver:
-        break;
-    }
+    const bool dropped = co_await job.drop_or_stall_response(host_id);
+    if (dropped) co_return;
   }
   TaskTrackerState& tracker = job.tracker_for_host(host_id);
   auto it = tracker.map_outputs.find({int(req.job_id), int(req.map_id)});
@@ -454,27 +432,14 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
         }
         if (header->cursor_real == req.cursor_real) {
           if (job.integrity.enabled && header->chunk_real_bytes > 0) {
-            // End-to-end check: recompute the chunk CRC over the
-            // received body and drop the frame on mismatch (the
-            // timeout/retry path re-fetches it, like any malformed
-            // message).
             ByteReader body = r;
             const auto records = body.bytes(header->chunk_real_bytes);
             HMR_CHECK(records.ok());
-            co_await mapred::charge_verify_cpu(
-                job, host,
+            const bool intact = co_await mapred::verify_response_crc(
+                job, host, int(req.map_id), *records, header->chunk_crc,
                 static_cast<std::uint64_t>(
                     double(header->chunk_real_bytes) * job.data_scale));
-            co_await job.engine.delay(0);
-            const std::uint32_t got_crc = crc32c(*records);
-            if (auto* t = job.engine.tracer()) {
-              t->instant(host.name(), "crc",
-                         "verify_crc_m" + std::to_string(req.map_id));
-            }
-            if (got_crc != header->chunk_crc) {
-              job.metric.malformed_msgs.add();
-              continue;
-            }
+            if (!intact) continue;
           }
           stream->watch.armed_id = 0;
           co_return std::move(event->msg);

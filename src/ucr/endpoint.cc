@@ -1,5 +1,7 @@
 #include "ucr/endpoint.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
 
 namespace hmr::ucr {
@@ -10,10 +12,8 @@ namespace {
 enum Kind : std::uint64_t {
   kEager = 1,
   kRts = 2,
-  kFin = 3,       // read-mode: receiver -> sender, transfer complete
+  kFin = 3,  // receiver -> sender: the RDMA READ is done
   kClose = 4,
-  kRtr = 5,       // write-mode: receiver -> sender, buffer ready (rkey)
-  kWriteFin = 6,  // write-mode: sender -> receiver, payload landed
 };
 
 constexpr std::uint64_t kAppTagMask = (1ull << 56) - 1;
@@ -32,11 +32,10 @@ constexpr std::uint64_t kCloseWireBytes = 16;
 struct RtsHeader {
   std::uint64_t seq = 0;
   std::uint64_t app_tag = 0;
-  std::uint32_t rkey = 0;  // read mode: sender's pinned buffer; 0 in write mode
-  std::uint64_t real_len = 0;
+  std::uint32_t rkey = 0;      // sender's pinned buffer
+  std::uint64_t real_len = 0;  // payload bytes; 0 for a null or empty one
   std::uint64_t modeled_len = 0;
   bool has_payload = true;
-  bool write_mode = false;
 
   Bytes encode() const {
     ByteWriter w;
@@ -46,7 +45,6 @@ struct RtsHeader {
     w.put_u64(real_len);
     w.put_u64(modeled_len);
     w.put_u8(has_payload ? 1 : 0);
-    w.put_u8(write_mode ? 1 : 0);
     return w.take();
   }
   static RtsHeader decode(const Bytes& data) {
@@ -57,9 +55,8 @@ struct RtsHeader {
     const auto real_len = r.u64();
     const auto modeled_len = r.u64();
     const auto has_payload = r.u8();
-    const auto write_mode = r.u8();
     HMR_CHECK_MSG(seq.ok() && app_tag.ok() && rkey.ok() && real_len.ok() &&
-                      modeled_len.ok() && has_payload.ok() && write_mode.ok(),
+                      modeled_len.ok() && has_payload.ok(),
                   "truncated RTS header");
     RtsHeader h;
     h.seq = seq.value();
@@ -68,25 +65,9 @@ struct RtsHeader {
     h.real_len = real_len.value();
     h.modeled_len = modeled_len.value();
     h.has_payload = has_payload.value() != 0;
-    h.write_mode = write_mode.value() != 0;
     return h;
   }
 };
-
-// RTR / WriteFin control bodies: {seq, rkey}.
-Bytes encode_seq_rkey(std::uint64_t seq, std::uint32_t rkey) {
-  ByteWriter w;
-  w.put_u64(seq);
-  w.put_u32(rkey);
-  return w.take();
-}
-std::pair<std::uint64_t, std::uint32_t> decode_seq_rkey(const Bytes& data) {
-  ByteReader r(data);
-  const auto seq = r.u64();
-  const auto rkey = r.u32();
-  HMR_CHECK_MSG(seq.ok() && rkey.ok(), "truncated seq/rkey control body");
-  return {seq.value(), rkey.value()};
-}
 
 }  // namespace
 
@@ -145,26 +126,6 @@ sim::Task<> Endpoint::recv_loop() {
       case kRts:
         co_await handle_rts(wc->message);
         break;
-      case kRtr:
-        co_await handle_rtr(wc->message);
-        break;
-      case kWriteFin: {
-        // Write-mode completion: the sender's RDMA WRITE has landed in the
-        // buffer we advertised; deliver it.
-        const auto [seq, rkey] = decode_seq_rkey(*wc->message.payload);
-        auto it = advertised_.find(seq);
-        HMR_CHECK_MSG(it != advertised_.end(), "WriteFin for unknown seq");
-        const auto* mr = pd_.find(rkey);
-        HMR_CHECK(mr != nullptr);
-        Message app;
-        app.tag = it->second.app_tag;
-        app.modeled_bytes = it->second.modeled;
-        if (it->second.has_payload) app.payload = mr->spec().buffer;
-        advertised_.erase(it);
-        co_await inbox_.send(std::move(app));
-        HMR_CHECK(pd_.deregister(rkey).ok());
-        break;
-      }
       case kFin: {
         auto it = awaiting_fin_.find(tag_value(wc->message.tag));
         HMR_CHECK_MSG(it != awaiting_fin_.end(), "FIN for unknown rendezvous");
@@ -173,7 +134,7 @@ sim::Task<> Endpoint::recv_loop() {
         break;
       }
       case kClose:
-        // The peer has closed. This loop exits, so any FIN/RTR still in
+        // The peer has closed. This loop exits, so any FIN still in
         // flight toward us lands in a dead CQ — flush the senders parked
         // on them now, and refuse rendezvous from here on (send()
         // checks peer_closed_). A FIN the peer posted before its CLOSE
@@ -193,36 +154,20 @@ void Endpoint::flush_pending_sends() {
     fin->done.set();
   }
   awaiting_fin_.clear();
-  awaiting_rtr_.clear();
 }
 
 sim::Task<> Endpoint::handle_rts(const Message& ctrl) {
   HMR_CHECK(ctrl.payload != nullptr);
   const RtsHeader header = RtsHeader::decode(*ctrl.payload);
 
-  if (header.write_mode) {
-    // Put-based rendezvous: pin a receive buffer and tell the sender
-    // where to write.
-    auto buffer = std::make_shared<Bytes>(header.real_len);
-    const double scale =
-        double(header.modeled_len) / double(std::max<std::uint64_t>(
-                                         1, header.real_len));
-    ibv::MemoryRegionSpec spec{buffer, scale};
-    auto* mr = co_await pd_.register_memory(std::move(spec));
-    advertised_[header.seq] = PostedRecvBuffer{
-        mr->rkey(), header.app_tag, header.modeled_len, header.has_payload};
-    auto body = std::make_shared<const Bytes>(
-        encode_seq_rkey(header.seq, mr->rkey()));
-    post_control(Message::share(std::move(body), kFinWireBytes,
-                                pack_tag(kRtr, 0)));
-    co_return;
-  }
-
-  // Named local: GCC 12 miscompiles aggregates built inside a co_await
-  // operand (hmr-lint rule coawait-aggregate).
-  const ibv::RdmaReadWr read{.remote_rkey = header.rkey,
-                             .real_offset = 0,
-                             .real_len = header.real_len};
+  // send() pins a payload without bytes as a one-byte stand-in; reading
+  // that byte carries the modeled size. Named local: GCC 12 miscompiles
+  // aggregates built inside a co_await operand (hmr-lint rule
+  // coawait-aggregate).
+  const ibv::RdmaReadWr read{
+      .remote_rkey = header.rkey,
+      .real_offset = 0,
+      .real_len = std::max<std::uint64_t>(header.real_len, 1)};
   auto wc = co_await qp_->rdma_read(read);
   HMR_CHECK_MSG(wc.status == ibv::WcStatus::kSuccess,
                 "rendezvous RDMA read failed");
@@ -230,34 +175,12 @@ sim::Task<> Endpoint::handle_rts(const Message& ctrl) {
   Message app;
   app.tag = header.app_tag;
   app.modeled_bytes = header.modeled_len;
-  if (header.has_payload) app.payload = wc.message.payload;
+  if (header.has_payload) {
+    app.payload = header.real_len > 0 ? std::move(wc.message.payload)
+                                      : std::make_shared<const Bytes>();
+  }
   co_await inbox_.send(std::move(app));
   post_control(Message::control(pack_tag(kFin, header.seq), kFinWireBytes));
-}
-
-sim::Task<> Endpoint::handle_rtr(const Message& ctrl) {
-  const auto [seq, rkey] = decode_seq_rkey(*ctrl.payload);
-  auto it = awaiting_rtr_.find(seq);
-  HMR_CHECK_MSG(it != awaiting_rtr_.end(), "RTR for unknown rendezvous");
-  PendingPut put = std::move(it->second);
-  awaiting_rtr_.erase(it);
-
-  ibv::RdmaWriteWr write{
-      .remote_rkey = rkey,
-      .message = Message::share(std::shared_ptr<const Bytes>(put.buffer),
-                                put.modeled, 0)};
-  auto wc = co_await qp_->rdma_write(std::move(write));
-  HMR_CHECK_MSG(wc.status == ibv::WcStatus::kSuccess,
-                "rendezvous RDMA write failed");
-  auto body = std::make_shared<const Bytes>(encode_seq_rkey(seq, rkey));
-  post_control(Message::share(std::move(body), kFinWireBytes,
-                              pack_tag(kWriteFin, 0)));
-
-  // Unblock the local send().
-  auto fin_it = awaiting_fin_.find(seq);
-  HMR_CHECK(fin_it != awaiting_fin_.end());
-  fin_it->second->done.set();
-  awaiting_fin_.erase(fin_it);
 }
 
 sim::Task<> Endpoint::send(Message msg) {
@@ -282,50 +205,25 @@ sim::Task<> Endpoint::send(Message msg) {
     co_return;
   }
 
+  // Rendezvous: pin the payload in place, advertise it in an RTS, and
+  // wait for the peer to RDMA-read it and FIN. A null or empty payload
+  // pins a one-byte stand-in instead, so the region still has a real
+  // length to scale the modeled size from.
   ++rendezvous_sends_;
   RtsHeader header;
   header.seq = next_rzv_seq_++;
   header.app_tag = msg.tag;
+  header.real_len = msg.real_size();
+  header.modeled_len = msg.modeled_bytes;
   header.has_payload = msg.payload != nullptr;
-  auto buffer = msg.payload
-                    ? std::make_shared<Bytes>(*msg.payload)
-                    : std::make_shared<Bytes>(1);
-
-  if (params_.rendezvous == RendezvousMode::kWrite) {
-    // Put-based: advertise the transfer, park the payload until the RTR
-    // brings the receiver's rkey, then handle_rtr RDMA-writes it.
-    header.write_mode = true;
-    header.real_len = buffer->size();
-    header.modeled_len = msg.modeled_bytes;
-    awaiting_rtr_[header.seq] = PendingPut{buffer, msg.modeled_bytes};
-    auto fin = std::make_shared<PendingFin>(network_.engine());
-    awaiting_fin_.emplace(header.seq, fin);
-    ibv::SendWr rts{.message = Message::share(
-                        std::make_shared<const Bytes>(header.encode()),
-                        kRtsWireBytes, pack_tag(kRts, 0))};
-    (void)co_await qp_->send(std::move(rts));
-    if (peer_closed_ && !fin->aborted) {
-      // The peer's CLOSE raced ahead of this RTS (flush_pending_sends
-      // ran before the FIN was registered); flush this transfer by hand.
-      fin->aborted = true;
-      fin->done.set();
-      awaiting_fin_.erase(header.seq);
-      awaiting_rtr_.erase(header.seq);
-    }
-    co_await fin->done.wait();
-    co_return;
-  }
-
-  // Get-based (default): pin the payload, advertise it, wait for the
-  // peer to RDMA-read it and FIN.
+  auto buffer = header.real_len > 0 ? std::move(msg.payload)
+                                    : std::make_shared<const Bytes>(1);
   const double scale = double(msg.modeled_bytes) / double(buffer->size());
   // Named local: GCC 12 miscompiles aggregate construction inside
   // co_await operands (see net/socket.cc connect()).
-  ibv::MemoryRegionSpec mr_spec{buffer, scale};
+  ibv::MemoryRegionSpec mr_spec{std::move(buffer), scale};
   auto* mr = co_await pd_.register_memory(std::move(mr_spec));
   header.rkey = mr->rkey();
-  header.real_len = buffer->size();
-  header.modeled_len = msg.modeled_bytes;
 
   auto fin = std::make_shared<PendingFin>(network_.engine());
   awaiting_fin_.emplace(header.seq, fin);
@@ -335,8 +233,8 @@ sim::Task<> Endpoint::send(Message msg) {
                       kRtsWireBytes, pack_tag(kRts, 0))};
   (void)co_await qp_->send(std::move(rts));
   if (peer_closed_ && !fin->aborted) {
-    // The peer's CLOSE raced ahead of this RTS; flush by hand (see the
-    // write-mode branch above).
+    // The peer's CLOSE raced ahead of this RTS (flush_pending_sends ran
+    // before the FIN was registered); flush this transfer by hand.
     fin->aborted = true;
     fin->done.set();
     awaiting_fin_.erase(header.seq);

@@ -3,8 +3,8 @@
 // layer:
 //
 //  * eager protocol for small messages (bounce-buffer copy + SEND/RECV),
-//  * rendezvous for large ones (sender registers, sends RTS; receiver
-//    RDMA-reads the payload zero-copy, then FINs),
+//  * rendezvous for large ones (sender registers the payload in place
+//    and sends RTS; receiver RDMA-reads it zero-copy, then FINs),
 //  * credit-based flow control (bounded outstanding sends),
 //  * in-order delivery per endpoint,
 //  * connection establishment through a Listener (RDMA-CM equivalent).
@@ -30,17 +30,11 @@ using net::Host;
 using net::Message;
 using net::Network;
 
-// Large-message protocol: the receiver pulls with RDMA READ (default,
-// MVAPICH-style), or the receiver advertises a buffer and the sender
-// pushes with RDMA WRITE (RTR/put-based rendezvous).
-enum class RendezvousMode { kRead, kWrite };
-
 struct UcrParams {
   std::uint64_t eager_threshold = 16 * 1024;  // modeled bytes
   std::int64_t send_window = 16;              // outstanding sends
   double copy_bw = 6.0e9;     // bounce-buffer memcpy bytes/sec
   double setup_time = 120e-6; // QP allocation + transition on connect
-  RendezvousMode rendezvous = RendezvousMode::kRead;
 };
 
 class Listener;
@@ -81,15 +75,14 @@ class Endpoint {
   static void establish(Endpoint& a, Endpoint& b);
   void start_daemons();
 
-  // Fire-and-forget control message (FIN, CLOSE, RTR, WriteFIN), posted
-  // unsignaled: nothing waits on its completion.
+  // Fire-and-forget control message (FIN, CLOSE), posted unsignaled:
+  // nothing waits on its completion.
   void post_control(Message ctrl);
   sim::Task<> recv_loop();
   sim::Task<> handle_rts(const Message& ctrl);
-  sim::Task<> handle_rtr(const Message& ctrl);
   // Connection teardown: completes every send parked on a rendezvous
-  // FIN/RTR that the departed peer will never deliver (the verbs
-  // analogue of an error-state QP flushing its outstanding WRs).
+  // FIN that the departed peer will never deliver (the verbs analogue
+  // of an error-state QP flushing its outstanding WRs).
   void flush_pending_sends();
 
   Network& network_;
@@ -113,21 +106,6 @@ class Endpoint {
     bool aborted = false;
   };
   std::map<std::uint64_t, std::shared_ptr<PendingFin>> awaiting_fin_;
-  // Write-mode rendezvous: sender-side payloads parked until the RTR
-  // arrives with the receiver's buffer rkey.
-  struct PendingPut {
-    std::shared_ptr<Bytes> buffer;
-    std::uint64_t modeled = 0;
-  };
-  std::map<std::uint64_t, PendingPut> awaiting_rtr_;
-  // Receiver-side advertised buffers awaiting the sender's write.
-  struct PostedRecvBuffer {
-    std::uint32_t rkey = 0;
-    std::uint64_t app_tag = 0;
-    std::uint64_t modeled = 0;
-    bool has_payload = true;
-  };
-  std::map<std::uint64_t, PostedRecvBuffer> advertised_;
   std::uint64_t next_rzv_seq_ = 1;
   bool closed_ = false;
   // The peer's CLOSE arrived: its recv loop is gone, so no RTS posted

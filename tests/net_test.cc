@@ -303,7 +303,13 @@ TEST(VerbsTest, PostSendRequiresRts) {
   ibv::CompletionQueue scq(engine), rcq(engine);
   ibv::QueuePair qp(network, pd, scq, rcq);
   EXPECT_FALSE(qp.post_send({1, Message::control(0, 8)}).ok());
-  EXPECT_FALSE(qp.post_rdma_read({1, 5, 0, 8}).ok());
+  ibv::Completion read;
+  engine.spawn([](ibv::QueuePair& qp, ibv::Completion& out) -> Task<> {
+    const ibv::RdmaReadWr wr{.wr_id = 1, .remote_rkey = 5, .real_len = 8};
+    out = co_await qp.rdma_read(wr);
+  }(qp, read));
+  engine.run();
+  EXPECT_EQ(read.status, ibv::WcStatus::kWrFlushError);
 }
 
 TEST(VerbsTest, SendRecvCompletesBothSides) {
@@ -392,11 +398,10 @@ TEST(VerbsTest, RdmaReadFetchesRemoteBytes) {
     auto buffer = std::make_shared<Bytes>(Bytes{10, 20, 30, 40, 50});
     ibv::MemoryRegionSpec spec{buffer, 1.0};
     auto* mr = co_await w.pd1.register_memory(std::move(spec));
-    EXPECT_TRUE(w.qp0.post_rdma_read(
-                      {.wr_id = 9, .remote_rkey = mr->rkey(),
-                       .real_offset = 1, .real_len = 3})
-                    .ok());
-    auto wc = co_await w.scq0.wait();
+    const ibv::RdmaReadWr read{.wr_id = 9, .remote_rkey = mr->rkey(),
+                               .real_offset = 1, .real_len = 3};
+    const auto wc = co_await w.qp0.rdma_read(read);
+    EXPECT_EQ(wc.wr_id, 9u);
     EXPECT_EQ(wc.opcode, ibv::Opcode::kRdmaRead);
     EXPECT_EQ(wc.status, ibv::WcStatus::kSuccess);
     EXPECT_EQ(*wc.message.payload, (Bytes{20, 30, 40}));
@@ -406,60 +411,18 @@ TEST(VerbsTest, RdmaReadFetchesRemoteBytes) {
   EXPECT_TRUE(verified);
 }
 
-TEST(VerbsTest, RdmaReadBadRkeyErrorsQp) {
-  VerbsWorld w;
-  w.engine.spawn([](VerbsWorld& w) -> Task<> {
-    EXPECT_TRUE(w.qp0.post_rdma_read(
-                      {.wr_id = 1, .remote_rkey = 9999, .real_offset = 0,
-                       .real_len = 4})
-                    .ok());
-    auto wc = co_await w.scq0.wait();
-    EXPECT_EQ(wc.wr_id, 1u);
-    EXPECT_EQ(wc.opcode, ibv::Opcode::kRdmaRead);
-    EXPECT_EQ(wc.status, ibv::WcStatus::kRemoteAccessError);
-    EXPECT_EQ(w.qp0.state(), ibv::QpState::kError);
-    // Subsequent posts fail fast; awaited WRs are flushed.
-    EXPECT_FALSE(w.qp0.post_send({2, Message::control(0, 1)}).ok());
-    ibv::SendWr send{.wr_id = 3, .message = Message::control(0, 1)};
-    const auto flushed = co_await w.qp0.send(std::move(send));
-    EXPECT_EQ(flushed.status, ibv::WcStatus::kWrFlushError);
-  }(w));
-  w.engine.run();
-  EXPECT_EQ(w.network->messages_sent(), 0u);
-}
-
 TEST(VerbsTest, RdmaReadOutOfBoundsFails) {
   VerbsWorld w;
   w.engine.spawn([](VerbsWorld& w) -> Task<> {
     auto buffer = std::make_shared<Bytes>(16);
     ibv::MemoryRegionSpec spec{buffer, 1.0};
     auto* mr = co_await w.pd1.register_memory(std::move(spec));
-    EXPECT_TRUE(w.qp0.post_rdma_read(
-                      {.wr_id = 1, .remote_rkey = mr->rkey(),
-                       .real_offset = 10, .real_len = 10})
-                    .ok());
-    auto wc = co_await w.scq0.wait();
+    const ibv::RdmaReadWr read{.wr_id = 1, .remote_rkey = mr->rkey(),
+                               .real_offset = 10, .real_len = 10};
+    const auto wc = co_await w.qp0.rdma_read(read);
     EXPECT_EQ(wc.status, ibv::WcStatus::kRemoteAccessError);
   }(w));
   w.engine.run();
-}
-
-TEST(VerbsTest, RdmaWriteLandsInRemoteBuffer) {
-  VerbsWorld w;
-  auto target = std::make_shared<Bytes>(4, 0);
-  w.engine.spawn([](VerbsWorld& w, std::shared_ptr<Bytes> target) -> Task<> {
-    ibv::MemoryRegionSpec spec{target, 1.0};
-    auto* mr = co_await w.pd1.register_memory(std::move(spec));
-    EXPECT_TRUE(w.qp0.post_rdma_write(
-                      {.wr_id = 3, .remote_rkey = mr->rkey(),
-                       .message = Message::data(Bytes{7, 8, 9, 10})})
-                    .ok());
-    auto wc = co_await w.scq0.wait();
-    EXPECT_EQ(wc.opcode, ibv::Opcode::kRdmaWrite);
-    EXPECT_EQ(wc.status, ibv::WcStatus::kSuccess);
-  }(w, target));
-  w.engine.run();
-  EXPECT_EQ(*target, (Bytes{7, 8, 9, 10}));
 }
 
 TEST(VerbsTest, DeregisterInvalidatesRkey) {
@@ -526,13 +489,11 @@ TEST(NetworkTest, IncastCollapsesSocketFanIn) {
 TEST(VerbsTest, ErroredQpRejectsAllOps) {
   VerbsWorld w;
   w.engine.spawn([](VerbsWorld& w) -> Task<> {
-    EXPECT_TRUE(w.qp0.post_rdma_read({.wr_id = 1, .remote_rkey = 424242,
-                                      .real_offset = 0, .real_len = 1})
-                    .ok());
-    (void)co_await w.scq0.wait();  // RemoteAccessError -> QP error state
+    const ibv::RdmaReadWr bad{.wr_id = 1, .remote_rkey = 424242,
+                              .real_len = 1};
+    (void)co_await w.qp0.rdma_read(bad);  // RemoteAccessError -> error state
     EXPECT_EQ(w.qp0.state(), ibv::QpState::kError);
     EXPECT_FALSE(w.qp0.post_send({2, Message::control(0, 1)}).ok());
-    EXPECT_FALSE(w.qp0.post_rdma_write({3, 1, Message::control(0, 1)}).ok());
     EXPECT_FALSE(w.qp0.post_recv({4}).ok());
   }(w));
   w.engine.run();
@@ -600,7 +561,6 @@ TEST(VerbsTest, AwaitedRdmaReadBadRkeyErrorsQp) {
     // Later ops are rejected: posted forms fail fast, awaited forms are
     // flushed without touching the wire.
     EXPECT_FALSE(w.qp0.post_send({2, Message::control(0, 1)}).ok());
-    EXPECT_FALSE(w.qp0.post_rdma_read(bad).ok());
     ibv::SendWr send{.wr_id = 3, .message = Message::control(0, 1)};
     const auto flushed = co_await w.qp0.send(std::move(send));
     EXPECT_EQ(flushed.status, ibv::WcStatus::kWrFlushError);
@@ -612,23 +572,6 @@ TEST(VerbsTest, AwaitedRdmaReadBadRkeyErrorsQp) {
   EXPECT_TRUE(checked);
   EXPECT_EQ(w.network->messages_sent(), 0u);
   EXPECT_FALSE(w.scq0.poll().has_value());  // awaited: no CQ entries
-}
-
-TEST(VerbsTest, RdmaWriteLargerThanRegionFails) {
-  VerbsWorld w;
-  w.engine.spawn([](VerbsWorld& w) -> Task<> {
-    auto target = std::make_shared<Bytes>(4);
-    ibv::MemoryRegionSpec spec{target, 1.0};
-    auto* mr = co_await w.pd1.register_memory(std::move(spec));
-    Bytes too_big(8, 1);
-    EXPECT_TRUE(w.qp0.post_rdma_write(
-                      {.wr_id = 1, .remote_rkey = mr->rkey(),
-                       .message = Message::data(std::move(too_big))})
-                    .ok());
-    auto wc = co_await w.scq0.wait();
-    EXPECT_EQ(wc.status, ibv::WcStatus::kRemoteAccessError);
-  }(w));
-  w.engine.run();
 }
 
 }  // namespace

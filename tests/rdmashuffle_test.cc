@@ -314,22 +314,6 @@ TEST(RdmaEngineTest, CacheHitsDominateWhenCacheFits) {
 namespace hmr::rdmashuffle {
 namespace {
 
-TEST(RdmaEngineTest, WriteRendezvousModeValidates) {
-  auto config = tiny(workloads::EngineSetup::osu_ib());
-  config.setup.extra.set(mapred::kRdmaRendezvous, "write");
-  const auto outcome = workloads::run_experiment(config);
-  EXPECT_TRUE(outcome.validated);
-}
-
-TEST(OptionsTest, RendezvousModeFromConf) {
-  Conf conf;
-  conf.set(mapred::kRdmaRendezvous, "write");
-  EXPECT_EQ(RdmaShuffleOptions::osu_ib(conf).ucr.rendezvous,
-            ucr::RendezvousMode::kWrite);
-  EXPECT_EQ(RdmaShuffleOptions::osu_ib(Conf{}).ucr.rendezvous,
-            ucr::RendezvousMode::kRead);
-}
-
 TEST(OptionsTest, ResponderDeadlineFromConf) {
   EXPECT_GT(RdmaShuffleOptions::osu_ib(Conf{}).responder_deadline, 0.0);
   Conf conf;
