@@ -1,12 +1,12 @@
 // bench/speculation: job-latency percentiles vs slow-node fraction with
 // speculative execution on and off, for all three shuffle engines. Each
 // cell runs a seeded set of TeraSort trials on a 10-DataNode testbed
-// where `fraction` of the hosts get a permanent 4x CPU degrade
-// (sim.fault.cpu.* conf keys, armed at t=1s) and reports p50/p95/p99
-// job latency across the trials; the "seconds" column bench_check diffs
-// is the p95. With LATE speculation on, backups of the degraded hosts'
-// tasks land on healthy nodes and the tail collapses — the p99 row at
-// the 10% fraction is the ISSUE-10 acceptance series. Its
+// where `fraction` of the hosts get a permanent 4x CPU degrade (one
+// FaultPlan::degrade_cpu entry per host, armed at t=1s) and reports
+// p50/p95/p99 job latency across the trials; the "seconds" column
+// bench_check diffs is the p95. With LATE speculation on, backups of the
+// degraded hosts' tasks land on healthy nodes and the tail collapses —
+// the p99 row at the 10% fraction is the headline series. Its
 // BENCH_speculation.json is diffed against
 // bench/baselines/BENCH_speculation.json in the CI bench-speculation
 // job; regenerate the baseline with
@@ -46,18 +46,10 @@ Percentiles percentiles(std::vector<double> samples) {
   return Percentiles{at(0.50), at(0.95), at(0.99)};
 }
 
-// Comma-joined host ids 1..slow_nodes (datanodes are hosts 1..kNodes).
-std::string slow_host_list(int slow_nodes) {
-  std::string hosts;
-  for (int h = 1; h <= slow_nodes; ++h) {
-    if (!hosts.empty()) hosts += ",";
-    hosts += std::to_string(h);
-  }
-  return hosts;
-}
-
+// `plan` receives the cell's CPU faults and must outlive the run.
 RunConfig config_for(const EngineSetup& engine, double fraction,
-                     bool speculative, std::uint64_t seed) {
+                     bool speculative, std::uint64_t seed,
+                     sim::FaultPlan& plan) {
   RunConfig config;
   config.setup = engine;
   config.workload = "terasort";
@@ -69,12 +61,13 @@ RunConfig config_for(const EngineSetup& engine, double fraction,
 
   const int slow_nodes = int(fraction * kNodes + 0.5);
   if (slow_nodes > 0) {
-    // Conf-driven compute faults: the listed hosts run all compute at
-    // quarter speed from t=1s for the rest of the job (no restore), the
-    // canonical "one bad node doubles the tail" straggler shape.
-    config.setup.extra.set(sim::kCpuFaultHosts, slow_host_list(slow_nodes));
-    config.setup.extra.set_double(sim::kCpuFaultAtSec, 1.0);
-    config.setup.extra.set_double(sim::kCpuFaultFactor, 0.25);
+    // Datanodes 1..slow_nodes run all compute at quarter speed from t=1s
+    // for the rest of the job (no restore), the canonical "one bad node
+    // doubles the tail" straggler shape.
+    for (int host = 1; host <= slow_nodes; ++host) {
+      plan.degrade_cpu(host, 1.0, 0.25);
+    }
+    config.faults = &plan;
   }
   config.setup.extra.set_bool(mapred::kSpeculativeExecution, speculative);
   config.setup.extra.set_bool(mapred::kReduceSpeculativeExecution,
@@ -141,8 +134,9 @@ int main() {
         bool validated = true;
         std::uint64_t attempts = 0, wins = 0;
         for (int trial = 0; trial < kTrials; ++trial) {
+          sim::FaultPlan plan;
           const auto outcome = run_experiment(config_for(
-              engine, fraction, speculative, std::uint64_t(trial) + 1));
+              engine, fraction, speculative, std::uint64_t(trial) + 1, plan));
           samples.push_back(outcome.seconds());
           validated = validated && outcome.validated;
           attempts +=

@@ -7,7 +7,7 @@
 // run.
 //
 // See DESIGN.md §6.2 for the fault model and recovery ladders, and
-// docs/CONFIG.md "Disk fault injection" for the conf keys used here.
+// docs/CONFIG.md for the recovery conf keys used here.
 //
 //   ./examples/disk_recovery [sort_gb]
 #include <cstdio>
@@ -52,18 +52,22 @@ int main(int argc, char** argv) {
               100.0 * (clean.seconds() / raw.seconds() - 1.0));
 
   // Now break the disks on hosts 1 and 2 (of 4): every fault class at
-  // once, via the flat conf keys a harness would use.
+  // once.
+  sim::DiskFault disk;
+  disk.io_error_prob = 0.05;
+  disk.read_corrupt_prob = 0.03;
+  disk.write_corrupt_prob = 0.05;
+  disk.cache_corrupt_prob = 0.1;
+  disk.full_at = 10.0;
+  disk.full_duration = 5.0;
+  disk.slow_at = 20.0;
+  disk.slow_factor = 0.5;
+  sim::FaultPlan plan;
+  plan.disk_fault(1, disk);
+  plan.disk_fault(2, disk);
   RunConfig faulted = base_config(sort_gb);
+  faulted.faults = &plan;
   auto& extra = faulted.setup.extra;
-  extra.set(sim::kDiskFaultHosts, "1,2");
-  extra.set_double(sim::kDiskIoErrorProb, 0.05);
-  extra.set_double(sim::kDiskReadCorruptProb, 0.03);
-  extra.set_double(sim::kDiskWriteCorruptProb, 0.05);
-  extra.set_double(sim::kDiskCacheCorruptProb, 0.1);
-  extra.set_double(sim::kDiskFullAtSec, 10.0);
-  extra.set_double(sim::kDiskFullDurationSec, 5.0);
-  extra.set_double(sim::kDiskSlowAtSec, 20.0);
-  extra.set_double(sim::kDiskSlowFactor, 0.5);
   // Recovery knobs tightened so the demo converges fast (defaults are
   // sized for hour-long jobs; see docs/CONFIG.md).
   extra.set_double(mapred::kFetchTimeoutSec, 5.0);

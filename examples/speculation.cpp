@@ -5,9 +5,9 @@
 // and shows the tail recovered with output byte-identical across all
 // three runs.
 //
-// See DESIGN.md §6.5 for the attempt/LATE model, docs/CONFIG.md
-// "Compute fault injection" and "Speculative execution (LATE)" for the
-// conf keys used here.
+// See DESIGN.md §6.5 for the attempt/LATE model and the FaultPlan
+// compute faults, and docs/CONFIG.md "Speculative execution (LATE)" for
+// the conf keys used here.
 //
 //   ./examples/speculation [sort_gb]
 #include <cstdio>
@@ -35,12 +35,11 @@ RunConfig base_config(std::uint64_t sort_gb) {
 
 // Host 1's CPU drops to a quarter speed just after the job starts and
 // never recovers — the homogeneous-hardware assumption the paper's
-// testbed bought with matched Xeons, broken on purpose.
-void degrade_host_one(RunConfig& config) {
-  auto& extra = config.setup.extra;
-  extra.set(sim::kCpuFaultHosts, "1");
-  extra.set_double(sim::kCpuFaultAtSec, 1.0);
-  extra.set_double(sim::kCpuFaultFactor, 0.25);
+// testbed bought with matched Xeons, broken on purpose. `plan` must
+// outlive the run.
+void degrade_host_one(RunConfig& config, sim::FaultPlan& plan) {
+  plan.degrade_cpu(1, 1.0, 0.25);
+  config.faults = &plan;
 }
 
 }  // namespace
@@ -55,14 +54,16 @@ int main(int argc, char** argv) {
               job_report(healthy.job).c_str());
 
   RunConfig sick = base_config(sort_gb);
-  degrade_host_one(sick);
+  sim::FaultPlan sick_plan;
+  degrade_host_one(sick, sick_plan);
   std::fprintf(stderr, "host 1 at quarter speed, speculation off...\n");
   const RunOutcome straggling = run_experiment(sick);
   std::printf("=== host 1 degraded, no speculation ===\n%s\n",
               job_report(straggling.job).c_str());
 
   RunConfig rescued = base_config(sort_gb);
-  degrade_host_one(rescued);
+  sim::FaultPlan rescued_plan;
+  degrade_host_one(rescued, rescued_plan);
   auto& extra = rescued.setup.extra;
   extra.set_bool(mapred::kSpeculativeExecution, true);
   extra.set_bool(mapred::kReduceSpeculativeExecution, true);

@@ -1,7 +1,7 @@
 // Hadoop-style string key/value configuration with typed accessors.
 //
 // Mirrors org.apache.hadoop.conf.Configuration: every tunable in the
-// paper (mapred.rdma.enabled, mapred.local.caching.enabled, packet
+// paper (mapred.shuffle.engine, mapred.local.caching.enabled, packet
 // sizes, slot counts, ...) is carried through a Conf so engines stay
 // swappable via configuration alone.
 #pragma once

@@ -9,14 +9,11 @@
 // JobResult can snapshot the whole cluster's state at job end and the
 // benchmark pipeline can emit it as machine-readable JSON.
 //
-// Two histogram flavors:
-//  - Histogram: streaming log2-bucketed summary, good for arbitrary
-//    magnitudes (byte counts, pair counts).
-//  - FixedHistogram: explicit bucket upper bounds fixed at registration.
-//    latency_histogram() hands out one with a standard simulated-time
-//    latency layout (1us .. 1024s), so per-phase latency distributions
-//    (shuffle request RTT, responder queue wait, merge refill stalls)
-//    are comparable across runs and engines.
+// Histograms are FixedHistograms: explicit bucket upper bounds fixed at
+// registration. latency_histogram() hands out one with a standard
+// simulated-time latency layout (1us .. 1024s), so per-phase latency
+// distributions (shuffle request RTT, responder queue wait, merge
+// refill stalls) are comparable across runs and engines.
 #pragma once
 
 #include <algorithm>
@@ -35,7 +32,6 @@ class Counter {
  public:
   void add(std::int64_t delta = 1) { value_ += delta; }
   std::int64_t value() const { return value_; }
-  void reset() { value_ = 0; }
 
  private:
   std::int64_t value_ = 0;
@@ -53,35 +49,10 @@ class Gauge {
   void add(double delta) { set(value_ + delta); }
   double value() const { return value_; }
   double max_value() const { return max_; }
-  void reset() { value_ = max_ = 0.0; }
 
  private:
   double value_ = 0.0;
   double max_ = 0.0;
-};
-
-// Streaming summary: count/sum/min/max/mean plus log2-bucketed counts
-// for cheap percentile estimates.
-class Histogram {
- public:
-  void record(double v);
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ ? sum_ / double(count_) : 0.0; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  // Estimated quantile from bucket boundaries; q in [0,1].
-  double quantile(double q) const;
-  void reset();
-
- private:
-  static constexpr int kBuckets = 64;
-  static int bucket_for(double v);
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-  std::uint64_t buckets_[kBuckets] = {};
 };
 
 // Histogram over explicit bucket upper bounds, fixed at construction.
@@ -103,7 +74,6 @@ class FixedHistogram {
   const std::vector<double>& bounds() const { return bounds_; }
   // counts()[i] pairs with bounds()[i]; the final element is overflow.
   const std::vector<std::uint64_t>& counts() const { return counts_; }
-  void reset();
 
  private:
   std::vector<double> bounds_;   // ascending upper bounds
@@ -153,7 +123,6 @@ class MetricsRegistry {
  public:
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
   // Fixed-bucket histogram; `upper_bounds` is consulted only on first
   // registration of `name`.
   FixedHistogram& fixed_histogram(std::string_view name,
@@ -165,17 +134,13 @@ class MetricsRegistry {
 
   std::int64_t counter_value(std::string_view name) const;
   double gauge_value(std::string_view name) const;
-  const Histogram* find_histogram(std::string_view name) const;
   const FixedHistogram* find_fixed_histogram(std::string_view name) const;
 
   MetricsSnapshot snapshot() const;
-  std::string report() const;
-  void reset();
 
  private:
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
   std::map<std::string, FixedHistogram, std::less<>> fixed_;
 };
 

@@ -52,10 +52,9 @@ const std::set<std::string, std::less<>> kConfAccessors = {
 };
 
 const std::set<std::string, std::less<>> kMetricFactories = {
-    "counter",         "gauge",          "histogram",
-    "latency_histogram", "fixed_histogram", "counter_value",
-    "gauge_value",     "gauge_max",      "find_histogram",
-    "find_fixed_histogram",
+    "counter",           "gauge",           "latency_histogram",
+    "fixed_histogram",   "counter_value",   "gauge_value",
+    "gauge_max",         "find_fixed_histogram",
 };
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include "mapred/maptask.h"
 #include "mapred/reducetask.h"
 #include "mapred/vanilla.h"
-#include "sim/fault.h"
 
 namespace hmr::mapred {
 
@@ -25,8 +24,7 @@ void JobRunner::register_engine(std::string name, EngineFactory factory) {
 }
 
 std::string JobRunner::engine_name(const Conf& conf) {
-  if (auto name = conf.get(kShuffleEngine)) return *name;
-  return conf.get_bool(kRdmaEnabled, false) ? "osu-ib" : "vanilla";
+  return conf.get(kShuffleEngine).value_or("vanilla");
 }
 
 sim::Task<> JobRunner::jt_rpc(Host& from) {
@@ -179,28 +177,11 @@ sim::Task<JobResult> JobRunner::run(JobSpec spec) {
   auto shuffle = factory->second(job->spec.conf);
   job->shuffle = shuffle.get();
 
-  // Conf-driven disk-fault plans (sim.fault.disk.*): strict validation —
-  // a misspelled key would silently inject nothing, so it aborts the run
-  // with the offending key named (tests call disk_faults_from_conf
-  // directly for the Status path).
-  auto disk_faults = sim::FaultPlan::disk_faults_from_conf(job->spec.conf);
-  HMR_CHECK_MSG(disk_faults.ok(), disk_faults.status().to_string());
-  if (!disk_faults->empty()) cluster_.arm_disk_faults(*disk_faults);
-
-  // Conf-driven compute-fault plans (sim.fault.cpu.* / sim.fault.task.*),
-  // same strict validation. cpu.degrade alters host state, so it is armed
-  // on the cluster once per runner (a multi-job run would otherwise stack
-  // the degrade per job); task hang/slow windows are pure (host, time)
-  // queries consulted at attempt checkpoints through job->compute_faults.
-  auto compute_faults = sim::ComputeFaults::from_conf(job->spec.conf);
-  HMR_CHECK_MSG(compute_faults.ok(), compute_faults.status().to_string());
-  if (!compute_faults->cpu.empty() && !cpu_faults_armed_) {
-    cpu_faults_armed_ = true;
-    cluster_.arm_cpu_degrades(compute_faults->cpu);
-  }
-  job->compute_faults = std::move(*compute_faults);
+  // Whoever sets spec.faults arms its NIC, cpu and disk faults on the
+  // cluster (Cluster::inject_faults); the task hang/slow windows are
+  // pure (host, time) queries consulted at attempt checkpoints.
   if (job->spec.faults != nullptr) {
-    job->compute_faults.merge(job->spec.faults->compute_faults());
+    job->compute_faults = job->spec.faults->compute_faults();
   }
 
   job->result.submit_time = job->engine.now();

@@ -31,8 +31,7 @@ class JobRunner {
             std::vector<int> tracker_hosts);
 
   void register_engine(std::string name, EngineFactory factory);
-  // "vanilla" unless mapred.shuffle.engine / mapred.rdma.enabled says
-  // otherwise.
+  // "vanilla" unless mapred.shuffle.engine says otherwise.
   static std::string engine_name(const Conf& conf);
 
   // Runs the job to completion; deterministic given the engine seed.
@@ -56,9 +55,6 @@ class JobRunner {
   // slot conf.
   std::vector<std::unique_ptr<TaskTrackerState>> trackers_;
   int next_job_id_ = 1;
-  // Conf-driven cpu.degrade timers are armed once per runner: they mutate
-  // Host speed, and every job a JobTracker dispatches shares the conf.
-  bool cpu_faults_armed_ = false;
 };
 
 }  // namespace hmr::mapred

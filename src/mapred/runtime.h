@@ -209,10 +209,9 @@ struct JobRuntime {
 
   // --- task-attempt lifecycle (mapred/attempt.h) ------------------------
   SpeculationPolicy speculation;
-  // Merged compute faults: conf keys (sim.fault.cpu/task.*, parsed by
-  // the JobRunner) plus the spec's FaultPlan. Task hang/slow windows are
-  // consulted at attempt checkpoints; cpu windows are timer-armed on
-  // the cluster.
+  // The spec's FaultPlan's compute faults (empty without one). Task
+  // hang/slow windows are consulted at attempt checkpoints; cpu windows
+  // are timer-armed on the cluster.
   sim::ComputeFaults compute_faults;
   // Stable storage for every attempt of this job; raw pointers into it
   // (MapTaskInfo/ReduceTaskInfo links, engine cancel watchers) stay

@@ -22,9 +22,8 @@ class FaultPlan;
 namespace hmr::mapred {
 
 // --- configuration keys -------------------------------------------------
-// Engine selection (§III: mapred.rdma.enabled picks the RDMA design; the
-// string key below also distinguishes the Hadoop-A comparator).
-inline constexpr const char* kRdmaEnabled = "mapred.rdma.enabled";
+// Engine selection (§III: the paper's on/off switch picks the RDMA
+// design; this string key also distinguishes the Hadoop-A comparator).
 inline constexpr const char* kShuffleEngine = "mapred.shuffle.engine";
 //   values: "vanilla" (socket/HTTP), "osu-ib" (this paper), "hadoop-a"
 inline constexpr const char* kCachingEnabled =
@@ -104,11 +103,6 @@ inline constexpr const char* kFetchBackoffJitter =
     "mapred.shuffle.fetch.backoff.jitter";
 inline constexpr const char* kBlacklistFailures =
     "mapred.shuffle.tracker.blacklist.failures";
-// RDMA responder-side hardening: a request that sat in the
-// DataRequestQueue longer than this is orphaned (its copier already
-// timed out) and is evicted instead of served. 0 disables.
-inline constexpr const char* kResponderDeadlineSec =
-    "mapred.rdma.responder.deadline.sec";
 
 // End-to-end data integrity (DESIGN.md §6.2). Spills carry per-partition
 // CRC32 checksums verified on every read boundary (cache fill, RDMA
@@ -158,7 +152,9 @@ struct JobSpec {
   std::shared_ptr<const dataplane::Partitioner> partitioner =
       std::make_shared<dataplane::HashPartitioner>();
   // Optional fault injection (not owned; must outlive the run). Shuffle
-  // responders/servlets consult it per request — see sim/fault.h.
+  // responders/servlets consult it per request and task attempts at
+  // their checkpoints; its NIC, cpu and disk faults take effect only
+  // once armed with net::Cluster::inject_faults — see sim/fault.h.
   sim::FaultPlan* faults = nullptr;
 };
 

@@ -88,25 +88,23 @@ class Cluster {
   Host& host(size_t i) { return *hosts_.at(i); }
   std::vector<Host*> hosts();
 
-  // Arms the plan's NIC degradations and disk faults: spawns a timer per
-  // NIC/disk degrade entry, and hands each host's DiskFault to its
+  // Arms the plan's NIC, CPU and disk faults: spawns a timer per
+  // NIC/CPU/disk degrade entry, and hands each host's DiskFault to its
   // LocalFS with a host-unique RNG stream. (Tracker kills and response
   // drops are consulted inline by the shuffle engines.)
   void inject_faults(const sim::FaultPlan& plan);
-  // The disk half alone — also the entry point for conf-driven plans
-  // (`sim.fault.disk.*`, see sim::FaultPlan::disk_faults_from_conf).
-  void arm_disk_faults(const std::map<int, sim::DiskFault>& faults);
-  // The cpu.degrade half alone — also the entry point for conf-driven
-  // plans (`sim.fault.cpu.*`, see sim::ComputeFaults::from_conf). Task
-  // hang/slow windows are not armed here: they are consulted per
-  // attempt checkpoint by mapred.
-  void arm_cpu_degrades(const std::vector<sim::CpuDegrade>& degrades);
 
   // Uniform cluster of n hosts named host0..host{n-1}.
   static std::vector<HostSpec> uniform(int n, int disks_per_host,
                                        bool ssd = false, int cores = 8);
 
  private:
+  // The cpu.degrade half of inject_faults. Task hang/slow windows are
+  // not armed here: mapred consults them per attempt checkpoint.
+  void arm_cpu_degrades(const std::vector<sim::CpuDegrade>& degrades);
+  // The disk half of inject_faults.
+  void arm_disk_faults(const std::map<int, sim::DiskFault>& faults);
+
   sim::Engine& engine_;
   NetProfile profile_;
   std::vector<std::unique_ptr<Host>> hosts_;

@@ -40,8 +40,6 @@ RdmaShuffleOptions RdmaShuffleOptions::osu_ib(const Conf& conf) {
   opt.responder_threads =
       int(conf.get_int(mapred::kResponderThreads, opt.responder_threads));
   opt.overlap_reduce = conf.get_bool(mapred::kOverlapReduce, true);
-  opt.responder_deadline = conf.get_double(mapred::kResponderDeadlineSec,
-                                           opt.responder_deadline);
   return opt;
 }
 
@@ -59,8 +57,6 @@ RdmaShuffleOptions RdmaShuffleOptions::hadoop_a(const Conf& conf) {
   opt.overlap_reduce = true;
   opt.pipelined_refill = false;  // levitated merge fetches on demand
   opt.charge_by_count = true;    // buffers provisioned by pair count
-  opt.responder_deadline = conf.get_double(mapred::kResponderDeadlineSec,
-                                           opt.responder_deadline);
   return opt;
 }
 
@@ -80,8 +76,8 @@ sim::Task<> RdmaShuffleEngine::start(JobRuntime& job) {
     // All trackers mirror into one registry, so the cache.* counters
     // aggregate cluster-wide; the used-bytes gauge keeps a high-water max.
     service->cache.attach_metrics(job.engine.metrics());
-    service->listener = std::make_unique<ucr::Listener>(
-        job.network, *tracker->host, options_.ucr);
+    service->listener =
+        std::make_unique<ucr::Listener>(job.network, *tracker->host);
     daemons_->add();
     job.engine.spawn(rdma_listener(job, *service));
     for (int r = 0; r < options_.responder_threads; ++r) {
@@ -133,9 +129,7 @@ sim::Task<> RdmaShuffleEngine::rdma_responder(JobRuntime& job,
                                               TrackerService& service,
                                               int host_id) {
   while (auto pending = co_await service.request_queue.recv()) {
-    if (options_.responder_deadline > 0 &&
-        job.engine.now() - pending->enqueued_at >
-            options_.responder_deadline) {
+    if (job.engine.now() - pending->enqueued_at > kResponderDeadline) {
       // Orphaned request: the copier that sent it timed out long ago and
       // has retried elsewhere. Serving it would waste responder and disk
       // time on an answer nobody is waiting for.
@@ -339,8 +333,7 @@ sim::Task<ucr::Endpoint*> RdmaShuffleEngine::ensure_client_endpoint(
   auto it = state->conns.find(server);
   if (it != state->conns.end()) co_return it->second;
   auto ep = co_await ucr::connect(job.network, host,
-                                  *services_.at(server)->listener,
-                                  options_.ucr);
+                                  *services_.at(server)->listener);
   ucr::Endpoint* endpoint = ep.get();
   state->conns.emplace(server, endpoint);
   client_endpoints_.push_back(std::move(ep));

@@ -19,9 +19,8 @@
 //                       overlapping shuffle, merge and reduce
 //                       (§III-B2/B4)
 //
-// The Hadoop-A comparator (src/hadoopa) reuses this engine with the
-// options that match the SC'11 description: no cache, fixed kv-count
-// packets.
+// The Hadoop-A comparator is this engine run with
+// RdmaShuffleOptions::hadoop_a.
 #pragma once
 
 #include <deque>
@@ -40,13 +39,14 @@ using mapred::Host;
 using mapred::JobRuntime;
 using mapred::KvSink;
 
+// Tracker-side request hardening: a request that sat in the
+// DataRequestQueue longer than this was already given up on by its
+// copier (fetch timeout + retries) — serving it would waste responder
+// and disk time, so it is evicted instead.
+inline constexpr double kResponderDeadline = 120.0;  // seconds
+
 struct RdmaShuffleOptions {
   bool use_cache = true;
-  // Tracker-side request hardening: a request that sat in the
-  // DataRequestQueue longer than this was already given up on by its
-  // copier (fetch timeout + retries) — serving it would waste responder
-  // and disk time, so it is evicted instead. 0 disables.
-  double responder_deadline = 120.0;  // seconds
   // TaskTracker cache budget. The paper's headline figures ran on the
   // 24 GB storage nodes (§IV-A/B: "storage nodes have twice as much
   // memory ... our implementation has more benefits in storage nodes").
@@ -80,13 +80,22 @@ struct RdmaShuffleOptions {
   // what makes "cache as soon as it gets available" (§III-B3) cheap.
   double page_cache_window = 20.0;   // seconds
   double page_cache_bw = 2.5e9;      // bytes/sec memcpy
-  // UCR endpoint parameters (eager threshold, rendezvous protocol, ...).
-  ucr::UcrParams ucr;
 
   // The paper's design: byte-budgeted packets, caching on (§III-C(3)
   // exposes all of these as user tunables).
   static RdmaShuffleOptions osu_ib(const Conf& conf);
-  // Hadoop-A per its SC'11 description: fixed kv count, no cache.
+  // Hadoop-A (Wang et al., SC'11 "Hadoop Acceleration through Network
+  // Levitated Merge") — the paper's closest comparator, reconstructed
+  // from its published description (§III-C):
+  //
+  //  * native-verbs shuffle and a priority-queue merge over remote
+  //    segments (shared with the OSU-IB design),
+  //  * a fixed number of key-value pairs per packet regardless of their
+  //    size — the behaviour §IV-C blames for its Sort-benchmark losses,
+  //  * no TaskTracker-side prefetch/cache: every responder request reads
+  //    the map output from disk (its DataEngine "doesn't provide data
+  //    caching to decrease the disk access"),
+  //  * fewer tuning knobs (the kv count is its only packet control).
   static RdmaShuffleOptions hadoop_a(const Conf& conf);
 };
 

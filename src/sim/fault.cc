@@ -1,130 +1,8 @@
 #include "sim/fault.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <set>
-#include <string>
 
 namespace hmr::sim {
-
-namespace {
-
-// Every key the disk fault-plan parser understands.
-const std::set<std::string, std::less<>> kKnownDiskFaultKeys = {
-    kDiskFaultHosts,        kDiskIoErrorProb,     kDiskReadCorruptProb,
-    kDiskWriteCorruptProb,  kDiskCacheCorruptProb, kDiskFullAtSec,
-    kDiskFullDurationSec,   kDiskSlowAtSec,       kDiskSlowFactor,
-};
-
-// Every key the compute fault-plan parser understands. Together with
-// the disk set these form the whole `sim.fault.` universe: each parser
-// skips the other family's keys and rejects anything outside the union,
-// so a typo'd key fails loudly no matter which parser sees it first.
-const std::set<std::string, std::less<>> kKnownComputeFaultKeys = {
-    kCpuFaultHosts,   kCpuFaultAtSec,   kCpuFaultFactor,
-    kCpuFaultDurationSec, kTaskHangHosts, kTaskHangAtSec,
-    kTaskHangDurationSec, kTaskSlowHosts, kTaskSlowAtSec,
-    kTaskSlowDurationSec, kTaskSlowFactor,
-};
-
-Result<std::vector<int>> parse_host_list(const char* key,
-                                         const std::string& value) {
-  std::vector<int> hosts;
-  size_t start = 0;
-  while (start <= value.size()) {
-    auto end = value.find(',', start);
-    if (end == std::string::npos) end = value.size();
-    const std::string piece = value.substr(start, end - start);
-    start = end + 1;
-    if (piece.empty()) continue;
-    char* tail = nullptr;
-    const long host = std::strtol(piece.c_str(), &tail, 10);
-    if (tail == piece.c_str() || *tail != '\0' || host < 0) {
-      return Status::InvalidArgument(
-          std::string(key) + ": bad host id \"" + piece +
-          "\" (want a comma-separated list of non-negative host ids)");
-    }
-    hosts.push_back(int(host));
-    if (end == value.size()) break;
-  }
-  if (hosts.empty()) {
-    return Status::InvalidArgument(std::string(key) + ": empty host list");
-  }
-  return hosts;
-}
-
-Status reject_unknown_fault_keys(const Conf& conf) {
-  for (const auto& [key, value] : conf.items()) {
-    if (!key.starts_with("sim.fault.")) continue;
-    if (kKnownDiskFaultKeys.contains(key)) continue;
-    if (kKnownComputeFaultKeys.contains(key)) continue;
-    (void)value;
-    return Status::InvalidArgument(
-        "unknown fault key `" + key +
-        "` (known sim.fault.* keys are listed in docs/CONFIG.md; "
-        "a misspelled key would silently inject nothing)");
-  }
-  return Status::Ok();
-}
-
-Status check_prob(const Conf& conf, const char* key) {
-  const double p = conf.get_double(key, 0.0);
-  if (p < 0.0 || p > 1.0) {
-    return Status::InvalidArgument(std::string(key) +
-                                   " must be a probability in [0, 1]");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Result<std::map<int, DiskFault>> FaultPlan::disk_faults_from_conf(
-    const Conf& conf) {
-  HMR_RETURN_IF_ERROR(reject_unknown_fault_keys(conf));
-  bool any_disk_key = false;
-  for (const auto& [key, value] : conf.items()) {
-    if (!key.starts_with("sim.fault.")) continue;
-    if (kKnownDiskFaultKeys.contains(key)) any_disk_key = true;
-    (void)value;
-  }
-  std::map<int, DiskFault> out;
-  if (!any_disk_key) return out;
-  if (!conf.contains(kDiskFaultHosts)) {
-    return Status::InvalidArgument(
-        std::string(kDiskFaultHosts) +
-        " is required when any sim.fault.disk.* key is set");
-  }
-  for (const char* key : {kDiskIoErrorProb, kDiskReadCorruptProb,
-                          kDiskWriteCorruptProb, kDiskCacheCorruptProb}) {
-    HMR_RETURN_IF_ERROR(check_prob(conf, key));
-  }
-  DiskFault fault;
-  fault.io_error_prob = conf.get_double(kDiskIoErrorProb, 0.0);
-  fault.read_corrupt_prob = conf.get_double(kDiskReadCorruptProb, 0.0);
-  fault.write_corrupt_prob = conf.get_double(kDiskWriteCorruptProb, 0.0);
-  fault.cache_corrupt_prob = conf.get_double(kDiskCacheCorruptProb, 0.0);
-  fault.full_at = conf.get_double(kDiskFullAtSec, -1.0);
-  fault.full_duration = conf.get_double(kDiskFullDurationSec, 0.0);
-  fault.slow_at = conf.get_double(kDiskSlowAtSec, -1.0);
-  fault.slow_factor = conf.get_double(kDiskSlowFactor, 1.0);
-  if (fault.full_duration < 0) {
-    return Status::InvalidArgument(std::string(kDiskFullDurationSec) +
-                                   " must be >= 0");
-  }
-  if (fault.slow_factor <= 0) {
-    return Status::InvalidArgument(std::string(kDiskSlowFactor) +
-                                   " must be > 0");
-  }
-  auto hosts = parse_host_list(kDiskFaultHosts, conf.get(kDiskFaultHosts).value());
-  if (!hosts.ok()) return hosts.status();
-  for (int host : hosts.value()) out[host] = fault;
-  return out;
-}
-
-void ComputeFaults::merge(const ComputeFaults& other) {
-  cpu.insert(cpu.end(), other.cpu.begin(), other.cpu.end());
-  task.insert(task.end(), other.task.begin(), other.task.end());
-}
 
 double ComputeFaults::hang_until(int host_id, double now) const {
   double until = 0.0;
@@ -150,115 +28,6 @@ double ComputeFaults::slow_factor(int host_id, double now) const {
     if (active) factor *= fault.factor;
   }
   return factor;
-}
-
-Result<ComputeFaults> ComputeFaults::from_conf(const Conf& conf) {
-  HMR_RETURN_IF_ERROR(reject_unknown_fault_keys(conf));
-  ComputeFaults out;
-
-  // cpu.degrade: host compute-speed window.
-  bool any_cpu = false;
-  for (const char* key : {kCpuFaultHosts, kCpuFaultAtSec, kCpuFaultFactor,
-                          kCpuFaultDurationSec}) {
-    if (conf.contains(key)) any_cpu = true;
-  }
-  if (any_cpu) {
-    if (!conf.contains(kCpuFaultHosts)) {
-      return Status::InvalidArgument(
-          std::string(kCpuFaultHosts) +
-          " is required when any sim.fault.cpu.* key is set");
-    }
-    const double at = conf.get_double(kCpuFaultAtSec, 0.0);
-    const double factor = conf.get_double(kCpuFaultFactor, 1.0);
-    const double duration = conf.get_double(kCpuFaultDurationSec, 0.0);
-    if (at < 0) {
-      return Status::InvalidArgument(std::string(kCpuFaultAtSec) +
-                                     " must be >= 0");
-    }
-    if (factor <= 0) {
-      return Status::InvalidArgument(std::string(kCpuFaultFactor) +
-                                     " must be > 0");
-    }
-    if (duration < 0) {
-      return Status::InvalidArgument(std::string(kCpuFaultDurationSec) +
-                                     " must be >= 0 (0 = permanent)");
-    }
-    auto hosts = parse_host_list(kCpuFaultHosts,
-                                 conf.get(kCpuFaultHosts).value());
-    if (!hosts.ok()) return hosts.status();
-    for (int host : hosts.value()) {
-      out.cpu.push_back(CpuDegrade{host, at, factor, duration});
-    }
-  }
-
-  // task.hang: bounded progress freeze.
-  bool any_hang = false;
-  for (const char* key : {kTaskHangHosts, kTaskHangAtSec,
-                          kTaskHangDurationSec}) {
-    if (conf.contains(key)) any_hang = true;
-  }
-  if (any_hang) {
-    if (!conf.contains(kTaskHangHosts)) {
-      return Status::InvalidArgument(
-          std::string(kTaskHangHosts) +
-          " is required when any sim.fault.task.hang.* key is set");
-    }
-    const double at = conf.get_double(kTaskHangAtSec, 0.0);
-    const double duration = conf.get_double(kTaskHangDurationSec, 0.0);
-    if (at < 0) {
-      return Status::InvalidArgument(std::string(kTaskHangAtSec) +
-                                     " must be >= 0");
-    }
-    if (duration <= 0) {
-      return Status::InvalidArgument(
-          std::string(kTaskHangDurationSec) +
-          " must be > 0 (a permanent hang would never complete)");
-    }
-    auto hosts = parse_host_list(kTaskHangHosts,
-                                 conf.get(kTaskHangHosts).value());
-    if (!hosts.ok()) return hosts.status();
-    for (int host : hosts.value()) {
-      out.task.push_back(
-          TaskFault{TaskFault::Kind::kHang, host, at, duration, 1.0});
-    }
-  }
-
-  // task.slow_progress: task compute-bandwidth window.
-  bool any_slow = false;
-  for (const char* key : {kTaskSlowHosts, kTaskSlowAtSec,
-                          kTaskSlowDurationSec, kTaskSlowFactor}) {
-    if (conf.contains(key)) any_slow = true;
-  }
-  if (any_slow) {
-    if (!conf.contains(kTaskSlowHosts)) {
-      return Status::InvalidArgument(
-          std::string(kTaskSlowHosts) +
-          " is required when any sim.fault.task.slow.* key is set");
-    }
-    const double at = conf.get_double(kTaskSlowAtSec, 0.0);
-    const double duration = conf.get_double(kTaskSlowDurationSec, 0.0);
-    const double factor = conf.get_double(kTaskSlowFactor, 1.0);
-    if (at < 0) {
-      return Status::InvalidArgument(std::string(kTaskSlowAtSec) +
-                                     " must be >= 0");
-    }
-    if (duration < 0) {
-      return Status::InvalidArgument(std::string(kTaskSlowDurationSec) +
-                                     " must be >= 0 (0 = permanent)");
-    }
-    if (factor <= 0) {
-      return Status::InvalidArgument(std::string(kTaskSlowFactor) +
-                                     " must be > 0");
-    }
-    auto hosts = parse_host_list(kTaskSlowHosts,
-                                 conf.get(kTaskSlowHosts).value());
-    if (!hosts.ok()) return hosts.status();
-    for (int host : hosts.value()) {
-      out.task.push_back(
-          TaskFault{TaskFault::Kind::kSlow, host, at, duration, factor});
-    }
-  }
-  return out;
 }
 
 FaultPlan::ResponseFate FaultPlan::response_fate(int host_id,

@@ -41,50 +41,9 @@
 #include <map>
 #include <vector>
 
-#include "common/conf.h"
 #include "common/rng.h"
-#include "common/status.h"
 
 namespace hmr::sim {
-
-// --- disk fault conf keys (DESIGN.md §6.2, docs/CONFIG.md) --------------
-// Flat-key form of a DiskFault, applied to every host id listed in
-// `sim.fault.disk.hosts`. Unknown `sim.fault.*` keys are rejected at
-// job submission (disk_faults_from_conf) so a typo'd plan cannot
-// silently test nothing.
-inline constexpr const char* kDiskFaultHosts = "sim.fault.disk.hosts";
-inline constexpr const char* kDiskIoErrorProb = "sim.fault.disk.io.error.prob";
-inline constexpr const char* kDiskReadCorruptProb =
-    "sim.fault.disk.read.corrupt.prob";
-inline constexpr const char* kDiskWriteCorruptProb =
-    "sim.fault.disk.write.corrupt.prob";
-inline constexpr const char* kDiskCacheCorruptProb =
-    "sim.fault.disk.cache.corrupt.prob";
-inline constexpr const char* kDiskFullAtSec = "sim.fault.disk.full.at.sec";
-inline constexpr const char* kDiskFullDurationSec =
-    "sim.fault.disk.full.duration.sec";
-inline constexpr const char* kDiskSlowAtSec = "sim.fault.disk.slow.at.sec";
-inline constexpr const char* kDiskSlowFactor = "sim.fault.disk.slow.factor";
-
-// --- compute fault conf keys (docs/CONFIG.md) ---------------------------
-// Flat-key straggler injection, parsed by ComputeFaults::from_conf with
-// the same strictness as the disk keys (both parsers share one known-key
-// universe, so either accepts the other family's keys and rejects
-// anything else under `sim.fault.`).
-inline constexpr const char* kCpuFaultHosts = "sim.fault.cpu.hosts";
-inline constexpr const char* kCpuFaultAtSec = "sim.fault.cpu.at.sec";
-inline constexpr const char* kCpuFaultFactor = "sim.fault.cpu.factor";
-inline constexpr const char* kCpuFaultDurationSec =
-    "sim.fault.cpu.duration.sec";
-inline constexpr const char* kTaskHangHosts = "sim.fault.task.hang.hosts";
-inline constexpr const char* kTaskHangAtSec = "sim.fault.task.hang.at.sec";
-inline constexpr const char* kTaskHangDurationSec =
-    "sim.fault.task.hang.duration.sec";
-inline constexpr const char* kTaskSlowHosts = "sim.fault.task.slow.hosts";
-inline constexpr const char* kTaskSlowAtSec = "sim.fault.task.slow.at.sec";
-inline constexpr const char* kTaskSlowDurationSec =
-    "sim.fault.task.slow.duration.sec";
-inline constexpr const char* kTaskSlowFactor = "sim.fault.task.slow.factor";
 
 // One host's storage fault profile. Probabilities are per LocalFS
 // operation; times are absolute sim seconds (< 0 disables the window).
@@ -140,9 +99,6 @@ struct ComputeFaults {
   std::vector<CpuDegrade> cpu;
   std::vector<TaskFault> task;
 
-  bool empty() const { return cpu.empty() && task.empty(); }
-  void merge(const ComputeFaults& other);
-
   // End of the latest hang window active on host_id at `now`, or 0 when
   // the host is not hung (hang windows have duration > 0, so any active
   // window ends strictly after now > 0).
@@ -150,10 +106,6 @@ struct ComputeFaults {
   // Product of the compute-bandwidth factors of every slow window
   // active on host_id at `now`; 1.0 when none.
   double slow_factor(int host_id, double now) const;
-
-  // Parses the flat `sim.fault.cpu.*` / `sim.fault.task.*` keys, with
-  // the same strictness contract as disk_faults_from_conf below.
-  static Result<ComputeFaults> from_conf(const Conf& conf);
 };
 
 class FaultPlan {
@@ -207,14 +159,6 @@ class FaultPlan {
     disk_faults_[host_id] = fault;
   }
   const std::map<int, DiskFault>& disk_faults() const { return disk_faults_; }
-
-  // Parses the flat `sim.fault.disk.*` keys into per-host DiskFaults.
-  // Strict: any key under `sim.fault.` that is not a known disk-fault
-  // key, a malformed host list, or an out-of-range value is an
-  // InvalidArgument naming the offender — a typo'd fault plan must fail
-  // loudly, not silently inject nothing.
-  static Result<std::map<int, DiskFault>> disk_faults_from_conf(
-      const Conf& conf);
 
   bool tracker_dead(int host_id, double now) const {
     auto it = kills_.find(host_id);

@@ -43,10 +43,10 @@ bool is_compute_kind(FaultSite::Kind kind) {
          kind == FaultSite::Kind::kTaskSlow;
 }
 
-// One random compute-fault (straggler) site. Values stay in the ranges
-// sim::ComputeFaults accepts — bounded hang windows, positive speed
-// factors — so every scenario completes and its speculation-disabled
-// replay (the speculation.result_identity oracle) terminates too.
+// One random compute-fault (straggler) site. Hang windows stay bounded
+// and speed factors positive, so every scenario completes and its
+// speculation-disabled replay (the speculation.result_identity oracle)
+// terminates too.
 FaultSite random_compute_site(Rng& rng, int nodes) {
   FaultSite fault;
   fault.host = int(rng.range(1, nodes));
@@ -548,8 +548,8 @@ Result<Scenario> Scenario::from_json(const Json& json) {
         return Status::InvalidArgument("scenario: fault factor <= 0");
       }
       if (fault.kind == FaultSite::Kind::kTaskHang && fault.seconds <= 0.0) {
-        // A permanent hang would never complete; ComputeFaults rejects it
-        // too, but fail at load time with the file named.
+        // A permanent hang would never complete: fail at load time with
+        // the file named.
         return Status::InvalidArgument(
             "scenario: task_hang requires seconds > 0");
       }

@@ -71,14 +71,13 @@ struct RtsHeader {
 
 }  // namespace
 
-Endpoint::Endpoint(Network& network, Host& host, UcrParams params)
+Endpoint::Endpoint(Network& network, Host& host)
     : network_(network),
-      params_(params),
       pd_(network.engine(), host),
       send_cq_(network.engine()),
       recv_cq_(network.engine()),
       qp_(std::make_unique<ibv::QueuePair>(network, pd_, send_cq_, recv_cq_)),
-      send_window_(network.engine(), params.send_window, "ucr.window"),
+      send_window_(network.engine(), kSendWindow, "ucr.window"),
       send_order_(network.engine(), 1, "ucr.order"),
       inbox_(network.engine(), 1024) {}
 
@@ -96,7 +95,7 @@ void Endpoint::establish(Endpoint& a, Endpoint& b) {
 void Endpoint::start_daemons() {
   // Pre-post receive credits: enough for the peer's full send window plus
   // control traffic.
-  for (std::int64_t i = 0; i < params_.send_window * 2 + 4; ++i) {
+  for (std::int64_t i = 0; i < kSendWindow * 2 + 4; ++i) {
     HMR_CHECK(qp_->post_recv({next_recv_wr_++}).ok());
   }
   network_.engine().spawn(recv_loop());
@@ -119,7 +118,7 @@ sim::Task<> Endpoint::recv_loop() {
         app.tag = tag_value(app.tag);
         // Receive-side bounce-buffer copy-out.
         co_await network_.engine().delay(double(app.modeled_bytes) /
-                                         params_.copy_bw);
+                                         kCopyBw);
         co_await inbox_.send(std::move(app));
         break;
       }
@@ -194,11 +193,11 @@ sim::Task<> Endpoint::send(Message msg) {
     co_return;
   }
 
-  if (msg.modeled_bytes <= params_.eager_threshold) {
+  if (msg.modeled_bytes <= kEagerThreshold) {
     ++eager_sends_;
     // Copy into a pre-registered bounce buffer.
     co_await network_.engine().delay(double(msg.modeled_bytes) /
-                                     params_.copy_bw);
+                                     kCopyBw);
     msg.tag = pack_tag(kEager, msg.tag);
     ibv::SendWr wire{.message = std::move(msg)};
     (void)co_await qp_->send(std::move(wire));
@@ -261,32 +260,30 @@ void Endpoint::close() {
   }
 }
 
-Listener::Listener(Network& network, Host& host, UcrParams params)
-    : network_(network), host_(host), params_(params),
-      pending_(network.engine(), 128) {}
+Listener::Listener(Network& network, Host& host)
+    : network_(network), host_(host), pending_(network.engine(), 128) {}
 
 sim::Task<std::unique_ptr<Endpoint>> Listener::accept() {
   auto conn = co_await pending_.recv();
   if (!conn) co_return nullptr;
   auto server = std::unique_ptr<Endpoint>(
-      new Endpoint(network_, host_, params_));
+      new Endpoint(network_, host_));
   Endpoint::establish(*conn->client, *server);
-  co_await network_.engine().delay(params_.setup_time);
+  co_await network_.engine().delay(kSetupTime);
   co_await network_.transmit(host_, conn->client->local_host(), 0);
   conn->established->set();
   co_return server;
 }
 
 sim::Task<std::unique_ptr<Endpoint>> connect(Network& network, Host& from,
-                                             Listener& listener,
-                                             UcrParams params) {
-  auto client = std::unique_ptr<Endpoint>(new Endpoint(network, from, params));
+                                             Listener& listener) {
+  auto client = std::unique_ptr<Endpoint>(new Endpoint(network, from));
   sim::Event established(network.engine());
   co_await network.transmit(from, listener.host(), 0);  // connection request
   Listener::PendingConn pending_conn{client.get(), &established};
   co_await listener.pending_.send(pending_conn);
   co_await established.wait();
-  co_await network.engine().delay(params.setup_time);
+  co_await network.engine().delay(kSetupTime);
   co_return client;
 }
 

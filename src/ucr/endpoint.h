@@ -30,12 +30,12 @@ using net::Host;
 using net::Message;
 using net::Network;
 
-struct UcrParams {
-  std::uint64_t eager_threshold = 16 * 1024;  // modeled bytes
-  std::int64_t send_window = 16;              // outstanding sends
-  double copy_bw = 6.0e9;     // bounce-buffer memcpy bytes/sec
-  double setup_time = 120e-6; // QP allocation + transition on connect
-};
+// Messages up to this many modeled bytes go eager; larger ones use
+// rendezvous.
+inline constexpr std::uint64_t kEagerThreshold = 16 * 1024;
+inline constexpr std::int64_t kSendWindow = 16;  // outstanding sends
+inline constexpr double kCopyBw = 6.0e9;  // bounce-buffer memcpy bytes/sec
+inline constexpr double kSetupTime = 120e-6;  // QP setup on connect, sec
 
 class Listener;
 
@@ -59,7 +59,6 @@ class Endpoint {
 
   Host& local_host() { return qp_->local_host(); }
   Host& remote_host() { return qp_->remote_host(); }
-  const UcrParams& params() const { return params_; }
   std::uint64_t eager_sends() const { return eager_sends_; }
   std::uint64_t rendezvous_sends() const { return rendezvous_sends_; }
 
@@ -67,10 +66,9 @@ class Endpoint {
   friend class Listener;
   friend sim::Task<std::unique_ptr<Endpoint>> connect(Network& network,
                                                       Host& from,
-                                                      Listener& listener,
-                                                      UcrParams params);
+                                                      Listener& listener);
 
-  Endpoint(Network& network, Host& host, UcrParams params);
+  Endpoint(Network& network, Host& host);
   // Wires two endpoints' QPs together and starts their receive daemons.
   static void establish(Endpoint& a, Endpoint& b);
   void start_daemons();
@@ -86,7 +84,6 @@ class Endpoint {
   void flush_pending_sends();
 
   Network& network_;
-  UcrParams params_;
   ibv::ProtectionDomain pd_;
   // Data WRs are awaited and control WRs unsignaled, so only a failed
   // control WR would ever land in send_cq_; nothing polls it.
@@ -117,7 +114,7 @@ class Endpoint {
 
 class Listener {
  public:
-  Listener(Network& network, Host& host, UcrParams params = {});
+  Listener(Network& network, Host& host);
 
   sim::Task<std::unique_ptr<Endpoint>> accept();
   void close() { pending_.close(); }
@@ -126,21 +123,18 @@ class Listener {
  private:
   friend sim::Task<std::unique_ptr<Endpoint>> connect(Network& network,
                                                       Host& from,
-                                                      Listener& listener,
-                                                      UcrParams params);
+                                                      Listener& listener);
   struct PendingConn {
     Endpoint* client;
     sim::Event* established;
   };
   Network& network_;
   Host& host_;
-  UcrParams params_;
   sim::Channel<PendingConn> pending_;
 };
 
 // Client-side connect: one control RTT plus QP setup on both ends.
 sim::Task<std::unique_ptr<Endpoint>> connect(Network& network, Host& from,
-                                             Listener& listener,
-                                             UcrParams params = {});
+                                             Listener& listener);
 
 }  // namespace hmr::ucr

@@ -1,6 +1,5 @@
 #include "workloads/testbed.h"
 
-#include "hadoopa/engine.h"
 #include "rdmashuffle/engine.h"
 
 namespace hmr::workloads {
@@ -25,7 +24,8 @@ Testbed::Testbed(TestbedSpec spec)
         "osu-ib", rdmashuffle::RdmaShuffleOptions::osu_ib(conf));
   });
   runner_->register_engine("hadoop-a", [](const Conf& conf) {
-    return std::make_unique<hadoopa::HadoopAEngine>(conf);
+    return std::make_unique<rdmashuffle::RdmaShuffleEngine>(
+        "hadoop-a", rdmashuffle::RdmaShuffleOptions::hadoop_a(conf));
   });
 }
 

@@ -1,9 +1,9 @@
 // End-to-end data integrity and storage-fault tolerance (DESIGN.md
-// §6.2): conf-driven disk fault plans, LocalFS fault injection, the
-// checksum-verify/recover ladders across spill, cache, shuffle and
-// merge, HDFS replica failover, and the acceptance bar — a job hit by
-// disk faults must finish with output byte-identical to the fault-free
-// run, with the recovery visible in its counters.
+// §6.2): LocalFS fault injection, the checksum-verify/recover ladders
+// across spill, cache, shuffle and merge, HDFS replica failover, and
+// the acceptance bar — a job hit by disk faults must finish with output
+// byte-identical to the fault-free run, with the recovery visible in
+// its counters.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -25,71 +25,6 @@ namespace {
 
 using sim::Engine;
 using sim::Task;
-
-// ------------------------------------------------ conf-driven fault plans
-
-TEST(DiskFaultConfTest, ParsesWellFormedPlan) {
-  Conf conf;
-  conf.set(sim::kDiskFaultHosts, "1,3");
-  conf.set_double(sim::kDiskIoErrorProb, 0.1);
-  conf.set_double(sim::kDiskReadCorruptProb, 0.05);
-  conf.set_double(sim::kDiskFullAtSec, 5.0);
-  conf.set_double(sim::kDiskFullDurationSec, 3.0);
-  auto faults = sim::FaultPlan::disk_faults_from_conf(conf);
-  ASSERT_TRUE(faults.ok()) << faults.status().to_string();
-  ASSERT_EQ(faults->size(), 2u);
-  for (int host : {1, 3}) {
-    const auto& fault = faults->at(host);
-    EXPECT_DOUBLE_EQ(fault.io_error_prob, 0.1);
-    EXPECT_DOUBLE_EQ(fault.read_corrupt_prob, 0.05);
-    EXPECT_DOUBLE_EQ(fault.full_at, 5.0);
-    EXPECT_DOUBLE_EQ(fault.full_duration, 3.0);
-    EXPECT_TRUE(fault.any_io_fault());
-  }
-}
-
-TEST(DiskFaultConfTest, EmptyConfMeansNoFaults) {
-  auto faults = sim::FaultPlan::disk_faults_from_conf(Conf{});
-  ASSERT_TRUE(faults.ok());
-  EXPECT_TRUE(faults->empty());
-}
-
-TEST(DiskFaultConfTest, RejectsMisspelledKey) {
-  Conf conf;
-  conf.set(sim::kDiskFaultHosts, "1");
-  conf.set_double("sim.fault.disk.io.eror.prob", 0.1);  // typo'd
-  auto faults = sim::FaultPlan::disk_faults_from_conf(conf);
-  ASSERT_FALSE(faults.ok());
-  EXPECT_NE(faults.status().to_string().find("sim.fault.disk.io.eror.prob"),
-            std::string::npos)
-      << faults.status().to_string();
-}
-
-TEST(DiskFaultConfTest, RejectsMalformedValues) {
-  {
-    Conf conf;  // probabilities must land in [0, 1]
-    conf.set(sim::kDiskFaultHosts, "1");
-    conf.set_double(sim::kDiskIoErrorProb, 1.5);
-    EXPECT_FALSE(sim::FaultPlan::disk_faults_from_conf(conf).ok());
-  }
-  {
-    Conf conf;  // a fault without hosts injects nothing: reject it
-    conf.set_double(sim::kDiskIoErrorProb, 0.1);
-    EXPECT_FALSE(sim::FaultPlan::disk_faults_from_conf(conf).ok());
-  }
-  {
-    Conf conf;  // host ids must be numeric
-    conf.set(sim::kDiskFaultHosts, "1,two");
-    conf.set_double(sim::kDiskIoErrorProb, 0.1);
-    EXPECT_FALSE(sim::FaultPlan::disk_faults_from_conf(conf).ok());
-  }
-  {
-    Conf conf;  // slow factor 0 would stop the disk forever
-    conf.set(sim::kDiskFaultHosts, "1");
-    conf.set_double(sim::kDiskSlowFactor, 0.0);
-    EXPECT_FALSE(sim::FaultPlan::disk_faults_from_conf(conf).ok());
-  }
-}
 
 // ------------------------------------------------------ LocalFS injection
 
@@ -229,19 +164,21 @@ void arm_fast_recovery(workloads::RunConfig& config) {
   config.setup.extra.set_int(mapred::kFetchMaxRetries, 200);
 }
 
-// Disk faults on two of three hosts, armed purely through conf (the
-// jobrunner parses and injects sim.fault.disk.* itself). Probabilities
-// are high because the test job is tiny — a handful of spills and
-// fetches must still statistically hit every fault class.
-void arm_conf_disk_faults(workloads::RunConfig& config) {
-  auto& extra = config.setup.extra;
-  extra.set(sim::kDiskFaultHosts, "1,2");
-  extra.set_double(sim::kDiskIoErrorProb, 0.25);
-  extra.set_double(sim::kDiskReadCorruptProb, 0.15);
-  extra.set_double(sim::kDiskWriteCorruptProb, 0.4);
-  extra.set_double(sim::kDiskCacheCorruptProb, 0.35);
-  extra.set_double(sim::kDiskFullAtSec, 4.0);
-  extra.set_double(sim::kDiskFullDurationSec, 3.0);
+// Disk faults on two of three hosts, put in `plan` (which must outlive
+// the run). Probabilities are high because the test job is tiny — a
+// handful of spills and fetches must still statistically hit every
+// fault class.
+void arm_disk_faults(workloads::RunConfig& config, sim::FaultPlan& plan) {
+  sim::DiskFault disk;
+  disk.io_error_prob = 0.25;
+  disk.read_corrupt_prob = 0.15;
+  disk.write_corrupt_prob = 0.4;
+  disk.cache_corrupt_prob = 0.35;
+  disk.full_at = 4.0;
+  disk.full_duration = 3.0;
+  plan.disk_fault(1, disk);
+  plan.disk_fault(2, disk);
+  config.faults = &plan;
   arm_fast_recovery(config);
 }
 
@@ -259,7 +196,8 @@ TEST_P(DiskFaultMatrix, RecoversWithIdenticalOutput) {
   EXPECT_EQ(clean.job.counter("storage.io.retries"), 0);
 
   auto config = tiny(setup_for(engine));
-  arm_conf_disk_faults(config);
+  sim::FaultPlan plan;
+  arm_disk_faults(config, plan);
   const auto faulted = workloads::run_experiment(config);
   ASSERT_TRUE(faulted.validated);
   EXPECT_EQ(faulted.validation.digest.records, clean.validation.digest.records);

@@ -42,8 +42,6 @@ struct SmallJob {
 TEST(JobRunnerTest, EngineNameResolution) {
   Conf conf;
   EXPECT_EQ(JobRunner::engine_name(conf), "vanilla");
-  conf.set_bool(kRdmaEnabled, true);
-  EXPECT_EQ(JobRunner::engine_name(conf), "osu-ib");
   conf.set(kShuffleEngine, "hadoop-a");
   EXPECT_EQ(JobRunner::engine_name(conf), "hadoop-a");
 }
@@ -622,50 +620,6 @@ TEST(FaultPlanTest, NicRestoreTimeIsRecorded) {
   EXPECT_EQ(plan.nic_degrades()[0].restore_at, 12.0);
 }
 
-TEST(ComputeFaultTest, FromConfParsesAllThreeClasses) {
-  Conf conf;
-  conf.set(sim::kCpuFaultHosts, "1,2");
-  conf.set_double(sim::kCpuFaultAtSec, 3.0);
-  conf.set_double(sim::kCpuFaultFactor, 0.25);
-  conf.set_double(sim::kCpuFaultDurationSec, 10.0);
-  conf.set(sim::kTaskHangHosts, "2");
-  conf.set_double(sim::kTaskHangAtSec, 4.0);
-  conf.set_double(sim::kTaskHangDurationSec, 5.0);
-  conf.set(sim::kTaskSlowHosts, "1");
-  conf.set_double(sim::kTaskSlowAtSec, 1.0);
-  conf.set_double(sim::kTaskSlowFactor, 0.5);
-  auto faults = sim::ComputeFaults::from_conf(conf);
-  ASSERT_TRUE(faults.ok());
-  ASSERT_EQ(faults->cpu.size(), 2u);
-  EXPECT_EQ(faults->cpu[0].host_id, 1);
-  EXPECT_EQ(faults->cpu[1].host_id, 2);
-  EXPECT_EQ(faults->cpu[0].factor, 0.25);
-  EXPECT_EQ(faults->cpu[0].duration, 10.0);
-  ASSERT_EQ(faults->task.size(), 2u);
-}
-
-TEST(ComputeFaultTest, StrictKeysRejected) {
-  {
-    Conf conf;
-    conf.set(sim::kCpuFaultHosts, "1");
-    conf.set_double("sim.fault.cpu.facter", 0.5);  // typo must abort parse
-    EXPECT_FALSE(sim::ComputeFaults::from_conf(conf).ok());
-  }
-  {
-    // A hang window must be bounded: a permanent hang never completes.
-    Conf conf;
-    conf.set(sim::kTaskHangHosts, "1");
-    conf.set_double(sim::kTaskHangDurationSec, 0.0);
-    EXPECT_FALSE(sim::ComputeFaults::from_conf(conf).ok());
-  }
-  {
-    // Hosts key is required once any sibling key appears.
-    Conf conf;
-    conf.set_double(sim::kCpuFaultFactor, 0.5);
-    EXPECT_FALSE(sim::ComputeFaults::from_conf(conf).ok());
-  }
-}
-
 TEST(ComputeFaultTest, WindowQueriesArePure) {
   sim::ComputeFaults faults;
   faults.task.push_back(
@@ -700,6 +654,10 @@ TEST(SpeculationTest, KillsMatchAttemptsUnderCombinedChaos) {
   plan.slow_tasks(/*host_id=*/2, /*at=*/0.0, /*duration=*/0.0,
                   /*factor=*/0.1);
   plan.drop_responses(/*host_id=*/3, /*prob=*/0.1);
+  sim::DiskFault disk;
+  disk.io_error_prob = 0.05;
+  plan.disk_fault(/*host_id=*/1, disk);
+  bed.cluster().inject_faults(plan);
   Conf conf;
   conf.set_bool(kSpeculativeExecution, true);
   conf.set_bool(kReduceSpeculativeExecution, true);
@@ -707,8 +665,6 @@ TEST(SpeculationTest, KillsMatchAttemptsUnderCombinedChaos) {
   // inside its few-second lifetime.
   conf.set_double(kSpeculativeMinRuntimeSec, 0.5);
   conf.set_double(kSpeculativeIntervalSec, 0.1);
-  conf.set(sim::kDiskFaultHosts, "1");
-  conf.set_double(sim::kDiskIoErrorProb, 0.05);
   conf.set_double(kFetchTimeoutSec, 2.0);
   auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", conf);
   job.faults = &plan;

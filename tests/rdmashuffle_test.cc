@@ -314,14 +314,6 @@ TEST(RdmaEngineTest, CacheHitsDominateWhenCacheFits) {
 namespace hmr::rdmashuffle {
 namespace {
 
-TEST(OptionsTest, ResponderDeadlineFromConf) {
-  EXPECT_GT(RdmaShuffleOptions::osu_ib(Conf{}).responder_deadline, 0.0);
-  Conf conf;
-  conf.set_double(mapred::kResponderDeadlineSec, 7.5);
-  EXPECT_EQ(RdmaShuffleOptions::osu_ib(conf).responder_deadline, 7.5);
-  EXPECT_EQ(RdmaShuffleOptions::hadoop_a(conf).responder_deadline, 7.5);
-}
-
 // ------------------------------------------------- fault recovery
 
 // Short timeouts/backoffs keep the simulated recovery fast; threshold 2

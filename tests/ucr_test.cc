@@ -336,10 +336,9 @@ TEST(UcrBudgetTest, RendezvousMessageTakesTwelveEvents) {
 TEST(UcrBudgetTest, EagerTimingMatchesClosedForm) {
   UcrWorld w;
   const auto profile = NetProfile::verbs_qdr();
-  const UcrParams params;
   const std::uint64_t bytes = 4096;
   const OneMessage one = send_one(w, bytes);
-  const double copy = double(bytes) / params.copy_bw;
+  const double copy = double(bytes) / kCopyBw;
   const double expected = copy + profile.per_msg_cpu + profile.base_latency +
                           double(bytes) / profile.effective_bw() + copy;
   EXPECT_NEAR(one.received_at - one.sent_at, expected, 1e-12);
