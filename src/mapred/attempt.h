@@ -22,7 +22,7 @@
 // Speculative execution (LATE, Zaharia et al. OSDI'08): idle worker
 // slots poll JobRuntime::try_claim_backup, which estimates each running
 // original attempt's total duration from its progress rate, flags
-// attempts projected to run `mapred.speculative.slow.factor` times
+// attempts projected to run SpeculationPolicy::kSlowFactor times
 // longer than the reference (mean completed-task duration, or the mean
 // running estimate before anything completes), and claims the flagged
 // task with the *longest estimated time to completion* for a backup on
@@ -74,41 +74,34 @@ struct TaskAttempt {
   }
 };
 
-// Resolved mapred.speculative.* knobs, one decode per job.
+// Resolved speculation knobs, one decode per job.
 struct SpeculationPolicy {
-  bool maps = false;     // mapred.map.tasks.speculative.execution
-  bool reduces = false;  // mapred.reduce.tasks.speculative.execution
-  // Lifetime budget: backups per kind capped at cap * tasks-of-kind
+  // Lifetime budget: backups per kind capped at kCap * tasks-of-kind
   // (at least 1 when speculation is on).
-  double cap = 0.25;
+  static constexpr double kCap = 0.25;
   // Concurrency budget: live backups per job, charged to the tenant's
   // fair-share by the JobTracker at completion.
-  int slots = 2;
+  static constexpr int kSlots = 2;
+  // An attempt is slow when its estimated total duration exceeds
+  // kSlowFactor times the reference duration.
+  static constexpr double kSlowFactor = 1.5;
+
+  bool maps = false;     // mapred.map.tasks.speculative.execution
+  bool reduces = false;  // mapred.reduce.tasks.speculative.execution
   double interval = 0.5;     // idle-slot poll cadence, seconds
   double min_runtime = 3.0;  // attempt age before it can be flagged
-  // An attempt is slow when its estimated total duration exceeds
-  // slow_factor times the reference duration.
-  double slow_factor = 1.5;
 
-  int cap_count(int tasks) const {
-    return std::max(1, static_cast<int>(cap * double(tasks)));
+  static int cap_count(int tasks) {
+    return std::max(1, static_cast<int>(kCap * double(tasks)));
   }
 
   static SpeculationPolicy from_conf(const Conf& conf) {
     SpeculationPolicy p;
     p.maps = conf.get_bool(kSpeculativeExecution, p.maps);
     p.reduces = conf.get_bool(kReduceSpeculativeExecution, p.reduces);
-    p.cap = conf.get_double(kSpeculativeCap, p.cap);
-    p.slots = int(conf.get_int(kSpeculativeSlots, p.slots));
     p.interval = conf.get_double(kSpeculativeIntervalSec, p.interval);
     p.min_runtime = conf.get_double(kSpeculativeMinRuntimeSec, p.min_runtime);
-    p.slow_factor = conf.get_double(kSpeculativeSlowFactor, p.slow_factor);
-    HMR_CHECK_MSG(p.cap > 0 && p.cap <= 1.0,
-                  "mapred.speculative.cap out of (0, 1]");
-    HMR_CHECK_MSG(p.slots >= 1, "mapred.speculative.slots must be >= 1");
     HMR_CHECK_MSG(p.interval > 0, "mapred.speculative.interval.sec must be > 0");
-    HMR_CHECK_MSG(p.slow_factor >= 1.0,
-                  "mapred.speculative.slow.factor must be >= 1");
     return p;
   }
 };

@@ -213,7 +213,9 @@ TaskAttempt* JobRuntime::try_claim_backup(TaskKind kind, int on_host_id) {
   TaskAttempt* pick = nullptr;
   double pick_remaining = -1;
   for (const auto& candidate : candidates) {
-    if (candidate.est_total <= speculation.slow_factor * reference) continue;
+    if (candidate.est_total <= SpeculationPolicy::kSlowFactor * reference) {
+      continue;
+    }
     const double remaining =
         candidate.est_total - (now - candidate.attempt->started_at);
     if (remaining > pick_remaining) {
@@ -228,8 +230,8 @@ TaskAttempt* JobRuntime::try_claim_backup(TaskKind kind, int on_host_id) {
   const int launched =
       kind == TaskKind::kMap ? map_backups_launched : reduce_backups_launched;
   const int tasks = kind == TaskKind::kMap ? int(maps.size()) : num_reduces;
-  if (launched >= speculation.cap_count(tasks) ||
-      speculative_running >= speculation.slots) {
+  if (launched >= SpeculationPolicy::cap_count(tasks) ||
+      speculative_running >= SpeculationPolicy::kSlots) {
     metric.speculation_cap_deferrals.add();
     return nullptr;
   }

@@ -217,7 +217,7 @@ struct JobRuntime {
   // (MapTaskInfo/ReduceTaskInfo links, engine cancel watchers) stay
   // valid for the job's lifetime.
   std::vector<std::unique_ptr<TaskAttempt>> attempts;
-  int speculative_running = 0;  // live backups, vs speculation.slots
+  int speculative_running = 0;  // live backups, vs SpeculationPolicy::kSlots
   int map_backups_launched = 0;
   int reduce_backups_launched = 0;
   int reduces_committed = 0;

@@ -1,45 +1,6 @@
 #include "mapred/scheduler.h"
 
-#include <cstdlib>
-
 namespace hmr::mapred {
-namespace {
-
-// Splits "alice=3,bob=1" into (pool, value-token) pairs. Empty input is
-// an empty list; empty segments ("a=1,,b=2") and missing '=' are errors.
-Result<std::vector<std::pair<std::string, std::string>>> parse_pool_list(
-    const char* key, const std::string& text) {
-  std::vector<std::pair<std::string, std::string>> out;
-  if (text.empty()) return out;
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string item = text.substr(start, comma - start);
-    const size_t eq = item.find('=');
-    if (item.empty() || eq == std::string::npos || eq == 0 ||
-        eq + 1 == item.size()) {
-      return Status::InvalidArgument(std::string(key) + ": malformed entry '" +
-                                     item + "' (want pool=value)");
-    }
-    out.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-    start = comma + 1;
-  }
-  return out;
-}
-
-Result<double> parse_number(const char* key, const std::string& pool,
-                            const std::string& token) {
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end == nullptr || *end != '\0' || end == token.c_str()) {
-    return Status::InvalidArgument(std::string(key) + ": pool '" + pool +
-                                   "' has non-numeric value '" + token + "'");
-  }
-  return value;
-}
-
-}  // namespace
 
 const char* sched_policy_name(SchedPolicy policy) {
   switch (policy) {
@@ -53,88 +14,9 @@ const char* sched_policy_name(SchedPolicy policy) {
   return "?";
 }
 
-Result<SchedulerConfig> SchedulerConfig::from_conf(const Conf& conf) {
-  SchedulerConfig out;
-
-  const std::string policy = conf.get_string(kSchedPolicy, "fifo");
-  if (policy == "fifo") {
-    out.policy = SchedPolicy::kFifo;
-  } else if (policy == "fair") {
-    out.policy = SchedPolicy::kFair;
-  } else if (policy == "capacity") {
-    out.policy = SchedPolicy::kCapacity;
-  } else {
-    return Status::InvalidArgument(std::string(kSchedPolicy) +
-                                   ": unknown policy '" + policy +
-                                   "' (want fifo|fair|capacity)");
-  }
-
-  out.max_running_jobs =
-      static_cast<int>(conf.get_int(kSchedMaxRunningJobs, 0));
-  if (out.max_running_jobs < 0) {
-    return Status::InvalidArgument(std::string(kSchedMaxRunningJobs) +
-                                   ": must be >= 0 (0 = unlimited)");
-  }
-  out.default_pool_quota =
-      static_cast<int>(conf.get_int(kSchedPoolDefaultQuota, 0));
-  if (out.default_pool_quota < 0) {
-    return Status::InvalidArgument(std::string(kSchedPoolDefaultQuota) +
-                                   ": must be >= 0 (0 = unlimited)");
-  }
-  out.arrival_jobs_per_min = conf.get_double(kSchedArrivalJobsPerMin, 0.0);
-  if (out.arrival_jobs_per_min < 0) {
-    return Status::InvalidArgument(std::string(kSchedArrivalJobsPerMin) +
-                                   ": must be >= 0");
-  }
-
-  auto weights =
-      parse_pool_list(kSchedPoolWeights, conf.get_string(kSchedPoolWeights, ""));
-  if (!weights.ok()) return weights.status();
-  for (const auto& [pool, token] : *weights) {
-    auto value = parse_number(kSchedPoolWeights, pool, token);
-    if (!value.ok()) return value.status();
-    if (*value <= 0) {
-      return Status::InvalidArgument(std::string(kSchedPoolWeights) +
-                                     ": pool '" + pool +
-                                     "' weight must be > 0");
-    }
-    out.pools[pool].weight = *value;
-  }
-
-  auto quotas =
-      parse_pool_list(kSchedPoolQuotas, conf.get_string(kSchedPoolQuotas, ""));
-  if (!quotas.ok()) return quotas.status();
-  for (const auto& [pool, token] : *quotas) {
-    auto value = parse_number(kSchedPoolQuotas, pool, token);
-    if (!value.ok()) return value.status();
-    const int quota = static_cast<int>(*value);
-    if (*value < 0 || static_cast<double>(quota) != *value) {
-      return Status::InvalidArgument(std::string(kSchedPoolQuotas) +
-                                     ": pool '" + pool +
-                                     "' quota must be a non-negative integer");
-    }
-    out.pools[pool].quota = quota;
-  }
-  // Pools named only in the weight list still fall back to the default
-  // quota; apply it to every pool that did not set one explicitly.
-  for (auto& [pool, cfg] : out.pools) {
-    const bool quoted = [&] {
-      for (const auto& [name, token] : *quotas) {
-        if (name == pool) return true;
-      }
-      return false;
-    }();
-    if (!quoted) cfg.quota = out.default_pool_quota;
-  }
-  return out;
-}
-
 PoolConfig SchedulerConfig::pool(const std::string& name) const {
   auto it = pools.find(name);
-  if (it != pools.end()) return it->second;
-  PoolConfig fallback;
-  fallback.quota = default_pool_quota;
-  return fallback;
+  return it != pools.end() ? it->second : PoolConfig{};
 }
 
 }  // namespace hmr::mapred

@@ -1,39 +1,23 @@
 // Scheduling policies for the multi-tenant JobTracker (docs/SCHEDULER.md).
 //
-// A SchedulerConfig is the resolved form of the sched.* conf keys: which
-// policy orders the job queue, how many jobs may run at once, and the
-// per-pool weights/quotas the fair-share and capacity policies consult.
-// Parsing is strict — a misspelled policy name or a malformed pool list
-// aborts submission naming the offender, mirroring the disk-fault conf
-// path (tests exercise the Status-returning parser directly).
+// A SchedulerConfig says which policy orders the job queue, how many
+// jobs may run at once, and the per-pool weights/quotas the fair-share
+// and capacity policies consult. Callers build it directly.
 #pragma once
 
 #include <map>
 #include <string>
 
-#include "common/conf.h"
-#include "common/status.h"
-
 namespace hmr::mapred {
 
-// --- configuration keys (documented in docs/CONFIG.md) -------------------
-inline constexpr const char* kSchedPolicy = "sched.policy";
-//   values: "fifo" (arrival order), "fair" (weighted deficit across
-//   pools), "capacity" (FIFO that skips pools at their quota)
-inline constexpr const char* kSchedMaxRunningJobs = "sched.max.running.jobs";
-inline constexpr const char* kSchedPoolWeights = "sched.pool.weights";
-inline constexpr const char* kSchedPoolQuotas = "sched.pool.quotas";
-inline constexpr const char* kSchedPoolDefaultQuota =
-    "sched.pool.default.quota";
-inline constexpr const char* kSchedArrivalJobsPerMin =
-    "sched.arrival.jobs.per.min";
-
+// kFifo: arrival order. kFair: weighted deficit across pools.
+// kCapacity: FIFO that skips pools at their quota.
 enum class SchedPolicy { kFifo, kFair, kCapacity };
 
 const char* sched_policy_name(SchedPolicy policy);
 
-// Per-pool scheduling parameters. A pool defaults to weight 1 and the
-// cluster-wide default quota; both are overridable per pool.
+// Per-pool scheduling parameters. A pool absent from
+// SchedulerConfig::pools gets weight 1 and no quota.
 struct PoolConfig {
   double weight = 1.0;  // fair-share weight (kFair)
   int quota = 0;        // max concurrently running jobs; 0 = unlimited
@@ -45,18 +29,12 @@ struct SchedulerConfig {
   // (jobs then contend only for TaskTracker slots, the pre-scheduler
   // behaviour of Testbed::run_jobs).
   int max_running_jobs = 0;
-  int default_pool_quota = 0;  // quota for pools absent from the list
   // Offered load of the Poisson arrival helper (workloads::multitenant);
   // 0 means the caller drives submissions itself.
   double arrival_jobs_per_min = 0.0;
   std::map<std::string, PoolConfig> pools;
 
-  // Strict decode of the sched.* keys. Unknown policy names, malformed
-  // `pool=value` lists, non-positive weights, or negative quotas/caps
-  // are errors naming the offending key and token.
-  static Result<SchedulerConfig> from_conf(const Conf& conf);
-
-  // Pool parameters with defaults applied (never fails).
+  // The pool's entry in `pools`, or PoolConfig{} if it has none.
   PoolConfig pool(const std::string& name) const;
 };
 

@@ -73,18 +73,12 @@ inline constexpr const char* kSpeculativeExecution =
     "mapred.map.tasks.speculative.execution";
 inline constexpr const char* kReduceSpeculativeExecution =
     "mapred.reduce.tasks.speculative.execution";
-// LATE-style backup-attempt policy (mapred/attempt.h): lifetime cap as
-// a fraction of tasks per kind, concurrent-backup slots per job,
-// idle-slot poll cadence, minimum attempt age before flagging, and the
-// estimated-duration outlier threshold.
-inline constexpr const char* kSpeculativeCap = "mapred.speculative.cap";
-inline constexpr const char* kSpeculativeSlots = "mapred.speculative.slots";
+// LATE-style backup-attempt policy (mapred/attempt.h): idle-slot poll
+// cadence and minimum attempt age before flagging.
 inline constexpr const char* kSpeculativeIntervalSec =
     "mapred.speculative.interval.sec";
 inline constexpr const char* kSpeculativeMinRuntimeSec =
     "mapred.speculative.min.runtime.sec";
-inline constexpr const char* kSpeculativeSlowFactor =
-    "mapred.speculative.slow.factor";
 
 // Shuffle-fetch recovery (both engines; see mapred/recovery.h and
 // docs/CONFIG.md). A fetch with no response within the timeout is

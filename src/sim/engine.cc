@@ -56,7 +56,7 @@ void Engine::unlink_detached(detail::PromiseBase& promise) noexcept {
 void Engine::schedule_at(Time at, std::coroutine_handle<> h) {
   if (shutting_down()) return;
   HMR_CHECK_MSG(at >= now_, "scheduling into the past");
-  queue_.push(now_, EventQueue::Event{at, next_seq_++, h});
+  queue_.push(Event{at, next_seq_++, h});
 }
 
 void Engine::spawn(Task<> task) {
@@ -81,7 +81,8 @@ bool Engine::step() {
     overrun_ = true;
     return false;
   }
-  EventQueue::Event event = queue_.pop();
+  const Event event = queue_.top();
+  queue_.pop();
   HMR_CHECK(event.at >= now_);
   now_ = event.at;
   ++events_dispatched_;
@@ -96,7 +97,7 @@ Time Engine::run() {
 }
 
 Time Engine::run_until(Time deadline) {
-  while (!queue_.empty() && queue_.next_at() <= deadline) {
+  while (!queue_.empty() && queue_.top().at <= deadline) {
     if (!step()) break;
   }
   // Don't jump time past still-queued events after an overrun stop.

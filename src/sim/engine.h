@@ -1,23 +1,28 @@
 // Discrete-event simulation engine.
 //
-// Deterministic: the event queue is ordered by (timestamp, insertion
-// sequence), so equal-time events dispatch in the order they were
-// scheduled, independent of container internals. Simulated time is a
-// double in seconds. The engine is single-threaded: every coroutine is
+// Deterministic: pending events sit in one binary heap ordered by
+// (timestamp, insertion sequence). The sequence number is unique per
+// engine, so the key is a total order and equal-time events dispatch in
+// the order they were scheduled, independent of container internals
+// (DESIGN.md §"Event-queue ordering"). Simulated time is a double in
+// seconds. The engine is single-threaded: every coroutine is
 // resumed from run()/step() on the caller's thread.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
+#include <queue>
 #include <string_view>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "sim/event_queue.h"
 #include "sim/task.h"
 
 namespace hmr::sim {
+
+using Time = double;
 
 class Tracer;
 
@@ -107,7 +112,19 @@ class Engine {
 
   void unlink_detached(detail::PromiseBase& promise) noexcept;
 
-  EventQueue queue_;
+  struct Event {
+    Time at;
+    std::uint64_t seq;
+    std::coroutine_handle<> handle;
+  };
+  // Heap order for std::priority_queue: the top is the minimal (at, seq).
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+
+  std::priority_queue<Event, std::vector<Event>, Later> queue_;
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_dispatched_ = 0;

@@ -33,8 +33,8 @@ struct MultiTenantSpec {
   std::uint64_t job_modeled_bytes = 128ull * 1024 * 1024;
   std::uint64_t target_real_bytes = 2ull * 1024 * 1024;
   int num_jobs = 12;
-  // Policy, quotas, and the Poisson rate (sched.arrival.jobs.per.min);
-  // rate 0 submits every job at time zero.
+  // Policy, quotas, and the Poisson rate (arrival_jobs_per_min); rate
+  // 0 submits every job at time zero.
   mapred::SchedulerConfig sched;
   std::vector<TenantMix> tenants = {{"default", 1.0}};
   std::uint64_t seed = 1;

@@ -14,7 +14,6 @@
 #include "mapred/jobtracker.h"
 #include "net/cluster.h"
 #include "net/network.h"
-#include "sim/event_queue.h"
 #include "workloads/datagen.h"
 #include "workloads/jobs.h"
 

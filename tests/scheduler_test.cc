@@ -1,4 +1,4 @@
-// Scheduler policy tests: strict conf parsing, FIFO vs fair-share
+// Scheduler policy tests: config defaults, FIFO vs fair-share
 // ordering under contention, per-pool quota enforcement,
 // starvation-freedom, and replay determinism of a 50-job Poisson
 // arrival trace (docs/SCHEDULER.md).
@@ -22,58 +22,14 @@ using workloads::Testbed;
 using workloads::TestbedSpec;
 
 TEST(SchedulerConfigTest, Defaults) {
-  const auto config = SchedulerConfig::from_conf(Conf{});
-  ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config->policy, SchedPolicy::kFifo);
-  EXPECT_EQ(config->max_running_jobs, 0);
-  EXPECT_EQ(config->default_pool_quota, 0);
-  EXPECT_EQ(config->arrival_jobs_per_min, 0.0);
-  EXPECT_TRUE(config->pools.empty());
+  const SchedulerConfig config{};
+  EXPECT_EQ(config.policy, SchedPolicy::kFifo);
+  EXPECT_EQ(config.max_running_jobs, 0);
+  EXPECT_EQ(config.arrival_jobs_per_min, 0.0);
+  EXPECT_TRUE(config.pools.empty());
   // Unknown pools fall back to weight 1 / unlimited quota.
-  EXPECT_EQ(config->pool("nobody").weight, 1.0);
-  EXPECT_EQ(config->pool("nobody").quota, 0);
-}
-
-TEST(SchedulerConfigTest, ParsesPoolLists) {
-  Conf conf;
-  conf.set(kSchedPolicy, "fair");
-  conf.set_int(kSchedMaxRunningJobs, 4);
-  conf.set(kSchedPoolWeights, "alice=3,bob=1.5");
-  conf.set(kSchedPoolQuotas, "bob=2");
-  conf.set_int(kSchedPoolDefaultQuota, 5);
-  conf.set_double(kSchedArrivalJobsPerMin, 12.5);
-  const auto config = SchedulerConfig::from_conf(conf);
-  ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config->policy, SchedPolicy::kFair);
-  EXPECT_EQ(config->max_running_jobs, 4);
-  EXPECT_EQ(config->arrival_jobs_per_min, 12.5);
-  EXPECT_EQ(config->pool("alice").weight, 3.0);
-  EXPECT_EQ(config->pool("alice").quota, 5);  // default applied
-  EXPECT_EQ(config->pool("bob").weight, 1.5);
-  EXPECT_EQ(config->pool("bob").quota, 2);
-  EXPECT_EQ(config->pool("carol").quota, 5);  // unlisted pool, default
-}
-
-TEST(SchedulerConfigTest, RejectsBadInput) {
-  const auto expect_error = [](const char* key, const char* value) {
-    Conf conf;
-    conf.set(key, value);
-    const auto config = SchedulerConfig::from_conf(conf);
-    EXPECT_FALSE(config.ok()) << key << "=" << value;
-    EXPECT_NE(config.status().message().find(key), std::string::npos)
-        << "error must name the offending key: "
-        << config.status().message();
-  };
-  expect_error(kSchedPolicy, "round-robin");
-  expect_error(kSchedPoolWeights, "alice");          // missing '='
-  expect_error(kSchedPoolWeights, "alice=");         // empty value
-  expect_error(kSchedPoolWeights, "alice=1,,bob=2"); // empty entry
-  expect_error(kSchedPoolWeights, "alice=fast");     // non-numeric
-  expect_error(kSchedPoolWeights, "alice=0");        // weight must be > 0
-  expect_error(kSchedPoolQuotas, "bob=-1");          // negative quota
-  expect_error(kSchedPoolQuotas, "bob=1.5");         // non-integer quota
-  expect_error(kSchedMaxRunningJobs, "-2");
-  expect_error(kSchedArrivalJobsPerMin, "-1");
+  EXPECT_EQ(config.pool("nobody").weight, 1.0);
+  EXPECT_EQ(config.pool("nobody").quota, 0);
 }
 
 // A tiny cluster and dataset every scheduling test shares: 2 nodes,

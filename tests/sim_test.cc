@@ -46,73 +46,38 @@ TEST(EngineTest, EqualTimeEventsRunInScheduleOrder) {
   }
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
 
-// The 4-ary heap + now-FIFO must realize the (at, seq) total order,
-// including events pushed at the current time (FIFO lane) interleaved
-// with same-time events that were heap-resident already. Hand-computed.
-TEST(EventQueueTest, ImplsAgreeOnDispatchOrder) {
-  EventQueue queue;
-  std::uint64_t seq = 0;
-  // Heap-resident events for t=1.0 scheduled from t=0...
-  queue.push(0.0, {1.0, seq++, {}});  // seq 0
-  queue.push(0.0, {2.0, seq++, {}});  // seq 1
-  queue.push(0.0, {1.0, seq++, {}});  // seq 2
-  // ...then time advances to 1.0 and same-time pushes hit the FIFO.
-  queue.push(1.0, {1.0, seq++, {}});  // seq 3
-  queue.push(1.0, {1.5, seq++, {}});  // seq 4 (future: heap)
-  queue.push(1.0, {1.0, seq++, {}});  // seq 5
-  std::vector<std::uint64_t> order;
-  while (!queue.empty()) order.push_back(queue.pop().seq);
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 2, 3, 5, 4, 1}));
-}
-
-// Seeded random streams against a reference std::priority_queue ordered
-// by (at, seq), driven the way the engine drives the queue: `now` is the
-// time of the last pop, and each push lands at now (FIFO lane), at a
-// coarse future time (so several heap-resident events share a timestamp)
-// or at a fine future time.
-TEST(EventQueueTest, MatchesPriorityQueueOnSeededStreams) {
-  using Event = EventQueue::Event;
-  const auto later = [](const Event& a, const Event& b) {
-    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  // A process that wakes at t=1 and awaits delay(0) runs after every
+  // process already queued for t=1 and before an event queued for
+  // t=1.5. Hand-computed (at, seq) order.
+  Engine mixed;
+  std::vector<std::pair<std::string, double>> log;
+  const auto proc = [](Engine& e,
+                       std::vector<std::pair<std::string, double>>& log,
+                       std::string name, std::vector<double> delays)
+      -> Task<> {
+    for (std::size_t i = 0; i < delays.size(); ++i) {
+      co_await e.delay(delays[i]);
+      log.emplace_back(name + std::to_string(i), e.now());
+    }
   };
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed, "event_queue.reference");
-    EventQueue queue;
-    std::priority_queue<Event, std::vector<Event>, decltype(later)> reference(
-        later);
-    std::uint64_t seq = 0;
-    Time now = 0.0;
-    for (int op = 0; op < 4000; ++op) {
-      if (reference.empty() || rng.chance(0.55)) {
-        const double lane = rng.uniform();
-        const Time at = lane < 0.4   ? now
-                        : lane < 0.7 ? now + double(rng.range(1, 4))
-                                     : now + rng.uniform();
-        const Event event{at, seq++, {}};
-        queue.push(now, event);
-        reference.push(event);
-      } else {
-        ASSERT_DOUBLE_EQ(queue.next_at(), reference.top().at);
-        const Event got = queue.pop();
-        ASSERT_EQ(got.seq, reference.top().seq) << "seed " << seed;
-        now = got.at;
-        reference.pop();
-      }
-      ASSERT_EQ(queue.size(), reference.size());
-    }
-    while (!reference.empty()) {
-      ASSERT_EQ(queue.pop().seq, reference.top().seq) << "seed " << seed;
-      reference.pop();
-    }
-    EXPECT_TRUE(queue.empty());
-  }
+  mixed.spawn(proc(mixed, log, "a", {1.0, 0.0, 0.0}));
+  mixed.spawn(proc(mixed, log, "b", {2.0}));
+  mixed.spawn(proc(mixed, log, "c", {1.0, 0.5}));
+  mixed.spawn(proc(mixed, log, "d", {1.0}));
+  mixed.run();
+  EXPECT_EQ(log, (std::vector<std::pair<std::string, double>>{
+                     {"a0", 1.0},
+                     {"c0", 1.0},
+                     {"d0", 1.0},
+                     {"a1", 1.0},
+                     {"a2", 1.0},
+                     {"c1", 1.5},
+                     {"b0", 2.0}}));
 }
 
 // What a process observes of the queue through the engine: 16 jittered
-// processes (half their delays zero, so same-time wakeups pile up in the
-// FIFO lane) wake in exactly the order a reference std::priority_queue
+// processes (half their delays zero, so same-time wakeups pile up) wake in exactly the order a reference std::priority_queue
 // over (at, seq) gives, with one seq per spawn and per delay.
 TEST(EngineTest, DispatchOrderMatchesReferenceQueue) {
   constexpr int kProcs = 16;
@@ -163,18 +128,6 @@ TEST(EngineTest, DispatchOrderMatchesReferenceQueue) {
   }
   EXPECT_EQ(events, expected);
   EXPECT_EQ(events.size(), std::size_t(kProcs) * kSteps);
-}
-
-TEST(EventQueueTest, NextAtSeesBothLanes) {
-  EventQueue queue;
-  queue.push(0.0, {3.0, 0, {}});
-  EXPECT_DOUBLE_EQ(queue.next_at(), 3.0);
-  queue.push(0.0, {0.0, 1, {}});  // lands in the now-FIFO
-  EXPECT_DOUBLE_EQ(queue.next_at(), 0.0);
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.pop().seq, 1u);
-  EXPECT_EQ(queue.pop().seq, 0u);
-  EXPECT_TRUE(queue.empty());
 }
 
 TEST(EngineTest, ZeroDelayRunsAtSameTime) {
