@@ -1,7 +1,6 @@
 // Shared scaffolding for the figure-reproduction benches: every binary
 // prints the same series the paper's figure plots (one row per sort
-// size, one column per engine) plus the improvement percentages the
-// paper quotes in the text.
+// size, one column per engine) and writes them to BENCH_<id>.json.
 #pragma once
 
 #include <cstdio>
@@ -55,12 +54,9 @@ inline void run_figure(const FigureSpec& spec) {
     headers.push_back(series_label(spec, series));
   }
   Table table(std::move(headers));
-  // Matrix of results for the improvement summary.
-  std::vector<std::vector<double>> seconds(spec.sizes_gb.size());
   BenchJson bench(spec.id, spec.title, spec.workload, spec.nodes);
 
-  for (size_t row = 0; row < spec.sizes_gb.size(); ++row) {
-    const auto gb = spec.sizes_gb[row];
+  for (const auto gb : spec.sizes_gb) {
     std::vector<std::string> cells{std::to_string(gb)};
     for (const auto& series : spec.series) {
       RunConfig config;
@@ -76,7 +72,6 @@ inline void run_figure(const FigureSpec& spec) {
                    series.setup.label.c_str());
       const auto outcome = run_experiment(config);
       bench.add_run(series_label(spec, series), double(gb), outcome);
-      seconds[row].push_back(outcome.seconds());
       cells.push_back(Table::num(outcome.seconds(), 1));
     }
     table.add_row(std::move(cells));
@@ -86,8 +81,5 @@ inline void run_figure(const FigureSpec& spec) {
   std::fflush(stdout);
   if (!spec.id.empty()) bench.write_file();
 }
-
-// Improvement of column b over column a at one row, in percent.
-inline double improvement(double a, double b) { return (a - b) / a * 100.0; }
 
 }  // namespace hmr::bench

@@ -37,10 +37,7 @@ int main(int argc, char** argv) {
 
   Conf conf;
   conf.set(mapred::kShuffleEngine, engine);
-  sim::Tracer tracer(bed.engine(),
-                     std::uint64_t(conf.get_int(
-                         mapred::kTraceMaxEvents,
-                         std::int64_t(sim::Tracer::kDefaultMaxEvents))));
+  sim::Tracer tracer(bed.engine());
   bed.engine().set_tracer(&tracer);
 
   auto result = bed.run_job(terasort_job(bed.dfs(), "/in", "/out", conf));
@@ -53,10 +50,8 @@ int main(int argc, char** argv) {
   std::printf("4GB TeraSort (%s): %.1f s simulated, %zu trace spans\n",
               engine.c_str(), result.elapsed(), tracer.size());
   if (tracer.dropped_events() > 0) {
-    std::printf("trace buffer full: dropped %llu events "
-                "(raise %s)\n",
-                static_cast<unsigned long long>(tracer.dropped_events()),
-                mapred::kTraceMaxEvents);
+    std::printf("trace buffer full: dropped %llu events\n",
+                static_cast<unsigned long long>(tracer.dropped_events()));
   }
   std::printf("wrote %s — open it in ui.perfetto.dev or chrome://tracing\n",
               out_path.c_str());

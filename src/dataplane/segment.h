@@ -94,7 +94,6 @@ class SegmentReader {
                                            std::uint64_t max_bytes,
                                            std::uint64_t* pairs_out);
   bool exhausted() const { return pos_ == slice_.size(); }
-  std::uint64_t remaining_bytes() const { return slice_.size() - pos_; }
 
  private:
   std::shared_ptr<const Bytes> backing_;

@@ -3,28 +3,19 @@
 #include <algorithm>
 
 #include "common/crc32.h"
+#include "storage/localfs.h"
 
 namespace hmr::hdfs {
 
 namespace {
 
-// Fault-recovery bounds. Transient-error probabilities are < 1, so the
-// chance all attempts fail decays geometrically; disk-full windows are
-// finite by construction and only need a wide-enough backoff budget.
+// Read attempts per replica before failing over to the next one; writes
+// draw on the storage retry budget (storage/localfs.h).
 constexpr int kReadAttemptsPerReplica = 3;
-constexpr int kWriteAttempts = 16;
-constexpr int kDiskFullAttempts = 240;
-constexpr double kWriteBackoff = 0.5;  // seconds per disk-full retry
+// NameNode RPC wire size, each way.
+constexpr std::uint64_t kRpcBytes = 256;
 
 }  // namespace
-
-HdfsParams HdfsParams::from_conf(const Conf& conf) {
-  HdfsParams params;
-  params.block_size = conf.get_bytes("dfs.block.size", params.block_size);
-  params.replication =
-      int(conf.get_int("dfs.replication", params.replication));
-  return params;
-}
 
 NameNode::NameNode(HdfsParams params, std::vector<int> datanode_hosts,
                    std::uint64_t seed)
@@ -122,8 +113,8 @@ bool MiniDfs::is_datanode(int host) const {
 }
 
 sim::Task<> MiniDfs::rpc(Host& from) {
-  co_await network_.transmit(from, master(), params().rpc_bytes);
-  co_await network_.transmit(master(), from, params().rpc_bytes);
+  co_await network_.transmit(from, master(), kRpcBytes);
+  co_await network_.transmit(master(), from, kRpcBytes);
 }
 
 sim::Task<> MiniDfs::write_replica(Host& dn, std::uint64_t block_id,
@@ -135,15 +126,15 @@ sim::Task<> MiniDfs::write_replica(Host& dn, std::uint64_t block_id,
     const Status st =
         co_await dn.fs().write_file(block_path(block_id), Bytes(slice), scale);
     if (st.code() == StatusCode::kResourceExhausted) {
-      HMR_CHECK_MSG(++full_attempts <= kDiskFullAttempts,
+      HMR_CHECK_MSG(++full_attempts <= storage::kDiskFullRetries,
                     "disk-full window outlasted datanode write: " +
                         block_path(block_id));
       metrics.counter("hdfs.write.retries").add();
-      co_await cluster_.engine().delay(kWriteBackoff);
+      co_await cluster_.engine().delay(storage::kRetryBackoffSec);
       continue;
     }
     if (!st.ok()) {  // injected transient IO error
-      HMR_CHECK_MSG(++io_attempts <= kWriteAttempts,
+      HMR_CHECK_MSG(++io_attempts <= storage::kIoRetries,
                     "datanode write of " + block_path(block_id) +
                         " still failing after retries: " + st.to_string());
       metrics.counter("hdfs.write.retries").add();
@@ -155,7 +146,7 @@ sim::Task<> MiniDfs::write_replica(Host& dn, std::uint64_t block_id,
     const auto stored = dn.fs().peek(block_path(block_id));
     HMR_CHECK(stored.ok());
     if (!stored->corrupted) co_return;
-    HMR_CHECK_MSG(++io_attempts <= kWriteAttempts,
+    HMR_CHECK_MSG(++io_attempts <= storage::kIoRetries,
                   "datanode write of " + block_path(block_id) +
                       " corrupt after rewrites");
     metrics.counter("hdfs.write.rewrites").add();

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/conf.h"
 #include "net/cluster.h"
 #include "net/network.h"
 #include "sim/sync.h"
@@ -32,11 +31,8 @@ using net::Host;
 using net::Network;
 
 struct HdfsParams {
-  std::uint64_t block_size = 64 * 1024 * 1024;  // modeled bytes (dfs.block.size)
-  int replication = 3;                          // dfs.replication
-  std::uint64_t rpc_bytes = 256;                // NameNode RPC wire size
-
-  static HdfsParams from_conf(const Conf& conf);
+  std::uint64_t block_size = 64 * 1024 * 1024;  // modeled bytes
+  int replication = 3;
 };
 
 struct BlockInfo {
@@ -125,8 +121,8 @@ class MiniDfs {
   // reducer's output writes overlap its compute.
   class Writer {
    public:
-    // replication < 0 uses dfs.replication; TeraSort-style jobs write
-    // their output at replication 1.
+    // replication < 0 uses HdfsParams::replication; TeraSort-style jobs
+    // write their output at replication 1.
     Writer(MiniDfs& dfs, Host& writer, std::string path, double scale,
            int replication = -1);
     sim::Task<> append(std::span<const std::uint8_t> data);
@@ -154,7 +150,7 @@ class MiniDfs {
   // Re-replicates every under-replicated block from a surviving replica
   // (the NameNode's replication monitor), charging the copy traffic.
   sim::Task<int> replicate_under_replicated();
-  // Blocks with fewer live replicas than dfs.replication.
+  // Blocks with fewer live replicas than HdfsParams::replication.
   int under_replicated_blocks() const;
 
   // Untimed helpers for validation / job planning.

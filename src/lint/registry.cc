@@ -85,7 +85,7 @@ void extract_config_keys(const LexedFile& file, std::vector<NameUse>* uses,
       record(toks[i + 2].text, toks[i + 2].line);
       continue;
     }
-    // Direct literals: `conf.get_bytes("dfs.block.size", ...)`. Requiring
+    // Direct literals: `conf.get_bytes("io.sort.mb", ...)`. Requiring
     // the dot in the literal keeps Json::set("field", ...) out.
     if (toks[i].kind == TokKind::kIdent && kConfAccessors.count(toks[i].text) &&
         i > 0 &&

@@ -7,6 +7,9 @@ namespace hmr::mapred {
 
 namespace {
 
+// Modeled bytes/sec of CRC32 CPU per core.
+constexpr double kCrcBw = 2.0e9;
+
 // Records the time an op spent recovering (rereads, rewrites, backoff)
 // when any recovery happened at all.
 void record_recovery_delay(JobRuntime& job, double started, bool recovered) {
@@ -21,7 +24,7 @@ void record_recovery_delay(JobRuntime& job, double started, bool recovered) {
 sim::Task<> charge_verify_cpu(JobRuntime& job, Host& host,
                               std::uint64_t modeled) {
   if (!job.integrity.enabled || modeled == 0) co_return;
-  co_await job.charge_cpu(host, modeled, job.integrity.crc_bw);
+  co_await job.charge_cpu(host, modeled, kCrcBw);
 }
 
 sim::Task<bool> verify_response_crc(JobRuntime& job, Host& host, int map_id,
@@ -31,7 +34,7 @@ sim::Task<bool> verify_response_crc(JobRuntime& job, Host& host, int map_id,
   // charge_verify_cpu's charge, inlined: the caller already checked that
   // verification is on, and a verified response keeps to one frame.
   if (modeled > 0) {
-    co_await job.charge_cpu(host, modeled, job.integrity.crc_bw);
+    co_await job.charge_cpu(host, modeled, kCrcBw);
   }
   co_await job.engine.delay(0);
   const std::uint32_t got = crc32c(body);
@@ -57,7 +60,7 @@ sim::Task<Result<storage::FileView>> read_verified_impl(
     auto view = co_await read();
     if (!view.ok()) {
       if (view.status().code() == StatusCode::kUnavailable &&
-          attempt < job.integrity.max_retries) {
+          attempt < storage::kIoRetries) {
         job.metric.io_retries.add();
         recovered = true;
         continue;
@@ -68,7 +71,7 @@ sim::Task<Result<storage::FileView>> read_verified_impl(
     co_await charge_verify_cpu(job, host, modeled);
     if (view->corrupted) {
       job.metric.checksum_mismatches.add();
-      if (attempt < job.integrity.max_retries) {
+      if (attempt < storage::kIoRetries) {
         job.metric.corrupt_rereads.add();
         recovered = true;
         continue;
@@ -126,15 +129,15 @@ sim::Task<Status> write_file_verified(JobRuntime& job, Host& host,
       // on this host, back off, retry. The window is finite by
       // construction; the bound only guards against runaway plans.
       job.metric.disk_full_events.add();
-      HMR_CHECK_MSG(++full_attempts <= job.integrity.disk_full_max_retries,
+      HMR_CHECK_MSG(++full_attempts <= storage::kDiskFullRetries,
                     "disk-full window outlasted spill retries: " + path);
       if (job.shuffle != nullptr) job.shuffle->on_disk_pressure(job, host.id());
       recovered = true;
-      co_await job.engine.delay(job.integrity.disk_full_backoff);
+      co_await job.engine.delay(storage::kRetryBackoffSec);
       continue;
     }
     if (!written.ok()) {  // injected transient write error
-      if (io_attempts++ < job.integrity.max_retries) {
+      if (io_attempts++ < storage::kIoRetries) {
         job.metric.io_retries.add();
         recovered = true;
         continue;
@@ -153,7 +156,7 @@ sim::Task<Status> write_file_verified(JobRuntime& job, Host& host,
       co_return Status::Ok();
     }
     job.metric.checksum_mismatches.add();
-    if (verify_attempts++ >= job.integrity.max_retries) {
+    if (verify_attempts++ >= storage::kIoRetries) {
       job.metric.write_failures.add();
       co_return Status::Internal("verified write failed: " + path);
     }

@@ -12,8 +12,11 @@ JobRunner::JobRunner(Cluster& cluster, Network& network, hdfs::MiniDfs& dfs,
                      std::vector<int> tracker_hosts)
     : cluster_(cluster),
       network_(network),
-      dfs_(dfs),
-      tracker_hosts_(std::move(tracker_hosts)) {
+      dfs_(dfs) {
+  for (int host_id : tracker_hosts) {
+    trackers_.push_back(std::make_unique<TaskTrackerState>(
+        cluster_.engine(), cluster_.host(host_id)));
+  }
   register_engine("vanilla", [](const Conf&) {
     return std::make_unique<VanillaShuffleEngine>();
   });
@@ -155,15 +158,6 @@ sim::Task<> JobRunner::reduce_worker(JobRuntime& job,
 }
 
 sim::Task<JobResult> JobRunner::run(JobSpec spec) {
-  if (trackers_.empty()) {
-    const int map_slots = int(spec.conf.get_int(kMapSlots, 4));
-    const int reduce_slots = int(spec.conf.get_int(kReduceSlots, 4));
-    for (int host_id : tracker_hosts_) {
-      trackers_.push_back(std::make_unique<TaskTrackerState>(
-          cluster_.engine(), cluster_.host(host_id), map_slots,
-          reduce_slots));
-    }
-  }
   std::vector<TaskTrackerState*> trackers;
   trackers.reserve(trackers_.size());
   for (auto& tracker : trackers_) trackers.push_back(tracker.get());
@@ -192,14 +186,12 @@ sim::Task<JobResult> JobRunner::run(JobSpec spec) {
   for (int r = 0; r < job->num_reduces; ++r) pending_reduces.push_back(r);
 
   sim::WaitGroup workers(job->engine);
-  const int map_slots = int(job->spec.conf.get_int(kMapSlots, 4));
-  const int reduce_slots = int(job->spec.conf.get_int(kReduceSlots, 4));
   for (auto& tracker : job->trackers) {
-    for (int s = 0; s < map_slots; ++s) {
+    for (int s = 0; s < TaskTrackerState::kMapSlots; ++s) {
       workers.add();
       job->engine.spawn(map_worker(*job, *tracker, s, assigned, workers));
     }
-    for (int s = 0; s < reduce_slots; ++s) {
+    for (int s = 0; s < TaskTrackerState::kReduceSlots; ++s) {
       workers.add();
       job->engine.spawn(
           reduce_worker(*job, *tracker, pending_reduces, workers));

@@ -47,12 +47,10 @@ class JobRunner {
   Cluster& cluster_;
   Network& network_;
   hdfs::MiniDfs& dfs_;
-  std::vector<int> tracker_hosts_;
   std::map<std::string, EngineFactory> factories_;
   // TaskTrackers persist across jobs: every run() — including the
   // concurrent runs a JobTracker dispatches — contends for the same
-  // slot Resources. Created lazily on the first run() from that job's
-  // slot conf.
+  // slot Resources.
   std::vector<std::unique_ptr<TaskTrackerState>> trackers_;
   int next_job_id_ = 1;
 };

@@ -49,10 +49,10 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
   auto split = co_await job.dfs.read(host, task.input_file);
   for (int attempt = 0;
        !split.ok() && split.status().code() == StatusCode::kUnavailable &&
-       attempt < job.integrity.max_retries;
+       attempt < storage::kIoRetries;
        ++attempt) {
     job.metric.io_retries.add();
-    co_await job.engine.delay(job.integrity.disk_full_backoff);
+    co_await job.engine.delay(storage::kRetryBackoffSec);
     split = co_await job.dfs.read(host, task.input_file);
   }
   HMR_CHECK_MSG(split.ok(), "map input read failed: " + split.status().to_string());
@@ -102,7 +102,7 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
   const auto output_modeled =
       static_cast<std::uint64_t>(double(output_real) * job.data_scale);
   co_await job.charge_cpu(host, task.modeled_bytes + output_modeled,
-                          job.cost.map_cpu_bw * slow / slowdown);
+                          CostModel::kMapCpuBw * slow / slowdown);
   if (!co_await job.attempt_checkpoint(attempt, host, 0.6)) {
     abandon_map_attempt(job, *attempt, host, path);
     co_return;
@@ -157,7 +157,7 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
         co_await read_file_verified(job, host, path + ".spills");
     HMR_CHECK_MSG(merged.ok(),
                   "map spill merge read failed: " + merged.status().to_string());
-    co_await job.charge_cpu(host, output_modeled, job.cost.merge_cpu_bw);
+    co_await job.charge_cpu(host, output_modeled, CostModel::kMergeCpuBw);
     HMR_CHECK(host.fs().remove(path + ".spills").ok());
   }
   if (!co_await job.attempt_checkpoint(attempt, host, 0.9)) {
@@ -218,7 +218,7 @@ sim::Task<> run_failed_map_attempt(JobRuntime& job, int map_id,
     co_await job.charge_cpu(
         host,
         static_cast<std::uint64_t>(double(task.modeled_bytes) * progress),
-        job.cost.map_cpu_bw);
+        CostModel::kMapCpuBw);
   }
   job.metric.map_failed_attempts.add();
 }

@@ -16,6 +16,9 @@ std::string reduce_output_path(const JobSpec& spec, int reduce_id) {
 
 namespace {
 
+// Job output is written at replication 1 (the TeraSort convention).
+constexpr int kOutputReplication = 1;
+
 // Applies the user reduce function over a sorted stream with
 // group-by-key semantics, carrying groups across batch boundaries.
 class ReduceDriver {
@@ -111,10 +114,8 @@ sim::Task<> run_reduce_task(JobRuntime& job, int reduce_id,
     done.done();
   }(job, reduce_id, host, sink, fetch_done, attempt));
 
-  const int output_replication =
-      int(job.spec.conf.get_int(kOutputReplication, 1));
   hdfs::MiniDfs::Writer out(job.dfs, host, write_path, job.data_scale,
-                            output_replication);
+                            kOutputReplication);
   ReduceDriver driver(job, out);
 
   std::uint64_t consumed_real = 0;
@@ -132,7 +133,7 @@ sim::Task<> run_reduce_task(JobRuntime& job, int reduce_id,
     // scales the effective throughput down (slow < 1).
     co_await job.charge_cpu(
         host, static_cast<std::uint64_t>(double(batch_real) * job.data_scale),
-        job.cost.reduce_cpu_bw *
+        CostModel::kReduceCpuBw *
             job.compute_faults.slow_factor(host.id(), job.engine.now()));
     co_await driver.consume(std::move(*batch));
     // Progress from consumed shuffle bytes against the bytes committed

@@ -54,7 +54,7 @@ JobRuntime::JobRuntime(Cluster& cluster, Network& network,
 
   num_reduces = int(spec.conf.get_int(
       kNumReduces,
-      std::int64_t(trackers.size()) * spec.conf.get_int(kReduceSlots, 4)));
+      std::int64_t(trackers.size()) * TaskTrackerState::kReduceSlots));
   HMR_CHECK_MSG(num_reduces > 0, "job needs at least one reduce");
   result.num_maps = int(maps.size());
   result.num_reduces = num_reduces;

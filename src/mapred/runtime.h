@@ -56,11 +56,15 @@ struct MapOutputInfo {
 // cluster-wide contention point when several jobs run concurrently, and
 // its served outputs are keyed by (job_id, map_id).
 struct TaskTrackerState {
-  TaskTrackerState(sim::Engine& engine, Host& host, int map_slots,
-                   int reduce_slots)
+  // Concurrent task slots per tracker (§IV-A: 8-core nodes, half for
+  // maps, half for reduces).
+  static constexpr int kMapSlots = 4;
+  static constexpr int kReduceSlots = 4;
+
+  TaskTrackerState(sim::Engine& engine, Host& host)
       : host(&host),
-        map_slots(engine, map_slots, host.name() + ".mapslots"),
-        reduce_slots(engine, reduce_slots, host.name() + ".redslots") {}
+        map_slots(engine, kMapSlots, host.name() + ".mapslots"),
+        reduce_slots(engine, kReduceSlots, host.name() + ".redslots") {}
 
   Host* host;
   sim::Resource map_slots;

@@ -45,21 +45,15 @@ inline constexpr const char* kMaxRecordBytes =
 
 // Framework knobs (Hadoop 0.20-era names where they exist).
 inline constexpr const char* kNumReduces = "mapred.reduce.tasks";
-inline constexpr const char* kMapSlots = "mapred.tasktracker.map.tasks.maximum";
-inline constexpr const char* kReduceSlots =
-    "mapred.tasktracker.reduce.tasks.maximum";
 inline constexpr const char* kIoSortMb = "io.sort.mb";
 inline constexpr const char* kIoSortFactor = "io.sort.factor";
-inline constexpr const char* kParallelCopies = "mapred.reduce.parallel.copies";
 inline constexpr const char* kShuffleBufferBytes =
     "mapred.job.shuffle.input.buffer.bytes";
 inline constexpr std::uint64_t kDefaultShuffleBufferBytes =
     700ull * 1024 * 1024;  // ~70% of a 1 GB reduce-task heap
 inline constexpr const char* kSlowstart =
     "mapred.reduce.slowstart.completed.maps";
-inline constexpr const char* kOutputReplication = "mapred.output.replication";
 inline constexpr const char* kTaskStartupSec = "mapred.task.startup.sec";
-inline constexpr const char* kHttpOverheadBytes = "mapred.http.overhead.bytes";
 
 // Fault injection & recovery (the paper's §VI future work: "extend our
 // design to handle faster recovery in case of task failures").
@@ -98,32 +92,12 @@ inline constexpr const char* kFetchBackoffJitter =
 inline constexpr const char* kBlacklistFailures =
     "mapred.shuffle.tracker.blacklist.failures";
 
-// End-to-end data integrity (DESIGN.md §6.2). Spills carry per-partition
-// CRC32 checksums verified on every read boundary (cache fill, RDMA
-// responder, vanilla servlet, merge ingest); verification CPU is charged
-// at kIntegrityCpuBw. Injected IO errors and verify failures are retried
-// up to kIntegrityMaxRetries times; a spill rejected by a full disk
-// evicts shuffle-cache memory and backs off kDiskFullBackoffSec between
-// attempts (at most kDiskFullMaxRetries of them).
+// End-to-end data integrity (DESIGN.md §6.2). Spills carry
+// per-partition CRC32 checksums verified on every read boundary (cache
+// fill, RDMA responder, vanilla servlet, merge ingest); verification CPU
+// is charged per core at 2e9 modeled bytes/sec (mapred/integrity.cc).
+// Retries draw on the storage retry budget (storage/localfs.h).
 inline constexpr const char* kIntegrityEnabled = "mapred.integrity.enabled";
-inline constexpr const char* kIntegrityCpuBw =
-    "mapred.integrity.cpu.bytes_per_sec";
-inline constexpr const char* kIntegrityMaxRetries =
-    "mapred.integrity.max.retries";
-inline constexpr const char* kDiskFullBackoffSec =
-    "mapred.storage.disk.full.backoff.sec";
-inline constexpr const char* kDiskFullMaxRetries =
-    "mapred.storage.disk.full.max.retries";
-
-// Observability. kTraceMaxEvents caps the Chrome-trace event buffer when
-// tracing is enabled; events past the cap are dropped and counted. 0
-// means unbounded.
-inline constexpr const char* kTraceMaxEvents = "sim.trace.max.events";
-
-// Compute-cost model (modeled bytes per second per core).
-inline constexpr const char* kMapCpuBw = "mapred.cpu.map.bytes_per_sec";
-inline constexpr const char* kReduceCpuBw = "mapred.cpu.reduce.bytes_per_sec";
-inline constexpr const char* kMergeCpuBw = "mapred.cpu.merge.bytes_per_sec";
 
 // --- user functions ------------------------------------------------------
 using Emit = std::function<void(dataplane::KvPair)>;
@@ -227,43 +201,32 @@ struct JobResult {
   }
 };
 
-// Resolved integrity/storage-recovery knobs, one decode per job.
+// Resolved integrity knob, one decode per job.
 struct IntegrityPolicy {
-  bool enabled = true;       // verify checksums at read/write boundaries
-  double crc_bw = 2.0e9;     // modeled bytes/sec of CRC32 CPU per core
-  int max_retries = 16;      // bounded re-reads / rewrites / IO retries
-  double disk_full_backoff = 0.5;  // seconds between disk-full attempts
-  int disk_full_max_retries = 240;
+  bool enabled = true;  // verify checksums at read/write boundaries
 
   static IntegrityPolicy from_conf(const Conf& conf) {
     IntegrityPolicy p;
     p.enabled = conf.get_bool(kIntegrityEnabled, p.enabled);
-    p.crc_bw = conf.get_double(kIntegrityCpuBw, p.crc_bw);
-    p.max_retries = int(conf.get_int(kIntegrityMaxRetries, p.max_retries));
-    p.disk_full_backoff =
-        conf.get_double(kDiskFullBackoffSec, p.disk_full_backoff);
-    p.disk_full_max_retries =
-        int(conf.get_int(kDiskFullMaxRetries, p.disk_full_max_retries));
     return p;
   }
 };
 
 // Resolved numeric knobs, one decode of the Conf per job.
 struct CostModel {
-  // Era-realistic Hadoop 0.20 throughputs: the Java map path (record
-  // reader + map + sort + spill serialization) moves well under 100 MB/s
-  // per core, which is why socket-stack CPU contention shows up in the
-  // paper's interconnect comparisons.
-  double map_cpu_bw = 60e6;
-  double reduce_cpu_bw = 90e6;
-  double merge_cpu_bw = 150e6;
+  // Modeled bytes per second per core. Era-realistic Hadoop 0.20
+  // throughputs: the Java map path (record reader + map + sort + spill
+  // serialization) moves well under 100 MB/s per core, which is why
+  // socket-stack CPU contention shows up in the paper's interconnect
+  // comparisons.
+  static constexpr double kMapCpuBw = 60e6;
+  static constexpr double kReduceCpuBw = 90e6;
+  static constexpr double kMergeCpuBw = 150e6;
+
   double task_startup = 1.0;
 
   static CostModel from_conf(const Conf& conf) {
     CostModel m;
-    m.map_cpu_bw = conf.get_double(kMapCpuBw, m.map_cpu_bw);
-    m.reduce_cpu_bw = conf.get_double(kReduceCpuBw, m.reduce_cpu_bw);
-    m.merge_cpu_bw = conf.get_double(kMergeCpuBw, m.merge_cpu_bw);
     m.task_startup = conf.get_double(kTaskStartupSec, m.task_startup);
     return m;
   }

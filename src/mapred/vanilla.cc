@@ -13,6 +13,12 @@ namespace {
 constexpr std::uint64_t kTagRequest = 1;
 constexpr std::uint64_t kTagResponse = 2;
 constexpr std::uint64_t kRequestWireBytes = 150;  // HTTP GET + headers
+// Per-fetch HTTP response header overhead (part of what RDMA
+// eliminates, §II).
+constexpr std::uint64_t kHttpOverheadBytes = 300;
+// Concurrent fetch threads per reduce task (Hadoop's
+// mapred.reduce.parallel.copies default).
+constexpr int kParallelCopies = 5;
 // Responses echo {map_id, reduce_id, body_crc} ahead of the body: the
 // ids let copiers match responses to requests and discard stale
 // duplicates of timed-out fetches (stall faults can answer a request
@@ -128,8 +134,6 @@ sim::Task<> VanillaShuffleEngine::servlet_accept_loop(JobRuntime& job,
 
 sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
     JobRuntime& job, std::unique_ptr<net::Socket> sock, int host_id) {
-  const std::uint64_t http_overhead =
-      job.spec.conf.get_bytes(kHttpOverheadBytes, 300);
   TaskTrackerState& tracker = job.tracker_for_host(host_id);
   while (auto request = co_await sock->recv()) {
     HMR_CHECK(request->tag == kTagRequest && request->payload != nullptr);
@@ -182,7 +186,7 @@ sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
     const auto modeled = info.modeled_partition_bytes(reduce_id);
     net::Message response = net::Message::data(std::move(body), 1.0,
                                                kTagResponse);
-    response.modeled_bytes = modeled + http_overhead;
+    response.modeled_bytes = modeled + kHttpOverheadBytes;
     co_await sock->send(std::move(response));
   }
   daemons_->done();
@@ -216,7 +220,7 @@ sim::Task<> VanillaShuffleEngine::in_memory_merge(JobRuntime& job,
                "in_mem_merge_r" + std::to_string(state.reduce_id));
   }
 
-  co_await job.charge_cpu(state.host, modeled, job.cost.merge_cpu_bw);
+  co_await job.charge_cpu(state.host, modeled, CostModel::kMergeCpuBw);
   const std::string path = "shuffle/" + job.spec.name + "/r" +
                            std::to_string(state.reduce_id) + "/spill" +
                            std::to_string(state.spill_seq++);
@@ -428,10 +432,8 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
     done.done();
   }(job, state, fetch_done));
 
-  const int copies =
-      int(job.spec.conf.get_int(kParallelCopies, 5));
   sim::WaitGroup copiers(job.engine);
-  for (int c = 0; c < copies; ++c) {
+  for (int c = 0; c < kParallelCopies; ++c) {
     copiers.add();
     job.engine.spawn([](VanillaShuffleEngine& self, JobRuntime& job,
                         ReduceShuffleState& state, int copier_id,
@@ -484,7 +486,7 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
       t->instant(host.name(), "merge",
                  "merge_pass_r" + std::to_string(reduce_id));
     }
-    co_await job.charge_cpu(host, modeled, job.cost.merge_cpu_bw);
+    co_await job.charge_cpu(host, modeled, CostModel::kMergeCpuBw);
     const std::string path = "shuffle/" + job.spec.name + "/r" +
                              std::to_string(reduce_id) + "/pass" +
                              std::to_string(state.spill_seq++);
@@ -526,7 +528,7 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
       co_await job.charge_cpu(
           host,
           static_cast<std::uint64_t>(double(batch_real) * job.data_scale),
-          job.cost.merge_cpu_bw);
+          CostModel::kMergeCpuBw);
       co_await sink.send(std::move(batch));
       batch = KvBatch{};
       batch.reserve(kBatchPairs);
@@ -536,7 +538,7 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
   if (!batch.empty() && !state.cancelled()) {
     co_await job.charge_cpu(
         host, static_cast<std::uint64_t>(double(batch_real) * job.data_scale),
-        job.cost.merge_cpu_bw);
+        CostModel::kMergeCpuBw);
     co_await sink.send(std::move(batch));
   }
 

@@ -111,14 +111,12 @@ std::vector<Host*> Cluster::hosts() {
   return out;
 }
 
-std::vector<HostSpec> Cluster::uniform(int n, int disks_per_host, bool ssd,
-                                       int cores) {
+std::vector<HostSpec> Cluster::uniform(int n, int disks_per_host, bool ssd) {
   std::vector<HostSpec> specs;
   specs.reserve(n);
   for (int i = 0; i < n; ++i) {
     HostSpec spec;
     spec.name = "host" + std::to_string(i);
-    spec.cores = cores;
     spec.disks.clear();
     for (int d = 0; d < disks_per_host; ++d) {
       spec.disks.push_back(ssd ? storage::DiskSpec::ssd("ssd" + std::to_string(d))

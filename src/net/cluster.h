@@ -61,7 +61,6 @@ class Host {
   // (< 1 slows every subsequent compute()). Restores compose: degrading
   // by f and later by 1/f returns to the original speed.
   void degrade_cpu(double factor);
-  double cpu_speed() const { return cpu_speed_; }
 
  private:
   sim::Engine& engine_;
@@ -96,7 +95,7 @@ class Cluster {
 
   // Uniform cluster of n hosts named host0..host{n-1}.
   static std::vector<HostSpec> uniform(int n, int disks_per_host,
-                                       bool ssd = false, int cores = 8);
+                                       bool ssd = false);
 
  private:
   // The cpu.degrade half of inject_faults. Task hang/slow windows are

@@ -111,7 +111,6 @@ class ProtectionDomain {
   const MemoryRegion* find(std::uint32_t rkey) const;
 
   Host& host() { return host_; }
-  RegistrationCost& registration_cost() { return reg_cost_; }
 
  private:
   sim::Engine& engine_;

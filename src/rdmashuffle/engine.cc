@@ -17,6 +17,12 @@ using mapred::TaskTrackerState;
 
 namespace {
 
+// MapOutputPrefetcher daemons per TaskTracker.
+constexpr int kPrefetchDaemons = 2;
+// Memory-copy bandwidth of a page-cache hit (bytes/sec); see
+// RdmaShuffleOptions::page_cache_window.
+constexpr double kPageCacheBw = 2.5e9;
+
 // Built outside the coroutine bodies: GCC 12 emits a spurious -Wrestrict
 // for char* + std::string&& chains inlined into coroutine frames.
 std::string map_cache_key(std::uint32_t job_id, std::uint32_t map_id) {
@@ -84,7 +90,7 @@ sim::Task<> RdmaShuffleEngine::start(JobRuntime& job) {
       daemons_->add();
       job.engine.spawn(rdma_responder(job, *service, host_id));
     }
-    for (int p = 0; p < options_.prefetch_daemons; ++p) {
+    for (int p = 0; p < kPrefetchDaemons; ++p) {
       daemons_->add();
       job.engine.spawn(prefetcher(job, *service, host_id));
     }
@@ -283,7 +289,7 @@ sim::Task<> RdmaShuffleEngine::prefetcher(JobRuntime& job,
       // The map just wrote this file: it is still in the page cache, so
       // caching it is a memory copy, not a platter read.
       auto core = co_await sim::hold(tracker.host->cpu());
-      co_await job.engine.delay(double(modeled) / options_.page_cache_bw);
+      co_await job.engine.delay(double(modeled) / kPageCacheBw);
     } else {
       // Verified fill: a cache loaded from a rotten platter read would
       // poison every subsequent hit. Unreadable outputs just stay
@@ -682,7 +688,7 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
     if (batch.empty()) co_return;
     co_await job.charge_cpu(
         host, static_cast<std::uint64_t>(double(batch_real) * job.data_scale),
-        job.cost.merge_cpu_bw);
+        mapred::CostModel::kMergeCpuBw);
     if (options_.overlap_reduce) {
       co_await sink.send(std::move(batch));
     } else {

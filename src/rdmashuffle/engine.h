@@ -59,7 +59,6 @@ struct RdmaShuffleOptions {
   std::uint64_t packet_bytes = 1024 * 1024;  // modeled; 0 = unlimited
   std::uint64_t kv_per_packet = 0;           // 0 = unlimited (byte mode)
   int responder_threads = 4;
-  int prefetch_daemons = 2;
   bool overlap_reduce = true;
   // Fixed-count receive buffers (Hadoop-A): each segment's buffer is
   // provisioned for kv_per_packet pairs of the *largest observed* pair
@@ -78,8 +77,7 @@ struct RdmaShuffleOptions {
   // OS page cache (the map just wrote it): the prefetcher copies it at
   // memory speed instead of re-reading the platters. This immediacy is
   // what makes "cache as soon as it gets available" (§III-B3) cheap.
-  double page_cache_window = 20.0;   // seconds
-  double page_cache_bw = 2.5e9;      // bytes/sec memcpy
+  double page_cache_window = 20.0;  // seconds
 
   // The paper's design: byte-budgeted packets, caching on (§III-C(3)
   // exposes all of these as user tunables).

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "common/logging.h"
-
 namespace hmr::sim {
 
 namespace detail {
@@ -27,12 +25,9 @@ void on_detached_done(PromiseBase& promise) noexcept {
 
 }  // namespace detail
 
-Engine::Engine(std::uint64_t seed) : seed_(seed) {
-  Logger::instance().set_time_source([this] { return now_; });
-}
+Engine::Engine(std::uint64_t seed) : seed_(seed) {}
 
 Engine::~Engine() {
-  Logger::instance().clear_time_source();
   shutting_down_ = true;
   // Destroy still-suspended detached frames in spawn order. Their locals'
   // destructors may try to schedule wakeups; schedule_at ignores those

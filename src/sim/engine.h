@@ -37,9 +37,6 @@ class Engine {
 
   // Schedules a bare coroutine resume. `at` must be >= now().
   void schedule_at(Time at, std::coroutine_handle<> h);
-  void schedule_after(Time dt, std::coroutine_handle<> h) {
-    schedule_at(now_ + dt, h);
-  }
   void schedule_now(std::coroutine_handle<> h) { schedule_at(now_, h); }
 
   // Awaitable: suspends the current task until simulated time `at`.

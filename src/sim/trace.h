@@ -28,7 +28,6 @@ class Tracer {
   // The event buffer would otherwise grow without bound on long
   // simulations; past `max_events` new events are dropped and counted
   // (trace.dropped_events in the engine's metrics). 0 = unbounded.
-  // Configurable per job via sim.trace.max.events.
   static constexpr std::uint64_t kDefaultMaxEvents = 1'000'000;
 
   explicit Tracer(Engine& engine,

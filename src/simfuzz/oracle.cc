@@ -1,21 +1,17 @@
 #include "simfuzz/oracle.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
-#include "common/units.h"
 #include "net/profile.h"
+#include "rdmashuffle/engine.h"
 #include "sim/fault.h"
-#include "workloads/testbed.h"
+#include "workloads/experiment.h"
 
 namespace hmr::simfuzz {
 namespace {
 
 constexpr const char* kEngines[] = {"vanilla", "osu-ib", "hadoop-a"};
-
-// The OSU-IB per-tracker cache default (rdmashuffle::RdmaShuffleOptions).
-constexpr std::uint64_t kDefaultCacheBytes = 12ull * kGiB;
 
 net::NetProfile vanilla_profile(const std::string& name) {
   if (name == "1gige") return net::NetProfile::one_gige();
@@ -57,24 +53,14 @@ ScenarioSetup scenario_setup(const Scenario& scenario,
   setup.bed_spec.hdfs.block_size = scenario.block_bytes;
   setup.bed_spec.seed = scenario.seed;
 
-  const double scale =
-      std::max(1.0, double(scenario.modeled_bytes) /
-                        double(scenario.target_real_bytes));
   setup.gen.dir = "/fuzz/in";
-  setup.gen.modeled_total = scenario.modeled_bytes;
   setup.gen.part_modeled = scenario.block_bytes;
-  setup.gen.scale = scale;
   setup.gen.seed = scenario.seed;
-  if (!setup.terasort) setup.gen.record_inflation = std::max(1.0, scale / 32.0);
-
   setup.conf = scenario.base_conf();
   setup.conf.set(mapred::kShuffleEngine, engine);
-  setup.conf.set_double(mapred::kKvInflation,
-                        setup.terasort ? scale : setup.gen.record_inflation);
-  setup.conf.set_bytes(
-      mapred::kMaxRecordBytes,
-      setup.terasort ? std::uint64_t(102.0 * scale)
-                     : std::uint64_t(20010.0 * setup.gen.record_inflation));
+  workloads::scale_workload(setup.terasort, scenario.modeled_bytes,
+                            scenario.target_real_bytes, &setup.gen,
+                            &setup.conf);
   return setup;
 }
 
@@ -315,7 +301,9 @@ void check_engine_run(const Scenario& scenario, const EngineRun& run,
   }
   if (e == "osu-ib" && scenario.caching) {
     const std::uint64_t budget =
-        scenario.cache_bytes > 0 ? scenario.cache_bytes : kDefaultCacheBytes;
+        scenario.cache_bytes > 0
+            ? scenario.cache_bytes
+            : rdmashuffle::RdmaShuffleOptions{}.cache_bytes;
     const double peak = m.gauge_max("cache.used_bytes");
     if (peak > double(budget)) {
       add(verdict, "conservation.cache_budget", e,

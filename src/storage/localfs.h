@@ -25,6 +25,18 @@
 
 namespace hmr::storage {
 
+// The storage retry budget, shared by HDFS DataNode writes and job IO
+// (spills, map-output reads, map-input reads). Transient IO errors and
+// checksum mismatches are retried up to kIoRetries times per operation.
+// A write rejected by a full disk is retried every kRetryBackoffSec, at
+// most kDiskFullRetries times: enough to ride out a 2-minute full
+// window. Injected fault probabilities are < 1, so the chance that every
+// attempt fails decays geometrically; the bounds only guard against
+// runaway fault plans.
+inline constexpr int kIoRetries = 16;
+inline constexpr int kDiskFullRetries = 240;
+inline constexpr double kRetryBackoffSec = 0.5;
+
 // Immutable view of a stored file's payload; holds shared ownership so a
 // reader survives concurrent deletion (as an OS fd would).
 //
@@ -91,9 +103,6 @@ class LocalFS {
   // Arms per-operation fault rolls on this filesystem. `rng` must be a
   // host-unique stream so concurrent hosts' faults decorrelate.
   void arm_fault(const sim::DiskFault& fault, Rng rng);
-  const sim::DiskFault* armed_fault() const {
-    return fault_ ? &*fault_ : nullptr;
-  }
   // Rolls the armed cache-corruption dice (a cached segment rotted while
   // resident); consulted by the shuffle cache on every hit.
   bool roll_cache_corrupt();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "common/units.h"
 
 namespace hmr::workloads {
@@ -59,29 +58,18 @@ RunOutcome run_experiment(const RunConfig& config) {
   bed_spec.seed = config.seed;
   Testbed bed(bed_spec);
 
-  const double scale = std::max(
-      1.0, double(config.sort_modeled_bytes) / double(config.target_real_bytes));
   DataGenSpec gen;
   gen.dir = "/bench/in";
-  gen.modeled_total = config.sort_modeled_bytes;
   gen.part_modeled = block;
-  gen.scale = scale;
   gen.seed = config.seed;
-  // Sort carries records ~1/32nd of the paper's real sizes so record
-  // counts stay simulable while packet mechanics (fixed kv count vs byte
-  // budget, §IV-C) keep their real proportions.
-  if (!terasort) gen.record_inflation = std::max(1.0, scale / 32.0);
+  Conf conf = config.setup.extra;
+  conf.set(mapred::kShuffleEngine, config.setup.engine);
+  scale_workload(terasort, config.sort_modeled_bytes,
+                 config.target_real_bytes, &gen, &conf);
   auto digest =
       bed.generate(terasort ? "teragen" : "randomwriter", gen);
   HMR_CHECK_MSG(digest.ok(), "input generation failed");
 
-  Conf conf = config.setup.extra;
-  conf.set(mapred::kShuffleEngine, config.setup.engine);
-  conf.set_double(mapred::kKvInflation,
-                  terasort ? scale : gen.record_inflation);
-  conf.set_bytes(mapred::kMaxRecordBytes,
-                 terasort ? std::uint64_t(102.0 * scale)
-                          : std::uint64_t(20010.0 * gen.record_inflation));
   mapred::JobSpec job =
       terasort ? terasort_job(bed.dfs(), gen.dir, "/bench/out", conf)
                : sort_job(bed.dfs(), gen.dir, "/bench/out", conf);
@@ -93,38 +81,32 @@ RunOutcome run_experiment(const RunConfig& config) {
   RunOutcome outcome;
   outcome.job = bed.run_job(std::move(job));
 
-  if (config.validate) {
-    auto report = validate_output(bed.dfs(), "/bench/out");
-    HMR_CHECK_MSG(report.ok(), "output missing after job");
-    outcome.validation = *report;
-    const bool ok = terasort ? report->valid_terasort(*digest)
-                             : report->valid_sort(*digest);
-    HMR_CHECK_MSG(ok, "output validation FAILED for " + config.setup.label);
-    outcome.validated = true;
-  }
+  auto report = validate_output(bed.dfs(), "/bench/out");
+  HMR_CHECK_MSG(report.ok(), "output missing after job");
+  outcome.validation = *report;
+  const bool ok = terasort ? report->valid_terasort(*digest)
+                           : report->valid_sort(*digest);
+  HMR_CHECK_MSG(ok, "output validation FAILED for " + config.setup.label);
+  outcome.validated = true;
   return outcome;
 }
 
-Table figure_table(const std::string& size_header,
-                   const std::vector<std::uint64_t>& sizes,
-                   const std::vector<EngineSetup>& setups,
-                   const std::function<RunConfig(std::uint64_t,
-                                                 const EngineSetup&)>& make) {
-  std::vector<std::string> headers{size_header};
-  for (const auto& setup : setups) headers.push_back(setup.label);
-  Table table(std::move(headers));
-  for (const auto size : sizes) {
-    std::vector<std::string> row{std::to_string(size / kGiB)};
-    for (const auto& setup : setups) {
-      const RunOutcome outcome = run_experiment(make(size, setup));
-      row.push_back(Table::num(outcome.seconds(), 1));
-      std::fprintf(stderr, "  [%s %lluGB] %s: %.1fs\n", size_header.c_str(),
-                   static_cast<unsigned long long>(size / kGiB),
-                   setup.label.c_str(), outcome.seconds());
-    }
-    table.add_row(std::move(row));
-  }
-  return table;
+void scale_workload(bool terasort, std::uint64_t modeled_bytes,
+                    std::uint64_t target_real_bytes, DataGenSpec* gen,
+                    Conf* conf) {
+  const double scale =
+      std::max(1.0, double(modeled_bytes) / double(target_real_bytes));
+  gen->modeled_total = modeled_bytes;
+  gen->scale = scale;
+  // Sort carries records ~1/32nd of the paper's real sizes so record
+  // counts stay simulable while packet mechanics (fixed kv count vs byte
+  // budget, §IV-C) keep their real proportions.
+  if (!terasort) gen->record_inflation = std::max(1.0, scale / 32.0);
+  conf->set_double(mapred::kKvInflation,
+                   terasort ? scale : gen->record_inflation);
+  conf->set_bytes(mapred::kMaxRecordBytes,
+                  terasort ? std::uint64_t(102.0 * scale)
+                           : std::uint64_t(20010.0 * gen->record_inflation));
 }
 
 }  // namespace hmr::workloads

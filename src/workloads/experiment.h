@@ -4,9 +4,7 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "common/table.h"
 #include "workloads/testbed.h"
 
 namespace hmr::workloads {
@@ -39,7 +37,6 @@ struct RunConfig {
   // charged for sort_modeled_bytes regardless.
   std::uint64_t target_real_bytes = 16 * 1024 * 1024;
   std::uint64_t seed = 1;
-  bool validate = true;
   // Optional fault injection (not owned; must outlive the run): NIC
   // degradations are armed on the cluster and shuffle responders/servlets
   // consult the plan per request. See sim/fault.h and docs/CONFIG.md.
@@ -60,12 +57,14 @@ struct RunOutcome {
 // never produce a "result".
 RunOutcome run_experiment(const RunConfig& config);
 
-// Helper used by every figure bench: rows = sort sizes, columns = one
-// per engine setup.
-Table figure_table(const std::string& size_header,
-                   const std::vector<std::uint64_t>& sizes,
-                   const std::vector<EngineSetup>& setups,
-                   const std::function<RunConfig(std::uint64_t,
-                                                 const EngineSetup&)>& make);
+// The carried-data recipe (DESIGN.md §2) every workload driver shares.
+// Fills `gen`'s modeled total, its scale (modeled bytes per carried
+// byte, sized to carry about `target_real_bytes`, at least 1) and, for
+// Sort, its record inflation; then sets the mapred.workload.* keys the
+// engines read from them. `terasort` picks TeraGen's 100-byte rows over
+// RandomWriter's records of up to 20,010 bytes.
+void scale_workload(bool terasort, std::uint64_t modeled_bytes,
+                    std::uint64_t target_real_bytes, DataGenSpec* gen,
+                    Conf* conf);
 
 }  // namespace hmr::workloads

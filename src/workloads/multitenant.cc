@@ -57,21 +57,16 @@ MultiTenantOutcome run_multitenant(const MultiTenantSpec& spec) {
   Testbed bed(bed_spec);
   bed.set_scheduler(spec.sched);
 
-  const double scale = std::max(
-      1.0, double(spec.job_modeled_bytes) / double(spec.target_real_bytes));
   DataGenSpec gen;
   gen.dir = "/mt/in";
-  gen.modeled_total = spec.job_modeled_bytes;
   gen.part_modeled = spec.block_size;
-  gen.scale = scale;
   gen.seed = spec.seed;
-  auto digest = bed.generate("teragen", gen);
-  HMR_CHECK_MSG(digest.ok(), "multitenant input generation failed");
-
   Conf conf = spec.setup.extra;
   conf.set(mapred::kShuffleEngine, spec.setup.engine);
-  conf.set_double(mapred::kKvInflation, scale);
-  conf.set_bytes(mapred::kMaxRecordBytes, std::uint64_t(102.0 * scale));
+  scale_workload(/*terasort=*/true, spec.job_modeled_bytes,
+                 spec.target_real_bytes, &gen, &conf);
+  auto digest = bed.generate("teragen", gen);
+  HMR_CHECK_MSG(digest.ok(), "multitenant input generation failed");
 
   // Arrival process: exponential interarrivals at the configured rate,
   // user drawn per job from the mix. Both streams derive from the
@@ -123,14 +118,12 @@ MultiTenantOutcome run_multitenant(const MultiTenantSpec& spec) {
     cache_hits += std::uint64_t(result.counter("cache.hits"));
     cache_lookups += std::uint64_t(result.counter("cache.hits") +
                                    result.counter("cache.misses"));
-    if (spec.validate) {
-      auto report = validate_output(bed.dfs(), out_dir(j));
-      HMR_CHECK_MSG(report.ok(), "job output missing: " + out_dir(j));
-      record.output_digest = report->digest;
-      record.validated = report->valid_terasort(*digest);
-      HMR_CHECK_MSG(record.validated,
-                    "multitenant job output validation FAILED: " + out_dir(j));
-    }
+    auto report = validate_output(bed.dfs(), out_dir(j));
+    HMR_CHECK_MSG(report.ok(), "job output missing: " + out_dir(j));
+    record.output_digest = report->digest;
+    record.validated = report->valid_terasort(*digest);
+    HMR_CHECK_MSG(record.validated,
+                  "multitenant job output validation FAILED: " + out_dir(j));
     outcome.all_validated = outcome.all_validated && record.validated;
     outcome.makespan = std::max(outcome.makespan, record.finished_at);
     latencies.push_back(record.latency);

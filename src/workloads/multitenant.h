@@ -38,7 +38,6 @@ struct MultiTenantSpec {
   mapred::SchedulerConfig sched;
   std::vector<TenantMix> tenants = {{"default", 1.0}};
   std::uint64_t seed = 1;
-  bool validate = true;
 };
 
 // Nearest-rank percentiles over per-job latencies.

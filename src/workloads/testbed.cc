@@ -8,8 +8,8 @@ Testbed::Testbed(TestbedSpec spec)
     : spec_(spec), engine_(spec.seed) {
   // host 0 = master (NameNode + JobTracker); hosts 1..N = DataNode +
   // TaskTracker.
-  auto host_specs = net::Cluster::uniform(spec.nodes + 1, spec.disks_per_node,
-                                          spec.ssd, spec.cores_per_node);
+  auto host_specs =
+      net::Cluster::uniform(spec.nodes + 1, spec.disks_per_node, spec.ssd);
   host_specs[0].name = "master";
   cluster_ = std::make_unique<net::Cluster>(engine_, spec.profile,
                                             host_specs);

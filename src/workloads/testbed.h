@@ -23,7 +23,6 @@ struct TestbedSpec {
   int nodes = 4;           // compute hosts (a master host is added)
   int disks_per_node = 1;  // 1 or 2 HDDs in the paper
   bool ssd = false;        // Figure 7/8 use SSD data stores
-  int cores_per_node = 8;  // dual quad-core Westmere
   net::NetProfile profile = net::NetProfile::ipoib_qdr();
   hdfs::HdfsParams hdfs;
   std::uint64_t seed = 1;

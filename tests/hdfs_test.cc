@@ -42,15 +42,6 @@ Bytes pattern(size_t n) {
   return out;
 }
 
-TEST(HdfsTest, ParamsFromConf) {
-  Conf conf;
-  conf.set("dfs.block.size", "256MB");
-  conf.set_int("dfs.replication", 2);
-  const auto params = HdfsParams::from_conf(conf);
-  EXPECT_EQ(params.block_size, 256 * kMiB);
-  EXPECT_EQ(params.replication, 2);
-}
-
 TEST(HdfsTest, WriteReadRoundTrip) {
   DfsWorld w;
   Bytes data = pattern(10'000);

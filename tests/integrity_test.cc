@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "mapred/integrity.h"
 #include "mapred/types.h"
 #include "sim/fault.h"
 #include "storage/disk.h"
@@ -407,6 +408,51 @@ TEST(HdfsFailoverTest, LastReplicaIsNeverPruned) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->blocks[0].replicas.size(), 1u);
   EXPECT_TRUE(w.dfs->peek("/f").ok());
+}
+
+// DataNode block writes and job spills draw on one storage retry budget
+// (storage/localfs.h): both ride out the same disk-full window on one
+// DataNode and land once it closes.
+TEST(HdfsFailoverTest, DiskFullWindowDelaysDfsAndSpillWrites) {
+  constexpr double kWindow = 30.0;
+  DfsWorld w;
+  sim::DiskFault fault;
+  fault.full_at = 0.0;
+  fault.full_duration = kWindow;
+  w.host(1).fs().arm_fault(fault, w.engine.make_rng("test.disk"));
+  mapred::JobSpec spec;
+  spec.conf.set_int(mapred::kNumReduces, 1);
+  mapred::JobRuntime job(*w.cluster, *w.network, *w.dfs, std::move(spec),
+                         /*trackers=*/{}, /*job_id=*/1);
+
+  const Bytes data = pattern(10'000);
+  Status dfs_write = Status::Internal("not run");
+  Status spill = Status::Internal("not run");
+  double dfs_done = 0;
+  double spill_done = 0;
+  // host1 writes the file, so it leads the replica pipeline.
+  w.engine.spawn([](DfsWorld& w, const Bytes& data, Status& out,
+                    double& done) -> Task<> {
+    out = co_await w.dfs->write(w.host(1), "/f", data);
+    done = w.engine.now();
+  }(w, data, dfs_write, dfs_done));
+  w.engine.spawn([](mapred::JobRuntime& job, net::Host& host,
+                    const Bytes& data, Status& out, double& done) -> Task<> {
+    out = co_await mapred::write_file_verified(job, host, "spill", data, 1.0);
+    done = job.engine.now();
+  }(job, w.host(1), data, spill, spill_done));
+  w.engine.run();
+
+  EXPECT_TRUE(dfs_write.ok()) << dfs_write.to_string();
+  EXPECT_TRUE(spill.ok()) << spill.to_string();
+  EXPECT_GE(dfs_done, kWindow);
+  EXPECT_GE(spill_done, kWindow);
+  const auto stored = w.dfs->peek("/f");
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(*stored, data);
+  const auto snapshot = w.engine.metrics().snapshot();
+  EXPECT_GT(snapshot.counter("hdfs.write.retries"), 0);
+  EXPECT_GT(snapshot.counter("storage.disk_full.events"), 0);
 }
 
 }  // namespace
