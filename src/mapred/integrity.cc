@@ -1,8 +1,5 @@
 #include "mapred/integrity.h"
 
-#include "common/crc32.h"
-#include "sim/trace.h"
-
 namespace hmr::mapred {
 
 namespace {
@@ -25,25 +22,6 @@ sim::Task<> charge_verify_cpu(JobRuntime& job, Host& host,
                               std::uint64_t modeled) {
   if (!job.integrity.enabled || modeled == 0) co_return;
   co_await job.charge_cpu(host, modeled, kCrcBw);
-}
-
-sim::Task<bool> verify_response_crc(JobRuntime& job, Host& host, int map_id,
-                                    std::span<const std::uint8_t> body,
-                                    std::uint32_t expected,
-                                    std::uint64_t modeled) {
-  // charge_verify_cpu's charge, inlined: the caller already checked that
-  // verification is on, and a verified response keeps to one frame.
-  if (modeled > 0) {
-    co_await job.charge_cpu(host, modeled, kCrcBw);
-  }
-  co_await job.engine.delay(0);
-  const std::uint32_t got = crc32c(body);
-  if (auto* t = job.engine.tracer()) {
-    t->instant(host.name(), "crc", "verify_crc_m" + std::to_string(map_id));
-  }
-  if (got == expected) co_return true;
-  job.metric.malformed_msgs.add();
-  co_return false;
 }
 
 namespace {

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "mapred/runtime.h"
 #include "storage/localfs.h"
@@ -30,18 +29,6 @@ namespace hmr::mapred {
 // when integrity verification is disabled.
 sim::Task<> charge_verify_cpu(JobRuntime& job, Host& host,
                               std::uint64_t modeled);
-
-// End-to-end check of a shuffle response body fetched from map `map_id`
-// against `expected`, the checksum its server computed at spill time.
-// Charges verification CPU for `modeled` bytes on `host`, yields, and
-// recomputes the CRC. A mismatch counts in malformed_msgs and returns
-// false: the copier drops the frame like any malformed message and its
-// timeout/retry path re-fetches it. Call it only while integrity
-// verification is enabled.
-sim::Task<bool> verify_response_crc(JobRuntime& job, Host& host, int map_id,
-                                    std::span<const std::uint8_t> body,
-                                    std::uint32_t expected,
-                                    std::uint64_t modeled);
 
 // Timed whole-file read with verification: injected IO errors are
 // retried (`storage.io.retries`), corrupt payloads re-read

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/crc32.h"
+#include "mapred/integrity.h"
+#include "sim/trace.h"
+
 namespace hmr::mapred {
 
 FetchRetryPolicy FetchRetryPolicy::from_conf(const Conf& conf) {
@@ -63,6 +67,48 @@ sim::Task<> FetchTimeouts::sleeper(std::shared_ptr<FetchTimeouts> self) {
     queue.pop_front();
   }
   self->sleeping_ = false;
+}
+
+sim::Task<std::optional<net::Message>> fetch_exchange(
+    JobRuntime& job, net::Host& host, int map_id, FetchTimeouts& timeouts,
+    std::shared_ptr<FetchWatch> watch, const FetchTransport& transport) {
+  job.metric.fetch_requests.add();
+  co_await transport.send();
+  const std::uint64_t timer_id = ++watch->timer_seq;
+  timeouts.arm(watch, timer_id);
+  while (true) {
+    auto event = co_await watch->events.recv();
+    HMR_CHECK(event.has_value());  // the events channel is never closed
+    if (!event->msg.has_value()) {
+      if (event->timer_id == timer_id) co_return std::nullopt;
+      continue;  // an expiry that raced an already-accepted response
+    }
+    const FetchVerdict verdict = transport.classify(*event->msg);
+    if (verdict.kind == FetchVerdict::kMalformed) {
+      job.metric.malformed_msgs.add();
+      continue;  // the timeout re-fetches
+    }
+    if (verdict.kind == FetchVerdict::kStale) {
+      job.metric.fetch_stale_dropped.add();  // its request was retried
+      continue;
+    }
+    if (verdict.verify && job.integrity.enabled) {
+      // End-to-end check against the checksum the server computed at
+      // spill time; the scan runs after a kernel yield (DESIGN.md §6.3).
+      co_await charge_verify_cpu(job, host, verdict.modeled);
+      co_await job.engine.delay(0);
+      const std::uint32_t got = crc32c(verdict.body);
+      if (auto* t = job.engine.tracer()) {
+        t->instant(host.name(), "crc", "verify_crc_m" + std::to_string(map_id));
+      }
+      if (got != verdict.crc) {
+        job.metric.malformed_msgs.add();  // rotted in flight: re-fetch
+        continue;
+      }
+    }
+    watch->armed_id = 0;
+    co_return std::move(event->msg);
+  }
 }
 
 }  // namespace hmr::mapred

@@ -1,14 +1,16 @@
-// Shuffle-fetch recovery policy shared by the RDMA copier and the
-// vanilla HTTP copier: per-request timeouts, capped exponential backoff
-// with jitter, and the tracker-blacklist threshold. The paper's design
-// (§III-B) assumes a healthy fabric and names fault handling as §VI
-// future work; this is that extension.
+// Shuffle-fetch recovery shared by the RDMA and vanilla HTTP copiers:
+// one request/response exchange with per-request timeouts, capped
+// exponential backoff with jitter, and the tracker-blacklist threshold.
+// The paper's design (§III-B) assumes a healthy fabric and names fault
+// handling as §VI future work; this is that extension.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "common/conf.h"
 #include "common/rng.h"
@@ -17,7 +19,13 @@
 #include "sim/channel.h"
 #include "sim/engine.h"
 
+namespace hmr::net {
+class Host;
+}
+
 namespace hmr::mapred {
+
+struct JobRuntime;  // mapred/runtime.h, which includes this header
 
 // Resolved once per job from the Conf (see mapred/types.h for the keys
 // and docs/CONFIG.md for the rationale).
@@ -51,6 +59,7 @@ struct FetchWatch {
   FetchWatch(sim::Engine& engine, size_t capacity) : events(engine, capacity) {}
   sim::Channel<FetchEvent> events;  // responses + timeout expiries
   std::uint64_t armed_id = 0;       // cleared by the matching response
+  std::uint64_t timer_seq = 0;      // id of the latest request sent
 };
 
 // One copier's fetch timeouts. Every request of a job shares the same
@@ -86,5 +95,33 @@ class FetchTimeouts : public std::enable_shared_from_this<FetchTimeouts> {
   std::deque<Entry> queue_;  // deadline order
   bool sleeping_ = false;    // a sleeper is spawned and not yet exited
 };
+
+// What a copier's transport makes of one response frame. A frame that
+// is mine names its body, the CRC its server computed, and the modeled
+// bytes of CRC CPU; `verify` is false when it has no body to check.
+struct FetchVerdict {
+  enum Kind { kMalformed, kStale, kMine } kind = kMalformed;
+  bool verify = false;
+  std::span<const std::uint8_t> body = {};
+  std::uint32_t crc = 0;
+  std::uint64_t modeled = 0;
+};
+
+// The narrow interface a copier's transport offers fetch_exchange.
+struct FetchTransport {
+  std::function<sim::Task<>()> send;  // sends the one request
+  std::function<FetchVerdict(const net::Message&)> classify;
+};
+
+// One request/response exchange of either copier: counts and sends the
+// request, arms its fetch timeout, then drains `watch->events`.
+// Malformed frames (counted in malformed_msgs, as are CRC mismatches)
+// and stale ones (fetch_stale_dropped) are dropped; the first frame that
+// is mine and verifies disarms the timeout and is returned. Returns
+// nullopt when this request's own timeout expires; an earlier request's
+// expiry that raced its response is ignored.
+sim::Task<std::optional<net::Message>> fetch_exchange(
+    JobRuntime& job, net::Host& host, int map_id, FetchTimeouts& timeouts,
+    std::shared_ptr<FetchWatch> watch, const FetchTransport& transport);
 
 }  // namespace hmr::mapred

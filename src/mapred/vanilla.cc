@@ -86,7 +86,6 @@ struct VanillaShuffleEngine::ReduceShuffleState {
     std::unique_ptr<net::Socket> sock;
     FetchWatch watch;  // responses + timeout expiries
     sim::Resource lock;
-    std::uint64_t timer_seq = 0;
   };
   std::map<int, std::shared_ptr<ConnState>> conns;  // by host id
 
@@ -293,56 +292,32 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
     // holder reads the event channel.
     auto exchange = co_await sim::hold(conn->lock);
     const double sent_at = job.engine.now();
-    net::Message request = net::Message::data(
-        encode_request(map_id, state.reduce_id), 1.0, kTagRequest);
-    request.modeled_bytes = kRequestWireBytes;
-    job.metric.fetch_requests.add();
-    co_await conn->sock->send(std::move(request));
-    const std::uint64_t timer_id = ++conn->timer_seq;
-    state.timeouts->arm(std::shared_ptr<FetchWatch>(conn, &conn->watch),
-                        timer_id);
-    std::optional<net::Message> response;
-    while (true) {
-      auto event = co_await conn->watch.events.recv();
-      HMR_CHECK(event.has_value());  // the events channel is never closed
-      if (event->msg.has_value()) {
-        HMR_CHECK(event->msg->tag == kTagResponse &&
-                  event->msg->payload != nullptr);
-        ByteReader r(*event->msg->payload);
-        const auto got_map = r.u32();
-        const auto got_reduce = r.u32();
-        if (!got_map.ok() || !got_reduce.ok()) {
-          // Response too short to even carry its match prefix: drop it
-          // like a stale duplicate; the fetch timeout covers the re-fetch.
-          job.metric.malformed_msgs.add();
-          continue;
-        }
-        if (int(*got_map) == map_id && int(*got_reduce) == state.reduce_id) {
-          const auto body_crc = r.u32();
-          if (!body_crc.ok()) {
-            job.metric.malformed_msgs.add();
-            continue;
-          }
-          if (job.integrity.enabled) {
-            ByteReader body = r;
-            const auto rest = body.bytes(body.remaining());
-            HMR_CHECK(rest.ok());
-            const bool intact = co_await verify_response_crc(
-                job, state.host, map_id, *rest, *body_crc,
-                event->msg->modeled_bytes);
-            if (!intact) continue;
-          }
-          conn->watch.armed_id = 0;
-          response = std::move(event->msg);
-          break;
-        }
-        // Stale duplicate of a fetch some copier already retried.
-        job.metric.fetch_stale_dropped.add();
-        continue;
+    FetchTransport transport;
+    transport.send = [&] {
+      return conn->sock->send(
+          net::Message::data(encode_request(map_id, state.reduce_id), 1.0,
+                             kTagRequest)
+              .with_modeled(kRequestWireBytes));
+    };
+    transport.classify = [&](const net::Message& msg) -> FetchVerdict {
+      if (msg.tag != kTagResponse || msg.payload == nullptr) return {};
+      ByteReader r(*msg.payload);
+      const auto got_map = r.u32();
+      const auto got_reduce = r.u32();
+      if (!got_map.ok() || !got_reduce.ok()) return {};  // malformed
+      if (int(*got_map) != map_id || int(*got_reduce) != state.reduce_id) {
+        return {FetchVerdict::kStale};
       }
-      if (event->timer_id == timer_id) break;  // our fetch timed out
-      // Expiry that raced an already-accepted response: ignore.
-    }
+      const auto body_crc = r.u32();
+      if (!body_crc.ok()) return {};
+      // Verified over the whole response, HTTP overhead included.
+      return {FetchVerdict::kMine, true,
+              std::span(*msg.payload).subspan(kResponsePrefixBytes),
+              *body_crc, msg.modeled_bytes};
+    };
+    std::optional<net::Message> response = co_await fetch_exchange(
+        job, state.host, map_id, *state.timeouts,
+        std::shared_ptr<FetchWatch>(conn, &conn->watch), transport);
     exchange.release();
 
     if (!response.has_value()) {

@@ -352,7 +352,10 @@ sim::Task<ucr::Endpoint*> RdmaShuffleEngine::ensure_client_endpoint(
                       ucr::Endpoint& ep,
                       std::shared_ptr<CopierState> state) -> sim::Task<> {
     while (auto msg = co_await ep.recv()) {
-      HMR_CHECK(msg->tag == kTagDataResponse);
+      if (msg->tag != kTagDataResponse || msg->payload == nullptr) {
+        job.metric.malformed_msgs.add();
+        continue;
+      }
       ByteReader r(*msg->payload);
       const auto header = DataResponse::decode_header(r);
       if (!header.ok()) {
@@ -403,64 +406,62 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
                                  std::to_string(map_id));
   bool refetching = false;
 
-  // One request/response exchange for this stream. Stale duplicates
-  // (cursor mismatch) are discarded; nullopt means the fetch timeout
-  // expired before the matching response arrived.
-  auto exchange =
-      [&](const DataRequest& req) -> sim::Task<std::optional<net::Message>> {
-    Bytes wire = req.encode();
-    net::Message request =
-        net::Message::data(std::move(wire), 1.0, kTagDataRequest)
-            .with_modeled(kRequestWireBytes);
-    job.metric.fetch_requests.add();
-    co_await endpoint->send(std::move(request));
-    const std::uint64_t timer_id = ++stream->timer_seq;
-    state->timeouts->arm(
-        std::shared_ptr<mapred::FetchWatch>(stream, &stream->watch), timer_id);
-    while (true) {
-      auto event = co_await stream->watch.events.recv();
-      HMR_CHECK(event.has_value());  // the events channel is never closed
-      if (event->msg.has_value()) {
-        ByteReader r(*event->msg->payload);
-        const auto header = DataResponse::decode_header(r);
-        if (!header.ok() || r.remaining() < header->chunk_real_bytes) {
-          // Malformed header or short body: drop it like a stale
-          // duplicate and let the timeout/retry path re-fetch.
-          job.metric.malformed_msgs.add();
-          continue;
-        }
-        if (header->cursor_real == req.cursor_real) {
-          if (job.integrity.enabled && header->chunk_real_bytes > 0) {
-            ByteReader body = r;
-            const auto records = body.bytes(header->chunk_real_bytes);
-            HMR_CHECK(records.ok());
-            const bool intact = co_await mapred::verify_response_crc(
-                job, host, int(req.map_id), *records, header->chunk_crc,
-                static_cast<std::uint64_t>(
-                    double(header->chunk_real_bytes) * job.data_scale));
-            if (!intact) continue;
-          }
-          stream->watch.armed_id = 0;
-          co_return std::move(event->msg);
-        }
-        job.metric.fetch_stale_dropped.add();
-        continue;
-      }
-      if (event->timer_id == timer_id) co_return std::nullopt;
-      // Expiry that raced an already-accepted response: ignore.
+  // The stream's side of one exchange: send `req` on the current
+  // endpoint, and accept only the response echoing its cursor (others
+  // are stale duplicates). `header` and `records` keep the decode of the
+  // last response accepted.
+  DataRequest req;
+  req.job_id = std::uint32_t(job.job_id);
+  req.map_id = std::uint32_t(map_id);
+  req.reduce_id = std::uint32_t(reduce_id);
+  // kv-count budgets are in real-world pairs; each carried pair stands
+  // for kv_inflation of them (mapred::kKvInflation).
+  req.max_pairs = options_.kv_per_packet == 0
+                      ? 0
+                      : std::max<std::uint64_t>(
+                            1, std::uint64_t(double(options_.kv_per_packet) /
+                                             kv_inflation));
+  req.max_real_bytes = options_.packet_bytes == 0
+                           ? 0
+                           : job.real_from_modeled(options_.packet_bytes);
+  DataResponse header;
+  std::span<const std::uint8_t> records;
+  mapred::FetchTransport transport;
+  transport.send = [&] {
+    return endpoint->send(
+        net::Message::data(req.encode(), 1.0, kTagDataRequest)
+            .with_modeled(kRequestWireBytes));
+  };
+  // The router forwards only response frames with a payload.
+  transport.classify = [&](const net::Message& msg) -> mapred::FetchVerdict {
+    ByteReader r(*msg.payload);
+    const auto decoded = DataResponse::decode_header(r);
+    if (!decoded.ok()) return {};  // malformed
+    const auto body = r.bytes(decoded->chunk_real_bytes);
+    if (!body.ok()) return {};  // short body
+    if (decoded->cursor_real != req.cursor_real) {
+      return {mapred::FetchVerdict::kStale};
     }
+    header = *decoded;
+    records = *body;
+    return {mapred::FetchVerdict::kMine, header.chunk_real_bytes > 0, records,
+            header.chunk_crc,
+            static_cast<std::uint64_t>(double(header.chunk_real_bytes) *
+                                       job.data_scale)};
   };
 
-  // exchange() with recovery: capped exponential backoff between
+  // fetch_exchange() with recovery: capped exponential backoff between
   // retries; once the serving tracker crosses the blacklist threshold
   // the fetch relocates to a re-executed attempt and resumes from the
   // SAME cursor — deterministic map execution makes the rerun's
   // partition byte-identical, so no delivered chunk is ever re-merged.
-  auto exchange_with_retry =
-      [&](const DataRequest& req) -> sim::Task<net::Message> {
+  auto exchange_with_retry = [&]() -> sim::Task<net::Message> {
     int attempt = 0;
     while (true) {
-      auto response = co_await exchange(req);
+      auto response = co_await mapred::fetch_exchange(
+          job, host, map_id, *state->timeouts,
+          std::shared_ptr<mapred::FetchWatch>(stream, &stream->watch),
+          transport);
       if (response.has_value()) {
         job.report_fetch_success(server);
         co_return std::move(*response);
@@ -476,11 +477,6 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
   };
 
   state->routes.emplace(map_id, stream.get());
-  std::uint64_t cursor = 0;
-  const std::uint64_t max_real_bytes =
-      options_.packet_bytes == 0
-          ? 0
-          : job.real_from_modeled(options_.packet_bytes);
   bool first_request = true;
   while (true) {
     // Abandon between exchanges once the attempt is killed (the watcher
@@ -503,14 +499,8 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
     // the wait (uncharged emergency buffer) so memory pressure
     // serializes fetches onto the merge's critical path instead of
     // deadlocking it.
-    const std::uint64_t count_budget =
-        options_.kv_per_packet == 0
-            ? 0
-            : std::max<std::uint64_t>(
-                  1, std::uint64_t(double(options_.kv_per_packet) /
-                                   kv_inflation));
-    std::uint64_t charge = options_.charge_by_count && count_budget > 0
-                               ? count_budget * max_record_modeled
+    std::uint64_t charge = options_.charge_by_count && req.max_pairs > 0
+                               ? req.max_pairs * max_record_modeled
                                : options_.packet_bytes;
     if (charge == 0) charge = max_record_modeled;
     charge =
@@ -525,37 +515,21 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
       charged = state->mem.try_acquire(std::int64_t(charge));
     }
 
-    DataRequest req;
-    req.job_id = std::uint32_t(job.job_id);
-    req.map_id = std::uint32_t(map_id);
-    req.reduce_id = std::uint32_t(reduce_id);
-    req.cursor_real = cursor;
-    // kv-count budgets are in real-world pairs; each carried pair
-    // stands for kv_inflation of them (mapred::kKvInflation).
-    req.max_pairs = count_budget;
-    req.max_real_bytes = max_real_bytes;
     const double rt0 = job.engine.now();
-    net::Message response = co_await exchange_with_retry(req);
+    net::Message response = co_await exchange_with_retry();
     if (!charged) {
       // Over-budget segment: the merge had no room to keep this
       // buffer resident, so an earlier delivery was dropped and the
       // packet is fetched again now that the merge demands it —
       // the levitated-merge thrash of fixed-count buffers (§IV-C).
-      net::Message again = co_await exchange_with_retry(req);
+      net::Message again = co_await exchange_with_retry();
       response = std::move(again);
     }
     metric_->fetch_rtt.record(job.engine.now() - rt0);
-    ByteReader r(*response.payload);
-    // exchange() only returns messages whose header decoded and whose
-    // body length checked out, so failure here is an engine bug.
-    const auto decoded = DataResponse::decode_header(r);
-    HMR_CHECK(decoded.ok());
-    const DataResponse& header = *decoded;
-    auto records = r.bytes(header.chunk_real_bytes);
-    HMR_CHECK(records.ok());
-    auto pairs = dataplane::decode_run(records.value());
+    // `records` points into `response`, the last frame classified mine.
+    auto pairs = dataplane::decode_run(records);
     HMR_CHECK(pairs.ok());
-    cursor += header.chunk_real_bytes;
+    req.cursor_real += header.chunk_real_bytes;
     if (refetching) {
       job.metric.refetch_bytes.add(static_cast<std::int64_t>(
           double(header.chunk_real_bytes) * job.data_scale));

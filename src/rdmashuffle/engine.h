@@ -139,7 +139,6 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     // Responses (routed by map id) interleaved with timeout expiries.
     mapred::FetchWatch watch;
     sim::Channel<StreamChunk> chunks;
-    std::uint64_t timer_seq = 0;  // timer id of the current request
     // Set by the kill watcher when the reduce attempt loses its race:
     // the driver abandons between exchanges and closes its chunk queue.
     bool cancelled = false;

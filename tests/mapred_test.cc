@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/units.h"
 #include "mapred/jobrunner.h"
 #include "mapred/recovery.h"
@@ -884,6 +885,117 @@ TEST(FetchTimeoutsTest, PendingEntryPinsItsOwner) {
   EXPECT_FALSE(alive.expired());
   engine.run();
   EXPECT_TRUE(alive.expired());  // released once the entry fired
+}
+
+// A job with no input and no trackers: enough runtime for one copier's
+// exchange ladder, without any shuffle engine or transport under it.
+struct ExchangeWorld {
+  sim::Engine engine;
+  net::Cluster cluster{engine, net::NetProfile::ipoib_qdr(),
+                       net::Cluster::uniform(2, 1)};
+  net::Network network{engine, net::NetProfile::ipoib_qdr()};
+  hdfs::MiniDfs dfs{cluster, network, hdfs::HdfsParams{}, 0, {1}};
+  std::unique_ptr<JobRuntime> job;
+  std::shared_ptr<FetchTimeouts> timeouts =
+      std::make_shared<FetchTimeouts>(engine, 60.0);
+  std::shared_ptr<FetchWatch> watch = std::make_shared<FetchWatch>(engine, 8);
+
+  ExchangeWorld() {
+    JobSpec spec;
+    spec.conf.set_int(kNumReduces, 1);
+    job = std::make_unique<JobRuntime>(cluster, network, dfs, std::move(spec),
+                                       /*trackers=*/std::vector<TaskTrackerState*>{},
+                                       /*job_id=*/1);
+  }
+  std::int64_t counter(const std::string& name) {
+    return job->result.counters[name];
+  }
+};
+
+// The test transport's frame format: the tag says how to classify the
+// frame, and a frame that is mine carries a body whose CRC must equal
+// the CRC of kGoodBody.
+constexpr std::uint64_t kTagMalformed = 0;
+constexpr std::uint64_t kTagStale = 1;
+constexpr std::uint64_t kTagMine = 2;
+const Bytes kGoodBody = {1, 2, 3, 4};
+
+FetchVerdict classify_test_frame(const net::Message& msg) {
+  FetchVerdict verdict;
+  if (msg.tag == kTagStale) verdict.kind = FetchVerdict::kStale;
+  if (msg.tag != kTagMine) return verdict;
+  verdict.kind = FetchVerdict::kMine;
+  verdict.verify = true;
+  verdict.body = *msg.payload;
+  verdict.crc = crc32c(kGoodBody);
+  verdict.modeled = msg.modeled_bytes;
+  return verdict;
+}
+
+FetchEvent frame(std::uint64_t tag, Bytes body = {}) {
+  FetchEvent event;
+  event.msg = net::Message::data(std::move(body), 1.0, tag);
+  return event;
+}
+
+FetchEvent expiry(std::uint64_t timer_id) {
+  FetchEvent event;
+  event.timer_id = timer_id;
+  return event;
+}
+
+sim::Task<> run_exchange(ExchangeWorld& w, const FetchTransport& transport,
+                         std::optional<net::Message>& out, double& done) {
+  out = co_await fetch_exchange(*w.job, w.cluster.host(1), /*map_id=*/0,
+                                *w.timeouts, w.watch, transport);
+  done = w.engine.now();
+}
+
+TEST(FetchExchangeTest, DropsBadFramesAndReturnsTheMatchingOne) {
+  ExchangeWorld w;
+  w.watch->timer_seq = 4;  // this exchange arms timer 5
+  FetchTransport transport;
+  transport.send = [&w]() -> sim::Task<> {
+    EXPECT_TRUE(w.watch->events.try_send(frame(kTagMalformed)));
+    EXPECT_TRUE(w.watch->events.try_send(frame(kTagMine, {9, 9, 9, 9})));
+    EXPECT_TRUE(w.watch->events.try_send(frame(kTagStale, kGoodBody)));
+    EXPECT_TRUE(w.watch->events.try_send(expiry(4)));
+    EXPECT_TRUE(w.watch->events.try_send(frame(kTagMine, kGoodBody)));
+    co_return;
+  };
+  transport.classify = classify_test_frame;
+  std::optional<net::Message> response;
+  double done = -1;
+  w.engine.spawn(run_exchange(w, transport, response, done));
+  w.engine.run();
+
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->tag, kTagMine);
+  EXPECT_EQ(*response->payload, kGoodBody);
+  EXPECT_LT(done, 60.0);
+  EXPECT_EQ(w.counter("shuffle.fetch.requests"), 1);
+  EXPECT_EQ(w.counter("shuffle.malformed_msgs"), 2);  // one is the CRC
+  EXPECT_EQ(w.counter("shuffle.fetch.stale_dropped"), 1);
+  EXPECT_EQ(w.watch->armed_id, 0u);
+  EXPECT_EQ(w.watch->timer_seq, 5u);
+  EXPECT_TRUE(w.watch->events.empty());  // its own timer never fired
+}
+
+TEST(FetchExchangeTest, UnansweredRequestTimesOutAtSendPlusTimeout) {
+  ExchangeWorld w;
+  FetchTransport transport;
+  transport.send = [&w]() -> sim::Task<> { co_await w.engine.delay(2.5); };
+  transport.classify = classify_test_frame;
+  std::optional<net::Message> response;
+  double done = -1;
+  w.engine.spawn(run_exchange(w, transport, response, done));
+  w.engine.run();
+
+  EXPECT_FALSE(response.has_value());
+  EXPECT_EQ(done, 2.5 + 60.0);
+  EXPECT_EQ(w.counter("shuffle.fetch.requests"), 1);
+  EXPECT_EQ(w.counter("shuffle.malformed_msgs"), 0);
+  EXPECT_EQ(w.watch->armed_id, 0u);
 }
 
 workloads::RunConfig tiny_vanilla() {

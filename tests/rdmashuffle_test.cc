@@ -381,25 +381,35 @@ TEST(RdmaRecoveryTest, DroppedResponsesRetryToCompletion) {
 
 TEST(RdmaRecoveryTest, StalledResponsesAreDeduplicated) {
   // Stalls longer than the fetch timeout force retries whose original
-  // responses still arrive later — the cursor echo must discard (or
-  // coalesce) the duplicates without corrupting the merge.
-  sim::FaultPlan plan(17);
-  plan.stall_responses(1, 0.1, 2.0);
-  auto config = tiny(workloads::EngineSetup::osu_ib());
-  config.faults = &plan;
-  config.setup.extra.set_double(mapred::kFetchTimeoutSec, 1.0);
-  config.setup.extra.set_double(mapred::kFetchBackoffBaseSec, 0.05);
-  config.setup.extra.set_double(mapred::kFetchBackoffMaxSec, 0.2);
-  config.setup.extra.set_int(mapred::kBlacklistFailures, 1000000);
-  config.setup.extra.set_int(mapred::kFetchMaxRetries, 50);
-  // A stalled response pins its responder thread (like a hung disk
-  // read); give the pool headroom so retries don't snowball into a
-  // retry storm — that failure mode is real but not what this test is
-  // about.
-  config.setup.extra.set_int(mapred::kResponderThreads, 16);
-  const auto outcome = workloads::run_experiment(config);
-  ASSERT_TRUE(outcome.validated);
-  EXPECT_GT(outcome.job.counter("shuffle.fetch.timeouts"), 0);
+  // responses still arrive later: each copier's match (the cursor echo
+  // on the verbs path, {map, reduce} on HTTP) must drop the duplicates
+  // without corrupting the merge.
+  for (const auto& setup : {workloads::EngineSetup::osu_ib(),
+                            workloads::EngineSetup::ipoib()}) {
+    SCOPED_TRACE(setup.label);
+    const auto clean = workloads::run_experiment(tiny(setup));
+    ASSERT_TRUE(clean.validated);
+    sim::FaultPlan plan(17);
+    plan.stall_responses(1, 0.1, 2.0);
+    auto config = tiny(setup);
+    config.faults = &plan;
+    config.setup.extra.set_double(mapred::kFetchTimeoutSec, 1.0);
+    config.setup.extra.set_double(mapred::kFetchBackoffBaseSec, 0.05);
+    config.setup.extra.set_double(mapred::kFetchBackoffMaxSec, 0.2);
+    config.setup.extra.set_int(mapred::kBlacklistFailures, 1000000);
+    config.setup.extra.set_int(mapred::kFetchMaxRetries, 50);
+    // A stalled response pins its responder thread (like a hung disk
+    // read); give the pool headroom so retries don't snowball into a
+    // retry storm — that failure mode is real but not what this test is
+    // about.
+    config.setup.extra.set_int(mapred::kResponderThreads, 16);
+    const auto outcome = workloads::run_experiment(config);
+    ASSERT_TRUE(outcome.validated);
+    EXPECT_GT(outcome.job.counter("shuffle.fetch.timeouts"), 0);
+    EXPECT_GT(outcome.job.counter("shuffle.fetch.stale_dropped"), 0);
+    EXPECT_EQ(outcome.validation.digest.checksum,
+              clean.validation.digest.checksum);
+  }
 }
 
 TEST(RdmaRecoveryTest, HadoopAKilledTrackerAlsoRecovers) {
