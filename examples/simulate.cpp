@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/units.h"
-#include "mapred/types.h"
+#include "mapred/jobconf.h"
 #include "workloads/experiment.h"
 #include "workloads/report.h"
 
@@ -117,6 +117,14 @@ int main(int argc, char** argv) {
   }
   for (const auto& [key, value] : overrides) {
     config.setup.extra.set(key, value);
+  }
+  // Check the --set keys before building anything: an unknown key or a
+  // bad value is reported, not silently ignored.
+  const auto parsed = mapred::JobConf::parse(config.setup.extra);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "rejected: %s\n",
+                 parsed.status().to_string().c_str());
+    return 2;
   }
 
   std::fprintf(stderr, "running %s %s on %d nodes (%d %s each), %s...\n",

@@ -1,22 +1,8 @@
 #include "common/conf.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cstdio>
 
-#include "common/units.h"
-
 namespace hmr {
-namespace {
-
-std::string lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return out;
-}
-
-}  // namespace
 
 void Conf::set(std::string_view key, std::string_view value) {
   entries_.insert_or_assign(std::string(key), std::string(value));
@@ -38,59 +24,6 @@ void Conf::set_bool(std::string_view key, bool value) {
 
 void Conf::set_bytes(std::string_view key, std::uint64_t bytes) {
   set(key, std::to_string(bytes));
-}
-
-bool Conf::contains(std::string_view key) const {
-  return entries_.find(key) != entries_.end();
-}
-
-std::optional<std::string> Conf::get(std::string_view key) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::string Conf::get_string(std::string_view key,
-                             std::string_view dflt) const {
-  auto v = get(key);
-  return v ? *v : std::string(dflt);
-}
-
-std::int64_t Conf::get_int(std::string_view key, std::int64_t dflt) const {
-  auto v = get(key);
-  if (!v) return dflt;
-  try {
-    return std::stoll(*v);
-  } catch (...) {
-    return dflt;
-  }
-}
-
-double Conf::get_double(std::string_view key, double dflt) const {
-  auto v = get(key);
-  if (!v) return dflt;
-  try {
-    return std::stod(*v);
-  } catch (...) {
-    return dflt;
-  }
-}
-
-bool Conf::get_bool(std::string_view key, bool dflt) const {
-  auto v = get(key);
-  if (!v) return dflt;
-  const std::string s = lower(*v);
-  if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
-  if (s == "false" || s == "0" || s == "no" || s == "off") return false;
-  return dflt;
-}
-
-std::uint64_t Conf::get_bytes(std::string_view key,
-                              std::uint64_t dflt) const {
-  auto v = get(key);
-  if (!v) return dflt;
-  auto parsed = parse_bytes(*v);
-  return parsed.ok() ? parsed.value() : dflt;
 }
 
 void Conf::merge(const Conf& other) {

@@ -45,10 +45,9 @@ bool key_shaped(std::string_view s) {
          s.find("\\n") == std::string_view::npos;
 }
 
+// Conf's setters; JobConf::parse reads keys through their k* constants.
 const std::set<std::string, std::less<>> kConfAccessors = {
-    "get",      "get_string", "get_int",  "get_double", "get_bool",
-    "get_bytes", "set",       "set_int",  "set_double", "set_bool",
-    "set_bytes", "contains",
+    "set", "set_int", "set_double", "set_bool", "set_bytes",
 };
 
 const std::set<std::string, std::less<>> kMetricFactories = {
@@ -85,7 +84,7 @@ void extract_config_keys(const LexedFile& file, std::vector<NameUse>* uses,
       record(toks[i + 2].text, toks[i + 2].line);
       continue;
     }
-    // Direct literals: `conf.get_bytes("io.sort.mb", ...)`. Requiring
+    // Direct literals: `conf.set_bytes("io.sort.mb", ...)`. Requiring
     // the dot in the literal keeps Json::set("field", ...) out.
     if (toks[i].kind == TokKind::kIdent && kConfAccessors.count(toks[i].text) &&
         i > 0 &&

@@ -74,7 +74,7 @@ struct TaskAttempt {
   }
 };
 
-// Resolved speculation knobs, one decode per job.
+// Speculation knobs (JobConf::speculation) and budgets.
 struct SpeculationPolicy {
   // Lifetime budget: backups per kind capped at kCap * tasks-of-kind
   // (at least 1 when speculation is on).
@@ -88,21 +88,11 @@ struct SpeculationPolicy {
 
   bool maps = false;     // mapred.map.tasks.speculative.execution
   bool reduces = false;  // mapred.reduce.tasks.speculative.execution
-  double interval = 0.5;     // idle-slot poll cadence, seconds
+  double interval = 0.5;     // idle-slot poll cadence, seconds; > 0
   double min_runtime = 3.0;  // attempt age before it can be flagged
 
   static int cap_count(int tasks) {
     return std::max(1, static_cast<int>(kCap * double(tasks)));
-  }
-
-  static SpeculationPolicy from_conf(const Conf& conf) {
-    SpeculationPolicy p;
-    p.maps = conf.get_bool(kSpeculativeExecution, p.maps);
-    p.reduces = conf.get_bool(kReduceSpeculativeExecution, p.reduces);
-    p.interval = conf.get_double(kSpeculativeIntervalSec, p.interval);
-    p.min_runtime = conf.get_double(kSpeculativeMinRuntimeSec, p.min_runtime);
-    HMR_CHECK_MSG(p.interval > 0, "mapred.speculative.interval.sec must be > 0");
-    return p;
   }
 };
 

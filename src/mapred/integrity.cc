@@ -20,7 +20,7 @@ void record_recovery_delay(JobRuntime& job, double started, bool recovered) {
 
 sim::Task<> charge_verify_cpu(JobRuntime& job, Host& host,
                               std::uint64_t modeled) {
-  if (!job.integrity.enabled || modeled == 0) co_return;
+  if (!job.conf.integrity || modeled == 0) co_return;
   co_await job.charge_cpu(host, modeled, kCrcBw);
 }
 
@@ -45,7 +45,7 @@ sim::Task<Result<storage::FileView>> read_verified_impl(
       }
       co_return view;  // NotFound/OutOfRange, or IO retries exhausted
     }
-    if (!job.integrity.enabled) co_return view;
+    if (!job.conf.integrity) co_return view;
     co_await charge_verify_cpu(job, host, modeled);
     if (view->corrupted) {
       job.metric.checksum_mismatches.add();
@@ -122,7 +122,7 @@ sim::Task<Status> write_file_verified(JobRuntime& job, Host& host,
       }
       co_return written;
     }
-    if (!job.integrity.enabled) co_return Status::Ok();
+    if (!job.conf.integrity) co_return Status::Ok();
     // Read-back verification rides the page cache (the bytes were just
     // written): charge CRC CPU only, then check what actually landed.
     co_await charge_verify_cpu(job, host, modeled);

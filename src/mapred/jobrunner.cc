@@ -7,6 +7,15 @@
 #include "mapred/vanilla.h"
 
 namespace hmr::mapred {
+namespace {
+
+JobResult rejected(Status status) {
+  JobResult result;
+  result.status = std::move(status);
+  return result;
+}
+
+}  // namespace
 
 JobRunner::JobRunner(Cluster& cluster, Network& network, hdfs::MiniDfs& dfs,
                      std::vector<int> tracker_hosts)
@@ -17,17 +26,13 @@ JobRunner::JobRunner(Cluster& cluster, Network& network, hdfs::MiniDfs& dfs,
     trackers_.push_back(std::make_unique<TaskTrackerState>(
         cluster_.engine(), cluster_.host(host_id)));
   }
-  register_engine("vanilla", [](const Conf&) {
+  register_engine("vanilla", [](const JobConf&) {
     return std::make_unique<VanillaShuffleEngine>();
   });
 }
 
 void JobRunner::register_engine(std::string name, EngineFactory factory) {
   factories_[std::move(name)] = std::move(factory);
-}
-
-std::string JobRunner::engine_name(const Conf& conf) {
-  return conf.get(kShuffleEngine).value_or("vanilla");
 }
 
 sim::Task<> JobRunner::jt_rpc(Host& from) {
@@ -39,13 +44,7 @@ sim::Task<> JobRunner::map_worker(JobRuntime& job,
                                   TaskTrackerState& tracker, int slot,
                                   std::vector<bool>& assigned,
                                   sim::WaitGroup& done) {
-  const double failure_prob =
-      job.spec.conf.get_double(kMapFailureProb, 0.0);
-  const int max_attempts = int(job.spec.conf.get_int(kMaxTaskAttempts, 4));
-  const double straggler_prob =
-      job.spec.conf.get_double(kStragglerProb, 0.0);
-  const double straggler_slowdown =
-      job.spec.conf.get_double(kStragglerSlowdown, 4.0);
+  const JobConf& conf = job.conf;
   // One stream per worker slot: the four slots on a host would otherwise
   // share a stream name and draw identical failure/straggler sequences.
   auto rng = job.engine.make_rng("map.fault." +
@@ -69,11 +68,12 @@ sim::Task<> JobRunner::map_worker(JobRuntime& job,
     // Concurrent jobs share the tracker: a task occupies a slot.
     auto slot = co_await sim::hold(tracker.map_slots);
     co_await jt_rpc(*tracker.host);  // heartbeat + task assignment
-    // Fault injection (§VI future work): an attempt may die partway;
-    // the JobTracker reschedules it, up to mapred.map.max.attempts.
+    // Fault injection (§VI future work): an attempt may die partway and
+    // the JobTracker reschedules it; the last of mapred.map.max.attempts
+    // attempts is never failed.
     int attempt_no = 1;
-    while (failure_prob > 0.0 && rng.chance(failure_prob) &&
-           attempt_no < max_attempts) {
+    while (conf.map_failure_prob > 0.0 && rng.chance(conf.map_failure_prob) &&
+           attempt_no < conf.map_max_attempts) {
       TaskAttempt& failed = job.start_attempt(
           TaskKind::kMap, pick, tracker.host->id(),
           /*speculative=*/false, /*rerun=*/false);
@@ -82,14 +82,12 @@ sim::Task<> JobRunner::map_worker(JobRuntime& job,
       co_await jt_rpc(*tracker.host);  // report failure, get re-assignment
       ++attempt_no;
     }
-    HMR_CHECK_MSG(attempt_no <= max_attempts,
-                  "map task exceeded mapred.map.max.attempts");
     // A speculative backup may have committed the task while this
     // worker's failed attempts burned the failure window.
     if (job.maps.at(pick).done) continue;
     double slowdown = 1.0;
-    if (straggler_prob > 0.0 && rng.chance(straggler_prob)) {
-      slowdown = straggler_slowdown;
+    if (conf.straggler_prob > 0.0 && rng.chance(conf.straggler_prob)) {
+      slowdown = conf.straggler_slowdown;
       job.maps.at(pick).straggling = true;
     }
     TaskAttempt& attempt = job.start_attempt(
@@ -102,11 +100,11 @@ sim::Task<> JobRunner::map_worker(JobRuntime& job,
   // out of fresh splits it polls for straggling originals and runs at
   // most one backup per claim; the first attempt to commit wins and the
   // loser is killed.
-  while (job.speculation.maps && job.maps_completed < int(job.maps.size())) {
+  while (conf.speculation.maps && job.maps_completed < int(job.maps.size())) {
     TaskAttempt* backup =
         job.try_claim_backup(TaskKind::kMap, tracker.host->id());
     if (backup == nullptr) {
-      co_await job.engine.delay(job.speculation.interval);
+      co_await job.engine.delay(conf.speculation.interval);
       continue;
     }
     auto slot = co_await sim::hold(tracker.map_slots);
@@ -139,11 +137,11 @@ sim::Task<> JobRunner::reduce_worker(JobRuntime& job,
 
   // LATE backups for straggling reducers; same shape as the map loop,
   // gated on the commit count (first-commit-wins via try_commit_reduce).
-  while (job.speculation.reduces && !job.all_reduces_committed()) {
+  while (job.conf.speculation.reduces && !job.all_reduces_committed()) {
     TaskAttempt* backup =
         job.try_claim_backup(TaskKind::kReduce, tracker.host->id());
     if (backup == nullptr) {
-      co_await job.engine.delay(job.speculation.interval);
+      co_await job.engine.delay(job.conf.speculation.interval);
       continue;
     }
     auto slot = co_await sim::hold(tracker.reduce_slots);
@@ -158,17 +156,23 @@ sim::Task<> JobRunner::reduce_worker(JobRuntime& job,
 }
 
 sim::Task<JobResult> JobRunner::run(JobSpec spec) {
+  // Rejected before anything is built: no job id is taken, and no host,
+  // DFS file or RNG stream is touched.
+  Result<JobConf> conf = JobConf::parse(spec.conf);
+  if (!conf.ok()) co_return rejected(conf.status());
+  auto factory = factories_.find(conf->engine);
+  if (factory == factories_.end()) {
+    co_return rejected(
+        Status::InvalidArgument("unknown shuffle engine: " + conf->engine));
+  }
+
   std::vector<TaskTrackerState*> trackers;
   trackers.reserve(trackers_.size());
   for (auto& tracker : trackers_) trackers.push_back(tracker.get());
-  auto job = std::make_unique<JobRuntime>(cluster_, network_, dfs_,
-                                          std::move(spec), std::move(trackers),
-                                          next_job_id_++);
-  const std::string engine = engine_name(job->spec.conf);
-  auto factory = factories_.find(engine);
-  HMR_CHECK_MSG(factory != factories_.end(),
-                "unknown shuffle engine: " + engine);
-  auto shuffle = factory->second(job->spec.conf);
+  auto job = std::make_unique<JobRuntime>(
+      cluster_, network_, dfs_, std::move(spec), std::move(conf).value(),
+      std::move(trackers), next_job_id_++);
+  auto shuffle = factory->second(job->conf);
   job->shuffle = shuffle.get();
 
   // Whoever sets spec.faults arms its NIC, cpu and disk faults on the

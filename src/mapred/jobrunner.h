@@ -23,7 +23,7 @@ namespace hmr::mapred {
 class JobRunner {
  public:
   using EngineFactory =
-      std::function<std::unique_ptr<ShuffleEngine>(const Conf&)>;
+      std::function<std::unique_ptr<ShuffleEngine>(const JobConf&)>;
 
   // `tracker_hosts`: host ids that run a TaskTracker (normally the
   // DataNode hosts). Registers the "vanilla" engine automatically.
@@ -31,10 +31,11 @@ class JobRunner {
             std::vector<int> tracker_hosts);
 
   void register_engine(std::string name, EngineFactory factory);
-  // "vanilla" unless mapred.shuffle.engine says otherwise.
-  static std::string engine_name(const Conf& conf);
 
   // Runs the job to completion; deterministic given the engine seed.
+  // First parses spec.conf (JobConf::parse) and finds the engine's
+  // factory: a job that fails either is rejected at once, with the
+  // error in JobResult::status and nothing run.
   sim::Task<JobResult> run(JobSpec spec);
 
  private:

@@ -35,7 +35,7 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
                            std::to_string(host.id());
 
   // Task JVM launch / localization.
-  co_await host.compute(job.cost.task_startup);
+  co_await host.compute(job.conf.task_startup);
   if (!co_await job.attempt_checkpoint(attempt, host, 0.05)) {
     abandon_map_attempt(job, *attempt, host, path);
     co_return;
@@ -135,10 +135,9 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
 
   // Spill accounting: every spill writes the full buffer once; more than
   // one spill adds a read-merge-write pass over the whole output.
-  const std::uint64_t sort_mb =
-      job.spec.conf.get_bytes(kIoSortMb, 100 * 1024 * 1024);
+  const std::uint64_t sort_mb = job.conf.io_sort_bytes;  // >= 1
   const auto spills = std::max<std::uint64_t>(
-      1, (output_modeled + sort_mb - 1) / std::max<std::uint64_t>(1, sort_mb));
+      1, (output_modeled + sort_mb - 1) / sort_mb);
   job.metric.map_spills.add(std::int64_t(spills));
   job.result.counters["SPILLED_RECORDS"] +=
       std::int64_t(double(input_records) * double(spills));
@@ -205,7 +204,7 @@ sim::Task<> run_failed_map_attempt(JobRuntime& job, int map_id,
                                    double progress) {
   MapTaskInfo& task = job.maps.at(map_id);
   Host& host = *tracker.host;
-  co_await host.compute(job.cost.task_startup);
+  co_await host.compute(job.conf.task_startup);
   // The attempt reads and processes `progress` of the split, then dies.
   // read() of the partial split is approximated by a ranged read charge.
   auto info = job.dfs.stat(task.input_file);

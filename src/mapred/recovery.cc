@@ -9,23 +9,6 @@
 
 namespace hmr::mapred {
 
-FetchRetryPolicy FetchRetryPolicy::from_conf(const Conf& conf) {
-  FetchRetryPolicy policy;
-  policy.fetch_timeout =
-      conf.get_double(kFetchTimeoutSec, policy.fetch_timeout);
-  policy.max_retries =
-      int(conf.get_int(kFetchMaxRetries, policy.max_retries));
-  policy.backoff_base =
-      conf.get_double(kFetchBackoffBaseSec, policy.backoff_base);
-  policy.backoff_max =
-      conf.get_double(kFetchBackoffMaxSec, policy.backoff_max);
-  policy.backoff_jitter =
-      conf.get_double(kFetchBackoffJitter, policy.backoff_jitter);
-  policy.blacklist_threshold =
-      int(conf.get_int(kBlacklistFailures, policy.blacklist_threshold));
-  return policy;
-}
-
 double FetchRetryPolicy::backoff(int attempt, Rng& rng) const {
   const double exponential =
       backoff_base * std::pow(2.0, double(std::max(0, attempt - 1)));
@@ -92,7 +75,7 @@ sim::Task<std::optional<net::Message>> fetch_exchange(
       job.metric.fetch_stale_dropped.add();  // its request was retried
       continue;
     }
-    if (verdict.verify && job.integrity.enabled) {
+    if (verdict.verify && job.conf.integrity) {
       // End-to-end check against the checksum the server computed at
       // spill time; the scan runs after a kernel yield (DESIGN.md §6.3).
       co_await charge_verify_cpu(job, host, verdict.modeled);

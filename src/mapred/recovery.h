@@ -12,7 +12,6 @@
 #include <optional>
 #include <span>
 
-#include "common/conf.h"
 #include "common/rng.h"
 #include "mapred/types.h"
 #include "net/message.h"
@@ -27,8 +26,8 @@ namespace hmr::mapred {
 
 struct JobRuntime;  // mapred/runtime.h, which includes this header
 
-// Resolved once per job from the Conf (see mapred/types.h for the keys
-// and docs/CONFIG.md for the rationale).
+// The shuffle-fetch recovery knobs (JobConf::retry; docs/CONFIG.md has
+// the keys and the rationale).
 struct FetchRetryPolicy {
   double fetch_timeout = 60.0;   // seconds; 0 disables timeouts
   int max_retries = 10;          // per request, before the job aborts
@@ -36,8 +35,6 @@ struct FetchRetryPolicy {
   double backoff_max = 5.0;      // exponential growth cap, seconds
   double backoff_jitter = 0.25;  // +[0, jitter) randomized fraction
   int blacklist_threshold = 3;   // consecutive failures per tracker
-
-  static FetchRetryPolicy from_conf(const Conf& conf);
 
   // Delay before retry number `attempt` (1-based): capped exponential
   // with multiplicative jitter. Deterministic given the rng stream.

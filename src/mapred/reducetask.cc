@@ -95,7 +95,7 @@ sim::Task<> run_reduce_task(JobRuntime& job, int reduce_id,
           ? final_path
           : final_path + ".attempt-" + std::to_string(attempt->attempt_id);
 
-  co_await host.compute(job.cost.task_startup);
+  co_await host.compute(job.conf.task_startup);
   bool killed = !co_await job.attempt_checkpoint(attempt, host, 0.05);
 
   KvSink sink(job.engine, /*capacity=*/16);

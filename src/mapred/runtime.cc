@@ -10,6 +10,7 @@ namespace hmr::mapred {
 
 JobRuntime::JobRuntime(Cluster& cluster, Network& network,
                        hdfs::MiniDfs& dfs, JobSpec spec_in,
+                       JobConf conf_in,
                        std::vector<TaskTrackerState*> trackers_in,
                        int job_id_in)
     : engine(cluster.engine()),
@@ -17,14 +18,12 @@ JobRuntime::JobRuntime(Cluster& cluster, Network& network,
       network(network),
       dfs(dfs),
       spec(std::move(spec_in)),
-      cost(CostModel::from_conf(spec.conf)),
-      integrity(IntegrityPolicy::from_conf(spec.conf)),
+      conf(std::move(conf_in)),
       job_id(job_id_in),
       trackers(std::move(trackers_in)),
       completion_pulse(engine),
       all_maps_done(engine),
-      slowstart_reached(engine),
-      retry(FetchRetryPolicy::from_conf(spec.conf)) {
+      slowstart_reached(engine) {
 
   // One split per input file (workload writers emit block-sized parts).
   int map_id = 0;
@@ -52,14 +51,11 @@ JobRuntime::JobRuntime(Cluster& cluster, Network& network,
     map_done.push_back(std::make_unique<sim::Event>(engine));
   }
 
-  num_reduces = int(spec.conf.get_int(
-      kNumReduces,
-      std::int64_t(trackers.size()) * TaskTrackerState::kReduceSlots));
-  HMR_CHECK_MSG(num_reduces > 0, "job needs at least one reduce");
+  num_reduces = conf.num_reduces.value_or(int(trackers.size()) *
+                                          TaskTrackerState::kReduceSlots);
   result.num_maps = int(maps.size());
   result.num_reduces = num_reduces;
 
-  speculation = SpeculationPolicy::from_conf(spec.conf);
   reduces.resize(size_t(num_reduces));
   for (int r = 0; r < num_reduces; ++r) reduces[size_t(r)].reduce_id = r;
   reduce_expected_modeled.assign(size_t(num_reduces), 0);
@@ -161,7 +157,8 @@ void JobRuntime::kill_siblings(TaskKind kind, int task_id,
 
 TaskAttempt* JobRuntime::try_claim_backup(TaskKind kind, int on_host_id) {
   const bool enabled =
-      kind == TaskKind::kMap ? speculation.maps : speculation.reduces;
+      kind == TaskKind::kMap ? conf.speculation.maps
+                             : conf.speculation.reduces;
   if (!enabled) return nullptr;
   const double now = engine.now();
 
@@ -186,7 +183,7 @@ TaskAttempt* JobRuntime::try_claim_backup(TaskKind kind, int on_host_id) {
     ++running_est_count;
     if (task_done || backup != nullptr) return;
     if (original->host_id == on_host_id) return;
-    if (age < speculation.min_runtime) return;
+    if (age < conf.speculation.min_runtime) return;
     candidates.push_back({original, est_total});
   };
   if (kind == TaskKind::kMap) {
@@ -322,8 +319,8 @@ bool JobRuntime::record_map_output(MapOutputInfo info) {
   completion_pulse.reset();
   if (shuffle != nullptr) shuffle->on_map_finished(*this, map_id, host_id);
 
-  const double slowstart = spec.conf.get_double(kSlowstart, 0.05);
-  if (maps_completed >= int(std::max(1.0, slowstart * double(maps.size())))) {
+  if (maps_completed >=
+      int(std::max(1.0, conf.slowstart * double(maps.size())))) {
     slowstart_reached.set();
   }
   if (maps_completed == int(maps.size())) {
@@ -341,7 +338,7 @@ sim::Task<> JobRuntime::charge_cpu(Host& host, std::uint64_t modeled_bytes,
 bool JobRuntime::report_fetch_failure(int host_id) {
   if (blacklisted_trackers.contains(host_id)) return false;
   const int streak = ++fetch_failure_streak[host_id];
-  if (streak < retry.blacklist_threshold) return false;
+  if (streak < conf.retry.blacklist_threshold) return false;
   blacklisted_trackers.insert(host_id);
   metric.trackers_blacklisted.add();
   if (auto* tracer = engine.tracer()) {
@@ -404,7 +401,7 @@ sim::Task<bool> JobRuntime::recover_fetch_timeout(Host& host, int map_id,
     tracer->instant(host.name(), "fault",
                     "fetch_timeout map_" + std::to_string(map_id));
   }
-  HMR_CHECK_MSG(attempt <= retry.max_retries,
+  HMR_CHECK_MSG(attempt <= conf.retry.max_retries,
                 "fetch of map " + std::to_string(map_id) + " exceeded " +
                     kFetchMaxRetries);
   (void)report_fetch_failure(server_host);
@@ -413,7 +410,7 @@ sim::Task<bool> JobRuntime::recover_fetch_timeout(Host& host, int map_id,
     co_await ensure_fetchable(map_id);
     relocated = maps.at(map_id).ran_on != server_host;
   } else {
-    co_await engine.delay(retry.backoff(attempt, rng));
+    co_await engine.delay(conf.retry.backoff(attempt, rng));
   }
   metric.fetch_retries.add();
   co_return relocated;

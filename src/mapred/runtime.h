@@ -15,6 +15,7 @@
 #include "dataplane/segment.h"
 #include "hdfs/hdfs.h"
 #include "mapred/attempt.h"
+#include "mapred/jobconf.h"
 #include "mapred/recovery.h"
 #include "mapred/types.h"
 #include "net/cluster.h"
@@ -117,16 +118,15 @@ struct JobCounter {
 // Everything a task or engine needs to reach the simulated world.
 struct JobRuntime {
   JobRuntime(Cluster& cluster, Network& network, hdfs::MiniDfs& dfs,
-             JobSpec spec, std::vector<TaskTrackerState*> trackers,
-             int job_id);
+             JobSpec spec, JobConf conf,
+             std::vector<TaskTrackerState*> trackers, int job_id);
 
   sim::Engine& engine;
   Cluster& cluster;
   Network& network;
   hdfs::MiniDfs& dfs;
   JobSpec spec;
-  CostModel cost;
-  IntegrityPolicy integrity;
+  const JobConf conf;  // spec.conf, parsed by JobRunner::run
   int job_id = 0;
   double data_scale = 1.0;  // from the input files
   // Declared before `metric`, whose handles point into result.counters.
@@ -200,9 +200,8 @@ struct JobRuntime {
   sim::Event all_maps_done;
   sim::Event slowstart_reached;
 
-  // Shuffle-fetch recovery (mapred/recovery.h): resolved policy,
+  // Shuffle-fetch recovery (mapred/recovery.h; policy in conf.retry):
   // per-tracker consecutive-failure streaks, and the blacklist.
-  FetchRetryPolicy retry;
   std::map<int, int> fetch_failure_streak;  // tracker host id -> streak
   std::set<int> blacklisted_trackers;
   // Maps currently being re-executed for re-fetch, so re-registration in
@@ -212,7 +211,6 @@ struct JobRuntime {
   std::map<int, std::unique_ptr<sim::Event>> reruns;
 
   // --- task-attempt lifecycle (mapred/attempt.h) ------------------------
-  SpeculationPolicy speculation;
   // The spec's FaultPlan's compute faults (empty without one). Task
   // hang/slow windows are consulted at attempt checkpoints; cpu windows
   // are timer-armed on the cluster.

@@ -12,6 +12,7 @@
 
 #include "common/conf.h"
 #include "common/metrics.h"
+#include "common/status.h"
 #include "dataplane/kv.h"
 #include "dataplane/partitioner.h"
 
@@ -22,6 +23,7 @@ class FaultPlan;
 namespace hmr::mapred {
 
 // --- configuration keys -------------------------------------------------
+// mapred::JobConf::parse (mapred/jobconf.h) is the only reader of these.
 // Engine selection (§III: the paper's on/off switch picks the RDMA
 // design; this string key also distinguishes the Hadoop-A comparator).
 inline constexpr const char* kShuffleEngine = "mapred.shuffle.engine";
@@ -49,8 +51,6 @@ inline constexpr const char* kIoSortMb = "io.sort.mb";
 inline constexpr const char* kIoSortFactor = "io.sort.factor";
 inline constexpr const char* kShuffleBufferBytes =
     "mapred.job.shuffle.input.buffer.bytes";
-inline constexpr std::uint64_t kDefaultShuffleBufferBytes =
-    700ull * 1024 * 1024;  // ~70% of a 1 GB reduce-task heap
 inline constexpr const char* kSlowstart =
     "mapred.reduce.slowstart.completed.maps";
 inline constexpr const char* kTaskStartupSec = "mapred.task.startup.sec";
@@ -139,6 +139,11 @@ struct PhaseTimes {
 };
 
 struct JobResult {
+  // Not OK when JobRunner::run rejected the job before it started (a
+  // conf JobConf::parse refuses, or an engine no factory knows); then
+  // nothing ran and every other field is zero.
+  Status status;
+
   double submit_time = 0;
   double maps_done_time = 0;    // last map finished
   double shuffle_start_time = -1;  // first reducer began fetching; <0 = never
@@ -201,18 +206,8 @@ struct JobResult {
   }
 };
 
-// Resolved integrity knob, one decode per job.
-struct IntegrityPolicy {
-  bool enabled = true;  // verify checksums at read/write boundaries
-
-  static IntegrityPolicy from_conf(const Conf& conf) {
-    IntegrityPolicy p;
-    p.enabled = conf.get_bool(kIntegrityEnabled, p.enabled);
-    return p;
-  }
-};
-
-// Resolved numeric knobs, one decode of the Conf per job.
+// Modeled compute throughputs (the per-task startup latency is the
+// mapred.task.startup.sec key, JobConf::task_startup).
 struct CostModel {
   // Modeled bytes per second per core. Era-realistic Hadoop 0.20
   // throughputs: the Java map path (record reader + map + sort + spill
@@ -222,14 +217,6 @@ struct CostModel {
   static constexpr double kMapCpuBw = 60e6;
   static constexpr double kReduceCpuBw = 90e6;
   static constexpr double kMergeCpuBw = 150e6;
-
-  double task_startup = 1.0;
-
-  static CostModel from_conf(const Conf& conf) {
-    CostModel m;
-    m.task_startup = conf.get_double(kTaskStartupSec, m.task_startup);
-    return m;
-  }
 };
 
 }  // namespace hmr::mapred

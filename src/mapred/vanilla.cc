@@ -58,10 +58,9 @@ struct VanillaShuffleEngine::ReduceShuffleState {
         ready(job.engine, std::max<size_t>(1, job.maps.size())),
         merge_lock(job.engine, 1, "inmem.merge"),
         dial_lock(job.engine, 1, "copier.dial"),
-        budget(job.spec.conf.get_bytes(kShuffleBufferBytes,
-                                       kDefaultShuffleBufferBytes)),
-        timeouts(std::make_shared<FetchTimeouts>(job.engine,
-                                                 job.retry.fetch_timeout)) {}
+        budget(job.conf.shuffle_buffer_bytes),
+        timeouts(std::make_shared<FetchTimeouts>(
+            job.engine, job.conf.retry.fetch_timeout)) {}
 
   sim::Engine& engine;
   int reduce_id;
@@ -431,7 +430,8 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
   // Local-FS merge passes keep at most io.sort.factor disk segments.
   // A killed attempt skips the merges entirely and falls through to
   // cleanup (spill removal, connection close, sink close).
-  const int factor = int(job.spec.conf.get_int(kIoSortFactor, 10));
+  // JobConf keeps the factor >= 2, so every pass shrinks the list.
+  const int factor = job.conf.io_sort_factor;
   while (!state.cancelled() && int(state.on_disk.size()) > factor) {
     std::vector<Segment> group(state.on_disk.begin(),
                                state.on_disk.begin() + factor);

@@ -35,31 +35,26 @@ std::string map_cache_key(std::uint32_t job_id, std::uint32_t map_id) {
 
 }  // namespace
 
-RdmaShuffleOptions RdmaShuffleOptions::osu_ib(const Conf& conf) {
+RdmaShuffleOptions RdmaShuffleOptions::osu_ib(const mapred::JobConf& conf) {
   RdmaShuffleOptions opt;
-  opt.use_cache = conf.get_bool(mapred::kCachingEnabled, true);
-  opt.cache_bytes = conf.get_bytes(mapred::kCacheBytes, opt.cache_bytes);
-  opt.packet_bytes =
-      conf.get_bytes(mapred::kRdmaPacketBytes, opt.packet_bytes);
-  opt.kv_per_packet = std::uint64_t(
-      conf.get_int(mapred::kRdmaKvPerPacket, 0));  // byte-budgeted
-  opt.responder_threads =
-      int(conf.get_int(mapred::kResponderThreads, opt.responder_threads));
-  opt.overlap_reduce = conf.get_bool(mapred::kOverlapReduce, true);
+  opt.use_cache = conf.caching_enabled;
+  opt.cache_bytes = conf.cache_bytes;
+  opt.packet_bytes = conf.packet_bytes;
+  opt.kv_per_packet = conf.kv_per_packet.value_or(0);  // byte-budgeted
+  opt.responder_threads = conf.responder_threads;
+  opt.overlap_reduce = conf.overlap_reduce;
   return opt;
 }
 
-RdmaShuffleOptions RdmaShuffleOptions::hadoop_a(const Conf& conf) {
+RdmaShuffleOptions RdmaShuffleOptions::hadoop_a(const mapred::JobConf& conf) {
   RdmaShuffleOptions opt;
   // Per SC'11 and §III-C: verbs shuffle and levitated merge, but no
   // TaskTracker cache and a fixed number of kv pairs per packet that
   // ignores pair size.
   opt.use_cache = false;
   opt.packet_bytes = 0;  // unlimited; the kv count is the budget
-  opt.kv_per_packet =
-      std::uint64_t(conf.get_int(mapred::kRdmaKvPerPacket, 1024));
-  opt.responder_threads =
-      int(conf.get_int(mapred::kResponderThreads, opt.responder_threads));
+  opt.kv_per_packet = conf.kv_per_packet.value_or(1024);
+  opt.responder_threads = conf.responder_threads;
   opt.overlap_reduce = true;
   opt.pipelined_refill = false;  // levitated merge fetches on demand
   opt.charge_by_count = true;    // buffers provisioned by pair count
@@ -170,7 +165,7 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
   std::shared_ptr<const dataplane::MapOutput> source = info.output;
   if (options_.use_cache) {
     if (auto hit = service.cache.get(cache_key)) {
-      if (tracker.host->fs().roll_cache_corrupt() && job.integrity.enabled) {
+      if (tracker.host->fs().roll_cache_corrupt() && job.conf.integrity) {
         // Bit-rot in the cached copy, caught by the segment checksum
         // before anything is sent: evict the poisoned entry and serve
         // this request from disk (the on-disk copy verified clean at
@@ -553,16 +548,12 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
   const auto cancelled = [attempt] {
     return attempt != nullptr && attempt->kill_requested;
   };
-  const std::uint64_t mem_bytes = job.spec.conf.get_bytes(
-      mapred::kShuffleBufferBytes, mapred::kDefaultShuffleBufferBytes);
-  auto state = std::make_shared<CopierState>(job.engine, mem_bytes,
-                                             job.retry.fetch_timeout);
+  auto state = std::make_shared<CopierState>(
+      job.engine, job.conf.shuffle_buffer_bytes, job.conf.retry.fetch_timeout);
   // Real-world pairs per carried pair (see mapred::kKvInflation).
-  const double kv_inflation =
-      job.spec.conf.get_double(mapred::kKvInflation, job.data_scale);
+  const double kv_inflation = job.conf.kv_inflation.value_or(job.data_scale);
   // Largest modeled record; sizes count-provisioned receive buffers.
-  const std::uint64_t max_record_modeled = job.spec.conf.get_bytes(
-      mapred::kMaxRecordBytes,
+  const std::uint64_t max_record_modeled = job.conf.max_record_bytes.value_or(
       static_cast<std::uint64_t>(102.0 * job.data_scale));
   std::vector<std::shared_ptr<MapStream>> streams;
   streams.reserve(job.maps.size());

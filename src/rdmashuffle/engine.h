@@ -45,21 +45,20 @@ using mapred::KvSink;
 // and disk time, so it is evicted instead.
 inline constexpr double kResponderDeadline = 120.0;  // seconds
 
+// The fields set from the job's conf (use_cache through overlap_reduce)
+// take their defaults from mapred::JobConf, through osu_ib or hadoop_a.
 struct RdmaShuffleOptions {
-  bool use_cache = true;
-  // TaskTracker cache budget. The paper's headline figures ran on the
-  // 24 GB storage nodes (§IV-A/B: "storage nodes have twice as much
-  // memory ... our implementation has more benefits in storage nodes").
-  std::uint64_t cache_bytes = 12ull * 1024 * 1024 * 1024;  // modeled
+  bool use_cache = false;
+  std::uint64_t cache_bytes = 0;    // TaskTracker cache budget, modeled
+  std::uint64_t packet_bytes = 0;   // modeled; 0 = unlimited
+  std::uint64_t kv_per_packet = 0;  // 0 = unlimited (byte mode)
+  int responder_threads = 0;
+  bool overlap_reduce = false;
   // A map output is re-cached after misses at most this many times;
   // beyond that the cache is thrashing and re-reading whole outputs from
   // disk only steals bandwidth from the responders ("adjust caching
   // based on data availability and necessity", §III-B3).
   int max_recache_attempts = 2;
-  std::uint64_t packet_bytes = 1024 * 1024;  // modeled; 0 = unlimited
-  std::uint64_t kv_per_packet = 0;           // 0 = unlimited (byte mode)
-  int responder_threads = 4;
-  bool overlap_reduce = true;
   // Fixed-count receive buffers (Hadoop-A): each segment's buffer is
   // provisioned for kv_per_packet pairs of the *largest observed* pair
   // size, regardless of how many bytes actually arrive — harmless for
@@ -81,7 +80,7 @@ struct RdmaShuffleOptions {
 
   // The paper's design: byte-budgeted packets, caching on (§III-C(3)
   // exposes all of these as user tunables).
-  static RdmaShuffleOptions osu_ib(const Conf& conf);
+  static RdmaShuffleOptions osu_ib(const mapred::JobConf& conf);
   // Hadoop-A (Wang et al., SC'11 "Hadoop Acceleration through Network
   // Levitated Merge") — the paper's closest comparator, reconstructed
   // from its published description (§III-C):
@@ -94,7 +93,7 @@ struct RdmaShuffleOptions {
   //    the map output from disk (its DataEngine "doesn't provide data
   //    caching to decrease the disk access"),
   //  * fewer tuning knobs (the kv count is its only packet control).
-  static RdmaShuffleOptions hadoop_a(const Conf& conf);
+  static RdmaShuffleOptions hadoop_a(const mapred::JobConf& conf);
 };
 
 class RdmaShuffleEngine : public mapred::ShuffleEngine {

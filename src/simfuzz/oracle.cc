@@ -303,7 +303,7 @@ void check_engine_run(const Scenario& scenario, const EngineRun& run,
     const std::uint64_t budget =
         scenario.cache_bytes > 0
             ? scenario.cache_bytes
-            : rdmashuffle::RdmaShuffleOptions{}.cache_bytes;
+            : mapred::JobConf{}.cache_bytes;
     const double peak = m.gauge_max("cache.used_bytes");
     if (peak > double(budget)) {
       add(verdict, "conservation.cache_budget", e,

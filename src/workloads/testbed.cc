@@ -19,11 +19,11 @@ Testbed::Testbed(TestbedSpec spec)
                                          datanodes_);
   runner_ = std::make_unique<mapred::JobRunner>(*cluster_, *network_, *dfs_,
                                                 datanodes_);
-  runner_->register_engine("osu-ib", [](const Conf& conf) {
+  runner_->register_engine("osu-ib", [](const mapred::JobConf& conf) {
     return std::make_unique<rdmashuffle::RdmaShuffleEngine>(
         "osu-ib", rdmashuffle::RdmaShuffleOptions::osu_ib(conf));
   });
-  runner_->register_engine("hadoop-a", [](const Conf& conf) {
+  runner_->register_engine("hadoop-a", [](const mapred::JobConf& conf) {
     return std::make_unique<rdmashuffle::RdmaShuffleEngine>(
         "hadoop-a", rdmashuffle::RdmaShuffleOptions::hadoop_a(conf));
   });

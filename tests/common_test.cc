@@ -162,56 +162,15 @@ TEST(UnitsTest, FormatDuration) {
 
 // ------------------------------------------------------------------ conf
 
-TEST(ConfTest, TypedRoundTrip) {
-  Conf conf;
-  conf.set("a.string", "hello");
-  conf.set_int("a.int", -42);
-  conf.set_double("a.double", 2.5);
-  conf.set_bool("a.bool", true);
-  conf.set_bytes("a.bytes", 128 * kMiB);
-
-  EXPECT_EQ(conf.get_string("a.string", ""), "hello");
-  EXPECT_EQ(conf.get_int("a.int", 0), -42);
-  EXPECT_DOUBLE_EQ(conf.get_double("a.double", 0.0), 2.5);
-  EXPECT_TRUE(conf.get_bool("a.bool", false));
-  EXPECT_EQ(conf.get_bytes("a.bytes", 0), 128 * kMiB);
-}
-
-TEST(ConfTest, DefaultsWhenMissing) {
-  Conf conf;
-  EXPECT_EQ(conf.get_string("x", "dflt"), "dflt");
-  EXPECT_EQ(conf.get_int("x", 9), 9);
-  EXPECT_FALSE(conf.get_bool("x", false));
-  EXPECT_EQ(conf.get_bytes("x", 77), 77u);
-  EXPECT_FALSE(conf.contains("x"));
-}
-
-TEST(ConfTest, BytesAcceptUnitStrings) {
-  Conf conf;
-  conf.set("hdfs.block.size", "256MB");
-  EXPECT_EQ(conf.get_bytes("hdfs.block.size", 0), 256 * kMiB);
-}
-
-TEST(ConfTest, BoolSpellings) {
-  Conf conf;
-  for (const char* t : {"true", "TRUE", "1", "yes", "on"}) {
-    conf.set("k", t);
-    EXPECT_TRUE(conf.get_bool("k", false)) << t;
-  }
-  for (const char* f : {"false", "FALSE", "0", "no", "off"}) {
-    conf.set("k", f);
-    EXPECT_FALSE(conf.get_bool("k", true)) << f;
-  }
-}
-
 TEST(ConfTest, MergeOtherWins) {
   Conf base, override_conf;
   base.set("a", "1");
   base.set("b", "2");
   override_conf.set("b", "3");
+  override_conf.set_int("c", -42);
   base.merge(override_conf);
-  EXPECT_EQ(base.get_string("a", ""), "1");
-  EXPECT_EQ(base.get_string("b", ""), "3");
+  using Items = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(base.items(), (Items{{"a", "1"}, {"b", "3"}, {"c", "-42"}}));
 }
 
 // ----------------------------------------------------------------- bytes

@@ -420,10 +420,10 @@ TEST(HdfsFailoverTest, DiskFullWindowDelaysDfsAndSpillWrites) {
   fault.full_at = 0.0;
   fault.full_duration = kWindow;
   w.host(1).fs().arm_fault(fault, w.engine.make_rng("test.disk"));
-  mapred::JobSpec spec;
-  spec.conf.set_int(mapred::kNumReduces, 1);
-  mapred::JobRuntime job(*w.cluster, *w.network, *w.dfs, std::move(spec),
-                         /*trackers=*/{}, /*job_id=*/1);
+  mapred::JobConf conf;
+  conf.num_reduces = 1;
+  mapred::JobRuntime job(*w.cluster, *w.network, *w.dfs, mapred::JobSpec{},
+                         conf, /*trackers=*/{}, /*job_id=*/1);
 
   const Bytes data = pattern(10'000);
   Status dfs_write = Status::Internal("not run");

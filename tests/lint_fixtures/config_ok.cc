@@ -5,6 +5,6 @@
 
 inline constexpr const char* kFixtureKnob = "mapred.fixture.known";
 
-int knob(const hmr::Conf& conf) {
-  return conf.get_int("mapred.fixture.known", 1);
+void configure(hmr::Conf& conf) {
+  conf.set_int("mapred.fixture.known", 1);
 }

@@ -8,6 +8,7 @@
 
 #include "common/crc32.h"
 #include "common/units.h"
+#include "mapred/jobconf.h"
 #include "mapred/jobrunner.h"
 #include "mapred/recovery.h"
 #include "sim/fault.h"
@@ -42,20 +43,60 @@ struct SmallJob {
 
 TEST(JobRunnerTest, EngineNameResolution) {
   Conf conf;
-  EXPECT_EQ(JobRunner::engine_name(conf), "vanilla");
+  EXPECT_EQ(JobConf::parse(conf)->engine, "vanilla");
   conf.set(kShuffleEngine, "hadoop-a");
-  EXPECT_EQ(JobRunner::engine_name(conf), "hadoop-a");
+  EXPECT_EQ(JobConf::parse(conf)->engine, "hadoop-a");
 }
 
-TEST(JobRunnerTest, UnknownEngineAborts) {
+// A job the JobRunner rejects comes back with a non-OK status before
+// anything ran: no simulated time passes, no output is written, and the
+// Testbed still runs the next job.
+void expect_rejected(const Conf& conf, const std::string& why) {
   SmallJob small;
   Testbed bed(small.bed_spec);
-  auto digest = bed.generate("teragen", small.gen);
-  EXPECT_TRUE(digest.ok());
+  ASSERT_TRUE(bed.generate("teragen", small.gen).ok());
+  const double before = bed.engine().now();
+  const auto rejected = bed.run_job(
+      workloads::terasort_job(bed.dfs(), "/in", "/bad", conf));
+  EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status.message().find(why), std::string::npos)
+      << rejected.status.to_string();
+  EXPECT_EQ(rejected.num_maps, 0);
+  EXPECT_EQ(bed.engine().now(), before);
+  EXPECT_TRUE(bed.dfs().list("/bad").empty());
+
+  const auto ok =
+      bed.run_job(workloads::terasort_job(bed.dfs(), "/in", "/out", Conf{}));
+  EXPECT_TRUE(ok.status.ok());
+  EXPECT_EQ(ok.num_maps, 8);
+}
+
+TEST(JobRunnerTest, UnknownEngineRejected) {
   Conf conf;
   conf.set(kShuffleEngine, "no-such-engine");
-  auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", conf);
-  EXPECT_DEATH(bed.run_job(std::move(job)), "unknown shuffle engine");
+  expect_rejected(conf, "unknown shuffle engine: no-such-engine");
+}
+
+TEST(JobRunnerTest, BadConfRejected) {
+  Conf zero_reduces;
+  zero_reduces.set_int(kNumReduces, 0);
+  expect_rejected(zero_reduces, kNumReduces);
+  Conf unknown;
+  unknown.set("mapred.no.such.key", "1");
+  expect_rejected(unknown, "mapred.no.such.key");
+}
+
+// io.sort.factor 1 merged one segment into one per pass and never
+// finished; zero responder threads answered no DataRequest. Both are
+// rejected at submit instead of hanging the simulation.
+TEST(JobRunnerTest, NonTerminatingConfRejected) {
+  Conf factor;
+  factor.set_int(kIoSortFactor, 1);
+  expect_rejected(factor, kIoSortFactor);
+  Conf responders;
+  responders.set(kShuffleEngine, "osu-ib");
+  responders.set_int(kResponderThreads, 0);
+  expect_rejected(responders, kResponderThreads);
 }
 
 TEST(JobRunnerTest, TeraSortEndToEndValidates) {
@@ -434,6 +475,27 @@ TEST(MultiJobTest, ConcurrentJobsBothValidate) {
   EXPECT_TRUE(report_b.ok() && report_b->valid_terasort(*digest_b));
 }
 
+// Under the JobTracker a rejected job completes at once with its status;
+// the job beside it runs as if alone.
+TEST(MultiJobTest, RejectedJobLeavesOthersRunning) {
+  SmallJob small;
+  Testbed bed(small.bed_spec);
+  auto digest = bed.generate("teragen", small.gen);
+  ASSERT_TRUE(digest.ok());
+  Conf bad;
+  bad.set(kSlowstart, "1.5");
+  std::vector<JobSpec> jobs;
+  jobs.push_back(workloads::terasort_job(bed.dfs(), "/in", "/bad", bad));
+  jobs.push_back(workloads::terasort_job(bed.dfs(), "/in", "/out", Conf{}));
+  const auto results = bed.run_jobs(std::move(jobs));
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_FALSE(results[0].status.ok());
+  EXPECT_TRUE(results[1].status.ok());
+  auto report = workloads::validate_output(bed.dfs(), "/out");
+  EXPECT_TRUE(report.ok() && report->valid_terasort(*digest));
+  EXPECT_TRUE(bed.dfs().list("/bad").empty());
+}
+
 TEST(MultiJobTest, ConcurrentJobsContendForSlots) {
   // Two identical jobs sharing the cluster must each run slower than a
   // lone job, but the makespan must beat strictly serial execution.
@@ -710,8 +772,212 @@ TEST(JobCountersTest, ConcurrentJobsCountOnlyTheirOwnFaults) {
   }
 }
 
+// ----------------------------------------------------------- JobConf
+
+TEST(ConfTest, TypedRoundTrip) {
+  Conf conf;
+  conf.set(kShuffleEngine, "osu-ib");
+  conf.set_int(kNumReduces, 42);
+  conf.set_double(kKvInflation, 1.0 / 3.0);
+  conf.set_bool(kIntegrityEnabled, false);
+  conf.set_bytes(kMaxRecordBytes, 128 * kMiB);
+  const auto parsed = JobConf::parse(conf);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed->engine, "osu-ib");
+  EXPECT_EQ(parsed->num_reduces, 42);
+  EXPECT_EQ(parsed->kv_inflation, 1.0 / 3.0);  // exact: %.17g round-trips
+  EXPECT_FALSE(parsed->integrity);
+  EXPECT_EQ(parsed->max_record_bytes, 128 * kMiB);
+}
+
+// Every default, written once in JobConf, is what an empty conf parses to.
+TEST(ConfTest, DefaultsWhenMissing) {
+  const auto parsed = JobConf::parse(Conf{});
+  ASSERT_TRUE(parsed.ok());
+  const JobConf& c = *parsed;
+  EXPECT_EQ(c.engine, "vanilla");
+  EXPECT_TRUE(c.caching_enabled);
+  EXPECT_EQ(c.cache_bytes, 12 * kGiB);
+  EXPECT_EQ(c.packet_bytes, kMiB);
+  EXPECT_FALSE(c.kv_per_packet.has_value());
+  EXPECT_EQ(c.responder_threads, 4);
+  EXPECT_TRUE(c.overlap_reduce);
+  EXPECT_FALSE(c.kv_inflation.has_value());
+  EXPECT_FALSE(c.max_record_bytes.has_value());
+  EXPECT_FALSE(c.num_reduces.has_value());
+  EXPECT_EQ(c.io_sort_bytes, 100 * kMiB);
+  EXPECT_EQ(c.io_sort_factor, 10);
+  EXPECT_EQ(c.shuffle_buffer_bytes, 700 * kMiB);
+  EXPECT_EQ(c.slowstart, 0.05);
+  EXPECT_EQ(c.task_startup, 1.0);
+  EXPECT_EQ(c.map_failure_prob, 0.0);
+  EXPECT_EQ(c.map_max_attempts, 4);
+  EXPECT_EQ(c.straggler_prob, 0.0);
+  EXPECT_EQ(c.straggler_slowdown, 4.0);
+  EXPECT_FALSE(c.speculation.maps);
+  EXPECT_FALSE(c.speculation.reduces);
+  EXPECT_EQ(c.speculation.interval, 0.5);
+  EXPECT_EQ(c.speculation.min_runtime, 3.0);
+  EXPECT_TRUE(c.integrity);
+}
+
+// Every key overrides its field.
+TEST(JobConfTest, EveryKeyOverrides) {
+  Conf conf;
+  conf.set(kShuffleEngine, "hadoop-a");
+  conf.set_bool(kCachingEnabled, false);
+  conf.set_bytes(kCacheBytes, 2 * kGiB);
+  conf.set_bytes(kRdmaPacketBytes, 0);
+  conf.set_int(kRdmaKvPerPacket, 64);
+  conf.set_int(kResponderThreads, 9);
+  conf.set_bool(kOverlapReduce, false);
+  conf.set_double(kKvInflation, 2.5);
+  conf.set_bytes(kMaxRecordBytes, 300);
+  conf.set_int(kNumReduces, 3);
+  conf.set_bytes(kIoSortMb, 2 * kMiB);
+  conf.set_int(kIoSortFactor, 2);
+  conf.set_bytes(kShuffleBufferBytes, 0);
+  conf.set_double(kSlowstart, 1.0);
+  conf.set_double(kTaskStartupSec, 0.0);
+  conf.set_double(kMapFailureProb, 0.5);
+  conf.set_int(kMaxTaskAttempts, 1);
+  conf.set_double(kStragglerProb, 1.0);
+  conf.set_double(kStragglerSlowdown, 1.0);
+  conf.set_bool(kSpeculativeExecution, true);
+  conf.set_bool(kReduceSpeculativeExecution, true);
+  conf.set_double(kSpeculativeIntervalSec, 0.1);
+  conf.set_double(kSpeculativeMinRuntimeSec, 0.0);
+  conf.set_bool(kIntegrityEnabled, false);
+  const auto parsed = JobConf::parse(conf);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const JobConf& c = *parsed;
+  EXPECT_EQ(c.engine, "hadoop-a");
+  EXPECT_FALSE(c.caching_enabled);
+  EXPECT_EQ(c.cache_bytes, 2 * kGiB);
+  EXPECT_EQ(c.packet_bytes, 0u);
+  EXPECT_EQ(c.kv_per_packet, 64u);
+  EXPECT_EQ(c.responder_threads, 9);
+  EXPECT_FALSE(c.overlap_reduce);
+  EXPECT_EQ(c.kv_inflation, 2.5);
+  EXPECT_EQ(c.max_record_bytes, 300u);
+  EXPECT_EQ(c.num_reduces, 3);
+  EXPECT_EQ(c.io_sort_bytes, 2 * kMiB);
+  EXPECT_EQ(c.io_sort_factor, 2);
+  EXPECT_EQ(c.shuffle_buffer_bytes, 0u);
+  EXPECT_EQ(c.slowstart, 1.0);
+  EXPECT_EQ(c.task_startup, 0.0);
+  EXPECT_EQ(c.map_failure_prob, 0.5);
+  EXPECT_EQ(c.map_max_attempts, 1);
+  EXPECT_EQ(c.straggler_prob, 1.0);
+  EXPECT_EQ(c.straggler_slowdown, 1.0);
+  EXPECT_TRUE(c.speculation.maps);
+  EXPECT_TRUE(c.speculation.reduces);
+  EXPECT_EQ(c.speculation.interval, 0.1);
+  EXPECT_EQ(c.speculation.min_runtime, 0.0);
+  EXPECT_FALSE(c.integrity);
+}
+
+TEST(ConfTest, BytesAcceptUnitStrings) {
+  for (const auto& [text, bytes] :
+       std::vector<std::pair<const char*, std::uint64_t>>{
+           {"256MB", 256 * kMiB}, {"64M", 64 * kMiB}, {"4K", 4 * kKiB},
+           {"2GB", 2 * kGiB}, {"1.5MB", 3 * kMiB / 2}, {"12345", 12345}}) {
+    Conf conf;
+    conf.set(kIoSortMb, text);
+    const auto parsed = JobConf::parse(conf);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_EQ(parsed->io_sort_bytes, bytes) << text;
+  }
+}
+
+TEST(ConfTest, BoolSpellings) {
+  Conf conf;
+  for (const char* t : {"true", "TRUE", "1", "yes", "on"}) {
+    conf.set(kIntegrityEnabled, t);
+    EXPECT_TRUE(JobConf::parse(conf)->integrity) << t;
+  }
+  for (const char* f : {"false", "FALSE", "0", "no", "off"}) {
+    conf.set(kIntegrityEnabled, f);
+    EXPECT_FALSE(JobConf::parse(conf)->integrity) << f;
+  }
+}
+
+// The first rejected key, named in the error; a clean parse otherwise.
+std::string parse_error(const Conf& conf) {
+  const auto parsed = JobConf::parse(conf);
+  return parsed.ok() ? "" : parsed.status().message();
+}
+
+std::string parse_error(const char* key, const char* value) {
+  Conf conf;
+  conf.set(key, value);
+  return parse_error(conf);
+}
+
+// A key nothing reads (misspelled, or a setting that became a constant)
+// is an error, not silently ignored. Every unknown key is named.
+TEST(JobConfTest, RejectsUnknownKeys) {
+  Conf conf;
+  conf.set("mapred.no.such.key", "1");
+  conf.set("dfs.block.size", "64MB");
+  conf.set_int(kNumReduces, 2);
+  EXPECT_EQ(parse_error(conf),
+            "unknown conf key(s): dfs.block.size, mapred.no.such.key");
+}
+
+// The lenient getters read "12abc" as 12 and "abc" or "maybe" as the
+// default; the parse rejects each.
+TEST(JobConfTest, RejectsMalformedValues) {
+  for (const auto& [key, value] :
+       std::vector<std::pair<const char*, const char*>>{
+           {kNumReduces, "12abc"}, {kNumReduces, "abc"}, {kNumReduces, ""},
+           {kNumReduces, "1.5"}, {kNumReduces, " 4"},
+           {kIoSortFactor, "abc"}, {kIntegrityEnabled, "maybe"},
+           {kCachingEnabled, ""}, {kSlowstart, "0.5x"}, {kSlowstart, "nan"},
+           {kTaskStartupSec, "inf"}, {kTaskStartupSec, "1e999"},
+           {kIoSortMb, "12abc"}, {kIoSortMb, "-5"}, {kCacheBytes, "MB"}}) {
+    const std::string error = parse_error(key, value);
+    EXPECT_EQ(error.rfind(std::string(key) + "=" + value + ": not ", 0), 0u)
+        << key << "=" << value << " -> " << error;
+  }
+}
+
+TEST(JobConfTest, RejectsOutOfRangeValues) {
+  for (const auto& [key, value] :
+       std::vector<std::pair<const char*, const char*>>{
+           {kNumReduces, "0"}, {kNumReduces, "-3"},
+           {kNumReduces, "3000000000"}, {kIoSortFactor, "1"},
+           {kIoSortFactor, "0"}, {kResponderThreads, "0"},
+           {kMaxTaskAttempts, "0"}, {kRdmaKvPerPacket, "-1"},
+           {kFetchMaxRetries, "-1"}, {kBlacklistFailures, "0"},
+           {kIoSortMb, "0"}, {kMaxRecordBytes, "0"},
+           {kSlowstart, "-0.1"}, {kSlowstart, "1.5"},
+           {kMapFailureProb, "1.01"}, {kStragglerProb, "-1"},
+           {kStragglerSlowdown, "0.5"}, {kTaskStartupSec, "-1"},
+           {kFetchTimeoutSec, "-1"}, {kFetchBackoffBaseSec, "-0.1"},
+           {kFetchBackoffMaxSec, "-5"}, {kFetchBackoffJitter, "-0.25"},
+           {kSpeculativeIntervalSec, "0"}, {kSpeculativeIntervalSec, "-1"},
+           {kSpeculativeMinRuntimeSec, "-3"}, {kKvInflation, "0"},
+           {kShuffleBufferBytes, "99999999999999999999"},
+           {kCacheBytes, "4194305T"}}) {
+    const std::string error = parse_error(key, value);
+    EXPECT_EQ(error.rfind(std::string(key) + "=" + value + ": must be ", 0),
+              0u)
+        << key << "=" << value << " -> " << error;
+  }
+  // The range ends themselves are accepted.
+  for (const auto& [key, value] :
+       std::vector<std::pair<const char*, const char*>>{
+           {kNumReduces, "1"}, {kIoSortFactor, "2"}, {kResponderThreads, "1"},
+           {kMaxTaskAttempts, "1"}, {kFetchMaxRetries, "0"},
+           {kSlowstart, "0"}, {kSlowstart, "1"}, {kFetchTimeoutSec, "0"},
+           {kStragglerSlowdown, "1"}, {kSpeculativeIntervalSec, "1e-9"}}) {
+    EXPECT_EQ(parse_error(key, value), "") << key << "=" << value;
+  }
+}
+
 TEST(FetchRetryPolicyTest, FromConfDefaultsAndOverrides) {
-  const auto defaults = FetchRetryPolicy::from_conf(Conf{});
+  const auto defaults = JobConf::parse(Conf{})->retry;
   EXPECT_EQ(defaults.fetch_timeout, 60.0);
   EXPECT_EQ(defaults.max_retries, 10);
   EXPECT_EQ(defaults.backoff_base, 0.2);
@@ -726,7 +992,7 @@ TEST(FetchRetryPolicyTest, FromConfDefaultsAndOverrides) {
   conf.set_double(kFetchBackoffMaxSec, 1.5);
   conf.set_double(kFetchBackoffJitter, 0.0);
   conf.set_int(kBlacklistFailures, 7);
-  const auto tuned = FetchRetryPolicy::from_conf(conf);
+  const auto tuned = JobConf::parse(conf)->retry;
   EXPECT_EQ(tuned.fetch_timeout, 2.5);
   EXPECT_EQ(tuned.max_retries, 4);
   EXPECT_EQ(tuned.backoff_base, 0.05);
@@ -901,9 +1167,9 @@ struct ExchangeWorld {
   std::shared_ptr<FetchWatch> watch = std::make_shared<FetchWatch>(engine, 8);
 
   ExchangeWorld() {
-    JobSpec spec;
-    spec.conf.set_int(kNumReduces, 1);
-    job = std::make_unique<JobRuntime>(cluster, network, dfs, std::move(spec),
+    JobConf conf;
+    conf.num_reduces = 1;
+    job = std::make_unique<JobRuntime>(cluster, network, dfs, JobSpec{}, conf,
                                        /*trackers=*/std::vector<TaskTrackerState*>{},
                                        /*job_id=*/1);
   }

@@ -133,20 +133,24 @@ TEST(ProtocolTest, WireSizesAreSmall) {
 // ----------------------------------------------------------------- options
 
 TEST(OptionsTest, OsuDefaultsAreBytesBudgeted) {
-  const auto opt = RdmaShuffleOptions::osu_ib(Conf{});
+  const auto opt = RdmaShuffleOptions::osu_ib(mapred::JobConf{});
   EXPECT_TRUE(opt.use_cache);
-  EXPECT_GT(opt.packet_bytes, 0u);
+  EXPECT_EQ(opt.cache_bytes, 12 * kGiB);
+  EXPECT_EQ(opt.packet_bytes, kMiB);
   EXPECT_EQ(opt.kv_per_packet, 0u);  // byte mode
+  EXPECT_EQ(opt.responder_threads, 4);
   EXPECT_TRUE(opt.overlap_reduce);
   EXPECT_TRUE(opt.pipelined_refill);
   EXPECT_FALSE(opt.charge_by_count);
 }
 
 TEST(OptionsTest, HadoopADefaultsMatchSc11Description) {
-  const auto opt = RdmaShuffleOptions::hadoop_a(Conf{});
+  const auto opt = RdmaShuffleOptions::hadoop_a(mapred::JobConf{});
   EXPECT_FALSE(opt.use_cache);            // no DataEngine caching
   EXPECT_EQ(opt.packet_bytes, 0u);        // count is the only budget
-  EXPECT_GT(opt.kv_per_packet, 0u);       // fixed kv count
+  EXPECT_EQ(opt.kv_per_packet, 1024u);    // fixed kv count
+  EXPECT_EQ(opt.responder_threads, 4);
+  EXPECT_TRUE(opt.overlap_reduce);
   EXPECT_FALSE(opt.pipelined_refill);     // network-levitated on-demand
   EXPECT_TRUE(opt.charge_by_count);       // buffers sized by count
 }
@@ -158,7 +162,9 @@ TEST(OptionsTest, ConfOverridesApply) {
   conf.set_int(mapred::kResponderThreads, 9);
   conf.set_bool(mapred::kOverlapReduce, false);
   conf.set("mapred.local.caching.bytes", "2GB");
-  const auto opt = RdmaShuffleOptions::osu_ib(conf);
+  const auto parsed = mapred::JobConf::parse(conf);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const auto opt = RdmaShuffleOptions::osu_ib(*parsed);
   EXPECT_FALSE(opt.use_cache);
   EXPECT_EQ(opt.packet_bytes, 4 * kMiB);
   EXPECT_EQ(opt.responder_threads, 9);
@@ -169,7 +175,10 @@ TEST(OptionsTest, ConfOverridesApply) {
 TEST(OptionsTest, HadoopAKvCountTunable) {
   Conf conf;
   conf.set_int(mapred::kRdmaKvPerPacket, 4096);
-  EXPECT_EQ(RdmaShuffleOptions::hadoop_a(conf).kv_per_packet, 4096u);
+  const auto parsed = mapred::JobConf::parse(conf);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(RdmaShuffleOptions::hadoop_a(*parsed).kv_per_packet, 4096u);
+  EXPECT_EQ(RdmaShuffleOptions::osu_ib(*parsed).kv_per_packet, 4096u);
 }
 
 // -------------------------------------------------- engine behaviour

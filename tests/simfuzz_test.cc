@@ -11,10 +11,11 @@
 
 #include <gtest/gtest.h>
 
-#include "mapred/types.h"
+#include "mapred/jobconf.h"
 #include "simfuzz/fuzzer.h"
 #include "simfuzz/oracle.h"
 #include "simfuzz/scenario.h"
+#include "workloads/experiment.h"
 #include "workloads/jobs.h"
 #include "workloads/testbed.h"
 
@@ -355,6 +356,42 @@ TEST(OracleTest, SpeculationIdentityUnderComputeChaos) {
     check_speculation_identity(s, run, &verdict);
     EXPECT_TRUE(verdict.ok()) << engine << ": " << verdict.summary();
   }
+}
+
+// JobConf's ranges must never reject a conf the generator can draw:
+// every CI seed (plain and forced disk faults) and every corpus entry,
+// with the engine and workload keys the oracle layers on top.
+void expect_conf_accepted(const Scenario& scenario) {
+  for (const char* engine : {"vanilla", "osu-ib", "hadoop-a"}) {
+    Conf conf = scenario.base_conf();
+    conf.set(mapred::kShuffleEngine, engine);
+    workloads::DataGenSpec gen;
+    workloads::scale_workload(scenario.workload == "terasort",
+                              scenario.modeled_bytes,
+                              scenario.target_real_bytes, &gen, &conf);
+    const auto parsed = mapred::JobConf::parse(conf);
+    EXPECT_TRUE(parsed.ok()) << scenario.summary() << ": "
+                             << parsed.status().to_string();
+  }
+}
+
+TEST(ScenarioTest, GeneratedConfsPassJobConfParse) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    expect_conf_accepted(Scenario::generate(seed));
+  }
+  for (std::uint64_t seed = 5000; seed < 5120; ++seed) {
+    expect_conf_accepted(Scenario::generate_with_disk_faults(seed));
+  }
+  int checked = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(HMR_FUZZ_CORPUS_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    auto scenario = load_scenario_file(entry.path().string());
+    ASSERT_TRUE(scenario.ok()) << entry.path();
+    expect_conf_accepted(*scenario);
+    ++checked;
+  }
+  EXPECT_GE(checked, 3);
 }
 
 TEST(CorpusTest, CommittedScenariosPassAllOracles) {
