@@ -42,6 +42,10 @@ class ByteWriter {
   void put_string(std::string_view s);  // varint length + bytes
   void put_length_prefixed(std::span<const std::uint8_t> data);
 
+  // Capacity for `n` more bytes, so a writer that knows its encoded
+  // size grows the buffer once.
+  void reserve(size_t n) { buf().reserve(buf().size() + n); }
+
   size_t size() const { return buf().size(); }
   const Bytes& data() const { return buf(); }
   Bytes take() { return std::move(owned_); }

@@ -144,8 +144,9 @@ std::span<const std::uint8_t> SegmentReader::take_chunk(
   std::uint64_t pairs = 0;
   while (pairs < max_pairs && pos_ < slice_.size()) {
     ByteReader reader(slice_.subspan(pos_));
-    auto pair = decode_kv(reader);
-    HMR_CHECK_MSG(pair.ok(), "corrupt segment record");
+    // Only the record's length is needed: the view decode copies nothing.
+    const auto view = decode_kv_view(reader);
+    HMR_CHECK_MSG(view.ok(), "corrupt segment record");
     const size_t record_len = reader.position();
     // Never cross the byte budget, except that the first record always
     // ships (a chunk must make progress even for jumbo pairs).

@@ -172,12 +172,12 @@ Result<JobConf> JobConf::parse(const Conf& conf) {
   in.read(kRdmaKvPerPacket, &c.kv_per_packet, 0,
           std::numeric_limits<std::int64_t>::max());
   // Zero responders would leave every DataRequest unanswered.
-  in.read(kResponderThreads, &c.responder_threads, 1);
+  in.read(kResponderThreads, &c.responder_threads, 1, kMaxResponderThreads);
   in.read(kOverlapReduce, &c.overlap_reduce);
   in.read(kKvInflation, &c.kv_inflation, 0.0, kInf, /*lo_open=*/true);
   in.read_bytes(kMaxRecordBytes, &c.max_record_bytes, 1);
 
-  in.read(kNumReduces, &c.num_reduces, 1);
+  in.read(kNumReduces, &c.num_reduces, 1, kMaxNumReduces);
   in.read_bytes(kIoSortMb, &c.io_sort_bytes, 1);
   // A merge pass turns `factor` segments into one: below 2 the on-disk
   // list never shrinks.

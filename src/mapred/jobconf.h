@@ -23,6 +23,12 @@
 namespace hmr::mapred {
 
 struct JobConf {
+  // Upper ends of the two counts that size per-job state (one slot per
+  // reduce, one coroutine per responder per tracker): past them a job
+  // would exhaust host memory while being built, not be rejected.
+  static constexpr int kMaxNumReduces = 100000;
+  static constexpr int kMaxResponderThreads = 1024;
+
   // mapred.shuffle.engine: "vanilla", "osu-ib" or "hadoop-a" (any name a
   // JobRunner factory is registered under).
   std::string engine = "vanilla";

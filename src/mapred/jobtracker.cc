@@ -14,6 +14,7 @@ JobTracker::JobTracker(sim::Engine& engine, JobRunner& runner,
   m.counter("scheduler.jobs.submitted");
   m.counter("scheduler.jobs.dispatched");
   m.counter("scheduler.jobs.completed");
+  m.counter("scheduler.jobs.rejected");
   m.counter("scheduler.quota.deferrals");
   m.gauge("scheduler.queue.depth");
   m.gauge("scheduler.jobs.running");
@@ -137,22 +138,31 @@ sim::Task<> JobTracker::run_job(std::shared_ptr<SubmittedJob> job) {
   running_ -= 1;
   pool_running_[job->user] -= 1;
   auto& tenant = tenants_[job->user];
-  tenant.completed += 1;
-  tenant.total_latency += job->latency();
-  // Speculative backups consumed slots beyond the dispatch-time charge;
-  // bill them post-hoc at one split-equivalent each so the fair-share
-  // deficit reflects what the pool actually used.
-  const auto& result = job->result;
-  const auto backups = result.counter("speculation.attempts");
-  charged_[job->user] += double(backups);
-  tenant.charged_cost += double(backups);
-  tenant.speculative_attempts += std::uint64_t(backups);
-  tenant.speculative_wins += std::uint64_t(result.counter("speculation.wins"));
-  tenant.speculative_kills +=
-      std::uint64_t(result.counter("speculation.kills"));
   auto& metrics = engine_.metrics();
-  metrics.counter("scheduler.jobs.completed").add();
-  metrics.latency_histogram("scheduler.job.latency").record(job->latency());
+  const auto& result = job->result;
+  if (!result.status.ok()) {
+    // Turned away at submit (a bad conf): it used no slots, so the
+    // dispatch-time charge is refunded and it is not a completion.
+    charged_[job->user] -= job->cost;
+    tenant.charged_cost -= job->cost;
+    metrics.counter("scheduler.jobs.rejected").add();
+  } else {
+    tenant.completed += 1;
+    tenant.total_latency += job->latency();
+    // Speculative backups consumed slots beyond the dispatch-time charge;
+    // bill them post-hoc at one split-equivalent each so the fair-share
+    // deficit reflects what the pool actually used.
+    const auto backups = result.counter("speculation.attempts");
+    charged_[job->user] += double(backups);
+    tenant.charged_cost += double(backups);
+    tenant.speculative_attempts += std::uint64_t(backups);
+    tenant.speculative_wins +=
+        std::uint64_t(result.counter("speculation.wins"));
+    tenant.speculative_kills +=
+        std::uint64_t(result.counter("speculation.kills"));
+    metrics.counter("scheduler.jobs.completed").add();
+    metrics.latency_histogram("scheduler.job.latency").record(job->latency());
+  }
   metrics.gauge("scheduler.jobs.running").set(double(running_));
 
   job->done.set();

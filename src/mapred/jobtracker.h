@@ -65,6 +65,7 @@ struct SubmittedJob {
   double submitted_at = 0;
   double dispatched_at = -1;  // <0 while queued
   double finished_at = -1;    // <0 until completed
+  // Finished: ran, or was rejected at submit (result.status not OK).
   bool completed = false;
   JobResult result;      // valid once completed
   sim::Event done;       // set on completion
@@ -80,7 +81,7 @@ struct SubmittedJob {
 // Per-pool usage rollup, updated as jobs complete.
 struct TenantStats {
   int submitted = 0;
-  int completed = 0;
+  int completed = 0;            // ran; rejected jobs are not counted
   double total_queue_wait = 0;  // seconds, dispatched jobs
   double total_latency = 0;     // seconds, completed jobs
   double charged_cost = 0;      // fair-share charge accumulated

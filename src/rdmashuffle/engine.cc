@@ -227,8 +227,9 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
   }
   header.eof = req.cursor_real + chunk.size() >= partition.size();
 
-  Bytes body = header.encode_header();
-  body.insert(body.end(), chunk.begin(), chunk.end());
+  ByteWriter frame;
+  header.encode_header(frame, chunk.size());
+  frame.put_bytes(chunk);
   const auto modeled =
       kResponseHeaderBytes +
       static_cast<std::uint64_t>(double(chunk.size()) * info.scale);
@@ -242,7 +243,7 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
   }
   const double st0 = job.engine.now();
   co_await pending.endpoint->send(net::Message::share(
-      std::make_shared<const Bytes>(std::move(body)), modeled,
+      std::make_shared<const Bytes>(frame.take()), modeled,
       kTagDataResponse));
   metric_->respond_send.record(job.engine.now() - st0);
 }
@@ -351,13 +352,14 @@ sim::Task<ucr::Endpoint*> RdmaShuffleEngine::ensure_client_endpoint(
         job.metric.malformed_msgs.add();
         continue;
       }
-      ByteReader r(*msg->payload);
-      const auto header = DataResponse::decode_header(r);
-      if (!header.ok()) {
+      // Only map_id is read here; the stream's classify is the one full
+      // decode of the header.
+      const auto map_id = DataResponse::peek_map_id(*msg->payload);
+      if (!map_id.ok()) {
         job.metric.malformed_msgs.add();
         continue;
       }
-      auto route = state->routes.find(int(header->map_id));
+      auto route = state->routes.find(int(*map_id));
       if (route == state->routes.end()) {
         job.metric.fetch_stale_dropped.add();
         continue;

@@ -26,8 +26,12 @@ struct DataRequest {
   std::uint64_t max_pairs = 0;       // fixed-count mode (Hadoop-A)
   std::uint64_t max_real_bytes = 0;  // byte-budget mode (OSU-IB)
 
+  // Encoded size: the six fixed-width fields.
+  static constexpr size_t kEncodedBytes = 3 * 4 + 3 * 8;
+
   Bytes encode() const {
     ByteWriter w;
+    w.reserve(kEncodedBytes);
     w.put_u32(job_id);
     w.put_u32(map_id);
     w.put_u32(reduce_id);
@@ -84,8 +88,14 @@ struct DataResponse {
   bool eof = false;
   // Raw serialized kv records follow the header on the wire.
 
-  Bytes encode_header() const {
-    ByteWriter w;
+  // Encoded header size, and where map_id sits in it.
+  static constexpr size_t kEncodedHeaderBytes = 3 * 4 + 3 * 8 + 4 + 1;
+  static constexpr size_t kMapIdOffset = 4;
+
+  // Writes the header into `w`; `extra` more bytes (the chunk that
+  // follows) are reserved with it so the frame grows once.
+  void encode_header(ByteWriter& w, size_t extra = 0) const {
+    w.reserve(kEncodedHeaderBytes + extra);
     w.put_u32(job_id);
     w.put_u32(map_id);
     w.put_u32(reduce_id);
@@ -94,7 +104,20 @@ struct DataResponse {
     w.put_u64(chunk_real_bytes);
     w.put_u32(chunk_crc);
     w.put_u8(eof ? 1 : 0);
+  }
+  Bytes encode_header() const {
+    ByteWriter w;
+    encode_header(w);
     return w.take();
+  }
+  // The map_id of a response frame without decoding the rest of the
+  // header; a frame shorter than the header is malformed.
+  static Result<std::uint32_t> peek_map_id(const Bytes& frame) {
+    if (frame.size() < kEncodedHeaderBytes) {
+      return Status::OutOfRange("short DataResponse header");
+    }
+    ByteReader r(std::span<const std::uint8_t>(frame).subspan(kMapIdOffset));
+    return r.u32();
   }
   // Consumes the header, leaving `r` at the first kv record. A short
   // header is malformed (see DataRequest::decode); the payload length is

@@ -9,12 +9,13 @@
 //    and the frame self-destroys at final suspend.
 //
 // Coroutines are created, resumed, and destroyed on the engine thread
-// only, so the promise machinery needs no atomics. Determinism comes
-// from all cross-task wakeups being routed through the engine's ordered
-// event queue.
+// only, so the promise machinery (and the frame pool below) needs no
+// atomics. Determinism comes from all cross-task wakeups being routed
+// through the engine's ordered event queue.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -27,6 +28,23 @@ class Engine;
 
 namespace detail {
 
+// Frame recycling (DESIGN.md §6.3): every Task frame comes from one
+// free list per size class. A class is a multiple of kFrameGranule up
+// to kMaxPooledFrame; a larger frame goes straight to ::operator new.
+// A released block returns to its class unless the class already holds
+// kFramesPerClass blocks, a cap chosen by a peak-RSS sweep. Released
+// blocks and each frame's rounding slack are ASan-poisoned, so a
+// resumed dangling handle still reports under the sanitizer build.
+inline constexpr std::size_t kFrameGranule = 64;
+inline constexpr std::size_t kMaxPooledFrame = 4096;
+inline constexpr std::size_t kFramesPerClass = 4096;
+
+void* allocate_frame(std::size_t size);
+void release_frame(void* frame, std::size_t size) noexcept;
+// Blocks the pool holds for frames of `size` bytes; 0 above
+// kMaxPooledFrame.
+std::size_t retained_frames(std::size_t size) noexcept;
+
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
@@ -35,6 +53,11 @@ struct PromiseBase {
   // Links in the engine's spawn-ordered list of live detached frames.
   PromiseBase* prev_detached = nullptr;
   PromiseBase* next_detached = nullptr;
+
+  static void* operator new(std::size_t size) { return allocate_frame(size); }
+  static void operator delete(void* frame, std::size_t size) noexcept {
+    release_frame(frame, size);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   void unhandled_exception() noexcept { exception = std::current_exception(); }

@@ -428,12 +428,15 @@ void check_multi_job(const Scenario& scenario, Verdict* verdict) {
   const MetricsSnapshot end = bed.engine().metrics().snapshot();
   if (end.counter("scheduler.jobs.submitted") != jobs ||
       end.counter("scheduler.jobs.dispatched") != jobs ||
-      end.counter("scheduler.jobs.completed") != jobs) {
+      end.counter("scheduler.jobs.completed") != jobs ||
+      end.counter("scheduler.jobs.rejected") != 0) {
     add(verdict, "multijob.scheduler_conservation", engine,
-        fmt("submitted %lld dispatched %lld completed %lld for %d jobs",
+        fmt("submitted %lld dispatched %lld completed %lld rejected %lld "
+            "for %d jobs",
             (long long)end.counter("scheduler.jobs.submitted"),
             (long long)end.counter("scheduler.jobs.dispatched"),
-            (long long)end.counter("scheduler.jobs.completed"), jobs));
+            (long long)end.counter("scheduler.jobs.completed"),
+            (long long)end.counter("scheduler.jobs.rejected"), jobs));
   }
   // Each job's own counters obey the single-job conservation laws: a
   // count charged to the wrong tenant breaks them for both.

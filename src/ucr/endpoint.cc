@@ -37,8 +37,11 @@ struct RtsHeader {
   std::uint64_t modeled_len = 0;
   bool has_payload = true;
 
+  static constexpr size_t kEncodedBytes = 4 * 8 + 4 + 1;
+
   Bytes encode() const {
     ByteWriter w;
+    w.reserve(kEncodedBytes);
     w.put_u64(seq);
     w.put_u64(app_tag);
     w.put_u32(rkey);

@@ -80,6 +80,10 @@ RunOutcome run_experiment(const RunConfig& config) {
 
   RunOutcome outcome;
   outcome.job = bed.run_job(std::move(job));
+  // A job turned away at submit wrote nothing: say why, rather than
+  // fail the validation below on its missing output.
+  HMR_CHECK_MSG(outcome.job.status.ok(),
+                "rejected: " + outcome.job.status.to_string());
 
   auto report = validate_output(bed.dfs(), "/bench/out");
   HMR_CHECK_MSG(report.ok(), "output missing after job");

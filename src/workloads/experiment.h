@@ -52,7 +52,8 @@ struct RunOutcome {
   double seconds() const { return job.elapsed(); }
 };
 
-// Runs one full experiment (generate -> job -> validate). Aborts on
+// Runs one full experiment (generate -> job -> validate). Aborts with
+// "rejected: <status>" when the job's conf does not parse, and on
 // validation failure: a shuffle engine that loses or disorders data must
 // never produce a "result".
 RunOutcome run_experiment(const RunConfig& config);

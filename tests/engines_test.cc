@@ -162,5 +162,14 @@ TEST(EngineBehaviourTest, ScaleInvarianceOfOrdering) {
   EXPECT_NEAR(a.seconds(), b.seconds(), a.seconds() * 0.35);
 }
 
+TEST(EngineBehaviourTest, BadConfAbortsWithRejection) {
+  // A `--set`-style key out of range: the job is rejected at submit, and
+  // run_experiment says so instead of failing on the missing output.
+  auto config = small_config(EngineSetup::osu_ib(), "terasort");
+  config.setup.extra.set(mapred::kNumReduces, "0");
+  EXPECT_DEATH(run_experiment(config),
+               "rejected: .*mapred.reduce.tasks=0: must be >= 1");
+}
+
 }  // namespace
 }  // namespace hmr::workloads

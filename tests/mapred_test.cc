@@ -494,6 +494,24 @@ TEST(MultiJobTest, RejectedJobLeavesOthersRunning) {
   auto report = workloads::validate_output(bed.dfs(), "/out");
   EXPECT_TRUE(report.ok() && report->valid_terasort(*digest));
   EXPECT_TRUE(bed.dfs().list("/bad").empty());
+
+  // The scheduler books the rejected job as rejected, not completed, and
+  // refunds its dispatch-time fair-share charge.
+  const auto& metrics = bed.engine().metrics();
+  EXPECT_EQ(metrics.counter_value("scheduler.jobs.rejected"), 1);
+  EXPECT_EQ(metrics.counter_value("scheduler.jobs.completed"), 1);
+  const FixedHistogram* latency =
+      metrics.find_fixed_histogram("scheduler.job.latency");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), 1u);
+  const auto& handles = bed.tracker().jobs();
+  ASSERT_EQ(handles.size(), 2u);
+  const TenantStats& tenant = bed.tracker().tenant_stats().at("default");
+  EXPECT_EQ(tenant.completed, 1);
+  EXPECT_DOUBLE_EQ(tenant.total_latency, handles[1]->latency());
+  EXPECT_DOUBLE_EQ(tenant.charged_cost,
+                   handles[1]->cost +
+                       double(results[1].counter("speculation.attempts")));
 }
 
 TEST(MultiJobTest, ConcurrentJobsContendForSlots) {
@@ -959,7 +977,9 @@ TEST(JobConfTest, RejectsOutOfRangeValues) {
            {kSpeculativeIntervalSec, "0"}, {kSpeculativeIntervalSec, "-1"},
            {kSpeculativeMinRuntimeSec, "-3"}, {kKvInflation, "0"},
            {kShuffleBufferBytes, "99999999999999999999"},
-           {kCacheBytes, "4194305T"}}) {
+           {kCacheBytes, "4194305T"}, {kNumReduces, "2147483647"},
+           {kNumReduces, "100001"}, {kResponderThreads, "2147483647"},
+           {kResponderThreads, "1025"}}) {
     const std::string error = parse_error(key, value);
     EXPECT_EQ(error.rfind(std::string(key) + "=" + value + ": must be ", 0),
               0u)
@@ -968,7 +988,8 @@ TEST(JobConfTest, RejectsOutOfRangeValues) {
   // The range ends themselves are accepted.
   for (const auto& [key, value] :
        std::vector<std::pair<const char*, const char*>>{
-           {kNumReduces, "1"}, {kIoSortFactor, "2"}, {kResponderThreads, "1"},
+           {kNumReduces, "1"}, {kNumReduces, "100000"}, {kIoSortFactor, "2"},
+           {kResponderThreads, "1"}, {kResponderThreads, "1024"},
            {kMaxTaskAttempts, "1"}, {kFetchMaxRetries, "0"},
            {kSlowstart, "0"}, {kSlowstart, "1"}, {kFetchTimeoutSec, "0"},
            {kStragglerSlowdown, "1"}, {kSpeculativeIntervalSec, "1e-9"}}) {

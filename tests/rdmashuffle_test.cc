@@ -124,6 +124,33 @@ TEST(ProtocolTest, DecodeSurvivesGarbageBytes) {
   }
 }
 
+TEST(ProtocolTest, PeekMapIdAgreesWithFullDecode) {
+  // The response router reads only map_id; it must drop exactly the
+  // frames the full header decode rejects, and read the same map_id.
+  DataResponse resp;
+  resp.job_id = 2;
+  resp.map_id = 0xA1B2C3D4;
+  resp.reduce_id = 5;
+  resp.chunk_real_bytes = 3;
+  Bytes wire = resp.encode_header();
+  EXPECT_EQ(wire.size(), DataResponse::kEncodedHeaderBytes);
+  EXPECT_EQ(DataRequest{}.encode().size(), DataRequest::kEncodedBytes);
+  for (size_t len = 0; len <= wire.size(); ++len) {
+    const Bytes prefix(wire.begin(), wire.begin() + len);
+    ByteReader reader(prefix);
+    const auto decoded = DataResponse::decode_header(reader);
+    const auto peeked = DataResponse::peek_map_id(prefix);
+    ASSERT_EQ(peeked.ok(), decoded.ok()) << "prefix of " << len << " bytes";
+    if (decoded.ok()) {
+      EXPECT_EQ(*peeked, decoded->map_id);
+    }
+  }
+  wire.insert(wire.end(), {1, 2, 3});
+  const auto peeked = DataResponse::peek_map_id(wire);
+  ASSERT_TRUE(peeked.ok());
+  EXPECT_EQ(*peeked, 0xA1B2C3D4u);
+}
+
 TEST(ProtocolTest, WireSizesAreSmall) {
   // The paper stresses light-weight control messages.
   EXPECT_LE(DataRequest{}.encode().size(), kRequestWireBytes);

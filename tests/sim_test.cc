@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <coroutine>
 #include <cstdint>
+#include <new>
 #include <queue>
 #include <string>
 #include <utility>
@@ -10,6 +13,17 @@
 #include "sim/engine.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define HMR_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define HMR_TEST_ASAN 1
+#endif
+#endif
+#ifdef HMR_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace hmr::sim {
 namespace {
@@ -477,6 +491,133 @@ TEST(EngineTest, TeardownDestroysExactlyTheBlockedFrames) {
   }
   // Teardown destroyed the three blocked frames, once each, in spawn order.
   EXPECT_EQ(destroyed, (std::vector<int>{0, 2, 4}));
+}
+
+// ------------------------------------------------------------ frame pool
+
+using detail::allocate_frame;
+using detail::kFrameGranule;
+using detail::kFramesPerClass;
+using detail::kMaxPooledFrame;
+using detail::release_frame;
+using detail::retained_frames;
+
+// Blocks the pool holds over all its classes.
+std::size_t total_retained() {
+  std::size_t total = 0;
+  for (std::size_t size = kFrameGranule; size <= kMaxPooledFrame;
+       size += kFrameGranule) {
+    total += retained_frames(size);
+  }
+  return total;
+}
+
+// Awaiting it stores the awaiting coroutine's frame address.
+struct FrameAddress {
+  void** out;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const noexcept {
+    *out = h.address();
+    return false;  // continue at once
+  }
+  void await_resume() const noexcept {}
+};
+
+Task<> record_frame(void** out) {
+  const FrameAddress here{out};
+  co_await here;
+}
+
+TEST(FramePoolTest, FreedFrameIsReusedBySameClass) {
+  // Two sizes of one class share its blocks; a plain allocation in
+  // between (which the global allocator would serve from the block just
+  // freed) does not take it.
+  void* first = allocate_frame(3 * kFrameGranule - 2);
+  release_frame(first, 3 * kFrameGranule - 2);
+  void* other = ::operator new(3 * kFrameGranule);
+  void* again = allocate_frame(2 * kFrameGranule + 1);
+  EXPECT_EQ(again, first);
+  release_frame(again, 2 * kFrameGranule + 1);
+  ::operator delete(other, 3 * kFrameGranule);
+
+  // A Task frame goes through the pool: the finished frame is retained
+  // and the next frame of the same coroutine gets its block.
+  Engine engine;
+  void* a = nullptr;
+  void* b = nullptr;
+  const std::size_t before = total_retained();
+  engine.spawn(record_frame(&a));
+  engine.run();
+  EXPECT_EQ(total_retained(), before + 1);
+  engine.spawn(record_frame(&b));
+  EXPECT_EQ(total_retained(), before);
+  engine.run();
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a, b);
+}
+
+TEST(FramePoolTest, ClassNeverRetainsMoreThanItsCap) {
+  constexpr std::size_t kSize = 5 * kFrameGranule;
+  std::vector<void*> frames;
+  for (std::size_t i = 0; i < kFramesPerClass + 8; ++i) {
+    frames.push_back(allocate_frame(kSize));
+  }
+  EXPECT_EQ(retained_frames(kSize), 0u);
+  for (void* frame : frames) {
+    release_frame(frame, kSize);
+    EXPECT_LE(retained_frames(kSize), kFramesPerClass);
+  }
+  EXPECT_EQ(retained_frames(kSize), kFramesPerClass);
+  // Other classes are untouched.
+  EXPECT_EQ(retained_frames(kSize + kFrameGranule), 0u);
+}
+
+TEST(FramePoolTest, FrameAboveLargestClassBypassesPool) {
+  const std::size_t before = total_retained();
+  void* big = allocate_frame(kMaxPooledFrame + 1);
+  release_frame(big, kMaxPooledFrame + 1);
+  EXPECT_EQ(retained_frames(kMaxPooledFrame + 1), 0u);
+  EXPECT_EQ(total_retained(), before);
+
+  // A coroutine whose frame holds a buffer past the largest class.
+  Engine engine;
+  int sum = 0;
+  engine.spawn([](Engine& e, int& sum) -> Task<> {
+    std::array<char, 2 * kMaxPooledFrame> buffer{};
+    buffer.back() = 7;
+    co_await e.delay(1.0);
+    sum = buffer.front() + buffer.back();
+  }(engine, sum));
+  engine.run();
+  EXPECT_EQ(sum, 7);
+  EXPECT_EQ(total_retained(), before);
+}
+
+TEST(FramePoolTest, ReleasedBlockIsPoisonedUnderAsan) {
+#ifndef HMR_TEST_ASAN
+  GTEST_SKIP() << "needs an AddressSanitizer build (-DHMR_SANITIZE=ON)";
+#else
+  constexpr std::size_t kSize = 2 * kFrameGranule - 28;
+  auto* block = static_cast<char*>(allocate_frame(kSize));
+  EXPECT_FALSE(__asan_address_is_poisoned(block));
+  EXPECT_FALSE(__asan_address_is_poisoned(block + kSize - 1));
+  // The rounding slack up to the class size is poisoned.
+  EXPECT_TRUE(__asan_address_is_poisoned(block + 2 * kFrameGranule - 1));
+  release_frame(block, kSize);
+  EXPECT_TRUE(__asan_address_is_poisoned(block));
+  EXPECT_TRUE(__asan_address_is_poisoned(block + kSize - 1));
+
+  // A finished Task's frame reads as poisoned, so resuming a dangling
+  // handle to it is reported.
+  Engine engine;
+  void* frame = nullptr;
+  engine.spawn(record_frame(&frame));
+  engine.run();
+  ASSERT_NE(frame, nullptr);
+  EXPECT_TRUE(__asan_address_is_poisoned(frame));
+  EXPECT_DEATH(std::coroutine_handle<>::from_address(frame).resume(),
+               "use-after-poison");
+#endif
 }
 
 // ------------------------------------------------------------- waitgroup
