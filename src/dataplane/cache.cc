@@ -29,7 +29,8 @@ bool PrefetchCache::invariant_holds() const {
   std::uint64_t total = 0;
   for (const auto& [key, entry] : entries_) {
     total += entry.bytes;
-    if (ranks_.find(rank_of(key, entry)) == ranks_.end()) return false;
+    const auto rank = ranks_.find(rank_of(entry));
+    if (rank == ranks_.end() || rank->second != key) return false;
   }
   return total == used_;
 }
@@ -47,13 +48,12 @@ bool PrefetchCache::make_room(std::uint64_t needed, const Rank& incoming) {
   HMR_CHECK(used_ <= capacity_);
   while (capacity_ - used_ < needed) {
     HMR_CHECK(!ranks_.empty());
-    const Rank& victim_rank = *ranks_.begin();
-    if (!(victim_rank < incoming)) return false;  // everything outranks us
-    const std::string victim_key = std::get<2>(victim_rank);
-    auto it = entries_.find(victim_key);
+    const auto victim = ranks_.begin();
+    if (!(victim->first < incoming)) return false;  // everything outranks us
+    auto it = entries_.find(victim->second);
     HMR_CHECK(it != entries_.end());
     used_ -= it->second.bytes;
-    ranks_.erase(ranks_.begin());
+    ranks_.erase(victim);
     entries_.erase(it);
     ++stats_.evictions;
     if (evictions_metric_ != nullptr) evictions_metric_->add();
@@ -61,7 +61,7 @@ bool PrefetchCache::make_room(std::uint64_t needed, const Rank& incoming) {
   return true;
 }
 
-bool PrefetchCache::put(const std::string& key,
+bool PrefetchCache::put(MapOutputId key,
                         std::shared_ptr<const MapOutput> value,
                         std::uint64_t charged_bytes, int priority) {
   auto it = entries_.find(key);
@@ -69,13 +69,12 @@ bool PrefetchCache::put(const std::string& key,
     // Refresh in place: the old charge comes off the budget before
     // make_room runs, and the entry leaves the rank index so it can
     // never evict itself while making room for its own new size.
-    unrank(key, it->second);
+    unrank(it->second);
     used_ -= it->second.bytes;
     it->second.value = std::move(value);
     it->second.bytes = 0;  // re-charged below
     priority = std::max(priority, it->second.priority);
-    const Rank incoming{priority, next_tick_, key};
-    if (!make_room(charged_bytes, incoming)) {
+    if (!make_room(charged_bytes, Rank{priority, next_tick_})) {
       entries_.erase(it);
       ++stats_.rejected;
       if (rejected_metric_ != nullptr) rejected_metric_->add();
@@ -83,13 +82,12 @@ bool PrefetchCache::put(const std::string& key,
       check_invariant();
       return false;
     }
-    it = entries_.find(key);
-    HMR_CHECK(it != entries_.end());
+    // make_room erased only other entries, so `it` is still valid.
     it->second.bytes = charged_bytes;
     it->second.priority = priority;
     it->second.tick = next_tick_++;
     used_ += charged_bytes;
-    ranks_.insert(rank_of(key, it->second));
+    ranks_.emplace(rank_of(it->second), key);
     ++stats_.insertions;
     if (insertions_metric_ != nullptr) insertions_metric_->add();
     sync_used_gauge();
@@ -97,8 +95,7 @@ bool PrefetchCache::put(const std::string& key,
     return true;
   }
 
-  const Rank incoming{priority, next_tick_, key};
-  if (!make_room(charged_bytes, incoming)) {
+  if (!make_room(charged_bytes, Rank{priority, next_tick_})) {
     ++stats_.rejected;
     if (rejected_metric_ != nullptr) rejected_metric_->add();
     sync_used_gauge();
@@ -111,7 +108,7 @@ bool PrefetchCache::put(const std::string& key,
   entry.priority = priority;
   entry.tick = next_tick_++;
   used_ += charged_bytes;
-  ranks_.insert(rank_of(key, entry));
+  ranks_.emplace(rank_of(entry), key);
   entries_.emplace(key, std::move(entry));
   ++stats_.insertions;
   if (insertions_metric_ != nullptr) insertions_metric_->add();
@@ -120,7 +117,7 @@ bool PrefetchCache::put(const std::string& key,
   return true;
 }
 
-std::shared_ptr<const MapOutput> PrefetchCache::get(const std::string& key) {
+std::shared_ptr<const MapOutput> PrefetchCache::get(MapOutputId key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
@@ -129,32 +126,27 @@ std::shared_ptr<const MapOutput> PrefetchCache::get(const std::string& key) {
   }
   ++stats_.hits;
   if (hits_metric_ != nullptr) hits_metric_->add();
-  unrank(key, it->second);
-  it->second.tick = next_tick_++;
-  ranks_.insert(rank_of(key, it->second));
+  rerank(it->second, it->second.priority);
   check_invariant();
   return it->second.value;
 }
 
-bool PrefetchCache::contains(const std::string& key) const {
+bool PrefetchCache::contains(MapOutputId key) const {
   return entries_.find(key) != entries_.end();
 }
 
-void PrefetchCache::boost(const std::string& key, int priority) {
+void PrefetchCache::boost(MapOutputId key, int priority) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
   if (priority <= it->second.priority) return;
-  unrank(key, it->second);
-  it->second.priority = priority;
-  it->second.tick = next_tick_++;
-  ranks_.insert(rank_of(key, it->second));
+  rerank(it->second, priority);
   check_invariant();
 }
 
-bool PrefetchCache::erase(const std::string& key) {
+bool PrefetchCache::erase(MapOutputId key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return false;
-  unrank(key, it->second);
+  unrank(it->second);
   used_ -= it->second.bytes;
   entries_.erase(it);
   sync_used_gauge();

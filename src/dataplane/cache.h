@@ -1,9 +1,9 @@
 // PrefetchCache — the intermediate-data cache at the heart of the
 // paper's contribution (§III-B3).
 //
-// A byte-budgeted cache of map outputs on the TaskTracker side.
-// Eviction picks the lowest (priority, recency) victim, so demand-
-// boosted entries (requested by reducers after a miss) outlive
+// A byte-budgeted cache of map outputs on the TaskTracker side, keyed
+// by MapOutputId. Eviction picks the lowest (priority, recency) victim,
+// so demand-boosted entries (requested by reducers after a miss) outlive
 // speculatively prefetched ones. The budget is expressed in *modeled*
 // bytes — it models the TaskTracker heap-size limit the paper exposes
 // through mapred.local.caching configuration.
@@ -12,8 +12,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
-#include <string>
+// lint:ignore(determinism): entries_ is looked up; ranks_ orders eviction
+#include <unordered_map>
+#include <utility>
 
 #include "common/metrics.h"
 #include "dataplane/segment.h"
@@ -41,21 +42,21 @@ class PrefetchCache {
   // evicting lower-ranked entries to fit. Returns false (and counts a
   // rejection) if the entry alone exceeds the budget or every resident
   // entry outranks it.
-  bool put(const std::string& key, std::shared_ptr<const MapOutput> value,
+  bool put(MapOutputId key, std::shared_ptr<const MapOutput> value,
            std::uint64_t charged_bytes, int priority = 0);
 
   // Hit: bumps recency and returns the value. Miss: returns nullptr.
-  std::shared_ptr<const MapOutput> get(const std::string& key);
+  std::shared_ptr<const MapOutput> get(MapOutputId key);
 
   // Peek without touching recency or stats.
-  bool contains(const std::string& key) const;
+  bool contains(MapOutputId key) const;
 
   // Demand prioritisation: raise the entry's priority (if resident) so
   // follow-up requests for a hot map output keep hitting (§III-B3: after
   // a miss, re-cache "with more priority").
-  void boost(const std::string& key, int priority);
+  void boost(MapOutputId key, int priority);
 
-  bool erase(const std::string& key);
+  bool erase(MapOutputId key);
   void clear();
 
   std::uint64_t capacity_bytes() const { return capacity_; }
@@ -80,14 +81,22 @@ class PrefetchCache {
     int priority = 0;
     std::uint64_t tick = 0;
   };
-  // Eviction rank: (priority, tick) ascending — coldest first.
-  using Rank = std::tuple<int, std::uint64_t, std::string>;
+  // Eviction rank: (priority, tick) ascending — coldest first. Every
+  // put, hit and boost draws a fresh tick, so no two entries tie.
+  using Rank = std::pair<int, std::uint64_t>;
 
-  Rank rank_of(const std::string& key, const Entry& entry) const {
-    return {entry.priority, entry.tick, key};
+  static Rank rank_of(const Entry& entry) {
+    return {entry.priority, entry.tick};
   }
-  void unrank(const std::string& key, const Entry& entry) {
-    ranks_.erase(rank_of(key, entry));
+  void unrank(const Entry& entry) { ranks_.erase(rank_of(entry)); }
+  // Gives a resident entry a fresh tick (and `priority`), moving its
+  // rank-index node instead of freeing and allocating one.
+  void rerank(Entry& entry, int priority) {
+    auto node = ranks_.extract(rank_of(entry));
+    entry.priority = priority;
+    entry.tick = next_tick_++;
+    node.key() = rank_of(entry);
+    ranks_.insert(std::move(node));
   }
   // Evicts victims ranked strictly below `incoming` until `needed` fits.
   bool make_room(std::uint64_t needed, const Rank& incoming);
@@ -99,8 +108,9 @@ class PrefetchCache {
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
   std::uint64_t next_tick_ = 1;
-  std::map<std::string, Entry> entries_;
-  std::set<Rank> ranks_;
+  // lint:ignore(determinism): eviction order comes from ranks_
+  std::unordered_map<MapOutputId, Entry> entries_;
+  std::map<Rank, MapOutputId> ranks_;
   CacheStats stats_;
   // Optional registry mirrors; null until attach_metrics().
   Counter* hits_metric_ = nullptr;

@@ -39,6 +39,15 @@ struct MapOutput {
       std::span<const std::uint8_t> bytes);
 };
 
+// A map output's cluster-wide id: the job id in the high 32 bits, the
+// map id in the low 32. TaskTrackers key their served outputs by it, and
+// the PrefetchCache keys its entries by it.
+using MapOutputId = std::uint64_t;
+inline constexpr MapOutputId map_output_id(std::uint32_t job_id,
+                                           std::uint32_t map_id) {
+  return (MapOutputId(job_id) << 32) | map_id;
+}
+
 // Map-side combiner: called once per distinct key with all its values;
 // emits the (usually smaller) combined records.
 using CombineFn = std::function<void(

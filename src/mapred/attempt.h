@@ -67,10 +67,15 @@ struct TaskAttempt {
 
   bool running() const { return state == AttemptState::kRunning; }
 
-  // "m3/2": task m3, third attempt overall would be attempt_id 2.
+  // "m3/2": task m3, third attempt overall would be attempt_id 2. Built
+  // by appends: GCC 12 at -O3 reports a spurious -Wrestrict for a
+  // `char* + std::string&&` chain.
   std::string name() const {
-    return (kind == TaskKind::kMap ? "m" : "r") + std::to_string(task_id) +
-           "/" + std::to_string(attempt_id);
+    std::string out = kind == TaskKind::kMap ? "m" : "r";
+    out += std::to_string(task_id);
+    out += '/';
+    out += std::to_string(attempt_id);
+    return out;
   }
 };
 

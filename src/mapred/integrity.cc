@@ -1,5 +1,7 @@
 #include "mapred/integrity.h"
 
+#include <optional>
+
 namespace hmr::mapred {
 
 namespace {
@@ -26,16 +28,26 @@ sim::Task<> charge_verify_cpu(JobRuntime& job, Host& host,
 
 namespace {
 
-// Shared read skeleton: `read` issues one timed attempt, `modeled` is
-// the verification charge per attempt.
+// The byte range of a ranged read; a whole-file read has none.
+struct ReadRange {
+  std::uint64_t real_offset = 0;
+  std::uint64_t real_len = 0;
+};
+
+// Shared read skeleton: one timed attempt per pass, the whole file or
+// `range`, verification charged over the bytes read at the file's scale.
 sim::Task<Result<storage::FileView>> read_verified_impl(
     JobRuntime& job, Host& host, const std::string& path,
-    std::uint64_t modeled,
-    std::function<sim::Task<Result<storage::FileView>>()> read) {
+    std::optional<ReadRange> range) {
   const double started = job.engine.now();
   bool recovered = false;
   for (int attempt = 0;; ++attempt) {
-    auto view = co_await read();
+    // Named, not `co_await (range ? a : b)`: GCC 12 destroys the
+    // conditional's temporary task twice in that form.
+    auto read = range ? host.fs().read_range(path, range->real_offset,
+                                             range->real_len)
+                      : host.fs().read_file(path);
+    auto view = co_await read;
     if (!view.ok()) {
       if (view.status().code() == StatusCode::kUnavailable &&
           attempt < storage::kIoRetries) {
@@ -46,7 +58,11 @@ sim::Task<Result<storage::FileView>> read_verified_impl(
       co_return view;  // NotFound/OutOfRange, or IO retries exhausted
     }
     if (!job.conf.integrity) co_return view;
-    co_await charge_verify_cpu(job, host, modeled);
+    co_await charge_verify_cpu(
+        job, host,
+        range ? static_cast<std::uint64_t>(double(range->real_len) *
+                                           view->scale)
+              : view->modeled_size());
     if (view->corrupted) {
       job.metric.checksum_mismatches.add();
       if (attempt < storage::kIoRetries) {
@@ -69,26 +85,14 @@ sim::Task<Result<storage::FileView>> read_verified_impl(
 
 sim::Task<Result<storage::FileView>> read_file_verified(
     JobRuntime& job, Host& host, const std::string& path) {
-  const auto modeled = host.fs().modeled_size(path);
-  co_return co_await read_verified_impl(
-      job, host, path, modeled.ok() ? modeled.value() : 0,
-      [&]() -> sim::Task<Result<storage::FileView>> {
-        co_return co_await host.fs().read_file(path);
-      });
+  return read_verified_impl(job, host, path, std::nullopt);
 }
 
 sim::Task<Result<storage::FileView>> read_range_verified(
     JobRuntime& job, Host& host, const std::string& path,
     std::uint64_t real_offset, std::uint64_t real_len) {
-  const auto file = host.fs().peek(path);
-  const double scale = file.ok() ? file->scale : 1.0;
-  const auto modeled =
-      static_cast<std::uint64_t>(double(real_len) * scale);
-  co_return co_await read_verified_impl(
-      job, host, path, modeled,
-      [&]() -> sim::Task<Result<storage::FileView>> {
-        co_return co_await host.fs().read_range(path, real_offset, real_len);
-      });
+  return read_verified_impl(job, host, path,
+                            ReadRange{real_offset, real_len});
 }
 
 sim::Task<Status> write_file_verified(JobRuntime& job, Host& host,

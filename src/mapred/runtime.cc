@@ -289,7 +289,9 @@ bool JobRuntime::record_map_output(MapOutputInfo info) {
       // output on the healthy host. Completion events already fired for
       // the original attempt; only the serving location changes.
       tracker_for_host(host_id).map_outputs.insert_or_assign(
-          std::pair{job_id, map_id}, std::move(info));
+          dataplane::map_output_id(std::uint32_t(job_id),
+                                   std::uint32_t(map_id)),
+          std::move(info));
       maps.at(map_id).ran_on = host_id;
       if (shuffle != nullptr) shuffle->on_map_finished(*this, map_id, host_id);
       return true;
@@ -309,7 +311,8 @@ bool JobRuntime::record_map_output(MapOutputInfo info) {
     reduce_expected_modeled.at(size_t(r)) += info.modeled_partition_bytes(r);
   }
   tracker_for_host(host_id).map_outputs.emplace(
-      std::pair{job_id, map_id}, std::move(info));
+      dataplane::map_output_id(std::uint32_t(job_id), std::uint32_t(map_id)),
+      std::move(info));
   maps.at(map_id).done = true;
   maps.at(map_id).ran_on = host_id;  // the attempt that won serves the data
   ++maps_completed;

@@ -10,6 +10,8 @@
 #include <memory>
 #include <set>
 #include <string>
+// lint:ignore(determinism): map_outputs is looked up by id, never iterated
+#include <unordered_map>
 #include <vector>
 
 #include "dataplane/segment.h"
@@ -70,8 +72,17 @@ struct TaskTrackerState {
   Host* host;
   sim::Resource map_slots;
   sim::Resource reduce_slots;
-  // (job_id, map_id) -> output served from this tracker.
-  std::map<std::pair<int, int>, MapOutputInfo> map_outputs;
+  // map_output_id(job_id, map_id) -> output served from this tracker.
+  // Node-based: the responders hold a `const MapOutputInfo&` across a
+  // disk read while maps of other jobs finish and insert.
+  // lint:ignore(determinism): looked up by id, never iterated
+  std::unordered_map<dataplane::MapOutputId, MapOutputInfo> map_outputs;
+  // The output this tracker serves for the map, or null.
+  const MapOutputInfo* find_output(std::uint32_t job_id,
+                                   std::uint32_t map_id) const {
+    auto it = map_outputs.find(dataplane::map_output_id(job_id, map_id));
+    return it == map_outputs.end() ? nullptr : &it->second;
+  }
 };
 
 struct MapTaskInfo {

@@ -26,17 +26,21 @@ constexpr int kParallelCopies = 5;
 // end-to-end so the copier verifies what the mapper wrote.
 constexpr std::uint64_t kResponsePrefixBytes = 12;
 
-Bytes encode_request(int map_id, int reduce_id) {
+}  // namespace
+
+net::Message ServletRequest::frame() const {
   ByteWriter w;
   w.put_u32(std::uint32_t(map_id));
   w.put_u32(std::uint32_t(reduce_id));
-  return w.take();
+  return net::Message::data(w.take(), 1.0, kTagRequest)
+      .with_modeled(kRequestWireBytes);
 }
 
-// A request is exactly {map_id, reduce_id}; anything truncated or with
-// trailing bytes is malformed and must not crash the servlet.
-Result<std::pair<int, int>> decode_request(const Bytes& data) {
-  ByteReader r(data);
+Result<ServletRequest> ServletRequest::from_frame(const net::Message& msg) {
+  if (msg.tag != kTagRequest || msg.payload == nullptr) {
+    return Status::InvalidArgument("not a shuffle request frame");
+  }
+  ByteReader r(*msg.payload);
   const auto map_id = r.u32();
   if (!map_id.ok()) return map_id.status();
   const auto reduce_id = r.u32();
@@ -44,10 +48,8 @@ Result<std::pair<int, int>> decode_request(const Bytes& data) {
   if (!r.at_end()) {
     return Status::InvalidArgument("trailing bytes after shuffle request");
   }
-  return std::pair<int, int>{int(*map_id), int(*reduce_id)};
+  return ServletRequest{int(*map_id), int(*reduce_id)};
 }
-
-}  // namespace
 
 // Per-reduce shuffle state shared by the copier pool.
 struct VanillaShuffleEngine::ReduceShuffleState {
@@ -134,8 +136,7 @@ sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
     JobRuntime& job, std::unique_ptr<net::Socket> sock, int host_id) {
   TaskTrackerState& tracker = job.tracker_for_host(host_id);
   while (auto request = co_await sock->recv()) {
-    HMR_CHECK(request->tag == kTagRequest && request->payload != nullptr);
-    const auto decoded = decode_request(*request->payload);
+    const auto decoded = ServletRequest::from_frame(*request);
     if (!decoded.ok()) {
       // Malformed frame: drop it rather than crash the servlet; the
       // copier's fetch timeout re-issues the request.
@@ -147,11 +148,17 @@ sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
       const bool dropped = co_await job.drop_or_stall_response(host_id);
       if (dropped) continue;
     }
-    auto it = tracker.map_outputs.find({job.job_id, map_id});
-    HMR_CHECK_MSG(it != tracker.map_outputs.end(),
-                  "servlet asked for unknown map output");
-    const MapOutputInfo& info = it->second;
-    const auto& entry = info.output->index.at(reduce_id);
+    const MapOutputInfo* found = tracker.find_output(
+        std::uint32_t(job.job_id), std::uint32_t(map_id));
+    if (found == nullptr || std::uint32_t(reduce_id) >=
+                                found->output->index.size()) {
+      // Names no partition this tracker serves: a corrupt request,
+      // dropped like a malformed frame.
+      job.metric.malformed_msgs.add();
+      continue;
+    }
+    const MapOutputInfo& info = *found;
+    const auto& entry = info.output->index[size_t(reduce_id)];
 
     // The servlet reads the partition from local disk for every request —
     // this is the I/O the paper's PrefetchCache removes in the RDMA design.
@@ -293,10 +300,7 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
     const double sent_at = job.engine.now();
     FetchTransport transport;
     transport.send = [&] {
-      return conn->sock->send(
-          net::Message::data(encode_request(map_id, state.reduce_id), 1.0,
-                             kTagRequest)
-              .with_modeled(kRequestWireBytes));
+      return conn->sock->send(ServletRequest{map_id, state.reduce_id}.frame());
     };
     transport.classify = [&](const net::Message& msg) -> FetchVerdict {
       if (msg.tag != kTagResponse || msg.payload == nullptr) return {};

@@ -15,6 +15,20 @@
 
 namespace hmr::mapred {
 
+// One servlet request on the wire: the partition a copier asks for.
+struct ServletRequest {
+  int map_id = 0;
+  int reduce_id = 0;
+
+  net::Message frame() const;
+  // The servlet's check of one received frame: a request-tagged message
+  // whose payload is exactly {map_id, reduce_id}. A wrong tag, a missing
+  // payload, or a truncated or padded body is malformed: the servlet
+  // drops it (counting shuffle.malformed_msgs) and the copier's fetch
+  // timeout re-issues the request.
+  static Result<ServletRequest> from_frame(const net::Message& msg);
+};
+
 class VanillaShuffleEngine final : public ShuffleEngine {
  public:
   std::string name() const override { return "vanilla"; }

@@ -23,16 +23,6 @@ constexpr int kPrefetchDaemons = 2;
 // RdmaShuffleOptions::page_cache_window.
 constexpr double kPageCacheBw = 2.5e9;
 
-// Built outside the coroutine bodies: GCC 12 emits a spurious -Wrestrict
-// for char* + std::string&& chains inlined into coroutine frames.
-std::string map_cache_key(std::uint32_t job_id, std::uint32_t map_id) {
-  std::string key = "j";
-  key += std::to_string(job_id);
-  key += "_map_";
-  key += std::to_string(map_id);
-  return key;
-}
-
 }  // namespace
 
 RdmaShuffleOptions RdmaShuffleOptions::osu_ib(const mapred::JobConf& conf) {
@@ -109,8 +99,7 @@ sim::Task<> RdmaShuffleEngine::rdma_receiver(JobRuntime& job,
                                              TrackerService& service,
                                              ucr::Endpoint& endpoint) {
   while (auto msg = co_await endpoint.recv()) {
-    HMR_CHECK(msg->tag == kTagDataRequest && msg->payload != nullptr);
-    auto req = DataRequest::decode(*msg->payload);
+    auto req = DataRequest::from_frame(*msg);
     if (!req.ok()) {
       // Malformed frame: drop it rather than crash the responder; the
       // copier's fetch timeout re-issues the request.
@@ -152,15 +141,19 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
     if (dropped) co_return;
   }
   TaskTrackerState& tracker = job.tracker_for_host(host_id);
-  auto it = tracker.map_outputs.find({int(req.job_id), int(req.map_id)});
-  HMR_CHECK_MSG(it != tracker.map_outputs.end(),
-                "responder asked for unknown map output");
-  const MapOutputInfo& info = it->second;
-  const auto& entry = info.output->index.at(int(req.reduce_id));
+  const MapOutputInfo* found = tracker.find_output(req.job_id, req.map_id);
+  if (found == nullptr || req.reduce_id >= found->output->index.size()) {
+    // Names no partition this tracker serves: a corrupt request, dropped
+    // like a malformed frame.
+    job.metric.malformed_msgs.add();
+    co_return;
+  }
+  const MapOutputInfo& info = *found;
+  const auto& entry = info.output->index[req.reduce_id];
 
   // PrefetchCache lookup (§III-B3); a miss serves from disk immediately
   // and re-queues the output for caching with raised priority.
-  const std::string cache_key = map_cache_key(req.job_id, req.map_id);
+  const auto cache_key = dataplane::map_output_id(req.job_id, req.map_id);
   bool from_disk = true;
   std::shared_ptr<const dataplane::MapOutput> source = info.output;
   if (options_.use_cache) {
@@ -184,7 +177,10 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
   }
 
   auto partition = source->partition_bytes(int(req.reduce_id));
-  HMR_CHECK(req.cursor_real <= partition.size());
+  if (req.cursor_real > partition.size()) {
+    job.metric.malformed_msgs.add();
+    co_return;
+  }
   dataplane::SegmentReader reader(source->data,
                                   partition.subspan(req.cursor_real));
   std::uint64_t n_pairs = 0;
@@ -255,8 +251,8 @@ sim::Task<> RdmaShuffleEngine::prefetcher(JobRuntime& job,
   while (auto tagged = co_await service.prefetch_queue.recv()) {
     const int map_id = *tagged & 0xffffff;
     const int priority = *tagged >> 24;
-    const std::string cache_key = map_cache_key(std::uint32_t(job.job_id),
-                                                std::uint32_t(map_id));
+    const auto cache_key = dataplane::map_output_id(
+        std::uint32_t(job.job_id), std::uint32_t(map_id));
     if (service.cache.contains(cache_key)) {
       service.cache.boost(cache_key, priority);
       continue;
@@ -275,9 +271,10 @@ sim::Task<> RdmaShuffleEngine::prefetcher(JobRuntime& job,
       int map_id;
       ~InflightGuard() { service.prefetch_inflight.erase(map_id); }
     } inflight_guard{service, map_id};
-    auto it = tracker.map_outputs.find({job.job_id, map_id});
-    if (it == tracker.map_outputs.end()) continue;
-    const MapOutputInfo& info = it->second;
+    const MapOutputInfo* found =
+        tracker.find_output(std::uint32_t(job.job_id), std::uint32_t(map_id));
+    if (found == nullptr) continue;
+    const MapOutputInfo& info = *found;
     const auto modeled = static_cast<std::uint64_t>(
         double(info.output->total_bytes()) * info.scale);
     if (modeled > service.cache.capacity_bytes()) continue;
@@ -327,6 +324,28 @@ void RdmaShuffleEngine::on_map_finished(JobRuntime& job, int map_id,
 // ReduceTask side: RdmaCopier + streaming loser-tree merge
 // ---------------------------------------------------------------------
 
+RouteVerdict route_response(std::span<mapred::FetchWatch* const> routes,
+                            net::Message msg) {
+  if (msg.tag != kTagDataResponse || msg.payload == nullptr) {
+    return RouteVerdict::kMalformed;
+  }
+  // Only map_id is read here; the stream's classify is the one full
+  // decode of the header.
+  const auto map_id = DataResponse::peek_map_id(*msg.payload);
+  if (!map_id.ok()) return RouteVerdict::kMalformed;
+  // The map id came off the wire: bounds-check it before it indexes.
+  if (*map_id >= routes.size() || routes[*map_id] == nullptr) {
+    return RouteVerdict::kStale;
+  }
+  mapred::FetchEvent event;
+  event.msg = std::move(msg);
+  // The events channel is sized so delivery never parks the router:
+  // each stream has at most one outstanding request, so its buffer holds
+  // a bounded number of stale duplicates plus at most one timeout expiry.
+  HMR_CHECK(routes[*map_id]->events.try_send(std::move(event)));
+  return RouteVerdict::kRouted;
+}
+
 sim::Task<ucr::Endpoint*> RdmaShuffleEngine::ensure_client_endpoint(
     JobRuntime& job, Host& host, std::shared_ptr<CopierState> state,
     int server) {
@@ -340,37 +359,22 @@ sim::Task<ucr::Endpoint*> RdmaShuffleEngine::ensure_client_endpoint(
   state->conns.emplace(server, endpoint);
   client_endpoints_.push_back(std::move(ep));
   // Response router for this connection: demultiplexes onto the per-map
-  // stream event channels. A response for an unrouted map is a stale
-  // duplicate of a request its copier already gave up on — dropped, not
-  // fatal (faults can stall responses past the stream's lifetime).
+  // stream event channels (see route_response).
   daemons_->add();
   job.engine.spawn([](RdmaShuffleEngine& self, JobRuntime& job,
                       ucr::Endpoint& ep,
                       std::shared_ptr<CopierState> state) -> sim::Task<> {
     while (auto msg = co_await ep.recv()) {
-      if (msg->tag != kTagDataResponse || msg->payload == nullptr) {
-        job.metric.malformed_msgs.add();
-        continue;
+      switch (route_response(state->routes, std::move(*msg))) {
+        case RouteVerdict::kMalformed:
+          job.metric.malformed_msgs.add();
+          break;
+        case RouteVerdict::kStale:
+          job.metric.fetch_stale_dropped.add();
+          break;
+        case RouteVerdict::kRouted:
+          break;
       }
-      // Only map_id is read here; the stream's classify is the one full
-      // decode of the header.
-      const auto map_id = DataResponse::peek_map_id(*msg->payload);
-      if (!map_id.ok()) {
-        job.metric.malformed_msgs.add();
-        continue;
-      }
-      auto route = state->routes.find(int(*map_id));
-      if (route == state->routes.end()) {
-        job.metric.fetch_stale_dropped.add();
-        continue;
-      }
-      mapred::FetchEvent event;
-      event.msg = std::move(*msg);
-      // The events channel is sized so delivery never parks the router:
-      // each stream has at most one outstanding request, so its buffer
-      // holds a bounded number of stale duplicates plus at most one
-      // timeout expiry.
-      HMR_CHECK(route->second->watch.events.try_send(std::move(event)));
     }
     self.daemons_->done();
   }(*this, job, *endpoint, state));
@@ -473,7 +477,7 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
     }
   };
 
-  state->routes.emplace(map_id, stream.get());
+  state->routes[size_t(map_id)] = &stream->watch;
   bool first_request = true;
   while (true) {
     // Abandon between exchanges once the attempt is killed (the watcher
@@ -539,7 +543,7 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
     if (header.eof) break;
   }
   stream->chunks.close();
-  state->routes.erase(map_id);
+  state->routes[size_t(map_id)] = nullptr;
   done.done();
 }
 
@@ -551,7 +555,8 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
     return attempt != nullptr && attempt->kill_requested;
   };
   auto state = std::make_shared<CopierState>(
-      job.engine, job.conf.shuffle_buffer_bytes, job.conf.retry.fetch_timeout);
+      job.engine, job.conf.shuffle_buffer_bytes, job.conf.retry.fetch_timeout,
+      job.maps.size());
   // Real-world pairs per carried pair (see mapred::kKvInflation).
   const double kv_inflation = job.conf.kv_inflation.value_or(job.data_scale);
   // Largest modeled record; sizes count-provisioned receive buffers.

@@ -27,6 +27,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "dataplane/cache.h"
 #include "mapred/runtime.h"
@@ -96,6 +98,19 @@ struct RdmaShuffleOptions {
   static RdmaShuffleOptions hadoop_a(const mapred::JobConf& conf);
 };
 
+// The reducer-side response router's decision on one frame.
+enum class RouteVerdict { kMalformed, kStale, kRouted };
+
+// Routes one frame from a reducer's connection onto the FetchWatch of
+// the stream fetching its map. `routes` is indexed by map id and null
+// where no stream is fetching. A frame that is not a response, or too
+// short to carry a map id, is malformed. A map id that is unrouted or
+// past the end of `routes` is stale: a duplicate of a request its copier
+// already gave up on (faults can stall responses past the stream's
+// lifetime), or a corrupt id. Either is dropped, never indexed.
+RouteVerdict route_response(std::span<mapred::FetchWatch* const> routes,
+                            net::Message msg);
+
 class RdmaShuffleEngine : public mapred::ShuffleEngine {
  public:
   RdmaShuffleEngine(std::string name, RdmaShuffleOptions options)
@@ -150,13 +165,15 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
   // Per-reducer copier state shared by that reducer's stream drivers.
   struct CopierState {
     CopierState(sim::Engine& engine, std::uint64_t mem_bytes,
-                double fetch_timeout)
-        : mem(engine, std::int64_t(mem_bytes), "shuffle.mem"),
+                double fetch_timeout, size_t maps)
+        : routes(maps, nullptr),
+          mem(engine, std::int64_t(mem_bytes), "shuffle.mem"),
           conn_lock(engine, 1, "copier.conn"),
           timeouts(std::make_shared<mapred::FetchTimeouts>(engine,
                                                            fetch_timeout)) {}
     std::map<int, ucr::Endpoint*> conns;  // tracker host id -> endpoint
-    std::map<int, MapStream*> routes;     // map id -> stream
+    // Map id -> the watch of the stream fetching it; null while none is.
+    std::vector<mapred::FetchWatch*> routes;
     sim::Resource mem;                    // reducer shuffle buffer
     sim::Resource conn_lock;
     std::shared_ptr<mapred::FetchTimeouts> timeouts;  // shared by all streams

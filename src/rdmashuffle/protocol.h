@@ -9,6 +9,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "net/message.h"
 
 namespace hmr::rdmashuffle {
 
@@ -69,6 +70,15 @@ struct DataRequest {
       return Status::InvalidArgument("trailing bytes after DataRequest");
     }
     return req;
+  }
+  // A frame as the TaskTracker's receiver takes it off an endpoint: a
+  // kTagDataRequest message whose payload decodes. A wrong tag or a
+  // missing payload is as malformed as a short one.
+  static Result<DataRequest> from_frame(const net::Message& msg) {
+    if (msg.tag != kTagDataRequest || msg.payload == nullptr) {
+      return Status::InvalidArgument("not a DataRequest frame");
+    }
+    return decode(*msg.payload);
   }
 };
 

@@ -161,20 +161,36 @@ sim::Task<Result<FileView>> LocalFS::read_range(std::string path,
   // prefetched window are page-cache hits (no disk). Fresh offsets pay
   // the positioning cost and pull a whole readahead granule.
   (void)modeled;
+  auto& cursors = file->range_cursors;
+  const auto cursor_at = [&cursors](std::uint64_t offset) {
+    return std::find_if(
+        cursors.begin(), cursors.end(),
+        [offset](const File::Cursor& c) { return c.next_offset == offset; });
+  };
+  // Cursors are unordered: remove one by moving the last into its slot.
+  const auto drop = [&cursors](std::vector<File::Cursor>::iterator it) {
+    *it = cursors.back();
+    cursors.pop_back();
+  };
   File::Cursor cursor;
-  if (auto it = file->range_cursors.find(real_offset);
-      it != file->range_cursors.end()) {
-    cursor = it->second;
-    file->range_cursors.erase(it);
+  if (auto it = cursor_at(real_offset); it != cursors.end()) {
+    cursor = *it;
+    drop(it);
   } else {
     cursor.stream_id = next_stream_id();
     cursor.prefetched_until = real_offset;
-    if (file->range_cursors.size() >= 128) {
-      file->range_cursors.erase(file->range_cursors.begin());
+    if (cursors.size() >= File::kMaxRangeCursors) {
+      drop(std::min_element(
+          cursors.begin(), cursors.end(),
+          [](const File::Cursor& a, const File::Cursor& b) {
+            return a.next_offset < b.next_offset;
+          }));
     }
   }
   const std::uint64_t end = real_offset + real_len;
-  if (end > cursor.prefetched_until) {
+  const bool miss = end > cursor.prefetched_until;  // else page-cache hit
+  std::uint64_t fetch_modeled = 0;
+  if (miss) {
     const auto readahead_real = std::max<std::uint64_t>(
         real_len, std::max<std::uint64_t>(
                       1, static_cast<std::uint64_t>(
@@ -182,13 +198,15 @@ sim::Task<Result<FileView>> LocalFS::read_range(std::string path,
     const std::uint64_t fetch_to = std::min<std::uint64_t>(
         file->data->size(),
         std::max(end, cursor.prefetched_until + readahead_real));
-    const auto fetch_modeled = static_cast<std::uint64_t>(
+    fetch_modeled = static_cast<std::uint64_t>(
         double(fetch_to - cursor.prefetched_until) * file->scale);
     cursor.prefetched_until = fetch_to;
-    file->range_cursors.emplace(end, cursor);
+  }
+  cursor.next_offset = end;
+  // A scan already waiting at `end` keeps its place.
+  if (cursor_at(end) == cursors.end()) cursors.push_back(cursor);
+  if (miss) {
     co_await disks_[file->disk_index]->read(fetch_modeled, cursor.stream_id);
-  } else {
-    file->range_cursors.emplace(end, cursor);  // page-cache hit
   }
   co_return view;
 }
@@ -215,19 +233,20 @@ Status LocalFS::remove(const std::string& path) {
 }
 
 Status LocalFS::rename(const std::string& from, const std::string& to) {
-  auto it = files_.find(from);
-  if (it == files_.end()) return Status::NotFound("rename: " + from);
-  files_[to] = std::move(it->second);
-  files_.erase(it);
+  auto node = files_.extract(from);
+  if (node.empty()) return Status::NotFound("rename: " + from);
+  files_.erase(to);  // replaced, as rename(2) does
+  node.key() = to;
+  files_.insert(std::move(node));
   return Status::Ok();
 }
 
 std::vector<std::string> LocalFS::list(const std::string& prefix) const {
   std::vector<std::string> out;
-  for (auto it = files_.lower_bound(prefix);
-       it != files_.end() && it->first.starts_with(prefix); ++it) {
-    out.push_back(it->first);
+  for (const auto& [path, _] : files_) {
+    if (path.starts_with(prefix)) out.push_back(path);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -11,10 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+// lint:ignore(determinism): files_ is iterated only by list(), which sorts
+#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -123,13 +124,16 @@ class LocalFS {
     // Active sequential cursors into this file: a ranged read that starts
     // where a previous one ended continues that scan. Each scan reads
     // ahead in large granules (OS readahead); requests inside the
-    // prefetched window are page-cache hits and touch no disk. Keyed by
-    // next expected offset.
+    // prefetched window are page-cache hits and touch no disk. Unordered,
+    // with unique next offsets; at most kMaxRangeCursors, past which the
+    // cursor at the lowest offset is dropped.
     struct Cursor {
+      std::uint64_t next_offset = 0;       // real offset the scan expects
       std::uint64_t stream_id = 0;
       std::uint64_t prefetched_until = 0;  // real offset
     };
-    std::map<std::uint64_t, Cursor> range_cursors;
+    static constexpr size_t kMaxRangeCursors = 128;
+    std::vector<Cursor> range_cursors;
   };
 
   File* find(const std::string& path);
@@ -142,7 +146,8 @@ class LocalFS {
   sim::Engine& engine_;
   std::vector<std::unique_ptr<Disk>> disks_;
   size_t next_disk_ = 0;
-  std::map<std::string, File> files_;
+  // lint:ignore(determinism): iterated only by list(), which sorts, and a sum
+  std::unordered_map<std::string, File> files_;
   std::optional<sim::DiskFault> fault_;
   std::optional<Rng> fault_rng_;
 };

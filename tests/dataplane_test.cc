@@ -594,11 +594,50 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------------------------------- cache
 
+// Cache keys: map outputs of job 1.
+constexpr MapOutputId kA = map_output_id(1, 0);
+constexpr MapOutputId kB = map_output_id(1, 1);
+constexpr MapOutputId kC = map_output_id(1, 2);
+constexpr MapOutputId kHot = map_output_id(1, 10);
+constexpr MapOutputId kCold = map_output_id(1, 11);
+constexpr MapOutputId kNew = map_output_id(1, 12);
+
+TEST(CacheTest, MapOutputIdPacksJobAboveMap) {
+  EXPECT_EQ(map_output_id(0, 7), 7u);
+  EXPECT_EQ(map_output_id(3, 7), (std::uint64_t(3) << 32) | 7u);
+  // Every 32-bit map id stays inside its job's range.
+  EXPECT_LT(map_output_id(3, 0xffffffffu), map_output_id(4, 0));
+}
+
+TEST(CacheTest, EvictionFollowsInsertionNotIdOrder) {
+  // Ids inserted in descending order: the victims are the oldest
+  // entries (the highest ids), never the lowest ids.
+  PrefetchCache cache(1000);
+  for (std::uint32_t m = 5; m >= 1; --m) {
+    ASSERT_TRUE(cache.put(map_output_id(1, m), dummy_output(), 200));
+  }
+  ASSERT_TRUE(cache.put(map_output_id(1, 6), dummy_output(), 200));
+  EXPECT_FALSE(cache.contains(map_output_id(1, 5)));
+  ASSERT_TRUE(cache.put(map_output_id(1, 7), dummy_output(), 200));
+  EXPECT_FALSE(cache.contains(map_output_id(1, 4)));
+  for (std::uint32_t m : {1u, 2u, 3u, 6u, 7u}) {
+    EXPECT_TRUE(cache.contains(map_output_id(1, m))) << "map " << m;
+  }
+  // A hit refreshes recency: map 3 outlives the older map 2.
+  EXPECT_NE(cache.get(map_output_id(1, 3)), nullptr);
+  ASSERT_TRUE(cache.put(map_output_id(1, 8), dummy_output(), 400));
+  EXPECT_FALSE(cache.contains(map_output_id(1, 2)));
+  EXPECT_FALSE(cache.contains(map_output_id(1, 1)));
+  EXPECT_TRUE(cache.contains(map_output_id(1, 3)));
+  EXPECT_EQ(cache.stats().evictions, 4u);
+  EXPECT_TRUE(cache.invariant_holds());
+}
+
 TEST(CacheTest, PutGetHitAndMiss) {
   PrefetchCache cache(1000);
-  EXPECT_TRUE(cache.put("m0", dummy_output(), 400));
-  EXPECT_NE(cache.get("m0"), nullptr);
-  EXPECT_EQ(cache.get("m1"), nullptr);
+  EXPECT_TRUE(cache.put(kA, dummy_output(), 400));
+  EXPECT_NE(cache.get(kA), nullptr);
+  EXPECT_EQ(cache.get(kB), nullptr);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.used_bytes(), 400u);
@@ -606,75 +645,75 @@ TEST(CacheTest, PutGetHitAndMiss) {
 
 TEST(CacheTest, LruEvictionOrder) {
   PrefetchCache cache(1000);
-  EXPECT_TRUE(cache.put("a", dummy_output(), 400));
-  EXPECT_TRUE(cache.put("b", dummy_output(), 400));
-  EXPECT_NE(cache.get("a"), nullptr);  // refresh a: b is now coldest
-  EXPECT_TRUE(cache.put("c", dummy_output(), 400));
-  EXPECT_TRUE(cache.contains("a"));
-  EXPECT_FALSE(cache.contains("b"));
-  EXPECT_TRUE(cache.contains("c"));
+  EXPECT_TRUE(cache.put(kA, dummy_output(), 400));
+  EXPECT_TRUE(cache.put(kB, dummy_output(), 400));
+  EXPECT_NE(cache.get(kA), nullptr);  // refresh a: b is now coldest
+  EXPECT_TRUE(cache.put(kC, dummy_output(), 400));
+  EXPECT_TRUE(cache.contains(kA));
+  EXPECT_FALSE(cache.contains(kB));
+  EXPECT_TRUE(cache.contains(kC));
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(CacheTest, PriorityOutranksRecency) {
   PrefetchCache cache(1000);
-  EXPECT_TRUE(cache.put("hot", dummy_output(), 400, /*priority=*/5));
-  EXPECT_TRUE(cache.put("cold", dummy_output(), 400, /*priority=*/0));
-  EXPECT_NE(cache.get("cold"), nullptr);  // cold is most recent, low prio
-  EXPECT_TRUE(cache.put("new", dummy_output(), 400, /*priority=*/0));
-  EXPECT_TRUE(cache.contains("hot"));   // high priority survived
-  EXPECT_FALSE(cache.contains("cold"));
+  EXPECT_TRUE(cache.put(kHot, dummy_output(), 400, /*priority=*/5));
+  EXPECT_TRUE(cache.put(kCold, dummy_output(), 400, /*priority=*/0));
+  EXPECT_NE(cache.get(kCold), nullptr);  // cold is most recent, low prio
+  EXPECT_TRUE(cache.put(kNew, dummy_output(), 400, /*priority=*/0));
+  EXPECT_TRUE(cache.contains(kHot));   // high priority survived
+  EXPECT_FALSE(cache.contains(kCold));
 }
 
 TEST(CacheTest, RejectsWhenEverythingOutranks) {
   PrefetchCache cache(800);
-  EXPECT_TRUE(cache.put("a", dummy_output(), 400, 9));
-  EXPECT_TRUE(cache.put("b", dummy_output(), 400, 9));
-  EXPECT_FALSE(cache.put("c", dummy_output(), 400, 1));
+  EXPECT_TRUE(cache.put(kA, dummy_output(), 400, 9));
+  EXPECT_TRUE(cache.put(kB, dummy_output(), 400, 9));
+  EXPECT_FALSE(cache.put(kC, dummy_output(), 400, 1));
   EXPECT_EQ(cache.stats().rejected, 1u);
-  EXPECT_TRUE(cache.contains("a"));
-  EXPECT_TRUE(cache.contains("b"));
+  EXPECT_TRUE(cache.contains(kA));
+  EXPECT_TRUE(cache.contains(kB));
 }
 
 TEST(CacheTest, OversizedEntryRejected) {
   PrefetchCache cache(100);
-  EXPECT_FALSE(cache.put("big", dummy_output(), 200));
+  EXPECT_FALSE(cache.put(kA, dummy_output(), 200));
   EXPECT_EQ(cache.entries(), 0u);
 }
 
 TEST(CacheTest, BoostProtectsFromEviction) {
   PrefetchCache cache(1000);
-  EXPECT_TRUE(cache.put("a", dummy_output(), 400));
-  EXPECT_TRUE(cache.put("b", dummy_output(), 400));
-  cache.boost("a", 10);  // demand-prioritised after a reducer miss
-  EXPECT_TRUE(cache.put("c", dummy_output(), 400));
-  EXPECT_TRUE(cache.contains("a"));
-  EXPECT_FALSE(cache.contains("b"));
+  EXPECT_TRUE(cache.put(kA, dummy_output(), 400));
+  EXPECT_TRUE(cache.put(kB, dummy_output(), 400));
+  cache.boost(kA, 10);  // demand-prioritised after a reducer miss
+  EXPECT_TRUE(cache.put(kC, dummy_output(), 400));
+  EXPECT_TRUE(cache.contains(kA));
+  EXPECT_FALSE(cache.contains(kB));
 }
 
 TEST(CacheTest, BoostNeverLowersPriority) {
   PrefetchCache cache(1000);
-  EXPECT_TRUE(cache.put("a", dummy_output(), 300, 7));
-  cache.boost("a", 2);  // no-op
-  EXPECT_TRUE(cache.put("b", dummy_output(), 400, 5));
-  EXPECT_TRUE(cache.put("c", dummy_output(), 400, 5));
-  EXPECT_TRUE(cache.contains("a"));
+  EXPECT_TRUE(cache.put(kA, dummy_output(), 300, 7));
+  cache.boost(kA, 2);  // no-op
+  EXPECT_TRUE(cache.put(kB, dummy_output(), 400, 5));
+  EXPECT_TRUE(cache.put(kC, dummy_output(), 400, 5));
+  EXPECT_TRUE(cache.contains(kA));
 }
 
 TEST(CacheTest, RefreshUpdatesBytesAndValue) {
   PrefetchCache cache(1000);
-  EXPECT_TRUE(cache.put("a", dummy_output(), 300));
-  EXPECT_TRUE(cache.put("a", dummy_output(), 500));
+  EXPECT_TRUE(cache.put(kA, dummy_output(), 300));
+  EXPECT_TRUE(cache.put(kA, dummy_output(), 500));
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.used_bytes(), 500u);
 }
 
 TEST(CacheTest, EraseAndClear) {
   PrefetchCache cache(1000);
-  EXPECT_TRUE(cache.put("a", dummy_output(), 100));
-  EXPECT_TRUE(cache.put("b", dummy_output(), 100));
-  EXPECT_TRUE(cache.erase("a"));
-  EXPECT_FALSE(cache.erase("a"));
+  EXPECT_TRUE(cache.put(kA, dummy_output(), 100));
+  EXPECT_TRUE(cache.put(kB, dummy_output(), 100));
+  EXPECT_TRUE(cache.erase(kA));
+  EXPECT_FALSE(cache.erase(kA));
   EXPECT_EQ(cache.used_bytes(), 100u);
   cache.clear();
   EXPECT_EQ(cache.entries(), 0u);
@@ -683,10 +722,10 @@ TEST(CacheTest, EraseAndClear) {
 
 TEST(CacheTest, HitRateComputation) {
   PrefetchCache cache(1000);
-  EXPECT_TRUE(cache.put("a", dummy_output(), 100));
-  (void)cache.get("a");
-  (void)cache.get("a");
-  (void)cache.get("x");
+  EXPECT_TRUE(cache.put(kA, dummy_output(), 100));
+  (void)cache.get(kA);
+  (void)cache.get(kA);
+  (void)cache.get(kB);
   EXPECT_NEAR(cache.stats().hit_rate(), 2.0 / 3.0, 1e-9);
 }
 
@@ -694,8 +733,7 @@ TEST(CacheTest, ManyEntriesStressEviction) {
   PrefetchCache cache(10'000);
   Rng rng(42);
   for (int i = 0; i < 1000; ++i) {
-    std::string key = "m";
-    key += std::to_string(rng.below(200));
+    const MapOutputId key = map_output_id(1, std::uint32_t(rng.below(200)));
     const auto bytes = 50 + rng.below(200);
     (void)cache.put(key, dummy_output(), bytes, int(rng.below(3)));
     EXPECT_LE(cache.used_bytes(), cache.capacity_bytes());
@@ -705,19 +743,19 @@ TEST(CacheTest, ManyEntriesStressEviction) {
 
 TEST(CacheTest, RefreshResizeKeepsAccounting) {
   PrefetchCache cache(1000);
-  ASSERT_TRUE(cache.put("a", dummy_output(), 300));
-  ASSERT_TRUE(cache.put("b", dummy_output(), 300));
+  ASSERT_TRUE(cache.put(kA, dummy_output(), 300));
+  ASSERT_TRUE(cache.put(kB, dummy_output(), 300));
   EXPECT_EQ(cache.used_bytes(), 600u);
 
-  // Shrink "a": only the new charge remains on the books.
-  ASSERT_TRUE(cache.put("a", dummy_output(), 100));
+  // Shrink kA: only the new charge remains on the books.
+  ASSERT_TRUE(cache.put(kA, dummy_output(), 100));
   EXPECT_EQ(cache.used_bytes(), 400u);
   EXPECT_TRUE(cache.invariant_holds());
 
-  // Grow "a" back past its original size; "b" is untouched.
-  ASSERT_TRUE(cache.put("a", dummy_output(), 600));
+  // Grow kA back past its original size; kB is untouched.
+  ASSERT_TRUE(cache.put(kA, dummy_output(), 600));
   EXPECT_EQ(cache.used_bytes(), 900u);
-  EXPECT_TRUE(cache.contains("b"));
+  EXPECT_TRUE(cache.contains(kB));
   EXPECT_TRUE(cache.invariant_holds());
   EXPECT_EQ(cache.stats().insertions, 4u);
   EXPECT_EQ(cache.stats().evictions, 0u);
@@ -725,13 +763,13 @@ TEST(CacheTest, RefreshResizeKeepsAccounting) {
 
 TEST(CacheTest, RefreshGrowEvictsOthersNotItself) {
   PrefetchCache cache(1000);
-  ASSERT_TRUE(cache.put("cold", dummy_output(), 400));
-  ASSERT_TRUE(cache.put("hot", dummy_output(), 400, /*priority=*/1));
-  // Growing "hot" to 700 needs room; the refreshed entry must not be
-  // considered its own eviction victim — "cold" goes instead.
-  ASSERT_TRUE(cache.put("hot", dummy_output(), 700, /*priority=*/1));
-  EXPECT_TRUE(cache.contains("hot"));
-  EXPECT_FALSE(cache.contains("cold"));
+  ASSERT_TRUE(cache.put(kCold, dummy_output(), 400));
+  ASSERT_TRUE(cache.put(kHot, dummy_output(), 400, /*priority=*/1));
+  // Growing kHot to 700 needs room; the refreshed entry must not be
+  // considered its own eviction victim — kCold goes instead.
+  ASSERT_TRUE(cache.put(kHot, dummy_output(), 700, /*priority=*/1));
+  EXPECT_TRUE(cache.contains(kHot));
+  EXPECT_FALSE(cache.contains(kCold));
   EXPECT_EQ(cache.used_bytes(), 700u);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_TRUE(cache.invariant_holds());
@@ -739,12 +777,12 @@ TEST(CacheTest, RefreshGrowEvictsOthersNotItself) {
 
 TEST(CacheTest, RefreshRejectOversizedDropsEntry) {
   PrefetchCache cache(1000);
-  ASSERT_TRUE(cache.put("a", dummy_output(), 300));
+  ASSERT_TRUE(cache.put(kA, dummy_output(), 300));
   // A refresh larger than the whole budget is rejected. The stale value
   // was already superseded, so the entry is dropped rather than kept,
   // and the accounting must stay consistent afterwards.
-  EXPECT_FALSE(cache.put("a", dummy_output(), 1500));
-  EXPECT_FALSE(cache.contains("a"));
+  EXPECT_FALSE(cache.put(kA, dummy_output(), 1500));
+  EXPECT_FALSE(cache.contains(kA));
   EXPECT_EQ(cache.used_bytes(), 0u);
   EXPECT_EQ(cache.stats().rejected, 1u);
   EXPECT_TRUE(cache.invariant_holds());
@@ -753,11 +791,11 @@ TEST(CacheTest, RefreshRejectOversizedDropsEntry) {
 TEST(CacheTest, AttachMetricsMirrorsStats) {
   MetricsRegistry reg;
   PrefetchCache cache(1000);
-  ASSERT_TRUE(cache.put("pre", dummy_output(), 100));  // before attach
+  ASSERT_TRUE(cache.put(kA, dummy_output(), 100));  // before attach
   cache.attach_metrics(reg);
-  ASSERT_TRUE(cache.put("post", dummy_output(), 200));
-  (void)cache.get("pre");
-  (void)cache.get("absent");
+  ASSERT_TRUE(cache.put(kB, dummy_output(), 200));
+  (void)cache.get(kA);
+  (void)cache.get(kC);
   EXPECT_EQ(reg.counter_value("cache.insertions"), 2);
   EXPECT_EQ(reg.counter_value("cache.hits"), 1);
   EXPECT_EQ(reg.counter_value("cache.misses"), 1);

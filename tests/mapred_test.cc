@@ -11,6 +11,7 @@
 #include "mapred/jobconf.h"
 #include "mapred/jobrunner.h"
 #include "mapred/recovery.h"
+#include "mapred/vanilla.h"
 #include "sim/fault.h"
 #include "workloads/datagen.h"
 #include "workloads/experiment.h"
@@ -1236,6 +1237,55 @@ sim::Task<> run_exchange(ExchangeWorld& w, const FetchTransport& transport,
   out = co_await fetch_exchange(*w.job, w.cluster.host(1), /*map_id=*/0,
                                 *w.timeouts, w.watch, transport);
   done = w.engine.now();
+}
+
+TEST(ServletRequestTest, FrameRoundTripsAndBadFramesAreMalformed) {
+  // The servlet's one check of a frame: anything but a request-tagged
+  // frame whose payload is exactly {map_id, reduce_id} is malformed,
+  // dropped and counted, never an abort.
+  const net::Message good = ServletRequest{7, 3}.frame();
+  const auto decoded = ServletRequest::from_frame(good);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->map_id, 7);
+  EXPECT_EQ(decoded->reduce_id, 3);
+
+  net::Message wrong_tag = good;
+  wrong_tag.tag += 1;
+  EXPECT_FALSE(ServletRequest::from_frame(wrong_tag).ok());
+  EXPECT_FALSE(
+      ServletRequest::from_frame(net::Message::control(good.tag, 150)).ok());
+  Bytes body = *good.payload;
+  body.pop_back();
+  EXPECT_FALSE(
+      ServletRequest::from_frame(net::Message::data(body, 1.0, good.tag))
+          .ok());
+  body = *good.payload;
+  body.push_back(0);
+  EXPECT_FALSE(
+      ServletRequest::from_frame(net::Message::data(body, 1.0, good.tag))
+          .ok());
+}
+
+TEST(TaskTrackerStateTest, FindOutputKeysByJobAndMap) {
+  // Both servers look a request's output up by (job id, map id) off the
+  // wire; an id the tracker does not serve is null, and the servers drop
+  // the request as malformed.
+  ExchangeWorld w;
+  TaskTrackerState tracker(w.engine, w.cluster.host(1));
+  MapOutputInfo info;
+  info.output = std::make_shared<MapOutput>();
+  info.map_id = 3;
+  tracker.map_outputs.emplace(dataplane::map_output_id(1, 3), info);
+  info.map_id = 30;  // another job's map 3
+  tracker.map_outputs.emplace(dataplane::map_output_id(2, 3), info);
+
+  ASSERT_NE(tracker.find_output(1, 3), nullptr);
+  EXPECT_EQ(tracker.find_output(1, 3)->map_id, 3);
+  ASSERT_NE(tracker.find_output(2, 3), nullptr);
+  EXPECT_EQ(tracker.find_output(2, 3)->map_id, 30);
+  EXPECT_EQ(tracker.find_output(1, 4), nullptr);
+  EXPECT_EQ(tracker.find_output(3, 3), nullptr);
+  EXPECT_EQ(tracker.find_output(1, 0xffffffffu), nullptr);
 }
 
 TEST(FetchExchangeTest, DropsBadFramesAndReturnsTheMatchingOne) {

@@ -151,6 +151,78 @@ TEST(ProtocolTest, PeekMapIdAgreesWithFullDecode) {
   EXPECT_EQ(*peeked, 0xA1B2C3D4u);
 }
 
+TEST(ProtocolTest, RequestFrameRejectsWrongTagOrMissingPayload) {
+  // The receiver's one check of a frame: anything but a request-tagged
+  // frame whose payload decodes is malformed, dropped and counted,
+  // never an abort.
+  DataRequest req;
+  req.job_id = 1;
+  req.map_id = 4;
+  req.reduce_id = 2;
+  const auto decoded = DataRequest::from_frame(
+      net::Message::data(req.encode(), 1.0, kTagDataRequest));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->map_id, 4u);
+  EXPECT_EQ(decoded->reduce_id, 2u);
+
+  EXPECT_FALSE(DataRequest::from_frame(
+                   net::Message::data(req.encode(), 1.0, kTagDataResponse))
+                   .ok());
+  EXPECT_FALSE(
+      DataRequest::from_frame(net::Message::control(kTagDataRequest, 64))
+          .ok());
+  Bytes truncated = req.encode();
+  truncated.pop_back();
+  EXPECT_FALSE(DataRequest::from_frame(
+                   net::Message::data(truncated, 1.0, kTagDataRequest))
+                   .ok());
+}
+
+// ------------------------------------------------------------------ router
+
+net::Message response_frame(std::uint32_t map_id) {
+  DataResponse resp;
+  resp.map_id = map_id;
+  return net::Message::data(resp.encode_header(), 1.0, kTagDataResponse);
+}
+
+TEST(RouterTest, RoutesByMapIdAndDropsStaleOrMalformed) {
+  sim::Engine engine;
+  mapred::FetchWatch watch0(engine, 4);
+  mapred::FetchWatch watch2(engine, 4);
+  // Map 1 has no stream fetching it (finished, or not started).
+  const std::vector<mapred::FetchWatch*> routes{&watch0, nullptr, &watch2};
+
+  EXPECT_EQ(route_response(routes, response_frame(2)), RouteVerdict::kRouted);
+  EXPECT_EQ(watch2.events.size(), 1u);
+  EXPECT_TRUE(watch0.events.empty());
+  EXPECT_EQ(route_response(routes, response_frame(0)), RouteVerdict::kRouted);
+  EXPECT_EQ(watch0.events.size(), 1u);
+
+  // Unrouted, and past the job's map count (a corrupt id off the wire):
+  // both are stale drops that never index `routes`.
+  EXPECT_EQ(route_response(routes, response_frame(1)), RouteVerdict::kStale);
+  EXPECT_EQ(route_response(routes, response_frame(3)), RouteVerdict::kStale);
+  EXPECT_EQ(route_response(routes, response_frame(0xffffffffu)),
+            RouteVerdict::kStale);
+
+  // Not a response, no payload, or too short to carry a map id.
+  EXPECT_EQ(route_response(routes, net::Message::data(
+                                       DataRequest{}.encode(), 1.0,
+                                       kTagDataRequest)),
+            RouteVerdict::kMalformed);
+  EXPECT_EQ(route_response(routes,
+                           net::Message::control(kTagDataResponse, 64)),
+            RouteVerdict::kMalformed);
+  EXPECT_EQ(route_response(routes, net::Message::data(Bytes{0, 0, 0}, 1.0,
+                                                      kTagDataResponse)),
+            RouteVerdict::kMalformed);
+
+  // Nothing dropped reached a stream.
+  EXPECT_EQ(watch0.events.size(), 1u);
+  EXPECT_EQ(watch2.events.size(), 1u);
+}
+
 TEST(ProtocolTest, WireSizesAreSmall) {
   // The paper stresses light-weight control messages.
   EXPECT_LE(DataRequest{}.encode().size(), kRequestWireBytes);
