@@ -16,6 +16,10 @@
 
 namespace hmr::dataplane {
 
+// Owning record: the argument form of the user functions (MapFn,
+// ReduceFn, CombineFn) and of code that builds records from scratch.
+// Everything between map input and reduce output moves KvViews over
+// serialized runs instead (DESIGN.md §6.3, "Arena ownership").
 struct KvPair {
   Bytes key;
   Bytes value;
@@ -26,9 +30,9 @@ struct KvPair {
 
 // Non-owning record: spans into an arena, a serialized run, or a
 // KvPair's buffers. Lifetime is bounded by whatever backs the spans
-// (see DESIGN.md §"Arena ownership") — the dataplane hot paths sort,
-// merge, and encode views to avoid the two heap allocations per record
-// that owning KvPairs cost.
+// (see DESIGN.md §"Arena ownership") — the dataplane sorts, merges,
+// batches and writes views, avoiding the two heap allocations per
+// record that owning KvPairs cost.
 struct KvView {
   std::span<const std::uint8_t> key;
   std::span<const std::uint8_t> value;
@@ -80,7 +84,8 @@ Result<KvView> decode_kv_view(ByteReader& reader);
 
 // Serializes a whole run; `pairs` need not be sorted.
 Bytes encode_run(std::span<const KvPair> pairs);
-// Decodes until the reader is exhausted.
+// Decodes until the reader is exhausted into owning pairs (for code that
+// inspects job output; the data path iterates decode_kv_view instead).
 Result<std::vector<KvPair>> decode_run(std::span<const std::uint8_t> data);
 
 }  // namespace hmr::dataplane

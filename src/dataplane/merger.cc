@@ -1,34 +1,10 @@
 #include "dataplane/merger.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 namespace hmr::dataplane {
-
-BytesSource::BytesSource(std::shared_ptr<const Bytes> backing)
-    : reader_(backing, backing ? std::span<const std::uint8_t>(*backing)
-                               : std::span<const std::uint8_t>{}) {}
-
-BytesSource::BytesSource(std::shared_ptr<const Bytes> backing,
-                         std::span<const std::uint8_t> slice)
-    : reader_(std::move(backing), slice) {}
-
-bool BytesSource::next(KvPair* out) { return reader_.next(out); }
-
-bool BytesSource::next_view(KvView* out) { return reader_.next_view(out); }
-
-bool VectorSource::next(KvPair* out) {
-  if (pos_ >= pairs_.size()) return false;
-  *out = std::move(pairs_[pos_++]);
-  return true;
-}
-
-bool VectorSource::next_view(KvView* out) {
-  if (pos_ >= pairs_.size()) return false;
-  *out = KvView(pairs_[pos_++]);
-  return true;
-}
 
 namespace {
 
@@ -130,27 +106,6 @@ bool StreamMerger::next_view(KvView* out) {
   ++records_merged_;
   pending_refill_ = source;
   return true;
-}
-
-bool StreamMerger::next(KvPair* out) {
-  KvView view;
-  if (!next_view(&view)) return false;
-  *out = view.to_pair();
-  return true;
-}
-
-std::vector<KvPair> drain(KvSource& source) {
-  std::vector<KvPair> out;
-  KvPair pair;
-  while (source.next(&pair)) out.push_back(std::move(pair));
-  return out;
-}
-
-bool is_sorted_run(std::span<const KvPair> pairs) {
-  return std::is_sorted(pairs.begin(), pairs.end(),
-                        [](const KvPair& a, const KvPair& b) {
-                          return KvLess::compare_keys(a.key, b.key) < 0;
-                        });
 }
 
 }  // namespace hmr::dataplane

@@ -17,52 +17,9 @@
 
 namespace hmr::dataplane {
 
-// Pull interface over a sorted run. The view variant is the hot path:
-// a returned view stays valid until the next call on the *same* source
-// (or source destruction, whichever is earlier); callers that need
-// longer lifetimes materialize with KvView::to_pair().
-class KvSource {
- public:
-  virtual ~KvSource() = default;
-  // False at end of stream.
-  virtual bool next(KvPair* out) = 0;
-  // Allocation-free variant; the default adapter materializes through a
-  // scratch pair, concrete sources override with zero-copy reads.
-  virtual bool next_view(KvView* out) {
-    if (!next(&scratch_)) return false;
-    *out = KvView(scratch_);
-    return true;
-  }
-
- private:
-  KvPair scratch_;  // backs the default next_view adapter
-};
-
-// Source over serialized record bytes.
-class BytesSource final : public KvSource {
- public:
-  explicit BytesSource(std::shared_ptr<const Bytes> backing);
-  BytesSource(std::shared_ptr<const Bytes> backing,
-              std::span<const std::uint8_t> slice);
-  bool next(KvPair* out) override;
-  bool next_view(KvView* out) override;  // aliases the backing buffer
-
- private:
-  SegmentReader reader_;
-};
-
-// Source over an in-memory vector (already sorted by the caller).
-class VectorSource final : public KvSource {
- public:
-  explicit VectorSource(std::vector<KvPair> pairs)
-      : pairs_(std::move(pairs)) {}
-  bool next(KvPair* out) override;
-  bool next_view(KvView* out) override;
-
- private:
-  std::vector<KvPair> pairs_;
-  size_t pos_ = 0;
-};
+// The earlier name of the reader over serialized record bytes, kept
+// for the perfbench harness.
+using BytesSource = SegmentReader;
 
 // Tree of losers over k sources (Knuth, TAOCP Vol. 3 §5.4.1). The
 // winner is the source with the smallest (key, source index), a total
@@ -117,7 +74,6 @@ class StreamMerger final : public KvSource {
  public:
   explicit StreamMerger(std::vector<std::unique_ptr<KvSource>> sources);
 
-  bool next(KvPair* out) override;
   bool next_view(KvView* out) override;
   std::uint64_t records_merged() const { return records_merged_; }
 
@@ -134,10 +90,5 @@ class StreamMerger final : public KvSource {
   size_t pending_refill_ = kNoRefill;
   std::uint64_t records_merged_ = 0;
 };
-
-// Drains a source; convenience for tests and final passes.
-std::vector<KvPair> drain(KvSource& source);
-// True if `pairs` is sorted by KvLess key order.
-bool is_sorted_run(std::span<const KvPair> pairs);
 
 }  // namespace hmr::dataplane

@@ -116,16 +116,14 @@ MapOutput MapOutputBuilder::build(const CombineFn* combiner) {
   return out;
 }
 
+SegmentReader::SegmentReader(std::shared_ptr<const Bytes> backing)
+    : backing_(std::move(backing)),
+      slice_(backing_ ? std::span<const std::uint8_t>(*backing_)
+                      : std::span<const std::uint8_t>{}) {}
+
 SegmentReader::SegmentReader(std::shared_ptr<const Bytes> backing,
                              std::span<const std::uint8_t> slice)
     : backing_(std::move(backing)), slice_(slice) {}
-
-bool SegmentReader::next(KvPair* out) {
-  KvView view;
-  if (!next_view(&view)) return false;
-  *out = view.to_pair();
-  return true;
-}
 
 bool SegmentReader::next_view(KvView* out) {
   if (exhausted()) return false;

@@ -86,17 +86,29 @@ class MapOutputBuilder {
   std::uint64_t pending_bytes_ = 0;
 };
 
-// Sequential reader over one partition's serialized bytes. Keeps shared
-// ownership of the backing buffer so callers can slice freely.
-class SegmentReader {
+// Pull interface over a sorted run of records. A returned view stays
+// valid until the next call on the *same* source (or the source's
+// destruction, whichever is earlier); a caller that needs it longer
+// copies the bytes out.
+class KvSource {
  public:
+  virtual ~KvSource() = default;
+  // False at end of stream.
+  virtual bool next_view(KvView* out) = 0;
+};
+
+// Sequential reader over serialized records: a whole buffer, one
+// partition of it, or one fetched chunk. Keeps shared ownership of the
+// backing buffer, so callers can slice freely and a view it returns
+// stays valid for as long as the reader lives.
+class SegmentReader final : public KvSource {
+ public:
+  explicit SegmentReader(std::shared_ptr<const Bytes> backing);
   SegmentReader(std::shared_ptr<const Bytes> backing,
                 std::span<const std::uint8_t> slice);
-  // Reads the next record; false at end. Aborts on corrupt data.
-  bool next(KvPair* out);
-  // Zero-copy variant: the view aliases the backing buffer, so it stays
-  // valid as long as the backing shared_ptr does.
-  bool next_view(KvView* out);
+  // Zero-copy: the view aliases the backing buffer. Aborts on corrupt
+  // data.
+  bool next_view(KvView* out) override;
   // Reads up to max_pairs or max_bytes (whichever first) raw record bytes
   // starting at the cursor — the unit the OSU-IB responder ships.
   std::span<const std::uint8_t> take_chunk(std::uint64_t max_pairs,

@@ -61,23 +61,30 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
     co_return;
   }
 
-  // Decode records and run the user map function into the sort buffer,
-  // after a kernel yield (DESIGN.md §6.3). The decoded records die with
-  // the block.
+  // Run the user map function over the split's records into the sort
+  // buffer, after a kernel yield (DESIGN.md §6.3). The identity map adds
+  // each record's view straight into the builder's arena; a map_fn gets
+  // one reused pair.
   dataplane::MapOutputBuilder builder(job.num_reduces, *job.spec.partitioner);
   std::uint64_t input_records = 0;
   co_await job.engine.delay(0);
   {
-    auto records = dataplane::decode_run(*split);
-    HMR_CHECK_MSG(records.ok(), "corrupt input split: " + task.input_file);
-    input_records = records->size();
-    const Emit emit = [&builder](KvPair pair) {
-      builder.add(std::move(pair));
+    const Emit emit = [&builder](dataplane::KvPair pair) {
+      builder.add(pair);
     };
-    if (job.spec.map_fn) {
-      for (const auto& record : *records) job.spec.map_fn(record, emit);
-    } else {
-      for (auto& record : *records) emit(std::move(record));
+    dataplane::KvPair input;
+    ByteReader reader(*split);
+    while (!reader.at_end()) {
+      const auto record = dataplane::decode_kv_view(reader);
+      HMR_CHECK_MSG(record.ok(), "corrupt input split: " + task.input_file);
+      ++input_records;
+      if (job.spec.map_fn) {
+        input.key.assign(record->key.begin(), record->key.end());
+        input.value.assign(record->value.begin(), record->value.end());
+        job.spec.map_fn(input, emit);
+      } else {
+        builder.add(*record);
+      }
     }
     if (auto* t = job.engine.tracer()) {
       t->instant(host.name(), "map", "map_compute_" + std::to_string(map_id));
@@ -108,19 +115,12 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
     co_return;
   }
 
-  dataplane::CombineFn combiner;
-  if (job.spec.combine_fn) {
-    combiner = [&job](const Bytes& key, const std::vector<Bytes>& values,
-                      const std::function<void(KvPair)>& emit) {
-      job.spec.combine_fn(key, values, emit);
-    };
-  }
   // Sort + combine + serialize, the other compute half, after its own
   // kernel yield.
   const auto combine_in = builder.pending_records();
   co_await job.engine.delay(0);
   dataplane::MapOutput output =
-      builder.build(job.spec.combine_fn ? &combiner : nullptr);
+      builder.build(job.spec.combine_fn ? &job.spec.combine_fn : nullptr);
   if (job.spec.combine_fn) {
     std::uint64_t combine_out = 0;
     for (const auto& entry : output.index) combine_out += entry.kv_count;

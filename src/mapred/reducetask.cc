@@ -19,54 +19,50 @@ namespace {
 // Job output is written at replication 1 (the TeraSort convention).
 constexpr int kOutputReplication = 1;
 
-// Applies the user reduce function over a sorted stream with
-// group-by-key semantics, carrying groups across batch boundaries.
+// Writes the merged stream to the output file. The identity reduce
+// appends each batch's bytes unchanged; a user reduce function gets its
+// groups by key, carried across batch boundaries.
 class ReduceDriver {
  public:
   ReduceDriver(JobRuntime& job, hdfs::MiniDfs::Writer& out)
       : job_(job), out_(out) {}
 
   sim::Task<> consume(KvBatch batch) {
-    ByteWriter encoded;
-    const Emit emit = [this, &encoded](KvPair pair) {
-      dataplane::encode_kv(pair, encoded);
-      ++records_out_;
-    };
-    for (auto& pair : batch) {
-      if (!job_.spec.reduce_fn) {
-        emit(std::move(pair));
-        continue;
-      }
-      if (!has_group_ || pair.key != group_key_) {
-        flush_group(emit);
-        group_key_ = pair.key;
+    if (!job_.spec.reduce_fn) {
+      records_out_ += batch.count;
+      co_await write(std::move(batch.records));
+      co_return;
+    }
+    ByteReader reader(batch.records);
+    while (!reader.at_end()) {
+      const auto record = dataplane::decode_kv_view(reader);
+      HMR_CHECK(record.ok());  // the batcher encoded it
+      if (!has_group_ ||
+          dataplane::KvLess::compare_keys(record->key, group_key_) != 0) {
+        flush_group();
+        group_key_.assign(record->key.begin(), record->key.end());
         has_group_ = true;
       }
-      group_values_.push_back(std::move(pair.value));
+      group_values_.emplace_back(record->value.begin(), record->value.end());
     }
-    if (encoded.size() > 0) {
-      co_await out_.append(encoded.data());
-    }
+    co_await write(encoded_.take());
   }
 
   sim::Task<> finish() {
-    ByteWriter encoded;
-    const Emit emit = [this, &encoded](KvPair pair) {
-      dataplane::encode_kv(pair, encoded);
-      ++records_out_;
-    };
-    flush_group(emit);
-    if (encoded.size() > 0) {
-      co_await out_.append(encoded.data());
-    }
+    flush_group();
+    co_await write(encoded_.take());
   }
 
   std::uint64_t records_out() const { return records_out_; }
 
  private:
-  void flush_group(const Emit& emit) {
+  sim::Task<> write(Bytes records) {
+    if (!records.empty()) co_await out_.append(records);
+  }
+
+  void flush_group() {
     if (!has_group_) return;
-    job_.spec.reduce_fn(group_key_, group_values_, emit);
+    job_.spec.reduce_fn(group_key_, group_values_, emit_);
     group_values_.clear();
     has_group_ = false;
   }
@@ -76,7 +72,12 @@ class ReduceDriver {
   bool has_group_ = false;
   Bytes group_key_;
   std::vector<Bytes> group_values_;
+  ByteWriter encoded_;  // what the reduce function emitted, serialized
   std::uint64_t records_out_ = 0;
+  const Emit emit_ = [this](dataplane::KvPair pair) {
+    dataplane::encode_kv(pair, encoded_);
+    ++records_out_;
+  };
 };
 
 }  // namespace
@@ -125,10 +126,9 @@ sim::Task<> run_reduce_task(JobRuntime& job, int reduce_id,
     if (job.result.reduce_start_time < 0) {
       job.result.reduce_start_time = job.engine.now();
     }
-    std::uint64_t batch_real = 0;
-    for (const auto& pair : *batch) batch_real += pair.serialized_size();
+    const std::uint64_t batch_real = batch->records.size();
     consumed_real += batch_real;
-    input_records += batch->size();
+    input_records += batch->count;
     // Reduce-function CPU over this batch; an active task.slow window
     // scales the effective throughput down (slow < 1).
     co_await job.charge_cpu(
@@ -182,7 +182,6 @@ sim::Task<> run_reduce_task(JobRuntime& job, int reduce_id,
   }
   job.result.output_modeled_bytes +=
       static_cast<std::uint64_t>(double(out.real_written()) * job.data_scale);
-  job.result.output_records += driver.records_out();
   job.result.counters["REDUCE_INPUT_RECORDS"] += std::int64_t(input_records);
   job.result.counters["REDUCE_OUTPUT_RECORDS"] +=
       std::int64_t(driver.records_out());

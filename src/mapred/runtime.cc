@@ -338,6 +338,34 @@ sim::Task<> JobRuntime::charge_cpu(Host& host, std::uint64_t modeled_bytes,
   co_await host.compute(double(modeled_bytes) / bw);
 }
 
+bool KvBatcher::add(const dataplane::KvView& record) {
+  ByteWriter writer(&batch_.records);
+  dataplane::encode_kv(record, writer);
+  return ++batch_.count >= kBatchRecords;
+}
+
+sim::Task<> KvBatcher::flush() {
+  if (batch_.count == 0) co_return;
+  const std::uint64_t bytes = batch_.records.size();
+  co_await job_.charge_cpu(
+      host_, static_cast<std::uint64_t>(double(bytes) * job_.data_scale),
+      CostModel::kMergeCpuBw);
+  // Batches wait in the sink, up to its capacity per reducer: give back
+  // the buffer's growth slack (it raised sort-40g's peak RSS by 3%).
+  batch_.records.shrink_to_fit();
+  if (hold_back_) {
+    held_.push_back(std::move(batch_));
+  } else {
+    co_await sink_.send(std::move(batch_));
+  }
+  batch_ = KvBatch{};
+}
+
+sim::Task<> KvBatcher::send_held() {
+  for (auto& batch : held_) co_await sink_.send(std::move(batch));
+  held_.clear();
+}
+
 bool JobRuntime::report_fetch_failure(int host_id) {
   if (blacklisted_trackers.contains(host_id)) return false;
   const int streak = ++fetch_failure_streak[host_id];

@@ -27,14 +27,18 @@
 
 namespace hmr::mapred {
 
-using dataplane::KvPair;
 using dataplane::MapOutput;
 using net::Cluster;
 using net::Host;
 using net::Network;
 
-// Batches keep per-record channel overhead off the hot path.
-using KvBatch = std::vector<KvPair>;
+// The reducer's input unit: `count` merged records as one serialized
+// run in the IFile layout (dataplane/kv.h), in sorted order. Batches
+// keep per-record channel overhead off the hot path.
+struct KvBatch {
+  Bytes records;
+  std::uint64_t count = 0;
+};
 // The reducer's input stream: sorted batches, closed at end of merge.
 using KvSink = sim::Channel<KvBatch>;
 
@@ -322,6 +326,37 @@ struct JobRuntime {
     return std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(double(modeled) / data_scale));
   }
+};
+
+// Cuts a shuffle engine's merged output into KvBatches; the one place
+// that builds them. add() encodes a record; once kBatchRecords records
+// are pending, flush() charges the merge CPU on the batch's bytes and
+// sends the batch into the sink, or holds it back for send_held() when
+// the engine does not overlap merge and reduce.
+class KvBatcher {
+ public:
+  static constexpr std::uint64_t kBatchRecords = 256;
+
+  KvBatcher(JobRuntime& job, Host& host, KvSink& sink,
+            bool hold_back = false)
+      : job_(job), host_(host), sink_(sink), hold_back_(hold_back) {}
+
+  // Copies the record into the pending batch; true once the batch is
+  // full and flush() is due.
+  bool add(const dataplane::KvView& record);
+  // Charges kMergeCpuBw on the pending batch's bytes, then sends or
+  // holds it back; nothing when no record is pending.
+  sim::Task<> flush();
+  // Sends the held-back batches in merge order.
+  sim::Task<> send_held();
+
+ private:
+  JobRuntime& job_;
+  Host& host_;
+  KvSink& sink_;
+  const bool hold_back_;
+  KvBatch batch_;
+  std::vector<KvBatch> held_;
 };
 
 // TaskTracker- and ReduceTask-side halves of a shuffle implementation.

@@ -156,7 +156,6 @@ struct JobResult {
   std::uint64_t input_modeled_bytes = 0;
   std::uint64_t shuffled_modeled_bytes = 0;
   std::uint64_t output_modeled_bytes = 0;
-  std::uint64_t output_records = 0;
 
   // This job's own counters: the classic Hadoop ones (MAP_INPUT_RECORDS,
   // SPILLED_RECORDS, ...) plus every job counter of docs/METRICS.md

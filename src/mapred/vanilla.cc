@@ -26,6 +26,15 @@ constexpr int kParallelCopies = 5;
 // end-to-end so the copier verifies what the mapper wrote.
 constexpr std::uint64_t kResponsePrefixBytes = 12;
 
+// The k-way merge of sorted sources, serialized as one run.
+Bytes merge_to_run(std::vector<std::unique_ptr<dataplane::KvSource>> sources) {
+  dataplane::StreamMerger merger(std::move(sources));
+  ByteWriter writer;
+  dataplane::KvView record;
+  while (merger.next_view(&record)) dataplane::encode_kv(record, writer);
+  return writer.take();
+}
+
 }  // namespace
 
 net::Message ServletRequest::frame() const {
@@ -208,18 +217,13 @@ sim::Task<> VanillaShuffleEngine::in_memory_merge(JobRuntime& job,
 
   // Merge in memory, then spill the merged run to local disk.
   std::vector<std::unique_ptr<dataplane::KvSource>> sources;
-  Bytes merged;
   for (auto& segment : segments) {
-    sources.push_back(std::make_unique<dataplane::BytesSource>(segment.data));
+    sources.push_back(std::make_unique<dataplane::SegmentReader>(
+        segment.data, segment.records));
   }
-  dataplane::StreamMerger merger(std::move(sources));
-  ByteWriter writer(&merged);
   // The k-way merge drain, after a kernel yield (DESIGN.md §6.3).
   co_await job.engine.delay(0);
-  {
-    dataplane::KvView kv;
-    while (merger.next_view(&kv)) dataplane::encode_kv(kv, writer);
-  }
+  Bytes merged = merge_to_run(std::move(sources));
   if (auto* t = job.engine.tracer()) {
     t->instant(state.host.name(), "merge",
                "in_mem_merge_r" + std::to_string(state.reduce_id));
@@ -233,7 +237,7 @@ sim::Task<> VanillaShuffleEngine::in_memory_merge(JobRuntime& job,
       job, state.host, path, std::move(merged), job.data_scale);
   HMR_CHECK_MSG(written.ok(),
                 "reduce-side spill failed: " + written.to_string());
-  state.on_disk.push_back(Segment{nullptr, path, modeled});
+  state.on_disk.push_back(Segment{nullptr, path, modeled, {}});
 }
 
 sim::Task<> VanillaShuffleEngine::copier_loop(JobRuntime& job,
@@ -336,11 +340,10 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
     job.result.shuffled_modeled_bytes += modeled;
     if (refetching) job.metric.refetch_bytes.add(std::int64_t(modeled));
     Segment segment;
-    // Strip the {map_id, reduce_id} match prefix: merge sources must see
-    // clean kv data.
-    segment.data = std::make_shared<const Bytes>(
-        response->payload->begin() + kResponsePrefixBytes,
-        response->payload->end());
+    // Past the {map_id, reduce_id, crc} match prefix: merge sources must
+    // see clean kv data.
+    segment.data = response->payload;
+    segment.records = std::span(*segment.data).subspan(kResponsePrefixBytes);
     segment.modeled = modeled;
 
     if (modeled > state.budget / 4) {
@@ -349,12 +352,13 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
       const std::string path = "shuffle/" + job.spec.name + "/r" +
                                std::to_string(state.reduce_id) + "/big" +
                                std::to_string(state.spill_seq++);
-      Bytes body(*segment.data);
+      Bytes body(segment.records.begin(), segment.records.end());
       const Status written = co_await write_file_verified(
           job, state.host, path, std::move(body), job.data_scale);
       HMR_CHECK_MSG(written.ok(),
                     "oversized-segment spill failed: " + written.to_string());
       segment.data = nullptr;
+      segment.records = {};
       segment.disk_path = path;
       state.on_disk.push_back(std::move(segment));
       co_return;
@@ -449,18 +453,12 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
       auto view = co_await read_file_verified(job, host, segment.disk_path);
       HMR_CHECK_MSG(view.ok(), "merge-pass read failed: " +
                                    view.status().to_string());
-      sources.push_back(std::make_unique<dataplane::BytesSource>(view->data));
+      sources.push_back(std::make_unique<dataplane::SegmentReader>(view->data));
       modeled += segment.modeled;
     }
-    dataplane::StreamMerger merger(std::move(sources));
-    Bytes merged;
-    ByteWriter writer(&merged);
     // Merge-pass drain, after a kernel yield like in_memory_merge.
     co_await job.engine.delay(0);
-    {
-      dataplane::KvView kv;
-      while (merger.next_view(&kv)) dataplane::encode_kv(kv, writer);
-    }
+    Bytes merged = merge_to_run(std::move(sources));
     if (auto* t = job.engine.tracer()) {
       t->instant(host.name(), "merge",
                  "merge_pass_r" + std::to_string(reduce_id));
@@ -476,7 +474,7 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
     for (const auto& segment : group) {
       HMR_CHECK(host.fs().remove(segment.disk_path).ok());
     }
-    state.on_disk.push_back(Segment{nullptr, path, modeled});
+    state.on_disk.push_back(Segment{nullptr, path, modeled, {}});
   }
 
   // Final merge: disk segments (read back) + memory remainder, streamed
@@ -487,39 +485,21 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
       auto view = co_await read_file_verified(job, host, segment.disk_path);
       HMR_CHECK_MSG(view.ok(), "final-merge read failed: " +
                                    view.status().to_string());
-      sources.push_back(std::make_unique<dataplane::BytesSource>(view->data));
+      sources.push_back(std::make_unique<dataplane::SegmentReader>(view->data));
     }
     for (const auto& segment : state.in_mem) {
-      sources.push_back(std::make_unique<dataplane::BytesSource>(segment.data));
+      sources.push_back(std::make_unique<dataplane::SegmentReader>(
+          segment.data, segment.records));
     }
   }
   dataplane::StreamMerger merger(std::move(sources));
 
-  constexpr size_t kBatchPairs = 256;
-  KvBatch batch;
-  batch.reserve(kBatchPairs);
-  KvPair pair;
-  std::uint64_t batch_real = 0;
-  while (!state.cancelled() && merger.next(&pair)) {
-    batch_real += pair.serialized_size();
-    batch.push_back(std::move(pair));
-    if (batch.size() >= kBatchPairs) {
-      co_await job.charge_cpu(
-          host,
-          static_cast<std::uint64_t>(double(batch_real) * job.data_scale),
-          CostModel::kMergeCpuBw);
-      co_await sink.send(std::move(batch));
-      batch = KvBatch{};
-      batch.reserve(kBatchPairs);
-      batch_real = 0;
-    }
+  KvBatcher batcher(job, host, sink);
+  dataplane::KvView record;
+  while (!state.cancelled() && merger.next_view(&record)) {
+    if (batcher.add(record)) co_await batcher.flush();
   }
-  if (!batch.empty() && !state.cancelled()) {
-    co_await job.charge_cpu(
-        host, static_cast<std::uint64_t>(double(batch_real) * job.data_scale),
-        CostModel::kMergeCpuBw);
-    co_await sink.send(std::move(batch));
-  }
+  if (!state.cancelled()) co_await batcher.flush();
 
   // Clean up shuffle spill files and close connections. Closing our
   // outgoing half makes the servlet exit; its socket teardown then ends

@@ -9,6 +9,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "mapred/runtime.h"
 #include "net/socket.h"
@@ -46,9 +47,10 @@ class VanillaShuffleEngine final : public ShuffleEngine {
  private:
   // One fetched partition, either memory-resident or spilled.
   struct Segment {
-    std::shared_ptr<const Bytes> data;  // set when in memory
+    std::shared_ptr<const Bytes> data;  // the response, when in memory
     std::string disk_path;              // set when spilled
     std::uint64_t modeled = 0;
+    std::span<const std::uint8_t> records;  // data's records
   };
   struct ReduceShuffleState;
 

@@ -10,8 +10,6 @@
 
 namespace hmr::rdmashuffle {
 
-using dataplane::KvPair;
-using mapred::KvBatch;
 using mapred::MapOutputInfo;
 using mapred::TaskTrackerState;
 
@@ -527,17 +525,17 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
       response = std::move(again);
     }
     metric_->fetch_rtt.record(job.engine.now() - rt0);
-    // `records` points into `response`, the last frame classified mine.
-    auto pairs = dataplane::decode_run(records);
-    HMR_CHECK(pairs.ok());
     req.cursor_real += header.chunk_real_bytes;
     if (refetching) {
       job.metric.refetch_bytes.add(static_cast<std::int64_t>(
           double(header.chunk_real_bytes) * job.data_scale));
     }
 
+    // `records` points into `response`, the last frame classified mine;
+    // the chunk keeps that frame alive for the merge to read in place.
     StreamChunk chunk;
-    chunk.pairs = std::move(pairs.value());
+    chunk.payload = std::move(response.payload);
+    chunk.records = records;
     chunk.mem_charge = charged ? charge : 0;
     co_await stream->chunks.send(std::move(chunk));
     if (header.eof) break;
@@ -596,17 +594,16 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
   }
 
   // --- streaming loser-tree merge (§III-B2) ---------------------------
-  struct Cursor {
-    std::vector<KvPair> pairs;
-    size_t idx = 0;
-    std::uint64_t mem_charge = 0;
-  };
-  std::vector<Cursor> cursors(streams.size());
+  // The tree borrows each stream's current key from its cursor's head.
+  std::vector<MergeCursor> cursors(streams.size());
 
-  // Pull the next non-empty chunk for stream s; false when exhausted.
+  // Load the next non-empty chunk of stream s into its cursor, with the
+  // chunk's first record as the head; false when the stream is done.
   auto advance_chunk = [&](size_t s) -> sim::Task<bool> {
     const double t0 = job.engine.now();
-    Cursor& cursor = cursors[s];
+    MergeCursor& cursor = cursors[s];
+    // The cursor's chunk is spent: free its frame and its memory charge.
+    cursor.records = dataplane::SegmentReader(nullptr);
     if (cursor.mem_charge != 0) {
       state->mem.release(std::int64_t(cursor.mem_charge));
       cursor.mem_charge = 0;
@@ -620,25 +617,26 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
       auto chunk = co_await streams[s]->chunks.recv();
       streams[s]->urgent = false;
       if (!chunk) co_return false;
-      if (chunk->pairs.empty()) {
+      if (chunk->records.empty()) {
         if (chunk->mem_charge != 0) {
           state->mem.release(std::int64_t(chunk->mem_charge));
         }
         continue;
       }
-      cursor.pairs = std::move(chunk->pairs);
-      cursor.idx = 0;
+      cursor.records =
+          dataplane::SegmentReader(std::move(chunk->payload), chunk->records);
+      const bool has_head = cursor.records.next_view(&cursor.head);
+      HMR_CHECK(has_head);
       cursor.mem_charge = chunk->mem_charge;
       metric_->merge_chunk_wait.record(job.engine.now() - t0);
       co_return true;
     }
   };
 
-  // The tree borrows each stream's current key from its cursor chunk.
   dataplane::LoserTree tree(streams.size());
   for (size_t s = 0; s < streams.size(); ++s) {
     if (co_await advance_chunk(s)) {
-      tree.set(s, cursors[s].pairs[0].key);
+      tree.set(s, cursors[s].head.key);
     } else {
       tree.set_exhausted(s);
     }
@@ -650,43 +648,20 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
     job.result.shuffle_done_time = job.engine.now();
   }
 
-  constexpr size_t kBatchPairs = 256;
-  std::vector<KvBatch> held_back;  // used when overlap is disabled
-  KvBatch batch;
-  batch.reserve(kBatchPairs);
-  std::uint64_t batch_real = 0;
-
-  auto flush_batch = [&]() -> sim::Task<> {
-    if (batch.empty()) co_return;
-    co_await job.charge_cpu(
-        host, static_cast<std::uint64_t>(double(batch_real) * job.data_scale),
-        mapred::CostModel::kMergeCpuBw);
-    if (options_.overlap_reduce) {
-      co_await sink.send(std::move(batch));
-    } else {
-      held_back.push_back(std::move(batch));
-    }
-    batch = KvBatch{};
-    batch.reserve(kBatchPairs);
-    batch_real = 0;
-  };
-
+  // Without overlap the batches are held back until every driver is done.
+  mapred::KvBatcher batcher(job, host, sink, !options_.overlap_reduce);
   while (!tree.empty()) {
     if (cancelled()) break;
     const size_t s = tree.winner();
-    Cursor& cursor = cursors[s];
-    // The cursor's chunk is discarded once drained, so move the record
-    // out instead of deep-copying its key/value buffers. The tree reads
-    // no key of this stream again until set() below.
-    KvPair pair = std::move(cursor.pairs[cursor.idx++]);
-    batch_real += pair.serialized_size();
-    batch.push_back(std::move(pair));
-    if (batch.size() >= kBatchPairs) co_await flush_batch();
+    MergeCursor& cursor = cursors[s];
+    // add() copies the record out of the chunk before the head moves
+    // on, which may release the chunk.
+    if (batcher.add(cursor.head)) co_await batcher.flush();
 
-    if (cursor.idx < cursor.pairs.size()) {
-      tree.set(s, cursor.pairs[cursor.idx].key);
+    if (cursor.records.next_view(&cursor.head)) {
+      tree.set(s, cursor.head.key);
     } else if (co_await advance_chunk(s)) {
-      tree.set(s, cursor.pairs[0].key);
+      tree.set(s, cursor.head.key);
     } else {
       tree.set_exhausted(s);
     }
@@ -697,7 +672,7 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
     // parked drivers can finish (Channel::close requires no parked
     // senders) and every chunk's shuffle-memory charge is released.
     for (size_t s = 0; s < streams.size(); ++s) {
-      Cursor& cursor = cursors[s];
+      MergeCursor& cursor = cursors[s];
       if (cursor.mem_charge != 0) {
         state->mem.release(std::int64_t(cursor.mem_charge));
         cursor.mem_charge = 0;
@@ -716,12 +691,10 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
       }
     }
   } else {
-    co_await flush_batch();
+    co_await batcher.flush();
   }
   co_await drivers.wait();
-  if (!options_.overlap_reduce && !cancelled()) {
-    for (auto& held : held_back) co_await sink.send(std::move(held));
-  }
+  if (!cancelled()) co_await batcher.send_held();
   sink.close();
 
   // Orderly close: tells every TaskTracker this reducer is done; the

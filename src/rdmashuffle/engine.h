@@ -140,10 +140,21 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     ucr::Endpoint* endpoint;
     double enqueued_at = 0.0;  // for responder deadline eviction
   };
-  // One fetched chunk flowing from a copier driver into the merge.
+  // One fetched chunk flowing from a copier driver into the merge: the
+  // response frame as received, and the span of its serialized records.
   struct StreamChunk {
-    std::vector<dataplane::KvPair> pairs;
+    std::shared_ptr<const Bytes> payload;
+    std::span<const std::uint8_t> records;
     std::uint64_t mem_charge = 0;
+  };
+  // The merge's read position in one stream: the chunk being merged,
+  // read in place, and its current record. `head` borrows from the
+  // frame `records` owns, so it stays valid until the merge loads the
+  // stream's next chunk.
+  struct MergeCursor {
+    dataplane::SegmentReader records{nullptr};
+    dataplane::KvView head;
+    std::uint64_t mem_charge = 0;  // shuffle memory the chunk holds
   };
   // Per-map reduce-side stream state. Shared-owned because fetch
   // timeouts may still be pending after the driver finished.

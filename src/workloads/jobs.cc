@@ -1,10 +1,9 @@
 #include "workloads/jobs.h"
 
-#include <algorithm>
-#include <map>
+#include <cstring>
+#include <span>
 
 #include "dataplane/kv.h"
-#include "dataplane/merger.h"
 
 namespace hmr::workloads {
 
@@ -98,24 +97,26 @@ Result<ValidationReport> validate_output(hdfs::MiniDfs& dfs,
   for (const auto& part : parts) {  // list() is path-sorted = reducer order
     auto payload = dfs.peek(part);
     if (!payload.ok()) return payload.status();
-    auto records = dataplane::decode_run(*payload);
-    if (!records.ok()) return records.status();
-
-    for (size_t i = 0; i < records->size(); ++i) {
-      const auto& record = (*records)[i];
-      report.digest.fold(record.key, record.value);
-      if (i > 0 && dataplane::KvLess::compare_keys((*records)[i - 1].key,
-                                                   record.key) > 0) {
+    ByteReader reader(*payload);
+    std::span<const std::uint8_t> last_key;  // of the part, once non-empty
+    bool empty_part = true;
+    while (!reader.at_end()) {
+      const auto record = dataplane::decode_kv_view(reader);
+      if (!record.ok()) return record.status();
+      report.digest.fold(record->key, record->value);
+      if (empty_part) {
+        if (have_previous && dataplane::KvLess::compare_keys(
+                                 previous_last_key, record->key) > 0) {
+          report.globally_sorted = false;
+        }
+        empty_part = false;
+      } else if (dataplane::KvLess::compare_keys(last_key, record->key) > 0) {
         report.per_part_sorted = false;
       }
+      last_key = record->key;
     }
-    if (!records->empty()) {
-      if (have_previous &&
-          dataplane::KvLess::compare_keys(previous_last_key,
-                                          records->front().key) > 0) {
-        report.globally_sorted = false;
-      }
-      previous_last_key = records->back().key;
+    if (!empty_part) {
+      previous_last_key.assign(last_key.begin(), last_key.end());
       have_previous = true;
     }
   }

@@ -55,10 +55,10 @@ std::string job_report(const mapred::JobResult& result) {
                             std::to_string(result.num_reduces));
   add("input", format_bytes(result.input_modeled_bytes));
   add("shuffled", format_bytes(result.shuffled_modeled_bytes));
-  add("output", format_bytes(result.output_modeled_bytes) + " in " +
-                    std::to_string(result.output_records) + " records");
   // Job-scoped counters: this job's own counts (docs/METRICS.md).
   const auto n = [&result](const char* name) { return result.counter(name); };
+  add("output", format_bytes(result.output_modeled_bytes) + " in " +
+                    std::to_string(n("REDUCE_OUTPUT_RECORDS")) + " records");
   const auto count = [&](const char* name) { return std::to_string(n(name)); };
   add("spills", count("mapred.map.spills"));
   if (n("mapred.map.failed_attempts") + n("speculation.attempts") > 0) {

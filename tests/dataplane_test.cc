@@ -34,6 +34,27 @@ std::vector<KvPair> random_pairs(int n, std::uint64_t seed,
   return out;
 }
 
+// A merge source over `pairs`, which the caller has sorted.
+std::unique_ptr<KvSource> source_of(const std::vector<KvPair>& pairs) {
+  return std::make_unique<BytesSource>(
+      std::make_shared<const Bytes>(encode_run(pairs)));
+}
+
+// Every record left in `source`, copied out.
+std::vector<KvPair> drain_pairs(KvSource& source) {
+  std::vector<KvPair> out;
+  KvView view;
+  while (source.next_view(&view)) out.push_back(view.to_pair());
+  return out;
+}
+
+bool sorted_by_key(const std::vector<KvPair>& pairs) {
+  return std::is_sorted(pairs.begin(), pairs.end(),
+                        [](const KvPair& a, const KvPair& b) {
+                          return KvLess::compare_keys(a.key, b.key) < 0;
+                        });
+}
+
 std::shared_ptr<const MapOutput> dummy_output() {
   return std::make_shared<const MapOutput>();
 }
@@ -167,7 +188,7 @@ TEST(SegmentTest, BuilderSortsEachPartition) {
   for (int p = 0; p < 4; ++p) {
     auto pairs = decode_run(output.partition_bytes(p)).value();
     EXPECT_EQ(pairs.size(), output.index[p].kv_count);
-    EXPECT_TRUE(is_sorted_run(pairs));
+    EXPECT_TRUE(sorted_by_key(pairs));
     for (const auto& pair : pairs) {
       EXPECT_EQ(hash.partition(pair.key, 4), p);
     }
@@ -208,10 +229,10 @@ TEST(SegmentTest, ReaderIteratesAllRecords) {
   std::sort(pairs.begin(), pairs.end(), KvLess{});
   auto backing = std::make_shared<const Bytes>(encode_run(pairs));
   SegmentReader reader(backing, *backing);
-  KvPair pair;
+  KvView view;
   size_t n = 0;
-  while (reader.next(&pair)) {
-    EXPECT_EQ(pair, pairs[n]);
+  while (reader.next_view(&view)) {
+    EXPECT_EQ(view.to_pair(), pairs[n]);
     ++n;
   }
   EXPECT_EQ(n, 50u);
@@ -398,10 +419,10 @@ TEST(LoserTreeTest, StreamMergerFollowsTheSameOrder) {
                            runs[s][i].size()),
           std::to_string(s) + ":" + std::to_string(i)));
     }
-    sources.push_back(std::make_unique<VectorSource>(std::move(pairs)));
+    sources.push_back(source_of(pairs));
   }
   StreamMerger merger(std::move(sources));
-  const auto merged = drain(merger);
+  const auto merged = drain_pairs(merger);
   ASSERT_EQ(merged.size(), expected.size());
   for (size_t i = 0; i < merged.size(); ++i) {
     const auto& [s, pos] = expected[i];
@@ -417,12 +438,12 @@ TEST(MergerTest, MergesSortedRunsGloballySorted) {
     std::vector<KvPair> run(all.begin() + s * 300,
                             all.begin() + (s + 1) * 300);
     std::sort(run.begin(), run.end(), KvLess{});
-    sources.push_back(std::make_unique<VectorSource>(std::move(run)));
+    sources.push_back(source_of(run));
   }
   StreamMerger merger(std::move(sources));
-  auto merged = drain(merger);
+  auto merged = drain_pairs(merger);
   EXPECT_EQ(merged.size(), 900u);
-  EXPECT_TRUE(is_sorted_run(merged));
+  EXPECT_TRUE(sorted_by_key(merged));
   EXPECT_EQ(merger.records_merged(), 900u);
 
   std::sort(all.begin(), all.end(), KvLess{});
@@ -433,60 +454,58 @@ TEST(MergerTest, MergesSortedRunsGloballySorted) {
 
 TEST(MergerTest, HandlesEmptyAndSingleSources) {
   std::vector<std::unique_ptr<KvSource>> sources;
-  sources.push_back(std::make_unique<VectorSource>(std::vector<KvPair>{}));
+  sources.push_back(source_of({}));
   std::vector<KvPair> one = {make_kv("a", "1")};
-  sources.push_back(std::make_unique<VectorSource>(one));
-  sources.push_back(std::make_unique<VectorSource>(std::vector<KvPair>{}));
+  sources.push_back(source_of(one));
+  sources.push_back(source_of({}));
   StreamMerger merger(std::move(sources));
-  auto merged = drain(merger);
+  auto merged = drain_pairs(merger);
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0], one[0]);
 }
 
 TEST(MergerTest, ZeroSourcesYieldNothing) {
   StreamMerger merger({});
-  KvPair pair;
-  EXPECT_FALSE(merger.next(&pair));
   KvView view;
   EXPECT_FALSE(merger.next_view(&view));
 }
 
 TEST(MergerTest, ViewDrainMatchesOwningDrain) {
-  auto make_sources = [] {
-    std::vector<std::unique_ptr<KvSource>> sources;
-    for (int s = 0; s < 3; ++s) {
-      auto run = random_pairs(100, 40 + s);
-      std::sort(run.begin(), run.end(), KvLess{});
-      sources.push_back(std::make_unique<BytesSource>(
-          std::make_shared<const Bytes>(encode_run(run))));
-    }
-    return sources;
-  };
-  StreamMerger owning(make_sources());
-  const auto expected = drain(owning);
-
-  StreamMerger viewing(make_sources());
+  // Views copied out as they are merged equal the owning pairs sorted.
+  std::vector<std::unique_ptr<KvSource>> sources;
+  std::vector<KvPair> expected;
+  for (int s = 0; s < 3; ++s) {
+    auto run = random_pairs(100, 40 + s);
+    std::sort(run.begin(), run.end(), KvLess{});
+    sources.push_back(source_of(run));
+    expected.insert(expected.end(), run.begin(), run.end());
+  }
+  std::sort(expected.begin(), expected.end(), KvLess{});
+  StreamMerger merger(std::move(sources));
   std::vector<KvPair> got;
   KvView view;
-  while (viewing.next_view(&view)) got.push_back(view.to_pair());
+  while (merger.next_view(&view)) got.push_back(view.to_pair());
   EXPECT_EQ(got, expected);
-  EXPECT_EQ(viewing.records_merged(), expected.size());
+  EXPECT_EQ(merger.records_merged(), expected.size());
 }
 
 TEST(MergerTest, ViewStaysValidUntilNextCall) {
   // The deferred-refill contract: the view yielded by call N must not be
-  // invalidated until call N+1, even for scratch-backed default sources.
+  // invalidated until call N+1, even for sources that reuse one scratch
+  // record for every view they return.
   class ScratchSource final : public KvSource {
    public:
-    bool next(KvPair* out) override {
+    bool next_view(KvView* out) override {
       if (n_ >= 3) return false;
       const char key[3] = {'k', char('0' + n_), '\0'};
-      *out = make_kv(key, "v");
+      scratch_ = make_kv(key, "v");
+      *out = KvView(scratch_);
       ++n_;
       return true;
     }
 
    private:
+    KvPair scratch_;
     int n_ = 0;
   };
   std::vector<std::unique_ptr<KvSource>> sources;
@@ -543,24 +562,22 @@ TEST(MergerTest, BytesSourceOverSegments) {
   std::sort(a.begin(), a.end(), KvLess{});
   std::sort(b.begin(), b.end(), KvLess{});
   std::vector<std::unique_ptr<KvSource>> sources;
-  sources.push_back(std::make_unique<BytesSource>(
-      std::make_shared<const Bytes>(encode_run(a))));
-  sources.push_back(std::make_unique<BytesSource>(
-      std::make_shared<const Bytes>(encode_run(b))));
+  sources.push_back(source_of(a));
+  sources.push_back(source_of(b));
   StreamMerger merger(std::move(sources));
-  auto merged = drain(merger);
+  auto merged = drain_pairs(merger);
   EXPECT_EQ(merged.size(), 200u);
-  EXPECT_TRUE(is_sorted_run(merged));
+  EXPECT_TRUE(sorted_by_key(merged));
 }
 
 TEST(MergerTest, DuplicateKeysAllSurvive) {
   std::vector<KvPair> a = {make_kv("dup", "1"), make_kv("dup", "3")};
   std::vector<KvPair> b = {make_kv("dup", "2")};
   std::vector<std::unique_ptr<KvSource>> sources;
-  sources.push_back(std::make_unique<VectorSource>(a));
-  sources.push_back(std::make_unique<VectorSource>(b));
+  sources.push_back(source_of(a));
+  sources.push_back(source_of(b));
   StreamMerger merger(std::move(sources));
-  auto merged = drain(merger);
+  auto merged = drain_pairs(merger);
   EXPECT_EQ(merged.size(), 3u);
   for (const auto& pair : merged) {
     EXPECT_EQ(std::string(pair.key.begin(), pair.key.end()), "dup");
@@ -579,12 +596,12 @@ TEST_P(MergerSweep, SortedAndComplete) {
     auto run = random_pairs(n, 100 + s);
     std::sort(run.begin(), run.end(), KvLess{});
     total += run.size();
-    sources.push_back(std::make_unique<VectorSource>(std::move(run)));
+    sources.push_back(source_of(run));
   }
   StreamMerger merger(std::move(sources));
-  auto merged = drain(merger);
+  auto merged = drain_pairs(merger);
   EXPECT_EQ(merged.size(), total);
-  EXPECT_TRUE(is_sorted_run(merged));
+  EXPECT_TRUE(sorted_by_key(merged));
 }
 
 INSTANTIATE_TEST_SUITE_P(

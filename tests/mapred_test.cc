@@ -114,7 +114,8 @@ TEST(JobRunnerTest, TeraSortEndToEndValidates) {
   EXPECT_GT(result.elapsed(), 0.0);
   EXPECT_GE(result.maps_done_time, result.submit_time);
   EXPECT_GE(result.finish_time, result.maps_done_time);
-  EXPECT_EQ(result.output_records, digest->records);
+  EXPECT_EQ(result.counter("REDUCE_OUTPUT_RECORDS"),
+            std::int64_t(digest->records));
   EXPECT_GT(result.shuffled_modeled_bytes, 60 * kMiB);
 
   auto report = workloads::validate_output(bed.dfs(), "/out");
@@ -225,7 +226,7 @@ TEST(JobRunnerTest, WordCountAggregatesCorrectly) {
 
   auto job = workloads::wordcount_job(bed.dfs(), "/in", "/out", Conf{});
   const auto result = bed.run_job(std::move(job));
-  EXPECT_GT(result.output_records, 0u);
+  EXPECT_GT(result.counter("REDUCE_OUTPUT_RECORDS"), 0);
   // Vocabulary has 18 words; every word should appear as exactly one
   // output record across all reducers.
   std::map<std::string, std::uint64_t> counts;
@@ -413,7 +414,8 @@ TEST(SpeculationTest, DuplicateAttemptsDoNotCorruptOutput) {
   conf.set_bool(kSpeculativeExecution, true);
   auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", conf);
   const auto result = bed.run_job(std::move(job));
-  EXPECT_EQ(result.output_records, digest->records);
+  EXPECT_EQ(result.counter("REDUCE_OUTPUT_RECORDS"),
+            std::int64_t(digest->records));
   auto report = workloads::validate_output(bed.dfs(), "/out");
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(report->valid_terasort(*digest));
@@ -1237,6 +1239,114 @@ sim::Task<> run_exchange(ExchangeWorld& w, const FetchTransport& transport,
   out = co_await fetch_exchange(*w.job, w.cluster.host(1), /*map_id=*/0,
                                 *w.timeouts, w.watch, transport);
   done = w.engine.now();
+}
+
+// --- reduce-side batches ---------------------------------------------
+
+// A 14-byte record (7-byte key, 5-byte value); keys ascend with i.
+dataplane::KvPair batch_record(int i) {
+  return dataplane::make_kv("key" + std::to_string(1000 + i), "value");
+}
+
+// Feeds `records` records through a KvBatcher, flushing whenever add()
+// asks, then once more at the end and once on an empty batch. Records
+// the simulated time each flush took (its merge-CPU charge).
+sim::Task<> feed_batcher(ExchangeWorld& w, KvSink& sink, bool hold_back,
+                         int records, std::vector<double>* flush_seconds) {
+  KvBatcher batcher(*w.job, w.cluster.host(1), sink, hold_back);
+  const auto timed_flush = [&]() -> sim::Task<> {
+    const double t0 = w.engine.now();
+    co_await batcher.flush();
+    flush_seconds->push_back(w.engine.now() - t0);
+  };
+  for (int i = 0; i < records; ++i) {
+    const bool full = batcher.add(dataplane::KvView(batch_record(i)));
+    EXPECT_EQ(full, (i + 1) % KvBatcher::kBatchRecords == 0) << i;
+    if (full) co_await timed_flush();
+  }
+  co_await timed_flush();
+  co_await timed_flush();  // nothing pending: no charge, no batch
+  if (hold_back) {
+    EXPECT_TRUE(sink.empty());  // nothing was sent before send_held()
+  }
+  co_await batcher.send_held();
+  sink.close();
+}
+
+sim::Task<> collect_batches(KvSink& sink, std::vector<KvBatch>* out) {
+  while (auto batch = co_await sink.recv()) out->push_back(std::move(*batch));
+}
+
+TEST(KvBatcherTest, FlushesEvery256RecordsAndChargesTheBatchBytes) {
+  for (const bool hold_back : {false, true}) {
+    ExchangeWorld w;
+    KvSink sink(w.engine, /*capacity=*/16);
+    std::vector<double> flush_seconds;
+    std::vector<KvBatch> batches;
+    w.engine.spawn(feed_batcher(w, sink, hold_back, 600, &flush_seconds));
+    w.engine.spawn(collect_batches(sink, &batches));
+    w.engine.run();
+
+    // 600 records: two full batches, an 88-record tail, and no batch for
+    // the empty flush. Each batch is the records' IFile bytes in order.
+    ASSERT_EQ(batches.size(), 3u) << hold_back;
+    const std::uint64_t counts[] = {256, 256, 88};
+    int next = 0;
+    for (size_t b = 0; b < batches.size(); ++b) {
+      EXPECT_EQ(batches[b].count, counts[b]);
+      std::vector<dataplane::KvPair> expected;
+      for (std::uint64_t i = 0; i < counts[b]; ++i) {
+        expected.push_back(batch_record(next++));
+      }
+      EXPECT_EQ(batches[b].records, dataplane::encode_run(expected));
+      EXPECT_EQ(batches[b].records.size(), counts[b] * 14);
+    }
+    // Each flush charges the batch's bytes at the merge CPU rate (data
+    // scale 1: real bytes are modeled bytes); the empty flush charges 0.
+    ASSERT_EQ(flush_seconds.size(), 4u);
+    for (size_t b = 0; b < 3; ++b) {
+      EXPECT_NEAR(flush_seconds[b],
+                  double(batches[b].records.size()) / CostModel::kMergeCpuBw,
+                  1e-12);
+    }
+    EXPECT_EQ(flush_seconds[3], 0.0);
+  }
+}
+
+// The sorted input of a TeraSort, serialized in IFile layout.
+Bytes sorted_input(hdfs::MiniDfs& dfs, const std::string& dir) {
+  std::vector<dataplane::KvPair> records;
+  for (const auto& part : dfs.list(dir + "/")) {
+    auto decoded = dataplane::decode_run(dfs.peek(part).value()).value();
+    records.insert(records.end(), decoded.begin(), decoded.end());
+  }
+  std::sort(records.begin(), records.end(), dataplane::KvLess{});
+  return dataplane::encode_run(records);
+}
+
+TEST(ReduceTaskTest, IdentityReduceWritesMergedBytesUnchanged) {
+  // TeraSort's range partitioner makes the output parts, in reduce
+  // order, the whole sorted input: the identity reduce must write the
+  // merged batches' bytes as they are, and count every record in and out.
+  for (const char* engine : {"vanilla", "osu-ib", "hadoop-a"}) {
+    SmallJob small;
+    Testbed bed(small.bed_spec);
+    const auto digest = bed.generate("teragen", small.gen);
+    ASSERT_TRUE(digest.ok());
+    Conf conf;
+    conf.set(kShuffleEngine, engine);
+    const auto result = bed.run_job(
+        workloads::terasort_job(bed.dfs(), "/in", "/out", conf));
+    Bytes output;
+    for (const auto& part : bed.dfs().list("/out/")) {
+      const Bytes bytes = bed.dfs().peek(part).value();
+      output.insert(output.end(), bytes.begin(), bytes.end());
+    }
+    EXPECT_EQ(output, sorted_input(bed.dfs(), "/in")) << engine;
+    const auto records = std::int64_t(digest->records);
+    EXPECT_EQ(result.counter("REDUCE_INPUT_RECORDS"), records) << engine;
+    EXPECT_EQ(result.counter("REDUCE_OUTPUT_RECORDS"), records) << engine;
+  }
 }
 
 TEST(ServletRequestTest, FrameRoundTripsAndBadFramesAreMalformed) {

@@ -590,6 +590,120 @@ TEST(RdmaRecoveryTest, KillAfterJobEndIsHarmless) {
             clean.validation.digest.checksum);
 }
 
+// ------------------------------------------- streaming merge over chunks
+
+// One small TeraSort (2 MB real on three nodes) and its output parts.
+struct MergeRun {
+  mapred::JobResult job;
+  std::vector<Bytes> parts;  // in reduce order
+  workloads::ValidationReport report;
+};
+
+MergeRun run_merge_job(const std::string& engine, Conf conf,
+                       mapred::MapFn map_fn = nullptr,
+                       sim::FaultPlan* faults = nullptr) {
+  workloads::TestbedSpec spec;
+  spec.nodes = 3;
+  spec.hdfs.block_size = 8 * kMiB;
+  workloads::Testbed bed(spec);
+  workloads::DataGenSpec gen;
+  gen.dir = "/in";
+  gen.modeled_total = 64 * kMiB;
+  gen.part_modeled = spec.hdfs.block_size;
+  gen.scale = 32.0;
+  gen.seed = 7;
+  HMR_CHECK(bed.generate("teragen", gen).ok());
+  if (faults != nullptr) bed.cluster().inject_faults(*faults);
+  conf.set(mapred::kShuffleEngine, engine);
+  auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", conf);
+  job.map_fn = std::move(map_fn);
+  job.faults = faults;
+  MergeRun run;
+  run.job = bed.run_job(std::move(job));
+  for (const auto& part : bed.dfs().list("/out/")) {
+    run.parts.push_back(bed.dfs().peek(part).value());
+  }
+  run.report = workloads::validate_output(bed.dfs(), "/out").value();
+  return run;
+}
+
+TEST(RdmaMergeTest, ChunkBoundariesKeepTheOutputBytes) {
+  // The reference fetches each partition in one chunk. 32 KiB modeled
+  // packets (1 KiB real, ~10 records) and 7-pair Hadoop-A packets put a
+  // chunk boundary every few records of every stream; without overlap
+  // the batches are also held back until the merge ends. The merge
+  // reads every chunk in place, so the output bytes must not move.
+  Conf whole;
+  whole.set_bytes(mapred::kRdmaPacketBytes, 16 * kMiB);
+  const MergeRun reference = run_merge_job("osu-ib", whole);
+  ASSERT_TRUE(reference.report.per_part_sorted);
+  ASSERT_TRUE(reference.report.globally_sorted);
+
+  Conf small_packets;
+  small_packets.set_bytes(mapred::kRdmaPacketBytes, 32 * kKiB);
+  Conf held_back = small_packets;
+  held_back.set_bool(mapred::kOverlapReduce, false);
+  Conf few_pairs;
+  few_pairs.set_int(mapred::kRdmaKvPerPacket, 7);
+  const std::vector<std::pair<const char*, Conf>> cases = {
+      {"osu-ib", small_packets},
+      {"osu-ib", held_back},
+      {"hadoop-a", few_pairs}};
+  for (const auto& [engine, conf] : cases) {
+    const MergeRun run = run_merge_job(engine, conf);
+    EXPECT_EQ(run.parts, reference.parts) << engine;
+    EXPECT_EQ(run.job.counter("REDUCE_INPUT_RECORDS"),
+              reference.job.counter("REDUCE_INPUT_RECORDS"))
+        << engine;
+  }
+}
+
+TEST(RdmaMergeTest, ZeroRecordChunksEndTheirStreams) {
+  // The map keeps only keys whose first byte is below 0x10, and the
+  // range partitioner sends all of those to reduce 0 of 4: every stream
+  // of reduces 1-3 answers its one request with a zero-record chunk.
+  const mapred::MapFn low_keys = [](const dataplane::KvPair& record,
+                                    const mapred::Emit& emit) {
+    if (!record.key.empty() && record.key[0] < 0x10) emit(record);
+  };
+  for (const char* engine : {"osu-ib", "hadoop-a"}) {
+    Conf conf;
+    conf.set_int(mapred::kNumReduces, 4);
+    conf.set_bytes(mapred::kRdmaPacketBytes, 32 * kKiB);
+    const MergeRun run = run_merge_job(engine, conf, low_keys);
+    ASSERT_EQ(run.parts.size(), 4u) << engine;
+    EXPECT_FALSE(run.parts[0].empty()) << engine;
+    for (size_t r = 1; r < 4; ++r) EXPECT_TRUE(run.parts[r].empty()) << r;
+    const auto kept = run.job.counter("MAP_OUTPUT_RECORDS");
+    EXPECT_GT(kept, 0);
+    EXPECT_LT(kept, run.job.counter("MAP_INPUT_RECORDS") / 8);
+    EXPECT_EQ(run.job.counter("REDUCE_OUTPUT_RECORDS"), kept) << engine;
+    EXPECT_TRUE(run.report.per_part_sorted) << engine;
+  }
+}
+
+TEST(RdmaMergeTest, KilledReduceAttemptDrainsItsChunks) {
+  // Tasks on host 1 compute at a tenth of their speed, so LATE backs up
+  // its reduces elsewhere and kills the slow attempts while their merge
+  // still holds fetched chunks. The cancellation drain must release
+  // every chunk (ASan builds catch a view that outlives its chunk), and
+  // the committed output must match a run without the fault.
+  for (const char* engine : {"osu-ib", "hadoop-a"}) {
+    Conf conf;
+    conf.set_bool(mapred::kReduceSpeculativeExecution, true);
+    conf.set_double(mapred::kSpeculativeMinRuntimeSec, 0.5);
+    conf.set_double(mapred::kSpeculativeIntervalSec, 0.1);
+    const MergeRun clean = run_merge_job(engine, conf);
+    sim::FaultPlan plan(5);
+    plan.slow_tasks(/*host_id=*/1, /*at=*/0.0, /*duration=*/0.0,
+                    /*factor=*/0.1);
+    const MergeRun slowed = run_merge_job(engine, conf, nullptr, &plan);
+    // Map speculation is off: every kill is a reduce attempt's.
+    EXPECT_GT(slowed.job.counter("speculation.kills"), 0) << engine;
+    EXPECT_EQ(slowed.parts, clean.parts) << engine;
+  }
+}
+
 TEST(RdmaRecoveryDeathTest, AllTrackersKilledAborts) {
   // With every tracker dead there is nowhere left to re-execute map
   // output; the runtime refuses to spin forever and aborts with a
