@@ -1,7 +1,9 @@
 // bench_check — compares a BENCH_*.json produced by a figure/smoke bench
 // against a committed baseline and validates the schema's internal
 // consistency (phases fit inside the wall-clock, ratios stay in [0, 1],
-// outputs validated). CI fails when a run regresses past the tolerance.
+// outputs validated). CI fails when a run's seconds, or its
+// shuffled_bytes where the baseline carries them, drift past the
+// tolerance.
 //
 //   bench_check <baseline.json> <candidate.json> [--tolerance 0.15]
 //
@@ -114,6 +116,10 @@ const Json* validate_doc(const char* path, const Json& doc) {
   return runs;
 }
 
+double relative_drift(double want, double got) {
+  return want > 0 ? (got - want) / want : 0.0;
+}
+
 const Json* find_run(const Json& runs, const std::string& series,
                      double size_gb) {
   for (size_t i = 0; i < runs.size(); ++i) {
@@ -174,11 +180,23 @@ int main(int argc, char** argv) {
     }
     const double want = num(base, "seconds");
     const double got = num(*cand, "seconds");
-    const double drift = want > 0 ? (got - want) / want : 0.0;
+    const double drift = relative_drift(want, got);
     std::printf("%-48s baseline %8.1fs  candidate %8.1fs  %+6.1f%%\n",
                 name.c_str(), want, got, drift * 100.0);
     if (drift > tolerance || drift < -tolerance) {
       fail(name + ": drifted past tolerance");
+    }
+    // Shuffled bytes move when a mechanism sends more or fewer bytes,
+    // even where the job time barely moves. Baselines without the field
+    // (the multi-job sweeps) skip it.
+    if (base.find("shuffled_bytes") != nullptr) {
+      const double bytes_drift = relative_drift(num(base, "shuffled_bytes"),
+                                                num(*cand, "shuffled_bytes"));
+      if (bytes_drift > tolerance || bytes_drift < -tolerance) {
+        char pct[32];
+        std::snprintf(pct, sizeof pct, "%+.2f%%", bytes_drift * 100.0);
+        fail(name + ": shuffled_bytes drifted past tolerance (" + pct + ")");
+      }
     }
   }
   if (cand_runs->size() != base_runs->size()) {
@@ -187,10 +205,11 @@ int main(int argc, char** argv) {
   }
 
   if (g_failures > 0) {
-    std::fprintf(stderr, "bench_check: %d failure(s)\n", g_failures);
+    std::fprintf(stderr, "bench_check: %d failure(s) in %s\n", g_failures,
+                 candidate_path);
     return 1;
   }
-  std::printf("bench_check: OK (%zu runs within %.0f%%)\n", base_runs->size(),
+  std::printf("bench_check: OK (%zu runs within %g%%)\n", base_runs->size(),
               tolerance * 100.0);
   return 0;
 }
