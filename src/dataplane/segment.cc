@@ -64,9 +64,9 @@ std::uint64_t MapOutputBuilder::pending_records() const {
 }
 
 MapOutput MapOutputBuilder::build(const CombineFn* combiner) {
-  MapOutput out;
-  ByteWriter writer;
-  out.index.reserve(partitions_.size());
+  // Sort (and combine) every partition first: then the encoded total is
+  // known, and the output buffer is allocated once at its exact size.
+  std::uint64_t encoded_bytes = pending_bytes_;
   for (auto& partition : partitions_) {
     std::sort(partition.begin(), partition.end(), KvLess{});
     if (combiner != nullptr && !partition.empty()) {
@@ -94,23 +94,35 @@ MapOutput MapOutputBuilder::build(const CombineFn* combiner) {
       }
       // Combiner output may be unsorted if it emits new keys; re-sort.
       std::sort(combined.begin(), combined.end(), KvLess{});
+      for (const auto& view : partition) {
+        encoded_bytes -= view.serialized_size();
+      }
+      for (const auto& view : combined) {
+        encoded_bytes += view.serialized_size();
+      }
       partition = std::move(combined);
     }
+  }
+
+  MapOutput out;
+  ByteWriter writer;
+  writer.reserve(encoded_bytes);
+  out.index.reserve(partitions_.size());
+  for (auto& partition : partitions_) {
     IndexEntry entry;
     entry.offset = writer.size();
     entry.kv_count = partition.size();
     for (const auto& view : partition) encode_kv(view, writer);
     entry.length = writer.size() - entry.offset;
+    // Per-partition CRC32C, the checksum every downstream read boundary
+    // (cache fill, responder, servlet, merge ingest) verifies against.
+    entry.crc = crc32c(std::span<const std::uint8_t>(writer.data())
+                           .subspan(entry.offset, entry.length));
     out.index.push_back(entry);
     partition.clear();
   }
+  HMR_CHECK(writer.size() == encoded_bytes);
   out.data = std::make_shared<const Bytes>(writer.take());
-  // Per-partition CRC32C, the checksum every downstream read boundary
-  // (cache fill, responder, servlet, merge ingest) verifies against.
-  for (auto& entry : out.index) {
-    entry.crc = crc32c(std::span<const std::uint8_t>(*out.data)
-                           .subspan(entry.offset, entry.length));
-  }
   pending_bytes_ = 0;
   arena_.reset();  // every view in partitions_ is dead now
   return out;

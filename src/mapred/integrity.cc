@@ -96,16 +96,17 @@ sim::Task<Result<storage::FileView>> read_range_verified(
 }
 
 sim::Task<Status> write_file_verified(JobRuntime& job, Host& host,
-                                      std::string path, Bytes data,
+                                      std::string path,
+                                      std::shared_ptr<const Bytes> data,
                                       double scale) {
   const double started = job.engine.now();
   const auto modeled =
-      static_cast<std::uint64_t>(double(data.size()) * scale);
+      static_cast<std::uint64_t>(double(data->size()) * scale);
   bool recovered = false;
   int io_attempts = 0;
   int full_attempts = 0;
   for (int verify_attempts = 0;;) {
-    Status written = co_await host.fs().write_file(path, Bytes(data), scale);
+    Status written = co_await host.fs().write_file(path, data, scale);
     if (written.code() == StatusCode::kResourceExhausted) {
       // Disk-full ladder: count it, let the shuffle engine evict cache
       // on this host, back off, retry. The window is finite by

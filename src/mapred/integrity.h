@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "mapred/runtime.h"
 #include "storage/localfs.h"
@@ -46,9 +47,11 @@ sim::Task<Result<storage::FileView>> read_range_verified(
 
 // Durable write with read-back verification and the disk-full ladder.
 // Returns OK only when the stored payload verified clean (or integrity
-// verification is off).
+// verification is off). The file stores `data` itself; a retry rewrites
+// the same buffer.
 sim::Task<Status> write_file_verified(JobRuntime& job, Host& host,
-                                      std::string path, Bytes data,
+                                      std::string path,
+                                      std::shared_ptr<const Bytes> data,
                                       double scale);
 
 }  // namespace hmr::mapred

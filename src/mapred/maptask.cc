@@ -148,7 +148,8 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
     // disk evicts shuffle cache and backs off (mapred/integrity.h).
     const auto spill_stream = storage::next_stream_id();
     const Status spilled = co_await write_file_verified(
-        job, host, path + ".spills", Bytes(1), double(output_modeled));
+        job, host, path + ".spills", std::make_shared<const Bytes>(1),
+        double(output_modeled));
     HMR_CHECK_MSG(spilled.ok(),
                   "map spill failed: " + spilled.to_string());
     (void)spill_stream;
@@ -164,17 +165,14 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
     co_return;
   }
 
-  // Final partitioned output file; the served MapOutput shares the
-  // buffer the LocalFS stores. The verified write guarantees the
+  // Final partitioned output file; the LocalFS stores the very buffer
+  // the served MapOutput holds. The verified write guarantees the
   // published file is clean at creation — at-rest rot discovered later
   // is recovered by the fetch path (drop -> blacklist -> re-execute).
   const Status written = co_await write_file_verified(
-      job, host, path, Bytes(*output.data), job.data_scale);
+      job, host, path, output.data, job.data_scale);
   HMR_CHECK_MSG(written.ok(),
                 "map output write failed: " + written.to_string());
-  const auto stored = host.fs().peek(path);
-  HMR_CHECK(stored.ok());
-  output.data = stored.value().data;
 
   MapOutputInfo info;
   info.map_id = map_id;

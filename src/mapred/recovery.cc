@@ -76,8 +76,11 @@ sim::Task<std::optional<net::Message>> fetch_exchange(
       continue;
     }
     if (verdict.verify && job.conf.integrity) {
-      // End-to-end check against the checksum the server computed at
-      // spill time; the scan runs after a kernel yield (DESIGN.md §6.3).
+      // End-to-end check against the checksum the server sent: for a
+      // whole partition, the one MapOutputBuilder::build computed at
+      // spill time; for a partial OSU-IB chunk, the responder's scan of
+      // the bytes it sent. The scan runs after a kernel yield (DESIGN.md
+      // §6.3).
       co_await charge_verify_cpu(job, host, verdict.modeled);
       co_await job.engine.delay(0);
       const std::uint32_t got = crc32c(verdict.body);

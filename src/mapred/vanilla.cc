@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/crc32.h"
 #include "dataplane/merger.h"
 #include "mapred/integrity.h"
 #include "sim/trace.h"
@@ -26,13 +25,19 @@ constexpr int kParallelCopies = 5;
 // end-to-end so the copier verifies what the mapper wrote.
 constexpr std::uint64_t kResponsePrefixBytes = 12;
 
-// The k-way merge of sorted sources, serialized as one run.
-Bytes merge_to_run(std::vector<std::unique_ptr<dataplane::KvSource>> sources) {
+// The k-way merge of sorted sources, serialized as one run. Merging
+// re-encodes every record byte for byte, so the run is exactly
+// `run_bytes`, the sources' summed sizes, and is allocated once.
+std::shared_ptr<const Bytes> merge_to_run(
+    std::vector<std::unique_ptr<dataplane::KvSource>> sources,
+    std::uint64_t run_bytes) {
   dataplane::StreamMerger merger(std::move(sources));
   ByteWriter writer;
+  writer.reserve(run_bytes);
   dataplane::KvView record;
   while (merger.next_view(&record)) dataplane::encode_kv(record, writer);
-  return writer.take();
+  HMR_CHECK(writer.size() == run_bytes);
+  return std::make_shared<const Bytes>(writer.take());
 }
 
 }  // namespace
@@ -183,18 +188,14 @@ sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
     }
 
     auto slice = info.output->partition_bytes(reduce_id);
-    // The checksum scan is a real CPU kernel, run after a kernel yield
-    // (DESIGN.md §6.3).
+    // The servlet always sends the whole partition, so it sends the
+    // checksum MapOutputBuilder::build computed over it. The kernel
+    // yield stays to keep event order (DESIGN.md §6.3).
     co_await job.engine.delay(0);
-    const std::uint32_t slice_crc = crc32c(slice);
-    if (auto* t = job.engine.tracer()) {
-      t->instant(tracker.host->name(), "crc",
-                 "servlet_crc_m" + std::to_string(map_id));
-    }
     ByteWriter prefix;
     prefix.put_u32(std::uint32_t(map_id));
     prefix.put_u32(std::uint32_t(reduce_id));
-    prefix.put_u32(slice_crc);
+    prefix.put_u32(entry.crc);
     Bytes body = prefix.take();
     body.insert(body.end(), slice.begin(), slice.end());
     const auto modeled = info.modeled_partition_bytes(reduce_id);
@@ -217,13 +218,15 @@ sim::Task<> VanillaShuffleEngine::in_memory_merge(JobRuntime& job,
 
   // Merge in memory, then spill the merged run to local disk.
   std::vector<std::unique_ptr<dataplane::KvSource>> sources;
+  std::uint64_t run_bytes = 0;
   for (auto& segment : segments) {
     sources.push_back(std::make_unique<dataplane::SegmentReader>(
         segment.data, segment.records));
+    run_bytes += segment.records.size();
   }
   // The k-way merge drain, after a kernel yield (DESIGN.md §6.3).
   co_await job.engine.delay(0);
-  Bytes merged = merge_to_run(std::move(sources));
+  auto merged = merge_to_run(std::move(sources), run_bytes);
   if (auto* t = job.engine.tracer()) {
     t->instant(state.host.name(), "merge",
                "in_mem_merge_r" + std::to_string(state.reduce_id));
@@ -352,7 +355,8 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
       const std::string path = "shuffle/" + job.spec.name + "/r" +
                                std::to_string(state.reduce_id) + "/big" +
                                std::to_string(state.spill_seq++);
-      Bytes body(segment.records.begin(), segment.records.end());
+      auto body = std::make_shared<const Bytes>(segment.records.begin(),
+                                                segment.records.end());
       const Status written = co_await write_file_verified(
           job, state.host, path, std::move(body), job.data_scale);
       HMR_CHECK_MSG(written.ok(),
@@ -447,18 +451,20 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
                         state.on_disk.begin() + factor);
     std::vector<std::unique_ptr<dataplane::KvSource>> sources;
     std::uint64_t modeled = 0;
+    std::uint64_t run_bytes = 0;
     for (const auto& segment : group) {
       // Spills were write-verified at creation; this absorbs injected
       // transient read errors on the way back into the merge.
       auto view = co_await read_file_verified(job, host, segment.disk_path);
       HMR_CHECK_MSG(view.ok(), "merge-pass read failed: " +
                                    view.status().to_string());
+      run_bytes += view->real_size();
       sources.push_back(std::make_unique<dataplane::SegmentReader>(view->data));
       modeled += segment.modeled;
     }
     // Merge-pass drain, after a kernel yield like in_memory_merge.
     co_await job.engine.delay(0);
-    Bytes merged = merge_to_run(std::move(sources));
+    auto merged = merge_to_run(std::move(sources), run_bytes);
     if (auto* t = job.engine.tracer()) {
       t->instant(host.name(), "merge",
                  "merge_pass_r" + std::to_string(reduce_id));

@@ -209,15 +209,20 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
   header.cursor_real = req.cursor_real;
   header.n_pairs = n_pairs;
   header.chunk_real_bytes = chunk.size();
-  // Computed here, over the chunk's bytes as sent; the copier recomputes
-  // it over the received body, so a frame that rots in flight is
-  // dropped and re-fetched. The scan runs after a kernel yield
-  // (DESIGN.md §6.3).
+  // A whole partition carries the checksum MapOutputBuilder::build
+  // computed over it; a partial chunk is scanned here, over its bytes as
+  // sent. The copier recomputes it over the received body, so a frame
+  // that rots in flight is dropped and re-fetched. Both paths take the
+  // kernel yield, to keep event order (DESIGN.md §6.3).
   co_await job.engine.delay(0);
-  header.chunk_crc = crc32c(chunk);
-  if (auto* t = job.engine.tracer()) {
-    t->instant(tracker.host->name(), "crc",
-               "respond_crc_m" + std::to_string(req.map_id));
+  if (req.cursor_real == 0 && chunk.size() == partition.size()) {
+    header.chunk_crc = source->index[req.reduce_id].crc;
+  } else {
+    header.chunk_crc = crc32c(chunk);
+    if (auto* t = job.engine.tracer()) {
+      t->instant(tracker.host->name(), "crc",
+                 "respond_crc_m" + std::to_string(req.map_id));
+    }
   }
   header.eof = req.cursor_real + chunk.size() >= partition.size();
 

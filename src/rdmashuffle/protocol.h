@@ -91,10 +91,11 @@ struct DataResponse {
                                   // duplicates of timed-out requests
   std::uint64_t n_pairs = 0;
   std::uint64_t chunk_real_bytes = 0;
-  std::uint32_t chunk_crc = 0;  // CRC-32C of the chunk payload, computed
-                                // at spill time and carried end-to-end so
-                                // the copier verifies what the mapper
-                                // wrote, not what the responder read
+  std::uint32_t chunk_crc = 0;  // CRC-32C of the chunk payload: the
+                                // index CRC computed at spill time when
+                                // the chunk is the whole partition, else
+                                // the responder's scan of the bytes it
+                                // sends (DESIGN.md §6.2)
   bool eof = false;
   // Raw serialized kv records follow the header on the wire.
 

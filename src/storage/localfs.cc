@@ -59,6 +59,14 @@ Status LocalFS::roll_write_fault(const std::string& path) {
 
 sim::Task<Status> LocalFS::write_file(std::string path, Bytes data,
                                       double scale) {
+  return write_file(std::move(path),
+                    std::make_shared<const Bytes>(std::move(data)), scale);
+}
+
+sim::Task<Status> LocalFS::write_file(std::string path,
+                                      std::shared_ptr<const Bytes> data,
+                                      double scale) {
+  HMR_CHECK_MSG(data != nullptr, "write_file needs a payload");
   HMR_CHECK_MSG(scale >= 1.0, "scale must be >= 1");
   // Fault rolls precede any state change so a failed create leaves no
   // empty file behind.
@@ -69,8 +77,8 @@ sim::Task<Status> LocalFS::write_file(std::string path, Bytes data,
     file.stream_id = next_stream_id();
   }
   const auto modeled =
-      static_cast<std::uint64_t>(double(data.size()) * scale);
-  file.data = std::make_shared<Bytes>(std::move(data));
+      static_cast<std::uint64_t>(double(data->size()) * scale);
+  file.data = std::move(data);
   file.scale = scale;
   // A full rewrite replaces the payload: prior at-rest corruption is
   // gone, but the write itself may silently store flipped bits.
@@ -91,11 +99,12 @@ sim::Task<Status> LocalFS::append(std::string path,
     co_return Status::NotFound("append: " + path);
   }
   if (Status fault = roll_write_fault(path); !fault.ok()) co_return fault;
-  if (file->data.use_count() > 1) {
-    // Copy-on-write: readers holding views keep the old payload.
-    file->data = std::make_shared<Bytes>(*file->data);
-  }
-  file->data->insert(file->data->end(), data.begin(), data.end());
+  // Copy-on-write: readers holding views keep the old payload.
+  auto grown = std::make_shared<Bytes>();
+  grown->reserve(file->data->size() + data.size());
+  grown->insert(grown->end(), file->data->begin(), file->data->end());
+  grown->insert(grown->end(), data.begin(), data.end());
+  file->data = std::move(grown);
   if (!file->sticky_corrupt && fault_ && fault_->write_corrupt_prob > 0 &&
       fault_rng_->chance(fault_->write_corrupt_prob)) {
     file->sticky_corrupt = true;

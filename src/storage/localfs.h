@@ -69,10 +69,17 @@ class LocalFS {
   // --- timed operations (sim tasks) ---
 
   // Creates or replaces `path`, charging a sequential write of
-  // data.size()*scale bytes to the file's disk.
+  // data.size()*scale bytes to the file's disk. The file stores the
+  // shared buffer itself, so a writer that keeps serving the bytes (a
+  // map output) holds no second copy.
+  sim::Task<Status> write_file(std::string path,
+                               std::shared_ptr<const Bytes> data,
+                               double scale = 1.0);
   sim::Task<Status> write_file(std::string path, Bytes data,
                                double scale = 1.0);
-  // Appends, charging a sequential write of data_len*scale.
+  // Appends, charging a sequential write of data_len*scale. The stored
+  // buffer may be shared with readers' views and with its writer, so an
+  // append copies it (copy-on-write).
   sim::Task<Status> append(std::string path, std::span<const std::uint8_t> data);
 
   // Reads the whole file (sequential charge).
@@ -116,7 +123,7 @@ class LocalFS {
 
  private:
   struct File {
-    std::shared_ptr<Bytes> data;
+    std::shared_ptr<const Bytes> data;
     double scale = 1.0;
     size_t disk_index = 0;
     std::uint64_t stream_id = 0;

@@ -516,28 +516,68 @@ std::uint32_t crc32c_reference(std::span<const std::uint8_t> data,
   return ~crc;
 }
 
+// Both kernels: the dispatched crc32c (SSE4.2 on hosts that have it) and
+// the portable slice-by-8 fallback, so the fallback stays covered on
+// x86-64 hosts too.
+using Crc32Kernel = std::uint32_t (*)(std::span<const std::uint8_t>,
+                                      std::uint32_t);
+struct NamedKernel {
+  const char* name;
+  Crc32Kernel fn;
+};
+const NamedKernel kCrc32Kernels[] = {
+    {"dispatched",
+     [](std::span<const std::uint8_t> d, std::uint32_t s) {
+       return crc32c(d, s);
+     }},
+    {"portable", detail::crc32c_portable},
+};
+
 TEST(Crc32Test, MatchesReferenceAtRandomLengthsOffsetsAndSeeds) {
-  Rng rng(7, "crc32.reference");
-  Bytes buffer(4096 + 16);
-  for (auto& byte : buffer) byte = std::uint8_t(rng.next());
-  for (int trial = 0; trial < 300; ++trial) {
-    const size_t len = rng.below(4097);
-    const size_t offset = rng.below(16);  // unaligned starts
-    const auto seed = std::uint32_t(rng.next());
-    const std::span<const std::uint8_t> view(buffer.data() + offset, len);
-    ASSERT_EQ(crc32c(view, seed), crc32c_reference(view, seed))
-        << "len " << len << " offset " << offset;
+  for (const auto& kernel : kCrc32Kernels) {
+    Rng rng(7, "crc32.reference");
+    Bytes buffer(4096 + 16);
+    for (auto& byte : buffer) byte = std::uint8_t(rng.next());
+    for (int trial = 0; trial < 300; ++trial) {
+      const size_t len = rng.below(4097);
+      const size_t offset = rng.below(16);  // unaligned starts
+      const auto seed = std::uint32_t(rng.next());
+      const std::span<const std::uint8_t> view(buffer.data() + offset, len);
+      ASSERT_EQ(kernel.fn(view, seed), crc32c_reference(view, seed))
+          << kernel.name << " len " << len << " offset " << offset;
+    }
   }
 }
 
 TEST(Crc32Test, ChainedSeedEqualsWholeBuffer) {
-  Rng rng(11, "crc32.chain");
-  Bytes buffer(1000);
-  for (auto& byte : buffer) byte = std::uint8_t(rng.next());
-  const std::span<const std::uint8_t> all(buffer);
-  for (size_t split : {0, 1, 7, 8, 9, 500, 999, 1000}) {
-    const auto head = crc32c(all.first(split));
-    EXPECT_EQ(crc32c(all.subspan(split), head), crc32c(all)) << split;
+  for (const auto& kernel : kCrc32Kernels) {
+    Rng rng(11, "crc32.chain");
+    Bytes buffer(1000);
+    for (auto& byte : buffer) byte = std::uint8_t(rng.next());
+    const std::span<const std::uint8_t> all(buffer);
+    for (size_t split : {0, 1, 7, 8, 9, 500, 999, 1000}) {
+      const auto head = kernel.fn(all.first(split), 0);
+      EXPECT_EQ(kernel.fn(all.subspan(split), head), kernel.fn(all, 0))
+          << kernel.name << " split " << split;
+    }
+  }
+}
+
+TEST(Crc32Test, Rfc3720Vectors) {
+  // RFC 3720 (iSCSI) appendix B.4, 32-byte inputs.
+  Bytes zeros(32, 0x00);
+  Bytes ones(32, 0xff);
+  Bytes ascending(32);
+  Bytes descending(32);
+  for (size_t i = 0; i < 32; ++i) {
+    ascending[i] = std::uint8_t(i);
+    descending[i] = std::uint8_t(31 - i);
+  }
+  for (const auto& kernel : kCrc32Kernels) {
+    EXPECT_EQ(kernel.fn(zeros, 0), 0x8A9136AAu) << kernel.name;
+    EXPECT_EQ(kernel.fn(ones, 0), 0x62A8AB43u) << kernel.name;
+    EXPECT_EQ(kernel.fn(ascending, 0), 0x46DD794Eu) << kernel.name;
+    EXPECT_EQ(kernel.fn(descending, 0), 0x113FDB5Cu) << kernel.name;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "dataplane/cache.h"
 #include "dataplane/kv.h"
@@ -206,6 +207,43 @@ TEST(SegmentTest, PendingBytesTracksSerializedSize) {
   EXPECT_EQ(builder.pending_bytes(), 2 * pair.serialized_size());
   const MapOutput output = builder.build();
   EXPECT_EQ(output.total_bytes(), 2 * pair.serialized_size());
+}
+
+TEST(SegmentTest, IndexCrcMatchesEachPartitionsBytes) {
+  // The shuffle servers send IndexEntry::crc for whole partitions, so it
+  // must be the CRC-32C of exactly the partition's bytes: with an empty
+  // partition (5 partitions, keys hashed into at most 4 of them by a
+  // partitioner that never picks 4) and with a combiner.
+  struct NeverLast : Partitioner {
+    int partition(std::span<const std::uint8_t> key, int n) const override {
+      return HashPartitioner{}.partition(key, n - 1);
+    }
+  } never_last;
+  const CombineFn keep_first = [](const Bytes& key,
+                                  const std::vector<Bytes>& values,
+                                  const std::function<void(KvPair)>& emit) {
+    emit(KvPair{key, values.front()});
+  };
+  for (const CombineFn* combiner : {static_cast<const CombineFn*>(nullptr),
+                                    &keep_first}) {
+    MapOutputBuilder builder(5, never_last);
+    auto pairs = random_pairs(300, 21, /*key_len=*/1, /*val_len=*/20);
+    for (auto& pair : pairs) builder.add(std::move(pair));
+    const MapOutput output = builder.build(combiner);
+    ASSERT_EQ(output.index.size(), 5u);
+    EXPECT_EQ(output.index[4].length, 0u);
+    EXPECT_EQ(output.data->capacity(), output.data->size());
+    std::uint64_t records = 0;
+    for (int p = 0; p < 5; ++p) {
+      EXPECT_EQ(output.index[p].crc, crc32c(output.partition_bytes(p)))
+          << "partition " << p << (combiner ? " combined" : "");
+      records += output.index[p].kv_count;
+    }
+    // One-byte keys: the combiner folds 300 records into at most 256.
+    if (combiner != nullptr) {
+      EXPECT_LE(records, 256u);
+    }
+  }
 }
 
 TEST(SegmentTest, IndexEncodeDecodeRoundTrip) {

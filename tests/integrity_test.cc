@@ -438,7 +438,8 @@ TEST(HdfsFailoverTest, DiskFullWindowDelaysDfsAndSpillWrites) {
   }(w, data, dfs_write, dfs_done));
   w.engine.spawn([](mapred::JobRuntime& job, net::Host& host,
                     const Bytes& data, Status& out, double& done) -> Task<> {
-    out = co_await mapred::write_file_verified(job, host, "spill", data, 1.0);
+    out = co_await mapred::write_file_verified(
+        job, host, "spill", std::make_shared<const Bytes>(data), 1.0);
     done = job.engine.now();
   }(job, w.host(1), data, spill, spill_done));
   w.engine.run();

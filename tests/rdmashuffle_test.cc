@@ -682,6 +682,40 @@ TEST(RdmaMergeTest, ZeroRecordChunksEndTheirStreams) {
   }
 }
 
+TEST(RdmaMergeTest, WholePartitionsAndPartialChunksVerifyClean) {
+  // A whole partition goes out with the checksum its map computed at
+  // build; a partial chunk is scanned by the responder. Skew the map
+  // output so both happen in one job: reduce 0 of 4 (first key byte
+  // below 0x40) keeps every record, ~66 KB real per map, and takes
+  // several 32 KB chunks; reduces 1-3 keep 1/16 and fit in one.
+  const mapred::MapFn skewed = [](const dataplane::KvPair& record,
+                                  const mapred::Emit& emit) {
+    if (record.key.size() < 2) return;
+    if (record.key[0] < 0x40 || record.key[1] < 0x10) emit(record);
+  };
+  Conf whole;
+  whole.set_int(mapred::kNumReduces, 4);
+  whole.set_bytes(mapred::kRdmaPacketBytes, 16 * kMiB);
+  const MergeRun reference = run_merge_job("osu-ib", whole, skewed);
+  Conf chunked = whole;
+  chunked.set_bytes(mapred::kRdmaPacketBytes, 1 * kMiB);  // 32 KB real
+  const MergeRun run = run_merge_job("osu-ib", chunked, skewed);
+
+  // The reference fetches each partition in one request. Fewer than
+  // twice as many requests means some partitions still went whole; more
+  // means some went in partial chunks.
+  const auto partitions = reference.job.counter("shuffle.fetch.requests");
+  const auto requests = run.job.counter("shuffle.fetch.requests");
+  EXPECT_GT(requests, partitions);
+  EXPECT_LT(requests, 2 * partitions);
+  EXPECT_EQ(run.job.counter("shuffle.malformed_msgs"), 0);
+  EXPECT_EQ(run.job.counter("shuffle.fetch.retries"), 0);
+  EXPECT_TRUE(run.report.per_part_sorted);
+  EXPECT_TRUE(run.report.globally_sorted);
+  EXPECT_EQ(run.report.digest, reference.report.digest);
+  EXPECT_EQ(run.parts, reference.parts);
+}
+
 TEST(RdmaMergeTest, KilledReduceAttemptDrainsItsChunks) {
   // Tasks on host 1 compute at a tenth of their speed, so LATE backs up
   // its reduces elsewhere and kills the slow attempts while their merge
