@@ -118,13 +118,14 @@ sim::Task<> MiniDfs::rpc(Host& from) {
 }
 
 sim::Task<> MiniDfs::write_replica(Host& dn, std::uint64_t block_id,
-                                   Bytes slice, double scale) {
+                                   std::shared_ptr<const Bytes> slice,
+                                   double scale) {
   auto& metrics = cluster_.engine().metrics();
   int io_attempts = 0;
   int full_attempts = 0;
   for (;;) {
     const Status st =
-        co_await dn.fs().write_file(block_path(block_id), Bytes(slice), scale);
+        co_await dn.fs().write_file(block_path(block_id), slice, scale);
     if (st.code() == StatusCode::kResourceExhausted) {
       HMR_CHECK_MSG(++full_attempts <= storage::kDiskFullRetries,
                     "disk-full window outlasted datanode write: " +
@@ -157,6 +158,10 @@ sim::Task<> MiniDfs::write_block(Host& writer, BlockInfo block, Bytes slice,
                                  double scale) {
   const auto modeled =
       static_cast<std::uint64_t>(double(block.real_len) * scale);
+  // Every replica stores this one buffer for the file's lifetime, so
+  // drop the growth slack a streamed tail block carries (Writer::close).
+  slice.shrink_to_fit();
+  const auto shared = std::make_shared<const Bytes>(std::move(slice));
   // Pipelined replication: client->r0, r0->r1, r1->r2 run concurrently
   // (each stage forwards packets as they arrive); every replica also
   // writes the block to its local disk.
@@ -167,14 +172,14 @@ sim::Task<> MiniDfs::write_block(Host& writer, BlockInfo block, Bytes slice,
     stages.add();
     cluster_.engine().spawn(
         [](MiniDfs& dfs, Host* from, Host* to, std::uint64_t modeled,
-           Bytes slice, double scale, std::uint64_t block_id,
-           sim::WaitGroup& stages) -> sim::Task<> {
+           std::shared_ptr<const Bytes> slice, double scale,
+           std::uint64_t block_id, sim::WaitGroup& stages) -> sim::Task<> {
           if (from->id() != to->id()) {
             co_await dfs.network_.transmit(*from, *to, modeled);
           }
           co_await dfs.write_replica(*to, block_id, std::move(slice), scale);
           stages.done();
-        }(*this, upstream, &dn, modeled, slice, scale, block.id, stages));
+        }(*this, upstream, &dn, modeled, shared, scale, block.id, stages));
     upstream = &dn;
   }
   co_await stages.wait();
@@ -320,7 +325,7 @@ sim::Task<int> MiniDfs::replicate_under_replicated() {
         // prune the corrupt ones).
         auto& metrics = cluster_.engine().metrics();
         Host* source = nullptr;
-        Bytes payload;
+        std::shared_ptr<const Bytes> payload;
         double scale = 1.0;
         std::uint64_t modeled = 0;
         const std::vector<int> sources = block.replicas;
@@ -342,7 +347,7 @@ sim::Task<int> MiniDfs::replicate_under_replicated() {
             continue;
           }
           source = &cand;
-          payload = Bytes(*view->data);
+          payload = view->data;
           scale = view->scale;
           modeled = view->modeled_size();
           break;

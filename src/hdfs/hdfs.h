@@ -177,7 +177,9 @@ class MiniDfs {
   sim::Task<> rpc(Host& from);
   bool is_datanode(int host) const;
   // Ships one block through the replica pipeline (stages overlapped) and
-  // writes it on every replica's disk.
+  // writes it on every replica's disk. Every replica stores the same
+  // buffer; injected corruption is a per-file flag (storage::FileView),
+  // so the replicas stay independent.
   sim::Task<> write_block(Host& writer, BlockInfo block, Bytes slice,
                           double scale);
   // Bounded-retry, checksum-verified write of one replica (shared by the
@@ -185,8 +187,8 @@ class MiniDfs {
   // retried, a full disk backs off until the window drains, and a
   // silently corrupted write is redone — the DataNode verifies received
   // data against the client checksum before acking the stage.
-  sim::Task<> write_replica(Host& dn, std::uint64_t block_id, Bytes slice,
-                            double scale);
+  sim::Task<> write_replica(Host& dn, std::uint64_t block_id,
+                            std::shared_ptr<const Bytes> slice, double scale);
   // Drops a corrupt replica from the live block map (the DataNode's
   // block scanner reported a bad block) and kicks the replication
   // monitor to restore the replica count from a clean copy.

@@ -19,7 +19,8 @@ bool has_prefix(const std::string& path, std::string_view prefix) {
 
 const std::set<std::string, std::less<>> kKnownRules = {
     "determinism",     "status-discipline", "config-registry",
-    "metric-registry", "coroutine-borrow",  "coawait-aggregate"};
+    "metric-registry", "coroutine-borrow",  "coawait-aggregate",
+    "queue-storage"};
 
 // Drops findings waived by a justified suppression on the same line or
 // the line above; reports malformed suppressions. A justified
@@ -125,6 +126,10 @@ Report lint_files(const std::vector<SourceFile>& files, const Options& opts) {
       check_coroutine_borrow(f, index, &local);
       active_rules.insert({"determinism", "coroutine-borrow",
                            "metric-registry", "config-registry"});
+    }
+    if (in_src && !has_prefix(f.path, "src/lint/")) {
+      check_queue_storage(f, &local);
+      active_rules.insert("queue-storage");
     }
     check_status_discipline(f, fn_registry,
                             /*check_value_guard=*/in_src || in_tools, &local);

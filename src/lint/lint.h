@@ -12,6 +12,7 @@
 //                       lowercase and documented in docs/METRICS.md
 //   coroutine-borrow  — no KvView/arena borrows held across co_await
 //   coawait-aggregate — no braced initializers inside co_await operands
+//   queue-storage     — no std::deque in src/ (use sim::Fifo)
 //
 // coroutine-borrow walks the function bodies found by the repo-wide
 // function index (lint/function_index.h).
@@ -57,7 +58,8 @@ struct Report {
 
 // Runs every rule family over `files`. The function index is built
 // from *all* files, then rules are scoped by path prefix:
-//   src/    every family (+ function-return collection)
+//   src/    every family (+ function-return collection); queue-storage
+//           skips src/lint
 //   tools/  status-discipline, config-registry
 //   tests/  status-discipline (discard checks only)
 // lint:ignore suppressions are applied here; malformed ones surface as

@@ -568,4 +568,27 @@ void check_status_discipline(const LexedFile& file,
   }
 }
 
+void check_queue_storage(const LexedFile& file, std::vector<Finding>* out) {
+  static const char kAdvice[] =
+      "std::deque allocates a node even when empty; use sim::Fifo "
+      "(sim/fifo.h), which allocates on first push";
+  const auto& toks = file.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind == TokKind::kPreproc) {
+      if (t.text.find("include") != std::string::npos &&
+          t.text.find("<deque>") != std::string::npos) {
+        out->push_back({"queue-storage", file.path, t.line,
+                        std::string("#include <deque>: ") + kAdvice});
+      }
+      continue;
+    }
+    if (is_ident(t, "deque") && i >= 2 && is_punct(toks[i - 1], "::") &&
+        is_ident(toks[i - 2], "std")) {
+      out->push_back({"queue-storage", file.path, t.line,
+                      std::string("`std::deque`: ") + kAdvice});
+    }
+  }
+}
+
 }  // namespace hmr::lint

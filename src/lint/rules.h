@@ -101,4 +101,10 @@ void check_status_discipline(const LexedFile& file,
 // fix is a named local. Lambda bodies passed in the operand are exempt.
 void check_coawait_aggregate(const LexedFile& file, std::vector<Finding>* out);
 
+// Flags `std::deque` and `#include <deque>`. libstdc++ allocates a
+// deque's first node on construction, so every idle queue owns ~576
+// bytes; sim::Fifo (sim/fifo.h) allocates on first push instead. Callers
+// apply this to src/ outside src/lint.
+void check_queue_storage(const LexedFile& file, std::vector<Finding>* out);
+
 }  // namespace hmr::lint

@@ -121,7 +121,7 @@ sim::Task<> JobRunner::map_worker(JobRuntime& job,
 
 sim::Task<> JobRunner::reduce_worker(JobRuntime& job,
                                      TaskTrackerState& tracker,
-                                     std::deque<int>& pending,
+                                     sim::Fifo<int>& pending,
                                      sim::WaitGroup& done) {
   co_await job.slowstart_reached.wait();
   while (!pending.empty()) {
@@ -186,7 +186,7 @@ sim::Task<JobResult> JobRunner::run(JobSpec spec) {
   co_await shuffle->start(*job);
 
   std::vector<bool> assigned(job->maps.size(), false);
-  std::deque<int> pending_reduces;
+  sim::Fifo<int> pending_reduces;
   for (int r = 0; r < job->num_reduces; ++r) pending_reduces.push_back(r);
 
   sim::WaitGroup workers(job->engine);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "mapred/runtime.h"
+#include "sim/fifo.h"
 
 namespace hmr::mapred {
 
@@ -42,7 +43,7 @@ class JobRunner {
   sim::Task<> map_worker(JobRuntime& job, TaskTrackerState& tracker, int slot,
                          std::vector<bool>& assigned, sim::WaitGroup& done);
   sim::Task<> reduce_worker(JobRuntime& job, TaskTrackerState& tracker,
-                            std::deque<int>& pending, sim::WaitGroup& done);
+                            sim::Fifo<int>& pending, sim::WaitGroup& done);
   sim::Task<> jt_rpc(Host& from);
 
   Cluster& cluster_;

@@ -31,8 +31,10 @@ void FetchTimeouts::arm(std::shared_ptr<FetchWatch> watch, std::uint64_t id) {
 
 sim::Task<> FetchTimeouts::sleeper(std::shared_ptr<FetchTimeouts> self) {
   sim::Engine& engine = self->engine_;
-  std::deque<Entry>& queue = self->queue_;
+  sim::Fifo<Entry>& queue = self->queue_;
   while (!queue.empty()) {
+    // arm() may grow the ring while this coroutine is suspended, which
+    // moves its entries: `front` is re-read after every await.
     Entry& front = queue.front();
     if (front.watch->armed_id != front.id) {
       queue.pop_front();  // answered or re-armed: stale whatever its deadline

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -17,6 +16,7 @@
 #include "net/message.h"
 #include "sim/channel.h"
 #include "sim/engine.h"
+#include "sim/fifo.h"
 
 namespace hmr::net {
 class Host;
@@ -89,7 +89,7 @@ class FetchTimeouts : public std::enable_shared_from_this<FetchTimeouts> {
 
   sim::Engine& engine_;
   double timeout_;
-  std::deque<Entry> queue_;  // deadline order
+  sim::Fifo<Entry> queue_;   // deadline order
   bool sleeping_ = false;    // a sleeper is spawned and not yet exited
 };
 

@@ -174,6 +174,11 @@ struct JobRuntime {
         job.counter("shuffle.trackers.blacklisted");
     JobCounter refetch_reruns = job.counter("shuffle.refetch.reruns");
     JobCounter refetch_bytes = job.counter("shuffle.refetch.bytes");
+    // Chunks an RDMA copier fetched twice because it had no shuffle
+    // memory to keep the first delivery (rdmashuffle/engine.cc).
+    JobCounter overbudget_refetches =
+        job.counter("shuffle.overbudget.refetches");
+    JobCounter overbudget_bytes = job.counter("shuffle.overbudget.bytes");
     // Storage integrity (mapred/integrity.h).
     JobCounter mapout_unserved = job.counter("storage.mapout.unserved");
     JobCounter io_retries = job.counter("storage.io.retries");

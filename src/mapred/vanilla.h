@@ -6,7 +6,6 @@
 // series in every figure.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>

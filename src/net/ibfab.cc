@@ -156,11 +156,19 @@ sim::Task<Completion> QueuePair::rdma_read(RdmaReadWr wr) {
       double(wr.real_len) * region->spec().scale);
   co_await network_.transmit(remote_host(), local_host(), modeled);
 
-  Bytes slice(region->spec().buffer->begin() + wr.real_offset,
-              region->spec().buffer->begin() + wr.real_offset + wr.real_len);
+  // A READ of the whole region hands back the pinned buffer itself (it
+  // is immutable); a partial READ copies out its range.
+  const std::shared_ptr<const Bytes>& buffer = region->spec().buffer;
   completion.byte_len = modeled;
-  completion.message =
-      Message::share(std::make_shared<const Bytes>(std::move(slice)), modeled);
+  if (wr.real_offset == 0 && wr.real_len == buffer->size()) {
+    completion.message = Message::share(buffer, modeled);
+  } else {
+    completion.message = Message::share(
+        std::make_shared<const Bytes>(
+            buffer->begin() + wr.real_offset,
+            buffer->begin() + wr.real_offset + wr.real_len),
+        modeled);
+  }
   co_return completion;
 }
 

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -31,6 +30,7 @@
 #include "net/message.h"
 #include "net/network.h"
 #include "sim/channel.h"
+#include "sim/fifo.h"
 #include "sim/sync.h"
 
 namespace hmr::ibv {
@@ -159,7 +159,8 @@ class QueuePair {
   // Completion instead of a send-CQ entry (SendWr::signaled is ignored).
   // A WR that reaches a non-RTS QP completes kWrFlushError.
   sim::Task<Completion> send(SendWr wr);
-  // One-sided; peer CPU and peer CQs are untouched.
+  // One-sided; peer CPU and peer CQs are untouched. A READ of a whole
+  // region returns the region's own buffer; a partial one, a copy.
   sim::Task<Completion> rdma_read(RdmaReadWr wr);
 
   Host& local_host();
@@ -176,7 +177,7 @@ class QueuePair {
   QueuePair* peer_ = nullptr;
   QpState state_ = QpState::kReset;
   // Posted receive WRs waiting for inbound sends.
-  std::deque<RecvWr> recv_queue_;
+  sim::Fifo<RecvWr> recv_queue_;
   // Pulsed whenever a recv is posted, to release RNR-parked remote senders.
   sim::Event recv_posted_;
   // Serializes the wire per QP: RC delivers in posting order.

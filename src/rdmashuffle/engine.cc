@@ -528,6 +528,9 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
       // the levitated-merge thrash of fixed-count buffers (§IV-C).
       net::Message again = co_await exchange_with_retry();
       response = std::move(again);
+      job.metric.overbudget_refetches.add();
+      job.metric.overbudget_bytes.add(static_cast<std::int64_t>(
+          double(header.chunk_real_bytes) * job.data_scale));
     }
     metric_->fetch_rtt.record(job.engine.now() - rt0);
     req.cursor_real += header.chunk_real_bytes;

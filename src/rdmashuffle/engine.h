@@ -23,7 +23,6 @@
 // RdmaShuffleOptions::hadoop_a.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -201,7 +200,7 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     sim::Channel<int> prefetch_queue;                 // map ids to cache
     std::map<int, int> prefetch_attempts;             // per map id
     std::set<int> prefetch_inflight;
-    std::deque<std::unique_ptr<ucr::Endpoint>> endpoints;
+    std::vector<std::unique_ptr<ucr::Endpoint>> endpoints;
   };
 
   sim::Task<> rdma_listener(JobRuntime& job, TrackerService& service);

@@ -7,11 +7,11 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <utility>
 
 #include "sim/engine.h"
+#include "sim/fifo.h"
 
 namespace hmr::sim {
 
@@ -29,6 +29,11 @@ class Channel {
   size_t capacity() const { return capacity_; }
   bool closed() const { return closed_; }
   bool empty() const { return buffer_.empty(); }
+  // Slots held by the buffer and the parked-task queues: 0 until the
+  // first item is buffered or a task parks (sim/fifo.h).
+  size_t queue_capacity() const {
+    return buffer_.capacity() + senders_.capacity() + receivers_.capacity();
+  }
 
   // Awaitable send. Sending on a closed channel is a programming error.
   auto send(T value) {
@@ -153,9 +158,9 @@ class Channel {
   Engine& engine_;
   size_t capacity_;
   bool closed_ = false;
-  std::deque<T> buffer_;
-  std::deque<SenderNode> senders_;
-  std::deque<ReceiverNode> receivers_;
+  Fifo<T> buffer_;
+  Fifo<SenderNode> senders_;
+  Fifo<ReceiverNode> receivers_;
 };
 
 }  // namespace hmr::sim

@@ -8,10 +8,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "sim/engine.h"
+#include "sim/fifo.h"
 
 namespace hmr::sim {
 
@@ -43,7 +43,7 @@ class Event {
  private:
   Engine& engine_;
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
 // Counted resource with FIFO admission (no starvation: a queued large
@@ -105,7 +105,7 @@ class Resource {
   std::int64_t capacity_;
   std::int64_t available_;
   std::string name_;
-  std::deque<Waiter> waiters_;
+  Fifo<Waiter> waiters_;
 };
 
 // RAII hold on a Resource. Obtain via `co_await hold(resource, n)`.

@@ -80,6 +80,11 @@ std::string job_report(const mapred::JobResult& result) {
                            " via " + count("shuffle.refetch.reruns") +
                            " map re-runs");
   }
+  if (n("shuffle.overbudget.refetches") > 0) {
+    add("over-budget refetch",
+        count("shuffle.overbudget.refetches") + " chunks / " +
+            format_bytes(std::uint64_t(n("shuffle.overbudget.bytes"))));
+  }
   if (n("integrity.checksum.mismatches") > 0 || n("storage.io.retries") > 0 ||
       n("storage.disk_full.events") > 0) {
     add("storage integrity",

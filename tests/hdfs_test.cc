@@ -366,6 +366,46 @@ TEST(HdfsChecksumTest, CorruptReplicaDetectedOnRead) {
   w.engine.run();
 }
 
+TEST(HdfsChecksumTest, ReplicasShareOneBufferButNotCorruption) {
+  HdfsParams params;
+  params.replication = 3;
+  DfsWorld w(5, params);
+  w.engine.spawn([](DfsWorld& w) -> Task<> {
+    co_await w.dfs->write(w.host(1), "/shared", pattern(2000));
+  }(w));
+  w.engine.run();
+  const auto info = w.dfs->stat("/shared").value();
+  ASSERT_EQ(info.blocks.size(), 1u);
+  const auto& block = info.blocks[0];
+  ASSERT_EQ(block.replicas.size(), 3u);
+  const std::string path = "dfs/blk_" + std::to_string(block.id);
+  const Bytes* buffer = nullptr;
+  for (int replica : block.replicas) {
+    const auto view = w.host(replica).fs().peek(path);
+    ASSERT_TRUE(view.ok());
+    if (buffer == nullptr) buffer = view->data.get();
+    EXPECT_EQ(view->data.get(), buffer);  // one payload, three files
+  }
+  EXPECT_EQ(*buffer, pattern(2000));
+
+  // At-rest rot on one replica stays on that replica.
+  const int bad = block.replicas[0];
+  ASSERT_TRUE(w.host(bad).fs().mark_corrupt(path).ok());
+  for (int replica : block.replicas) {
+    const auto view = w.host(replica).fs().peek(path);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(view->corrupted, replica == bad) << "host " << replica;
+  }
+  Bytes got;
+  w.engine.spawn([](DfsWorld& w, Bytes& got) -> Task<> {
+    auto r = co_await w.dfs->read(w.host(0), "/shared");
+    EXPECT_TRUE(r.ok());
+    if (r.ok()) got = std::move(r.value());
+  }(w, got));
+  w.engine.run();
+  EXPECT_EQ(got, pattern(2000));
+}
+
 TEST(HdfsChecksumTest, IntactReplicaPassesThroughEveryPath) {
   DfsWorld w;
   Bytes data = pattern(3000);

@@ -169,6 +169,26 @@ TEST(LintCoawaitAggregateTest, SilentOnNamedLocalsAndLambdas) {
   EXPECT_EQ(count_rule(report, "coawait-aggregate"), 0) << dump(report);
 }
 
+TEST(LintQueueStorageTest, FlagsStdDeque) {
+  const Report report = lint_fixture("queue_storage_bad.cc");
+  // The include, the member, the parameter and the using-declaration.
+  EXPECT_EQ(count_rule(report, "queue-storage"), 4) << dump(report);
+  EXPECT_NE(dump(report).find("sim/fifo.h"), std::string::npos);
+}
+
+TEST(LintQueueStorageTest, SilentOnFifoAndLookalikes) {
+  const Report report = lint_fixture("queue_storage_ok.cc");
+  EXPECT_TRUE(report.clean()) << dump(report);
+}
+
+TEST(LintQueueStorageTest, LintSourcesAreExempt) {
+  const std::string text =
+      slurp(std::string(HMR_LINT_FIXTURE_DIR) + "/queue_storage_bad.cc");
+  const Report report = lint_files({{"src/lint/queue_storage_bad.cc", text}},
+                                   Options{});
+  EXPECT_EQ(count_rule(report, "queue-storage"), 0) << dump(report);
+}
+
 TEST(LintSuppressionTest, StaleWaiverIsFlagged) {
   const Report report = lint_fixture("stale_suppression_bad.cc");
   EXPECT_EQ(count_rule(report, "suppression"), 1) << dump(report);

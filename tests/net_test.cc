@@ -411,6 +411,37 @@ TEST(VerbsTest, RdmaReadFetchesRemoteBytes) {
   EXPECT_TRUE(verified);
 }
 
+TEST(VerbsTest, WholeRegionReadSharesBufferPartialReadCopies) {
+  VerbsWorld w;
+  bool verified = false;
+  w.engine.spawn([](VerbsWorld& w, bool& verified) -> Task<> {
+    auto buffer = std::make_shared<const Bytes>(Bytes{1, 2, 3, 4, 5, 6});
+    ibv::MemoryRegionSpec spec{buffer, 2.0};
+    auto* mr = co_await w.pd1.register_memory(std::move(spec));
+    const ibv::RdmaReadWr whole{.wr_id = 1, .remote_rkey = mr->rkey(),
+                                .real_offset = 0, .real_len = 6};
+    const auto all = co_await w.qp0.rdma_read(whole);
+    EXPECT_EQ(all.status, ibv::WcStatus::kSuccess);
+    EXPECT_EQ(all.message.payload.get(), buffer.get());
+    EXPECT_EQ(all.byte_len, 12u);
+    // A prefix starts at offset 0 but is still partial.
+    const ibv::RdmaReadWr prefix{.wr_id = 2, .remote_rkey = mr->rkey(),
+                                 .real_offset = 0, .real_len = 4};
+    const auto head = co_await w.qp0.rdma_read(prefix);
+    EXPECT_NE(head.message.payload.get(), buffer.get());
+    EXPECT_EQ(*head.message.payload, (Bytes{1, 2, 3, 4}));
+    const ibv::RdmaReadWr tail{.wr_id = 3, .remote_rkey = mr->rkey(),
+                               .real_offset = 4, .real_len = 2};
+    const auto end = co_await w.qp0.rdma_read(tail);
+    EXPECT_NE(end.message.payload.get(), buffer.get());
+    EXPECT_EQ(*end.message.payload, (Bytes{5, 6}));
+    EXPECT_EQ(end.byte_len, 4u);
+    verified = true;
+  }(w, verified));
+  w.engine.run();
+  EXPECT_TRUE(verified);
+}
+
 TEST(VerbsTest, RdmaReadOutOfBoundsFails) {
   VerbsWorld w;
   w.engine.spawn([](VerbsWorld& w) -> Task<> {

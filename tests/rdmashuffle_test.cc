@@ -339,6 +339,32 @@ TEST(RdmaEngineTest, HadoopATightMemoryStillCompletes) {
   EXPECT_TRUE(workloads::run_experiment(config).validated);
 }
 
+TEST(RdmaEngineTest, OverBudgetRefetchesAreCounted) {
+  // Count-provisioned buffers against a 256 KB budget: chunks arrive
+  // uncharged and are fetched a second time when the merge demands them.
+  auto config = tiny(workloads::EngineSetup::hadoop_a());
+  config.setup.extra.set("mapred.job.shuffle.input.buffer.bytes", "256KB");
+  const auto outcome = workloads::run_experiment(config);
+  EXPECT_TRUE(outcome.validated);
+  const auto refetches = outcome.job.counter("shuffle.overbudget.refetches");
+  EXPECT_GT(refetches, 0);
+  EXPECT_GT(outcome.job.counter("shuffle.overbudget.bytes"), 0);
+  // Each one is a second exchange on top of the chunk's first.
+  EXPECT_GE(outcome.job.counter("shuffle.fetch.requests"), 2 * refetches);
+}
+
+TEST(RdmaEngineTest, AmpleMemoryHasNoOverBudgetRefetch) {
+  for (auto setup : {workloads::EngineSetup::osu_ib(),
+                     workloads::EngineSetup::hadoop_a()}) {
+    auto config = tiny(setup);
+    config.setup.extra.set("mapred.job.shuffle.input.buffer.bytes", "1GB");
+    const auto outcome = workloads::run_experiment(config);
+    EXPECT_TRUE(outcome.validated);
+    EXPECT_EQ(outcome.job.counter("shuffle.overbudget.refetches"), 0);
+    EXPECT_EQ(outcome.job.counter("shuffle.overbudget.bytes"), 0);
+  }
+}
+
 // One tiny TeraSort with `reduces` reduce tasks, while a probe coroutine
 // samples Engine::pending_events() every simulated second.
 struct PendingProbe {

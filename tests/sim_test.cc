@@ -3,6 +3,8 @@
 #include <array>
 #include <coroutine>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <new>
 #include <queue>
 #include <string>
@@ -11,6 +13,7 @@
 
 #include "sim/channel.h"
 #include "sim/engine.h"
+#include "sim/fifo.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 
@@ -899,6 +902,106 @@ TEST(ChannelTest, TryRecvDrainsBuffer) {
   EXPECT_TRUE(ch.try_send(7));
   EXPECT_EQ(ch.try_recv().value(), 7);
   EXPECT_FALSE(ch.try_recv().has_value());
+}
+
+// ------------------------------------------------------------------ fifo
+
+TEST(FifoTest, OwnsNoStorageUntilFirstPush) {
+  Fifo<int> fifo;
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_EQ(fifo.capacity(), 0u);
+  fifo.push_back(1);
+  EXPECT_GT(fifo.capacity(), 0u);
+  fifo.pop_front();
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_GT(fifo.capacity(), 0u);  // never shrinks
+
+  Engine engine;
+  Channel<std::string> ch(engine, 64);
+  EXPECT_EQ(ch.queue_capacity(), 0u);
+  EXPECT_TRUE(ch.try_send("x"));
+  EXPECT_GT(ch.queue_capacity(), 0u);
+}
+
+TEST(FifoTest, OrderSurvivesWrapAroundAndGrowthWhileWrapped) {
+  Fifo<int> fifo;
+  int next_in = 0;
+  int next_out = 0;
+  // Fill the first ring, drain most of it so the head sits mid-ring,
+  // then refill past the end: the tail wraps to slot 0.
+  for (int i = 0; i < 4; ++i) fifo.push_back(next_in++);
+  const size_t first = fifo.capacity();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(fifo.front(), next_out++);
+    fifo.pop_front();
+  }
+  while (fifo.size() < first) fifo.push_back(next_in++);
+  EXPECT_EQ(fifo.capacity(), first);  // wrapped, not grown
+  // One more grows the ring while its contents wrap.
+  fifo.push_back(next_in++);
+  EXPECT_EQ(fifo.capacity(), 2 * first);
+  EXPECT_EQ(fifo.back(), next_in - 1);
+  while (!fifo.empty()) {
+    EXPECT_EQ(fifo.front(), next_out++);
+    fifo.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(FifoTest, MatchesDequeUnderInterleavedPushPop) {
+  Fifo<int> fifo;
+  std::deque<int> reference;
+  std::uint64_t state = 12345;
+  for (int step = 0; step < 20000; ++step) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    // Pushes slightly outnumber pops, so the ring grows across wraps.
+    if (reference.empty() || (state >> 60) < 9) {
+      fifo.push_back(step);
+      reference.push_back(step);
+    } else {
+      ASSERT_EQ(fifo.front(), reference.front());
+      fifo.pop_front();
+      reference.pop_front();
+    }
+    ASSERT_EQ(fifo.size(), reference.size());
+  }
+  while (!reference.empty()) {
+    ASSERT_EQ(fifo.front(), reference.front());
+    fifo.pop_front();
+    reference.pop_front();
+  }
+  EXPECT_TRUE(fifo.empty());
+}
+
+TEST(FifoTest, HoldsMoveOnlyElements) {
+  Fifo<std::unique_ptr<int>> fifo;
+  for (int i = 0; i < 37; ++i) fifo.push_back(std::make_unique<int>(i));
+  for (int i = 0; i < 37; ++i) {
+    ASSERT_NE(fifo.front(), nullptr);
+    EXPECT_EQ(*fifo.front(), i);
+    std::unique_ptr<int> taken = std::move(fifo.front());
+    fifo.pop_front();
+    EXPECT_EQ(*taken, i);
+  }
+  EXPECT_TRUE(fifo.empty());
+}
+
+TEST(FifoTest, PopAndDestructionReleasePayloads) {
+  auto payload = std::make_shared<int>(7);
+  {
+    Fifo<std::shared_ptr<int>> fifo;
+    for (int i = 0; i < 10; ++i) fifo.push_back(payload);  // grows twice
+    EXPECT_EQ(payload.use_count(), 11);
+    fifo.pop_front();
+    fifo.pop_front();
+    EXPECT_EQ(payload.use_count(), 9);
+    // Pushing an element of the ring itself, at the growth point.
+    while (fifo.size() < fifo.capacity()) fifo.push_back(payload);
+    const long before = payload.use_count();
+    fifo.push_back(fifo.front());
+    EXPECT_EQ(payload.use_count(), before + 1);
+  }
+  EXPECT_EQ(payload.use_count(), 1);
 }
 
 }  // namespace
