@@ -10,30 +10,14 @@ void ByteWriter::put_varint(std::uint64_t v) {
   put_u8(static_cast<std::uint8_t>(v));
 }
 
-void ByteWriter::put_varint_signed(std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  put_varint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
-}
-
 void ByteWriter::put_string(std::string_view s) {
   put_varint(s.size());
   buf().insert(buf().end(), s.begin(), s.end());
 }
 
-void ByteWriter::put_length_prefixed(std::span<const std::uint8_t> data) {
-  put_varint(data.size());
-  put_bytes(data);
-}
-
 Result<std::uint8_t> ByteReader::u8() {
   if (remaining() < 1) return Status::OutOfRange("short read of u8");
   return data_[pos_++];
-}
-
-Result<std::int64_t> ByteReader::i64() {
-  auto v = u64();
-  if (!v.ok()) return v.status();
-  return static_cast<std::int64_t>(v.value());
 }
 
 Result<double> ByteReader::f64() {
@@ -58,13 +42,6 @@ Result<std::uint64_t> ByteReader::varint() {
   }
 }
 
-Result<std::int64_t> ByteReader::varint_signed() {
-  auto v = varint();
-  if (!v.ok()) return v.status();
-  const std::uint64_t u = v.value();
-  return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
-}
-
 Result<std::span<const std::uint8_t>> ByteReader::bytes(size_t n) {
   if (remaining() < n) return Status::OutOfRange("short read of bytes");
   auto out = data_.subspan(pos_, n);
@@ -79,12 +56,6 @@ Result<std::string> ByteReader::string() {
   if (!body.ok()) return body.status();
   return std::string(reinterpret_cast<const char*>(body.value().data()),
                      body.value().size());
-}
-
-Result<std::span<const std::uint8_t>> ByteReader::length_prefixed() {
-  auto len = varint();
-  if (!len.ok()) return len.status();
-  return bytes(len.value());
 }
 
 }  // namespace hmr

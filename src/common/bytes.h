@@ -1,6 +1,6 @@
 // Byte-buffer utilities: append-only writer and bounds-checked reader
 // with fixed-width little-endian integers, LEB128 varints, and
-// length-prefixed byte strings. Used by the IFile segment format and
+// varint-length-prefixed strings. Used by the IFile segment format and
 // the shuffle wire protocol.
 #pragma once
 
@@ -23,10 +23,8 @@ class ByteWriter {
   explicit ByteWriter(Bytes* out) : external_(out) {}
 
   void put_u8(std::uint8_t v) { buf().push_back(v); }
-  void put_u16(std::uint16_t v) { put_fixed(v); }
   void put_u32(std::uint32_t v) { put_fixed(v); }
   void put_u64(std::uint64_t v) { put_fixed(v); }
-  void put_i64(std::int64_t v) { put_fixed(static_cast<std::uint64_t>(v)); }
   void put_double(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
@@ -34,13 +32,10 @@ class ByteWriter {
   }
   // Unsigned LEB128.
   void put_varint(std::uint64_t v);
-  // ZigZag-encoded signed varint.
-  void put_varint_signed(std::int64_t v);
   void put_bytes(std::span<const std::uint8_t> data) {
     buf().insert(buf().end(), data.begin(), data.end());
   }
   void put_string(std::string_view s);  // varint length + bytes
-  void put_length_prefixed(std::span<const std::uint8_t> data);
 
   // Capacity for `n` more bytes, so a writer that knows its encoded
   // size grows the buffer once.
@@ -70,16 +65,12 @@ class ByteReader {
   explicit ByteReader(const Bytes& data) : data_(data) {}
 
   Result<std::uint8_t> u8();
-  Result<std::uint16_t> u16() { return fixed<std::uint16_t>(); }
   Result<std::uint32_t> u32() { return fixed<std::uint32_t>(); }
   Result<std::uint64_t> u64() { return fixed<std::uint64_t>(); }
-  Result<std::int64_t> i64();
   Result<double> f64();
   Result<std::uint64_t> varint();
-  Result<std::int64_t> varint_signed();
   Result<std::span<const std::uint8_t>> bytes(size_t n);
   Result<std::string> string();  // varint length + bytes
-  Result<std::span<const std::uint8_t>> length_prefixed();
 
   size_t remaining() const { return data_.size() - pos_; }
   size_t position() const { return pos_; }

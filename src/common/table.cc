@@ -49,19 +49,4 @@ std::string Table::to_ascii() const {
   return out;
 }
 
-std::string Table::to_csv() const {
-  auto emit = [](const std::vector<std::string>& row) {
-    std::string line;
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c) line += ",";
-      line += row[c];
-    }
-    line += "\n";
-    return line;
-  };
-  std::string out = emit(headers_);
-  for (const auto& row : rows_) out += emit(row);
-  return out;
-}
-
 }  // namespace hmr

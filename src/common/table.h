@@ -1,5 +1,5 @@
 // Tabular output for the benchmark harness: aligned ASCII tables (the
-// rows the paper's figures plot) plus CSV export for replotting.
+// rows the paper's figures plot).
 #pragma once
 
 #include <string>
@@ -18,7 +18,6 @@ class Table {
   static std::string num(double v, int precision = 1);
 
   std::string to_ascii() const;
-  std::string to_csv() const;
   size_t rows() const { return rows_.size(); }
 
  private:

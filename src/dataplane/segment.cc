@@ -6,44 +6,6 @@
 
 namespace hmr::dataplane {
 
-Bytes MapOutput::encode_index() const {
-  ByteWriter writer;
-  writer.put_varint(index.size());
-  for (const auto& entry : index) {
-    writer.put_varint(entry.offset);
-    writer.put_varint(entry.length);
-    writer.put_varint(entry.kv_count);
-    writer.put_varint(entry.crc);
-  }
-  return writer.take();
-}
-
-Result<std::vector<IndexEntry>> MapOutput::decode_index(
-    std::span<const std::uint8_t> bytes) {
-  ByteReader reader(bytes);
-  auto count = reader.varint();
-  if (!count.ok()) return count.status();
-  std::vector<IndexEntry> out;
-  out.reserve(count.value());
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    IndexEntry entry;
-    auto offset = reader.varint();
-    auto length = reader.varint();
-    auto kv_count = reader.varint();
-    auto crc = reader.varint();
-    if (!offset.ok() || !length.ok() || !kv_count.ok() || !crc.ok() ||
-        crc.value() > 0xffffffffull) {
-      return Status::OutOfRange("truncated map-output index");
-    }
-    entry.offset = offset.value();
-    entry.length = length.value();
-    entry.kv_count = kv_count.value();
-    entry.crc = static_cast<std::uint32_t>(crc.value());
-    out.push_back(entry);
-  }
-  return out;
-}
-
 MapOutputBuilder::MapOutputBuilder(int num_partitions,
                                    const Partitioner& partitioner)
     : partitioner_(partitioner), partitions_(num_partitions) {

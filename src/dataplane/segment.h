@@ -33,10 +33,6 @@ struct MapOutput {
     const auto& e = index.at(p);
     return std::span<const std::uint8_t>(*data).subspan(e.offset, e.length);
   }
-  // Serializes/parses the index itself (the .index side file).
-  Bytes encode_index() const;
-  static Result<std::vector<IndexEntry>> decode_index(
-      std::span<const std::uint8_t> bytes);
 };
 
 // A map output's cluster-wide id: the job id in the high 32 bits, the

@@ -107,11 +107,6 @@ MiniDfs::MiniDfs(Cluster& cluster, Network& network, HdfsParams params,
       namenode_(params, std::move(datanodes), cluster.engine().seed()),
       master_(master) {}
 
-bool MiniDfs::is_datanode(int host) const {
-  const auto& dns = namenode_.datanodes();
-  return std::find(dns.begin(), dns.end(), host) != dns.end();
-}
-
 sim::Task<> MiniDfs::rpc(Host& from) {
   co_await network_.transmit(from, master(), kRpcBytes);
   co_await network_.transmit(master(), from, kRpcBytes);

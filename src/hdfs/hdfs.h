@@ -175,7 +175,6 @@ class MiniDfs {
     return "dfs/blk_" + std::to_string(id);
   }
   sim::Task<> rpc(Host& from);
-  bool is_datanode(int host) const;
   // Ships one block through the replica pipeline (stages overlapped) and
   // writes it on every replica's disk. Every replica stores the same
   // buffer; injected corruption is a per-file flag (storage::FileView),

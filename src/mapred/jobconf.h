@@ -33,7 +33,8 @@ struct JobConf {
   // JobRunner factory is registered under).
   std::string engine = "vanilla";
 
-  // RDMA engines (rdmashuffle::RdmaShuffleOptions).
+  // RDMA engines (rdmashuffle::RdmaShuffleEngine reads them where they are
+  // used; hadoop-a ignores the cache, packet-bytes and overlap keys).
   bool caching_enabled = true;
   // TaskTracker cache budget. The paper's headline figures ran on the
   // 24 GB storage nodes (§IV-A/B: "storage nodes have twice as much

@@ -26,7 +26,7 @@ JobRunner::JobRunner(Cluster& cluster, Network& network, hdfs::MiniDfs& dfs,
     trackers_.push_back(std::make_unique<TaskTrackerState>(
         cluster_.engine(), cluster_.host(host_id)));
   }
-  register_engine("vanilla", [](const JobConf&) {
+  register_engine("vanilla", [] {
     return std::make_unique<VanillaShuffleEngine>();
   });
 }
@@ -172,7 +172,7 @@ sim::Task<JobResult> JobRunner::run(JobSpec spec) {
   auto job = std::make_unique<JobRuntime>(
       cluster_, network_, dfs_, std::move(spec), std::move(conf).value(),
       std::move(trackers), next_job_id_++);
-  auto shuffle = factory->second(job->conf);
+  auto shuffle = factory->second();
   job->shuffle = shuffle.get();
 
   // Whoever sets spec.faults arms its NIC, cpu and disk faults on the

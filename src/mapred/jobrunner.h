@@ -23,8 +23,7 @@ namespace hmr::mapred {
 
 class JobRunner {
  public:
-  using EngineFactory =
-      std::function<std::unique_ptr<ShuffleEngine>(const JobConf&)>;
+  using EngineFactory = std::function<std::unique_ptr<ShuffleEngine>()>;
 
   // `tracker_hosts`: host ids that run a TaskTracker (normally the
   // DataNode hosts). Registers the "vanilla" engine automatically.

@@ -276,10 +276,6 @@ TaskTrackerState& JobRuntime::tracker_for_host(int host_id) {
   __builtin_unreachable();
 }
 
-TaskTrackerState& JobRuntime::tracker_of_map(int map_id) {
-  return tracker_for_host(maps.at(map_id).ran_on);
-}
-
 bool JobRuntime::record_map_output(MapOutputInfo info) {
   const int map_id = info.map_id;
   const int host_id = info.host_id;

@@ -289,7 +289,6 @@ struct JobRuntime {
                                      double progress);
 
   TaskTrackerState& tracker_for_host(int host_id);
-  TaskTrackerState& tracker_of_map(int map_id);
   // Registers a finished map's output and fires completion events.
   // Returns true when the output was committed (first attempt to finish,
   // or a recovery rerun re-homing the served copy); false for a
@@ -368,7 +367,6 @@ class KvBatcher {
 class ShuffleEngine {
  public:
   virtual ~ShuffleEngine() = default;
-  virtual std::string name() const = 0;
 
   // Called once before any task runs: start listeners/daemons.
   virtual sim::Task<> start(JobRuntime& job) = 0;
@@ -390,9 +388,6 @@ class ShuffleEngine {
   virtual sim::Task<> fetch_and_merge(JobRuntime& job, int reduce_id,
                                       Host& host, KvSink& sink,
                                       TaskAttempt* attempt = nullptr) = 0;
-  // True when the engine pipelines merged output into a concurrently
-  // running reduce (§III-B4); false enforces the vanilla barrier.
-  virtual bool overlaps_reduce(const JobRuntime& job) const = 0;
   // Called after the job completes: shut down and *join* every daemon the
   // engine spawned, so destroying the engine afterwards is safe.
   virtual sim::Task<> stop(JobRuntime& job) {

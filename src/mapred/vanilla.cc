@@ -114,6 +114,41 @@ struct VanillaShuffleEngine::ReduceShuffleState {
   std::vector<Segment> in_mem;
   std::vector<Segment> on_disk;
   int spill_seq = 0;
+
+  // Writes `run` verified to this reduce's next shuffle file of `kind`
+  // ("spill", "big" or "pass") and returns its path; a failed write
+  // aborts, naming the `what` spill.
+  sim::Task<std::string> write_spill(JobRuntime& job, const char* kind,
+                                     std::shared_ptr<const Bytes> run,
+                                     const char* what) {
+    const std::string path = "shuffle/" + job.spec.name + "/r" +
+                             std::to_string(reduce_id) + "/" + kind +
+                             std::to_string(spill_seq++);
+    const Status written = co_await write_file_verified(
+        job, host, path, std::move(run), job.data_scale);
+    HMR_CHECK_MSG(written.ok(),
+                  std::string(what) + " spill failed: " + written.to_string());
+    co_return path;
+  }
+
+  // The spill step of in-memory merges and merge passes: after a kernel
+  // yield (DESIGN.md §6.3), merges `sources` (`run_bytes` serialized,
+  // `modeled` modeled) into one run, traces it as `<label>_r<id>`,
+  // charges the merge CPU and writes the run to the next `kind` file.
+  sim::Task<std::string> merge_and_spill(
+      JobRuntime& job,
+      std::vector<std::unique_ptr<dataplane::KvSource>> sources,
+      std::uint64_t run_bytes, std::uint64_t modeled, const char* label,
+      const char* kind, const char* what) {
+    co_await job.engine.delay(0);
+    auto merged = merge_to_run(std::move(sources), run_bytes);
+    if (auto* t = job.engine.tracer()) {
+      t->instant(host.name(), "merge",
+                 std::string(label) + "_r" + std::to_string(reduce_id));
+    }
+    co_await job.charge_cpu(host, modeled, CostModel::kMergeCpuBw);
+    co_return co_await write_spill(job, kind, std::move(merged), what);
+  }
 };
 
 sim::Task<> VanillaShuffleEngine::start(JobRuntime& job) {
@@ -224,23 +259,11 @@ sim::Task<> VanillaShuffleEngine::in_memory_merge(JobRuntime& job,
         segment.data, segment.records));
     run_bytes += segment.records.size();
   }
-  // The k-way merge drain, after a kernel yield (DESIGN.md §6.3).
-  co_await job.engine.delay(0);
-  auto merged = merge_to_run(std::move(sources), run_bytes);
-  if (auto* t = job.engine.tracer()) {
-    t->instant(state.host.name(), "merge",
-               "in_mem_merge_r" + std::to_string(state.reduce_id));
-  }
-
-  co_await job.charge_cpu(state.host, modeled, CostModel::kMergeCpuBw);
-  const std::string path = "shuffle/" + job.spec.name + "/r" +
-                           std::to_string(state.reduce_id) + "/spill" +
-                           std::to_string(state.spill_seq++);
-  const Status written = co_await write_file_verified(
-      job, state.host, path, std::move(merged), job.data_scale);
-  HMR_CHECK_MSG(written.ok(),
-                "reduce-side spill failed: " + written.to_string());
-  state.on_disk.push_back(Segment{nullptr, path, modeled, {}});
+  std::string path =
+      co_await state.merge_and_spill(job, std::move(sources), run_bytes,
+                                     modeled, "in_mem_merge", "spill",
+                                     "reduce-side");
+  state.on_disk.push_back(Segment{nullptr, std::move(path), modeled, {}});
 }
 
 sim::Task<> VanillaShuffleEngine::copier_loop(JobRuntime& job,
@@ -352,18 +375,12 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
     if (modeled > state.budget / 4) {
       // Too big for the in-memory buffer: straight to disk (Copier
       // behaviour for oversized map outputs).
-      const std::string path = "shuffle/" + job.spec.name + "/r" +
-                               std::to_string(state.reduce_id) + "/big" +
-                               std::to_string(state.spill_seq++);
       auto body = std::make_shared<const Bytes>(segment.records.begin(),
                                                 segment.records.end());
-      const Status written = co_await write_file_verified(
-          job, state.host, path, std::move(body), job.data_scale);
-      HMR_CHECK_MSG(written.ok(),
-                    "oversized-segment spill failed: " + written.to_string());
+      segment.disk_path = co_await state.write_spill(
+          job, "big", std::move(body), "oversized-segment");
       segment.data = nullptr;
       segment.records = {};
-      segment.disk_path = path;
       state.on_disk.push_back(std::move(segment));
       co_return;
     }
@@ -462,25 +479,14 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
       sources.push_back(std::make_unique<dataplane::SegmentReader>(view->data));
       modeled += segment.modeled;
     }
-    // Merge-pass drain, after a kernel yield like in_memory_merge.
-    co_await job.engine.delay(0);
-    auto merged = merge_to_run(std::move(sources), run_bytes);
-    if (auto* t = job.engine.tracer()) {
-      t->instant(host.name(), "merge",
-                 "merge_pass_r" + std::to_string(reduce_id));
-    }
-    co_await job.charge_cpu(host, modeled, CostModel::kMergeCpuBw);
-    const std::string path = "shuffle/" + job.spec.name + "/r" +
-                             std::to_string(reduce_id) + "/pass" +
-                             std::to_string(state.spill_seq++);
-    const Status written = co_await write_file_verified(
-        job, host, path, std::move(merged), job.data_scale);
-    HMR_CHECK_MSG(written.ok(),
-                  "merge-pass spill failed: " + written.to_string());
+    std::string path =
+        co_await state.merge_and_spill(job, std::move(sources), run_bytes,
+                                       modeled, "merge_pass", "pass",
+                                       "merge-pass");
     for (const auto& segment : group) {
       HMR_CHECK(host.fs().remove(segment.disk_path).ok());
     }
-    state.on_disk.push_back(Segment{nullptr, path, modeled, {}});
+    state.on_disk.push_back(Segment{nullptr, std::move(path), modeled, {}});
   }
 
   // Final merge: disk segments (read back) + memory remainder, streamed

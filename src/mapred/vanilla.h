@@ -31,16 +31,10 @@ struct ServletRequest {
 
 class VanillaShuffleEngine final : public ShuffleEngine {
  public:
-  std::string name() const override { return "vanilla"; }
-
   sim::Task<> start(JobRuntime& job) override;
   sim::Task<> fetch_and_merge(JobRuntime& job, int reduce_id, Host& host,
                               KvSink& sink,
                               TaskAttempt* attempt = nullptr) override;
-  bool overlaps_reduce(const JobRuntime& job) const override {
-    (void)job;
-    return false;  // reduce starts only after all merges complete
-  }
   sim::Task<> stop(JobRuntime& job) override;
 
  private:

@@ -17,36 +17,25 @@ namespace {
 
 // MapOutputPrefetcher daemons per TaskTracker.
 constexpr int kPrefetchDaemons = 2;
-// Memory-copy bandwidth of a page-cache hit (bytes/sec); see
-// RdmaShuffleOptions::page_cache_window.
-constexpr double kPageCacheBw = 2.5e9;
+// A map output is re-cached after misses at most this many times; beyond
+// that the cache is thrashing and re-reading whole outputs from disk only
+// steals bandwidth from the responders ("adjust caching based on data
+// availability and necessity", §III-B3).
+constexpr int kMaxRecacheAttempts = 2;
+// A map output read within this window of its creation is still in the
+// OS page cache (the map just wrote it): the prefetcher copies it at
+// memory speed, kPageCacheBw, instead of re-reading the platters. This
+// immediacy is what makes "cache as soon as it gets available" (§III-B3)
+// cheap.
+constexpr double kPageCacheWindow = 20.0;  // seconds
+constexpr double kPageCacheBw = 2.5e9;     // bytes/sec
+// Hadoop-A's fixed kv pairs per packet when the job sets none.
+constexpr std::uint64_t kHadoopAKvPerPacket = 1024;
 
 }  // namespace
 
-RdmaShuffleOptions RdmaShuffleOptions::osu_ib(const mapred::JobConf& conf) {
-  RdmaShuffleOptions opt;
-  opt.use_cache = conf.caching_enabled;
-  opt.cache_bytes = conf.cache_bytes;
-  opt.packet_bytes = conf.packet_bytes;
-  opt.kv_per_packet = conf.kv_per_packet.value_or(0);  // byte-budgeted
-  opt.responder_threads = conf.responder_threads;
-  opt.overlap_reduce = conf.overlap_reduce;
-  return opt;
-}
-
-RdmaShuffleOptions RdmaShuffleOptions::hadoop_a(const mapred::JobConf& conf) {
-  RdmaShuffleOptions opt;
-  // Per SC'11 and §III-C: verbs shuffle and levitated merge, but no
-  // TaskTracker cache and a fixed number of kv pairs per packet that
-  // ignores pair size.
-  opt.use_cache = false;
-  opt.packet_bytes = 0;  // unlimited; the kv count is the budget
-  opt.kv_per_packet = conf.kv_per_packet.value_or(1024);
-  opt.responder_threads = conf.responder_threads;
-  opt.overlap_reduce = true;
-  opt.pipelined_refill = false;  // levitated merge fetches on demand
-  opt.charge_by_count = true;    // buffers provisioned by pair count
-  return opt;
+bool RdmaShuffleEngine::caches(const JobRuntime& job) const {
+  return design_ == RdmaDesign::kOsuIb && job.conf.caching_enabled;
 }
 
 // ---------------------------------------------------------------------
@@ -60,8 +49,8 @@ sim::Task<> RdmaShuffleEngine::start(JobRuntime& job) {
   daemons_ = std::make_unique<sim::WaitGroup>(job.engine);
   for (auto& tracker : job.trackers) {
     const int host_id = tracker->host->id();
-    auto service = std::make_unique<TrackerService>(job.engine,
-                                                    options_.cache_bytes);
+    auto service = std::make_unique<TrackerService>(
+        job.engine, caches(job) ? job.conf.cache_bytes : 0);
     // All trackers mirror into one registry, so the cache.* counters
     // aggregate cluster-wide; the used-bytes gauge keeps a high-water max.
     service->cache.attach_metrics(job.engine.metrics());
@@ -69,7 +58,7 @@ sim::Task<> RdmaShuffleEngine::start(JobRuntime& job) {
         std::make_unique<ucr::Listener>(job.network, *tracker->host);
     daemons_->add();
     job.engine.spawn(rdma_listener(job, *service));
-    for (int r = 0; r < options_.responder_threads; ++r) {
+    for (int r = 0; r < job.conf.responder_threads; ++r) {
       daemons_->add();
       job.engine.spawn(rdma_responder(job, *service, host_id));
     }
@@ -154,7 +143,7 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
   const auto cache_key = dataplane::map_output_id(req.job_id, req.map_id);
   bool from_disk = true;
   std::shared_ptr<const dataplane::MapOutput> source = info.output;
-  if (options_.use_cache) {
+  if (caches(job)) {
     if (auto hit = service.cache.get(cache_key)) {
       if (tracker.host->fs().roll_cache_corrupt() && job.conf.integrity) {
         // Bit-rot in the cached copy, caught by the segment checksum
@@ -164,13 +153,13 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
         job.metric.checksum_mismatches.add();
         job.metric.cache_integrity_evictions.add();
         (void)service.cache.erase(cache_key);
-        (void)service.prefetch_queue.try_send(int(req.map_id) | (1 << 24));
+        (void)service.prefetch_queue.try_send({int(req.map_id), 1});
       } else {
         source = std::move(hit);
         from_disk = false;
       }
     } else {
-      (void)service.prefetch_queue.try_send(int(req.map_id) | (1 << 24));
+      (void)service.prefetch_queue.try_send({int(req.map_id), 1});
     }
   }
 
@@ -251,9 +240,8 @@ sim::Task<> RdmaShuffleEngine::prefetcher(JobRuntime& job,
                                           TrackerService& service,
                                           int host_id) {
   TaskTrackerState& tracker = job.tracker_for_host(host_id);
-  while (auto tagged = co_await service.prefetch_queue.recv()) {
-    const int map_id = *tagged & 0xffffff;
-    const int priority = *tagged >> 24;
+  while (auto request = co_await service.prefetch_queue.recv()) {
+    const auto [map_id, priority] = *request;
     const auto cache_key = dataplane::map_output_id(
         std::uint32_t(job.job_id), std::uint32_t(map_id));
     if (service.cache.contains(cache_key)) {
@@ -263,8 +251,7 @@ sim::Task<> RdmaShuffleEngine::prefetcher(JobRuntime& job,
     // Anti-thrash: never fetch the same output concurrently, and give up
     // re-caching outputs the cache keeps evicting.
     if (service.prefetch_inflight.contains(map_id)) continue;
-    if (service.prefetch_attempts[map_id] >=
-        1 + options_.max_recache_attempts) {
+    if (service.prefetch_attempts[map_id] >= 1 + kMaxRecacheAttempts) {
       continue;
     }
     ++service.prefetch_attempts[map_id];
@@ -281,7 +268,7 @@ sim::Task<> RdmaShuffleEngine::prefetcher(JobRuntime& job,
     const auto modeled = static_cast<std::uint64_t>(
         double(info.output->total_bytes()) * info.scale);
     if (modeled > service.cache.capacity_bytes()) continue;
-    if (job.engine.now() - info.created_at < options_.page_cache_window) {
+    if (job.engine.now() - info.created_at < kPageCacheWindow) {
       // The map just wrote this file: it is still in the page cache, so
       // caching it is a memory copy, not a platter read.
       auto core = co_await sim::hold(tracker.host->cpu());
@@ -315,12 +302,11 @@ void RdmaShuffleEngine::on_disk_pressure(JobRuntime& job, int host_id) {
 
 void RdmaShuffleEngine::on_map_finished(JobRuntime& job, int map_id,
                                         int host_id) {
-  (void)job;
-  if (!options_.use_cache) return;
+  if (!caches(job)) return;
   auto it = services_.find(host_id);
   if (it == services_.end()) return;
   // Priority 0 speculative prefetch; dropped if the queue is full.
-  (void)it->second->prefetch_queue.try_send(map_id);
+  (void)it->second->prefetch_queue.try_send({map_id, 0});
 }
 
 // ---------------------------------------------------------------------
@@ -387,8 +373,7 @@ sim::Task<ucr::Endpoint*> RdmaShuffleEngine::ensure_client_endpoint(
 sim::Task<> RdmaShuffleEngine::copier_driver(
     JobRuntime& job, int reduce_id, Host& host,
     std::shared_ptr<CopierState> state, std::shared_ptr<MapStream> stream,
-    int map_id, double kv_inflation, std::uint64_t max_record_modeled,
-    sim::WaitGroup& done) {
+    int map_id, sim::WaitGroup& done) {
   co_await job.map_done.at(map_id)->wait();
   if (stream->cancelled) {
     // The reduce attempt was killed while this stream waited for its
@@ -418,16 +403,8 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
   req.job_id = std::uint32_t(job.job_id);
   req.map_id = std::uint32_t(map_id);
   req.reduce_id = std::uint32_t(reduce_id);
-  // kv-count budgets are in real-world pairs; each carried pair stands
-  // for kv_inflation of them (mapred::kKvInflation).
-  req.max_pairs = options_.kv_per_packet == 0
-                      ? 0
-                      : std::max<std::uint64_t>(
-                            1, std::uint64_t(double(options_.kv_per_packet) /
-                                             kv_inflation));
-  req.max_real_bytes = options_.packet_bytes == 0
-                           ? 0
-                           : job.real_from_modeled(options_.packet_bytes);
+  req.max_pairs = state->max_pairs;
+  req.max_real_bytes = state->max_real_bytes;
   DataResponse header;
   std::span<const std::uint8_t> records;
   mapred::FetchTransport transport;
@@ -488,27 +465,20 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
     // already sent is drained — and its memory charge released — by the
     // merge's cancellation drain.
     if (stream->cancelled) break;
-    if (!first_request && !options_.pipelined_refill && !stream->urgent) {
-      // Network-levitated merge: wait until the merge actually needs
-      // the next packet of this segment.
+    if (!first_request && design_ == RdmaDesign::kHadoopA &&
+        !stream->urgent) {
+      // Network-levitated merge (Hadoop-A): wait until the merge actually
+      // needs the next packet of this segment.
       co_await stream->demand.wait();
       if (stream->cancelled) break;
     }
     first_request = false;
 
     // Provision the receive buffer *before* fetching (pre-allocated
-    // buffers): byte-budgeted engines reserve the packet size,
-    // fixed-count engines reserve count x largest record — the
-    // §IV-C pathology. The stream the merge is blocked on bypasses
-    // the wait (uncharged emergency buffer) so memory pressure
-    // serializes fetches onto the merge's critical path instead of
-    // deadlocking it.
-    std::uint64_t charge = options_.charge_by_count && req.max_pairs > 0
-                               ? req.max_pairs * max_record_modeled
-                               : options_.packet_bytes;
-    if (charge == 0) charge = max_record_modeled;
-    charge =
-        std::min<std::uint64_t>(charge, std::uint64_t(state->mem.capacity()));
+    // buffers). The stream the merge is blocked on bypasses the wait
+    // (uncharged emergency buffer) so memory pressure serializes fetches
+    // onto the merge's critical path instead of deadlocking it.
+    const std::uint64_t charge = state->chunk_charge;
     bool charged = state->mem.try_acquire(std::int64_t(charge));
     if (!charged && !stream->urgent) {
       // Buffers are full: degrade to on-demand fetching — sleep until
@@ -563,11 +533,34 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
   auto state = std::make_shared<CopierState>(
       job.engine, job.conf.shuffle_buffer_bytes, job.conf.retry.fetch_timeout,
       job.maps.size());
-  // Real-world pairs per carried pair (see mapred::kKvInflation).
+  // The fetch budget of every request: OSU-IB packets are byte-budgeted
+  // (0 = unlimited) unless the job sets a kv count; Hadoop-A's kv count is
+  // its only packet control.
+  const bool hadoop_a = design_ == RdmaDesign::kHadoopA;
+  const std::uint64_t kv_per_packet =
+      job.conf.kv_per_packet.value_or(hadoop_a ? kHadoopAKvPerPacket : 0);
+  const std::uint64_t packet_bytes = hadoop_a ? 0 : job.conf.packet_bytes;
+  // kv-count budgets are in real-world pairs; each carried pair stands
+  // for kv_inflation of them (mapred::kKvInflation).
   const double kv_inflation = job.conf.kv_inflation.value_or(job.data_scale);
-  // Largest modeled record; sizes count-provisioned receive buffers.
+  if (kv_per_packet != 0) {
+    state->max_pairs = std::max<std::uint64_t>(
+        1, std::uint64_t(double(kv_per_packet) / kv_inflation));
+  }
+  if (packet_bytes != 0) {
+    state->max_real_bytes = job.real_from_modeled(packet_bytes);
+  }
+  // Each chunk's receive buffer: OSU-IB reserves the packet size, Hadoop-A
+  // count x largest modeled record (the §IV-C pathology); either reserves
+  // one largest record when that is 0.
   const std::uint64_t max_record_modeled = job.conf.max_record_bytes.value_or(
       static_cast<std::uint64_t>(102.0 * job.data_scale));
+  std::uint64_t charge =
+      hadoop_a ? state->max_pairs * max_record_modeled : packet_bytes;
+  if (charge == 0) charge = max_record_modeled;
+  state->chunk_charge =
+      std::min<std::uint64_t>(charge, std::uint64_t(state->mem.capacity()));
+
   std::vector<std::shared_ptr<MapStream>> streams;
   streams.reserve(job.maps.size());
   for (size_t m = 0; m < job.maps.size(); ++m) {
@@ -597,8 +590,7 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
   for (size_t m = 0; m < job.maps.size(); ++m) {
     drivers.add();
     job.engine.spawn(copier_driver(job, reduce_id, host, state, streams[m],
-                                   int(m), kv_inflation, max_record_modeled,
-                                   drivers));
+                                   int(m), drivers));
   }
 
   // --- streaming loser-tree merge (§III-B2) ---------------------------
@@ -656,8 +648,10 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
     job.result.shuffle_done_time = job.engine.now();
   }
 
-  // Without overlap the batches are held back until every driver is done.
-  mapred::KvBatcher batcher(job, host, sink, !options_.overlap_reduce);
+  // Without overlap the batches are held back until every driver is done;
+  // Hadoop-A always overlaps.
+  mapred::KvBatcher batcher(job, host, sink,
+                            !hadoop_a && !job.conf.overlap_reduce);
   while (!tree.empty()) {
     if (cancelled()) break;
     const size_t s = tree.winner();

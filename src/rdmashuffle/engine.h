@@ -19,8 +19,7 @@
 //                       overlapping shuffle, merge and reduce
 //                       (§III-B2/B4)
 //
-// The Hadoop-A comparator is this engine run with
-// RdmaShuffleOptions::hadoop_a.
+// The Hadoop-A comparator is this engine run as RdmaDesign::kHadoopA.
 #pragma once
 
 #include <map>
@@ -46,55 +45,35 @@ using mapred::KvSink;
 // and disk time, so it is evicted instead.
 inline constexpr double kResponderDeadline = 120.0;  // seconds
 
-// The fields set from the job's conf (use_cache through overlap_reduce)
-// take their defaults from mapred::JobConf, through osu_ib or hadoop_a.
-struct RdmaShuffleOptions {
-  bool use_cache = false;
-  std::uint64_t cache_bytes = 0;    // TaskTracker cache budget, modeled
-  std::uint64_t packet_bytes = 0;   // modeled; 0 = unlimited
-  std::uint64_t kv_per_packet = 0;  // 0 = unlimited (byte mode)
-  int responder_threads = 0;
-  bool overlap_reduce = false;
-  // A map output is re-cached after misses at most this many times;
-  // beyond that the cache is thrashing and re-reading whole outputs from
-  // disk only steals bandwidth from the responders ("adjust caching
-  // based on data availability and necessity", §III-B3).
-  int max_recache_attempts = 2;
-  // Fixed-count receive buffers (Hadoop-A): each segment's buffer is
-  // provisioned for kv_per_packet pairs of the *largest observed* pair
-  // size, regardless of how many bytes actually arrive — harmless for
-  // TeraSort's uniform 100-byte rows, ruinous for Sort's 20,000-byte
-  // records (§IV-C: "inefficiency in number of key-value pairs
-  // transferred each time that also affects proper overlapping").
-  bool charge_by_count = false;
-  // Reducer-side refill pipelining. true: request the next chunk while
-  // the merge consumes the current one (OSU-IB). false: network-levitated
-  // on-demand fetch — the next packet is requested only when the merge
-  // exhausts the stream (Hadoop-A's SC'11 design), putting the remote
-  // disk on the merge's critical path.
-  bool pipelined_refill = true;
-  // A map output read within this window of its creation is still in the
-  // OS page cache (the map just wrote it): the prefetcher copies it at
-  // memory speed instead of re-reading the platters. This immediacy is
-  // what makes "cache as soon as it gets available" (§III-B3) cheap.
-  double page_cache_window = 20.0;  // seconds
-
-  // The paper's design: byte-budgeted packets, caching on (§III-C(3)
-  // exposes all of these as user tunables).
-  static RdmaShuffleOptions osu_ib(const mapred::JobConf& conf);
+// The two RDMA shuffle designs this engine runs. The engine reads each
+// tunable from the job's mapred::JobConf where it is used; Hadoop-A
+// fixes some of what OSU-IB lets the job tune.
+enum class RdmaDesign {
+  // The paper's design: a TaskTracker prefetch cache, byte-budgeted
+  // packets, pipelined refill and a reduce overlapping the merge, with
+  // caching, packet size, responder threads and overlap as user tunables
+  // (§III-C(3)).
+  kOsuIb,
   // Hadoop-A (Wang et al., SC'11 "Hadoop Acceleration through Network
-  // Levitated Merge") — the paper's closest comparator, reconstructed
-  // from its published description (§III-C):
-  //
-  //  * native-verbs shuffle and a priority-queue merge over remote
-  //    segments (shared with the OSU-IB design),
-  //  * a fixed number of key-value pairs per packet regardless of their
-  //    size — the behaviour §IV-C blames for its Sort-benchmark losses,
-  //  * no TaskTracker-side prefetch/cache: every responder request reads
-  //    the map output from disk (its DataEngine "doesn't provide data
-  //    caching to decrease the disk access"),
-  //  * fewer tuning knobs (the kv count is its only packet control).
-  static RdmaShuffleOptions hadoop_a(const mapred::JobConf& conf);
+  // Levitated Merge"), the paper's closest comparator, reconstructed
+  // from its published description (§III-C). It shares the native-verbs
+  // shuffle and the priority-queue merge over remote segments, but:
+  //  * has no TaskTracker-side prefetch/cache: every responder request
+  //    reads the map output from disk (its DataEngine "doesn't provide
+  //    data caching to decrease the disk access"),
+  //  * sends a fixed number of key-value pairs per packet regardless of
+  //    their size (mapred.rdma.kv.per.packet, default 1024; the only
+  //    packet control), the behaviour §IV-C blames for its Sort losses,
+  //  * provisions each receive buffer for that count of the *largest*
+  //    record, harmless for TeraSort's uniform 100-byte rows, ruinous
+  //    for Sort's 20,000-byte records (§IV-C: "inefficiency in number of
+  //    key-value pairs transferred each time that also affects proper
+  //    overlapping"),
+  //  * fetches on demand: the next packet of a segment is requested only
+  //    when the merge exhausts it, putting the remote disk on the merge's
+  //    critical path,
+  //  * always overlaps the reduce with the merge.
+  kHadoopA,
 };
 
 // The reducer-side response router's decision on one frame.
@@ -112,11 +91,7 @@ RouteVerdict route_response(std::span<mapred::FetchWatch* const> routes,
 
 class RdmaShuffleEngine : public mapred::ShuffleEngine {
  public:
-  RdmaShuffleEngine(std::string name, RdmaShuffleOptions options)
-      : name_(std::move(name)), options_(options) {}
-
-  std::string name() const override { return name_; }
-  const RdmaShuffleOptions& options() const { return options_; }
+  explicit RdmaShuffleEngine(RdmaDesign design) : design_(design) {}
 
   sim::Task<> start(JobRuntime& job) override;
   void on_map_finished(JobRuntime& job, int map_id, int host_id) override;
@@ -127,10 +102,6 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
   sim::Task<> fetch_and_merge(JobRuntime& job, int reduce_id, Host& host,
                               KvSink& sink,
                               mapred::TaskAttempt* attempt = nullptr) override;
-  bool overlaps_reduce(const JobRuntime& job) const override {
-    (void)job;
-    return options_.overlap_reduce;
-  }
   sim::Task<> stop(JobRuntime& job) override;
 
  private:
@@ -187,6 +158,18 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     sim::Resource mem;                    // reducer shuffle buffer
     sim::Resource conn_lock;
     std::shared_ptr<mapred::FetchTimeouts> timeouts;  // shared by all streams
+    // Every request's budget (0 = unlimited; DataRequest) and the shuffle
+    // memory each chunk's receive buffer is charged, set once per reducer
+    // by fetch_and_merge.
+    std::uint64_t max_pairs = 0;
+    std::uint64_t max_real_bytes = 0;
+    std::uint64_t chunk_charge = 0;
+  };
+  // One map output for the prefetcher to cache; a miss re-queues it with
+  // raised priority (§III-B3).
+  struct PrefetchRequest {
+    int map_id = 0;
+    int priority = 0;
   };
   // Per-TaskTracker service state.
   struct TrackerService {
@@ -197,7 +180,7 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     std::unique_ptr<ucr::Listener> listener;
     dataplane::PrefetchCache cache;
     sim::Channel<PendingRequest> request_queue;       // DataRequestQueue
-    sim::Channel<int> prefetch_queue;                 // map ids to cache
+    sim::Channel<PrefetchRequest> prefetch_queue;
     std::map<int, int> prefetch_attempts;             // per map id
     std::set<int> prefetch_inflight;
     std::vector<std::unique_ptr<ucr::Endpoint>> endpoints;
@@ -223,9 +206,9 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
   sim::Task<> copier_driver(JobRuntime& job, int reduce_id, Host& host,
                             std::shared_ptr<CopierState> state,
                             std::shared_ptr<MapStream> stream, int map_id,
-                            double kv_inflation,
-                            std::uint64_t max_record_modeled,
                             sim::WaitGroup& done);
+  // Whether this job's trackers run the prefetch cache.
+  bool caches(const JobRuntime& job) const;
 
   // Cached handles for the per-request/per-chunk metric sites, bound in
   // start() (registry references are stable for the engine's lifetime;
@@ -250,8 +233,7 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     FixedHistogram& merge_chunk_wait;
   };
 
-  std::string name_;
-  RdmaShuffleOptions options_;
+  RdmaDesign design_;
   std::unique_ptr<OsuMetrics> metric_;  // bound in start()
   std::map<int, std::unique_ptr<TrackerService>> services_;  // by host id
   // Reducer-side endpoints; kept alive until stop() so the symmetric

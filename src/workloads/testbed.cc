@@ -19,13 +19,13 @@ Testbed::Testbed(TestbedSpec spec)
                                          datanodes_);
   runner_ = std::make_unique<mapred::JobRunner>(*cluster_, *network_, *dfs_,
                                                 datanodes_);
-  runner_->register_engine("osu-ib", [](const mapred::JobConf& conf) {
+  runner_->register_engine("osu-ib", [] {
     return std::make_unique<rdmashuffle::RdmaShuffleEngine>(
-        "osu-ib", rdmashuffle::RdmaShuffleOptions::osu_ib(conf));
+        rdmashuffle::RdmaDesign::kOsuIb);
   });
-  runner_->register_engine("hadoop-a", [](const mapred::JobConf& conf) {
+  runner_->register_engine("hadoop-a", [] {
     return std::make_unique<rdmashuffle::RdmaShuffleEngine>(
-        "hadoop-a", rdmashuffle::RdmaShuffleOptions::hadoop_a(conf));
+        rdmashuffle::RdmaDesign::kHadoopA);
   });
 }
 

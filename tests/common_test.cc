@@ -178,18 +178,14 @@ TEST(ConfTest, MergeOtherWins) {
 TEST(BytesTest, FixedWidthRoundTrip) {
   ByteWriter w;
   w.put_u8(0xab);
-  w.put_u16(0x1234);
   w.put_u32(0xdeadbeef);
   w.put_u64(0x0123456789abcdefull);
-  w.put_i64(-5);
   w.put_double(3.14159);
 
   ByteReader r(w.data());
   EXPECT_EQ(r.u8().value(), 0xab);
-  EXPECT_EQ(r.u16().value(), 0x1234);
   EXPECT_EQ(r.u32().value(), 0xdeadbeefu);
   EXPECT_EQ(r.u64().value(), 0x0123456789abcdefull);
-  EXPECT_EQ(r.i64().value(), -5);
   EXPECT_DOUBLE_EQ(r.f64().value(), 3.14159);
   EXPECT_TRUE(r.at_end());
 }
@@ -205,28 +201,15 @@ TEST(BytesTest, VarintBoundaries) {
   EXPECT_TRUE(r.at_end());
 }
 
-TEST(BytesTest, SignedVarintZigZag) {
-  ByteWriter w;
-  const std::int64_t values[] = {0, -1, 1, -64, 64,
-                                 std::numeric_limits<std::int64_t>::min(),
-                                 std::numeric_limits<std::int64_t>::max()};
-  for (auto v : values) w.put_varint_signed(v);
-  ByteReader r(w.data());
-  for (auto v : values) EXPECT_EQ(r.varint_signed().value(), v);
-}
-
-TEST(BytesTest, StringsAndLengthPrefixed) {
+TEST(BytesTest, StringsRoundTrip) {
   ByteWriter w;
   w.put_string("hello");
   w.put_string("");
-  Bytes blob = {1, 2, 3};
-  w.put_length_prefixed(blob);
 
   ByteReader r(w.data());
   EXPECT_EQ(r.string().value(), "hello");
   EXPECT_EQ(r.string().value(), "");
-  auto got = r.length_prefixed().value();
-  EXPECT_EQ(Bytes(got.begin(), got.end()), blob);
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(BytesTest, ShortReadsFailCleanly) {
@@ -460,15 +443,13 @@ TEST(JsonTest, SetUpsertsAndPreservesOrder) {
 
 // ----------------------------------------------------------------- table
 
-TEST(TableTest, AsciiAndCsv) {
+TEST(TableTest, AsciiHasHeadersAndCells) {
   Table t({"Sort Size (GB)", "IPoIB", "OSU-IB"});
   t.add_row({"20", "500.0", "350.0"});
   t.add_row({"40", "900.0", "600.0"});
   const std::string ascii = t.to_ascii();
   EXPECT_NE(ascii.find("Sort Size (GB)"), std::string::npos);
   EXPECT_NE(ascii.find("350.0"), std::string::npos);
-  EXPECT_EQ(t.to_csv(),
-            "Sort Size (GB),IPoIB,OSU-IB\n20,500.0,350.0\n40,900.0,600.0\n");
 }
 
 TEST(TableTest, NumFormatsPrecision) {

@@ -246,22 +246,6 @@ TEST(SegmentTest, IndexCrcMatchesEachPartitionsBytes) {
   }
 }
 
-TEST(SegmentTest, IndexEncodeDecodeRoundTrip) {
-  HashPartitioner hash;
-  MapOutputBuilder builder(3, hash);
-  for (auto& pair : random_pairs(100, 8)) builder.add(std::move(pair));
-  const MapOutput output = builder.build();
-  const Bytes encoded = output.encode_index();
-  auto decoded = MapOutput::decode_index(encoded);
-  EXPECT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded.value().size(), 3u);
-  for (int p = 0; p < 3; ++p) {
-    EXPECT_EQ(decoded.value()[p].offset, output.index[p].offset);
-    EXPECT_EQ(decoded.value()[p].length, output.index[p].length);
-    EXPECT_EQ(decoded.value()[p].kv_count, output.index[p].kv_count);
-  }
-}
-
 TEST(SegmentTest, ReaderIteratesAllRecords) {
   auto pairs = random_pairs(50, 9);
   std::sort(pairs.begin(), pairs.end(), KvLess{});

@@ -1,6 +1,6 @@
-// Unit tests for the RDMA shuffle engine's wire protocol and option
-// resolution, plus targeted behaviour checks that the integration suite
-// (engines_test.cc) doesn't isolate.
+// Unit tests for the RDMA shuffle engine's wire protocol and Hadoop-A's
+// fixed design choices, plus targeted behaviour checks that the
+// integration suite (engines_test.cc) doesn't isolate.
 #include <gtest/gtest.h>
 
 #include "common/units.h"
@@ -230,57 +230,8 @@ TEST(ProtocolTest, WireSizesAreSmall) {
 }
 
 // ----------------------------------------------------------------- options
-
-TEST(OptionsTest, OsuDefaultsAreBytesBudgeted) {
-  const auto opt = RdmaShuffleOptions::osu_ib(mapred::JobConf{});
-  EXPECT_TRUE(opt.use_cache);
-  EXPECT_EQ(opt.cache_bytes, 12 * kGiB);
-  EXPECT_EQ(opt.packet_bytes, kMiB);
-  EXPECT_EQ(opt.kv_per_packet, 0u);  // byte mode
-  EXPECT_EQ(opt.responder_threads, 4);
-  EXPECT_TRUE(opt.overlap_reduce);
-  EXPECT_TRUE(opt.pipelined_refill);
-  EXPECT_FALSE(opt.charge_by_count);
-}
-
-TEST(OptionsTest, HadoopADefaultsMatchSc11Description) {
-  const auto opt = RdmaShuffleOptions::hadoop_a(mapred::JobConf{});
-  EXPECT_FALSE(opt.use_cache);            // no DataEngine caching
-  EXPECT_EQ(opt.packet_bytes, 0u);        // count is the only budget
-  EXPECT_EQ(opt.kv_per_packet, 1024u);    // fixed kv count
-  EXPECT_EQ(opt.responder_threads, 4);
-  EXPECT_TRUE(opt.overlap_reduce);
-  EXPECT_FALSE(opt.pipelined_refill);     // network-levitated on-demand
-  EXPECT_TRUE(opt.charge_by_count);       // buffers sized by count
-}
-
-TEST(OptionsTest, ConfOverridesApply) {
-  Conf conf;
-  conf.set_bool(mapred::kCachingEnabled, false);
-  conf.set("mapred.rdma.packet.bytes", "4MB");
-  conf.set_int(mapred::kResponderThreads, 9);
-  conf.set_bool(mapred::kOverlapReduce, false);
-  conf.set("mapred.local.caching.bytes", "2GB");
-  const auto parsed = mapred::JobConf::parse(conf);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  const auto opt = RdmaShuffleOptions::osu_ib(*parsed);
-  EXPECT_FALSE(opt.use_cache);
-  EXPECT_EQ(opt.packet_bytes, 4 * kMiB);
-  EXPECT_EQ(opt.responder_threads, 9);
-  EXPECT_FALSE(opt.overlap_reduce);
-  EXPECT_EQ(opt.cache_bytes, 2 * kGiB);
-}
-
-TEST(OptionsTest, HadoopAKvCountTunable) {
-  Conf conf;
-  conf.set_int(mapred::kRdmaKvPerPacket, 4096);
-  const auto parsed = mapred::JobConf::parse(conf);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(RdmaShuffleOptions::hadoop_a(*parsed).kv_per_packet, 4096u);
-  EXPECT_EQ(RdmaShuffleOptions::osu_ib(*parsed).kv_per_packet, 4096u);
-}
-
-// -------------------------------------------------- engine behaviour
+// Hadoop-A's fixed design choices, checked on running jobs; the OSU-IB
+// tunables are covered by EngineBehaviourTest (engines_test.cc).
 
 workloads::RunConfig tiny(workloads::EngineSetup setup) {
   workloads::RunConfig config;
@@ -292,6 +243,36 @@ workloads::RunConfig tiny(workloads::EngineSetup setup) {
   config.target_real_bytes = 2 * kMiB;
   return config;
 }
+
+TEST(OptionsTest, HadoopAIgnoresPacketBytesAndOverlap) {
+  // Its kv count is the only packet control, and its reduce always
+  // overlaps the merge: both keys leave the job unchanged.
+  auto tuned = tiny(workloads::EngineSetup::hadoop_a());
+  tuned.setup.extra.set_bytes(mapred::kRdmaPacketBytes, 64 * 1024);
+  tuned.setup.extra.set_bool(mapred::kOverlapReduce, false);
+  const auto base = workloads::run_experiment(
+      tiny(workloads::EngineSetup::hadoop_a()));
+  const auto outcome = workloads::run_experiment(tuned);
+  EXPECT_TRUE(outcome.validated);
+  EXPECT_EQ(outcome.seconds(), base.seconds());
+  EXPECT_EQ(outcome.job.shuffled_modeled_bytes,
+            base.job.shuffled_modeled_bytes);
+  EXPECT_EQ(outcome.job.counter("shuffle.fetch.requests"),
+            base.job.counter("shuffle.fetch.requests"));
+}
+
+TEST(OptionsTest, HadoopAKvCountTunable) {
+  auto wide = tiny(workloads::EngineSetup::hadoop_a());
+  wide.setup.extra.set_int(mapred::kRdmaKvPerPacket, 4096);
+  const auto base = workloads::run_experiment(
+      tiny(workloads::EngineSetup::hadoop_a()));  // 1024 pairs per packet
+  const auto outcome = workloads::run_experiment(wide);
+  EXPECT_TRUE(outcome.validated);
+  EXPECT_LT(outcome.job.counter("shuffle.fetch.requests"),
+            base.job.counter("shuffle.fetch.requests"));
+}
+
+// -------------------------------------------------- engine behaviour
 
 TEST(RdmaEngineTest, SmallPacketsMeanMoreRequestsNotLoss) {
   auto small = tiny(workloads::EngineSetup::osu_ib());
