@@ -49,9 +49,11 @@ int main(int argc, char** argv) {
 
   std::printf("4GB TeraSort (%s): %.1f s simulated, %zu trace spans\n",
               engine.c_str(), result.elapsed(), tracer.size());
-  if (tracer.dropped_events() > 0) {
-    std::printf("trace buffer full: dropped %llu events\n",
-                static_cast<unsigned long long>(tracer.dropped_events()));
+  const auto dropped =
+      bed.engine().metrics().counter_value("trace.dropped_events");
+  if (dropped > 0) {
+    std::printf("trace buffer full: dropped %lld events\n",
+                static_cast<long long>(dropped));
   }
   std::printf("wrote %s — open it in ui.perfetto.dev or chrome://tracing\n",
               out_path.c_str());

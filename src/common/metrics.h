@@ -4,10 +4,12 @@
 // waits, merge refill stalls, ...).
 //
 // Every sim::Engine owns a MetricsRegistry; components (net::Cluster,
-// dataplane::PrefetchCache, the shuffle engines, mapred recovery)
-// register into it instead of keeping ad-hoc per-struct counters, so a
-// JobResult can snapshot the whole cluster's state at job end and the
-// benchmark pipeline can emit it as machine-readable JSON.
+// net::Network, the shuffle engines, mapred recovery) register into it
+// instead of keeping ad-hoc per-struct counters, so a JobResult can
+// snapshot the whole cluster's state at job end and the benchmark
+// pipeline can emit it as machine-readable JSON. A component that keeps
+// its own count (dataplane::PrefetchCache's CacheStats) has its owner
+// book it here once, not mirror it event by event.
 //
 // Histograms are FixedHistograms: explicit bucket upper bounds fixed at
 // registration. latency_histogram() hands out one with a standard

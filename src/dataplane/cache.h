@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/metrics.h"
 #include "dataplane/segment.h"
 
 namespace hmr::dataplane {
@@ -27,6 +26,8 @@ struct CacheStats {
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
   std::uint64_t rejected = 0;
+  // High-water mark of used_bytes(); survives clear().
+  std::uint64_t peak_bytes = 0;
 
   double hit_rate() const {
     const auto total = hits + misses;
@@ -38,10 +39,11 @@ class PrefetchCache {
  public:
   explicit PrefetchCache(std::uint64_t capacity_bytes);
 
-  // Inserts (or refreshes) an entry of `charged_bytes` modeled bytes,
-  // evicting lower-ranked entries to fit. Returns false (and counts a
-  // rejection) if the entry alone exceeds the budget or every resident
-  // entry outranks it.
+  // Inserts an entry of `charged_bytes` modeled bytes, evicting
+  // lower-ranked entries to fit. Returns false (and counts a rejection)
+  // if the entry alone exceeds the budget or every resident entry
+  // outranks it. Precondition: `key` is not resident (Debug builds check
+  // it); a resident entry is raised with boost() instead.
   bool put(MapOutputId key, std::shared_ptr<const MapOutput> value,
            std::uint64_t charged_bytes, int priority = 0);
 
@@ -62,12 +64,8 @@ class PrefetchCache {
   std::uint64_t capacity_bytes() const { return capacity_; }
   std::uint64_t used_bytes() const { return used_; }
   size_t entries() const { return entries_.size(); }
+  // The cache's only count of its events; its owner books them.
   const CacheStats& stats() const { return stats_; }
-
-  // Mirrors stats into `registry` as the cache.* metrics: hit/miss/
-  // insertion/eviction/rejection counters plus a used-bytes gauge whose
-  // high-water mark survives clear().
-  void attach_metrics(MetricsRegistry& registry);
 
   // Accounting invariant: used_bytes() equals the sum of resident
   // charged bytes, the rank index mirrors the entry map, and usage never
@@ -101,9 +99,6 @@ class PrefetchCache {
   // Evicts victims ranked strictly below `incoming` until `needed` fits.
   bool make_room(std::uint64_t needed, const Rank& incoming);
   void check_invariant() const;
-  void sync_used_gauge() {
-    if (used_metric_ != nullptr) used_metric_->set(double(used_));
-  }
 
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
@@ -112,13 +107,6 @@ class PrefetchCache {
   std::unordered_map<MapOutputId, Entry> entries_;
   std::map<Rank, MapOutputId> ranks_;
   CacheStats stats_;
-  // Optional registry mirrors; null until attach_metrics().
-  Counter* hits_metric_ = nullptr;
-  Counter* misses_metric_ = nullptr;
-  Counter* insertions_metric_ = nullptr;
-  Counter* evictions_metric_ = nullptr;
-  Counter* rejected_metric_ = nullptr;
-  Gauge* used_metric_ = nullptr;
 };
 
 }  // namespace hmr::dataplane

@@ -165,6 +165,11 @@ sim::Task<JobResult> JobRunner::run(JobSpec spec) {
     co_return rejected(
         Status::InvalidArgument("unknown shuffle engine: " + conf->engine));
   }
+  for (const auto& path : spec.input_files) {
+    if (!dfs_.stat(path).ok()) {
+      co_return rejected(Status::NotFound("missing input file: " + path));
+    }
+  }
 
   std::vector<TaskTrackerState*> trackers;
   trackers.reserve(trackers_.size());

@@ -33,9 +33,10 @@ class JobRunner {
   void register_engine(std::string name, EngineFactory factory);
 
   // Runs the job to completion; deterministic given the engine seed.
-  // First parses spec.conf (JobConf::parse) and finds the engine's
-  // factory: a job that fails either is rejected at once, with the
-  // error in JobResult::status and nothing run.
+  // First parses spec.conf (JobConf::parse), finds the engine's factory
+  // and checks that every input file exists: a job that fails any of
+  // these is rejected at once, with the error in JobResult::status and
+  // nothing run.
   sim::Task<JobResult> run(JobSpec spec);
 
  private:

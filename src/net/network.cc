@@ -38,8 +38,6 @@ Network::Network(sim::Engine& engine, NetProfile profile)
 
 sim::Task<> Network::transmit(Host& src, Host& dst,
                               std::uint64_t modeled_bytes) {
-  ++messages_;
-  bytes_ += modeled_bytes;
   messages_metric_.add();
   bytes_metric_.add(std::int64_t(modeled_bytes));
 
@@ -53,16 +51,13 @@ sim::Task<> Network::transmit(Host& src, Host& dst,
   } else {
     if (profile_.per_msg_cpu > 0.0) {
       co_await src.compute(profile_.per_msg_cpu);
-      cpu_seconds_ += profile_.per_msg_cpu;
-      cpu_seconds_metric_.set(cpu_seconds_);
+      cpu_seconds_metric_.add(profile_.per_msg_cpu);
     }
     co_await engine_.delay(profile_.base_latency);
   }
 
   if (modeled_bytes == 0 || &src == &dst) {
     // Loopback or pure control: latency only.
-    ++messages_received_;
-    bytes_received_ += modeled_bytes;
     messages_received_metric_.add();
     bytes_received_metric_.add(std::int64_t(modeled_bytes));
     co_return;
@@ -92,16 +87,13 @@ sim::Task<> Network::transmit(Host& src, Host& dst,
         auto core = co_await sim::hold(dst.cpu());
         co_await engine_.delay(wire / 2);
       }
-      cpu_seconds_ += wire;
-      cpu_seconds_metric_.set(cpu_seconds_);
+      cpu_seconds_metric_.add(wire);
     }
     left -= chunk;
   }
   // Delivery accounting: a transmit destroyed mid-flight (e.g. a teardown
   // cancelling the coroutine) leaves sent > received, which the simfuzz
   // conservation oracle flags.
-  ++messages_received_;
-  bytes_received_ += modeled_bytes;
   messages_received_metric_.add();
   bytes_received_metric_.add(std::int64_t(modeled_bytes));
 }

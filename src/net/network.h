@@ -28,25 +28,19 @@ class Network {
 
   // Moves `modeled_bytes` from src to dst as one message: one base-latency
   // charge plus chunked bandwidth. Honors the profile's CPU model.
+  // Counts into the engine's registry: net.messages and net.bytes when a
+  // message is handed over, net.messages_received and net.bytes_received
+  // when it is delivered, and the socket stack's CPU time in the
+  // net.cpu_seconds gauge.
   sim::Task<> transmit(Host& src, Host& dst, std::uint64_t modeled_bytes);
-
-  std::uint64_t messages_sent() const { return messages_; }
-  std::uint64_t bytes_sent() const { return bytes_; }
-  std::uint64_t messages_received() const { return messages_received_; }
-  std::uint64_t bytes_received() const { return bytes_received_; }
-  double cpu_seconds_charged() const { return cpu_seconds_; }
 
  private:
   sim::Engine& engine_;
   NetProfile profile_;
   std::uint64_t chunk_bytes_ = 1 * 1024 * 1024;
-  std::uint64_t messages_ = 0;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t messages_received_ = 0;
-  std::uint64_t bytes_received_ = 0;
-  double cpu_seconds_ = 0.0;
-  // Registry mirrors (sim/engine metrics); references are stable for the
-  // registry's lifetime, so the per-message hot path skips the name map.
+  // The net.* metrics (one Network per sim::Engine); references are
+  // stable for the registry's lifetime, so the per-message hot path skips
+  // the name map.
   Counter& messages_metric_;
   Counter& bytes_metric_;
   Counter& messages_received_metric_;

@@ -34,10 +34,6 @@ constexpr std::uint64_t kHadoopAKvPerPacket = 1024;
 
 }  // namespace
 
-bool RdmaShuffleEngine::caches(const JobRuntime& job) const {
-  return design_ == RdmaDesign::kOsuIb && job.conf.caching_enabled;
-}
-
 // ---------------------------------------------------------------------
 // TaskTracker side
 // ---------------------------------------------------------------------
@@ -47,13 +43,11 @@ sim::Task<> RdmaShuffleEngine::start(JobRuntime& job) {
   // into a previous run's registry.
   metric_ = std::make_unique<OsuMetrics>(job.engine.metrics());
   daemons_ = std::make_unique<sim::WaitGroup>(job.engine);
+  const bool caches =
+      design_ == RdmaDesign::kOsuIb && job.conf.caching_enabled;
   for (auto& tracker : job.trackers) {
     const int host_id = tracker->host->id();
-    auto service = std::make_unique<TrackerService>(
-        job.engine, caches(job) ? job.conf.cache_bytes : 0);
-    // All trackers mirror into one registry, so the cache.* counters
-    // aggregate cluster-wide; the used-bytes gauge keeps a high-water max.
-    service->cache.attach_metrics(job.engine.metrics());
+    auto service = std::make_unique<TrackerService>(job.engine);
     service->listener =
         std::make_unique<ucr::Listener>(job.network, *tracker->host);
     daemons_->add();
@@ -62,9 +56,13 @@ sim::Task<> RdmaShuffleEngine::start(JobRuntime& job) {
       daemons_->add();
       job.engine.spawn(rdma_responder(job, *service, host_id));
     }
-    for (int p = 0; p < kPrefetchDaemons; ++p) {
-      daemons_->add();
-      job.engine.spawn(prefetcher(job, *service, host_id));
+    if (caches) {
+      service->prefetch =
+          std::make_unique<PrefetchState>(job.engine, job.conf.cache_bytes);
+      for (int p = 0; p < kPrefetchDaemons; ++p) {
+        daemons_->add();
+        job.engine.spawn(prefetcher(job, *service->prefetch, host_id));
+      }
     }
     services_.emplace(host_id, std::move(service));
   }
@@ -143,8 +141,8 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
   const auto cache_key = dataplane::map_output_id(req.job_id, req.map_id);
   bool from_disk = true;
   std::shared_ptr<const dataplane::MapOutput> source = info.output;
-  if (caches(job)) {
-    if (auto hit = service.cache.get(cache_key)) {
+  if (PrefetchState* prefetch = service.prefetch.get()) {
+    if (auto hit = prefetch->cache.get(cache_key)) {
       if (tracker.host->fs().roll_cache_corrupt() && job.conf.integrity) {
         // Bit-rot in the cached copy, caught by the segment checksum
         // before anything is sent: evict the poisoned entry and serve
@@ -152,14 +150,14 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
         // spill time), then re-cache from the clean source.
         job.metric.checksum_mismatches.add();
         job.metric.cache_integrity_evictions.add();
-        (void)service.cache.erase(cache_key);
-        (void)service.prefetch_queue.try_send({int(req.map_id), 1});
+        (void)prefetch->cache.erase(cache_key);
+        (void)prefetch->queue.try_send({int(req.map_id), 1});
       } else {
         source = std::move(hit);
         from_disk = false;
       }
     } else {
-      (void)service.prefetch_queue.try_send({int(req.map_id), 1});
+      (void)prefetch->queue.try_send({int(req.map_id), 1});
     }
   }
 
@@ -237,37 +235,37 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
 }
 
 sim::Task<> RdmaShuffleEngine::prefetcher(JobRuntime& job,
-                                          TrackerService& service,
+                                          PrefetchState& prefetch,
                                           int host_id) {
   TaskTrackerState& tracker = job.tracker_for_host(host_id);
-  while (auto request = co_await service.prefetch_queue.recv()) {
+  while (auto request = co_await prefetch.queue.recv()) {
     const auto [map_id, priority] = *request;
     const auto cache_key = dataplane::map_output_id(
         std::uint32_t(job.job_id), std::uint32_t(map_id));
-    if (service.cache.contains(cache_key)) {
-      service.cache.boost(cache_key, priority);
+    if (prefetch.cache.contains(cache_key)) {
+      prefetch.cache.boost(cache_key, priority);
       continue;
     }
     // Anti-thrash: never fetch the same output concurrently, and give up
-    // re-caching outputs the cache keeps evicting.
-    if (service.prefetch_inflight.contains(map_id)) continue;
-    if (service.prefetch_attempts[map_id] >= 1 + kMaxRecacheAttempts) {
-      continue;
-    }
-    ++service.prefetch_attempts[map_id];
-    service.prefetch_inflight.insert(map_id);
+    // re-caching outputs the cache keeps evicting. The in-flight set also
+    // keeps put()'s precondition: no other prefetcher can cache this key
+    // while this one reads it.
+    if (prefetch.inflight.contains(map_id)) continue;
+    if (prefetch.attempts[map_id] >= 1 + kMaxRecacheAttempts) continue;
+    ++prefetch.attempts[map_id];
+    prefetch.inflight.insert(map_id);
     struct InflightGuard {
-      TrackerService& service;
+      PrefetchState& prefetch;
       int map_id;
-      ~InflightGuard() { service.prefetch_inflight.erase(map_id); }
-    } inflight_guard{service, map_id};
+      ~InflightGuard() { prefetch.inflight.erase(map_id); }
+    } inflight_guard{prefetch, map_id};
     const MapOutputInfo* found =
         tracker.find_output(std::uint32_t(job.job_id), std::uint32_t(map_id));
     if (found == nullptr) continue;
     const MapOutputInfo& info = *found;
     const auto modeled = static_cast<std::uint64_t>(
         double(info.output->total_bytes()) * info.scale);
-    if (modeled > service.cache.capacity_bytes()) continue;
+    if (modeled > prefetch.cache.capacity_bytes()) continue;
     if (job.engine.now() - info.created_at < kPageCacheWindow) {
       // The map just wrote this file: it is still in the page cache, so
       // caching it is a memory copy, not a platter read.
@@ -281,15 +279,15 @@ sim::Task<> RdmaShuffleEngine::prefetcher(JobRuntime& job,
                                                       info.local_path);
       if (!view.ok()) continue;
     }
-    (void)service.cache.put(cache_key, info.output, modeled, priority);
+    (void)prefetch.cache.put(cache_key, info.output, modeled, priority);
   }
   daemons_->done();
 }
 
 void RdmaShuffleEngine::on_disk_pressure(JobRuntime& job, int host_id) {
   auto it = services_.find(host_id);
-  if (it == services_.end()) return;
-  dataplane::PrefetchCache& cache = it->second->cache;
+  if (it == services_.end() || !it->second->prefetch) return;
+  dataplane::PrefetchCache& cache = it->second->prefetch->cache;
   if (cache.entries() == 0) return;
   // A full disk on this host: the cached map outputs are the only
   // storage-adjacent memory the engine holds there, so shed them all and
@@ -300,13 +298,12 @@ void RdmaShuffleEngine::on_disk_pressure(JobRuntime& job, int host_id) {
   cache.clear();
 }
 
-void RdmaShuffleEngine::on_map_finished(JobRuntime& job, int map_id,
+void RdmaShuffleEngine::on_map_finished(JobRuntime& /*job*/, int map_id,
                                         int host_id) {
-  if (!caches(job)) return;
   auto it = services_.find(host_id);
-  if (it == services_.end()) return;
+  if (it == services_.end() || !it->second->prefetch) return;
   // Priority 0 speculative prefetch; dropped if the queue is full.
-  (void)it->second->prefetch_queue.try_send({map_id, 0});
+  (void)it->second->prefetch->queue.try_send({map_id, 0});
 }
 
 // ---------------------------------------------------------------------
@@ -708,15 +705,23 @@ sim::Task<> RdmaShuffleEngine::stop(JobRuntime& job) {
   for (auto& [_, service] : services_) {
     service->listener->close();
     service->request_queue.close();
-    service->prefetch_queue.close();
+    if (service->prefetch) service->prefetch->queue.close();
   }
   co_await daemons_->wait();
-  // The caches are this job's own, so their totals are its cache.*
-  // counters (the registry copies already aggregate every job's caches).
-  auto& counters = job.result.counters;
+  // Each tracker's cache counted its own events. They are this job's
+  // cache.* counters (JobRuntime::counter also adds them to the engine
+  // totals); the used-bytes gauge takes each cache's peak, so its
+  // high-water mark is the fullest tracker's.
   for (auto& [_, service] : services_) {
-    counters["cache.hits"] += std::int64_t(service->cache.stats().hits);
-    counters["cache.misses"] += std::int64_t(service->cache.stats().misses);
+    if (!service->prefetch) continue;
+    const dataplane::CacheStats& stats = service->prefetch->cache.stats();
+    job.counter("cache.hits").add(std::int64_t(stats.hits));
+    job.counter("cache.misses").add(std::int64_t(stats.misses));
+    job.counter("cache.insertions").add(std::int64_t(stats.insertions));
+    job.counter("cache.evictions").add(std::int64_t(stats.evictions));
+    job.counter("cache.rejected").add(std::int64_t(stats.rejected));
+    job.engine.metrics().gauge("cache.used_bytes").set(
+        double(stats.peak_bytes));
   }
 }
 

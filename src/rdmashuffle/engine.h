@@ -9,7 +9,8 @@
 //                       from the PrefetchCache, falling back to disk
 //   MapOutputPrefetcher — daemon pool caching freshly-finished map
 //                       outputs; misses are re-cached with raised
-//                       priority (§III-B3)
+//                       priority (§III-B3). Only a job that caches
+//                       (OSU-IB, mapred.local.caching.enabled) runs it.
 //
 // ReduceTask side:
 //   RdmaCopier        — per-map stream fetchers with one chunk of
@@ -171,18 +172,23 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     int map_id = 0;
     int priority = 0;
   };
+  // The MapOutputPrefetcher pool's state on one tracker: the cache it
+  // fills and its work queue. Only a job that caches builds it.
+  struct PrefetchState {
+    PrefetchState(sim::Engine& engine, std::uint64_t cache_bytes)
+        : cache(cache_bytes), queue(engine, 1024) {}
+    dataplane::PrefetchCache cache;
+    sim::Channel<PrefetchRequest> queue;
+    std::map<int, int> attempts;  // per map id
+    std::set<int> inflight;
+  };
   // Per-TaskTracker service state.
   struct TrackerService {
-    TrackerService(sim::Engine& engine, std::uint64_t cache_bytes)
-        : cache(cache_bytes),
-          request_queue(engine, 256),
-          prefetch_queue(engine, 1024) {}
+    explicit TrackerService(sim::Engine& engine)
+        : request_queue(engine, 256) {}
     std::unique_ptr<ucr::Listener> listener;
-    dataplane::PrefetchCache cache;
-    sim::Channel<PendingRequest> request_queue;       // DataRequestQueue
-    sim::Channel<PrefetchRequest> prefetch_queue;
-    std::map<int, int> prefetch_attempts;             // per map id
-    std::set<int> prefetch_inflight;
+    sim::Channel<PendingRequest> request_queue;  // DataRequestQueue
+    std::unique_ptr<PrefetchState> prefetch;     // null unless caching
     std::vector<std::unique_ptr<ucr::Endpoint>> endpoints;
   };
 
@@ -191,7 +197,7 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
                             ucr::Endpoint& endpoint);
   sim::Task<> rdma_responder(JobRuntime& job, TrackerService& service,
                              int host_id);
-  sim::Task<> prefetcher(JobRuntime& job, TrackerService& service,
+  sim::Task<> prefetcher(JobRuntime& job, PrefetchState& prefetch,
                          int host_id);
   // Serves one request: cache lookup / disk read / chunk extraction.
   sim::Task<> respond(JobRuntime& job, TrackerService& service, int host_id,
@@ -207,9 +213,6 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
                             std::shared_ptr<CopierState> state,
                             std::shared_ptr<MapStream> stream, int map_id,
                             sim::WaitGroup& done);
-  // Whether this job's trackers run the prefetch cache.
-  bool caches(const JobRuntime& job) const;
-
   // Cached handles for the per-request/per-chunk metric sites, bound in
   // start() (registry references are stable for the engine's lifetime;
   // same idiom as mapred::JobRuntime::metric and net::Network).

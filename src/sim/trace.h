@@ -64,7 +64,6 @@ class Tracer {
 
   size_t size() const { return events_.size(); }
   std::uint64_t max_events() const { return max_events_; }
-  std::uint64_t dropped_events() const { return dropped_events_; }
   Engine& engine() const { return engine_; }
 
   // Chrome trace-event JSON ("traceEvents" array form). Tracks become
@@ -150,14 +149,12 @@ class Tracer {
 
   bool at_capacity() {
     if (max_events_ == 0 || events_.size() < max_events_) return false;
-    ++dropped_events_;
     dropped_metric_->add();
     return true;
   }
 
   Engine& engine_;
   std::uint64_t max_events_;
-  std::uint64_t dropped_events_ = 0;
   Counter* dropped_metric_;
   std::vector<Event> events_;
   // id -> string and string -> id; the map keys are copies (node-stable),

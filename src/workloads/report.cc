@@ -24,13 +24,15 @@ std::string utilization_report(Testbed& bed) {
     }
   }
   std::string out = table.to_ascii();
+  const MetricsRegistry& metrics = bed.engine().metrics();
   char line[160];
-  std::snprintf(line, sizeof line,
-                "network: %s in %llu messages, %.1f CPU-seconds of socket "
-                "stack over %.1f simulated seconds\n",
-                format_bytes(bed.network().bytes_sent()).c_str(),
-                static_cast<unsigned long long>(bed.network().messages_sent()),
-                bed.network().cpu_seconds_charged(), horizon);
+  std::snprintf(
+      line, sizeof line,
+      "network: %s in %lld messages, %.1f CPU-seconds of socket stack over "
+      "%.1f simulated seconds\n",
+      format_bytes(std::uint64_t(metrics.counter_value("net.bytes"))).c_str(),
+      static_cast<long long>(metrics.counter_value("net.messages")),
+      metrics.gauge_value("net.cpu_seconds"), horizon);
   out += line;
   return out;
 }

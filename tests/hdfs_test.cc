@@ -169,14 +169,14 @@ TEST(HdfsTest, LocalReadAvoidsNetwork) {
     co_await w.dfs->write(w.host(1), "/local", pattern(100'000), 1.0);
   }(w));
   w.engine.run();
-  const auto before = w.network->bytes_sent();
+  const auto before = w.engine.metrics().counter_value("net.bytes");
   w.engine.spawn([](DfsWorld& w) -> Task<> {
     auto r = co_await w.dfs->read(w.host(1), "/local");
     EXPECT_TRUE(r.ok());
   }(w));
   w.engine.run();
   // Only RPC bytes, no block payload on the wire.
-  EXPECT_LT(w.network->bytes_sent() - before, 10'000u);
+  EXPECT_LT(w.engine.metrics().counter_value("net.bytes") - before, 10'000);
 }
 
 TEST(HdfsTest, RemoteReadMovesPayload) {
@@ -187,13 +187,13 @@ TEST(HdfsTest, RemoteReadMovesPayload) {
     co_await w.dfs->write(w.host(1), "/remote", pattern(100'000), 1.0);
   }(w));
   w.engine.run();
-  const auto before = w.network->bytes_sent();
+  const auto before = w.engine.metrics().counter_value("net.bytes");
   w.engine.spawn([](DfsWorld& w) -> Task<> {
     auto r = co_await w.dfs->read(w.host(2), "/remote");
     EXPECT_TRUE(r.ok());
   }(w));
   w.engine.run();
-  EXPECT_GE(w.network->bytes_sent() - before, 100'000u);
+  EXPECT_GE(w.engine.metrics().counter_value("net.bytes") - before, 100'000);
 }
 
 TEST(HdfsTest, ReadBlockBoundsChecked) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -159,14 +160,15 @@ TEST(JobRunnerTest, MapLocalityPreferred) {
   SmallJob small;
   Testbed bed(small.bed_spec);
   EXPECT_TRUE(bed.generate("teragen", small.gen).ok());
-  const auto wire_before = bed.network().bytes_sent();
+  const auto wire_before = bed.engine().metrics().counter_value("net.bytes");
   auto job = workloads::terasort_job(bed.dfs(), "/in", "/out", Conf{});
   const auto result = bed.run_job(std::move(job));
   // With replication 3 on 3 DataNodes every split is local: the wire
   // carries shuffle + output traffic, but no split reads. Shuffle moves
   // ~(n-1)/n of the data, output replication 1 pipelines locally.
-  const auto wire = bed.network().bytes_sent() - wire_before;
-  EXPECT_LT(wire, result.input_modeled_bytes * 2);
+  const auto wire =
+      bed.engine().metrics().counter_value("net.bytes") - wire_before;
+  EXPECT_LT(wire, std::int64_t(result.input_modeled_bytes * 2));
   (void)result;
 }
 
@@ -279,15 +281,30 @@ TEST(JobRunnerTest, ShuffleOverlapsMapPhase) {
   EXPECT_LT(shuffle_tail, map_phase);
 }
 
-TEST(JobRunnerTest, MissingInputAborts) {
-  SmallJob small;
-  Testbed bed(small.bed_spec);
-  EXPECT_TRUE(bed.generate("teragen", small.gen).ok());
+JobSpec missing_input_job() {
   JobSpec spec;
   spec.name = "broken";
-  spec.input_files = {"/does/not/exist"};
-  spec.output_dir = "/out";
-  EXPECT_DEATH(bed.run_job(std::move(spec)), "missing input file");
+  spec.input_files = {"/in/part-00000", "/does/not/exist"};
+  spec.output_dir = "/bad";
+  return spec;
+}
+
+// A job naming a missing input file is rejected before anything runs,
+// like a bad conf, instead of aborting the process.
+TEST(JobRunnerTest, MissingInputRejected) {
+  SmallJob small;
+  Testbed bed(small.bed_spec);
+  ASSERT_TRUE(bed.generate("teragen", small.gen).ok());
+  ASSERT_TRUE(bed.dfs().stat("/in/part-00000").ok());
+  const double before = bed.engine().now();
+  const auto rejected = bed.run_job(missing_input_job());
+  EXPECT_EQ(rejected.status.code(), StatusCode::kNotFound);
+  EXPECT_NE(rejected.status.message().find("/does/not/exist"),
+            std::string::npos)
+      << rejected.status.to_string();
+  EXPECT_EQ(rejected.num_maps, 0);
+  EXPECT_EQ(bed.engine().now(), before);
+  EXPECT_TRUE(bed.dfs().list("/bad").empty());
 }
 
 }  // namespace
@@ -479,16 +496,16 @@ TEST(MultiJobTest, ConcurrentJobsBothValidate) {
 }
 
 // Under the JobTracker a rejected job completes at once with its status;
-// the job beside it runs as if alone.
-TEST(MultiJobTest, RejectedJobLeavesOthersRunning) {
+// the job beside it runs as if alone. `bad` builds the rejected job
+// against the testbed's DFS.
+void expect_rejected_among_tenants(
+    const std::function<JobSpec(hdfs::MiniDfs&)>& bad) {
   SmallJob small;
   Testbed bed(small.bed_spec);
   auto digest = bed.generate("teragen", small.gen);
   ASSERT_TRUE(digest.ok());
-  Conf bad;
-  bad.set(kSlowstart, "1.5");
   std::vector<JobSpec> jobs;
-  jobs.push_back(workloads::terasort_job(bed.dfs(), "/in", "/bad", bad));
+  jobs.push_back(bad(bed.dfs()));
   jobs.push_back(workloads::terasort_job(bed.dfs(), "/in", "/out", Conf{}));
   const auto results = bed.run_jobs(std::move(jobs));
   ASSERT_EQ(results.size(), 2u);
@@ -515,6 +532,19 @@ TEST(MultiJobTest, RejectedJobLeavesOthersRunning) {
   EXPECT_DOUBLE_EQ(tenant.charged_cost,
                    handles[1]->cost +
                        double(results[1].counter("speculation.attempts")));
+}
+
+TEST(MultiJobTest, RejectedJobLeavesOthersRunning) {
+  expect_rejected_among_tenants([](hdfs::MiniDfs& dfs) {
+    Conf bad;
+    bad.set(kSlowstart, "1.5");
+    return workloads::terasort_job(dfs, "/in", "/bad", bad);
+  });
+}
+
+TEST(MultiJobTest, MissingInputJobLeavesOthersRunning) {
+  expect_rejected_among_tenants(
+      [](hdfs::MiniDfs&) { return missing_input_job(); });
 }
 
 TEST(MultiJobTest, ConcurrentJobsContendForSlots) {

@@ -64,8 +64,9 @@ TEST(NetworkTest, TransferTimeMatchesBandwidth) {
   const double expected =
       double(bytes) / NetProfile::verbs_qdr().effective_bw();
   EXPECT_NEAR(done, expected, expected * 0.02);
-  EXPECT_EQ(w.network->bytes_sent(), bytes);
-  EXPECT_EQ(w.network->messages_sent(), 1u);
+  EXPECT_EQ(w.engine.metrics().counter_value("net.bytes"),
+            std::int64_t(bytes));
+  EXPECT_EQ(w.engine.metrics().counter_value("net.messages"), 1);
 }
 
 TEST(NetworkTest, ControlMessagePaysLatencyOnly) {
@@ -125,14 +126,14 @@ TEST(NetworkTest, SocketPathChargesCpu) {
     co_await w.network->transmit(w.host(0), w.host(1), 50'000'000);
   }(w));
   w.engine.run();
-  EXPECT_GT(w.network->cpu_seconds_charged(), 0.0);
+  EXPECT_GT(w.engine.metrics().gauge_value("net.cpu_seconds"), 0.0);
 
   World v(NetProfile::verbs_qdr());
   v.engine.spawn([](World& w) -> Task<> {
     co_await w.network->transmit(w.host(0), w.host(1), 50'000'000);
   }(v));
   v.engine.run();
-  EXPECT_EQ(v.network->cpu_seconds_charged(), 0.0);
+  EXPECT_EQ(v.engine.metrics().gauge_value("net.cpu_seconds"), 0.0);
 }
 
 TEST(NetworkTest, BusyCpuSlowsSocketTransfersOnly) {
@@ -601,7 +602,7 @@ TEST(VerbsTest, AwaitedRdmaReadBadRkeyErrorsQp) {
   }(w, checked));
   w.engine.run();
   EXPECT_TRUE(checked);
-  EXPECT_EQ(w.network->messages_sent(), 0u);
+  EXPECT_EQ(w.engine.metrics().counter_value("net.messages"), 0);
   EXPECT_FALSE(w.scq0.poll().has_value());  // awaited: no CQ entries
 }
 

@@ -423,6 +423,105 @@ TEST(RdmaEngineTest, CacheHitsDominateWhenCacheFits) {
             outcome.job.counter("cache.misses") * 5);
 }
 
+// The engine's tracker daemons left parked once start() has run on a
+// two-tracker job: listeners, responders and, for a caching job,
+// prefetchers. stop() must release every one of them.
+std::int64_t daemons_after_start(RdmaDesign design, bool caching) {
+  const auto profile = net::NetProfile::verbs_qdr();
+  sim::Engine engine;
+  net::Cluster cluster(engine, profile, net::Cluster::uniform(3, 1));
+  net::Network network(engine, profile);
+  hdfs::MiniDfs dfs(cluster, network, hdfs::HdfsParams{}, 0, {1, 2});
+  mapred::TaskTrackerState tracker1(engine, cluster.host(1));
+  mapred::TaskTrackerState tracker2(engine, cluster.host(2));
+  mapred::JobConf conf;
+  conf.num_reduces = 1;
+  conf.caching_enabled = caching;
+  mapred::JobRuntime job(cluster, network, dfs, mapred::JobSpec{}, conf,
+                         {&tracker1, &tracker2}, /*job_id=*/1);
+  RdmaShuffleEngine shuffle(design);
+  engine.spawn(shuffle.start(job));
+  engine.run();
+  const std::int64_t parked = engine.live_processes();
+  engine.spawn(shuffle.stop(job));
+  engine.run();
+  EXPECT_EQ(engine.live_processes(), 0);
+  return parked;
+}
+
+TEST(RdmaEngineTest, OnlyCachingJobsRunPrefetchers) {
+  const int responders = mapred::JobConf{}.responder_threads;
+  const std::int64_t serving = 2 * (1 + responders);  // per tracker
+  EXPECT_EQ(daemons_after_start(RdmaDesign::kOsuIb, true), serving + 2 * 2);
+  EXPECT_EQ(daemons_after_start(RdmaDesign::kOsuIb, false), serving);
+  EXPECT_EQ(daemons_after_start(RdmaDesign::kHadoopA, true), serving);
+}
+
+// The PrefetchCache's own counts, which the engine books as job counters.
+// (cache.integrity.evictions is the framework's, registered for every
+// job.)
+constexpr const char* kCacheCounts[] = {"cache.hits", "cache.misses",
+                                        "cache.insertions", "cache.evictions",
+                                        "cache.rejected"};
+
+TEST(RdmaEngineTest, JobsThatDoNotCacheHaveNoCacheCounts) {
+  for (const auto& setup : {workloads::EngineSetup::hadoop_a(),
+                            workloads::EngineSetup::osu_ib_nocache()}) {
+    SCOPED_TRACE(setup.label);
+    const auto outcome = workloads::run_experiment(tiny(setup));
+    for (const char* name : kCacheCounts) {
+      EXPECT_FALSE(outcome.job.counters.contains(name)) << name;
+      EXPECT_FALSE(outcome.job.metrics.counters.contains(name)) << name;
+    }
+    EXPECT_FALSE(outcome.job.metrics.gauges.contains("cache.used_bytes"));
+  }
+}
+
+// Two concurrent caching jobs on one testbed: each job's cache.* counters
+// are its own caches' counts. The budget holds every map output, so each
+// job caches each of its outputs once, and every fetch request looks the
+// cache up once.
+TEST(RdmaEngineTest, ConcurrentJobsBookOnlyTheirOwnCacheCounts) {
+  workloads::TestbedSpec bed_spec;
+  bed_spec.nodes = 3;
+  bed_spec.profile = workloads::EngineSetup::osu_ib().profile;
+  bed_spec.hdfs.block_size = 32 * kMiB;
+  workloads::Testbed bed(bed_spec);
+  workloads::DataGenSpec gen;
+  gen.dir = "/in";
+  gen.modeled_total = 512 * kMiB;
+  gen.part_modeled = 32 * kMiB;
+  gen.scale = 256;
+  ASSERT_TRUE(bed.generate("teragen", gen).ok());
+  Conf conf = workloads::EngineSetup::osu_ib().extra;
+  conf.set(mapred::kShuffleEngine, "osu-ib");
+  conf.set_double(mapred::kKvInflation, gen.scale);
+  conf.set_bytes(mapred::kMaxRecordBytes, std::uint64_t(102.0 * gen.scale));
+  std::vector<mapred::JobSpec> jobs;
+  jobs.push_back(workloads::terasort_job(bed.dfs(), gen.dir, "/out1", conf));
+  jobs.push_back(workloads::terasort_job(bed.dfs(), gen.dir, "/out2", conf));
+  const auto results = bed.run_jobs(std::move(jobs));
+  ASSERT_EQ(results.size(), 2u);
+
+  const MetricsRegistry& totals = bed.engine().metrics();
+  for (const char* name : kCacheCounts) {
+    ASSERT_TRUE(results[0].counters.contains(name)) << name;
+    ASSERT_TRUE(results[1].counters.contains(name)) << name;
+    EXPECT_EQ(results[0].counter(name) + results[1].counter(name),
+              totals.counter_value(name))
+        << name;
+  }
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.status.ok());
+    EXPECT_EQ(result.counter("cache.insertions"), result.num_maps);
+    EXPECT_EQ(result.counter("cache.evictions"), 0);
+    EXPECT_EQ(result.counter("cache.rejected"), 0);
+    EXPECT_GT(result.counter("cache.hits"), 0);
+    EXPECT_EQ(result.counter("cache.hits") + result.counter("cache.misses"),
+              result.counter("shuffle.fetch.requests"));
+  }
+}
+
 }  // namespace
 }  // namespace hmr::rdmashuffle
 

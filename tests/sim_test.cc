@@ -1047,6 +1047,15 @@ TEST(TracerTest, JsonEscapesSpecials) {
   EXPECT_NE(json.find("na\\\\me\\nline"), std::string::npos);
 }
 
+TEST(TracerTest, EventCapCountsEveryLaterEventAsDropped) {
+  Engine engine;
+  Tracer tracer(engine, /*max_events=*/3);
+  for (int i = 0; i < 5; ++i) tracer.instant("track", "cat", "evt");
+  tracer.complete("track", "cat", "span", 0.0);
+  EXPECT_EQ(tracer.size(), 3u);
+  EXPECT_EQ(engine.metrics().counter_value("trace.dropped_events"), 3);
+}
+
 // Regression tests for Span teardown ordering. In the usual scope order
 // (`Engine e; Tracer t(e);`) the tracer dies before the engine, and the
 // engine then destroys detached frames whose Spans still point at the
