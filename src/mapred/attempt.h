@@ -54,7 +54,7 @@ struct TaskAttempt {
   int task_id = -1;  // map_id or reduce_id
   int host_id = -1;
   bool speculative = false;  // backup launched by try_claim_backup
-  bool rerun = false;        // ensure_fetchable recovery re-execution
+  bool rerun = false;        // fetch-recovery re-execution (recovery.h)
   AttemptState state = AttemptState::kRunning;
   double started_at = 0.0;
   double progress = 0.0;     // [0, 1], monotone per attempt

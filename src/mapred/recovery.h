@@ -1,6 +1,6 @@
 // Shuffle-fetch recovery shared by the RDMA and vanilla HTTP copiers:
-// one request/response exchange with per-request timeouts, capped
-// exponential backoff with jitter, and the tracker-blacklist threshold.
+// one fetch loop with per-request timeouts, capped exponential backoff
+// with jitter, the tracker-blacklist threshold and map re-execution.
 // The paper's design (§III-B) assumes a healthy fabric and names fault
 // handling as §VI future work; this is that extension.
 #pragma once
@@ -17,6 +17,7 @@
 #include "sim/channel.h"
 #include "sim/engine.h"
 #include "sim/fifo.h"
+#include "sim/sync.h"
 
 namespace hmr::net {
 class Host;
@@ -25,6 +26,7 @@ class Host;
 namespace hmr::mapred {
 
 struct JobRuntime;  // mapred/runtime.h, which includes this header
+struct TaskAttempt;
 
 // The shuffle-fetch recovery knobs (JobConf::retry; docs/CONFIG.md has
 // the keys and the rationale).
@@ -95,7 +97,8 @@ class FetchTimeouts : public std::enable_shared_from_this<FetchTimeouts> {
 
 // What a copier's transport makes of one response frame. A frame that
 // is mine names its body, the CRC its server computed, and the modeled
-// bytes of CRC CPU; `verify` is false when it has no body to check.
+// bytes it carries (what the CRC CPU and shuffle.refetch.bytes charge);
+// `verify` is false when it has no body to check.
 struct FetchVerdict {
   enum Kind { kMalformed, kStale, kMine } kind = kMalformed;
   bool verify = false;
@@ -104,21 +107,34 @@ struct FetchVerdict {
   std::uint64_t modeled = 0;
 };
 
-// The narrow interface a copier's transport offers fetch_exchange.
-struct FetchTransport {
+// One engine's link to the trackers that serve a map: the three
+// callbacks the fetch loop drives, and the watch its exchanges drain.
+struct FetchLink {
+  // Run before every attempt with the tracker serving the map now. It
+  // returns what the attempt holds until its exchange ends: vanilla's
+  // keep-alive connection lock, or nothing. It may re-point `watch`
+  // (vanilla's is per connection).
+  std::function<sim::Task<sim::ResourceHold>(int server)> connect;
   std::function<sim::Task<>()> send;  // sends the one request
   std::function<FetchVerdict(const net::Message&)> classify;
+  std::shared_ptr<FetchWatch> watch;
 };
 
-// One request/response exchange of either copier: counts and sends the
-// request, arms its fetch timeout, then drains `watch->events`.
-// Malformed frames (counted in malformed_msgs, as are CRC mismatches)
-// and stale ones (fetch_stale_dropped) are dropped; the first frame that
-// is mine and verifies disarms the timeout and is returned. Returns
-// nullopt when this request's own timeout expires; an earlier request's
-// expiry that raced its response is ignored.
+// The whole fetch of one request, with recovery, for either copier.
+// Before every attempt the serving tracker is resolved: if it is
+// blacklisted, the map's re-execution is waited for (or started) and
+// the attempt fetches from where it ran. An attempt counts and sends
+// the request, arms its fetch timeout, then drains `link.watch`:
+// malformed frames (counted in malformed_msgs, as are CRC mismatches)
+// and stale ones (fetch_stale_dropped) are dropped; the first frame
+// that is mine and verifies is returned, and its bytes count in
+// refetch_bytes when a re-executed map served them. A timeout counts,
+// aborts past the retry budget, reports the tracker's failure, then
+// waits for the re-execution (tracker blacklisted) or backs off.
+// Returns nullopt only when the reduce `attempt` (nullable) was killed:
+// it gives up between retries, never before the first.
 sim::Task<std::optional<net::Message>> fetch_exchange(
     JobRuntime& job, net::Host& host, int map_id, FetchTimeouts& timeouts,
-    std::shared_ptr<FetchWatch> watch, const FetchTransport& transport);
+    FetchLink& link, Rng& rng, const TaskAttempt* attempt);
 
 }  // namespace hmr::mapred

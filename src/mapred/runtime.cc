@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "mapred/maptask.h"
 #include "sim/fault.h"
 #include "sim/trace.h"
 
@@ -281,7 +280,7 @@ bool JobRuntime::record_map_output(MapOutputInfo info) {
   const int host_id = info.host_id;
   if (maps.at(map_id).done) {
     if (rerunning_maps.erase(map_id) > 0) {
-      // Recovery re-execution (ensure_fetchable): re-home the served
+      // Recovery re-execution (mapred/recovery.h): re-home the served
       // output on the healthy host. Completion events already fired for
       // the original attempt; only the serving location changes.
       tracker_for_host(host_id).map_outputs.insert_or_assign(
@@ -289,6 +288,7 @@ bool JobRuntime::record_map_output(MapOutputInfo info) {
                                    std::uint32_t(map_id)),
           std::move(info));
       maps.at(map_id).ran_on = host_id;
+      maps.at(map_id).rerun_output = true;
       if (shuffle != nullptr) shuffle->on_map_finished(*this, map_id, host_id);
       return true;
     }
@@ -362,106 +362,44 @@ sim::Task<> KvBatcher::send_held() {
   held_.clear();
 }
 
-bool JobRuntime::report_fetch_failure(int host_id) {
-  if (blacklisted_trackers.contains(host_id)) return false;
-  const int streak = ++fetch_failure_streak[host_id];
-  if (streak < conf.retry.blacklist_threshold) return false;
-  blacklisted_trackers.insert(host_id);
-  metric.trackers_blacklisted.add();
-  if (auto* tracer = engine.tracer()) {
-    tracer->instant(tracker_for_host(host_id).host->name(), "fault",
-                    "tracker_blacklisted");
-  }
-  return true;
-}
-
-void JobRuntime::report_fetch_success(int host_id) {
-  fetch_failure_streak[host_id] = 0;
-}
-
-sim::Task<> JobRuntime::ensure_fetchable(int map_id) {
-  while (maps.at(map_id).ran_on < 0 ||
-         tracker_blacklisted(maps.at(map_id).ran_on)) {
-    auto inflight = reruns.find(map_id);
-    if (inflight != reruns.end()) {
-      // Another copier already kicked off the re-execution: share it.
-      co_await inflight->second->wait();
-      continue;
+sim::Task<const MapOutputInfo*> JobRuntime::output_to_serve(
+    int host_id, std::uint32_t request_job, std::uint32_t map_id,
+    std::uint32_t reduce_id) {
+  if (sim::FaultPlan* faults = spec.faults) {
+    if (faults->tracker_dead(host_id, engine.now())) {
+      metric.fault_dropped_requests.add();
+      co_return nullptr;
     }
-    auto event = std::make_unique<sim::Event>(engine);
-    sim::Event& rerun_done = *event;
-    reruns.emplace(map_id, std::move(event));
-    TaskTrackerState* target = nullptr;
-    for (auto* tracker : trackers) {
-      if (!tracker_blacklisted(tracker->host->id())) {
-        target = tracker;
+    double stall_seconds = 0;
+    switch (faults->response_fate(host_id, &stall_seconds)) {
+      case sim::FaultPlan::ResponseFate::kDrop:
+        metric.fault_dropped_responses.add();
+        co_return nullptr;
+      case sim::FaultPlan::ResponseFate::kStall:
+        metric.fault_stalled_responses.add();
+        co_await engine.delay(stall_seconds);
         break;
-      }
+      case sim::FaultPlan::ResponseFate::kDeliver:
+        break;
     }
-    HMR_CHECK_MSG(target != nullptr,
-                  "every TaskTracker is blacklisted; map output for map " +
-                      std::to_string(map_id) + " is unfetchable");
-    metric.refetch_reruns.add();
-    if (auto* tracer = engine.tracer()) {
-      tracer->instant(target->host->name(), "fault",
-                      "refetch_rerun map_" + std::to_string(map_id));
-    }
-    rerunning_maps.insert(map_id);
-    {
-      auto slot = co_await sim::hold(target->map_slots);
-      TaskAttempt& attempt =
-          start_attempt(TaskKind::kMap, map_id, target->host->id(),
-                        /*speculative=*/false, /*rerun=*/true);
-      co_await run_map_task(*this, map_id, *target, 1.0, &attempt);
-      if (attempt.running()) finish_attempt(attempt, AttemptState::kSucceeded);
-    }
-    rerun_done.set();
-    reruns.erase(map_id);
   }
+  const MapOutputInfo* found =
+      request_job == std::uint32_t(job_id)
+          ? tracker_for_host(host_id).find_output(request_job, map_id)
+          : nullptr;
+  if (found == nullptr || reduce_id >= found->output->index.size()) {
+    // Names no partition this tracker serves for this job: a corrupt
+    // request, dropped like a malformed frame.
+    metric.malformed_msgs.add();
+    co_return nullptr;
+  }
+  co_return found;
 }
 
-sim::Task<bool> JobRuntime::recover_fetch_timeout(Host& host, int map_id,
-                                                  int server_host,
-                                                  int attempt, Rng& rng) {
-  metric.fetch_timeouts.add();
-  if (auto* tracer = engine.tracer()) {
-    tracer->instant(host.name(), "fault",
-                    "fetch_timeout map_" + std::to_string(map_id));
+void JobRuntime::shuffle_done(const TaskAttempt* attempt) {
+  if (attempt == nullptr || !attempt->kill_requested) {
+    result.shuffle_done_time = engine.now();
   }
-  HMR_CHECK_MSG(attempt <= conf.retry.max_retries,
-                "fetch of map " + std::to_string(map_id) + " exceeded " +
-                    kFetchMaxRetries);
-  (void)report_fetch_failure(server_host);
-  bool relocated = false;
-  if (tracker_blacklisted(server_host)) {
-    co_await ensure_fetchable(map_id);
-    relocated = maps.at(map_id).ran_on != server_host;
-  } else {
-    co_await engine.delay(conf.retry.backoff(attempt, rng));
-  }
-  metric.fetch_retries.add();
-  co_return relocated;
-}
-
-sim::Task<bool> JobRuntime::drop_or_stall_response(int host_id) {
-  sim::FaultPlan& faults = *spec.faults;
-  if (faults.tracker_dead(host_id, engine.now())) {
-    metric.fault_dropped_requests.add();
-    co_return true;
-  }
-  double stall_seconds = 0;
-  switch (faults.response_fate(host_id, &stall_seconds)) {
-    case sim::FaultPlan::ResponseFate::kDrop:
-      metric.fault_dropped_responses.add();
-      co_return true;
-    case sim::FaultPlan::ResponseFate::kStall:
-      metric.fault_stalled_responses.add();
-      co_await engine.delay(stall_seconds);
-      break;
-    case sim::FaultPlan::ResponseFate::kDeliver:
-      break;
-  }
-  co_return false;
 }
 
 }  // namespace hmr::mapred

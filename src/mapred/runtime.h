@@ -95,6 +95,7 @@ struct MapTaskInfo {
   std::uint64_t modeled_bytes = 0;
   std::vector<int> replica_hosts;  // candidate local hosts
   int ran_on = -1;
+  bool rerun_output = false;  // ran_on holds a recovery re-run's output
   bool done = false;
   // Attempt bookkeeping (mapred/attempt.h): the original attempt and
   // its speculative backup, when live. Recovery reruns are not linked
@@ -193,6 +194,8 @@ struct JobRuntime {
     JobCounter disk_full_events = job.counter("storage.disk_full.events");
     JobCounter cache_integrity_evictions =
         job.counter("cache.integrity.evictions");
+    JobCounter cache_pressure_evictions =
+        job.counter("cache.pressure.evictions");
     // Map tasks and speculation (mapred/attempt.h).
     JobCounter map_spills = job.counter("mapred.map.spills");
     JobCounter map_failed_attempts = job.counter("mapred.map.failed_attempts");
@@ -226,7 +229,7 @@ struct JobRuntime {
   std::set<int> blacklisted_trackers;
   // Maps currently being re-executed for re-fetch, so re-registration in
   // record_map_output is distinguishable from a losing speculative
-  // attempt; `reruns` dedupes concurrent ensure_fetchable callers.
+  // attempt; `reruns` dedupes concurrent re-executions of one map.
   std::set<int> rerunning_maps;
   std::map<int, std::unique_ptr<sim::Event>> reruns;
 
@@ -295,33 +298,25 @@ struct JobRuntime {
   // speculative loser, whose output file is unlinked.
   bool record_map_output(MapOutputInfo info);
 
-  bool tracker_blacklisted(int host_id) const {
-    return blacklisted_trackers.contains(host_id);
-  }
-  // A fetch from `host_id` timed out. Returns true when this crossed the
-  // blacklist threshold (the tracker is newly blacklisted).
-  bool report_fetch_failure(int host_id);
-  // A fetch from `host_id` succeeded: resets its failure streak.
-  void report_fetch_success(int host_id);
-  // Guarantees maps[map_id].ran_on points at a non-blacklisted tracker,
-  // re-executing the map on a healthy tracker if necessary. Concurrent
-  // callers for the same map share one re-execution.
-  sim::Task<> ensure_fetchable(int map_id);
-  // Recovery after a copier on `host` saw its `attempt`-th fetch of
-  // `map_id` from `server_host` time out: counts it (aborting past the
-  // retry budget), reports the failure, then waits for a re-execution
-  // (tracker blacklisted) or backs off. Returns true when the map output
-  // moved to another tracker.
-  sim::Task<bool> recover_fetch_timeout(Host& host, int map_id,
-                                        int server_host, int attempt,
-                                        Rng& rng);
-  // Injected faults (sim/fault.h) on one response the shuffle server on
-  // `host_id` is about to send: a dead tracker stops answering, a faulty
-  // one drops or stalls single responses, and copiers recover through
-  // timeout, retry and blacklist. Counts the fault, waits out a stall,
-  // and returns true when the response must be dropped. Call it only
-  // when spec.faults is set, so the fault-free path makes no frame.
-  sim::Task<bool> drop_or_stall_response(int host_id);
+  // The tracker-side lookup of both shuffle servers: the output that
+  // the server on `host_id` serves for one request off the wire. Serves
+  // the injected faults (sim/fault.h) first: a dead tracker stops
+  // answering, a faulty one drops or stalls single responses, and
+  // copiers recover through timeout, retry and blacklist. Null, and
+  // counted, when a fault drops the response, or as malformed when the
+  // request names another job or a partition this tracker does not
+  // serve. The fault-free path never suspends.
+  sim::Task<const MapOutputInfo*> output_to_serve(int host_id,
+                                                  std::uint32_t request_job,
+                                                  std::uint32_t map_id,
+                                                  std::uint32_t reduce_id);
+  // A reduce's shuffle finished: stamps result.shuffle_done_time unless
+  // `attempt` (nullable) was killed. A speculation loser may unwind its
+  // fetches after the job's last reduce committed (the commit and the
+  // kill request are issued without suspension, so kill_requested is an
+  // exact "past finish_time" test); its bookkeeping must not push
+  // shuffle_done_time past finish_time.
+  void shuffle_done(const TaskAttempt* attempt);
   // Charges `modeled_bytes` of CPU at the given per-core throughput on
   // `host` (holds one core).
   sim::Task<> charge_cpu(Host& host, std::uint64_t modeled_bytes, double bw);

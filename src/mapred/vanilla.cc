@@ -193,19 +193,11 @@ sim::Task<> VanillaShuffleEngine::servlet_conn_loop(
       continue;
     }
     const auto [map_id, reduce_id] = *decoded;
-    if (job.spec.faults != nullptr) {
-      const bool dropped = co_await job.drop_or_stall_response(host_id);
-      if (dropped) continue;
-    }
-    const MapOutputInfo* found = tracker.find_output(
-        std::uint32_t(job.job_id), std::uint32_t(map_id));
-    if (found == nullptr || std::uint32_t(reduce_id) >=
-                                found->output->index.size()) {
-      // Names no partition this tracker serves: a corrupt request,
-      // dropped like a malformed frame.
-      job.metric.malformed_msgs.add();
-      continue;
-    }
+    // The servlet serves one job, so its requests carry no job id.
+    const MapOutputInfo* found = co_await job.output_to_serve(
+        host_id, std::uint32_t(job.job_id), std::uint32_t(map_id),
+        std::uint32_t(reduce_id));
+    if (found == nullptr) continue;
     const MapOutputInfo& info = *found;
     const auto& entry = info.output->index[size_t(reduce_id)];
 
@@ -284,32 +276,21 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
                                             ReduceShuffleState& state,
                                             int map_id, Rng& rng) {
   using ConnState = ReduceShuffleState::ConnState;
-  if (job.tracker_blacklisted(job.maps.at(map_id).ran_on)) {
-    // The serving tracker was blacklisted before this fetch started:
-    // wait for (or trigger) re-execution on a healthy tracker.
-    co_await job.ensure_fetchable(map_id);
-  }
-  int attempt = 0;
-  bool refetching = false;
-  while (true) {
-    // Abandon between exchanges once the reduce attempt is killed; an
-    // in-flight request/response is bounded by its fetch timeout, so the
-    // loser never parks past one timeout here.
-    if (state.cancelled()) co_return;
-    const int server_host = job.maps.at(map_id).ran_on;
-
+  std::shared_ptr<ConnState> conn;
+  double sent_at = 0;
+  FetchLink link;
+  link.connect = [&](int server) -> sim::Task<sim::ResourceHold> {
     // Dial once per tracker; the pump turns socket deliveries into fetch
     // events so a fetch timeout can race them.
-    std::shared_ptr<ConnState> conn;
     {
       auto dialing = co_await sim::hold(state.dial_lock);
-      auto it = state.conns.find(server_host);
+      auto it = state.conns.find(server);
       if (it != state.conns.end()) {
         conn = it->second;
       } else {
         auto fresh = std::make_shared<ConnState>(state.engine);
         fresh->sock = co_await net::connect(job.network, state.host,
-                                            *listeners_.at(server_host));
+                                            *listeners_.at(server));
         job.engine.spawn([](std::shared_ptr<ConnState> conn) -> sim::Task<> {
           while (auto msg = co_await conn->sock->recv()) {
             FetchEvent event;
@@ -319,78 +300,68 @@ sim::Task<> VanillaShuffleEngine::fetch_one(JobRuntime& job,
             (void)conn->watch.events.try_send(std::move(event));
           }
         }(fresh));
-        state.conns.emplace(server_host, fresh);
+        state.conns.emplace(server, fresh);
         conn = std::move(fresh);
       }
     }
-
     // One request/response in flight per connection: only the lock
     // holder reads the event channel.
-    auto exchange = co_await sim::hold(conn->lock);
-    const double sent_at = job.engine.now();
-    FetchTransport transport;
-    transport.send = [&] {
-      return conn->sock->send(ServletRequest{map_id, state.reduce_id}.frame());
-    };
-    transport.classify = [&](const net::Message& msg) -> FetchVerdict {
-      if (msg.tag != kTagResponse || msg.payload == nullptr) return {};
-      ByteReader r(*msg.payload);
-      const auto got_map = r.u32();
-      const auto got_reduce = r.u32();
-      if (!got_map.ok() || !got_reduce.ok()) return {};  // malformed
-      if (int(*got_map) != map_id || int(*got_reduce) != state.reduce_id) {
-        return {FetchVerdict::kStale};
-      }
-      const auto body_crc = r.u32();
-      if (!body_crc.ok()) return {};
-      // Verified over the whole response, HTTP overhead included.
-      return {FetchVerdict::kMine, true,
-              std::span(*msg.payload).subspan(kResponsePrefixBytes),
-              *body_crc, msg.modeled_bytes};
-    };
-    std::optional<net::Message> response = co_await fetch_exchange(
-        job, state.host, map_id, *state.timeouts,
-        std::shared_ptr<FetchWatch>(conn, &conn->watch), transport);
-    exchange.release();
-
-    if (!response.has_value()) {
-      ++attempt;
-      refetching |= co_await job.recover_fetch_timeout(
-          state.host, map_id, server_host, attempt, rng);
-      continue;
+    sim::ResourceHold exchange = co_await sim::hold(conn->lock);
+    link.watch = std::shared_ptr<FetchWatch>(conn, &conn->watch);
+    sent_at = job.engine.now();
+    co_return exchange;
+  };
+  link.send = [&] {
+    return conn->sock->send(ServletRequest{map_id, state.reduce_id}.frame());
+  };
+  link.classify = [&](const net::Message& msg) -> FetchVerdict {
+    if (msg.tag != kTagResponse || msg.payload == nullptr) return {};
+    ByteReader r(*msg.payload);
+    const auto got_map = r.u32();
+    const auto got_reduce = r.u32();
+    if (!got_map.ok() || !got_reduce.ok()) return {};  // malformed
+    if (int(*got_map) != map_id || int(*got_reduce) != state.reduce_id) {
+      return {FetchVerdict::kStale};
     }
+    const auto body_crc = r.u32();
+    if (!body_crc.ok()) return {};
+    // Verified over the whole response, HTTP overhead included.
+    return {FetchVerdict::kMine, true,
+            std::span(*msg.payload).subspan(kResponsePrefixBytes), *body_crc,
+            msg.modeled_bytes};
+  };
+  std::optional<net::Message> response =
+      co_await fetch_exchange(job, state.host, map_id, *state.timeouts, link,
+                              rng, state.attempt);
+  if (!response.has_value()) co_return;  // the reduce attempt was killed
 
-    job.report_fetch_success(server_host);
-    fetch_rtt_->record(job.engine.now() - sent_at);
-    const std::uint64_t modeled = response->modeled_bytes;
-    job.result.shuffled_modeled_bytes += modeled;
-    if (refetching) job.metric.refetch_bytes.add(std::int64_t(modeled));
-    Segment segment;
-    // Past the {map_id, reduce_id, crc} match prefix: merge sources must
-    // see clean kv data.
-    segment.data = response->payload;
-    segment.records = std::span(*segment.data).subspan(kResponsePrefixBytes);
-    segment.modeled = modeled;
+  fetch_rtt_->record(job.engine.now() - sent_at);
+  const std::uint64_t modeled = response->modeled_bytes;
+  job.result.shuffled_modeled_bytes += modeled;
+  Segment segment;
+  // Past the {map_id, reduce_id, crc} match prefix: merge sources must
+  // see clean kv data.
+  segment.data = response->payload;
+  segment.records = std::span(*segment.data).subspan(kResponsePrefixBytes);
+  segment.modeled = modeled;
 
-    if (modeled > state.budget / 4) {
-      // Too big for the in-memory buffer: straight to disk (Copier
-      // behaviour for oversized map outputs).
-      auto body = std::make_shared<const Bytes>(segment.records.begin(),
-                                                segment.records.end());
-      segment.disk_path = co_await state.write_spill(
-          job, "big", std::move(body), "oversized-segment");
-      segment.data = nullptr;
-      segment.records = {};
-      state.on_disk.push_back(std::move(segment));
-      co_return;
-    }
-
-    state.in_mem.push_back(std::move(segment));
-    state.in_mem_modeled += modeled;
-    if (state.in_mem_modeled > (state.budget * 2) / 3) {
-      co_await in_memory_merge(job, state);
-    }
+  if (modeled > state.budget / 4) {
+    // Too big for the in-memory buffer: straight to disk (Copier
+    // behaviour for oversized map outputs).
+    auto body = std::make_shared<const Bytes>(segment.records.begin(),
+                                              segment.records.end());
+    segment.disk_path = co_await state.write_spill(
+        job, "big", std::move(body), "oversized-segment");
+    segment.data = nullptr;
+    segment.records = {};
+    state.on_disk.push_back(std::move(segment));
     co_return;
+  }
+
+  state.in_mem.push_back(std::move(segment));
+  state.in_mem_modeled += modeled;
+  if (state.in_mem_modeled > (state.budget * 2) / 3) {
+    co_await in_memory_merge(job, state);
   }
 }
 
@@ -447,13 +418,7 @@ sim::Task<> VanillaShuffleEngine::fetch_and_merge(JobRuntime& job,
   }
   co_await fetch_done.wait();
   co_await copiers.wait();
-  // A speculation loser may unwind its fetches after the job's last
-  // reduce committed (the commit and the kill request are issued without
-  // suspension, so kill_requested is an exact "past finish_time" test);
-  // its bookkeeping must not push shuffle_done_time past finish_time.
-  if (attempt == nullptr || !attempt->kill_requested) {
-    job.result.shuffle_done_time = job.engine.now();
-  }
+  job.shuffle_done(attempt);
 
   // --- merge phase: reduce starts only after this setup completes ------
   // Local-FS merge passes keep at most io.sort.factor disk segments.

@@ -121,18 +121,10 @@ sim::Task<> RdmaShuffleEngine::respond(JobRuntime& job,
                                        TrackerService& service, int host_id,
                                        PendingRequest pending) {
   const DataRequest& req = pending.request;
-  if (job.spec.faults != nullptr) {
-    const bool dropped = co_await job.drop_or_stall_response(host_id);
-    if (dropped) co_return;
-  }
+  const MapOutputInfo* found = co_await job.output_to_serve(
+      host_id, req.job_id, req.map_id, req.reduce_id);
+  if (found == nullptr) co_return;
   TaskTrackerState& tracker = job.tracker_for_host(host_id);
-  const MapOutputInfo* found = tracker.find_output(req.job_id, req.map_id);
-  if (found == nullptr || req.reduce_id >= found->output->index.size()) {
-    // Names no partition this tracker serves: a corrupt request, dropped
-    // like a malformed frame.
-    job.metric.malformed_msgs.add();
-    co_return;
-  }
   const MapOutputInfo& info = *found;
   const auto& entry = info.output->index[req.reduce_id];
 
@@ -292,9 +284,7 @@ void RdmaShuffleEngine::on_disk_pressure(JobRuntime& job, int host_id) {
   // A full disk on this host: the cached map outputs are the only
   // storage-adjacent memory the engine holds there, so shed them all and
   // let the spill retry. Dropped entries re-cache on demand later.
-  job.engine.metrics()
-      .counter("cache.pressure.evictions")
-      .add(std::int64_t(cache.entries()));
+  job.metric.cache_pressure_evictions.add(std::int64_t(cache.entries()));
   cache.clear();
 }
 
@@ -379,23 +369,18 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
     done.done();
     co_return;
   }
-  if (job.tracker_blacklisted(job.maps.at(map_id).ran_on)) {
-    // The serving tracker was blacklisted before this stream started:
-    // wait for (or trigger) re-execution on a healthy tracker.
-    co_await job.ensure_fetchable(map_id);
-  }
-  int server = job.maps.at(map_id).ran_on;
-  ucr::Endpoint* endpoint =
-      co_await ensure_client_endpoint(job, host, state, server);
   auto rng = job.engine.make_rng("shuffle.retry.r" +
                                  std::to_string(reduce_id) + ".m" +
                                  std::to_string(map_id));
-  bool refetching = false;
 
-  // The stream's side of one exchange: send `req` on the current
-  // endpoint, and accept only the response echoing its cursor (others
-  // are stale duplicates). `header` and `records` keep the decode of the
-  // last response accepted.
+  // The stream's link: the endpoint to the tracker serving the map,
+  // dialed up front and redialed only when that tracker changes. Each
+  // request is `req` at the stream's cursor; only the response echoing
+  // that cursor is mine (others are stale duplicates). `header` and
+  // `records` keep the decode of the last response accepted.
+  int server = job.maps.at(map_id).ran_on;
+  ucr::Endpoint* endpoint =
+      co_await ensure_client_endpoint(job, host, state, server);
   DataRequest req;
   req.job_id = std::uint32_t(job.job_id);
   req.map_id = std::uint32_t(map_id);
@@ -404,14 +389,22 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
   req.max_real_bytes = state->max_real_bytes;
   DataResponse header;
   std::span<const std::uint8_t> records;
-  mapred::FetchTransport transport;
-  transport.send = [&] {
+  mapred::FetchLink link;
+  link.watch = std::shared_ptr<mapred::FetchWatch>(stream, &stream->watch);
+  link.connect = [&](int to) -> sim::Task<sim::ResourceHold> {
+    if (to != server) {
+      endpoint = co_await ensure_client_endpoint(job, host, state, to);
+      server = to;
+    }
+    co_return sim::ResourceHold{};
+  };
+  link.send = [&] {
     return endpoint->send(
         net::Message::data(req.encode(), 1.0, kTagDataRequest)
             .with_modeled(kRequestWireBytes));
   };
   // The router forwards only response frames with a payload.
-  transport.classify = [&](const net::Message& msg) -> mapred::FetchVerdict {
+  link.classify = [&](const net::Message& msg) -> mapred::FetchVerdict {
     ByteReader r(*msg.payload);
     const auto decoded = DataResponse::decode_header(r);
     if (!decoded.ok()) return {};  // malformed
@@ -427,31 +420,12 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
             static_cast<std::uint64_t>(double(header.chunk_real_bytes) *
                                        job.data_scale)};
   };
-
-  // fetch_exchange() with recovery: capped exponential backoff between
-  // retries; once the serving tracker crosses the blacklist threshold
-  // the fetch relocates to a re-executed attempt and resumes from the
-  // SAME cursor — deterministic map execution makes the rerun's
+  // Recovery relocates a stream to a re-executed attempt and resumes it
+  // from the SAME cursor: deterministic map execution makes the rerun's
   // partition byte-identical, so no delivered chunk is ever re-merged.
-  auto exchange_with_retry = [&]() -> sim::Task<net::Message> {
-    int attempt = 0;
-    while (true) {
-      auto response = co_await mapred::fetch_exchange(
-          job, host, map_id, *state->timeouts,
-          std::shared_ptr<mapred::FetchWatch>(stream, &stream->watch),
-          transport);
-      if (response.has_value()) {
-        job.report_fetch_success(server);
-        co_return std::move(*response);
-      }
-      ++attempt;
-      if (co_await job.recover_fetch_timeout(host, map_id, server, attempt,
-                                             rng)) {
-        server = job.maps.at(map_id).ran_on;
-        endpoint = co_await ensure_client_endpoint(job, host, state, server);
-        refetching = true;
-      }
-    }
+  const auto fetch = [&] {
+    return mapred::fetch_exchange(job, host, map_id, *state->timeouts, link,
+                                  rng, state->attempt);
   };
 
   state->routes[size_t(map_id)] = &stream->watch;
@@ -487,29 +461,30 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
     }
 
     const double rt0 = job.engine.now();
-    net::Message response = co_await exchange_with_retry();
-    if (!charged) {
+    std::optional<net::Message> response = co_await fetch();
+    if (response.has_value() && !charged) {
       // Over-budget segment: the merge had no room to keep this
       // buffer resident, so an earlier delivery was dropped and the
       // packet is fetched again now that the merge demands it —
       // the levitated-merge thrash of fixed-count buffers (§IV-C).
-      net::Message again = co_await exchange_with_retry();
+      std::optional<net::Message> again = co_await fetch();
       response = std::move(again);
       job.metric.overbudget_refetches.add();
       job.metric.overbudget_bytes.add(static_cast<std::int64_t>(
           double(header.chunk_real_bytes) * job.data_scale));
     }
+    if (!response.has_value()) {
+      // The reduce attempt was killed between retries.
+      if (charged) state->mem.release(std::int64_t(charge));
+      break;
+    }
     metric_->fetch_rtt.record(job.engine.now() - rt0);
     req.cursor_real += header.chunk_real_bytes;
-    if (refetching) {
-      job.metric.refetch_bytes.add(static_cast<std::int64_t>(
-          double(header.chunk_real_bytes) * job.data_scale));
-    }
 
     // `records` points into `response`, the last frame classified mine;
     // the chunk keeps that frame alive for the merge to read in place.
     StreamChunk chunk;
-    chunk.payload = std::move(response.payload);
+    chunk.payload = std::move(response->payload);
     chunk.records = records;
     chunk.mem_charge = charged ? charge : 0;
     co_await stream->chunks.send(std::move(chunk));
@@ -530,6 +505,7 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
   auto state = std::make_shared<CopierState>(
       job.engine, job.conf.shuffle_buffer_bytes, job.conf.retry.fetch_timeout,
       job.maps.size());
+  state->attempt = attempt;
   // The fetch budget of every request: OSU-IB packets are byte-budgeted
   // (0 = unlimited) unless the job sets a kv count; Hadoop-A's kv count is
   // its only packet control.
@@ -639,11 +615,7 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
     }
   }
   tree.build();
-  // Speculation losers cancelled after the job's final commit must not
-  // push shuffle_done_time past finish_time (see mapred/vanilla.cc).
-  if (attempt == nullptr || !attempt->kill_requested) {
-    job.result.shuffle_done_time = job.engine.now();
-  }
+  job.shuffle_done(attempt);
 
   // Without overlap the batches are held back until every driver is done;
   // Hadoop-A always overlaps.

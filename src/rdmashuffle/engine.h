@@ -159,6 +159,9 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     sim::Resource mem;                    // reducer shuffle buffer
     sim::Resource conn_lock;
     std::shared_ptr<mapred::FetchTimeouts> timeouts;  // shared by all streams
+    // The reduce attempt this copier serves (nullable): a killed one
+    // gives up its fetches between retries.
+    const mapred::TaskAttempt* attempt = nullptr;
     // Every request's budget (0 = unlimited; DataRequest) and the shuffle
     // memory each chunk's receive buffer is charged, set once per reducer
     // by fetch_and_merge.

@@ -7,36 +7,6 @@
 
 namespace hmr::workloads {
 
-std::string utilization_report(Testbed& bed) {
-  const double horizon = bed.engine().now();
-  Table table({"Host", "Disk", "Busy", "Read", "Written", "Seeks"});
-  for (size_t h = 0; h < bed.cluster().size(); ++h) {
-    auto& host = bed.cluster().host(h);
-    for (size_t d = 0; d < host.fs().disk_count(); ++d) {
-      auto& disk = host.fs().disk(d);
-      const double busy =
-          horizon > 0 ? disk.busy_seconds() / horizon * 100.0 : 0.0;
-      table.add_row({host.name(), disk.spec().name,
-                     Table::num(busy, 1) + "%",
-                     format_bytes(disk.bytes_read()),
-                     format_bytes(disk.bytes_written()),
-                     std::to_string(disk.seeks())});
-    }
-  }
-  std::string out = table.to_ascii();
-  const MetricsRegistry& metrics = bed.engine().metrics();
-  char line[160];
-  std::snprintf(
-      line, sizeof line,
-      "network: %s in %lld messages, %.1f CPU-seconds of socket stack over "
-      "%.1f simulated seconds\n",
-      format_bytes(std::uint64_t(metrics.counter_value("net.bytes"))).c_str(),
-      static_cast<long long>(metrics.counter_value("net.messages")),
-      metrics.gauge_value("net.cpu_seconds"), horizon);
-  out += line;
-  return out;
-}
-
 std::string job_report(const mapred::JobResult& result) {
   std::string out;
   char line[160];

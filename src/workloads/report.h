@@ -1,18 +1,11 @@
-// Post-run cluster utilization reporting: where the simulated time went
-// (per-host disk busy fractions, bytes moved, seeks) and what the wire
-// carried — the first thing one checks when an engine underperforms.
+// Post-run reporting: what one job did, as Hadoop prints it.
 #pragma once
 
 #include <string>
 
 #include "mapred/types.h"
-#include "workloads/testbed.h"
 
 namespace hmr::workloads {
-
-// Per-host utilization over [0, engine.now()]: disk busy %, bytes
-// read/written, seeks; plus cluster-wide network totals.
-std::string utilization_report(Testbed& bed);
 
 // Hadoop-style job summary: phases, counters, shuffle volume.
 std::string job_report(const mapred::JobResult& result);

@@ -222,6 +222,32 @@ TEST_P(DiskFaultMatrix, RecoversWithIdenticalOutput) {
 INSTANTIATE_TEST_SUITE_P(AllEngines, DiskFaultMatrix,
                          ::testing::Values("vanilla", "osu-ib", "hadoop-a"));
 
+// A disk-full window on host 1 during the second of three map waves:
+// the spills it rejects shed the outputs the prefetch cache holds for
+// the first wave, and the job's own counters carry the evictions.
+TEST(DiskPressureTest, CacheEvictionsAreJobCounters) {
+  auto config = tiny(workloads::EngineSetup::osu_ib());
+  config.sort_modeled_bytes = 512 * kMiB;  // 32 maps: three waves
+  const auto clean = workloads::run_experiment(config);
+  ASSERT_TRUE(clean.validated);
+  EXPECT_EQ(clean.job.counter("cache.pressure.evictions"), 0);
+
+  sim::FaultPlan plan;
+  sim::DiskFault full;
+  full.full_at = 10.0;
+  full.full_duration = 3.0;
+  plan.disk_fault(1, full);
+  config.faults = &plan;
+  const auto faulted = workloads::run_experiment(config);
+  ASSERT_TRUE(faulted.validated);
+  EXPECT_EQ(faulted.validation.digest.checksum,
+            clean.validation.digest.checksum);
+  EXPECT_GT(faulted.job.counter("storage.disk_full.events"), 0);
+  EXPECT_GT(faulted.job.counter("cache.pressure.evictions"), 0);
+  EXPECT_EQ(faulted.job.counter("cache.pressure.evictions"),
+            faulted.job.metrics.counter("cache.pressure.evictions"));
+}
+
 // Network faults and disk faults in the same run: dropped responses on
 // host 1 while host 2's disk throws errors and corrupts reads.
 TEST(CombinedFaultTest, NetworkAndDiskFaultsTogether) {

@@ -1207,8 +1207,9 @@ TEST(FetchTimeoutsTest, PendingEntryPinsItsOwner) {
   EXPECT_TRUE(alive.expired());  // released once the entry fired
 }
 
-// A job with no input and no trackers: enough runtime for one copier's
-// exchange ladder, without any shuffle engine or transport under it.
+// A job with no input and no trackers but one finished map, served by
+// host 1: enough runtime for one copier's fetch loop, without any
+// shuffle engine or transport under it.
 struct ExchangeWorld {
   sim::Engine engine;
   net::Cluster cluster{engine, net::NetProfile::ipoib_qdr(),
@@ -1226,6 +1227,11 @@ struct ExchangeWorld {
     job = std::make_unique<JobRuntime>(cluster, network, dfs, JobSpec{}, conf,
                                        /*trackers=*/std::vector<TaskTrackerState*>{},
                                        /*job_id=*/1);
+    MapTaskInfo map;
+    map.map_id = 0;
+    map.ran_on = 1;
+    map.done = true;
+    job->maps.push_back(map);
   }
   std::int64_t counter(const std::string& name) {
     return job->result.counters[name];
@@ -1264,10 +1270,24 @@ FetchEvent expiry(std::uint64_t timer_id) {
   return event;
 }
 
-sim::Task<> run_exchange(ExchangeWorld& w, const FetchTransport& transport,
+// A link on `w.watch` whose connect records each server it is asked
+// for; the test supplies send.
+FetchLink test_link(ExchangeWorld& w, std::vector<int>* servers) {
+  FetchLink link;
+  link.connect = [servers](int server) -> sim::Task<sim::ResourceHold> {
+    servers->push_back(server);
+    co_return sim::ResourceHold{};
+  };
+  link.classify = classify_test_frame;
+  link.watch = w.watch;
+  return link;
+}
+
+sim::Task<> run_exchange(ExchangeWorld& w, FetchLink& link, Rng& rng,
+                         const TaskAttempt* attempt,
                          std::optional<net::Message>& out, double& done) {
   out = co_await fetch_exchange(*w.job, w.cluster.host(1), /*map_id=*/0,
-                                *w.timeouts, w.watch, transport);
+                                *w.timeouts, link, rng, attempt);
   done = w.engine.now();
 }
 
@@ -1431,8 +1451,9 @@ TEST(TaskTrackerStateTest, FindOutputKeysByJobAndMap) {
 TEST(FetchExchangeTest, DropsBadFramesAndReturnsTheMatchingOne) {
   ExchangeWorld w;
   w.watch->timer_seq = 4;  // this exchange arms timer 5
-  FetchTransport transport;
-  transport.send = [&w]() -> sim::Task<> {
+  std::vector<int> servers;
+  FetchLink link = test_link(w, &servers);
+  link.send = [&w]() -> sim::Task<> {
     EXPECT_TRUE(w.watch->events.try_send(frame(kTagMalformed)));
     EXPECT_TRUE(w.watch->events.try_send(frame(kTagMine, {9, 9, 9, 9})));
     EXPECT_TRUE(w.watch->events.try_send(frame(kTagStale, kGoodBody)));
@@ -1440,39 +1461,85 @@ TEST(FetchExchangeTest, DropsBadFramesAndReturnsTheMatchingOne) {
     EXPECT_TRUE(w.watch->events.try_send(frame(kTagMine, kGoodBody)));
     co_return;
   };
-  transport.classify = classify_test_frame;
+  Rng rng = w.engine.make_rng("test.retry");
   std::optional<net::Message> response;
   double done = -1;
-  w.engine.spawn(run_exchange(w, transport, response, done));
+  w.engine.spawn(run_exchange(w, link, rng, nullptr, response, done));
   w.engine.run();
 
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->tag, kTagMine);
   EXPECT_EQ(*response->payload, kGoodBody);
   EXPECT_LT(done, 60.0);
+  EXPECT_EQ(servers, std::vector<int>{1});
   EXPECT_EQ(w.counter("shuffle.fetch.requests"), 1);
   EXPECT_EQ(w.counter("shuffle.malformed_msgs"), 2);  // one is the CRC
   EXPECT_EQ(w.counter("shuffle.fetch.stale_dropped"), 1);
+  EXPECT_EQ(w.counter("shuffle.fetch.timeouts"), 0);
+  EXPECT_EQ(w.counter("shuffle.refetch.bytes"), 0);  // not a rerun's output
   EXPECT_EQ(w.watch->armed_id, 0u);
   EXPECT_EQ(w.watch->timer_seq, 5u);
   EXPECT_TRUE(w.watch->events.empty());  // its own timer never fired
 }
 
 TEST(FetchExchangeTest, UnansweredRequestTimesOutAtSendPlusTimeout) {
+  // The first request goes unanswered: it times out at its send time
+  // plus the timeout, the loop backs off, and the retry is answered.
   ExchangeWorld w;
-  FetchTransport transport;
-  transport.send = [&w]() -> sim::Task<> { co_await w.engine.delay(2.5); };
-  transport.classify = classify_test_frame;
+  std::vector<int> servers;
+  std::vector<double> sends;
+  FetchLink link = test_link(w, &servers);
+  link.send = [&w, &sends]() -> sim::Task<> {
+    co_await w.engine.delay(2.5);
+    sends.push_back(w.engine.now());
+    if (sends.size() == 2) {
+      EXPECT_TRUE(w.watch->events.try_send(frame(kTagMine, kGoodBody)));
+    }
+  };
+  Rng rng = w.engine.make_rng("test.retry");
+  Rng probe = w.engine.make_rng("test.retry");
+  const double backoff = w.job->conf.retry.backoff(1, probe);
   std::optional<net::Message> response;
   double done = -1;
-  w.engine.spawn(run_exchange(w, transport, response, done));
+  w.engine.spawn(run_exchange(w, link, rng, nullptr, response, done));
+  w.engine.run();
+
+  ASSERT_TRUE(response.has_value());
+  ASSERT_EQ(sends.size(), 2u);
+  EXPECT_EQ(sends[1], 2.5 + 60.0 + backoff + 2.5);
+  EXPECT_NEAR(done, sends[1], 1e-6);  // plus the CRC verify
+  EXPECT_EQ(servers, (std::vector<int>{1, 1}));
+  EXPECT_EQ(w.counter("shuffle.fetch.requests"), 2);
+  EXPECT_EQ(w.counter("shuffle.fetch.timeouts"), 1);
+  EXPECT_EQ(w.counter("shuffle.fetch.retries"), 1);
+  EXPECT_EQ(w.counter("shuffle.trackers.blacklisted"), 0);
+  EXPECT_EQ(w.counter("shuffle.malformed_msgs"), 0);
+  EXPECT_EQ(w.watch->armed_id, 0u);
+}
+
+TEST(FetchExchangeTest, KilledAttemptGivesUpOnlyBetweenRetries) {
+  // A reduce attempt killed before its fetch still makes the first
+  // attempt; it gives up after that attempt's timeout, without a retry.
+  ExchangeWorld w;
+  std::vector<int> servers;
+  FetchLink link = test_link(w, &servers);
+  link.send = []() -> sim::Task<> { co_return; };
+  TaskAttempt killed(w.engine);
+  killed.kind = TaskKind::kReduce;
+  killed.kill_requested = true;
+  Rng rng = w.engine.make_rng("test.retry");
+  Rng probe = w.engine.make_rng("test.retry");
+  const double backoff = w.job->conf.retry.backoff(1, probe);
+  std::optional<net::Message> response;
+  double done = -1;
+  w.engine.spawn(run_exchange(w, link, rng, &killed, response, done));
   w.engine.run();
 
   EXPECT_FALSE(response.has_value());
-  EXPECT_EQ(done, 2.5 + 60.0);
+  EXPECT_EQ(done, 60.0 + backoff);
+  EXPECT_EQ(servers, std::vector<int>{1});
   EXPECT_EQ(w.counter("shuffle.fetch.requests"), 1);
-  EXPECT_EQ(w.counter("shuffle.malformed_msgs"), 0);
-  EXPECT_EQ(w.watch->armed_id, 0u);
+  EXPECT_EQ(w.counter("shuffle.fetch.timeouts"), 1);
 }
 
 workloads::RunConfig tiny_vanilla() {
@@ -1528,6 +1595,49 @@ TEST(VanillaRecoveryTest, DroppedResponsesRetryToCompletion) {
   EXPECT_GT(outcome.job.counter("shuffle.fetch.retries"), 0);
   EXPECT_EQ(outcome.job.counter("shuffle.trackers.blacklisted"), 0);
 }
+
+// Both copiers against a tracker dead from the start, with a blacklist
+// threshold of 2 and a 1 s backoff: the first copier to time out backs
+// off, and other copiers' timeouts blacklist the tracker meanwhile. The
+// first copier's next attempt must wait for the map's re-execution and
+// fetch from it, not time out once more against the dead tracker: with
+// one retry per fetch, a second timeout would abort the job.
+class BlacklistDuringBackoffTest : public testing::TestWithParam<const char*> {
+};
+
+TEST_P(BlacklistDuringBackoffTest, NextAttemptFetchesTheRerunWithoutTimingOut) {
+  auto config = tiny_vanilla();
+  if (std::string(GetParam()) == "osu-ib") {
+    config.setup = workloads::EngineSetup::osu_ib();
+  }
+  const auto clean = workloads::run_experiment(config);
+  ASSERT_TRUE(clean.validated);
+
+  sim::FaultPlan plan(3);
+  plan.kill_tracker(1, 0.0);
+  config.faults = &plan;
+  config.setup.extra.set_double(kFetchTimeoutSec, 2.0);
+  config.setup.extra.set_double(kFetchBackoffBaseSec, 1.0);
+  config.setup.extra.set_double(kFetchBackoffMaxSec, 1.0);
+  config.setup.extra.set_int(kBlacklistFailures, 2);
+  config.setup.extra.set_int(kFetchMaxRetries, 1);
+  const auto faulted = workloads::run_experiment(config);
+
+  ASSERT_TRUE(faulted.validated);
+  EXPECT_EQ(faulted.validation.digest.checksum,
+            clean.validation.digest.checksum);
+  // More timeouts than the threshold: some copier timed out before the
+  // blacklist and backed off.
+  EXPECT_GT(faulted.job.counter("shuffle.fetch.timeouts"), 2);
+  EXPECT_EQ(faulted.job.counter("shuffle.fetch.retries"),
+            faulted.job.counter("shuffle.fetch.timeouts"));
+  EXPECT_EQ(faulted.job.counter("shuffle.trackers.blacklisted"), 1);
+  EXPECT_GT(faulted.job.counter("shuffle.refetch.reruns"), 0);
+  EXPECT_GT(faulted.job.counter("shuffle.refetch.bytes"), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothCopiers, BlacklistDuringBackoffTest,
+                         testing::Values("vanilla", "osu-ib"));
 
 }  // namespace
 }  // namespace hmr::mapred

@@ -449,6 +449,60 @@ std::int64_t daemons_after_start(RdmaDesign design, bool caching) {
   return parked;
 }
 
+// Looks up what the responder on host 1 serves for `req`, as respond()
+// does with a request off the wire.
+const mapred::MapOutputInfo* serve(sim::Engine& engine, JobRuntime& job,
+                                   const DataRequest& req) {
+  const auto decoded = DataRequest::from_frame(
+      net::Message::data(req.encode(), 1.0, kTagDataRequest));
+  EXPECT_TRUE(decoded.ok());
+  const mapred::MapOutputInfo* found = nullptr;
+  engine.spawn([](JobRuntime& job, DataRequest req,
+                  const mapred::MapOutputInfo*& found) -> sim::Task<> {
+    found = co_await job.output_to_serve(1, req.job_id, req.map_id,
+                                         req.reduce_id);
+  }(job, *decoded, found));
+  engine.run();
+  return found;
+}
+
+TEST(RdmaServeTest, RequestNamingAnotherJobIsDroppedAsMalformed) {
+  // A tracker running two jobs serves map 0 of each. The responders of
+  // job 1 must serve job 1's output only: a DataRequest naming job 2 is
+  // dropped and counted, never served from the other job's output.
+  sim::Engine engine;
+  const auto profile = net::NetProfile::verbs_qdr();
+  net::Cluster cluster(engine, profile, net::Cluster::uniform(2, 1));
+  net::Network network(engine, profile);
+  hdfs::MiniDfs dfs(cluster, network, hdfs::HdfsParams{}, 0, {1});
+  mapred::TaskTrackerState tracker(engine, cluster.host(1));
+  mapred::JobConf conf;
+  conf.num_reduces = 1;
+  JobRuntime job(cluster, network, dfs, mapred::JobSpec{}, conf, {&tracker},
+                 /*job_id=*/1);
+  for (const std::uint32_t job_id : {1u, 2u}) {
+    mapred::MapOutputInfo info;
+    info.map_id = 0;
+    info.host_id = 1;
+    auto output = std::make_shared<dataplane::MapOutput>();
+    output->index.resize(1);
+    info.output = std::move(output);
+    tracker.map_outputs.emplace(dataplane::map_output_id(job_id, 0), info);
+  }
+
+  DataRequest req;
+  req.job_id = 2;
+  EXPECT_EQ(serve(engine, job, req), nullptr);
+  EXPECT_EQ(job.result.counter("shuffle.malformed_msgs"), 1);
+
+  req.job_id = 1;
+  EXPECT_EQ(serve(engine, job, req), tracker.find_output(1, 0));
+  EXPECT_EQ(job.result.counter("shuffle.malformed_msgs"), 1);
+  req.reduce_id = 1;  // past the map's one partition
+  EXPECT_EQ(serve(engine, job, req), nullptr);
+  EXPECT_EQ(job.result.counter("shuffle.malformed_msgs"), 2);
+}
+
 TEST(RdmaEngineTest, OnlyCachingJobsRunPrefetchers) {
   const int responders = mapred::JobConf{}.responder_threads;
   const std::int64_t serving = 2 * (1 + responders);  // per tracker

@@ -197,18 +197,6 @@ TEST(ExperimentTest, SeedsChangeLayoutNotValidity) {
 namespace hmr::workloads {
 namespace {
 
-TEST(ReportTest, UtilizationMentionsEveryDisk) {
-  Testbed bed(small_bed());
-  EXPECT_TRUE(bed.generate("teragen", small_gen()).ok());
-  (void)bed.run_job(terasort_job(bed.dfs(), "/in", "/out", Conf{}));
-  const std::string report = utilization_report(bed);
-  for (size_t h = 0; h < bed.cluster().size(); ++h) {
-    EXPECT_NE(report.find(bed.cluster().host(h).name()), std::string::npos);
-  }
-  EXPECT_NE(report.find("network:"), std::string::npos);
-  EXPECT_NE(report.find("%"), std::string::npos);
-}
-
 TEST(ReportTest, JobReportCarriesCountersAndPhases) {
   Testbed bed(small_bed());
   EXPECT_TRUE(bed.generate("teragen", small_gen()).ok());
