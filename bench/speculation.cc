@@ -6,13 +6,15 @@
 // p50/p95/p99 job latency across the trials; the "seconds" column
 // bench_check diffs is the p95. With LATE speculation on, backups of the
 // degraded hosts' tasks land on healthy nodes and the tail collapses —
-// the p99 row at the 10% fraction is the headline series. Its
-// BENCH_speculation.json is diffed against
-// bench/baselines/BENCH_speculation.json in the CI bench-speculation
-// job; regenerate the baseline with
+// the p99 row at the 10% fraction is the headline series. Two claims
+// are checked on every engine's p95: spec=on is no slower than spec=off
+// at fraction 0 (backups cost nothing on a healthy cluster) and strictly
+// faster at every nonzero fraction; the bench exits 1, naming the cell,
+// when one fails. Its BENCH_speculation.json is diffed against
+// bench/baselines/BENCH_speculation.json in the CI bench-figures job;
+// regenerate the baseline with
 //   HMR_BENCH_DIR=bench/baselines ./build/bench/speculation
 // after any intentional scheduling or performance change.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "sim/fault.h"
 #include "workloads/benchjson.h"
 #include "workloads/experiment.h"
+#include "workloads/multitenant.h"
 
 using namespace hmr;
 using namespace hmr::workloads;
@@ -32,19 +35,6 @@ namespace {
 
 constexpr int kNodes = 10;
 constexpr int kTrials = 5;
-
-struct Percentiles {
-  double p50 = 0, p95 = 0, p99 = 0;
-};
-
-Percentiles percentiles(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  const auto at = [&](double q) {
-    const size_t idx = size_t(q * double(samples.size() - 1) + 0.5);
-    return samples[std::min(idx, samples.size() - 1)];
-  };
-  return Percentiles{at(0.50), at(0.95), at(0.99)};
-}
 
 // `plan` receives the cell's CPU faults and must outlive the run.
 RunConfig config_for(const EngineSetup& engine, double fraction,
@@ -76,7 +66,7 @@ RunConfig config_for(const EngineSetup& engine, double fraction,
 }
 
 Json run_cell(const std::string& series, double fraction,
-              const Percentiles& latency, bool validated,
+              const LatencySummary& latency, bool validated,
               std::uint64_t attempts, std::uint64_t wins) {
   // hmr-bench-v1 row: size_gb carries the swept slow-node fraction and
   // seconds the p95 job latency; single-job phase breakdowns do not
@@ -104,6 +94,21 @@ Json run_cell(const std::string& series, double fraction,
   return run;
 }
 
+// The speculation claim for one engine at one fraction, on the p95:
+// spec=on no slower than spec=off on a healthy cluster, strictly faster
+// once some nodes are slow. Prints the failing cell.
+bool claim_holds(const std::string& engine, double fraction, double off_p95,
+                 double on_p95) {
+  const bool holds = fraction == 0.0 ? on_p95 <= off_p95 : on_p95 < off_p95;
+  if (!holds) {
+    std::fprintf(stderr,
+                 "CLAIM FAILED: %s fraction=%.2f: spec=on p95 %.3f s vs "
+                 "spec=off %.3f s\n",
+                 engine.c_str(), fraction, on_p95, off_p95);
+  }
+  return holds;
+}
+
 }  // namespace
 
 int main() {
@@ -123,9 +128,11 @@ int main() {
   Table table(std::move(headers));
 
   Json runs = Json::array();
+  int failures = 0;
   for (const double fraction : fractions) {
     std::vector<std::string> cells{Table::num(fraction, 2)};
     for (const auto& engine : engines) {
+      double off_p95 = 0;
       for (const bool speculative : {false, true}) {
         std::fprintf(stderr, "  %s spec=%s fraction=%.2f...\n",
                      engine.label.c_str(), speculative ? "on" : "off",
@@ -143,11 +150,17 @@ int main() {
               std::uint64_t(outcome.job.counter("speculation.attempts"));
           wins += std::uint64_t(outcome.job.counter("speculation.wins"));
         }
-        const Percentiles latency = percentiles(std::move(samples));
+        const LatencySummary latency = latency_summary(std::move(samples));
         runs.push_back(run_cell(
             engine.label + (speculative ? " spec=on" : " spec=off"),
             fraction, latency, validated, attempts, wins));
         cells.push_back(Table::num(latency.p95, 1));
+        if (!speculative) {
+          off_p95 = latency.p95;
+        } else if (!claim_holds(engine.label, fraction, off_p95,
+                                latency.p95)) {
+          ++failures;
+        }
       }
     }
     table.add_row(std::move(cells));
@@ -164,5 +177,8 @@ int main() {
   doc.set("workload", Json("terasort"));
   doc.set("nodes", Json(std::int64_t(kNodes)));
   doc.set("runs", std::move(runs));
-  return write_bench_json("BENCH_speculation.json", doc).empty() ? 1 : 0;
+  const bool written = !write_bench_json("BENCH_speculation.json", doc).empty();
+  std::printf("speculation: %zu claims checked, %d failure(s)\n",
+              fractions.size() * engines.size(), failures);
+  return written && failures == 0 ? 0 : 1;
 }

@@ -146,13 +146,11 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
     // Intermediate spill files + merge pass, checksum-verified: an
     // injected IO error retries, a corrupt spill is rewritten, a full
     // disk evicts shuffle cache and backs off (mapred/integrity.h).
-    const auto spill_stream = storage::next_stream_id();
     const Status spilled = co_await write_file_verified(
         job, host, path + ".spills", std::make_shared<const Bytes>(1),
         double(output_modeled));
     HMR_CHECK_MSG(spilled.ok(),
                   "map spill failed: " + spilled.to_string());
-    (void)spill_stream;
     const auto merged =
         co_await read_file_verified(job, host, path + ".spills");
     HMR_CHECK_MSG(merged.ok(),

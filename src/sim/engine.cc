@@ -69,13 +69,6 @@ void Engine::spawn(Task<> task) {
 
 bool Engine::step() {
   if (queue_.empty()) return false;
-  if (max_events_ != 0 && events_dispatched_ >= max_events_) {
-    // Runaway valve: stop dispatching and let run()/run_until() return
-    // with overrun() set, leaving the queue intact for inspection. The
-    // caller decides whether that is fatal.
-    overrun_ = true;
-    return false;
-  }
   const Event event = queue_.top();
   queue_.pop();
   HMR_CHECK(event.at >= now_);
@@ -92,11 +85,8 @@ Time Engine::run() {
 }
 
 Time Engine::run_until(Time deadline) {
-  while (!queue_.empty() && queue_.top().at <= deadline) {
-    if (!step()) break;
-  }
-  // Don't jump time past still-queued events after an overrun stop.
-  if (!overrun_ && now_ < deadline) now_ = deadline;
+  while (!queue_.empty() && queue_.top().at <= deadline) step();
+  if (now_ < deadline) now_ = deadline;
   return now_;
 }
 

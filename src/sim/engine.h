@@ -71,8 +71,7 @@ class Engine {
   Time run();
   // Runs until the queue drains or simulated time would pass `deadline`.
   Time run_until(Time deadline);
-  // Dispatches at most one event; returns false if the queue was empty
-  // or the max_events valve tripped (see overrun()).
+  // Dispatches at most one event; returns false if the queue was empty.
   bool step();
 
   // Number of spawned processes that have not yet finished. A nonzero
@@ -81,12 +80,6 @@ class Engine {
   std::int64_t live_processes() const { return live_processes_; }
   std::uint64_t events_dispatched() const { return events_dispatched_; }
 
-  // Safety valve for runaway simulations; 0 disables the limit. When the
-  // limit is hit, run()/run_until() return cleanly with overrun() true
-  // and the remaining events still queued, so harnesses (simfuzz,
-  // benches) can report the overrun as a failure instead of crashing.
-  void set_max_events(std::uint64_t max_events) { max_events_ = max_events; }
-  bool overrun() const { return overrun_; }
   std::size_t pending_events() const { return queue_.size(); }
   // True once the destructor has started tearing down detached frames;
   // scheduling is disabled and sinks (e.g. the tracer) must not assume
@@ -125,8 +118,6 @@ class Engine {
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_dispatched_ = 0;
-  std::uint64_t max_events_ = 0;
-  bool overrun_ = false;
   std::int64_t live_processes_ = 0;
   std::uint64_t seed_;
   MetricsRegistry metrics_;

@@ -12,6 +12,8 @@ namespace hmr::simfuzz {
 namespace {
 
 constexpr const char* kEngines[] = {"vanilla", "osu-ib", "hadoop-a"};
+// Shares its prefix with the recipe's input directory, /bench/in.
+constexpr const char* kOutputDir = "/bench/out";
 
 net::NetProfile vanilla_profile(const std::string& name) {
   if (name == "1gige") return net::NetProfile::one_gige();
@@ -31,37 +33,28 @@ void add(Verdict* verdict, std::string oracle, std::string engine,
       Violation{std::move(oracle), std::move(engine), std::move(detail)});
 }
 
-// Deterministic deployment recipe shared by the single-job runner and
-// the multi-job oracle, so both execute byte-identical workloads.
-struct ScenarioSetup {
-  workloads::TestbedSpec bed_spec;
-  workloads::DataGenSpec gen;
-  Conf conf;  // base_conf + engine selection + workload scaling
-  bool terasort = true;
-};
-
-ScenarioSetup scenario_setup(const Scenario& scenario,
-                             const std::string& engine) {
-  ScenarioSetup setup;
-  setup.terasort = scenario.workload == "terasort";
-  setup.bed_spec.nodes = scenario.nodes;
-  setup.bed_spec.disks_per_node = scenario.disks;
-  setup.bed_spec.ssd = scenario.ssd;
-  setup.bed_spec.profile = engine == "vanilla"
-                               ? vanilla_profile(scenario.vanilla_profile)
-                               : net::NetProfile::verbs_qdr();
-  setup.bed_spec.hdfs.block_size = scenario.block_bytes;
-  setup.bed_spec.seed = scenario.seed;
-
-  setup.gen.dir = "/fuzz/in";
-  setup.gen.part_modeled = scenario.block_bytes;
-  setup.gen.seed = scenario.seed;
-  setup.conf = scenario.base_conf();
-  setup.conf.set(mapred::kShuffleEngine, engine);
-  workloads::scale_workload(setup.terasort, scenario.modeled_bytes,
-                            scenario.target_real_bytes, &setup.gen,
-                            &setup.conf);
-  return setup;
+// The scenario as the shared run recipe's configuration, on `engine`'s
+// fabric. `faults` is armed only when the scenario injects any.
+workloads::RunConfig run_config(const Scenario& scenario,
+                                const std::string& engine,
+                                sim::FaultPlan* faults) {
+  workloads::RunConfig config;
+  config.setup.label = engine;
+  config.setup.engine = engine;
+  config.setup.profile = engine == "vanilla"
+                             ? vanilla_profile(scenario.vanilla_profile)
+                             : net::NetProfile::verbs_qdr();
+  config.setup.extra = scenario.base_conf();
+  config.workload = scenario.workload;
+  config.sort_modeled_bytes = scenario.modeled_bytes;
+  config.nodes = scenario.nodes;
+  config.disks = scenario.disks;
+  config.ssd = scenario.ssd;
+  config.block_size = scenario.block_bytes;
+  config.target_real_bytes = scenario.target_real_bytes;
+  config.seed = scenario.seed;
+  if (!scenario.faults.empty()) config.faults = faults;
+  return config;
 }
 
 // The conservation laws over one job's own counters. `source` is the
@@ -115,15 +108,6 @@ void check_job_laws(const auto& source, bool speculative,
         fmt("%lld checksum mismatches but %lld recovery actions",
             mismatches, handled));
   }
-}
-
-mapred::JobSpec make_job(const ScenarioSetup& setup, workloads::Testbed& bed,
-                         const std::string& output_dir) {
-  return setup.terasort
-             ? workloads::terasort_job(bed.dfs(), setup.gen.dir, output_dir,
-                                       setup.conf)
-             : workloads::sort_job(bed.dfs(), setup.gen.dir, output_dir,
-                                   setup.conf);
 }
 
 // The records a job's committed reduces wrote.
@@ -185,59 +169,46 @@ std::string job_result_json(const mapred::JobResult& job) {
 }
 
 EngineRun run_engine(const Scenario& scenario, const std::string& engine) {
+  sim::FaultPlan plan = scenario.build_fault_plan();
+  auto deployment = workloads::Deployment::create(
+      run_config(scenario, engine, &plan));
   EngineRun run;
   run.engine = engine;
-
-  ScenarioSetup setup = scenario_setup(scenario, engine);
-  workloads::Testbed bed(setup.bed_spec);
-  auto digest = bed.generate(setup.terasort ? "teragen" : "randomwriter",
-                             setup.gen);
-  HMR_CHECK_MSG(digest.ok(), "simfuzz: input generation failed");
-  run.input_digest = *digest;
-
-  mapred::JobSpec job = make_job(setup, bed, "/fuzz/out");
-
-  sim::FaultPlan plan = scenario.build_fault_plan();
-  if (!scenario.faults.empty()) {
-    bed.cluster().inject_faults(plan);
-    job.faults = &plan;
-  }
-  run.job = bed.run_job(std::move(job));
-  // After run_job the engine has run dry: every in-flight transmit
+  run.outcome = deployment.run(kOutputDir);
+  // After the run the engine has run dry: every in-flight transmit
   // completed, so conservation laws are checkable on this snapshot.
-  run.end_metrics = bed.engine().metrics().snapshot();
-
-  auto report = workloads::validate_output(bed.dfs(), "/fuzz/out");
-  run.output_present = report.ok();
-  if (report.ok()) run.validation = *report;
-  run.result_json = job_result_json(run.job);
+  run.end_metrics = deployment.bed().engine().metrics().snapshot();
+  run.result_json = job_result_json(run.outcome.job);
   return run;
 }
 
 void check_engine_run(const Scenario& scenario, const EngineRun& run,
                       Verdict* verdict) {
   const std::string& e = run.engine;
-  const mapred::JobResult& job = run.job;
+  const mapred::JobResult& job = run.outcome.job;
+  const workloads::ValidationReport& output = run.outcome.validation;
+  const workloads::DatasetDigest& input = run.outcome.input;
   const MetricsSnapshot& m = run.end_metrics;
 
   // --- output correctness -----------------------------------------------
-  if (!run.output_present) {
-    add(verdict, "output.missing", e, "no part files under /fuzz/out");
+  if (!run.outcome.output_present) {
+    add(verdict, "output.missing", e,
+        std::string("no part files under ") + kOutputDir);
   } else {
-    if (!run.validation.per_part_sorted) {
+    if (!output.per_part_sorted) {
       add(verdict, "output.part_order", e, "a part file is out of order");
     }
-    if (scenario.workload == "terasort" && !run.validation.globally_sorted) {
+    if (scenario.workload == "terasort" && !output.globally_sorted) {
       add(verdict, "output.global_order", e,
           "terasort part files do not concatenate sorted");
     }
-    if (run.validation.digest != run.input_digest) {
+    if (output.digest != input) {
       add(verdict, "output.digest", e,
           fmt("records %llu -> %llu, checksum %016llx -> %016llx",
-              (unsigned long long)run.input_digest.records,
-              (unsigned long long)run.validation.digest.records,
-              (unsigned long long)run.input_digest.checksum,
-              (unsigned long long)run.validation.digest.checksum));
+              (unsigned long long)input.records,
+              (unsigned long long)output.digest.records,
+              (unsigned long long)input.checksum,
+              (unsigned long long)output.digest.checksum));
     }
   }
 
@@ -364,11 +335,11 @@ void check_engine_run(const Scenario& scenario, const EngineRun& run,
 void check_cross_engine(const std::vector<EngineRun>& runs,
                         Verdict* verdict) {
   if (runs.size() < 2) return;
-  const EngineRun& ref = runs.front();
+  const workloads::RunOutcome& ref = runs.front().outcome;
   for (size_t i = 1; i < runs.size(); ++i) {
-    const EngineRun& other = runs[i];
-    const std::string pair = ref.engine + " vs " + other.engine;
-    if (other.input_digest != ref.input_digest) {
+    const workloads::RunOutcome& other = runs[i].outcome;
+    const std::string pair = runs.front().engine + " vs " + runs[i].engine;
+    if (other.input != ref.input) {
       add(verdict, "cross.input_digest", "",
           pair + ": engines consumed different inputs");
     }
@@ -403,23 +374,26 @@ void check_multi_job(const Scenario& scenario, Verdict* verdict) {
   if (scenario.concurrent_jobs < 2) return;
   const std::string engine = "osu-ib";
   const int jobs = scenario.concurrent_jobs;
-  const auto out_dir = [](int j) { return "/fuzz/out" + std::to_string(j); };
+  const auto out_dir = [](int j) {
+    return std::string(kOutputDir) + std::to_string(j);
+  };
+  // Local map-output and spill paths are named after the job, so each
+  // job gets its own name or same-named jobs would share those files.
+  const auto job_named = [&out_dir](workloads::Deployment& deployment, int j) {
+    mapred::JobSpec job = deployment.job(out_dir(j));
+    job.name = "fuzz-" + std::to_string(j);
+    return job;
+  };
 
   // Concurrent leg: every job submitted through the JobTracker at time
   // zero, contending for the shared trackers under the fault plan.
-  ScenarioSetup setup = scenario_setup(scenario, engine);
-  workloads::Testbed bed(setup.bed_spec);
-  auto digest = bed.generate(setup.terasort ? "teragen" : "randomwriter",
-                             setup.gen);
-  HMR_CHECK_MSG(digest.ok(), "simfuzz: multi-job input generation failed");
   sim::FaultPlan plan = scenario.build_fault_plan();
-  if (!scenario.faults.empty()) bed.cluster().inject_faults(plan);
+  auto concurrent_leg = workloads::Deployment::create(
+      run_config(scenario, engine, &plan));
+  workloads::Testbed& bed = concurrent_leg.bed();
   std::vector<std::shared_ptr<mapred::SubmittedJob>> handles;
   for (int j = 1; j <= jobs; ++j) {
-    mapred::JobSpec job = make_job(setup, bed, out_dir(j));
-    job.name = "fuzz-" + std::to_string(j);
-    if (!scenario.faults.empty()) job.faults = &plan;
-    handles.push_back(bed.tracker().submit(std::move(job)));
+    handles.push_back(bed.tracker().submit(job_named(concurrent_leg, j)));
   }
   bed.engine().run();
 
@@ -451,20 +425,13 @@ void check_multi_job(const Scenario& scenario, Verdict* verdict) {
                    fmt("%s job %d", engine.c_str(), j), verdict);
   }
 
-  // Serial leg: a twin testbed (same seed, same fault plan) runs the
-  // identical job list one at a time.
-  workloads::Testbed serial_bed(setup.bed_spec);
-  auto serial_digest = serial_bed.generate(
-      setup.terasort ? "teragen" : "randomwriter", setup.gen);
-  HMR_CHECK_MSG(serial_digest.ok(),
-                "simfuzz: multi-job serial input generation failed");
+  // Serial leg: a twin deployment (same seed, its own copy of the fault
+  // plan) runs the identical job list one at a time.
   sim::FaultPlan serial_plan = scenario.build_fault_plan();
-  if (!scenario.faults.empty()) serial_bed.cluster().inject_faults(serial_plan);
+  auto serial_leg = workloads::Deployment::create(
+      run_config(scenario, engine, &serial_plan));
   for (int j = 1; j <= jobs; ++j) {
-    mapred::JobSpec job = make_job(setup, serial_bed, out_dir(j));
-    job.name = "fuzz-" + std::to_string(j);
-    if (!scenario.faults.empty()) job.faults = &serial_plan;
-    (void)serial_bed.run_job(std::move(job));
+    (void)serial_leg.bed().run_job(job_named(serial_leg, j));
   }
 
   // Per-job byte-identity: each concurrent output matches the input
@@ -472,7 +439,8 @@ void check_multi_job(const Scenario& scenario, Verdict* verdict) {
   // content-identical to its serial twin.
   for (int j = 1; j <= jobs; ++j) {
     auto concurrent = workloads::validate_output(bed.dfs(), out_dir(j));
-    auto serial = workloads::validate_output(serial_bed.dfs(), out_dir(j));
+    auto serial =
+        workloads::validate_output(serial_leg.bed().dfs(), out_dir(j));
     if (!concurrent.ok() || !serial.ok()) {
       add(verdict, "multijob.output_missing", engine,
           fmt("job %d: concurrent %s, serial %s", j,
@@ -480,14 +448,14 @@ void check_multi_job(const Scenario& scenario, Verdict* verdict) {
               serial.ok() ? "present" : "missing"));
       continue;
     }
-    if (concurrent->digest != *digest) {
+    if (concurrent->digest != concurrent_leg.input()) {
       add(verdict, "multijob.output_digest", engine,
           fmt("job %d: records %llu -> %llu under contention", j,
-              (unsigned long long)digest->records,
+              (unsigned long long)concurrent_leg.input().records,
               (unsigned long long)concurrent->digest.records));
     }
     if (!concurrent->per_part_sorted ||
-        (setup.terasort && !concurrent->globally_sorted)) {
+        (scenario.workload == "terasort" && !concurrent->globally_sorted)) {
       add(verdict, "multijob.output_order", engine,
           fmt("job %d output lost sort order under contention", j));
     }
@@ -509,35 +477,36 @@ void check_speculation_identity(const Scenario& scenario,
   // two runs see identical injected faults.
   Scenario twin = scenario;
   twin.speculative = false;
-  const EngineRun off = run_engine(twin, ref.engine);
-  if (off.output_present != ref.output_present) {
+  const workloads::RunOutcome& on = ref.outcome;
+  const workloads::RunOutcome off = run_engine(twin, ref.engine).outcome;
+  if (off.output_present != on.output_present) {
     add(verdict, "speculation.result_identity", ref.engine,
         fmt("output %s with speculation, %s without",
-            ref.output_present ? "present" : "missing",
+            on.output_present ? "present" : "missing",
             off.output_present ? "present" : "missing"));
     return;
   }
-  if (!ref.output_present) return;
-  if (off.validation.digest != ref.validation.digest) {
+  if (!on.output_present) return;
+  if (off.validation.digest != on.validation.digest) {
     add(verdict, "speculation.result_identity", ref.engine,
         fmt("records %llu/checksum %016llx with speculation vs "
             "%llu/%016llx without",
-            (unsigned long long)ref.validation.digest.records,
-            (unsigned long long)ref.validation.digest.checksum,
+            (unsigned long long)on.validation.digest.records,
+            (unsigned long long)on.validation.digest.checksum,
             (unsigned long long)off.validation.digest.records,
             (unsigned long long)off.validation.digest.checksum));
   }
-  if (off.validation.per_part_sorted != ref.validation.per_part_sorted ||
-      off.validation.globally_sorted != ref.validation.globally_sorted) {
+  if (off.validation.per_part_sorted != on.validation.per_part_sorted ||
+      off.validation.globally_sorted != on.validation.globally_sorted) {
     add(verdict, "speculation.result_identity", ref.engine,
         "sort-order validation diverged between speculation on and off");
   }
-  const auto ref_records = output_records(ref.job);
+  const auto on_records = output_records(on.job);
   const auto off_records = output_records(off.job);
-  if (off_records != ref_records) {
+  if (off_records != on_records) {
     add(verdict, "speculation.result_identity", ref.engine,
         fmt("REDUCE_OUTPUT_RECORDS %lld with speculation vs %lld without",
-            (long long)ref_records, (long long)off_records));
+            (long long)on_records, (long long)off_records));
   }
 }
 

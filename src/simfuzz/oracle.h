@@ -1,7 +1,9 @@
 // The fuzzer's oracle battery. A Scenario is run through each shuffle
-// engine by a non-aborting twin of workloads::run_experiment (validation
-// failures become recorded Violations instead of HMR_CHECK aborts, so
-// the fuzz loop can shrink and report), then checked against:
+// engine by workloads::Deployment, the recipe behind run_experiment,
+// whose run() records a rejected job or a wrong output in its
+// RunOutcome instead of aborting; the battery turns those into recorded
+// Violations, so the fuzz loop can shrink and report. Each run is then
+// checked against:
 //
 //  * per-engine: output present, sorted (globally for terasort), and
 //    checksum-identical to the input digest; phase timestamps sane
@@ -25,20 +27,18 @@
 #include "common/metrics.h"
 #include "mapred/types.h"
 #include "simfuzz/scenario.h"
-#include "workloads/jobs.h"
+#include "workloads/experiment.h"
 
 namespace hmr::simfuzz {
 
 // Everything one engine run exposes to the oracles.
 struct EngineRun {
   std::string engine;  // "vanilla" | "osu-ib" | "hadoop-a"
-  mapred::JobResult job;
-  workloads::DatasetDigest input_digest;
-  bool output_present = false;
-  workloads::ValidationReport validation;
-  // The engine registry AFTER run_job returned (the engine has run dry,
-  // so in-flight transfers that straddled the job-end snapshot in
-  // job.metrics have finished) — conservation laws hold only here.
+  workloads::RunOutcome outcome;
+  // The engine registry AFTER the run (the engine has run dry, so
+  // in-flight transfers that straddled the job-end snapshot in
+  // outcome.job.metrics have finished) — conservation laws hold only
+  // here.
   MetricsSnapshot end_metrics;
   // Canonical serialization for the golden-determinism oracle.
   std::string result_json;
@@ -65,11 +65,12 @@ struct Verdict {
 // metrics snapshot, insertion-ordered. Byte-equal strings <=> equal runs.
 std::string job_result_json(const mapred::JobResult& job);
 
-// Builds a fresh Testbed, generates input, runs the job under this
-// scenario's fault plan, and collects the oracle inputs. Never aborts on
-// wrong *output*; it still HMR_CHECKs on harness bugs (generation
-// failure), and scenarios whose faults make completion impossible abort
-// in the runtime by design (the generator never emits those).
+// Runs the scenario on `engine` through workloads::Deployment (a fresh
+// testbed and input, the scenario's fault plan armed) and collects the
+// oracle inputs. Never aborts on wrong *output*; it still HMR_CHECKs on
+// harness bugs (generation failure), and scenarios whose faults make
+// completion impossible abort in the runtime by design (the generator
+// never emits those).
 EngineRun run_engine(const Scenario& scenario, const std::string& engine);
 
 // Appends per-engine violations for one run.
@@ -79,7 +80,7 @@ void check_engine_run(const Scenario& scenario, const EngineRun& run,
 void check_cross_engine(const std::vector<EngineRun>& runs, Verdict* verdict);
 // Multi-tenant oracle (no-op when scenario.concurrent_jobs < 2): runs
 // the job list concurrently through a JobTracker and serially on a twin
-// testbed, then demands every job completed (starvation-freedom), the
+// deployment, then demands every job completed (starvation-freedom), the
 // scheduler's books balance, each job's own counters obey the job-scoped
 // conservation laws (fetch ladder, integrity accounting, speculation
 // kills == attempts >= wins), and each job's output is byte-identical to

@@ -163,13 +163,10 @@ sim::Task<Result<FileView>> LocalFS::read_range(std::string path,
   if (view.corrupted) {
     engine_.metrics().counter("storage.io.corrupt_reads").add();
   }
-  const auto modeled =
-      static_cast<std::uint64_t>(double(real_len) * file->scale);
   // Sequential-scan detection with readahead: a read continuing a
   // previous range rides the same scan; reads inside the scan's
   // prefetched window are page-cache hits (no disk). Fresh offsets pay
   // the positioning cost and pull a whole readahead granule.
-  (void)modeled;
   auto& cursors = file->range_cursors;
   const auto cursor_at = [&cursors](std::uint64_t offset) {
     return std::find_if(

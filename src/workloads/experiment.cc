@@ -32,66 +32,96 @@ EngineSetup EngineSetup::osu_ib_nocache() {
   return setup;
 }
 
-RunOutcome run_experiment(const RunConfig& config) {
+namespace {
+
+constexpr const char* kInputDir = "/bench/in";
+
+// Checks the workload and size; true for TeraSort, false for Sort.
+bool is_terasort(const RunConfig& config) {
   HMR_CHECK_MSG(config.sort_modeled_bytes > 0, "sort size required");
   const bool terasort = config.workload == "terasort";
   HMR_CHECK_MSG(terasort || config.workload == "sort",
                 "unknown workload: " + config.workload);
+  return terasort;
+}
 
+TestbedSpec testbed_spec(const RunConfig& config, bool terasort) {
+  TestbedSpec spec;
+  spec.nodes = config.nodes;
+  spec.disks_per_node = config.disks;
+  spec.ssd = config.ssd;
+  spec.profile = config.setup.profile;
   // Paper block sizes (§IV-B/C): TeraSort 256 MB (128 MB for Hadoop-A),
   // Sort 64 MB for every engine.
-  std::uint64_t block = config.block_size;
-  if (block == 0) {
+  spec.hdfs.block_size = config.block_size;
+  if (spec.hdfs.block_size == 0) {
     if (terasort) {
-      block = config.setup.engine == "hadoop-a" ? 128 * kMiB : 256 * kMiB;
+      spec.hdfs.block_size =
+          config.setup.engine == "hadoop-a" ? 128 * kMiB : 256 * kMiB;
     } else {
-      block = 64 * kMiB;
+      spec.hdfs.block_size = 64 * kMiB;
     }
   }
+  spec.seed = config.seed;
+  return spec;
+}
 
-  TestbedSpec bed_spec;
-  bed_spec.nodes = config.nodes;
-  bed_spec.disks_per_node = config.disks;
-  bed_spec.ssd = config.ssd;
-  bed_spec.profile = config.setup.profile;
-  bed_spec.hdfs.block_size = block;
-  bed_spec.seed = config.seed;
-  Testbed bed(bed_spec);
+}  // namespace
 
+Deployment Deployment::create(const RunConfig& config) {
+  return Deployment(config);
+}
+
+Deployment::Deployment(const RunConfig& config)
+    : faults_(config.faults),
+      terasort_(is_terasort(config)),
+      bed_(testbed_spec(config, terasort_)),
+      conf_(config.setup.extra) {
   DataGenSpec gen;
-  gen.dir = "/bench/in";
-  gen.part_modeled = block;
+  gen.dir = kInputDir;
+  gen.part_modeled = bed_.spec().hdfs.block_size;
   gen.seed = config.seed;
-  Conf conf = config.setup.extra;
-  conf.set(mapred::kShuffleEngine, config.setup.engine);
-  scale_workload(terasort, config.sort_modeled_bytes,
-                 config.target_real_bytes, &gen, &conf);
-  auto digest =
-      bed.generate(terasort ? "teragen" : "randomwriter", gen);
+  conf_.set(mapred::kShuffleEngine, config.setup.engine);
+  scale_workload(terasort_, config.sort_modeled_bytes,
+                 config.target_real_bytes, &gen, &conf_);
+  auto digest = bed_.generate(terasort_ ? "teragen" : "randomwriter", gen);
   HMR_CHECK_MSG(digest.ok(), "input generation failed");
+  input_ = *digest;
+  if (faults_ != nullptr) bed_.cluster().inject_faults(*faults_);
+}
 
+mapred::JobSpec Deployment::job(const std::string& output_dir) {
   mapred::JobSpec job =
-      terasort ? terasort_job(bed.dfs(), gen.dir, "/bench/out", conf)
-               : sort_job(bed.dfs(), gen.dir, "/bench/out", conf);
-  if (config.faults != nullptr) {
-    bed.cluster().inject_faults(*config.faults);
-    job.faults = config.faults;
-  }
+      terasort_ ? terasort_job(bed_.dfs(), kInputDir, output_dir, conf_)
+                : sort_job(bed_.dfs(), kInputDir, output_dir, conf_);
+  job.faults = faults_;
+  return job;
+}
 
+RunOutcome Deployment::run(const std::string& output_dir) {
   RunOutcome outcome;
-  outcome.job = bed.run_job(std::move(job));
+  outcome.input = input_;
+  outcome.job = bed_.run_job(job(output_dir));
+  auto report = validate_output(bed_.dfs(), output_dir);
+  outcome.output_present = report.ok();
+  if (report.ok()) {
+    outcome.validation = *report;
+    outcome.validated = terasort_ ? report->valid_terasort(input_)
+                                  : report->valid_sort(input_);
+  }
+  return outcome;
+}
+
+RunOutcome run_experiment(const RunConfig& config) {
+  Deployment deployment = Deployment::create(config);
+  RunOutcome outcome = deployment.run("/bench/out");
   // A job turned away at submit wrote nothing: say why, rather than
   // fail the validation below on its missing output.
   HMR_CHECK_MSG(outcome.job.status.ok(),
                 "rejected: " + outcome.job.status.to_string());
-
-  auto report = validate_output(bed.dfs(), "/bench/out");
-  HMR_CHECK_MSG(report.ok(), "output missing after job");
-  outcome.validation = *report;
-  const bool ok = terasort ? report->valid_terasort(*digest)
-                           : report->valid_sort(*digest);
-  HMR_CHECK_MSG(ok, "output validation FAILED for " + config.setup.label);
-  outcome.validated = true;
+  HMR_CHECK_MSG(outcome.output_present, "output missing after job");
+  HMR_CHECK_MSG(outcome.validated,
+                "output validation FAILED for " + config.setup.label);
   return outcome;
 }
 

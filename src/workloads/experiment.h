@@ -1,6 +1,7 @@
-// Experiment runner for the paper's figures: builds a Testbed per
-// configuration, generates input, runs the job, validates the output,
-// and returns the job execution time the figures plot.
+// Experiment runner for the paper's figures: a Deployment builds the
+// Testbed for one configuration and generates its input; each run of a
+// job over that input validates the output and returns the job
+// execution time the figures plot.
 #pragma once
 
 #include <string>
@@ -37,7 +38,7 @@ struct RunConfig {
   // charged for sort_modeled_bytes regardless.
   std::uint64_t target_real_bytes = 16 * 1024 * 1024;
   std::uint64_t seed = 1;
-  // Optional fault injection (not owned; must outlive the run): NIC
+  // Optional fault injection (not owned; must outlive the Deployment): NIC
   // degradations are armed on the cluster and shuffle responders/servlets
   // consult the plan per request. See sim/fault.h and docs/CONFIG.md.
   sim::FaultPlan* faults = nullptr;
@@ -45,6 +46,8 @@ struct RunConfig {
 
 struct RunOutcome {
   mapred::JobResult job;
+  DatasetDigest input;          // digest of the generated input
+  bool output_present = false;  // part files exist under the output dir
   bool validated = false;
   // Order/content check of the output (digest comparable across runs:
   // a recovered faulty run must reproduce the fault-free checksum).
@@ -52,13 +55,41 @@ struct RunOutcome {
   double seconds() const { return job.elapsed(); }
 };
 
-// Runs one full experiment (generate -> job -> validate). Aborts with
-// "rejected: <status>" when the job's conf does not parse, and on
-// validation failure: a shuffle engine that loses or disorders data must
-// never produce a "result".
+// The paper's run recipe (§IV) for one configuration. create() builds
+// the Testbed, applies the paper's block default, generates the input
+// at the carried-data scale (scale_workload) and arms config.faults.
+// Any number of jobs then run over that one input; the Testbed, and
+// with it the engine's metrics registry, outlives each of them.
+class Deployment {
+ public:
+  static Deployment create(const RunConfig& config);
+
+  Testbed& bed() { return bed_; }
+  const DatasetDigest& input() const { return input_; }
+  // The TeraSort or Sort job over the input, writing `output_dir`, with
+  // config.faults attached.
+  mapred::JobSpec job(const std::string& output_dir);
+  // Runs job(output_dir) and validates its output against input().
+  // Never aborts on a rejected job or a wrong output: the outcome says.
+  RunOutcome run(const std::string& output_dir);
+
+ private:
+  explicit Deployment(const RunConfig& config);
+
+  sim::FaultPlan* faults_;
+  bool terasort_;
+  Testbed bed_;
+  Conf conf_;
+  DatasetDigest input_;
+};
+
+// Deployment::create(config).run(), aborting with "rejected: <status>"
+// when the job's conf does not parse, and on validation failure: a
+// shuffle engine that loses or disorders data must never produce a
+// "result".
 RunOutcome run_experiment(const RunConfig& config);
 
-// The carried-data recipe (DESIGN.md §2) every workload driver shares.
+// The carried-data recipe (DESIGN.md §2) Deployment::create applies.
 // Fills `gen`'s modeled total, its scale (modeled bytes per carried
 // byte, sized to carry about `target_real_bytes`, at least 1) and, for
 // Sort, its record inflation; then sets the mapred.workload.* keys the

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/units.h"
-
 namespace hmr::workloads {
 
 LatencySummary latency_summary(std::vector<double> latencies) {
@@ -49,24 +47,16 @@ MultiTenantOutcome run_multitenant(const MultiTenantSpec& spec) {
   HMR_CHECK_MSG(spec.num_jobs > 0, "num_jobs must be positive");
   HMR_CHECK_MSG(!spec.tenants.empty(), "tenant mix must not be empty");
 
-  TestbedSpec bed_spec;
-  bed_spec.nodes = spec.nodes;
-  bed_spec.profile = spec.setup.profile;
-  bed_spec.hdfs.block_size = spec.block_size;
-  bed_spec.seed = spec.seed;
-  Testbed bed(bed_spec);
+  RunConfig config;
+  config.setup = spec.setup;
+  config.sort_modeled_bytes = spec.job_modeled_bytes;
+  config.nodes = spec.nodes;
+  config.block_size = spec.block_size;
+  config.target_real_bytes = spec.target_real_bytes;
+  config.seed = spec.seed;
+  Deployment deployment = Deployment::create(config);
+  Testbed& bed = deployment.bed();
   bed.set_scheduler(spec.sched);
-
-  DataGenSpec gen;
-  gen.dir = "/mt/in";
-  gen.part_modeled = spec.block_size;
-  gen.seed = spec.seed;
-  Conf conf = spec.setup.extra;
-  conf.set(mapred::kShuffleEngine, spec.setup.engine);
-  scale_workload(/*terasort=*/true, spec.job_modeled_bytes,
-                 spec.target_real_bytes, &gen, &conf);
-  auto digest = bed.generate("teragen", gen);
-  HMR_CHECK_MSG(digest.ok(), "multitenant input generation failed");
 
   // Arrival process: exponential interarrivals at the configured rate,
   // user drawn per job from the mix. Both streams derive from the
@@ -74,10 +64,11 @@ MultiTenantOutcome run_multitenant(const MultiTenantSpec& spec) {
   auto handles = std::make_shared<
       std::vector<std::shared_ptr<mapred::SubmittedJob>>>();
   auto& engine = bed.engine();
-  engine.spawn([](Testbed& bed, const MultiTenantSpec& spec, Conf conf,
+  engine.spawn([](Deployment& deployment, const MultiTenantSpec& spec,
                   std::shared_ptr<std::vector<
                       std::shared_ptr<mapred::SubmittedJob>>> handles)
                    -> sim::Task<> {
+    Testbed& bed = deployment.bed();
     auto& engine = bed.engine();
     Rng arrivals = engine.make_rng("sched.arrivals");
     Rng users = engine.make_rng("sched.arrivals.user");
@@ -85,12 +76,11 @@ MultiTenantOutcome run_multitenant(const MultiTenantSpec& spec) {
     for (int j = 1; j <= spec.num_jobs; ++j) {
       if (rate > 0) co_await engine.delay(arrivals.exponential(60.0 / rate));
       const std::string user = pick_user(spec.tenants, users);
-      mapred::JobSpec job =
-          terasort_job(bed.dfs(), "/mt/in", out_dir(j), conf);
+      mapred::JobSpec job = deployment.job(out_dir(j));
       job.name = "mt-" + std::to_string(j);
       handles->push_back(bed.tracker().submit(std::move(job), user));
     }
-  }(bed, spec, conf, handles));
+  }(deployment, spec, handles));
   engine.run();
 
   HMR_CHECK_MSG(engine.live_processes() == 0,
@@ -121,7 +111,7 @@ MultiTenantOutcome run_multitenant(const MultiTenantSpec& spec) {
     auto report = validate_output(bed.dfs(), out_dir(j));
     HMR_CHECK_MSG(report.ok(), "job output missing: " + out_dir(j));
     record.output_digest = report->digest;
-    record.validated = report->valid_terasort(*digest);
+    record.validated = report->valid_terasort(deployment.input());
     HMR_CHECK_MSG(record.validated,
                   "multitenant job output validation FAILED: " + out_dir(j));
     outcome.all_validated = outcome.all_validated && record.validated;

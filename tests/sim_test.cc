@@ -1153,41 +1153,6 @@ TEST(TracerTest, TracksGetStableThreadIds) {
 namespace hmr::sim {
 namespace {
 
-TEST(EngineTest, MaxEventsSurfacesCleanOverrun) {
-  Engine engine;
-  engine.set_max_events(100);
-  engine.spawn([](Engine& e) -> Task<> {
-    while (true) co_await e.delay(0.001);  // would run forever
-  }(engine));
-  engine.run();  // returns instead of aborting
-  EXPECT_TRUE(engine.overrun());
-  EXPECT_EQ(engine.events_dispatched(), 100u);
-  EXPECT_GT(engine.pending_events(), 0u);   // runaway still queued
-  EXPECT_EQ(engine.live_processes(), 1);    // the loop never finished
-  EXPECT_FALSE(engine.step());              // valve stays shut
-}
-
-TEST(EngineTest, RunUntilStopsAtOverrunWithoutTimeJump) {
-  Engine engine;
-  engine.set_max_events(10);
-  engine.spawn([](Engine& e) -> Task<> {
-    while (true) co_await e.delay(1.0);
-  }(engine));
-  engine.run_until(100.0);
-  EXPECT_TRUE(engine.overrun());
-  // Time must not jump to the deadline past still-queued events.
-  EXPECT_LT(engine.now(), 100.0);
-}
-
-TEST(EngineTest, NoOverrunWhenUnderLimit) {
-  Engine engine;
-  engine.set_max_events(1000);
-  engine.spawn([](Engine& e) -> Task<> { co_await e.delay(1.0); }(engine));
-  engine.run();
-  EXPECT_FALSE(engine.overrun());
-  EXPECT_EQ(engine.live_processes(), 0);
-}
-
 TEST(EngineTest, DetachedExceptionAborts) {
   Engine engine;
   engine.spawn([](Engine& e) -> Task<> {

@@ -189,6 +189,36 @@ TEST(ExperimentTest, SeedsChangeLayoutNotValidity) {
   }
 }
 
+// One Deployment runs two jobs into two output directories over one
+// generated input: each output validates against that input, and the
+// testbed, alive past both jobs, holds both jobs' fetches in its registry.
+TEST(DeploymentTest, TwoJobsShareOneInputAndOneRegistry) {
+  RunConfig config;
+  config.setup = EngineSetup::osu_ib();
+  config.sort_modeled_bytes = 256 * kMiB;
+  config.nodes = 2;
+  config.block_size = 64 * kMiB;
+  config.target_real_bytes = 1 * kMiB;
+  Deployment deployment = Deployment::create(config);
+  const RunOutcome first = deployment.run("/bench/out1");
+  const RunOutcome second = deployment.run("/bench/out2");
+  for (const RunOutcome* outcome : {&first, &second}) {
+    EXPECT_EQ(outcome->input, deployment.input());
+    EXPECT_TRUE(outcome->output_present);
+    EXPECT_TRUE(outcome->validation.valid_terasort(deployment.input()));
+    EXPECT_TRUE(outcome->validated);
+  }
+  const std::int64_t first_requests =
+      first.job.counter("shuffle.fetch.requests");
+  const std::int64_t second_requests =
+      second.job.counter("shuffle.fetch.requests");
+  EXPECT_GT(first_requests, 0);
+  EXPECT_GT(second_requests, 0);
+  EXPECT_EQ(deployment.bed().engine().metrics().counter_value(
+                "shuffle.fetch.requests"),
+            first_requests + second_requests);
+}
+
 }  // namespace
 }  // namespace hmr::workloads
 
