@@ -214,6 +214,9 @@ sim::Task<JobResult> JobRunner::run(JobSpec spec) {
                                 ? job->reduces_done_time
                                 : job->engine.now();
   co_await shuffle->stop(*job);
+  // As Hadoop's TaskTracker purges a finished job's local data: with the
+  // responders and servlets drained, no one reads the map outputs again.
+  job->release_map_outputs();
   // After stop(): the registry has every shuffle/net/cache series for
   // the run.
   job->result.metrics = job->engine.metrics().snapshot();

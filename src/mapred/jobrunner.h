@@ -39,6 +39,11 @@ class JobRunner {
   // nothing run.
   sim::Task<JobResult> run(JobSpec spec);
 
+  // The TaskTrackers, one per `tracker_hosts` entry, in that order.
+  const std::vector<std::unique_ptr<TaskTrackerState>>& trackers() const {
+    return trackers_;
+  }
+
  private:
   sim::Task<> map_worker(JobRuntime& job, TaskTrackerState& tracker, int slot,
                          std::vector<bool>& assigned, sim::WaitGroup& done);

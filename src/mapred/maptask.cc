@@ -30,7 +30,7 @@ sim::Task<> run_map_task(JobRuntime& job, int map_id,
   Host& host = *tracker.host;
   auto span = sim::maybe_span(job.engine.tracer(), host.name(), "map",
                               "map_" + std::to_string(map_id));
-  const std::string path = "mapout/" + job.spec.name + "/map_" +
+  const std::string path = "mapout/" + std::to_string(job.job_id) + "/map_" +
                            std::to_string(map_id) + "_h" +
                            std::to_string(host.id());
 

@@ -275,6 +275,21 @@ TaskTrackerState& JobRuntime::tracker_for_host(int host_id) {
   __builtin_unreachable();
 }
 
+void JobRuntime::release_map_outputs() {
+  for (TaskTrackerState* tracker : trackers) {
+    for (size_t m = 0; m < maps.size(); ++m) {
+      auto it = tracker->map_outputs.find(
+          dataplane::map_output_id(std::uint32_t(job_id), std::uint32_t(m)));
+      if (it == tracker->map_outputs.end()) continue;
+      // Best effort: the job is over, so a failed unlink has no one to
+      // report to.
+      const Status removed = tracker->host->fs().remove(it->second.local_path);
+      (void)removed;
+      tracker->map_outputs.erase(it);
+    }
+  }
+}
+
 bool JobRuntime::record_map_output(MapOutputInfo info) {
   const int map_id = info.map_id;
   const int host_id = info.host_id;

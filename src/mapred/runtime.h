@@ -77,6 +77,10 @@ struct TaskTrackerState {
   sim::Resource map_slots;
   sim::Resource reduce_slots;
   // map_output_id(job_id, map_id) -> output served from this tracker.
+  // Inserted when the map commits, re-homed onto another tracker by a
+  // recovery rerun (the old tracker keeps its stale entry), and erased
+  // with its LocalFS file when the job finishes
+  // (JobRuntime::release_map_outputs).
   // Node-based: the responders hold a `const MapOutputInfo&` across a
   // disk read while maps of other jobs finish and insert.
   // lint:ignore(determinism): looked up by id, never iterated
@@ -297,6 +301,11 @@ struct JobRuntime {
   // or a recovery rerun re-homing the served copy); false for a
   // speculative loser, whose output file is unlinked.
   bool record_map_output(MapOutputInfo info);
+  // Drops every tracker's entry for each of this job's maps and unlinks
+  // its file, the committed output and a rerun's stale original alike.
+  // Called once the shuffle engine has stopped: nothing of the job reads
+  // a MapOutputInfo after that.
+  void release_map_outputs();
 
   // The tracker-side lookup of both shuffle servers: the output that
   // the server on `host_id` serves for one request off the wire. Serves

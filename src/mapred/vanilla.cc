@@ -121,7 +121,7 @@ struct VanillaShuffleEngine::ReduceShuffleState {
   sim::Task<std::string> write_spill(JobRuntime& job, const char* kind,
                                      std::shared_ptr<const Bytes> run,
                                      const char* what) {
-    const std::string path = "shuffle/" + job.spec.name + "/r" +
+    const std::string path = "shuffle/" + std::to_string(job.job_id) + "/r" +
                              std::to_string(reduce_id) + "/" + kind +
                              std::to_string(spill_seq++);
     const Status written = co_await write_file_verified(

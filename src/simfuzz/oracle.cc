@@ -6,6 +6,7 @@
 #include "net/profile.h"
 #include "rdmashuffle/engine.h"
 #include "sim/fault.h"
+#include "storage/localfs.h"
 #include "workloads/experiment.h"
 
 namespace hmr::simfuzz {
@@ -370,6 +371,29 @@ void check_cross_engine(const std::vector<EngineRun>& runs,
   }
 }
 
+// A finished job's intermediate data is gone from the shared
+// TaskTrackers: no host lists a map output (mapout/) or a shuffle spill
+// (shuffle/), and no tracker still serves a map output.
+void check_released(workloads::Testbed& bed, const std::string& engine,
+                    const std::string& when, Verdict* verdict) {
+  for (size_t h = 0; h < bed.cluster().size(); ++h) {
+    const storage::LocalFS& fs = bed.cluster().host(h).fs();
+    const size_t files = fs.list("mapout/").size() + fs.list("shuffle/").size();
+    if (files > 0) {
+      add(verdict, "storage.job_released", engine,
+          fmt("%s: host %zu keeps %zu intermediate files", when.c_str(), h,
+              files));
+    }
+  }
+  for (const auto& tracker : bed.runner().trackers()) {
+    if (!tracker->map_outputs.empty()) {
+      add(verdict, "storage.job_released", engine,
+          fmt("%s: %s serves %zu map outputs", when.c_str(),
+              tracker->host->name().c_str(), tracker->map_outputs.size()));
+    }
+  }
+}
+
 void check_multi_job(const Scenario& scenario, Verdict* verdict) {
   if (scenario.concurrent_jobs < 2) return;
   const std::string engine = "osu-ib";
@@ -377,25 +401,21 @@ void check_multi_job(const Scenario& scenario, Verdict* verdict) {
   const auto out_dir = [](int j) {
     return std::string(kOutputDir) + std::to_string(j);
   };
-  // Local map-output and spill paths are named after the job, so each
-  // job gets its own name or same-named jobs would share those files.
-  const auto job_named = [&out_dir](workloads::Deployment& deployment, int j) {
-    mapred::JobSpec job = deployment.job(out_dir(j));
-    job.name = "fuzz-" + std::to_string(j);
-    return job;
-  };
 
   // Concurrent leg: every job submitted through the JobTracker at time
-  // zero, contending for the shared trackers under the fault plan.
+  // zero, contending for the shared trackers under the fault plan. All
+  // jobs keep the recipe's job name: local map-output and spill paths
+  // are named by job id, so same-named jobs share no files.
   sim::FaultPlan plan = scenario.build_fault_plan();
   auto concurrent_leg = workloads::Deployment::create(
       run_config(scenario, engine, &plan));
   workloads::Testbed& bed = concurrent_leg.bed();
   std::vector<std::shared_ptr<mapred::SubmittedJob>> handles;
   for (int j = 1; j <= jobs; ++j) {
-    handles.push_back(bed.tracker().submit(job_named(concurrent_leg, j)));
+    handles.push_back(bed.tracker().submit(concurrent_leg.job(out_dir(j))));
   }
   bed.engine().run();
+  check_released(bed, engine, "after the concurrent leg", verdict);
 
   // Starvation-freedom: every submitted job completed, and the scheduler
   // books agree (submitted == dispatched == completed, queue drained).
@@ -431,7 +451,9 @@ void check_multi_job(const Scenario& scenario, Verdict* verdict) {
   auto serial_leg = workloads::Deployment::create(
       run_config(scenario, engine, &serial_plan));
   for (int j = 1; j <= jobs; ++j) {
-    (void)serial_leg.bed().run_job(job_named(serial_leg, j));
+    (void)serial_leg.bed().run_job(serial_leg.job(out_dir(j)));
+    check_released(serial_leg.bed(), engine, fmt("after serial job %d", j),
+                   verdict);
   }
 
   // Per-job byte-identity: each concurrent output matches the input

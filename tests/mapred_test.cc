@@ -14,6 +14,7 @@
 #include "mapred/recovery.h"
 #include "mapred/vanilla.h"
 #include "sim/fault.h"
+#include "storage/localfs.h"
 #include "workloads/datagen.h"
 #include "workloads/experiment.h"
 #include "workloads/jobs.h"
@@ -1638,6 +1639,125 @@ TEST_P(BlacklistDuringBackoffTest, NextAttemptFetchesTheRerunWithoutTimingOut) {
 
 INSTANTIATE_TEST_SUITE_P(BothCopiers, BlacklistDuringBackoffTest,
                          testing::Values("vanilla", "osu-ib"));
+
+// --------------------------------------------- job-scoped local data
+
+// A finished job leaves nothing on the shared TaskTrackers: no host's
+// LocalFS lists a map output or a shuffle spill, and no tracker serves
+// a map output.
+void expect_no_intermediate_data(Testbed& bed) {
+  for (size_t h = 0; h < bed.cluster().size(); ++h) {
+    const storage::LocalFS& fs = bed.cluster().host(h).fs();
+    EXPECT_EQ(fs.list("mapout/"), std::vector<std::string>{}) << "host " << h;
+    EXPECT_EQ(fs.list("shuffle/"), std::vector<std::string>{})
+        << "host " << h;
+  }
+  for (const auto& tracker : bed.runner().trackers()) {
+    EXPECT_TRUE(tracker->map_outputs.empty())
+        << tracker->host->name() << " serves "
+        << tracker->map_outputs.size() << " map outputs";
+  }
+}
+
+// Host 1's tracker is dead from the start, so every job on the testbed
+// re-executes host 1's maps elsewhere: the rerun's output is re-homed on
+// a healthy tracker and host 1 keeps its stale entry and file. Both go
+// when the job finishes.
+class KilledTrackerLifecycleTest
+    : public testing::TestWithParam<const char*> {};
+
+TEST_P(KilledTrackerLifecycleTest, RerunLeavesNothing) {
+  auto config = tiny_vanilla();
+  const std::string engine = GetParam();
+  if (engine == "osu-ib") config.setup = workloads::EngineSetup::osu_ib();
+  if (engine == "hadoop-a") config.setup = workloads::EngineSetup::hadoop_a();
+  sim::FaultPlan plan(3);
+  plan.kill_tracker(1, 0.0);
+  config.faults = &plan;
+  config.setup.extra.set_double(kFetchTimeoutSec, 2.0);
+  config.setup.extra.set_double(kFetchBackoffBaseSec, 0.1);
+  config.setup.extra.set_double(kFetchBackoffMaxSec, 0.5);
+  config.setup.extra.set_int(kBlacklistFailures, 2);
+  auto deployment = workloads::Deployment::create(config);
+  for (const char* out : {"/out1", "/out2"}) {
+    const auto outcome = deployment.run(out);
+    ASSERT_TRUE(outcome.validated) << out;
+    EXPECT_GT(outcome.job.counter("shuffle.refetch.reruns"), 0) << out;
+    expect_no_intermediate_data(deployment.bed());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, KilledTrackerLifecycleTest,
+                         testing::Values("vanilla", "osu-ib", "hadoop-a"));
+
+TEST(JobLifecycleTest, SpeculativeLosersLeaveNothing) {
+  SmallJob small;
+  Testbed bed(small.bed_spec);
+  auto digest = bed.generate("teragen", small.gen);
+  ASSERT_TRUE(digest.ok());
+  Conf conf;
+  conf.set_double(kStragglerProb, 0.5);
+  conf.set_double(kStragglerSlowdown, 6.0);
+  conf.set_bool(kSpeculativeExecution, true);
+  for (const char* out : {"/out1", "/out2"}) {
+    const auto result =
+        bed.run_job(workloads::terasort_job(bed.dfs(), "/in", out, conf));
+    EXPECT_GT(result.counter("speculation.kills"), 0) << out;
+    auto report = workloads::validate_output(bed.dfs(), out);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->valid_terasort(*digest)) << out;
+    expect_no_intermediate_data(bed);
+  }
+}
+
+// Local paths are named by job id, not JobSpec::name: two concurrent
+// jobs sharing a name run exactly as if named apart. With two disks per
+// node, a path shared by name would hand the second job the first
+// job's LocalFS entries, with the disk and stream placed for that job,
+// and move job b's finish time.
+class SameNamedJobsTest : public testing::TestWithParam<const char*> {};
+
+TEST_P(SameNamedJobsTest, RunAsIfNamedApart) {
+  const std::string engine = GetParam();
+  const auto run = [&engine](const char* name_a, const char* name_b) {
+    SmallJob small;
+    small.bed_spec.disks_per_node = 2;
+    small.gen.modeled_total = 128 * kMiB;
+    small.gen.scale = 64.0;  // 2 MB real
+    if (engine != "vanilla") {
+      small.bed_spec.profile = net::NetProfile::verbs_qdr();
+    }
+    Testbed bed(small.bed_spec);
+    auto gen_a = small.gen;
+    gen_a.dir = "/a/in";
+    auto gen_b = small.gen;
+    gen_b.dir = "/b/in";
+    gen_b.seed = 99;
+    auto digest_a = bed.generate("teragen", gen_a);
+    auto digest_b = bed.generate("teragen", gen_b);
+    HMR_CHECK(digest_a.ok() && digest_b.ok());
+    Conf conf;
+    conf.set(kShuffleEngine, engine);
+    std::vector<JobSpec> jobs;
+    jobs.push_back(
+        workloads::terasort_job(bed.dfs(), "/a/in", "/a/out", conf));
+    jobs.push_back(
+        workloads::terasort_job(bed.dfs(), "/b/in", "/b/out", conf));
+    jobs[0].name = name_a;
+    jobs[1].name = name_b;
+    const auto results = bed.run_jobs(std::move(jobs));
+    auto report_a = workloads::validate_output(bed.dfs(), "/a/out");
+    auto report_b = workloads::validate_output(bed.dfs(), "/b/out");
+    EXPECT_TRUE(report_a.ok() && report_a->valid_terasort(*digest_a));
+    EXPECT_TRUE(report_b.ok() && report_b->valid_terasort(*digest_b));
+    expect_no_intermediate_data(bed);
+    return results.at(1).finish_time;
+  };
+  EXPECT_EQ(run("terasort", "terasort"), run("ja", "jb"));
+}
+
+INSTANTIATE_TEST_SUITE_P(VanillaAndHadoopA, SameNamedJobsTest,
+                         testing::Values("vanilla", "hadoop-a"));
 
 }  // namespace
 }  // namespace hmr::mapred
