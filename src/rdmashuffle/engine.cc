@@ -358,90 +358,48 @@ sim::Task<ucr::Endpoint*> RdmaShuffleEngine::ensure_client_endpoint(
 }
 
 sim::Task<> RdmaShuffleEngine::copier_driver(
-    JobRuntime& job, int reduce_id, Host& host,
-    std::shared_ptr<CopierState> state, std::shared_ptr<MapStream> stream,
-    int map_id, sim::WaitGroup& done) {
+    JobRuntime& job, Host& host, std::shared_ptr<CopierState> state,
+    int map_id) {
+  MapStream& stream = *state->streams[size_t(map_id)];
   co_await job.map_done.at(map_id)->wait();
-  if (stream->cancelled) {
+  if (stream.cancelled) {
     // The reduce attempt was killed while this stream waited for its
     // map; nothing was routed or fetched yet.
-    stream->chunks.close();
-    done.done();
+    stream.chunks.close();
+    state->drivers.done();
     co_return;
   }
   auto rng = job.engine.make_rng("shuffle.retry.r" +
-                                 std::to_string(reduce_id) + ".m" +
+                                 std::to_string(state->reduce_id) + ".m" +
                                  std::to_string(map_id));
 
-  // The stream's link: the endpoint to the tracker serving the map,
-  // dialed up front and redialed only when that tracker changes. Each
-  // request is `req` at the stream's cursor; only the response echoing
-  // that cursor is mine (others are stale duplicates). `header` and
-  // `records` keep the decode of the last response accepted.
-  int server = job.maps.at(map_id).ran_on;
-  ucr::Endpoint* endpoint =
-      co_await ensure_client_endpoint(job, host, state, server);
-  DataRequest req;
-  req.job_id = std::uint32_t(job.job_id);
-  req.map_id = std::uint32_t(map_id);
-  req.reduce_id = std::uint32_t(reduce_id);
-  req.max_pairs = state->max_pairs;
-  req.max_real_bytes = state->max_real_bytes;
-  DataResponse header;
-  std::span<const std::uint8_t> records;
-  mapred::FetchLink link;
-  link.watch = std::shared_ptr<mapred::FetchWatch>(stream, &stream->watch);
-  link.connect = [&](int to) -> sim::Task<sim::ResourceHold> {
-    if (to != server) {
-      endpoint = co_await ensure_client_endpoint(job, host, state, to);
-      server = to;
-    }
-    co_return sim::ResourceHold{};
-  };
-  link.send = [&] {
-    return endpoint->send(
-        net::Message::data(req.encode(), 1.0, kTagDataRequest)
-            .with_modeled(kRequestWireBytes));
-  };
-  // The router forwards only response frames with a payload.
-  link.classify = [&](const net::Message& msg) -> mapred::FetchVerdict {
-    ByteReader r(*msg.payload);
-    const auto decoded = DataResponse::decode_header(r);
-    if (!decoded.ok()) return {};  // malformed
-    const auto body = r.bytes(decoded->chunk_real_bytes);
-    if (!body.ok()) return {};  // short body
-    if (decoded->cursor_real != req.cursor_real) {
-      return {mapred::FetchVerdict::kStale};
-    }
-    header = *decoded;
-    records = *body;
-    return {mapred::FetchVerdict::kMine, header.chunk_real_bytes > 0, records,
-            header.chunk_crc,
-            static_cast<std::uint64_t>(double(header.chunk_real_bytes) *
-                                       job.data_scale)};
-  };
-  // Recovery relocates a stream to a re-executed attempt and resumes it
-  // from the SAME cursor: deterministic map execution makes the rerun's
-  // partition byte-identical, so no delivered chunk is ever re-merged.
-  const auto fetch = [&] {
-    return mapred::fetch_exchange(job, host, map_id, *state->timeouts, link,
-                                  rng, state->attempt);
-  };
+  // The endpoint to the tracker serving the map is dialed up front and
+  // redialed only when that tracker changes. Each request is
+  // `cursor.req` at the stream's cursor.
+  StreamCursor cursor;
+  cursor.server = job.maps.at(map_id).ran_on;
+  cursor.endpoint =
+      co_await ensure_client_endpoint(job, host, state, cursor.server);
+  cursor.req.job_id = std::uint32_t(job.job_id);
+  cursor.req.map_id = std::uint32_t(map_id);
+  cursor.req.reduce_id = std::uint32_t(state->reduce_id);
+  cursor.req.max_pairs = state->max_pairs;
+  cursor.req.max_real_bytes = state->max_real_bytes;
 
-  state->routes[size_t(map_id)] = &stream->watch;
+  state->routes[size_t(map_id)] = &stream.watch;
   bool first_request = true;
   while (true) {
     // Abandon between exchanges once the attempt is killed (the watcher
     // pulses `demand` so waits here don't outlive the race); any chunk
     // already sent is drained — and its memory charge released — by the
     // merge's cancellation drain.
-    if (stream->cancelled) break;
+    if (stream.cancelled) break;
     if (!first_request && design_ == RdmaDesign::kHadoopA &&
-        !stream->urgent) {
+        !stream.urgent) {
       // Network-levitated merge (Hadoop-A): wait until the merge actually
       // needs the next packet of this segment.
-      co_await stream->demand.wait();
-      if (stream->cancelled) break;
+      co_await stream.demand.wait();
+      if (stream.cancelled) break;
     }
     first_request = false;
 
@@ -451,48 +409,119 @@ sim::Task<> RdmaShuffleEngine::copier_driver(
     // onto the merge's critical path instead of deadlocking it.
     const std::uint64_t charge = state->chunk_charge;
     bool charged = state->mem.try_acquire(std::int64_t(charge));
-    if (!charged && !stream->urgent) {
+    if (!charged && !stream.urgent) {
       // Buffers are full: degrade to on-demand fetching — sleep until
       // the merge actually blocks on this stream, then deliver as an
       // uncharged emergency chunk (or charged, if memory freed up).
-      co_await stream->demand.wait();
-      if (stream->cancelled) break;  // no charge held yet
+      co_await stream.demand.wait();
+      if (stream.cancelled) break;  // no charge held yet
       charged = state->mem.try_acquire(std::int64_t(charge));
     }
 
-    const double rt0 = job.engine.now();
-    std::optional<net::Message> response = co_await fetch();
-    if (response.has_value() && !charged) {
-      // Over-budget segment: the merge had no room to keep this
-      // buffer resident, so an earlier delivery was dropped and the
-      // packet is fetched again now that the merge demands it —
-      // the levitated-merge thrash of fixed-count buffers (§IV-C).
-      std::optional<net::Message> again = co_await fetch();
-      response = std::move(again);
-      job.metric.overbudget_refetches.add();
-      job.metric.overbudget_bytes.add(static_cast<std::int64_t>(
-          double(header.chunk_real_bytes) * job.data_scale));
-    }
-    if (!response.has_value()) {
+    auto fetched = co_await fetch_chunk(job, host, state, cursor, rng, charged);
+    if (!fetched.has_value()) {
       // The reduce attempt was killed between retries.
       if (charged) state->mem.release(std::int64_t(charge));
       break;
     }
-    metric_->fetch_rtt.record(job.engine.now() - rt0);
-    req.cursor_real += header.chunk_real_bytes;
-
-    // `records` points into `response`, the last frame classified mine;
-    // the chunk keeps that frame alive for the merge to read in place.
-    StreamChunk chunk;
-    chunk.payload = std::move(response->payload);
-    chunk.records = records;
-    chunk.mem_charge = charged ? charge : 0;
-    co_await stream->chunks.send(std::move(chunk));
-    if (header.eof) break;
+    fetched->chunk.mem_charge = charged ? charge : 0;
+    // The send is named: a chunk passed inside the co_await operand
+    // would also take a slot in the frame as the operand's temporary,
+    // 40 bytes more in every stream's driver.
+    auto deliver = stream.chunks.send(std::move(fetched->chunk));
+    co_await deliver;
+    if (fetched->eof) break;
   }
-  stream->chunks.close();
+  stream.chunks.close();
   state->routes[size_t(map_id)] = nullptr;
-  done.done();
+  state->drivers.done();
+}
+
+sim::Task<std::optional<RdmaShuffleEngine::FetchedChunk>>
+RdmaShuffleEngine::fetch_chunk(JobRuntime& job, Host& host,
+                               const std::shared_ptr<CopierState>& state,
+                               StreamCursor& cursor, Rng& rng, bool charged) {
+  // What the link's callables touch, reached through one pointer each
+  // so that every callable fits std::function's inline buffer: building
+  // the link allocates nothing. Only the response echoing the cursor is
+  // mine (others are stale duplicates); `header` and `records` keep the
+  // decode of the last one accepted.
+  struct Exchange {
+    RdmaShuffleEngine& self;
+    JobRuntime& job;
+    Host& host;
+    const std::shared_ptr<CopierState>& state;
+    StreamCursor& cursor;
+    DataResponse header = {};
+    std::span<const std::uint8_t> records = {};
+  };
+  Exchange ex{*this, job, host, state, cursor};
+  const int map_id = int(cursor.req.map_id);
+  const std::shared_ptr<MapStream>& stream = state->streams[size_t(map_id)];
+  mapred::FetchLink link;
+  link.watch = std::shared_ptr<mapred::FetchWatch>(stream, &stream->watch);
+  link.connect = [x = &ex](int to) -> sim::Task<sim::ResourceHold> {
+    if (to != x->cursor.server) {
+      x->cursor.endpoint = co_await x->self.ensure_client_endpoint(
+          x->job, x->host, x->state, to);
+      x->cursor.server = to;
+    }
+    co_return sim::ResourceHold{};
+  };
+  link.send = [x = &ex] {
+    return x->cursor.endpoint->send(
+        net::Message::data(x->cursor.req.encode(), 1.0, kTagDataRequest)
+            .with_modeled(kRequestWireBytes));
+  };
+  // The router forwards only response frames with a payload.
+  link.classify = [x = &ex](const net::Message& msg) -> mapred::FetchVerdict {
+    ByteReader r(*msg.payload);
+    const auto decoded = DataResponse::decode_header(r);
+    if (!decoded.ok()) return {};  // malformed
+    const auto body = r.bytes(decoded->chunk_real_bytes);
+    if (!body.ok()) return {};  // short body
+    if (decoded->cursor_real != x->cursor.req.cursor_real) {
+      return {mapred::FetchVerdict::kStale};
+    }
+    x->header = *decoded;
+    x->records = *body;
+    return {mapred::FetchVerdict::kMine, x->header.chunk_real_bytes > 0,
+            x->records, x->header.chunk_crc,
+            static_cast<std::uint64_t>(double(x->header.chunk_real_bytes) *
+                                       x->job.data_scale)};
+  };
+  // Recovery relocates a stream to a re-executed attempt and resumes it
+  // from the SAME cursor: deterministic map execution makes the rerun's
+  // partition byte-identical, so no delivered chunk is ever re-merged.
+  const auto fetch = [&] {
+    return mapred::fetch_exchange(job, host, map_id, *state->timeouts, link,
+                                  rng, state->attempt);
+  };
+
+  const double rt0 = job.engine.now();
+  std::optional<net::Message> response = co_await fetch();
+  if (response.has_value() && !charged) {
+    // Over-budget segment: the merge had no room to keep this buffer
+    // resident, so an earlier delivery was dropped and the packet is
+    // fetched again now that the merge demands it — the levitated-merge
+    // thrash of fixed-count buffers (§IV-C).
+    std::optional<net::Message> again = co_await fetch();
+    response = std::move(again);
+    job.metric.overbudget_refetches.add();
+    job.metric.overbudget_bytes.add(static_cast<std::int64_t>(
+        double(ex.header.chunk_real_bytes) * job.data_scale));
+  }
+  if (!response.has_value()) co_return std::nullopt;
+  metric_->fetch_rtt.record(job.engine.now() - rt0);
+  cursor.req.cursor_real += ex.header.chunk_real_bytes;
+
+  // `records` points into `response`, the last frame classified mine;
+  // the chunk keeps that frame alive for the merge to read in place.
+  FetchedChunk fetched;
+  fetched.chunk.payload = std::move(response->payload);
+  fetched.chunk.records = ex.records;
+  fetched.eof = ex.header.eof;
+  co_return std::move(fetched);
 }
 
 sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
@@ -503,8 +532,8 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
     return attempt != nullptr && attempt->kill_requested;
   };
   auto state = std::make_shared<CopierState>(
-      job.engine, job.conf.shuffle_buffer_bytes, job.conf.retry.fetch_timeout,
-      job.maps.size());
+      job.engine, reduce_id, job.conf.shuffle_buffer_bytes,
+      job.conf.retry.fetch_timeout, job.maps.size());
   state->attempt = attempt;
   // The fetch budget of every request: OSU-IB packets are byte-budgeted
   // (0 = unlimited) unless the job sets a kv count; Hadoop-A's kv count is
@@ -534,7 +563,7 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
   state->chunk_charge =
       std::min<std::uint64_t>(charge, std::uint64_t(state->mem.capacity()));
 
-  std::vector<std::shared_ptr<MapStream>> streams;
+  std::vector<std::shared_ptr<MapStream>>& streams = state->streams;
   streams.reserve(job.maps.size());
   for (size_t m = 0; m < job.maps.size(); ++m) {
     streams.push_back(std::make_shared<MapStream>(job.engine));
@@ -542,28 +571,25 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
 
   // Kill watcher: flags every stream cancelled and pulses its demand
   // event so drivers parked waiting for the merge wake up and unwind.
-  // Streams are captured by shared_ptr value, and `wake` is also set on
-  // the terminal transition, so the watcher always completes safely.
+  // It shares the copier state, and `wake` is also set on the terminal
+  // transition, so the watcher always completes safely.
   if (attempt != nullptr) {
-    job.engine.spawn(
-        [](mapred::TaskAttempt& attempt,
-           std::vector<std::shared_ptr<MapStream>> streams) -> sim::Task<> {
-          co_await attempt.wake.wait();
-          if (!attempt.kill_requested) co_return;
-          for (auto& stream : streams) {
-            stream->cancelled = true;
-            stream->demand.set();
-            stream->demand.reset();
-          }
-        }(*attempt, streams));
+    job.engine.spawn([](mapred::TaskAttempt& attempt,
+                        std::shared_ptr<CopierState> state) -> sim::Task<> {
+      co_await attempt.wake.wait();
+      if (!attempt.kill_requested) co_return;
+      for (auto& stream : state->streams) {
+        stream->cancelled = true;
+        stream->demand.set();
+        stream->demand.reset();
+      }
+    }(*attempt, state));
   }
 
   // --- RdmaCopier: one driver per map stream -------------------------
-  sim::WaitGroup drivers(job.engine);
   for (size_t m = 0; m < job.maps.size(); ++m) {
-    drivers.add();
-    job.engine.spawn(copier_driver(job, reduce_id, host, state, streams[m],
-                                   int(m), drivers));
+    state->drivers.add();
+    job.engine.spawn(copier_driver(job, host, state, int(m)));
   }
 
   // --- streaming loser-tree merge (§III-B2) ---------------------------
@@ -664,7 +690,10 @@ sim::Task<> RdmaShuffleEngine::fetch_and_merge(JobRuntime& job,
   } else {
     co_await batcher.flush();
   }
-  co_await drivers.wait();
+  co_await state->drivers.wait();
+  // Every driver is done: the streams go now, not with the last holder
+  // of the copier state (a router, or the kill watcher).
+  streams.clear();
   if (!cancelled()) co_await batcher.send_held();
   sink.close();
 

@@ -25,6 +25,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <vector>
@@ -144,16 +145,35 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     bool urgent = false;
     sim::Event demand;  // pulsed when the merge starts waiting
   };
+  // What a stream's driver keeps while it is parked between chunks: the
+  // request at the stream's cursor, and the tracker serving the map with
+  // the reducer's endpoint to it. Everything one exchange needs besides
+  // lives on fetch_chunk's frame.
+  struct StreamCursor {
+    DataRequest req;
+    int server = 0;
+    ucr::Endpoint* endpoint = nullptr;
+  };
+  // One chunk fetch_chunk delivered, and whether it ends the partition.
+  struct FetchedChunk {
+    StreamChunk chunk;
+    bool eof = false;
+  };
   // Per-reducer copier state shared by that reducer's stream drivers.
   struct CopierState {
-    CopierState(sim::Engine& engine, std::uint64_t mem_bytes,
+    CopierState(sim::Engine& engine, int reduce_id, std::uint64_t mem_bytes,
                 double fetch_timeout, size_t maps)
-        : routes(maps, nullptr),
+        : reduce_id(reduce_id),
+          routes(maps, nullptr),
           mem(engine, std::int64_t(mem_bytes), "shuffle.mem"),
           conn_lock(engine, 1, "copier.conn"),
           timeouts(std::make_shared<mapred::FetchTimeouts>(engine,
-                                                           fetch_timeout)) {}
+                                                           fetch_timeout)),
+          drivers(engine) {}
+    int reduce_id;
     std::map<int, ucr::Endpoint*> conns;  // tracker host id -> endpoint
+    // One stream per map, indexed by map id, while the merge runs.
+    std::vector<std::shared_ptr<MapStream>> streams;
     // Map id -> the watch of the stream fetching it; null while none is.
     std::vector<mapred::FetchWatch*> routes;
     sim::Resource mem;                    // reducer shuffle buffer
@@ -168,6 +188,7 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
     std::uint64_t max_pairs = 0;
     std::uint64_t max_real_bytes = 0;
     std::uint64_t chunk_charge = 0;
+    sim::WaitGroup drivers;  // counts the stream drivers still running
   };
   // One map output for the prefetcher to cache; a miss re-queues it with
   // raised priority (§III-B3).
@@ -210,12 +231,20 @@ class RdmaShuffleEngine : public mapred::ShuffleEngine {
   sim::Task<ucr::Endpoint*> ensure_client_endpoint(
       JobRuntime& job, Host& host, std::shared_ptr<CopierState> state,
       int server);
-  // RdmaCopier: fetches one map's partition chunk by chunk with
-  // timeout/retry/blacklist recovery, feeding the stream's chunk queue.
-  sim::Task<> copier_driver(JobRuntime& job, int reduce_id, Host& host,
-                            std::shared_ptr<CopierState> state,
-                            std::shared_ptr<MapStream> stream, int map_id,
-                            sim::WaitGroup& done);
+  // RdmaCopier: fetches map `map_id`'s partition chunk by chunk with
+  // timeout/retry/blacklist recovery, feeding its stream's chunk queue.
+  // Between chunks it parks holding only its StreamCursor, its retry
+  // stream and its memory charge.
+  sim::Task<> copier_driver(JobRuntime& job, Host& host,
+                            std::shared_ptr<CopierState> state, int map_id);
+  // One chunk of a copier stream: the fetch with recovery, a second
+  // fetch when the chunk has no memory charge (the over-budget refetch),
+  // then the cursor advance. Nullopt when the reduce attempt was killed
+  // between retries. Awaited once per chunk, so the FetchLink and the
+  // response live only for one exchange.
+  sim::Task<std::optional<FetchedChunk>> fetch_chunk(
+      JobRuntime& job, Host& host, const std::shared_ptr<CopierState>& state,
+      StreamCursor& cursor, Rng& rng, bool charged);
   // Cached handles for the per-request/per-chunk metric sites, bound in
   // start() (registry references are stable for the engine's lifetime;
   // same idiom as mapred::JobRuntime::metric and net::Network).

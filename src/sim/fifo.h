@@ -2,17 +2,20 @@
 // Event, Resource) and of the other per-object queues on the event path.
 //
 // A power-of-two ring over raw storage. It allocates nothing until the
-// first push_back, doubles when full and never shrinks, constructs each
-// element in place and destroys it on pop_front. An idle queue therefore
-// owns no memory: a libstdc++ deque allocates a 512-byte node and
-// its map on construction, which is most of the footprint of a reducer's
-// per-map-output streams (DESIGN.md §6.3, "queue storage").
+// first push_back, which takes one slot; it doubles when full and never
+// shrinks, constructs each element in place and destroys it on
+// pop_front. An idle queue therefore owns no memory: a libstdc++ deque
+// allocates a 512-byte node and its map on construction, which is most
+// of the footprint of a reducer's per-map-output streams (DESIGN.md
+// §6.3, "queue storage"). Most of those queues never hold more than one
+// element, hence the one-slot start.
 //
 // Unlike a deque, growing the ring moves its elements, so a reference
 // to an element is valid only until the next push_back.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -60,7 +63,7 @@ class Fifo {
   }
 
  private:
-  static constexpr size_t kFirstCapacity = 4;
+  static constexpr std::uint32_t kFirstCapacity = 1;
 
   template <typename U>
   void append(U&& value) {
@@ -77,10 +80,12 @@ class Fifo {
   // before the old ones move, so `value` may alias one of them.
   template <typename U>
   void grow(U&& value) {
-    const size_t capacity = capacity_ == 0 ? kFirstCapacity : 2 * capacity_;
+    HMR_CHECK_MSG(capacity_ <= UINT32_MAX / 2, "Fifo capacity overflow");
+    const std::uint32_t capacity =
+        capacity_ == 0 ? kFirstCapacity : 2 * capacity_;
     T* slots = std::allocator<T>().allocate(capacity);
     std::construct_at(slots + size_, std::forward<U>(value));
-    for (size_t i = 0; i < size_; ++i) {
+    for (std::uint32_t i = 0; i < size_; ++i) {
       T* old = slots_ + ((head_ + i) & (capacity_ - 1));
       std::construct_at(slots + i, std::move(*old));
       std::destroy_at(old);
@@ -92,10 +97,12 @@ class Fifo {
     ++size_;
   }
 
+  // 32-bit counts keep the ring at 24 bytes, not 32: each of a
+  // reducer's per-map-output streams holds seven rings.
   T* slots_ = nullptr;
-  size_t capacity_ = 0;  // 0 or a power of two
-  size_t head_ = 0;      // slot of the front element
-  size_t size_ = 0;
+  std::uint32_t capacity_ = 0;  // 0 or a power of two
+  std::uint32_t head_ = 0;      // slot of the front element
+  std::uint32_t size_ = 0;
 };
 
 }  // namespace hmr::sim

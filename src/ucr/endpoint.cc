@@ -50,17 +50,23 @@ struct RtsHeader {
     w.put_u8(has_payload ? 1 : 0);
     return w.take();
   }
-  static RtsHeader decode(const Bytes& data) {
-    ByteReader r(data);
+  // An RTS without a payload, or with a truncated header, is malformed:
+  // the caller drops the frame.
+  static Result<RtsHeader> decode(const Message& ctrl) {
+    if (ctrl.payload == nullptr) {
+      return Status::InvalidArgument("RTS without a header");
+    }
+    ByteReader r(*ctrl.payload);
     const auto seq = r.u64();
     const auto app_tag = r.u64();
     const auto rkey = r.u32();
     const auto real_len = r.u64();
     const auto modeled_len = r.u64();
     const auto has_payload = r.u8();
-    HMR_CHECK_MSG(seq.ok() && app_tag.ok() && rkey.ok() && real_len.ok() &&
-                      modeled_len.ok() && has_payload.ok(),
-                  "truncated RTS header");
+    if (!(seq.ok() && app_tag.ok() && rkey.ok() && real_len.ok() &&
+          modeled_len.ok() && has_payload.ok())) {
+      return Status::OutOfRange("truncated RTS header");
+    }
     RtsHeader h;
     h.seq = seq.value();
     h.app_tag = app_tag.value();
@@ -130,7 +136,12 @@ sim::Task<> Endpoint::recv_loop() {
         break;
       case kFin: {
         auto it = awaiting_fin_.find(tag_value(wc->message.tag));
-        HMR_CHECK_MSG(it != awaiting_fin_.end(), "FIN for unknown rendezvous");
+        if (it == awaiting_fin_.end()) {
+          // No send of ours waits on this rendezvous: a corrupt or
+          // duplicated FIN. Drop it.
+          count_malformed_ctrl();
+          break;
+        }
         it->second->done.set();
         awaiting_fin_.erase(it);
         break;
@@ -158,9 +169,21 @@ void Endpoint::flush_pending_sends() {
   awaiting_fin_.clear();
 }
 
+void Endpoint::count_malformed_ctrl() {
+  // Registered on first use: a run that never sees a malformed frame
+  // reports no such counter.
+  network_.engine().metrics().counter("ucr.malformed_ctrl").add();
+}
+
 sim::Task<> Endpoint::handle_rts(const Message& ctrl) {
-  HMR_CHECK(ctrl.payload != nullptr);
-  const RtsHeader header = RtsHeader::decode(*ctrl.payload);
+  const auto decoded = RtsHeader::decode(ctrl);
+  if (!decoded.ok()) {
+    // Nothing names a region to read: drop the frame. Its sender, if
+    // any, never sees a FIN, as when the frame is lost.
+    count_malformed_ctrl();
+    co_return;
+  }
+  const RtsHeader header = *decoded;
 
   // send() pins a payload without bytes as a one-byte stand-in; reading
   // that byte carries the modeled size. Named local: GCC 12 miscompiles

@@ -64,6 +64,7 @@ class Endpoint {
 
  private:
   friend class Listener;
+  friend struct EndpointTestPeer;  // tests post raw control frames
   friend sim::Task<std::unique_ptr<Endpoint>> connect(Network& network,
                                                       Host& from,
                                                       Listener& listener);
@@ -77,7 +78,12 @@ class Endpoint {
   // nothing waits on its completion.
   void post_control(Message ctrl);
   sim::Task<> recv_loop();
+  // Reads an RTS's region and delivers it. A frame without a whole
+  // header is dropped and counted.
   sim::Task<> handle_rts(const Message& ctrl);
+  // Counts a control frame dropped as malformed (ucr.malformed_ctrl): a
+  // truncated RTS or a FIN naming no rendezvous in flight.
+  void count_malformed_ctrl();
   // Connection teardown: completes every send parked on a rendezvous
   // FIN that the departed peer will never deliver (the verbs analogue
   // of an error-state QP flushing its outstanding WRs).

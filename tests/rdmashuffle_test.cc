@@ -321,17 +321,29 @@ TEST(RdmaEngineTest, HadoopATightMemoryStillCompletes) {
 }
 
 TEST(RdmaEngineTest, OverBudgetRefetchesAreCounted) {
-  // Count-provisioned buffers against a 256 KB budget: chunks arrive
+  // A 256 KB budget against each design's receive buffers: chunks arrive
   // uncharged and are fetched a second time when the merge demands them.
-  auto config = tiny(workloads::EngineSetup::hadoop_a());
-  config.setup.extra.set("mapred.job.shuffle.input.buffer.bytes", "256KB");
-  const auto outcome = workloads::run_experiment(config);
-  EXPECT_TRUE(outcome.validated);
-  const auto refetches = outcome.job.counter("shuffle.overbudget.refetches");
-  EXPECT_GT(refetches, 0);
-  EXPECT_GT(outcome.job.counter("shuffle.overbudget.bytes"), 0);
-  // Each one is a second exchange on top of the chunk's first.
-  EXPECT_GE(outcome.job.counter("shuffle.fetch.requests"), 2 * refetches);
+  // The counts are pinned: each refetch is one more exchange of the
+  // per-chunk fetch, and moving that fetch must not change them.
+  struct Expected {
+    workloads::EngineSetup setup;
+    std::int64_t refetches;
+    std::int64_t bytes;
+    std::int64_t requests;
+  };
+  for (const Expected& want :
+       {Expected{workloads::EngineSetup::osu_ib(), 569, 512004096, 1165},
+        Expected{workloads::EngineSetup::hadoop_a(), 4677, 482523648, 9889}}) {
+    SCOPED_TRACE(want.setup.label);
+    auto config = tiny(want.setup);
+    config.setup.extra.set("mapred.job.shuffle.input.buffer.bytes", "256KB");
+    const auto outcome = workloads::run_experiment(config);
+    EXPECT_TRUE(outcome.validated);
+    EXPECT_EQ(outcome.job.counter("shuffle.overbudget.refetches"),
+              want.refetches);
+    EXPECT_EQ(outcome.job.counter("shuffle.overbudget.bytes"), want.bytes);
+    EXPECT_EQ(outcome.job.counter("shuffle.fetch.requests"), want.requests);
+  }
 }
 
 TEST(RdmaEngineTest, AmpleMemoryHasNoOverBudgetRefetch) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <coroutine>
 #include <cstdint>
@@ -694,6 +695,39 @@ TEST(ChannelTest, BoundedCapacityBlocksSender) {
   EXPECT_EQ(engine.live_processes(), 1);  // sender still parked
 }
 
+TEST(ChannelTest, OneSenderOneReceiverHoldAtMostFourSlots) {
+  // A capacity-2 channel between one sender and one receiver: its buffer
+  // grows to two slots, and each parked-task queue to one, since at most
+  // one task parks on each side. The sender runs ahead of the receiver
+  // (it parks on a full buffer), then falls behind (the receiver parks
+  // on an empty one).
+  Engine engine;
+  Channel<int> ch(engine, 2);
+  size_t most = 0;
+  std::vector<int> received;
+  engine.spawn([](Engine& e, Channel<int>& ch, size_t& most) -> Task<> {
+    for (int i = 0; i < 12; ++i) {
+      if (i >= 6) co_await e.delay(5.0);
+      co_await ch.send(i);
+      most = std::max(most, ch.queue_capacity());
+    }
+    ch.close();
+  }(engine, ch, most));
+  engine.spawn([](Engine& e, Channel<int>& ch, size_t& most,
+                  std::vector<int>& received) -> Task<> {
+    co_await e.delay(1.0);
+    while (auto v = co_await ch.recv()) {
+      received.push_back(*v);
+      most = std::max(most, ch.queue_capacity());
+      co_await e.delay(1.0);
+    }
+  }(engine, ch, most, received));
+  engine.run();
+  EXPECT_EQ(received, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  EXPECT_EQ(most, 4u);
+  EXPECT_EQ(ch.queue_capacity(), 4u);  // buffer 2, sender 1, receiver 1
+}
+
 TEST(ChannelTest, ReceiverBlocksUntilSend) {
   Engine engine;
   Channel<std::string> ch(engine, 1);
@@ -924,28 +958,32 @@ TEST(FifoTest, OwnsNoStorageUntilFirstPush) {
 }
 
 TEST(FifoTest, OrderSurvivesWrapAroundAndGrowthWhileWrapped) {
+  // Capacity 0 -> 1 -> 2 -> 4 -> 8. Before each growth one element is
+  // popped and the ring refilled, so from two slots on the ring grows
+  // while its contents wrap past the end.
   Fifo<int> fifo;
   int next_in = 0;
   int next_out = 0;
-  // Fill the first ring, drain most of it so the head sits mid-ring,
-  // then refill past the end: the tail wraps to slot 0.
-  for (int i = 0; i < 4; ++i) fifo.push_back(next_in++);
-  const size_t first = fifo.capacity();
-  for (int i = 0; i < 3; ++i) {
+  EXPECT_EQ(fifo.capacity(), 0u);
+  fifo.push_back(next_in++);
+  EXPECT_EQ(fifo.capacity(), 1u);
+  for (size_t capacity = 1; capacity < 8; capacity *= 2) {
     EXPECT_EQ(fifo.front(), next_out++);
     fifo.pop_front();
+    while (fifo.size() < capacity) {
+      fifo.push_back(next_in++);
+      EXPECT_EQ(fifo.capacity(), capacity);  // refilled, not grown
+    }
+    fifo.push_back(next_in++);
+    EXPECT_EQ(fifo.capacity(), 2 * capacity);
+    EXPECT_EQ(fifo.back(), next_in - 1);
   }
-  while (fifo.size() < first) fifo.push_back(next_in++);
-  EXPECT_EQ(fifo.capacity(), first);  // wrapped, not grown
-  // One more grows the ring while its contents wrap.
-  fifo.push_back(next_in++);
-  EXPECT_EQ(fifo.capacity(), 2 * first);
-  EXPECT_EQ(fifo.back(), next_in - 1);
   while (!fifo.empty()) {
     EXPECT_EQ(fifo.front(), next_out++);
     fifo.pop_front();
   }
   EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(fifo.capacity(), 8u);  // never shrinks
 }
 
 TEST(FifoTest, MatchesDequeUnderInterleavedPushPop) {

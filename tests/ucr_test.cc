@@ -9,6 +9,18 @@
 #include "ucr/endpoint.h"
 
 namespace hmr::ucr {
+
+// Posts raw control frames from an endpoint, as a faulty peer could.
+// The wire kind sits in the tag's top byte (endpoint.cc): 2 is an RTS,
+// 3 a FIN whose low bits name the rendezvous.
+struct EndpointTestPeer {
+  static constexpr std::uint64_t kRtsTag = std::uint64_t{2} << 56;
+  static constexpr std::uint64_t kFinTag = std::uint64_t{3} << 56;
+  static void post(Endpoint& from, Message frame) {
+    from.post_control(std::move(frame));
+  }
+};
+
 namespace {
 
 using net::Cluster;
@@ -193,6 +205,38 @@ TEST(UcrTest, CloseDeliversNulloptToPeer) {
   EXPECT_TRUE(saw_nullopt);
   w.server->close();
   w.engine.run();
+}
+
+TEST(UcrTest, MalformedControlFramesAreDroppedAndCounted) {
+  // A truncated RTS header, an RTS without one and a FIN naming no
+  // rendezvous in flight: each is dropped and counted, and the endpoint
+  // keeps serving eager and rendezvous traffic.
+  UcrWorld w;
+  EndpointTestPeer::post(
+      *w.client,
+      Message::share(std::make_shared<const Bytes>(Bytes{1, 2, 3}), 64,
+                     EndpointTestPeer::kRtsTag));
+  EndpointTestPeer::post(*w.client,
+                         Message::control(EndpointTestPeer::kRtsTag, 64));
+  EndpointTestPeer::post(*w.client,
+                         Message::control(EndpointTestPeer::kFinTag | 999, 16));
+  w.engine.run();
+  EXPECT_EQ(w.engine.metrics().counter("ucr.malformed_ctrl").value(), 3);
+
+  std::vector<std::uint64_t> sizes;
+  w.engine.spawn([](UcrWorld& w, std::vector<std::uint64_t>& sizes) -> Task<> {
+    co_await w.client->send(Message::data(Bytes(100, 0xab), 1.0, 1));
+    co_await w.client->send(Message::data(Bytes(200 * 1024, 0xcd), 1.0, 2));
+    for (int i = 0; i < 2; ++i) {
+      auto msg = co_await w.server->recv();
+      if (msg.has_value()) sizes.push_back(msg->real_size());
+    }
+  }(w, sizes));
+  w.engine.run();
+  EXPECT_EQ(sizes, (std::vector<std::uint64_t>{100, 200 * 1024}));
+  EXPECT_EQ(w.client->rendezvous_sends(), 1u);
+  EXPECT_EQ(w.engine.metrics().counter("ucr.malformed_ctrl").value(), 3);
+  w.teardown();
 }
 
 TEST(UcrTest, RendezvousIsFasterThanEagerForBulk) {
